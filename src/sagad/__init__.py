@@ -30,10 +30,12 @@ from .graph import (
     HomophilyReport,
     SparseAdjacency,
     SplitSet,
+    Supervision,
     class_homophily,
     edge_homophily,
     homophily_report,
     load_dataset,
+    load_supervision,
     node_homophily,
     normalized_adjacency,
     write_dataset,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import chebyshev, context, csbm, graph, metrics, model, training
-from .errors import ConfigError, SagadError
+from .errors import CacheFormatError, ConfigError, SagadError
 
 COMMANDS = (
     "validate",
@@ -260,27 +260,43 @@ def _checkpoint_path(cfg: RunConfig) -> str:
 
 
 def _workers() -> int:
+    """Sampler worker count: SAGAD_THREADS, at most the core count."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("SAGAD_THREADS")
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+    if not raw:
+        return cpus
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"SAGAD_THREADS must be an integer, got {raw!r}") from None
+    return max(1, min(value, cpus))
+
+
+def _dataset_dir(cfg: RunConfig) -> str:
+    if not cfg.dataset:
+        raise ConfigError("no dataset path configured (set 'dataset')")
+    return cfg.dataset
 
 
 def _load_dataset(cfg: RunConfig) -> graph.GraphDataset:
-    if not cfg.dataset:
-        raise ConfigError("no dataset path configured (set 'dataset')")
-    return graph.load_dataset(cfg.dataset)
+    return graph.load_dataset(_dataset_dir(cfg))
 
 
-def _get_split(dataset: graph.GraphDataset, index: int) -> graph.SplitSet:
-    if index < 0 or index >= len(dataset.splits):
+def _get_split(data, index: int) -> graph.SplitSet:
+    if index < 0 or index >= len(data.splits):
         raise ConfigError(
-            f"split index {index} out of range; dataset has {len(dataset.splits)} splits"
+            f"split index {index} out of range; dataset has {len(data.splits)} splits"
         )
-    return dataset.splits[index]
+    return data.splits[index]
 
 
-def _load_caches(cfg: RunConfig):
+def _load_caches(cfg: RunConfig, data=None):
+    """Read the basis cache and, if the model uses one, the context cache.
+
+    ``data`` (a Supervision or GraphDataset) is the dataset the caches
+    stand in for; when given, the caches must match its node count and
+    feature dimension.
+    """
     cheb = chebyshev.read_cache(_require_file(_cheb_path(cfg), "run `preprocess` first"))
     mc = cfg.model_config()
     ctx = None
@@ -288,6 +304,17 @@ def _load_caches(cfg: RunConfig):
         ctx = context.read_context_cache(
             _require_file(_context_path(cfg), "run `sample-context` first")
         )
+    if data is not None:
+        found = [("cheb_cache.bin n", cheb.num_nodes, "num_nodes", data.num_nodes),
+                 ("cheb_cache.bin d", cheb.dim, "num_features", data.num_features)]
+        if ctx is not None:
+            found.append(("context_cache.bin n", ctx.num_nodes, "num_nodes", data.num_nodes))
+        for what, got, key, want in found:
+            if got != want:
+                raise CacheFormatError(
+                    f"{what}={got} does not match the dataset's {key}={want}; "
+                    "rerun `preprocess` and `sample-context` on this dataset"
+                )
     return cheb, ctx
 
 
@@ -337,11 +364,11 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg)
-    split = _get_split(dataset, cfg.split_index)
-    cheb, ctx = _load_caches(cfg)
+    sup = graph.load_supervision(_dataset_dir(cfg))
+    split = _get_split(sup, cfg.split_index)
+    cheb, ctx = _load_caches(cfg, sup)
     state, history = training.train(
-        dataset, cheb, ctx, cfg.model_config(), cfg.train_config(), split
+        sup.labels, cheb, ctx, cfg.model_config(), cfg.train_config(), split
     )
     model.save_checkpoint(state, _checkpoint_path(cfg))
     hist_path = os.path.join(cfg.run_dir, f"history_{cfg.split_index}.csv")
@@ -358,15 +385,15 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg)
-    split = _get_split(dataset, cfg.split_index)
-    cheb, ctx = _load_caches(cfg)
+    sup = graph.load_supervision(_dataset_dir(cfg))
+    split = _get_split(sup, cfg.split_index)
+    cheb, ctx = _load_caches(cfg, sup)
     state = model.load_checkpoint(
         _require_file(_checkpoint_path(cfg), "run `train` first")
     )
     scores = training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
     test_ids = np.asarray(split.test, dtype=np.int64)
-    y_test = dataset.labels[test_ids]
+    y_test = sup.labels[test_ids]
     if np.any(y_test == graph.UNKNOWN_LABEL):
         raise ConfigError("test split contains unlabeled nodes; cannot evaluate")
     report = metrics.evaluate(scores[test_ids], y_test)
@@ -430,9 +457,9 @@ def _cmd_score(cfg: RunConfig) -> int:
     scores = training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
     out_path = os.path.join(cfg.run_dir, f"scores_{cfg.split_index}.csv")
     with open(out_path, "w", encoding="utf-8") as f:
+        # Python floats: repr is the shortest round-trip form
         f.write("node_id,score\n")
-        for i, s in enumerate(scores):
-            f.write(f"{i},{s!r}\n")
+        f.write("".join(f"{i},{s!r}\n" for i, s in enumerate(scores.tolist())))
     print(f"wrote {out_path} ({len(scores)} nodes)")
     return 0
 
@@ -462,7 +489,7 @@ def _cmd_homophily(cfg: RunConfig) -> int:
 def _cmd_quartiles(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     split = _get_split(dataset, cfg.split_index)
-    cheb, ctx = _load_caches(cfg)
+    cheb, ctx = _load_caches(cfg, dataset)
     state = model.load_checkpoint(
         _require_file(_checkpoint_path(cfg), "run `train` first")
     )

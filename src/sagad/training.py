@@ -15,7 +15,7 @@ import numpy as np
 from .chebyshev import ChebBasisCache
 from .context import ContextCache
 from .errors import ConfigError
-from .graph import GraphDataset, SplitSet
+from .graph import SplitSet
 from .metrics import average_precision
 from .model import (
     ModelConfig,
@@ -294,7 +294,7 @@ class EpochRecord:
 
 
 def train(
-    dataset: GraphDataset,
+    labels: np.ndarray,
     cheb_cache: ChebBasisCache,
     context_cache: ContextCache | None,
     model_config: ModelConfig,
@@ -303,9 +303,11 @@ def train(
 ) -> tuple[ModelState, list[EpochRecord]]:
     """Full-batch training on the labeled train set with early stopping.
 
-    Keeps the checkpoint with the best validation AUPRC; stops once
-    `patience` epochs pass without improvement.  Only labeled cache rows
-    are gathered, so memory does not scale with graph size.
+    ``labels`` holds one entry per node (1 anomaly, 0 normal, -1 unknown);
+    the graph itself is seen only through the caches.  Keeps the
+    checkpoint with the best validation AUPRC; stops once `patience`
+    epochs pass without improvement.  Only labeled cache rows are
+    gathered, so memory does not scale with graph size.
     """
     model_config.validate()
     train_config.validate()
@@ -314,7 +316,6 @@ def train(
     if train_ids.size == 0 or val_ids.size == 0:
         raise ValueError("train and val splits must be non-empty")
 
-    labels = dataset.labels
     beta = (
         train_config.beta_override
         if train_config.beta_override is not None

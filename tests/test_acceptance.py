@@ -360,7 +360,7 @@ def test_criterion_8b_trainer_memory_independent_of_n():
         cache = build_cheb_basis(ds, cfg.K)
         tracemalloc.start()
         tracemalloc.reset_peak()
-        train(ds, cache, None, cfg, tc, split)
+        train(ds.labels, cache, None, cfg, tc, split)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return peak

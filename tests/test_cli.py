@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from sagad import chebyshev, cli, context, model, training
 from sagad.cli import dispatch, main, parse_config
-from sagad.errors import ConfigError
+from sagad.errors import CacheFormatError, ConfigError, DatasetFormatError
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -85,6 +88,33 @@ def toy_run(tmp_path_factory):
     return cfg
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 300-node dataset with its own caches, to pair with the 400-node toy run."""
+    tmp = tmp_path_factory.mktemp("small")
+    cfg = parse_config(None, {
+        "dataset": str(tmp / "data"),
+        "run_dir": str(tmp / "run"),
+        "csbm.n_a": "30",
+        "csbm.n_n": "270",
+        "csbm.num_splits": "1",
+        "csbm.labeled_anomalies": "10",
+        "csbm.labeled_normals": "40",
+    })
+    for command in ("synth-csbm", "preprocess", "sample-context"):
+        assert dispatch(command, cfg) == 0
+    return cfg
+
+
+def _run_with_caches(run_dir, data_cfg, cheb_cfg, ctx_cfg):
+    """A run of data_cfg's dataset on the basis cache of cheb_cfg's run and
+    the context cache of ctx_cfg's run."""
+    os.makedirs(run_dir)
+    shutil.copy(os.path.join(cheb_cfg.run_dir, "cheb_cache.bin"), run_dir)
+    shutil.copy(os.path.join(ctx_cfg.run_dir, "context_cache.bin"), run_dir)
+    return dataclasses.replace(data_cfg, run_dir=str(run_dir))
+
+
 class TestPipeline:
     def test_validate_command(self, toy_run, capsys):
         assert dispatch("validate", toy_run) == 0
@@ -121,6 +151,18 @@ class TestPipeline:
         path = os.path.join(toy_run.run_dir, "scores_0.csv")
         lines = open(path).read().strip().splitlines()
         assert len(lines) == 401  # header + one row per node
+
+    def test_score_rows_are_exact_floats(self, toy_run):
+        assert dispatch("score", toy_run) == 0
+        state = model.load_checkpoint(os.path.join(toy_run.run_dir, "checkpoint_0.bin"))
+        cheb = chebyshev.read_cache(os.path.join(toy_run.run_dir, "cheb_cache.bin"))
+        ctx = context.read_context_cache(os.path.join(toy_run.run_dir, "context_cache.bin"))
+        expected = training.score_all(state, cheb, ctx)
+        lines = open(os.path.join(toy_run.run_dir, "scores_0.csv")).read().splitlines()
+        assert lines[0] == "node_id,score"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(i) for i, _ in rows] == list(range(len(expected)))
+        assert [float(v) for _, v in rows] == expected.tolist()
 
     def test_quartiles_written(self, toy_run):
         assert dispatch("quartiles", toy_run) == 0
@@ -173,6 +215,81 @@ class TestPipeline:
         cfg = dataclasses.replace(toy_run, split_index=9)
         with pytest.raises(ConfigError, match="out of range"):
             dispatch("eval", cfg)
+
+
+class TestTouchOnce:
+    def test_train_eval_score_read_no_graph_file(self, toy_run, tmp_path):
+        """After preprocess and sample-context, edges.tsv and the features
+        are never read again: garbage there changes no output byte."""
+        outputs = {}
+        for name in ("intact", "garbage"):
+            data_dir = tmp_path / f"data_{name}"
+            shutil.copytree(toy_run.dataset, data_dir)
+            if name == "garbage":
+                (data_dir / "edges.tsv").write_text("not\tan\tedge\n")
+                (data_dir / "features.bin").write_bytes(b"garbage")
+            cfg = _run_with_caches(tmp_path / f"run_{name}", toy_run, toy_run, toy_run)
+            cfg = dataclasses.replace(cfg, dataset=str(data_dir))
+            for command in ("train", "eval", "score"):
+                assert dispatch(command, cfg) == 0
+            outputs[name] = {
+                f: open(os.path.join(cfg.run_dir, f), "rb").read()
+                for f in ("checkpoint_0.bin", "history_0.csv", "report.csv", "scores_0.csv")
+            }
+        assert outputs["garbage"] == outputs["intact"]
+        with pytest.raises(DatasetFormatError):
+            dispatch("validate", cfg)
+
+
+class TestCacheMatchesDataset:
+    def test_cache_larger_than_dataset_rejected(self, toy_run, small_run, tmp_path):
+        cfg = _run_with_caches(tmp_path / "run", small_run, toy_run, toy_run)
+        with pytest.raises(CacheFormatError, match="cheb_cache.bin n=400 .* num_nodes=300"):
+            dispatch("train", cfg)
+
+    def test_cache_smaller_than_dataset_rejected(self, toy_run, small_run, tmp_path):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, small_run, small_run)
+        with pytest.raises(CacheFormatError, match="cheb_cache.bin n=300 .* num_nodes=400"):
+            dispatch("train", cfg)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_context_cache_node_count_checked(self, toy_run, small_run, tmp_path, command):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, small_run)
+        with pytest.raises(CacheFormatError, match="context_cache.bin n=300 .* num_nodes=400"):
+            dispatch(command, cfg)
+
+    def test_feature_dim_checked(self, toy_run, tmp_path):
+        data_dir = tmp_path / "data"
+        shutil.copytree(toy_run.dataset, data_dir)
+        meta = json.loads((data_dir / "meta.json").read_text())
+        meta["num_features"] = 7
+        (data_dir / "meta.json").write_text(json.dumps(meta))
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        cfg = dataclasses.replace(cfg, dataset=str(data_dir))
+        with pytest.raises(CacheFormatError, match="cheb_cache.bin d=16 .* num_features=7"):
+            dispatch("eval", cfg)
+
+
+class TestWorkers:
+    @pytest.fixture(autouse=True)
+    def four_cores(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+
+    @pytest.mark.parametrize(("raw", "expected"), [
+        (None, 4), ("", 4), ("2", 2), ("0", 1), ("-3", 1), ("100000", 4),
+    ])
+    def test_value_clamped_to_cores(self, monkeypatch, raw, expected):
+        if raw is None:
+            monkeypatch.delenv("SAGAD_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SAGAD_THREADS", raw)
+        assert cli._workers() == expected
+
+    @pytest.mark.parametrize("raw", ["two", "1.5"])
+    def test_non_integer_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("SAGAD_THREADS", raw)
+        with pytest.raises(ConfigError, match="SAGAD_THREADS"):
+            cli._workers()
 
 
 class TestCsbmSweep:

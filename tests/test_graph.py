@@ -1,16 +1,19 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from sagad.errors import DatasetFormatError
 from sagad.graph import (
+    UNKNOWN_LABEL,
     SplitSet,
     class_homophily,
     edge_homophily,
     load_dataset,
+    load_supervision,
     node_homophily,
     normalized_adjacency,
     write_dataset,
@@ -85,6 +88,81 @@ class TestLoader:
         with pytest.raises(DatasetFormatError, match="non-binary"):
             load_dataset(tmp_path)
 
+    def test_unknown_label_value_in_file_rejected(self, tmp_path):
+        # -1 marks "unlabeled" in memory; in labels.csv it is not a label
+        write_raw_dataset(tmp_path, 2, 1, ["0\t1"], [[1.0], [2.0]], ["0,-1", "1,0"])
+        with pytest.raises(DatasetFormatError, match="non-binary"):
+            load_dataset(tmp_path)
+
+    def test_label_node_out_of_range_rejected(self, tmp_path):
+        write_raw_dataset(tmp_path, 2, 1, ["0\t1"], [[1.0], [2.0]], ["0,0", "5,1"])
+        with pytest.raises(DatasetFormatError, match="labels.csv: node id 5 >= 2"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("lines", [["0\tx"], ["0\t1\t2"], ["0\t1", "1\t2\t0"], ["0"]])
+    def test_malformed_edge_lines_rejected(self, tmp_path, lines):
+        write_raw_dataset(tmp_path, 3, 1, lines, [[1.0], [2.0], [3.0]], ["0,0"])
+        with pytest.raises(DatasetFormatError, match="edges.tsv"):
+            load_dataset(tmp_path)
+
+    def test_empty_edge_file_loads_without_warning(self, tmp_path):
+        write_raw_dataset(tmp_path, 2, 1, [], [[1.0], [2.0]], [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_dataset(tmp_path)
+        assert ds.adjacency.num_edges == 0
+        assert list(ds.labels) == [UNKNOWN_LABEL, UNKNOWN_LABEL]
+
+    def test_non_finite_csv_feature_rejected(self, tmp_path):
+        write_raw_dataset(tmp_path, 3, 1, ["0\t1"], [[1.0], ["nan"], ["inf"]], ["0,0"])
+        with pytest.raises(DatasetFormatError, match="features.csv: non-finite value at node 1"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bin_feature_rejected(self, tmp_path, value):
+        ds = er_dataset(10, 0.3, 4, seed=2)
+        ds.features[7, 2] = value
+        write_dataset(ds, tmp_path / "d")
+        with pytest.raises(DatasetFormatError, match="features.bin: non-finite value at node 7"):
+            load_dataset(tmp_path / "d")
+
+    def test_vectorized_readers_match_line_parser(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 50
+        pairs = rng.integers(0, n, size=(300, 2))  # with self-loops and duplicates
+        edge_lines = [f"{u}\t{v}" if i % 3 else f" {u}  {v} " for i, (u, v) in enumerate(pairs)]
+        edge_lines.insert(40, "")
+        labeled = rng.permutation(n)[:30]
+        label_lines = [f"{i},{int(rng.random() < 0.3)}" for i in labeled]
+        write_raw_dataset(tmp_path, n, 1, edge_lines, [[float(i)] for i in range(n)], label_lines)
+        ds = load_dataset(tmp_path)
+
+        # the line-at-a-time parser and two-key sort the loaders replaced
+        ref_pairs = [tuple(int(t) for t in line.split()) for line in edge_lines if line.strip()]
+        ref_labels = np.full(n, UNKNOWN_LABEL, dtype=np.int8)
+        for line in label_lines:
+            node, value = line.split(",")
+            ref_labels[int(node)] = int(value)
+        entries = {(u, v) for u, v in ref_pairs if u != v} | {(v, u) for u, v in ref_pairs if u != v}
+        rows, cols = (np.asarray(c, dtype=np.int64) for c in zip(*entries))
+        order = np.lexsort((cols, rows))
+        np.testing.assert_array_equal(ds.adjacency.col_indices, cols[order])
+        np.testing.assert_array_equal(
+            ds.adjacency.row_offsets, np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        )
+        np.testing.assert_array_equal(ds.labels, ref_labels)
+
+    def test_supervision_opens_no_graph_file(self, tmp_path):
+        splits = [{"train": [0], "val": [1], "test": [2]}]
+        write_raw_dataset(tmp_path, 3, 2, ["not an edge"], [[1.0]], ["0,1", "1,0", "2,0"], splits)
+        os.remove(tmp_path / "features.csv")
+        sup = load_supervision(tmp_path)
+        assert (sup.name, sup.num_nodes, sup.num_features) == ("raw", 3, 2)
+        assert list(sup.labels) == [1, 0, 0]
+        assert list(sup.splits[0].test) == [2]
+        with pytest.raises(DatasetFormatError, match="edges.tsv"):
+            load_dataset(tmp_path)
+
     def test_self_loops_dropped(self, tmp_path):
         write_raw_dataset(tmp_path, 2, 1, ["0\t0", "0\t1"], [[1.0], [2.0]], ["0,0", "1,0"])
         ds = load_dataset(tmp_path)
@@ -116,6 +194,26 @@ class TestLoader:
 
 
 class TestSplitValidation:
+    @pytest.mark.parametrize(("train", "message"), [
+        ([0, 3], "train split contains node id >= 3"),
+        ([-1], "train split contains node id >= 3"),
+        ([0, 0], "train split contains duplicate ids"),
+    ])
+    def test_malformed_split_rejected(self, train, message):
+        ds = make_dataset([[0, 1]], [[1.0], [2.0], [3.0]], [0, 1, 0])
+        ds.splits = [SplitSet(
+            train=np.asarray(train), val=np.asarray([1]), test=np.asarray([2]),
+        )]
+        with pytest.raises(DatasetFormatError, match=message):
+            ds.validate()
+
+    def test_split_errors_reported_by_loaders(self, tmp_path):
+        splits = [{"train": [0], "val": [1], "test": [1, 2]}]
+        write_raw_dataset(tmp_path, 3, 1, ["0\t1"], [[1.0], [2.0], [3.0]], ["0,1", "1,0"], splits)
+        for load in (load_supervision, load_dataset):
+            with pytest.raises(DatasetFormatError, match="disjoint"):
+                load(tmp_path)
+
     def test_overlapping_splits_rejected(self):
         ds = make_dataset([[0, 1]], [[1.0], [2.0]], [0, 1])
         ds.splits = [SplitSet(

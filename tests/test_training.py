@@ -291,22 +291,22 @@ class TestTrainLoop:
         ds, cache, ctx, split = self._toy()
         cfg = ModelConfig(K=2, hidden_dim=8, seed=0)
         tc = TrainConfig(max_epochs=50, patience=50, lr=0.02)
-        _, history = train(ds, cache, ctx, cfg, tc, split)
+        _, history = train(ds.labels, cache, ctx, cfg, tc, split)
         assert history[-1].train_loss < history[0].train_loss
 
     def test_patience_zero_runs_one_epoch(self):
         ds, cache, ctx, split = self._toy(seed=1)
         cfg = ModelConfig(K=2, hidden_dim=8)
         tc = TrainConfig(max_epochs=100, patience=0)
-        _, history = train(ds, cache, ctx, cfg, tc, split)
+        _, history = train(ds.labels, cache, ctx, cfg, tc, split)
         assert len(history) == 1
 
     def test_same_seed_identical_history(self):
         ds, cache, ctx, split = self._toy(seed=2)
         cfg = ModelConfig(K=2, hidden_dim=8, seed=5, dropout=0.2)
         tc = TrainConfig(max_epochs=12, patience=12)
-        _, h1 = train(ds, cache, ctx, cfg, tc, split)
-        _, h2 = train(ds, cache, ctx, cfg, tc, split)
+        _, h1 = train(ds.labels, cache, ctx, cfg, tc, split)
+        _, h2 = train(ds.labels, cache, ctx, cfg, tc, split)
         assert [(r.train_loss, r.val_auprc) for r in h1] == [
             (r.train_loss, r.val_auprc) for r in h2
         ]
@@ -315,7 +315,7 @@ class TestTrainLoop:
         ds, cache, ctx, split = self._toy(seed=3)
         cfg = ModelConfig(K=2, hidden_dim=8, seed=1)
         tc = TrainConfig(max_epochs=30, patience=30)
-        state, history = train(ds, cache, ctx, cfg, tc, split)
+        state, history = train(ds.labels, cache, ctx, cfg, tc, split)
         best = max(r.val_auprc for r in history)
         from sagad.model import forward_bundle
 
@@ -329,7 +329,7 @@ class TestTrainLoop:
         ds, cache, ctx, split = self._toy(seed=4)
         bad = SplitSet(train=np.asarray([], dtype=int), val=split.val, test=split.test)
         with pytest.raises(ValueError, match="non-empty"):
-            train(ds, cache, ctx, ModelConfig(K=2), TrainConfig(), bad)
+            train(ds.labels, cache, ctx, ModelConfig(K=2), TrainConfig(), bad)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
