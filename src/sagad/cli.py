@@ -114,8 +114,7 @@ class RunConfig:
     batch_size: int = 8192
     clamp_eps: float = 1e-7
     beta_override: float | None = None
-    # context sampler
-    hop: int = 1
+    # context sampler: candidate cap per node
     cap: int = 64
     # nested sections
     csbm: CsbmSection = field(default_factory=CsbmSection)
@@ -154,6 +153,8 @@ class RunConfig:
     def validate(self) -> None:
         self.model_config().validate()
         self.train_config().validate()
+        if self.cap < 1:
+            raise ConfigError(f"cap must be >= 1, got {self.cap}")
 
 
 def _coerce(value, target_type, key: str):
@@ -259,19 +260,6 @@ def _checkpoint_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.run_dir, f"checkpoint_{cfg.split_index}.bin")
 
 
-def _workers() -> int:
-    """Sampler worker count: SAGAD_THREADS, at most the core count."""
-    cpus = os.cpu_count() or 1
-    raw = os.environ.get("SAGAD_THREADS")
-    if not raw:
-        return cpus
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"SAGAD_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(value, cpus))
-
-
 def _dataset_dir(cfg: RunConfig) -> str:
     if not cfg.dataset:
         raise ConfigError("no dataset path configured (set 'dataset')")
@@ -349,14 +337,7 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
     if cfg.context_mode == "features_only":
         raise ConfigError("context_mode features_only does not use a context cache")
     dataset = _load_dataset(cfg)
-    cache = context.build_context_cache(
-        dataset,
-        hop=cfg.hop,
-        cap=cfg.cap,
-        seed=cfg.seed,
-        mode=cfg.context_mode,
-        workers=_workers(),
-    )
+    cache = context.build_context_cache(dataset, cap=cfg.cap, seed=cfg.seed, mode=cfg.context_mode)
     os.makedirs(cfg.run_dir, exist_ok=True)
     context.write_context_cache(cache, _context_path(cfg))
     print(f"wrote {_context_path(cfg)} (mode={cfg.context_mode}, n={cache.num_nodes})")

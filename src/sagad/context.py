@@ -4,11 +4,13 @@ For every node we pick, among its 1-hop candidates, the induced subgraph
 with the largest Rayleigh Quotient (spectral energy of the feature signal
 on that subgraph), then cache the mean-pooled features of that subgraph.
 Small neighborhoods are solved exactly by enumeration; larger ones use a
-greedy marginal-gain search over a capped, seeded candidate sample.
+greedy marginal-gain search over a capped, seeded candidate sample.  One
+batched kernel solves all nodes with the same candidate count at once.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -70,127 +72,190 @@ def rayleigh_quotient(subset: np.ndarray, dataset: GraphDataset) -> float:
     return num / den
 
 
-def max_rq_subgraph(
-    node: int,
-    dataset: GraphDataset,
-    hop: int = 1,
-    cap: int = DEFAULT_CANDIDATE_CAP,
-    seed: int = 0,
-    branch: str = "auto",
-) -> np.ndarray:
+def max_rq_subgraph(node: int, dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
+                    seed: int = 0, branch: str = "auto") -> np.ndarray:
     """Subset of {node} + 1-hop neighbors maximizing the Rayleigh Quotient.
 
     Candidates above ``cap`` are uniformly subsampled with a per-node seeded
     stream.  Degree <= 10 is solved exactly by enumerating every subset
     containing the node; larger candidate sets use greedy marginal gain
     (ties broken by smallest node id, stop when no strict improvement).
-    ``branch`` forces "exhaustive" or "greedy" for testing.
+    ``branch`` forces "exhaustive" or "greedy" for testing.  One-node run
+    of the kernel behind ``build_context_cache``.
     """
-    if hop != 1:
-        raise ValueError("only 1-hop subgraph extraction is supported")
     n = dataset.num_nodes
     if node < 0 or node >= n:
         raise ValueError(f"node id {node} out of range [0, {n})")
     if branch not in ("auto", "exhaustive", "greedy"):
         raise ValueError(f"unknown branch {branch!r}")
-
-    neighbors = dataset.adjacency.neighbors(node)
-    if len(neighbors) > cap:
-        rng = np.random.default_rng(np.random.SeedSequence([_SEED_DOMAIN_SAMPLER, seed, node]))
-        neighbors = np.sort(rng.choice(neighbors, size=cap, replace=False))
-    if len(neighbors) == 0:
-        return np.asarray([node], dtype=np.int64)
-
-    if branch == "exhaustive" or (branch == "auto" and len(neighbors) <= EXHAUSTIVE_DEGREE_LIMIT):
-        return _exhaustive_subgraph(node, neighbors, dataset)
-    return _greedy_subgraph(node, neighbors, dataset)
-
-
-def _pair_energy(node: int, others: np.ndarray, dataset: GraphDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Local adjacency weights w_ij = a_ij * ||x_i - x_j||^2 and node energies."""
-    ids = np.concatenate([[node], others]).astype(np.int64)
-    x = np.asarray(dataset.features[ids], dtype=np.float64)
-    m = len(ids)
-    pos = {int(v): i for i, v in enumerate(ids)}
-    w = np.zeros((m, m))
+    if cap < 1:
+        raise ValueError(f"candidate cap must be >= 1, got {cap}")
     adj = dataset.adjacency
-    for local_i, global_i in enumerate(ids):
-        for global_j in adj.neighbors(int(global_i)):
-            local_j = pos.get(int(global_j))
-            if local_j is not None and local_j > local_i:
-                diff = x[local_i] - x[local_j]
-                val = float(diff @ diff)
-                w[local_i, local_j] = val
-                w[local_j, local_i] = val
-    energies = np.sum(x**2, axis=1)
-    return w, energies
+    k = min(len(adj.neighbors(node)), cap)
+    ids = _candidates(adj, np.asarray([node]), k, cap, seed)
+    exhaustive = branch == "exhaustive" or (branch == "auto" and k <= EXHAUSTIVE_DEGREE_LIMIT)
+    if exhaustive and k > EXHAUSTIVE_DEGREE_LIMIT:
+        raise ValueError(f"exhaustive search over {k} candidates needs 2^{k} subsets")
+    x = np.asarray(dataset.features, dtype=np.float64)
+    keys, energy = _edge_energies(adj, x, np.unique(ids))
+    return np.sort(ids[_select(ids, np.sum(x[ids] ** 2, axis=2), keys, energy, n, exhaustive)])
 
 
-def _exhaustive_subgraph(node: int, neighbors: np.ndarray, dataset: GraphDataset) -> np.ndarray:
-    w, energies = _pair_energy(node, neighbors, dataset)
-    k = len(neighbors)
-    masks = np.arange(2**k, dtype=np.uint32)
-    # membership matrix over neighbors; the center node is always in.
-    member = ((masks[:, None] >> np.arange(k, dtype=np.uint32)) & 1).astype(np.float64)
-    member = np.concatenate([np.ones((len(masks), 1)), member], axis=1)
-    num = 0.5 * np.einsum("si,ij,sj->s", member, w, member)
-    den = member @ energies
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rq = np.where(den > 0, num / den, 0.0)
-    # argmax returns the first (smallest) mask attaining the maximum; mask 0
-    # is the singleton {node}, so an all-tied landscape keeps the node alone.
-    best = int(np.argmax(rq))
-    chosen = [node] + [int(neighbors[i]) for i in range(k) if (best >> i) & 1]
-    return np.asarray(sorted(chosen), dtype=np.int64)
+# A chunk holds about this many values: B*(k+1)^2 local weights, B*2^k
+# subsets and B*d pooled features for B nodes, or edges*d differences.
+# Nothing of size n*cap is formed: the sampler needs O(n*d + m) memory.
+_CHUNK_VALUES = 1 << 16
+_NEAR_TIE = 1e-12  # relative band of near-ties re-ranked on the exact branch
 
 
-def _greedy_subgraph(node: int, neighbors: np.ndarray, dataset: GraphDataset) -> np.ndarray:
-    w, energies = _pair_energy(node, neighbors, dataset)
-    k = len(neighbors)
-    in_set = np.zeros(k + 1, dtype=bool)
-    in_set[0] = True
-    num = 0.0
-    den = energies[0]
-    cur_rq = num / den if den > 0 else 0.0
-    remaining = list(range(1, k + 1))
-    while remaining:
-        best_rq = cur_rq
-        best_local = None
-        best_num = best_den = 0.0
-        for local in remaining:
-            cand_num = num + float(w[local] @ in_set)
-            cand_den = den + energies[local]
-            cand_rq = cand_num / cand_den if cand_den > 0 else 0.0
-            # strict improvement; ties resolved by smallest node id, which
-            # is the enumeration order since neighbor lists are sorted.
-            if cand_rq > best_rq:
-                best_rq = cand_rq
-                best_local = local
-                best_num, best_den = cand_num, cand_den
-        if best_local is None:
+def _chunks(total: int, values_per_item: int):
+    step = max(1, _CHUNK_VALUES // max(values_per_item, 1))
+    return (slice(lo, lo + step) for lo in range(0, total, step))
+
+
+def _edge_energies(adj, x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys row*n + col of the CSR entries of ``rows``, and ||x_row - x_col||^2."""
+    offsets = adj.row_offsets
+    counts = offsets[rows + 1] - offsets[rows]
+    entries = np.repeat(offsets[rows] - np.cumsum(counts) + counts, counts)
+    dst = adj.col_indices[entries + np.arange(len(entries))]
+    src = np.repeat(rows, counts)
+    energy = np.empty(len(src))
+    for s in _chunks(len(src), x.shape[1]):
+        diff = x[src[s]] - x[dst[s]]
+        # one BLAS dot per edge, as `diff @ diff` takes it
+        energy[s] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+    src *= adj.num_nodes
+    src += dst
+    return src, energy
+
+
+def _candidates(adj, nodes: np.ndarray, k: int, cap: int, seed: int) -> np.ndarray:
+    """(B, k+1) ids: each node (all with min(degree, cap) == k), then its
+    sorted candidates; above the cap, a seeded sample of ``cap`` neighbors."""
+    starts = adj.row_offsets[nodes]
+    ids = np.empty((len(nodes), k + 1), dtype=np.int64)
+    ids[:, 0] = nodes
+    ids[:, 1:] = adj.col_indices[starts[:, None] + np.arange(k)]
+    for i in np.flatnonzero(adj.row_offsets[nodes + 1] - starts > cap):
+        node = int(nodes[i])
+        rng = np.random.default_rng(np.random.SeedSequence([_SEED_DOMAIN_SAMPLER, seed, node]))
+        ids[i, 1:] = np.sort(rng.choice(adj.neighbors(node), size=cap, replace=False))
+    return ids
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+@functools.lru_cache(maxsize=EXHAUSTIVE_DEGREE_LIMIT + 1)
+def _subset_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Membership of the node and its k candidates in each of the 2^k
+    subsets (bit i of s = candidate i), and of each local pair."""
+    member = np.ones((2**k, k + 1))
+    member[:, 1:] = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    iu, ju = np.triu_indices(k + 1, 1)
+    tables = member, member[:, iu] * member[:, ju]
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def _select(ids, node_energy, keys, energy, n: int, exhaustive: bool) -> np.ndarray:
+    """(B, k+1) membership of each node's max-RQ subset (column 0: the node)."""
+    b, k1 = ids.shape
+    iu, ju = np.triu_indices(k1, 1)
+    query = ids[:, iu] * n + ids[:, ju]
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    w_pairs = np.where(keys[pos] == query, energy[pos], 0.0)
+    w = np.zeros((b, k1, k1))
+    w[:, iu, ju] = w[:, ju, iu] = w_pairs
+    if not exhaustive:
+        return _greedy(w, node_energy)
+    member, pairs = _subset_tables(k1 - 1)
+    rq = _ratio(w_pairs @ pairs.T, node_energy @ member.T)
+    # argmax keeps the first (smallest) subset at the maximum; subset 0 is
+    # the node alone, so an all-tied landscape keeps it alone.
+    best = np.argmax(rq, axis=1)
+    # The product sums in another order than the per-node formula below,
+    # off by far less than _NEAR_TIE (<= 2(k+1)^2 non-negative terms), so
+    # only near-ties (e.g. a zero-feature node: RQ 1 up to rounding for
+    # every subset of leaves) need the formula itself.
+    top = rq[np.arange(b), best]
+    close = np.sum(rq >= (top * (1.0 - _NEAR_TIE))[:, None], axis=1) > 1
+    for i in np.flatnonzero(close & (top > 0)):
+        num = 0.5 * np.einsum("si,ij,sj->s", member, w[i], member)
+        best[i] = np.argmax(_ratio(num, member @ node_energy[i]))
+    return member[best] > 0
+
+
+def _greedy(w: np.ndarray, node_energy: np.ndarray) -> np.ndarray:
+    """Greedy marginal gain, one step for all nodes at a time: add the
+    candidate with the largest RQ (the first, i.e. smallest node id, at a
+    tie) while that strictly improves the node's RQ."""
+    b, k1 = node_energy.shape
+    in_set = np.eye(1, k1).repeat(b, axis=0)  # the node alone
+    num, den = np.zeros(b), node_energy[:, 0].copy()
+    cur, live = _ratio(num, den), np.arange(b)
+    for _ in range(k1 - 1):
+        # each candidate's weight into the subset: one BLAS dot per candidate
+        gain = np.matmul(w[live][:, :, None, :], in_set[live][:, None, :, None])[:, :, 0, 0]
+        cand = _ratio(num[live, None] + gain, den[live, None] + node_energy[live])
+        cand[in_set[live] > 0] = -np.inf
+        best = np.argmax(cand, axis=1)
+        best_rq = cand[np.arange(len(live)), best]
+        up = np.flatnonzero(best_rq > cur[live])
+        if not len(up):
             break
-        in_set[best_local] = True
-        remaining.remove(best_local)
-        num, den, cur_rq = best_num, best_den, best_rq
-    ids = np.concatenate([[node], neighbors]).astype(np.int64)
-    return np.asarray(sorted(int(i) for i in ids[in_set]), dtype=np.int64)
+        live, best = live[up], best[up]
+        in_set[live, best] = 1.0
+        num[live] += gain[up, best]
+        den[live] += node_energy[live, best]
+        cur[live] = best_rq[up]
+    return in_set > 0
 
 
-def build_context_cache(
-    dataset: GraphDataset,
-    hop: int = 1,
-    cap: int = DEFAULT_CANDIDATE_CAP,
-    seed: int = 0,
-    mode: str = "rq",
-    workers: int = 1,
-) -> ContextCache:
+def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
+    """The sampler on every node, a chunk of equal k = min(degree, cap) at a time."""
+    adj, n = dataset.adjacency, dataset.num_nodes
+    keys, energy = _edge_energies(adj, x, np.arange(n))
+    row_energy = np.empty(n)
+    for s in _chunks(n, x.shape[1]):
+        row_energy[s] = np.sum(x[s] ** 2, axis=1)
+    count = np.minimum(np.diff(adj.row_offsets), cap)
+    order = np.argsort(count, kind="stable")
+    bounds = np.searchsorted(count[order], np.arange(int(count.max(initial=0)) + 2))
+    context = np.empty((n, dataset.num_features), dtype=np.float32)
+    sizes = np.empty(n, dtype=np.int64)
+    for k in range(len(bounds) - 1):
+        group = order[bounds[k] : bounds[k + 1]]
+        exhaustive = k <= EXHAUSTIVE_DEGREE_LIMIT
+        for s in _chunks(len(group), max((k + 1) ** 2, 2**k if exhaustive else 0, x.shape[1])):
+            ids = _candidates(adj, group[s], k, cap, seed)
+            in_set = _select(ids, row_energy[ids], keys, energy, n, exhaustive)
+            # the mean of the chosen rows, summed from zero in ascending
+            # node-id order as `x[subset].mean(axis=0)` sums them
+            size = in_set.sum(axis=1)
+            chosen = np.sort(np.where(in_set, ids, n), axis=1)
+            total = np.zeros((len(ids), x.shape[1]))
+            for r in range(int(size.max())):
+                rows = np.flatnonzero(size > r)
+                total[rows] += x[chosen[rows, r]]
+            context[group[s]], sizes[group[s]] = total / size[:, None], size
+    return context, sizes
+
+
+def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP, seed: int = 0,
+                        mode: str = "rq") -> ContextCache:
     """Mean-pooled subgraph features for every node.
 
-    mode "rq" runs the max-RQ sampler per node (parallelizable over node
-    chunks; per-node seeding keeps results independent of scheduling).
+    mode "rq" runs the max-RQ sampler on every node in one batched pass
+    (per-node seeding keeps each node's result independent of the rest).
     mode "full_khop" pools over the whole 1-hop neighborhood plus the node
     itself, computed as one sparse product.
     """
+    if cap < 1:
+        raise ValueError(f"candidate cap must be >= 1, got {cap}")
     n = dataset.num_nodes
     x = np.asarray(dataset.features, dtype=np.float64)
     if mode == "full_khop":
@@ -199,15 +264,7 @@ def build_context_cache(
         sizes = (np.diff(adj.row_offsets) + 1).astype(np.int64)
         context = pooled / sizes[:, None]
     elif mode == "rq":
-        context = np.empty_like(x)
-        sizes = np.empty(n, dtype=np.int64)
-        if workers > 1 and n >= 256:
-            _sample_parallel(dataset, hop, cap, seed, workers, context, sizes)
-        else:
-            for v in range(n):
-                subset = max_rq_subgraph(v, dataset, hop=hop, cap=cap, seed=seed)
-                context[v] = x[subset].mean(axis=0)
-                sizes[v] = len(subset)
+        context, sizes = _rq_context(dataset, x, cap, seed)
     else:
         raise ValueError(f"unknown context mode {mode!r}")
     cache = ContextCache(
@@ -218,46 +275,6 @@ def build_context_cache(
     )
     cache.validate()
     return cache
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(dataset, hop, cap, seed):
-    _WORKER_STATE.update(dataset=dataset, hop=hop, cap=cap, seed=seed)
-
-
-def _sample_chunk(bounds):
-    lo, hi = bounds
-    dataset = _WORKER_STATE["dataset"]
-    x = np.asarray(dataset.features, dtype=np.float64)
-    ctx = np.empty((hi - lo, x.shape[1]))
-    sizes = np.empty(hi - lo, dtype=np.int64)
-    for v in range(lo, hi):
-        subset = max_rq_subgraph(
-            v, dataset,
-            hop=_WORKER_STATE["hop"],
-            cap=_WORKER_STATE["cap"],
-            seed=_WORKER_STATE["seed"],
-        )
-        ctx[v - lo] = x[subset].mean(axis=0)
-        sizes[v - lo] = len(subset)
-    return lo, hi, ctx, sizes
-
-
-def _sample_parallel(dataset, hop, cap, seed, workers, context, sizes) -> None:
-    import multiprocessing as mp
-
-    n = dataset.num_nodes
-    chunk = max(64, (n + workers * 4 - 1) // (workers * 4))
-    jobs = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    ctx_mp = mp.get_context("fork")
-    with ctx_mp.Pool(
-        processes=workers, initializer=_init_worker, initargs=(dataset, hop, cap, seed)
-    ) as pool:
-        for lo, hi, ctx, sz in pool.imap_unordered(_sample_chunk, jobs):
-            context[lo:hi] = ctx
-            sizes[lo:hi] = sz
 
 
 # ---------------------------------------------------------------------------

@@ -270,26 +270,55 @@ class TestCacheMatchesDataset:
             dispatch("eval", cfg)
 
 
-class TestWorkers:
-    @pytest.fixture(autouse=True)
-    def four_cores(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+class TestSamplerConfig:
+    def test_hop_is_an_unknown_key(self, tmp_path):
+        path = write_config(tmp_path, {"hop": 1})
+        with pytest.raises(ConfigError, match="unknown config key: hop"):
+            parse_config(path)
 
-    @pytest.mark.parametrize(("raw", "expected"), [
-        (None, 4), ("", 4), ("2", 2), ("0", 1), ("-3", 1), ("100000", 4),
-    ])
-    def test_value_clamped_to_cores(self, monkeypatch, raw, expected):
-        if raw is None:
-            monkeypatch.delenv("SAGAD_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("SAGAD_THREADS", raw)
-        assert cli._workers() == expected
+    def test_hop_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sample-context", "--hop", "2"])
+        assert err.value.code != 0
+        assert "--hop" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["two", "1.5"])
-    def test_non_integer_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("SAGAD_THREADS", raw)
-        with pytest.raises(ConfigError, match="SAGAD_THREADS"):
-            cli._workers()
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_rejected_before_reading(self, tmp_path, cap, capsys, monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("dataset read")
+
+        monkeypatch.setattr(cli.graph, "load_dataset", no_read)
+        rc = main(["sample-context", "--dataset", str(tmp_path / "data"),
+                   "--run-dir", str(tmp_path / "run"), "--cap", cap])
+        assert rc == 1
+        assert f"cap must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_cap_one_accepted(self):
+        assert parse_config(None, {"cap": "1"}).cap == 1
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_example_lines():
+    """Every `sagad ...` line of the README's end-to-end example block."""
+    text = open(README, encoding="utf-8").read()
+    block = text.split("End-to-end example", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [line.split() for line in block.splitlines() if line.startswith("sagad ")]
+
+
+class TestReadmeExample:
+    def test_example_has_the_pipeline(self):
+        commands = [argv[1] for argv in readme_example_lines()]
+        for command in ("synth-csbm", "preprocess", "sample-context", "train", "eval"):
+            assert command in commands
+
+    @pytest.mark.parametrize("argv", readme_example_lines(), ids=lambda a: a[1])
+    def test_example_line_parses(self, argv):
+        args = cli._build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
+        assert args.dataset and args.run_dir
 
 
 class TestCsbmSweep:

@@ -11,7 +11,9 @@ from sagad.context import (
     write_context_cache,
 )
 from sagad.errors import CacheFormatError
+from sagad.graph import GraphDataset
 
+import rq_oracle
 from conftest import er_dataset, make_dataset
 
 
@@ -166,13 +168,6 @@ class TestContextCache:
         np.testing.assert_array_equal(a.context, b.context)
         np.testing.assert_array_equal(a.subgraph_size, b.subgraph_size)
 
-    def test_parallel_matches_serial(self):
-        ds = er_dataset(300, 0.05, 2, seed=14)
-        serial = build_context_cache(ds, seed=1, workers=1)
-        parallel = build_context_cache(ds, seed=1, workers=2)
-        np.testing.assert_array_equal(serial.context, parallel.context)
-        np.testing.assert_array_equal(serial.subgraph_size, parallel.subgraph_size)
-
     def test_full_khop_mode_means_neighborhood(self):
         ds = make_dataset([[0, 1], [0, 2]], [[0.0], [3.0], [6.0]], [0, 0, 0])
         cache = build_context_cache(ds, mode="full_khop")
@@ -202,3 +197,157 @@ class TestContextCache:
         path.write_bytes(bytes(data))
         with pytest.raises(CacheFormatError, match="magic"):
             read_context_cache(path)
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel against the scalar oracle (tests/rq_oracle.py)
+# ---------------------------------------------------------------------------
+
+
+def _with_features(ds, features):
+    return GraphDataset(adjacency=ds.adjacency, features=features, labels=ds.labels)
+
+
+def gaussian_er(n, p, seed):
+    return er_dataset(n, p, 3, seed=seed)
+
+
+def integer_er(n, p, seed):
+    """Features in {-1, 0, 1}: exact RQ ties are common."""
+    ds = er_dataset(n, p, 3, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    return _with_features(ds, rng.integers(-1, 2, size=(n, 3)).astype(np.float64))
+
+
+def decimal_er(n, p, seed):
+    """Features in multiples of 0.1: ties that hold in real arithmetic but
+    only up to rounding in binary, so sums must be taken in the same order."""
+    ds = er_dataset(n, p, 3, seed=seed)
+    rng = np.random.default_rng(seed + 4000)
+    return _with_features(ds, rng.integers(-3, 4, size=(n, 3)) * 0.1)
+
+
+def zero_rows_er(n, p, seed):
+    """A third of the rows are all zero: some subsets have den == 0, and at a
+    zero-feature node every subset of leaves has RQ 1 up to rounding."""
+    ds = er_dataset(n, p, 3, seed=seed)
+    features = np.array(ds.features)
+    features[np.random.default_rng(seed + 2000).random(n) < 0.33] = 0.0
+    return _with_features(ds, features)
+
+
+def identical_leaves(num_leaves, seed):
+    """A star whose leaves share one feature row, plus a few distinct
+    leaves and an edge between two of the identical ones."""
+    rng = np.random.default_rng(seed)
+    leaf = rng.standard_normal(2)
+    rows = [rng.standard_normal(2)] + [leaf] * num_leaves + list(rng.standard_normal((3, 2)))
+    k = len(rows) - 1
+    edges = [[0, i] for i in range(1, k + 1)] + [[1, 2]]
+    return make_dataset(edges, rows, [0] * (k + 1))
+
+
+def degree_at_cap(cap, seed):
+    """Center 0 has exactly ``cap`` neighbors, node 1 has cap + 1, node
+    cap + 3 is isolated."""
+    rng = np.random.default_rng(seed)
+    n = cap + 4
+    edges = [[0, i] for i in range(1, cap + 1)] + [[1, i] for i in range(2, cap + 3)]
+    return make_dataset(edges, rng.standard_normal((n, 2)), [0] * n, num_nodes=n)
+
+
+def corpus():
+    for kind in (gaussian_er, integer_er, decimal_er, zero_rows_er):
+        for p in (0.06, 0.15, 0.3):
+            for seed in (0, 1, 2):
+                yield f"{kind.__name__}-p{p}-s{seed}", kind(50, p, seed)
+    # Here a greedy step flips (at cap 16) if a candidate's weight into the
+    # subset is summed in insertion order rather than by one dot product.
+    yield "decimal_er-n40-p0.3-s20", decimal_er(40, 0.3, 20)
+    for num_leaves in (3, 12):
+        yield f"identical_leaves-{num_leaves}", identical_leaves(num_leaves, num_leaves)
+    for cap in (8, 16):
+        yield f"degree_at_cap-{cap}", degree_at_cap(cap, cap)
+    # isolated nodes: ids past the last edge endpoint
+    yield "isolated", make_dataset([[0, 1], [1, 2]], np.eye(5), [0] * 5, num_nodes=5)
+
+
+CORPUS = dict(corpus())
+
+
+class TestMatchesOracle:
+    """Same subsets and the same context bytes as the per-node sampler."""
+
+    @pytest.mark.parametrize("cap", [8, 16])
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_context_cache_bit_identical(self, name, cap):
+        ds = CORPUS[name]
+        for seed in (0, 7):
+            cache = build_context_cache(ds, cap=cap, seed=seed)
+            context, sizes = rq_oracle.context_rows(ds, cap=cap, seed=seed)
+            np.testing.assert_array_equal(cache.subgraph_size, sizes)
+            assert cache.context.tobytes() == context.tobytes()
+
+    @pytest.mark.parametrize("cap", [8, 16])
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_each_branch_matches(self, name, cap):
+        ds = CORPUS[name]
+        for v in range(ds.num_nodes):
+            k = min(len(ds.adjacency.neighbors(v)), cap)
+            branches = ["auto", "greedy"] + (["exhaustive"] if k <= 10 else [])
+            for branch in branches:
+                got = max_rq_subgraph(v, ds, cap=cap, seed=3, branch=branch)
+                want = rq_oracle.max_rq_subgraph(v, ds, cap=cap, seed=3, branch=branch)
+                np.testing.assert_array_equal(got, want, err_msg=f"node {v} {branch}")
+
+    def test_corpus_covers_every_case(self):
+        """Both branches, capped nodes, degree == cap, isolated nodes and
+        zero-energy subsets all occur in the corpus."""
+        degrees = np.concatenate([np.diff(ds.adjacency.row_offsets) for ds in CORPUS.values()])
+        assert np.any(degrees == 0)
+        assert np.any((degrees >= 1) & (degrees <= 8))
+        assert np.any((degrees > 10) & (degrees <= 16))
+        assert np.any(degrees > 16)
+        assert np.any(degrees == 8) and np.any(degrees == 16)
+        zero = [np.any(~CORPUS[name].features.any(axis=1)) for name in CORPUS if "zero" in name]
+        assert all(zero)
+
+
+class TestKernelLimits:
+    def test_cap_below_one_rejected(self):
+        ds = er_dataset(10, 0.3, 2, seed=1)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="cap must be >= 1"):
+                build_context_cache(ds, cap=cap)
+            with pytest.raises(ValueError, match="cap must be >= 1"):
+                max_rq_subgraph(0, ds, cap=cap)
+
+    def test_forced_exhaustive_above_limit_rejected(self, monkeypatch):
+        # 40 candidates would need 2^40 subsets; the check comes first
+        from sagad import context
+
+        def no_tables(k):
+            raise AssertionError("subset tables built")
+
+        monkeypatch.setattr(context, "_subset_tables", no_tables)
+        ds = star([1.0], [[float(i)] for i in range(40)])
+        with pytest.raises(ValueError, match="2\\^40 subsets"):
+            max_rq_subgraph(0, ds, branch="exhaustive")
+        with pytest.raises(ValueError, match="2\\^11 subsets"):
+            max_rq_subgraph(0, ds, cap=11, branch="exhaustive")
+        # at the cap, 10 candidates are still solved exactly
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            max_rq_subgraph(0, ds, cap=10, branch="exhaustive"),
+            rq_oracle.max_rq_subgraph(0, ds, cap=10, branch="exhaustive"),
+        )
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        from sagad import context
+
+        ds = integer_er(60, 0.3, 4)
+        whole = build_context_cache(ds, cap=16, seed=2)
+        monkeypatch.setattr(context, "_CHUNK_VALUES", 1)  # one node per chunk
+        small = build_context_cache(ds, cap=16, seed=2)
+        assert whole.context.tobytes() == small.context.tobytes()
+        np.testing.assert_array_equal(whole.subgraph_size, small.subgraph_size)
