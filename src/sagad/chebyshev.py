@@ -2,18 +2,19 @@
 
 With lambda_max fixed to 2, the scaled Laplacian is the negated normalized
 adjacency, so each basis block is produced by one sparse-times-dense
-product.  Blocks are computed once, cached to disk, and read back per
-minibatch; training never touches the graph again.
+product.  Blocks are computed once, cached to disk, and read back by
+row (see ``cachefile``); training never touches the graph again.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cachefile import CacheFile, CacheRows, FileBacked
 from .errors import CacheFormatError
 from .graph import GraphDataset, SparseAdjacency, normalized_adjacency
 
@@ -21,19 +22,25 @@ CACHE_MAGIC = b"SGCHEB01"
 _DTYPE_F32 = 0
 # magic (8) + u64 n (8) + u64 d (8) + u16 K (2) + u16 dtype code (2)
 HEADER_BYTES = 28
+_HEADER = struct.Struct("<QQHH")
 
 LAMBDA_MAX = 2.0
 
 
 @dataclass
-class ChebBasisCache:
-    """The (K+1) precomputed matrices blocks[k] = T_k(scaled Laplacian) X."""
+class ChebBasisCache(FileBacked):
+    """The (K+1) precomputed matrices blocks[k] = T_k(scaled Laplacian) X.
+
+    A built cache holds ndarrays; one from ``read_cache`` holds ``CacheRows``
+    over its open ``file``, which ``close()`` (or ``with``) releases.  Both
+    are indexed the same way: ``blocks[k][ids]``.
+    """
 
     order: int
     num_nodes: int
     dim: int
-    blocks: list[np.ndarray]
-    lambda_max: float = LAMBDA_MAX
+    blocks: list
+    file: CacheFile | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> None:
         if len(self.blocks) != self.order + 1:
@@ -150,40 +157,32 @@ def write_cache(cache: ChebBasisCache, path: str | os.PathLike) -> None:
     path = os.fspath(path)
     with open(path, "wb") as f:
         f.write(CACHE_MAGIC)
-        f.write(struct.pack("<QQHH", cache.num_nodes, cache.dim, cache.order, _DTYPE_F32))
+        f.write(_HEADER.pack(cache.num_nodes, cache.dim, cache.order, _DTYPE_F32))
         for block in cache.blocks:
-            f.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(block[:], dtype="<f4").tobytes())
         f.flush()
         os.fsync(f.fileno())
 
 
 def read_cache(path: str | os.PathLike) -> ChebBasisCache:
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        raise CacheFormatError(f"cache file not found: {path}")
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CACHE_MAGIC:
-            raise CacheFormatError(f"bad cache magic {magic!r} (expected {CACHE_MAGIC!r})")
-        header = f.read(HEADER_BYTES - 8)
-        if len(header) != HEADER_BYTES - 8:
-            raise CacheFormatError("truncated cache header")
-        n, d, order, dtype_code = struct.unpack("<QQHH", header)
+    """Open a basis cache: the header is checked now, blocks are read by row."""
+    file = CacheFile(path, CACHE_MAGIC, _HEADER, "cache")
+    try:
+        n, d, order, dtype_code = file.fields
         if dtype_code != _DTYPE_F32:
             raise CacheFormatError(f"unsupported dtype code {dtype_code}")
-        payload = f.read()
-    expected = (order + 1) * n * d * 4
-    if len(payload) != expected:
-        raise CacheFormatError(
-            f"cache payload is {len(payload)} bytes, expected {expected}"
-        )
-    flat = np.frombuffer(payload, dtype="<f4")
-    blocks = [
-        flat[k * n * d : (k + 1) * n * d].reshape(n, d).copy()
-        for k in range(order + 1)
-    ]
-    cache = ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks)
-    cache.validate()
+        expected = (order + 1) * n * d * 4
+        if file.payload_bytes != expected:
+            raise CacheFormatError(
+                f"cache payload is {file.payload_bytes} bytes, expected {expected}"
+            )
+        blocks = [CacheRows(file, file.payload_offset + k * n * d * 4, n, d)
+                  for k in range(order + 1)]
+        cache = ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks, file=file)
+        cache.validate()
+    except BaseException:
+        file.close()
+        raise
     return cache
 
 

@@ -8,8 +8,10 @@ outputs, so a run directory is self-describing and reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -111,7 +113,8 @@ class RunConfig:
     weight_decay: float = 0.0
     max_epochs: int = 1000
     patience: int = 50
-    batch_size: int = 8192
+    # scoring batch in rows: bounds the memory of eval, score and quartiles
+    batch_size: int = 1024
     clamp_eps: float = 1e-7
     beta_override: float | None = None
     # context sampler: candidate cap per node
@@ -144,9 +147,7 @@ class RunConfig:
             weight_decay=self.weight_decay,
             max_epochs=self.max_epochs,
             patience=self.patience,
-            batch_size=self.batch_size,
             clamp_eps=self.clamp_eps,
-            seed=self.seed,
             beta_override=self.beta_override,
         )
 
@@ -155,6 +156,19 @@ class RunConfig:
         self.train_config().validate()
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+
+
+def _number(value, kind, key: str):
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    return number
 
 
 def _coerce(value, target_type, key: str):
@@ -164,10 +178,8 @@ def _coerce(value, target_type, key: str):
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
         raise ConfigError(f"{key}: expected true/false, got {value!r}")
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
+    if target_type in (int, float):
+        return _number(value, target_type, key)
     if target_type is str:
         return str(value)
     return value
@@ -191,11 +203,13 @@ def _apply_mapping(cfg, mapping: dict, prefix: str = "") -> None:
             if value is None or (isinstance(value, str) and value.lower() == "none"):
                 setattr(cfg, key, None)
             else:
-                setattr(cfg, key, float(value))
+                setattr(cfg, key, _number(value, float, f"{prefix}{key}"))
         elif key in _LIST_KEYS:
             if isinstance(value, str):
-                value = [int(v) for v in value.split(",") if v]
-            setattr(cfg, key, [int(v) for v in value])
+                value = [v for v in value.split(",") if v]
+            if not isinstance(value, list):
+                raise ConfigError(f"{prefix}{key}: expected a list of integers, got {value!r}")
+            setattr(cfg, key, [_number(v, int, f"{prefix}{key}") for v in value])
         else:
             setattr(cfg, key, _coerce(value, type(current), f"{prefix}{key}"))
 
@@ -278,32 +292,56 @@ def _get_split(data, index: int) -> graph.SplitSet:
     return data.splits[index]
 
 
+@contextlib.contextmanager
 def _load_caches(cfg: RunConfig, data=None):
-    """Read the basis cache and, if the model uses one, the context cache.
+    """Open the basis cache and, if the model uses one, the context cache.
 
-    ``data`` (a Supervision or GraphDataset) is the dataset the caches
-    stand in for; when given, the caches must match its node count and
-    feature dimension.
+    A context manager: the caches are read by row while the block runs
+    and their files are closed when it ends.  The basis cache's order
+    must equal ``cfg.K``.  ``data`` (a Supervision or GraphDataset) is the
+    dataset the caches stand in for; when given, the caches must match
+    its node count and feature dimension.
     """
-    cheb = chebyshev.read_cache(_require_file(_cheb_path(cfg), "run `preprocess` first"))
-    mc = cfg.model_config()
-    ctx = None
-    if mc.needs_context():
-        ctx = context.read_context_cache(
-            _require_file(_context_path(cfg), "run `sample-context` first")
+    with contextlib.ExitStack() as stack:
+        cheb = stack.enter_context(
+            chebyshev.read_cache(_require_file(_cheb_path(cfg), "run `preprocess` first"))
         )
-    if data is not None:
-        found = [("cheb_cache.bin n", cheb.num_nodes, "num_nodes", data.num_nodes),
-                 ("cheb_cache.bin d", cheb.dim, "num_features", data.num_features)]
-        if ctx is not None:
-            found.append(("context_cache.bin n", ctx.num_nodes, "num_nodes", data.num_nodes))
-        for what, got, key, want in found:
-            if got != want:
-                raise CacheFormatError(
-                    f"{what}={got} does not match the dataset's {key}={want}; "
-                    "rerun `preprocess` and `sample-context` on this dataset"
-                )
-    return cheb, ctx
+        ctx = None
+        if cfg.model_config().needs_context():
+            ctx = stack.enter_context(context.read_context_cache(
+                _require_file(_context_path(cfg), "run `sample-context` first")
+            ))
+        if cheb.order != cfg.K:
+            raise CacheFormatError(
+                f"cheb_cache.bin K={cheb.order} does not match the config's K={cfg.K}; "
+                "rerun `preprocess` with this K"
+            )
+        if data is not None:
+            found = [("cheb_cache.bin n", cheb.num_nodes, "num_nodes", data.num_nodes),
+                     ("cheb_cache.bin d", cheb.dim, "num_features", data.num_features)]
+            if ctx is not None:
+                found.append(("context_cache.bin n", ctx.num_nodes, "num_nodes", data.num_nodes))
+            for what, got, key, want in found:
+                if got != want:
+                    raise CacheFormatError(
+                        f"{what}={got} does not match the dataset's {key}={want}; "
+                        "rerun `preprocess` and `sample-context` on this dataset"
+                    )
+        yield cheb, ctx
+
+
+def _score_nodes(cfg: RunConfig, data=None) -> np.ndarray:
+    """Every node's score under the split's checkpoint (eval, score, quartiles)."""
+    with _load_caches(cfg, data) as (cheb, ctx):
+        state = model.load_checkpoint(
+            _require_file(_checkpoint_path(cfg), "run `train` first")
+        )
+        if state.config.K != cheb.order:
+            raise CacheFormatError(
+                f"{_checkpoint_path(cfg)} was trained with K={state.config.K}, but "
+                f"cheb_cache.bin has K={cheb.order}"
+            )
+        return training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +385,10 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
 def _cmd_train(cfg: RunConfig) -> int:
     sup = graph.load_supervision(_dataset_dir(cfg))
     split = _get_split(sup, cfg.split_index)
-    cheb, ctx = _load_caches(cfg, sup)
-    state, history = training.train(
-        sup.labels, cheb, ctx, cfg.model_config(), cfg.train_config(), split
-    )
+    with _load_caches(cfg, sup) as (cheb, ctx):
+        state, history = training.train(
+            sup.labels, cheb, ctx, cfg.model_config(), cfg.train_config(), split
+        )
     model.save_checkpoint(state, _checkpoint_path(cfg))
     hist_path = os.path.join(cfg.run_dir, f"history_{cfg.split_index}.csv")
     with open(hist_path, "w", encoding="utf-8") as f:
@@ -368,11 +406,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 def _cmd_eval(cfg: RunConfig) -> int:
     sup = graph.load_supervision(_dataset_dir(cfg))
     split = _get_split(sup, cfg.split_index)
-    cheb, ctx = _load_caches(cfg, sup)
-    state = model.load_checkpoint(
-        _require_file(_checkpoint_path(cfg), "run `train` first")
-    )
-    scores = training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
+    scores = _score_nodes(cfg, sup)
     test_ids = np.asarray(split.test, dtype=np.int64)
     y_test = sup.labels[test_ids]
     if np.any(y_test == graph.UNKNOWN_LABEL):
@@ -431,16 +465,15 @@ def _update_report_csv(path: str, split_index: int, rows: list[tuple[str, float]
 
 
 def _cmd_score(cfg: RunConfig) -> int:
-    cheb, ctx = _load_caches(cfg)
-    state = model.load_checkpoint(
-        _require_file(_checkpoint_path(cfg), "run `train` first")
-    )
-    scores = training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
+    scores = _score_nodes(cfg)
     out_path = os.path.join(cfg.run_dir, f"scores_{cfg.split_index}.csv")
     with open(out_path, "w", encoding="utf-8") as f:
-        # Python floats: repr is the shortest round-trip form
+        # Python floats: repr is the shortest round-trip form.  Rows are
+        # formatted one batch at a time, so the text never holds all n rows.
         f.write("node_id,score\n")
-        f.write("".join(f"{i},{s!r}\n" for i, s in enumerate(scores.tolist())))
+        for lo in range(0, len(scores), cfg.batch_size):
+            rows = scores[lo : lo + cfg.batch_size].tolist()
+            f.write("".join(f"{i},{s!r}\n" for i, s in enumerate(rows, lo)))
     print(f"wrote {out_path} ({len(scores)} nodes)")
     return 0
 
@@ -470,11 +503,7 @@ def _cmd_homophily(cfg: RunConfig) -> int:
 def _cmd_quartiles(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     split = _get_split(dataset, cfg.split_index)
-    cheb, ctx = _load_caches(cfg, dataset)
-    state = model.load_checkpoint(
-        _require_file(_checkpoint_path(cfg), "run `train` first")
-    )
-    scores = training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
+    scores = _score_nodes(cfg, dataset)
     node_h = graph.node_homophily(dataset)
     report = metrics.quartile_report(scores, dataset.labels, node_h, np.asarray(split.test))
     path = os.path.join(cfg.run_dir, "quartiles.csv")

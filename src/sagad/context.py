@@ -13,14 +13,16 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cachefile import CacheFile, CacheRows, FileBacked
 from .errors import CacheFormatError
 from .graph import GraphDataset
 
 CONTEXT_MAGIC = b"SGCTX001"
+_HEADER = struct.Struct("<QQ")  # n, d
 
 EXHAUSTIVE_DEGREE_LIMIT = 10
 DEFAULT_CANDIDATE_CAP = 64
@@ -29,13 +31,18 @@ _SEED_DOMAIN_SAMPLER = 0x5C1
 
 
 @dataclass
-class ContextCache:
-    """Mean-pooled features of each node's max-RQ subgraph."""
+class ContextCache(FileBacked):
+    """Mean-pooled features of each node's max-RQ subgraph.
+
+    ``context`` is an ndarray when built, or ``CacheRows`` over the open
+    ``file`` when read from disk; ``subgraph_size`` is always in memory.
+    """
 
     num_nodes: int
     dim: int
-    context: np.ndarray
+    context: np.ndarray | CacheRows
     subgraph_size: np.ndarray
+    file: CacheFile | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> None:
         if self.context.shape != (self.num_nodes, self.dim):
@@ -286,33 +293,31 @@ def write_context_cache(cache: ContextCache, path: str | os.PathLike) -> None:
     cache.validate()
     with open(os.fspath(path), "wb") as f:
         f.write(CONTEXT_MAGIC)
-        f.write(struct.pack("<QQ", cache.num_nodes, cache.dim))
-        f.write(np.ascontiguousarray(cache.context, dtype="<f4").tobytes())
+        f.write(_HEADER.pack(cache.num_nodes, cache.dim))
+        f.write(np.ascontiguousarray(cache.context[:], dtype="<f4").tobytes())
         f.write(np.ascontiguousarray(cache.subgraph_size, dtype="<u4").tobytes())
         f.flush()
         os.fsync(f.fileno())
 
 
 def read_context_cache(path: str | os.PathLike) -> ContextCache:
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        raise CacheFormatError(f"context cache not found: {path}")
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CONTEXT_MAGIC:
-            raise CacheFormatError(f"bad context cache magic {magic!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise CacheFormatError("truncated context cache header")
-        n, d = struct.unpack("<QQ", header)
-        payload = f.read()
-    expected = n * d * 4 + n * 4
-    if len(payload) != expected:
-        raise CacheFormatError(
-            f"context cache payload is {len(payload)} bytes, expected {expected}"
-        )
-    context = np.frombuffer(payload[: n * d * 4], dtype="<f4").reshape(n, d).copy()
-    sizes = np.frombuffer(payload[n * d * 4 :], dtype="<u4").astype(np.int64)
-    cache = ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes)
-    cache.validate()
+    """Open a context cache: header and subgraph sizes are read and checked
+    now, context rows are read by row."""
+    file = CacheFile(path, CONTEXT_MAGIC, _HEADER, "context cache")
+    try:
+        n, d = file.fields
+        expected = n * d * 4 + n * 4
+        if file.payload_bytes != expected:
+            raise CacheFormatError(
+                f"context cache payload is {file.payload_bytes} bytes, expected {expected}"
+            )
+        context = CacheRows(file, file.payload_offset, n, d)
+        sizes = np.empty(n, dtype="<u4")
+        file.read_into(sizes, file.payload_offset + n * d * 4)
+        sizes = sizes.astype(np.int64)
+        cache = ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes, file=file)
+        cache.validate()
+    except BaseException:
+        file.close()
+        raise
     return cache

@@ -467,8 +467,19 @@ def gather_rows(
     ids: np.ndarray | slice,
     config: ModelConfig,
 ) -> RowBundle:
-    if isinstance(ids, np.ndarray) and ids.size and int(ids.max()) >= cheb_cache.num_nodes:
-        raise ValueError("batch id out of range for the basis cache")
+    """The batch's rows of every basis block (and the context), as float64.
+
+    ``ids`` is a slice or a 1-D integer array; the cache blocks may be
+    ndarrays or ``CacheRows`` read from disk, which index the same way.
+    """
+    if cheb_cache.order != config.K:
+        raise ValueError(f"basis cache order {cheb_cache.order} does not match model K={config.K}")
+    if not isinstance(ids, slice):
+        ids = np.asarray(ids)
+        if ids.size and int(ids.min()) < 0:
+            raise ValueError("negative batch id")
+        if ids.size and int(ids.max()) >= cheb_cache.num_nodes:
+            raise ValueError("batch id out of range for the basis cache")
     block_rows = [np.asarray(b[ids], dtype=np.float64) for b in cheb_cache.blocks]
     feat_rows = block_rows[0]
     ctx_rows = None

@@ -3,7 +3,10 @@
 Training is full-batch over the (small) labeled set: only the labeled
 rows of the basis and context caches are ever materialized, so peak
 training memory is independent of graph size.  Inference batches over
-all nodes with results independent of the batch split.
+all nodes with results independent of the batch split.  Caches opened
+from disk are read by row, one batch at a time, so this holds for the
+whole process, not only inside ``train``: neither training nor scoring
+ever holds a cache payload in memory.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ class TrainConfig:
     weight_decay: float = 0.0
     max_epochs: int = 1000
     patience: int = 50
-    batch_size: int = 8192
     clamp_eps: float = 1e-7
-    seed: int = 0
     beta_override: float | None = None
 
     def validate(self) -> None:
@@ -48,8 +49,6 @@ class TrainConfig:
             raise ConfigError("patience must not exceed max_epochs")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.weight_decay < 0:
@@ -362,12 +361,13 @@ def score_all(
     state: ModelState,
     cheb_cache: ChebBasisCache,
     context_cache: ContextCache | None,
-    batch_size: int = 8192,
+    batch_size: int = 1024,
 ) -> np.ndarray:
     """Eval-mode anomaly probability for every node, batched over id ranges.
 
     The output is independent of batch_size: every row is processed by
-    row-local arithmetic only.
+    row-local arithmetic only.  Each batch reads its id range of every
+    cache block, so memory is bounded by the batch, not by n.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

@@ -306,9 +306,11 @@ def test_criterion_7_end_to_end_smoke(tmp_path):
     for command in ("synth-csbm", "preprocess", "sample-context", "train", "eval"):
         assert dispatch(command, cfg) == 0, f"{command} failed"
     report_path = os.path.join(run_dir, "report.csv")
+    with open(report_path) as f:
+        report_text = f.read()
     rows = {
         line.split(",")[1]: float(line.split(",")[2])
-        for line in open(report_path).read().strip().splitlines()[1:]
+        for line in report_text.strip().splitlines()[1:]
     }
     elapsed = time.perf_counter() - start
     assert rows["auroc"] >= 0.80, f"test AUROC {rows['auroc']:.4f} < 0.80"
@@ -453,7 +455,8 @@ def test_criterion_9_benchmark_reproduction(tmp_path):
             split_cfg = dataclasses.replace(cfg, split_index=split)
             dispatch("train", split_cfg)
             dispatch("eval", split_cfg)
-        report_rows = open(os.path.join(run_dir, "report.csv")).read().strip().splitlines()[1:]
+        with open(os.path.join(run_dir, "report.csv")) as f:
+            report_rows = f.read().strip().splitlines()[1:]
         values = [float(r.split(",")[2]) for r in report_rows if r.split(",")[1] == metric]
         results[name] = float(np.mean(values))
         assert results[name] >= threshold

@@ -99,12 +99,12 @@ class TestCacheFile:
         cache = self._small_cache()
         path = tmp_path / "c.bin"
         write_cache(cache, path)
-        loaded = read_cache(path)
-        assert loaded.order == cache.order
-        assert loaded.num_nodes == cache.num_nodes
-        assert loaded.dim == cache.dim
-        for a, b in zip(cache.blocks, loaded.blocks):
-            np.testing.assert_array_equal(a, b)
+        with read_cache(path) as loaded:
+            assert loaded.order == cache.order
+            assert loaded.num_nodes == cache.num_nodes
+            assert loaded.dim == cache.dim
+            for k, a in enumerate(cache.blocks):
+                np.testing.assert_array_equal(a, loaded.blocks[k][:])
 
     def test_file_size_formula(self, tmp_path):
         cache = self._small_cache(order=4)
@@ -148,8 +148,8 @@ class TestCacheFile:
         cache = self._small_cache(order=2)
         path = tmp_path / "c.bin"
         write_cache(cache, path)
-        loaded = read_cache(path)
-        assert (loaded.num_nodes, loaded.dim, loaded.order) == (12, 2, 2)
+        with read_cache(path) as loaded:
+            assert (loaded.num_nodes, loaded.dim, loaded.order) == (12, 2, 2)
 
 
 class TestSelfLoops:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ import pytest
 from sagad import chebyshev, cli, context, model, training
 from sagad.cli import dispatch, main, parse_config
 from sagad.errors import CacheFormatError, ConfigError, DatasetFormatError
+
+
+def read(path, mode="r"):
+    with open(path, mode) as f:
+        return f.read()
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -125,7 +131,7 @@ class TestPipeline:
         assert dispatch("eval", toy_run) == 0
         report = os.path.join(toy_run.run_dir, "report.csv")
         assert os.path.exists(report)
-        lines = open(report).read().strip().splitlines()
+        lines = read(report).strip().splitlines()
         assert lines[0] == "split,metric,value"
         metrics = {line.split(",")[1] for line in lines[1:]}
         assert {"auroc", "auprc", "rec_at_k"} <= metrics
@@ -137,11 +143,11 @@ class TestPipeline:
         dispatch("train", dataclasses.replace(toy_run, split_index=1))
         dispatch("eval", dataclasses.replace(toy_run, split_index=1))
         summary = os.path.join(toy_run.run_dir, "summary.csv")
-        lines = open(summary).read().strip().splitlines()
+        lines = read(summary).strip().splitlines()
         assert lines[0] == "metric,splits,mean,std"
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         assert rows["auroc"][1] == "2"  # aggregated over both splits
-        report_lines = open(os.path.join(toy_run.run_dir, "report.csv")).read().splitlines()
+        report_lines = read(os.path.join(toy_run.run_dir, "report.csv")).splitlines()
         vals = [float(l.split(",")[2]) for l in report_lines[1:] if l.split(",")[1] == "auroc"]
         assert float(rows["auroc"][2]) == pytest.approx(np.mean(vals))
         assert float(rows["auroc"][3]) == pytest.approx(np.std(vals))
@@ -149,16 +155,16 @@ class TestPipeline:
     def test_score_writes_all_nodes(self, toy_run):
         assert dispatch("score", toy_run) == 0
         path = os.path.join(toy_run.run_dir, "scores_0.csv")
-        lines = open(path).read().strip().splitlines()
+        lines = read(path).strip().splitlines()
         assert len(lines) == 401  # header + one row per node
 
     def test_score_rows_are_exact_floats(self, toy_run):
         assert dispatch("score", toy_run) == 0
         state = model.load_checkpoint(os.path.join(toy_run.run_dir, "checkpoint_0.bin"))
-        cheb = chebyshev.read_cache(os.path.join(toy_run.run_dir, "cheb_cache.bin"))
-        ctx = context.read_context_cache(os.path.join(toy_run.run_dir, "context_cache.bin"))
-        expected = training.score_all(state, cheb, ctx)
-        lines = open(os.path.join(toy_run.run_dir, "scores_0.csv")).read().splitlines()
+        with chebyshev.read_cache(os.path.join(toy_run.run_dir, "cheb_cache.bin")) as cheb, \
+                context.read_context_cache(os.path.join(toy_run.run_dir, "context_cache.bin")) as ctx:
+            expected = training.score_all(state, cheb, ctx)
+        lines = read(os.path.join(toy_run.run_dir, "scores_0.csv")).splitlines()
         assert lines[0] == "node_id,score"
         rows = [line.split(",") for line in lines[1:]]
         assert [int(i) for i, _ in rows] == list(range(len(expected)))
@@ -167,7 +173,7 @@ class TestPipeline:
     def test_quartiles_written(self, toy_run):
         assert dispatch("quartiles", toy_run) == 0
         path = os.path.join(toy_run.run_dir, "quartiles.csv")
-        lines = open(path).read().strip().splitlines()
+        lines = read(path).strip().splitlines()
         assert lines[0] == "group,auprc,auroc"
         assert len(lines) == 8  # 4 quartiles + 3 gap rows
 
@@ -179,7 +185,7 @@ class TestPipeline:
 
     def test_config_persisted_next_to_outputs(self, toy_run):
         path = os.path.join(toy_run.run_dir, "config_train.json")
-        payload = json.loads(open(path).read())
+        payload = json.loads(read(path))
         assert payload["_command"] == "train"
         assert payload["dataset"] == toy_run.dataset
 
@@ -193,12 +199,12 @@ class TestPipeline:
 
     def test_train_rerun_reproduces_history(self, toy_run, tmp_path):
         rerun_dir = str(tmp_path / "rerun")
-        cfg_json = json.loads(open(os.path.join(toy_run.run_dir, "config_train.json")).read())
+        cfg_json = json.loads(read(os.path.join(toy_run.run_dir, "config_train.json")))
         cfg_json.pop("_command")
         cfg_json.pop("_tie_policy")
         cfg_json["run_dir"] = rerun_dir
         split = cfg_json["split_index"]
-        first = open(os.path.join(toy_run.run_dir, f"history_{split}.csv")).read()
+        first = read(os.path.join(toy_run.run_dir, f"history_{split}.csv"))
         cfg = parse_config(None, {})
         from sagad.cli import _apply_mapping
 
@@ -206,7 +212,7 @@ class TestPipeline:
         dispatch("preprocess", cfg)
         dispatch("sample-context", cfg)
         dispatch("train", cfg)
-        second = open(os.path.join(rerun_dir, f"history_{split}.csv")).read()
+        second = read(os.path.join(rerun_dir, f"history_{split}.csv"))
         assert first == second
 
     def test_split_index_out_of_range(self, toy_run):
@@ -233,7 +239,7 @@ class TestTouchOnce:
             for command in ("train", "eval", "score"):
                 assert dispatch(command, cfg) == 0
             outputs[name] = {
-                f: open(os.path.join(cfg.run_dir, f), "rb").read()
+                f: read(os.path.join(cfg.run_dir, f), "rb")
                 for f in ("checkpoint_0.bin", "history_0.csv", "report.csv", "scores_0.csv")
             }
         assert outputs["garbage"] == outputs["intact"]
@@ -270,6 +276,116 @@ class TestCacheMatchesDataset:
             dispatch("eval", cfg)
 
 
+class TestCacheOrder:
+    def test_cache_order_must_match_K(self, toy_run, tmp_path, capsys):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        with pytest.raises(CacheFormatError, match="K=3 does not match the config's K=5"):
+            dispatch("train", dataclasses.replace(cfg, K=5))
+        rc = main(["train", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir, "--K", "5"])
+        assert rc == 1
+        assert "error: cheb_cache.bin K=3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "score", "quartiles"])
+    def test_checkpoint_order_must_match_cache(self, toy_run, tmp_path, command):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+        cfg = dataclasses.replace(cfg, K=5)
+        assert dispatch("preprocess", cfg) == 0
+        with pytest.raises(CacheFormatError, match="trained with K=3, but cheb_cache.bin has K=5"):
+            dispatch(command, cfg)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--cap", "abc", "cap"), ("--lr", "x", "lr"), ("--beta-override", "x", "beta_override"),
+        ("--lr", "nan", "lr"), ("--weight-decay", "nan", "weight_decay"),
+        ("--beta-override", "inf", "beta_override"),
+    ])
+    def test_non_numeric_flag_exits_1(self, flag, value, key, capsys):
+        assert main(["validate", flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected")
+
+    @pytest.mark.parametrize("payload", [
+        {"K": "three"}, {"beta_override": [1]}, {"sweep": {"dims": "16,x"}},
+        {"sweep": {"seeds": [1, "a"]}}, {"sweep": {"seeds": 3}},
+    ])
+    def test_non_numeric_file_value_rejected(self, tmp_path, payload):
+        with pytest.raises(ConfigError, match="expected"):
+            parse_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("command", ["train", "eval", "score"])
+    def test_batch_size_below_one_rejected_before_reading(self, tmp_path, command, capsys,
+                                                          monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("file read")
+
+        monkeypatch.setattr(cli.graph, "load_supervision", no_read)
+        monkeypatch.setattr(cli.chebyshev, "read_cache", no_read)
+        rc = main([command, "--dataset", str(tmp_path / "data"),
+                   "--run-dir", str(tmp_path / "run"), "--batch-size", "0"])
+        assert rc == 1
+        assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+class TestProcessMemory:
+    """`train` and `score` read cache rows, not whole caches: their peak
+    allocation barely grows when the caches grow tenfold."""
+
+    D, K = 32, 3
+
+    def _write_run(self, base, n):
+        rng = np.random.default_rng(n)
+        data, run = base / f"data{n}", base / f"run{n}"
+        data.mkdir()
+        run.mkdir()
+        (data / "meta.json").write_text(
+            json.dumps({"name": f"mem{n}", "num_nodes": n, "num_features": self.D}))
+        labels = np.zeros(n, dtype=np.int64)
+        labels[rng.choice(n, n // 20, replace=False)] = 1
+        (data / "labels.csv").write_text(
+            "".join(f"{i},{y}\n" for i, y in enumerate(labels.tolist())))
+        anom, norm = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+        rest = np.setdiff1d(np.arange(n), np.concatenate([anom[:20], norm[:80]]))
+        split = {"train": anom[:10].tolist() + norm[:40].tolist(),
+                 "val": anom[10:20].tolist() + norm[40:80].tolist(),
+                 "test": np.sort(rng.choice(rest, 1000, replace=False)).tolist()}
+        (data / "splits.json").write_text(json.dumps([split]))
+        blocks = [rng.standard_normal((n, self.D), dtype=np.float32) for _ in range(self.K + 1)]
+        chebyshev.write_cache(chebyshev.ChebBasisCache(self.K, n, self.D, blocks),
+                              run / "cheb_cache.bin")
+        del blocks
+        ctx = context.ContextCache(n, self.D, rng.standard_normal((n, self.D), dtype=np.float32),
+                                   np.ones(n, dtype=np.int64))
+        context.write_context_cache(ctx, run / "context_cache.bin")
+        cache_bytes = sum(os.path.getsize(run / f) for f in ("cheb_cache.bin", "context_cache.bin"))
+        return ["--dataset", str(data), "--run-dir", str(run), "--K", str(self.K)], cache_bytes
+
+    @staticmethod
+    def _peak(argv) -> int:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_cache_size(self, tmp_path, capsys):
+        peaks, cache_bytes = {}, {}
+        for n in (20_000, 200_000):
+            args, cache_bytes[n] = self._write_run(tmp_path, n)
+            peaks[n] = {
+                "train": self._peak(["train", *args, "--max-epochs", "3", "--patience", "3"]),
+                "score": self._peak(["score", *args]),
+            }
+        capsys.readouterr()
+        growth = cache_bytes[200_000] - cache_bytes[20_000]
+        for command in ("train", "score"):
+            extra = peaks[200_000][command] - peaks[20_000][command]
+            assert extra < 0.1 * growth, (
+                f"{command} peak grew {extra / 1e6:.1f} MB for {growth / 1e6:.1f} MB more cache")
+
+
 class TestSamplerConfig:
     def test_hop_is_an_unknown_key(self, tmp_path):
         path = write_config(tmp_path, {"hop": 1})
@@ -303,7 +419,7 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 def readme_example_lines():
     """Every `sagad ...` line of the README's end-to-end example block."""
-    text = open(README, encoding="utf-8").read()
+    text = read(README)
     block = text.split("End-to-end example", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     return [line.split() for line in block.splitlines() if line.startswith("sagad ")]
 
@@ -331,7 +447,7 @@ class TestCsbmSweep:
         })
         assert dispatch("csbm-sweep", cfg) == 0
         path = os.path.join(cfg.run_dir, "csbm_sweep.csv")
-        lines = open(path).read().strip().splitlines()
+        lines = read(path).strip().splitlines()
         assert lines[0].startswith("seed,d,n,p1,q1,p2,q2,pi_a,regime_frac,kappa_eff")
         assert len(lines) == 3  # header + 2 dims x 1 seed
         for line in lines[1:]:

@@ -184,9 +184,9 @@ class TestContextCache:
         cache = build_context_cache(ds)
         path = tmp_path / "ctx.bin"
         write_context_cache(cache, path)
-        loaded = read_context_cache(path)
-        np.testing.assert_array_equal(cache.context, loaded.context)
-        np.testing.assert_array_equal(cache.subgraph_size, loaded.subgraph_size)
+        with read_context_cache(path) as loaded:
+            np.testing.assert_array_equal(cache.context, loaded.context[:])
+            np.testing.assert_array_equal(cache.subgraph_size, loaded.subgraph_size)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         ds = er_dataset(8, 0.4, 2, seed=16)
