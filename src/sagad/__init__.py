@@ -55,11 +55,8 @@ from .model import (
     ModelConfig,
     ModelState,
     cheb_weights,
-    dual_embed,
     filter_response,
-    forward,
     fuse,
-    fusion_coefficients,
     init_model,
     load_checkpoint,
     reparam_filter_values,
@@ -69,12 +66,8 @@ from .training import (
     OptimizerState,
     TrainConfig,
     adam_step,
-    backward_gradients,
-    bce_loss,
     compute_beta,
-    fpg_loss,
     score_all,
-    total_loss,
     train,
 )
 

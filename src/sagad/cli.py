@@ -124,32 +124,14 @@ class RunConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
 
     def model_config(self) -> model.ModelConfig:
-        return model.ModelConfig(
-            K=self.K,
-            p_a=self.p_a,
-            p_n=self.p_n,
-            fusion_mode=self.fusion_mode,
-            context_mode=self.context_mode,
-            filter_mode=self.filter_mode,
-            use_fpg=self.use_fpg,
-            seed=self.seed,
-            hidden_dim=self.hidden_dim,
-            mlp_depth=self.mlp_depth,
-            activation=self.activation,
-            normalization=self.normalization,
-            dropout=self.dropout,
-            share_gamma=self.share_gamma,
-        )
+        return model.ModelConfig(**self._keys_of(model.ModelConfig))
 
     def train_config(self) -> training.TrainConfig:
-        return training.TrainConfig(
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            clamp_eps=self.clamp_eps,
-            beta_override=self.beta_override,
-        )
+        return training.TrainConfig(**self._keys_of(training.TrainConfig))
+
+    def _keys_of(self, section) -> dict:
+        """This config's values for every field of ``section``."""
+        return {f.name: getattr(self, f.name) for f in fields(section)}
 
     def validate(self) -> None:
         self.model_config().validate()
@@ -293,8 +275,8 @@ def _get_split(data, index: int) -> graph.SplitSet:
 
 
 @contextlib.contextmanager
-def _load_caches(cfg: RunConfig, data=None):
-    """Open the basis cache and, if the model uses one, the context cache.
+def _load_caches(cfg: RunConfig, model_config: model.ModelConfig, data=None):
+    """Open the basis cache and, if ``model_config`` uses one, the context cache.
 
     A context manager: the caches are read by row while the block runs
     and their files are closed when it ends.  The basis cache's order
@@ -307,7 +289,7 @@ def _load_caches(cfg: RunConfig, data=None):
             chebyshev.read_cache(_require_file(_cheb_path(cfg), "run `preprocess` first"))
         )
         ctx = None
-        if cfg.model_config().needs_context():
+        if model_config.needs_context():
             ctx = stack.enter_context(context.read_context_cache(
                 _require_file(_context_path(cfg), "run `sample-context` first")
             ))
@@ -331,14 +313,23 @@ def _load_caches(cfg: RunConfig, data=None):
 
 
 def _score_nodes(cfg: RunConfig, data=None) -> np.ndarray:
-    """Every node's score under the split's checkpoint (eval, score, quartiles)."""
-    with _load_caches(cfg, data) as (cheb, ctx):
-        state = model.load_checkpoint(
-            _require_file(_checkpoint_path(cfg), "run `train` first")
-        )
+    """Every node's score under the split's checkpoint (eval, score, quartiles).
+
+    The checkpoint's model config, not the flags, decides whether the
+    context cache is opened: it is the config the scores are computed
+    with.  Without a checkpoint, the caches the flags name are still
+    checked against the dataset, so a mismatched cache is reported before
+    the missing checkpoint.
+    """
+    path = _checkpoint_path(cfg)
+    state = model.load_checkpoint(path) if os.path.exists(path) else None
+    model_config = cfg.model_config() if state is None else state.config
+    with _load_caches(cfg, model_config, data) as (cheb, ctx):
+        if state is None:
+            _require_file(path, "run `train` first")
         if state.config.K != cheb.order:
             raise CacheFormatError(
-                f"{_checkpoint_path(cfg)} was trained with K={state.config.K}, but "
+                f"{path} was trained with K={state.config.K}, but "
                 f"cheb_cache.bin has K={cheb.order}"
             )
         return training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
@@ -385,9 +376,10 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
 def _cmd_train(cfg: RunConfig) -> int:
     sup = graph.load_supervision(_dataset_dir(cfg))
     split = _get_split(sup, cfg.split_index)
-    with _load_caches(cfg, sup) as (cheb, ctx):
+    model_config = cfg.model_config()
+    with _load_caches(cfg, model_config, sup) as (cheb, ctx):
         state, history = training.train(
-            sup.labels, cheb, ctx, cfg.model_config(), cfg.train_config(), split
+            sup.labels, cheb, ctx, model_config, cfg.train_config(), split
         )
     model.save_checkpoint(state, _checkpoint_path(cfg))
     hist_path = os.path.join(cfg.run_dir, f"history_{cfg.split_index}.csv")

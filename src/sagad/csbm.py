@@ -279,8 +279,10 @@ def standard_splits(
         half_n = labeled_normals // 2
         train = np.sort(np.concatenate([pick_a[:half_a], pick_n[:half_n]]))
         val = np.sort(np.concatenate([pick_a[half_a:], pick_n[half_n:]]))
-        labeled = set(int(i) for i in np.concatenate([train, val]))
-        test = np.asarray([i for i in range(len(labels)) if i not in labeled], dtype=np.int64)
+        unlabeled = np.ones(len(labels), dtype=bool)
+        unlabeled[train] = False
+        unlabeled[val] = False
+        test = np.flatnonzero(unlabeled).astype(np.int64, copy=False)
         splits.append(SplitSet(train=train, val=val, test=test))
     return splits
 
@@ -291,37 +293,25 @@ def standard_splits(
 
 
 def random_walk_filter(
-    dataset: GraphDataset, regimes: np.ndarray
+    adj: SparseAdjacency | DirectedAdjacency, x: np.ndarray, regimes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Node-adaptive one-step random-walk filter on the undirected graph.
+    """Node-adaptive one-step random-walk filter over row neighborhoods.
 
     Row i is +(S X)_i for homophilic nodes and -(S X)_i for heterophilic
-    nodes, with S = D^-1 A.  Isolated rows are zero and flagged in the
-    returned mask rather than raising.
+    nodes, with S = D^-1 A and D the row's neighbor count.  ``adj`` is the
+    undirected dataset graph or the directed ego draw; only its structure
+    is used.  Isolated rows are zero and flagged in the returned mask
+    rather than raising.
     """
-    adj = dataset.adjacency
-    x = np.asarray(dataset.features, dtype=np.float64)
-    sx = adj.to_scipy() @ x
-    deg = np.diff(adj.row_offsets).astype(np.float64)
-    isolated = deg == 0
-    safe = np.where(isolated, 1.0, deg)
-    sx /= safe[:, None]
-    sx[isolated] = 0.0
-    signs = np.where(np.asarray(regimes) == 0, 1.0, -1.0)
-    return sx * signs[:, None], isolated
-
-
-def _ego_filter(ego: DirectedAdjacency, x: np.ndarray, regimes: np.ndarray):
-    """Same filter over the directed ego neighborhoods."""
     from scipy.sparse import csr_matrix
 
-    n = ego.num_nodes
-    deg = ego.out_degrees().astype(np.float64)
+    n = adj.num_nodes
+    deg = np.diff(adj.row_offsets).astype(np.float64)
     isolated = deg == 0
-    adj = csr_matrix(
-        (np.ones(len(ego.col_indices)), ego.col_indices, ego.row_offsets), shape=(n, n)
+    a = csr_matrix(
+        (np.ones(len(adj.col_indices)), adj.col_indices, adj.row_offsets), shape=(n, n)
     )
-    sx = adj @ x
+    sx = a @ np.asarray(x, dtype=np.float64)
     safe = np.where(isolated, 1.0, deg)
     sx /= safe[:, None]
     sx[isolated] = 0.0
@@ -439,8 +429,8 @@ def separability_experiment(
 
     sep = theoretical_separator(params.mu, params.nu, params.pi_a, R=R)
 
-    adaptive, isolated = _ego_filter(sample.ego, x, sample.regimes)
-    all_low, _ = _ego_filter(sample.ego, x, np.zeros_like(sample.regimes))
+    adaptive, isolated = random_walk_filter(sample.ego, x, sample.regimes)
+    all_low, _ = random_walk_filter(sample.ego, x, np.zeros_like(sample.regimes))
     keep = ~isolated
 
     def classify(filtered):

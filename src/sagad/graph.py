@@ -37,12 +37,7 @@ class SparseAdjacency:
     values: np.ndarray
 
     @classmethod
-    def from_edges(
-        cls,
-        num_nodes: int,
-        edges: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> "SparseAdjacency":
+    def from_edges(cls, num_nodes: int, edges: np.ndarray) -> "SparseAdjacency":
         """Build from an (m, 2) array of node-id pairs.
 
         Direction is ignored, duplicates are merged, self-loops dropped.
@@ -53,11 +48,10 @@ class SparseAdjacency:
                 f"edge endpoint out of range [0, {num_nodes}): "
                 f"min={edges.min() if edges.size else 0}, max={edges.max() if edges.size else 0}"
             )
-        if weights is None:
-            weights = np.ones(len(edges), dtype=np.float64)
+        weights = np.ones(len(edges), dtype=np.float64)
         keep = edges[:, 0] != edges[:, 1]
         edges = edges[keep]
-        weights = np.asarray(weights, dtype=np.float64)[keep]
+        weights = weights[keep]
 
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
@@ -101,13 +95,9 @@ class SparseAdjacency:
         """Number of unordered edges."""
         return len(self.col_indices) // 2
 
-    def degrees(self) -> np.ndarray:
-        """Weighted degree per node (entry count when all weights are 1)."""
-        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.row_offsets))
-        return np.bincount(rows, weights=self.values, minlength=self.num_nodes)
-
-    def neighbor_counts(self) -> np.ndarray:
-        return np.diff(self.row_offsets)
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry (aligned with ``col_indices``)."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.row_offsets))
 
     def neighbors(self, node: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[node] : self.row_offsets[node + 1]]
@@ -120,12 +110,11 @@ class SparseAdjacency:
             shape=(self.num_nodes, self.num_nodes),
         )
 
-    def with_self_loops(self, weight: float = 1.0) -> "SparseAdjacency":
+    def with_self_loops(self) -> "SparseAdjacency":
         """Return a copy with a unit self-loop added to every node."""
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.row_offsets))
-        rows = np.concatenate([rows, np.arange(self.num_nodes, dtype=np.int64)])
+        rows = np.concatenate([self.row_ids(), np.arange(self.num_nodes, dtype=np.int64)])
         cols = np.concatenate([self.col_indices, np.arange(self.num_nodes, dtype=np.int64)])
-        vals = np.concatenate([self.values, np.full(self.num_nodes, weight)])
+        vals = np.concatenate([self.values, np.ones(self.num_nodes)])
         return SparseAdjacency._from_coo(self.num_nodes, rows, cols, vals)
 
     def validate(self) -> None:
@@ -137,7 +126,7 @@ class SparseAdjacency:
             raise DatasetFormatError("row offsets do not cover col_indices")
         if len(self.col_indices) and (self.col_indices.min() < 0 or self.col_indices.max() >= n):
             raise DatasetFormatError("column index out of range")
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.row_offsets))
+        rows = self.row_ids()
         if np.any(rows == self.col_indices):
             raise DatasetFormatError("self-loop present")
         same_row = rows[1:] == rows[:-1]
@@ -250,7 +239,7 @@ def normalized_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
 
     Rows and columns of isolated nodes stay all-zero (they have no entries).
     """
-    rows = np.repeat(np.arange(adj.num_nodes), np.diff(adj.row_offsets))
+    rows = adj.row_ids()
     deg = np.bincount(rows, weights=adj.values, minlength=adj.num_nodes)
     with np.errstate(divide="ignore"):
         dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
@@ -279,7 +268,7 @@ def edge_homophily(dataset: GraphDataset) -> float:
     adj = dataset.adjacency
     if adj.num_edges == 0:
         return 0.0
-    rows = np.repeat(np.arange(adj.num_nodes), np.diff(adj.row_offsets))
+    rows = adj.row_ids()
     cols = adj.col_indices
     _require_labeled(dataset.labels, np.unique(np.concatenate([rows, cols])), "edge_homophily")
     same = dataset.labels[rows] == dataset.labels[cols]
@@ -295,7 +284,7 @@ def node_homophily(dataset: GraphDataset) -> np.ndarray:
     """
     adj = dataset.adjacency
     labels = dataset.labels
-    rows = np.repeat(np.arange(adj.num_nodes), np.diff(adj.row_offsets))
+    rows = adj.row_ids()
     if rows.size:
         _require_labeled(labels, np.unique(np.concatenate([rows, adj.col_indices])), "node_homophily")
     same = (labels[rows] == labels[adj.col_indices]).astype(np.float64)
@@ -441,7 +430,7 @@ def write_dataset(dataset: GraphDataset, directory: str | os.PathLike) -> None:
         json.dump(meta, f, sort_keys=True, indent=2)
 
     adj = dataset.adjacency
-    rows = np.repeat(np.arange(adj.num_nodes), np.diff(adj.row_offsets))
+    rows = adj.row_ids()
     mask = rows < adj.col_indices  # each unordered edge once
     with open(os.path.join(directory, "edges.tsv"), "w", encoding="utf-8") as f:
         for u, v in zip(rows[mask], adj.col_indices[mask]):

@@ -11,6 +11,7 @@ gradients are computed by hand in plain numpy.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -128,15 +129,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class FilterTrace:
-    gamma_low_base: np.ndarray
-    gamma_high_base: np.ndarray
-    gamma_low: np.ndarray
-    gamma_high: np.ndarray
-    clamp_active: np.ndarray  # True where the low-pass prefix was floored
-
-
 def reparam_filter_values(params: FilterParams) -> tuple[np.ndarray, np.ndarray]:
     """Monotone filter values at the interpolation nodes.
 
@@ -144,31 +136,21 @@ def reparam_filter_values(params: FilterParams) -> tuple[np.ndarray, np.ndarray]
     gamma_0 minus the prefix sums of the remaining gammas, floored at 0
     (non-increasing).  Index 0 of both equals gamma_0.
     """
-    gl, gh, _ = _reparam_with_trace(params)
-    return gl, gh
-
-
-def _reparam_with_trace(params: FilterParams) -> tuple[np.ndarray, np.ndarray, FilterTrace]:
     g_low = softplus(params.raw)
     g_high = g_low if params.shared else softplus(params.raw_high)
-
     gamma_high = np.cumsum(g_high)
-
-    prefix = g_low[0] - np.cumsum(g_low[1:]) if len(g_low) > 1 else np.empty(0)
-    clamp = prefix <= 0.0
+    prefix = g_low[0] - np.cumsum(g_low[1:])
     gamma_low = np.concatenate([[g_low[0]], np.maximum(prefix, 0.0)])
-    trace = FilterTrace(
-        gamma_low_base=g_low,
-        gamma_high_base=g_high,
-        gamma_low=gamma_low,
-        gamma_high=gamma_high,
-        clamp_active=clamp,
-    )
-    return gamma_low, gamma_high, trace
+    return gamma_low, gamma_high
 
 
+@functools.lru_cache(maxsize=16)
 def interpolation_matrix(order: int) -> np.ndarray:
-    """Matrix M with w = M gamma: w_k = (2 - delta_k0)/(K+1) sum_i gamma_i T_k(s_i)."""
+    """Matrix M with w = M gamma: w_k = (2 - delta_k0)/(K+1) sum_i gamma_i T_k(s_i).
+
+    Built once per order; the returned array is read-only because every
+    caller shares it.
+    """
     nodes = chebyshev_nodes(order)
     m = order + 1
     t = np.empty((m, m))
@@ -179,7 +161,9 @@ def interpolation_matrix(order: int) -> np.ndarray:
         t[k] = 2.0 * nodes * t[k - 1] - t[k - 2]
     scale = np.full(m, 2.0 / m)
     scale[0] = 1.0 / m
-    return scale[:, None] * t
+    out = scale[:, None] * t
+    out.flags.writeable = False
+    return out
 
 
 def cheb_weights(gamma_values: np.ndarray) -> np.ndarray:
@@ -274,11 +258,13 @@ def _activate_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _row_stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Matmul whose per-row results do not depend on the batch size.
+    """Matmul that keeps single-row batches on the multi-row BLAS path.
 
     Single-row inputs dispatch to a different BLAS kernel (GEMV) with a
     different accumulation order; padding to two rows keeps every batch on
-    the same GEMM path so splitting a batch never changes the output bits.
+    the GEMM path.  This does not make rows bit-exact across batch sizes:
+    within GEMM, a row's rounding can still depend on its position in the
+    batch (seen for the classifier's ``(B, hidden) @ (hidden, 1)`` layer).
     """
     if x.shape[0] == 1:
         return (np.concatenate([x, np.zeros_like(x)]) @ w)[:1]
@@ -492,19 +478,6 @@ def gather_rows(
     return RowBundle(block_rows=block_rows, feat_rows=feat_rows, ctx_rows=ctx_rows)
 
 
-def dual_embed(
-    cache: ChebBasisCache,
-    filter_params: FilterParams,
-    batch: np.ndarray | slice,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Low- and high-pass embeddings for the batch rows only."""
-    gamma_low, gamma_high = reparam_filter_values(filter_params)
-    w_low = cheb_weights(gamma_low)
-    w_high = cheb_weights(gamma_high)
-    block_rows = [np.asarray(b[batch], dtype=np.float64) for b in cache.blocks]
-    return _combine(block_rows, w_low), _combine(block_rows, w_high)
-
-
 def _combine(block_rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
     out = weights[0] * block_rows[0]
     for k in range(1, len(block_rows)):
@@ -512,21 +485,8 @@ def _combine(block_rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def fusion_coefficients(
-    state: ModelState,
-    context_rows: np.ndarray | None,
-    feature_rows: np.ndarray,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-node, per-dimension fusion gate in (0, 1)."""
-    c, _, _ = _fusion_with_trace(state, context_rows, feature_rows, train_mode, rng)
-    return c
-
-
-def _fusion_with_trace(state, context_rows, feature_rows, train_mode, rng):
-    if state.fusion_mlp is None:
-        raise ValueError("this configuration does not materialize fusion coefficients")
+def _fusion_gate(state, context_rows, feature_rows, train_mode, rng):
+    """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace."""
     if state.config.context_mode == "features_only":
         inp = feature_rows
     else:
@@ -538,7 +498,7 @@ def _fusion_with_trace(state, context_rows, feature_rows, train_mode, rng):
             )
         inp = np.concatenate([context_rows, feature_rows], axis=1)
     pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode, rng)
-    return _sigmoid(pre), pre, trace
+    return _sigmoid(pre), trace
 
 
 def fuse(z_low: np.ndarray, z_high: np.ndarray, c: np.ndarray | None, fusion_mode: str) -> np.ndarray:
@@ -556,9 +516,7 @@ def fuse(z_low: np.ndarray, z_high: np.ndarray, c: np.ndarray | None, fusion_mod
 @dataclass
 class ForwardTrace:
     bundle: RowBundle
-    filter_trace: FilterTrace
-    w_low: np.ndarray
-    w_high: np.ndarray
+    gamma_low: np.ndarray
     z_low: np.ndarray | None
     z_high: np.ndarray | None
     coef: np.ndarray | None
@@ -575,20 +533,24 @@ def forward_bundle(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
-    cfg = state.config
-    gamma_low, gamma_high, ftrace = _reparam_with_trace(state.filter)
-    w_low = cheb_weights(gamma_low)
-    w_high = cheb_weights(gamma_high)
+    """The model's forward pass on one batch of gathered rows.
 
-    z_low = _combine(bundle.block_rows, w_low) if cfg.filter_mode != "high_only" else None
-    z_high = _combine(bundle.block_rows, w_high) if cfg.filter_mode != "low_only" else None
+    ``yhat`` holds the anomaly probabilities, ``coef`` the fusion gate
+    and ``cbar`` its per-node mean (both None without a fusion MLP);
+    the rest is what ``backward_bundle`` needs.
+    """
+    cfg = state.config
+    gamma_low, gamma_high = reparam_filter_values(state.filter)
+    z_low = z_high = None
+    if cfg.filter_mode != "high_only":
+        z_low = _combine(bundle.block_rows, cheb_weights(gamma_low))
+    if cfg.filter_mode != "low_only":
+        z_high = _combine(bundle.block_rows, cheb_weights(gamma_high))
 
     coef = None
     fusion_trace = None
     if state.fusion_mlp is not None:
-        coef, _, fusion_trace = _fusion_with_trace(
-            state, bundle.ctx_rows, bundle.feat_rows, train_mode, rng
-        )
+        coef, fusion_trace = _fusion_gate(state, bundle.ctx_rows, bundle.feat_rows, train_mode, rng)
 
     if cfg.filter_mode == "low_only":
         z = z_low
@@ -602,9 +564,7 @@ def forward_bundle(
     cbar = coef.mean(axis=1) if coef is not None else None
     return ForwardTrace(
         bundle=bundle,
-        filter_trace=ftrace,
-        w_low=w_low,
-        w_high=w_high,
+        gamma_low=gamma_low,
         z_low=z_low,
         z_high=z_high,
         coef=coef,
@@ -614,20 +574,6 @@ def forward_bundle(
         yhat=yhat,
         cbar=cbar,
     )
-
-
-def forward(
-    state: ModelState,
-    cheb_cache: ChebBasisCache,
-    context_cache: ContextCache | None,
-    ids: np.ndarray | slice,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Anomaly probabilities and mean fusion coefficients for a batch."""
-    bundle = gather_rows(cheb_cache, context_cache, ids, state.config)
-    out = forward_bundle(state, bundle, train_mode, rng)
-    return out.yhat, out.cbar
 
 
 # ---------------------------------------------------------------------------
@@ -691,15 +637,14 @@ def backward_bundle(
     d_gamma_low = m.T @ d_w_low
     d_gamma_high = m.T @ d_w_high
 
-    ft = trace.filter_trace
     # high-pass prefix sums: d(base_j) = sum_{i >= j} d(gamma_high_i)
     d_base_high = np.cumsum(d_gamma_high[::-1])[::-1]
-    # low-pass clamped prefix differences
-    masked = np.where(ft.clamp_active, 0.0, d_gamma_low[1:]) if k1 > 1 else np.empty(0)
+    # low-pass clamped prefix differences: no gradient where the floor at
+    # 0 is active (gamma_low[1:] = max(prefix, 0) is 0 exactly there)
+    masked = np.where(trace.gamma_low[1:] == 0.0, 0.0, d_gamma_low[1:])
     d_base_low = np.zeros(k1)
     d_base_low[0] = d_gamma_low[0] + masked.sum()
-    if k1 > 1:
-        d_base_low[1:] = -np.cumsum(masked[::-1])[::-1]
+    d_base_low[1:] = -np.cumsum(masked[::-1])[::-1]
 
     if state.filter.shared:
         d_raw = (d_base_low + d_base_high) * _sigmoid(state.filter.raw)

@@ -3,10 +3,12 @@
 Training is full-batch over the (small) labeled set: only the labeled
 rows of the basis and context caches are ever materialized, so peak
 training memory is independent of graph size.  Inference batches over
-all nodes with results independent of the batch split.  Caches opened
-from disk are read by row, one batch at a time, so this holds for the
-whole process, not only inside ``train``: neither training nor scoring
-ever holds a cache payload in memory.
+all nodes.  Caches opened from disk are read by row, one batch at a
+time, so this holds for the whole process, not only inside ``train``:
+neither training nor scoring ever holds a cache payload in memory.
+Scores are not bit-exactly independent of the batch split: the
+classifier's last layer is a ``(B, hidden) @ (hidden, 1)`` product whose
+rounding can depend on a row's position in the batch (see ``score_all``).
 """
 
 from __future__ import annotations
@@ -125,11 +127,6 @@ def _clamp(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return clamped, passthrough
 
 
-def bce_loss(yhat: np.ndarray, labels: np.ndarray, beta: float, eps: float = 1e-7) -> float:
-    loss, _ = bce_loss_grad(yhat, labels, beta, eps)
-    return loss
-
-
 def bce_loss_grad(
     yhat: np.ndarray, labels: np.ndarray, beta: float, eps: float = 1e-7
 ) -> tuple[float, np.ndarray]:
@@ -144,18 +141,6 @@ def bce_loss_grad(
     loss = -np.sum(beta * y * np.log(p) + (1.0 - y) * np.log(1.0 - p)) / n
     d_p = -(beta * y / p - (1.0 - y) / (1.0 - p)) / n
     return float(loss), d_p * inside
-
-
-def fpg_loss(
-    cbar: np.ndarray,
-    labels: np.ndarray,
-    beta: float,
-    p_a: float,
-    p_n: float,
-    eps: float = 1e-7,
-) -> float:
-    loss, _ = fpg_loss_grad(cbar, labels, beta, p_a, p_n, eps)
-    return loss
 
 
 def fpg_loss_grad(
@@ -178,20 +163,35 @@ def fpg_loss_grad(
     return float(loss), d_c * inside
 
 
-def total_loss(
+def objective_terms(
+    state: ModelState,
     yhat: np.ndarray,
     cbar: np.ndarray | None,
     labels: np.ndarray,
     beta: float,
-    config: ModelConfig,
-    eps: float = 1e-7,
-) -> float:
-    loss = bce_loss(yhat, labels, beta, eps)
-    if config.use_fpg:
+    train_config: TrainConfig,
+) -> tuple[float, float, np.ndarray, np.ndarray | None]:
+    """The training objective on one forward pass's outputs.
+
+    Returns the data loss (class-weighted BCE, plus the FPG term when the
+    model uses it), the objective (the data loss plus 0.5 * weight_decay *
+    ||params||^2), and the data loss's gradients w.r.t. yhat and cbar
+    (None without FPG).
+    """
+    cfg = state.config
+    eps = train_config.clamp_eps
+    loss, d_yhat = bce_loss_grad(yhat, labels, beta, eps)
+    d_cbar = None
+    if cfg.use_fpg:
         if cbar is None:
             raise ValueError("use_fpg requires fusion coefficients in the forward pass")
-        loss += fpg_loss(cbar, labels, beta, config.p_a, config.p_n, eps)
-    return loss
+        fpg, d_cbar = fpg_loss_grad(cbar, labels, beta, cfg.p_a, cfg.p_n, eps)
+        loss += fpg
+    objective = loss
+    if train_config.weight_decay:
+        for _, param in iter_params(state):
+            objective += 0.5 * train_config.weight_decay * float(np.sum(param * param))
+    return loss, objective, d_yhat, d_cbar
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +216,20 @@ def loss_and_grads_bundle(
 ) -> LossBreakdown:
     """Objective value and exact gradients on a pre-gathered row bundle.
 
-    The objective is total_loss plus 0.5 * weight_decay * ||params||^2, so
-    gradients (including the decay term) match finite differences of the
-    returned objective.
+    The objective is the one ``objective_terms`` assembles, so gradients
+    (including the decay term) match finite differences of the returned
+    objective.
     """
-    cfg = state.config
-    eps = train_config.clamp_eps
     trace = forward_bundle(state, bundle, train_mode=True, rng=rng)
-    loss, d_yhat = bce_loss_grad(trace.yhat, labels, beta, eps)
-    d_cbar = None
-    if cfg.use_fpg:
-        fpg, d_cbar = fpg_loss_grad(trace.cbar, labels, beta, cfg.p_a, cfg.p_n, eps)
-        loss += fpg
+    loss, objective, d_yhat, d_cbar = objective_terms(
+        state, trace.yhat, trace.cbar, labels, beta, train_config
+    )
     grads = backward_bundle(state, trace, d_yhat, d_cbar)
-    objective = loss
-    if train_config.weight_decay:
-        wd = train_config.weight_decay
+    wd = train_config.weight_decay
+    if wd:
         for name, param in iter_params(state):
             g = grads.get(name)
             grads[name] = wd * param if g is None else g + wd * param
-            objective += 0.5 * wd * float(np.sum(param * param))
     return LossBreakdown(data_loss=loss, objective=objective, grads=grads)
 
 
@@ -247,37 +241,9 @@ def evaluate_objective(
     train_config: TrainConfig,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Scalar objective only (used by finite-difference checks)."""
-    cfg = state.config
-    eps = train_config.clamp_eps
+    """Scalar objective only, with no backward pass (for finite-difference checks)."""
     trace = forward_bundle(state, bundle, train_mode=True, rng=rng)
-    loss = bce_loss(trace.yhat, labels, beta, eps)
-    if cfg.use_fpg:
-        loss += fpg_loss(trace.cbar, labels, beta, cfg.p_a, cfg.p_n, eps)
-    if train_config.weight_decay:
-        for _, param in iter_params(state):
-            loss += 0.5 * train_config.weight_decay * float(np.sum(param * param))
-    return loss
-
-
-def backward_gradients(
-    state: ModelState,
-    cheb_cache: ChebBasisCache,
-    context_cache: ContextCache | None,
-    batch_ids: np.ndarray,
-    labels: np.ndarray,
-    beta: float,
-    train_config: TrainConfig,
-    epoch: int = 0,
-) -> LossBreakdown:
-    """Gradients of the training objective for one labeled batch."""
-    bundle = gather_rows(cheb_cache, context_cache, np.asarray(batch_ids), state.config)
-    rng = dropout_rng(state.config.seed, epoch) if _dropout_active(state) else None
-    return loss_and_grads_bundle(state, bundle, labels[np.asarray(batch_ids)], beta, train_config, rng)
-
-
-def _dropout_active(state: ModelState) -> bool:
-    return state.config.dropout > 0.0
+    return objective_terms(state, trace.yhat, trace.cbar, labels, beta, train_config)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +300,7 @@ def train(
     epochs_since_improve = 0
 
     for epoch in range(train_config.max_epochs):
-        rng = dropout_rng(model_config.seed, epoch) if _dropout_active(state) else None
+        rng = dropout_rng(model_config.seed, epoch) if model_config.dropout > 0.0 else None
         breakdown = loss_and_grads_bundle(state, train_bundle, y_train, beta, train_config, rng)
         adam_step(state, breakdown.grads, opt, train_config.lr)
 
@@ -365,9 +331,12 @@ def score_all(
 ) -> np.ndarray:
     """Eval-mode anomaly probability for every node, batched over id ranges.
 
-    The output is independent of batch_size: every row is processed by
-    row-local arithmetic only.  Each batch reads its id range of every
-    cache block, so memory is bounded by the batch, not by n.
+    Each batch reads its id range of every cache block, so memory is
+    bounded by the batch, not by n.  Two batch sizes can give scores that
+    differ in the last bit for some rows: BLAS may round a row of the
+    classifier's single-column product differently at another position
+    in the batch.  Batch sizes that divide each other have given
+    identical scores on the benchmark graphs, but that is not guaranteed.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

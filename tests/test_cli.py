@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -64,6 +66,24 @@ class TestParseConfig:
 
     def test_defaults_are_valid(self):
         parse_config(None).validate()
+
+
+class TestConfigDerivation:
+    def test_defaults_match_the_sections(self):
+        assert cli.RunConfig().model_config() == model.ModelConfig()
+        assert cli.RunConfig().train_config() == training.TrainConfig()
+
+    def test_every_section_field_is_a_run_config_key(self):
+        keys = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        for section in (model.ModelConfig, training.TrainConfig):
+            missing = {f.name for f in dataclasses.fields(section)} - keys
+            assert not missing, f"{section.__name__} fields without a RunConfig key: {missing}"
+
+    def test_values_reach_the_sections(self):
+        cfg = parse_config(None, {"hidden_dim": "8", "dropout": "0.25", "lr": "0.5",
+                                  "beta_override": "2", "use_fpg": "false"})
+        assert cfg.model_config() == model.ModelConfig(hidden_dim=8, dropout=0.25, use_fpg=False)
+        assert cfg.train_config() == training.TrainConfig(lr=0.5, beta_override=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +313,66 @@ class TestCacheOrder:
         assert dispatch("preprocess", cfg) == 0
         with pytest.raises(CacheFormatError, match="trained with K=3, but cheb_cache.bin has K=5"):
             dispatch(command, cfg)
+
+
+class TestCheckpointConfigDecidesCaches:
+    """eval, score and quartiles score with the checkpoint's model config,
+    so it, not the flags, decides whether context_cache.bin is opened."""
+
+    @pytest.mark.parametrize("command", ["eval", "score", "quartiles"])
+    def test_features_only_flags_on_rq_checkpoint(self, toy_run, tmp_path, command):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+        outputs = {"eval": "report.csv", "score": "scores_0.csv", "quartiles": "quartiles.csv"}
+        written = []
+        for mode in ("features_only", "rq"):
+            assert dispatch(command, dataclasses.replace(cfg, context_mode=mode)) == 0
+            written.append(read(os.path.join(cfg.run_dir, outputs[command])))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("command", ["eval", "score", "quartiles"])
+    def test_features_only_checkpoint_needs_no_context_cache(self, toy_run, tmp_path, command):
+        run_dir = tmp_path / "run"
+        os.makedirs(run_dir)
+        shutil.copy(os.path.join(toy_run.run_dir, "cheb_cache.bin"), run_dir)
+        cfg = dataclasses.replace(toy_run, run_dir=str(run_dir), context_mode="features_only")
+        assert dispatch("train", cfg) == 0
+        assert not (run_dir / "context_cache.bin").exists()
+        assert dispatch(command, dataclasses.replace(cfg, context_mode="rq")) == 0
+
+
+class TestBenchmarkSpans:
+    """perfbench/spans.py wraps sagad functions by name; renaming or deleting
+    one of them must fail here, not only in the traced benchmark run."""
+
+    def test_layers_are_recorded(self, toy_run, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        args = ["--dataset", cfg.dataset, "--run-dir", cfg.run_dir, "--max-epochs", "3",
+                "--patience", "3"]
+        argvs = [[command, *args] for command in ("preprocess", "train", "score")]
+        driver = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import spans\n"
+            "from sagad import cli\n"
+            "rec = spans.Recorder()\n"
+            "spans.install(rec)\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
+            "print(json.dumps({'codes': codes, 'names': sorted({s['name'] for s in rec.spans})}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", driver, os.path.join(root, "perfbench"), json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["codes"] == [0, 0, 0]
+        for name in ("model.forward_bundle", "training.loss_and_grads_bundle",
+                     "model.mlp_forward", "graph.normalized_adjacency"):
+            assert name in result["names"]
 
 
 class TestConfigValues:

@@ -170,26 +170,40 @@ class TestGeneration:
 class TestRandomWalkFilter:
     def test_neighbor_mean_swap(self):
         ds = make_dataset([[0, 1]], [[1.0], [3.0]], [0, 0])
-        filtered, isolated = random_walk_filter(ds, np.asarray([0, 0]))
+        filtered, isolated = random_walk_filter(ds.adjacency, ds.features, np.asarray([0, 0]))
         np.testing.assert_allclose(filtered, [[3.0], [1.0]])
         assert not isolated.any()
 
     def test_heterophilic_sign_flip(self):
         ds = make_dataset([[0, 1]], [[1.0], [3.0]], [0, 0])
-        filtered, _ = random_walk_filter(ds, np.asarray([1, 0]))
+        filtered, _ = random_walk_filter(ds.adjacency, ds.features, np.asarray([1, 0]))
         assert filtered[0, 0] == pytest.approx(-3.0)
         assert filtered[1, 0] == pytest.approx(1.0)
 
     def test_triangle_neighbor_mean(self):
         ds = make_dataset([[0, 1], [0, 2], [1, 2]], [[0.0], [3.0], [6.0]], [0, 0, 0])
-        filtered, _ = random_walk_filter(ds, np.zeros(3, dtype=int))
+        filtered, _ = random_walk_filter(ds.adjacency, ds.features, np.zeros(3, dtype=int))
         assert filtered[0, 0] == pytest.approx(4.5)
 
     def test_isolated_flagged_not_raised(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0], [5.0]], [0, 0, 0], num_nodes=3)
-        filtered, isolated = random_walk_filter(ds, np.zeros(3, dtype=int))
+        filtered, isolated = random_walk_filter(ds.adjacency, ds.features, np.zeros(3, dtype=int))
         assert isolated[2] and not isolated[0]
         np.testing.assert_array_equal(filtered[2], 0.0)
+
+
+    def test_directed_rows_match_a_per_row_loop(self):
+        ego = generate_csbm(small_params(seed=9), include_ego=True).ego
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((ego.num_nodes, 3))
+        regimes = rng.integers(0, 2, ego.num_nodes)
+        filtered, isolated = random_walk_filter(ego, x, regimes)
+        for i in range(ego.num_nodes):
+            nbrs = ego.col_indices[ego.row_offsets[i]:ego.row_offsets[i + 1]]
+            assert isolated[i] == (len(nbrs) == 0)
+            want = np.zeros(3) if len(nbrs) == 0 else x[nbrs].mean(axis=0)
+            sign = 1.0 if regimes[i] == 0 else -1.0
+            np.testing.assert_allclose(filtered[i], sign * want, rtol=1e-12, atol=1e-12)
 
 
 class TestSeparator:
@@ -282,6 +296,17 @@ class TestStandardSplits:
             assert np.sum(labels[labeled] == 0) == 80
             assert len(set(labeled.tolist()) & set(s.test.tolist())) == 0
             assert len(s.test) == 400
+
+    def test_test_ids_match_the_set_formula(self):
+        rng = np.random.default_rng(3)
+        labels = rng.choice(np.asarray([1, 0, -1], dtype=np.int8), size=700, p=[0.1, 0.7, 0.2])
+        for seed in range(4):
+            for s in standard_splits(labels, num_splits=3, seed=seed):
+                labeled = set(int(i) for i in np.concatenate([s.train, s.val]))
+                want = np.asarray([i for i in range(len(labels)) if i not in labeled],
+                                  dtype=np.int64)
+                assert s.test.dtype == want.dtype
+                np.testing.assert_array_equal(s.test, want)
 
     def test_insufficient_labels_rejected(self):
         labels = np.asarray([1] * 5 + [0] * 95, dtype=np.int8)

@@ -231,6 +231,16 @@ class TestSplitValidation:
             ds.validate()
 
 
+class TestRowIds:
+    def test_row_of_every_entry(self):
+        adj = make_dataset([[0, 1], [0, 3], [1, 3]], [[0.0]] * 5, [0] * 5).adjacency
+        rows = adj.row_ids()
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(rows, [0, 0, 1, 1, 3, 3])
+        for i in range(adj.num_nodes):
+            np.testing.assert_array_equal(adj.col_indices[rows == i], adj.neighbors(i))
+
+
 class TestNormalizedAdjacency:
     def test_single_edge(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])

@@ -10,12 +10,12 @@ from sagad.model import (
     FilterParams,
     ModelConfig,
     cheb_weights,
-    dual_embed,
     filter_response,
-    forward,
+    forward_bundle,
     fuse,
-    fusion_coefficients,
+    gather_rows,
     init_model,
+    interpolation_matrix,
     inv_softplus,
     iter_params,
     load_checkpoint,
@@ -24,6 +24,11 @@ from sagad.model import (
 )
 
 from conftest import er_dataset, make_dataset
+
+
+def run(state, cache, ctx, ids):
+    """The forward pass on the batch ``ids``."""
+    return forward_bundle(state, gather_rows(cache, ctx, ids, state.config))
 
 
 def filter_from_gamma(gammas):
@@ -91,6 +96,25 @@ class TestChebWeights:
         assert np.all(np.diff(high) >= -1e-10)
         assert np.all(np.diff(low) <= 1e-10)
 
+    def test_interpolation_matrix_built_once_per_order(self):
+        m = interpolation_matrix(3)
+        assert interpolation_matrix(3) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_floored_entries_are_where_the_prefix_is_not_positive(self, seed):
+        # the backward pass masks the low-pass gradient where gamma_low[1:] == 0;
+        # that is the set where the unfloored prefix difference is <= 0
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(0, 2, int(rng.integers(2, 7)))
+        gl, _ = reparam_filter_values(FilterParams(raw=raw))
+        g = np.log1p(np.exp(-np.abs(raw))) + np.maximum(raw, 0.0)
+        prefix = g[0] - np.cumsum(g[1:])
+        np.testing.assert_array_equal(gl[1:] == 0.0, prefix <= 0.0)
+
     def test_complementarity_without_clamp(self):
         gamma = np.array([1.0, 0.2, 0.1, 0.15])
         gl, gh = reparam_filter_values(filter_from_gamma(gamma))
@@ -110,6 +134,15 @@ class TestFilterResponse:
         w = cheb_weights([0.0, 1.0])
         s1 = chebyshev_nodes(1)[1]
         assert filter_response(w, s1) == pytest.approx(1.0, abs=1e-12)
+
+
+def dual_embed(cache, fp, ids):
+    """z_low and z_high of the forward pass of a model with filter ``fp``."""
+    state = init_model(ModelConfig(K=cache.order, context_mode="features_only", hidden_dim=4),
+                       cache.dim)
+    state.filter = fp
+    out = run(state, cache, None, ids)
+    return out.z_low, out.z_high
 
 
 class TestDualEmbed:
@@ -172,21 +205,18 @@ class TestFusion:
         for layer in state.fusion_mlp.layers:
             layer.weight[...] = 0.0
             layer.bias[...] = 0.0
-        c = fusion_coefficients(state, np.asarray(ctx.context[:5], dtype=np.float64),
-                                np.asarray(cache.blocks[0][:5], dtype=np.float64))
+        c = run(state, cache, ctx, np.arange(5)).coef
+        assert c.shape == (5, ds.num_features)
         np.testing.assert_allclose(c, 0.5)
 
     def test_open_interval(self):
         ds, cache, ctx, state = self._setup(seed=1)
-        c = fusion_coefficients(state, np.asarray(ctx.context, dtype=np.float64),
-                                np.asarray(cache.blocks[0], dtype=np.float64))
+        c = run(state, cache, ctx, np.arange(ds.num_nodes)).coef
         assert np.all(c > 0.0) and np.all(c < 1.0)
 
     def test_identical_rows_identical_coefficients(self):
         ds, cache, ctx, state = self._setup(seed=2)
-        feat = np.asarray(cache.blocks[0][:1], dtype=np.float64)
-        ctxr = np.asarray(ctx.context[:1], dtype=np.float64)
-        c = fusion_coefficients(state, np.concatenate([ctxr, ctxr]), np.concatenate([feat, feat]))
+        c = run(state, cache, ctx, np.asarray([0, 0])).coef
         np.testing.assert_array_equal(c[0], c[1])
 
     def test_fuse_extremes_and_mean(self):
@@ -203,11 +233,7 @@ class TestFusion:
 
     def test_adaptive_stays_between_embeddings(self):
         ds, cache, ctx, state = self._setup(seed=3)
-        yhat, _ = forward(state, cache, ctx, np.arange(ds.num_nodes))
-        from sagad.model import forward_bundle, gather_rows
-
-        bundle = gather_rows(cache, ctx, np.arange(ds.num_nodes), state.config)
-        out = forward_bundle(state, bundle)
+        out = run(state, cache, ctx, np.arange(ds.num_nodes))
         lo = np.minimum(out.z_low, out.z_high)
         hi = np.maximum(out.z_low, out.z_high)
         assert np.all(out.z >= lo - 1e-12) and np.all(out.z <= hi + 1e-12)
@@ -227,45 +253,45 @@ class TestForward:
         for layer in state.classifier_mlp.layers:
             layer.weight[...] = 0.0
             layer.bias[...] = 0.0
-        yhat, _ = forward(state, cache, ctx, np.arange(ds.num_nodes))
+        yhat = run(state, cache, ctx, np.arange(ds.num_nodes)).yhat
         np.testing.assert_allclose(yhat, 0.5)
 
     def test_low_only_reduces_to_classifier_of_zlow(self):
         cfg = ModelConfig(K=2, hidden_dim=8, filter_mode="low_only", use_fpg=False)
         ds, cache, ctx, state = self._setup(cfg)
         assert state.fusion_mlp is None
-        from sagad.model import forward_bundle, gather_rows, mlp_forward, _sigmoid
+        from sagad.model import mlp_forward, _sigmoid
 
-        bundle = gather_rows(cache, None, np.arange(ds.num_nodes), cfg)
-        out = forward_bundle(state, bundle)
+        out = run(state, cache, None, np.arange(ds.num_nodes))
         assert out.cbar is None
-        z_low, _ = dual_embed(cache, state.filter, np.arange(ds.num_nodes))
+        w_low = cheb_weights(reparam_filter_values(state.filter)[0])
+        z_low = sum(w_low[k] * np.asarray(cache.blocks[k], dtype=np.float64) for k in range(3))
         logits, _ = mlp_forward(state.classifier_mlp, z_low)
         np.testing.assert_allclose(out.yhat, _sigmoid(logits[:, 0]), atol=1e-12)
 
     def test_eval_mode_is_deterministic(self):
         cfg = ModelConfig(K=3, hidden_dim=8, dropout=0.4)
         ds, cache, ctx, state = self._setup(cfg, seed=4)
-        a, ca = forward(state, cache, ctx, np.arange(ds.num_nodes))
-        b, cb = forward(state, cache, ctx, np.arange(ds.num_nodes))
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(ca, cb)
+        a = run(state, cache, ctx, np.arange(ds.num_nodes))
+        b = run(state, cache, ctx, np.arange(ds.num_nodes))
+        np.testing.assert_array_equal(a.yhat, b.yhat)
+        np.testing.assert_array_equal(a.cbar, b.cbar)
 
     def test_batch_invariance(self):
         cfg = ModelConfig(K=3, hidden_dim=8)
         ds, cache, ctx, state = self._setup(cfg, seed=5, n=20)
-        whole, cwhole = forward(state, cache, ctx, np.arange(20))
-        part1, cpart1 = forward(state, cache, ctx, np.arange(0, 11))
-        part2, cpart2 = forward(state, cache, ctx, np.arange(11, 20))
-        np.testing.assert_array_equal(whole, np.concatenate([part1, part2]))
-        np.testing.assert_array_equal(cwhole, np.concatenate([cpart1, cpart2]))
+        whole = run(state, cache, ctx, np.arange(20))
+        part1 = run(state, cache, ctx, np.arange(0, 11))
+        part2 = run(state, cache, ctx, np.arange(11, 20))
+        np.testing.assert_array_equal(whole.yhat, np.concatenate([part1.yhat, part2.yhat]))
+        np.testing.assert_array_equal(whole.cbar, np.concatenate([part1.cbar, part2.cbar]))
 
     def test_probabilities_in_open_interval(self):
         cfg = ModelConfig(K=2, hidden_dim=8)
         ds, cache, ctx, state = self._setup(cfg, seed=6)
-        yhat, cbar = forward(state, cache, ctx, np.arange(ds.num_nodes))
-        assert np.all((yhat > 0) & (yhat < 1))
-        assert np.all((cbar > 0) & (cbar < 1))
+        out = run(state, cache, ctx, np.arange(ds.num_nodes))
+        assert np.all((out.yhat > 0) & (out.yhat < 1))
+        assert np.all((out.cbar > 0) & (out.cbar < 1))
 
 
 class TestConfigValidation:
@@ -298,8 +324,8 @@ class TestCheckpoint:
         for (na, a), (nb, b) in zip(iter_params(state), iter_params(loaded)):
             assert na == nb
             np.testing.assert_array_equal(a, b)
-        ya, _ = forward(state, cache, ctx, np.arange(ds.num_nodes))
-        yb, _ = forward(loaded, cache, ctx, np.arange(ds.num_nodes))
+        ya = run(state, cache, ctx, np.arange(ds.num_nodes)).yhat
+        yb = run(loaded, cache, ctx, np.arange(ds.num_nodes)).yhat
         np.testing.assert_array_equal(ya, yb)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -11,22 +11,26 @@ from sagad.model import ModelConfig, dropout_rng, gather_rows, init_model, iter_
 from sagad.training import (
     TrainConfig,
     adam_step,
-    backward_gradients,
-    bce_loss,
+    bce_loss_grad,
     compute_beta,
     evaluate_objective,
-    fpg_loss,
     fpg_loss_grad,
     init_optimizer,
     loss_and_grads_bundle,
+    objective_terms,
     score_all,
-    total_loss,
     train,
 )
 
 from conftest import er_dataset
 
 EPS = 1e-7
+
+
+def data_loss(yhat, cbar, labels, beta, cfg, eps):
+    """The objective's data loss (BCE, plus FPG when enabled), no weight decay."""
+    state = init_model(cfg, 1)
+    return objective_terms(state, yhat, cbar, labels, beta, TrainConfig(clamp_eps=eps))[0]
 
 
 class TestComputeBeta:
@@ -53,17 +57,17 @@ class TestFpgLoss:
     def test_targets_met_exactly(self):
         cbar = np.asarray([EPS, 1.0 - EPS])
         labels = np.asarray([1, 0])
-        loss = fpg_loss(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)
+        loss = fpg_loss_grad(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_uninformative_half(self):
         cbar = np.asarray([0.5, 0.5])
         labels = np.asarray([1, 0])
-        loss = fpg_loss(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)
+        loss = fpg_loss_grad(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
         assert loss == pytest.approx(-math.log(0.5), abs=1e-9)
 
     def test_single_normal(self):
-        loss = fpg_loss(np.asarray([0.8]), np.asarray([0]), beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)
+        loss = fpg_loss_grad(np.asarray([0.8]), np.asarray([0]), beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
         assert loss == pytest.approx(-math.log(0.8), abs=1e-9)
 
     def test_stationary_at_target(self):
@@ -88,7 +92,7 @@ class TestFpgLoss:
             labels = rng.integers(0, 2, 6)
             if labels.sum() in (0, 6):
                 continue
-            loss = fpg_loss(cbar, labels, 0.5, 0.2, 0.8, EPS)
+            loss = fpg_loss_grad(cbar, labels, 0.5, 0.2, 0.8, EPS)[0]
             assert loss >= 0.0
 
 
@@ -96,16 +100,16 @@ class TestBceLoss:
     def test_near_zero_at_optimum(self):
         yhat = np.asarray([1.0 - EPS, EPS])
         labels = np.asarray([1, 0])
-        assert bce_loss(yhat, labels, beta=1.0, eps=EPS) <= 2 * EPS * abs(math.log(EPS))
+        assert bce_loss_grad(yhat, labels, beta=1.0, eps=EPS)[0] <= 2 * EPS * abs(math.log(EPS))
 
     def test_weighted_half(self):
         yhat = np.asarray([0.5, 0.5])
         labels = np.asarray([1, 0])
-        loss = bce_loss(yhat, labels, beta=0.25, eps=EPS)
+        loss = bce_loss_grad(yhat, labels, beta=0.25, eps=EPS)[0]
         assert loss == pytest.approx(1.25 / 2 * math.log(2), abs=1e-9)
 
     def test_single_normal_half(self):
-        loss = bce_loss(np.asarray([0.5]), np.asarray([0]), beta=0.25, eps=EPS)
+        loss = bce_loss_grad(np.asarray([0.5]), np.asarray([0]), beta=0.25, eps=EPS)[0]
         assert loss == pytest.approx(math.log(2), abs=1e-9)
 
 
@@ -114,15 +118,15 @@ class TestTotalLoss:
         cfg = ModelConfig(use_fpg=False)
         yhat = np.asarray([0.3, 0.6])
         labels = np.asarray([1, 0])
-        assert total_loss(yhat, None, labels, 0.5, cfg, EPS) == bce_loss(yhat, labels, 0.5, EPS)
+        assert data_loss(yhat, None, labels, 0.5, cfg, EPS) == bce_loss_grad(yhat, labels, 0.5, EPS)[0]
 
     def test_sum_of_hand_cases(self):
         # the two sub-loss oracles add: 0.43322 + 0.69315 = 1.12637
         yhat = np.asarray([0.5, 0.5])
         cbar = np.asarray([0.5, 0.5])
         labels = np.asarray([1, 0])
-        bce_part = bce_loss(yhat, labels, beta=0.25, eps=EPS)
-        fpg_part = fpg_loss(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)
+        bce_part = bce_loss_grad(yhat, labels, beta=0.25, eps=EPS)[0]
+        fpg_part = fpg_loss_grad(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
         assert bce_part + fpg_part == pytest.approx(1.12637, abs=1e-5)
 
     def test_total_is_sum_of_parts(self):
@@ -130,13 +134,24 @@ class TestTotalLoss:
         yhat = np.asarray([0.3, 0.8, 0.5])
         cbar = np.asarray([0.4, 0.6, 0.5])
         labels = np.asarray([1, 0, 0])
-        expected = bce_loss(yhat, labels, 0.5, EPS) + fpg_loss(cbar, labels, 0.5, 0.1, 0.9, EPS)
-        assert total_loss(yhat, cbar, labels, 0.5, cfg, EPS) == pytest.approx(expected, abs=1e-12)
+        expected = bce_loss_grad(yhat, labels, 0.5, EPS)[0] + fpg_loss_grad(cbar, labels, 0.5, 0.1, 0.9, EPS)[0]
+        assert data_loss(yhat, cbar, labels, 0.5, cfg, EPS) == pytest.approx(expected, abs=1e-12)
+
+    def test_objective_adds_the_weight_decay_term(self):
+        cfg = ModelConfig(use_fpg=False)
+        state = init_model(cfg, 2)
+        yhat, labels = np.asarray([0.3, 0.6]), np.asarray([1, 0])
+        loss, objective, _, _ = objective_terms(
+            state, yhat, None, labels, 0.5, TrainConfig(weight_decay=0.1, clamp_eps=EPS)
+        )
+        sq = sum(float(np.sum(p * p)) for _, p in iter_params(state))
+        assert loss == bce_loss_grad(yhat, labels, 0.5, EPS)[0]
+        assert objective == pytest.approx(loss + 0.05 * sq, rel=1e-12)
 
     def test_requires_cbar_when_enabled(self):
         cfg = ModelConfig(use_fpg=True)
         with pytest.raises(ValueError, match="fusion"):
-            total_loss(np.asarray([0.5]), None, np.asarray([0]), 1.0, cfg, EPS)
+            data_loss(np.asarray([0.5]), None, np.asarray([0]), 1.0, cfg, EPS)
 
 
 class TestAdam:
@@ -256,15 +271,14 @@ class TestGradients:
         for name in g1:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-14)
 
-    def test_backward_gradients_entrypoint(self):
+    def test_gradients_cover_every_parameter(self):
         cfg = ModelConfig(K=2, hidden_dim=4)
         ds = er_dataset(16, 0.3, 3, seed=4)
         cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
         ctx = build_context_cache(ds)
         state = init_model(cfg, 3)
-        breakdown = backward_gradients(
-            state, cache, ctx, np.arange(8), ds.labels, 1.0, TrainConfig()
-        )
+        bundle = gather_rows(cache, ctx, np.arange(8), cfg)
+        breakdown = loss_and_grads_bundle(state, bundle, ds.labels[:8], 1.0, TrainConfig())
         names = {n for n, _ in iter_params(state)}
         assert set(breakdown.grads) == names
 
