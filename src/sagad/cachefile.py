@@ -22,7 +22,7 @@ import weakref
 
 import numpy as np
 
-from .errors import CacheFormatError
+from .errors import CacheFormatError, SagadError
 
 _ROW_DTYPE = np.dtype("<f4")
 
@@ -30,25 +30,28 @@ _ROW_DTYPE = np.dtype("<f4")
 class CacheFile:
     """One open cache file: its header fields and its payload's offset and size.
 
-    The descriptor is released by ``close()``; if the file is dropped
-    unclosed, a finalizer closes it and warns with a ResourceWarning, as an
-    unclosed Python file does.
+    Every format error is raised as ``error`` (a CacheFormatError unless
+    the file is a dataset file).  The descriptor is released by
+    ``close()``; if the file is dropped unclosed, a finalizer closes it and
+    warns with a ResourceWarning, as an unclosed Python file does.
     """
 
-    def __init__(self, path: str | os.PathLike, magic: bytes, header: struct.Struct, what: str):
+    def __init__(self, path: str | os.PathLike, magic: bytes, header: struct.Struct, what: str,
+                 error: type[SagadError] = CacheFormatError):
         self.path = os.fspath(path)
+        self.error = error
         try:
             self.fd = os.open(self.path, os.O_RDONLY)
         except FileNotFoundError:
-            raise CacheFormatError(f"{what} not found: {self.path}") from None
+            raise error(f"{what} not found: {self.path}") from None
         self._finalizer = weakref.finalize(self, _close_unclosed, self.fd, self.path)
         try:
             found = os.pread(self.fd, len(magic), 0)
             if found != magic:
-                raise CacheFormatError(f"bad {what} magic {found!r} (expected {magic!r})")
+                raise error(f"bad {what} magic {found!r} (expected {magic!r})")
             raw = os.pread(self.fd, header.size, len(magic))
             if len(raw) != header.size:
-                raise CacheFormatError(f"truncated {what} header")
+                raise error(f"truncated {what} header")
             self.fields = header.unpack(raw)
             self.payload_offset = len(magic) + header.size
             self.payload_bytes = os.fstat(self.fd).st_size - self.payload_offset
@@ -67,7 +70,7 @@ class CacheFile:
     def read_into(self, out: np.ndarray, offset: int) -> None:
         """Fill the C-contiguous array ``out`` from the file at byte ``offset``.
 
-        Raises CacheFormatError if the file ends first: ``out`` comes from
+        Raises ``self.error`` if the file ends first: ``out`` comes from
         ``np.empty``, so a short read must never reach the caller.
         """
         if self.closed:
@@ -77,7 +80,7 @@ class CacheFile:
         while done < view.size:
             got = os.preadv(self.fd, [view[done:]], offset + done)
             if got == 0:
-                raise CacheFormatError(
+                raise self.error(
                     f"short read from {self.path}: {done} of {view.size} bytes at offset "
                     f"{offset}; the file was truncated or rewritten while open"
                 )

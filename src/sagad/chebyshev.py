@@ -16,7 +16,7 @@ import numpy as np
 
 from .cachefile import CacheFile, CacheRows, FileBacked
 from .errors import CacheFormatError
-from .graph import GraphDataset, SparseAdjacency, normalized_adjacency
+from .graph import GraphDataset, normalized_adjacency
 
 CACHE_MAGIC = b"SGCHEB01"
 _DTYPE_F32 = 0
@@ -50,13 +50,6 @@ class ChebBasisCache(FileBacked):
                 raise CacheFormatError(f"block {k} has shape {b.shape}")
 
 
-def _scaled_laplacian(dataset: GraphDataset, add_self_loops: bool) -> SparseAdjacency:
-    adj = dataset.adjacency
-    if add_self_loops:
-        adj = adj.with_self_loops()
-    return normalized_adjacency(adj)
-
-
 def build_cheb_basis(
     dataset: GraphDataset,
     order: int,
@@ -67,25 +60,27 @@ def build_cheb_basis(
 
     L_hat = 2 L_norm / lambda_max - I with lambda_max pinned at 2, which
     collapses to the negated normalized adjacency.  The recurrence runs in
-    float64 with two rolling work buffers; blocks are cast to ``dtype`` at
-    the end.
+    float64; each block is cast to ``dtype`` as soon as it is computed.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    a_norm = _scaled_laplacian(dataset, add_self_loops).to_scipy()
+    a_norm = normalized_adjacency(dataset.adjacency, add_self_loops)
 
     def emit(block: np.ndarray) -> np.ndarray:
         return block if block.dtype == dtype else np.ascontiguousarray(block, dtype=dtype)
 
-    # two rolling f64 work buffers; finished blocks are stored in the target
-    # dtype, so peak transient memory stays at ~3 n*d values beyond the output
-    x = np.ascontiguousarray(dataset.features, dtype=np.float64)
+    # three rolling f64 buffers updated in place; finished blocks are stored
+    # in the target dtype, so peak transient memory stays at ~3 n*d values
+    # beyond the output
     blocks = [emit(np.ascontiguousarray(dataset.features))]  # T_0 X is X, bit-exact
-    b_prev = x
-    b_cur = -(a_norm @ x)  # L_hat X = -(A_norm X)
+    b_prev = np.ascontiguousarray(dataset.features, dtype=np.float64)
+    b_cur = a_norm @ b_prev
+    np.negative(b_cur, out=b_cur)  # L_hat X = -(A_norm X)
     blocks.append(emit(b_cur))
     for _ in range(2, order + 1):
-        b_next = -2.0 * (a_norm @ b_cur) - b_prev
+        b_next = a_norm @ b_cur
+        b_next *= -2.0
+        b_next -= b_prev
         blocks.append(emit(b_next))
         b_prev, b_cur = b_cur, b_next
 
@@ -114,7 +109,7 @@ def dense_spectral_oracle(
     if n > max_nodes:
         raise ValueError(f"dense oracle limited to n <= {max_nodes}, got {n}")
     weights = np.asarray(weights, dtype=np.float64)
-    a_norm = _scaled_laplacian(dataset, add_self_loops).to_scipy().toarray()
+    a_norm = normalized_adjacency(dataset.adjacency, add_self_loops).toarray()
     l_hat = -a_norm
     eigvals, eigvecs = np.linalg.eigh(l_hat)
     response = chebyshev_series(weights, eigvals)

@@ -526,10 +526,9 @@ def _cmd_synth_csbm(cfg: RunConfig) -> int:
     )
     dataset.name = f"csbm-n{dataset.num_nodes}-seed{section.seed}"
     graph.write_dataset(dataset, cfg.dataset)
-    with open(os.path.join(cfg.dataset, "regimes.csv"), "w", encoding="utf-8") as f:
-        f.write("node_id,regime\n")
-        for i, r in enumerate(sample.regimes):
-            f.write(f"{i},{int(r)}\n")
+    np.savetxt(os.path.join(cfg.dataset, "regimes.csv"),
+               np.column_stack([np.arange(dataset.num_nodes), sample.regimes]),
+               fmt="%d", delimiter=",", header="node_id,regime", comments="")
     print(
         f"wrote dataset to {cfg.dataset}: {dataset.num_nodes} nodes, "
         f"{dataset.adjacency.num_edges} edges, {sample.clipped_pairs} clipped pairs"

@@ -267,7 +267,7 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
     x = np.asarray(dataset.features, dtype=np.float64)
     if mode == "full_khop":
         adj = dataset.adjacency
-        pooled = adj.to_scipy() @ x + x
+        pooled = adj.csr @ x + x
         sizes = (np.diff(adj.row_offsets) + 1).astype(np.int64)
         context = pooled / sizes[:, None]
     elif mode == "rq":

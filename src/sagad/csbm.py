@@ -81,23 +81,11 @@ class CsbmParams:
 
 
 @dataclass
-class DirectedAdjacency:
-    """CSR over out-neighborhoods of the ego-sampled draw."""
-
-    num_nodes: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.row_offsets)
-
-
-@dataclass
 class CsbmSample:
     dataset: GraphDataset
     regimes: np.ndarray  # 0 = homophilic, 1 = heterophilic
     theta: np.ndarray
-    ego: DirectedAdjacency | None
+    ego: "scipy.sparse.csr_matrix | None"  # row i: node i's out-neighborhood
     clipped_pairs: int
     params: CsbmParams
 
@@ -229,6 +217,8 @@ def _sample_undirected(rng, n, labels, theta, intra, inter):
 
 
 def _sample_ego(rng, n, labels, theta, intra, inter):
+    from scipy.sparse import csr_matrix
+
     offsets = np.zeros(n + 1, dtype=np.int64)
     col_chunks = []
     clipped = 0
@@ -250,11 +240,8 @@ def _sample_ego(rng, n, labels, theta, intra, inter):
         r, c = np.nonzero(hit)
         col_chunks.append(cols[c])
     np.cumsum(offsets, out=offsets)
-    return DirectedAdjacency(
-        num_nodes=n,
-        row_offsets=offsets,
-        col_indices=np.concatenate(col_chunks).astype(np.int64),
-    ), clipped
+    nbrs = np.concatenate(col_chunks)
+    return csr_matrix((np.ones(len(nbrs)), nbrs, offsets), shape=(n, n)), clipped
 
 
 def standard_splits(
@@ -292,25 +279,17 @@ def standard_splits(
 # ---------------------------------------------------------------------------
 
 
-def random_walk_filter(
-    adj: SparseAdjacency | DirectedAdjacency, x: np.ndarray, regimes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def random_walk_filter(a, x: np.ndarray, regimes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Node-adaptive one-step random-walk filter over row neighborhoods.
 
     Row i is +(S X)_i for homophilic nodes and -(S X)_i for heterophilic
-    nodes, with S = D^-1 A and D the row's neighbor count.  ``adj`` is the
-    undirected dataset graph or the directed ego draw; only its structure
-    is used.  Isolated rows are zero and flagged in the returned mask
+    nodes, with S = D^-1 A and D the row's neighbor count.  ``a`` is a CSR
+    with unit values: the dataset graph's ``adjacency.csr`` or the directed
+    ego draw.  Isolated rows are zero and flagged in the returned mask
     rather than raising.
     """
-    from scipy.sparse import csr_matrix
-
-    n = adj.num_nodes
-    deg = np.diff(adj.row_offsets).astype(np.float64)
+    deg = np.diff(a.indptr).astype(np.float64)
     isolated = deg == 0
-    a = csr_matrix(
-        (np.ones(len(adj.col_indices)), adj.col_indices, adj.row_offsets), shape=(n, n)
-    )
     sx = a @ np.asarray(x, dtype=np.float64)
     safe = np.where(isolated, 1.0, deg)
     sx /= safe[:, None]

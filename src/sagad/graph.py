@@ -16,25 +16,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cachefile import CacheFile
 from .errors import DatasetFormatError
 
 UNKNOWN_LABEL = -1
 
 FEATURES_MAGIC = b"SGFEAT01"
+_FEATURES_HEADER = struct.Struct("<QQ")  # n, d
 
 
 @dataclass
 class SparseAdjacency:
-    """Symmetric CSR adjacency: no self-loops, sorted columns, no duplicates.
+    """Symmetric adjacency held as one scipy CSR (``csr``): unit values, no
+    self-loops, sorted columns, no duplicates.
 
     Each undirected edge is stored twice (once per direction), so
-    ``col_indices`` has length 2m for m undirected edges.
+    ``col_indices`` has length 2m for m undirected edges.  scipy picks the
+    index dtype: int32 while 2m < 2^31.  scipy is imported on first use, so
+    the commands that never build a graph do not pay for importing it.
     """
 
-    num_nodes: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    csr: "scipy.sparse.csr_matrix"
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges: np.ndarray) -> "SparseAdjacency":
@@ -42,53 +44,39 @@ class SparseAdjacency:
 
         Direction is ignored, duplicates are merged, self-loops dropped.
         """
+        import scipy.sparse as sp
+
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
             raise DatasetFormatError(
                 f"edge endpoint out of range [0, {num_nodes}): "
-                f"min={edges.min() if edges.size else 0}, max={edges.max() if edges.size else 0}"
+                f"min={edges.min()}, max={edges.max()}"
             )
-        weights = np.ones(len(edges), dtype=np.float64)
         keep = edges[:, 0] != edges[:, 1]
-        edges = edges[keep]
-        weights = weights[keep]
+        # Duplicates are summed as f32 counts, which saturate but never reach
+        # 0 (a narrow integer count could wrap to 0 and be dropped as an
+        # explicit zero); f32 halves the transient of the sum below.
+        half = sp.coo_matrix(
+            (np.ones(int(keep.sum()), dtype=np.float32), (edges[keep, 0], edges[keep, 1])),
+            shape=(num_nodes, num_nodes),
+        ).tocsr()
+        csr = half + half.T
+        del half
+        csr.sort_indices()
+        csr.data = np.ones(csr.nnz)
+        return cls(csr)
 
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        key = lo * num_nodes + hi
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        uniq_mask = np.ones(len(key), dtype=bool)
-        uniq_mask[1:] = key[1:] != key[:-1]
-        lo = lo[order][uniq_mask]
-        hi = hi[order][uniq_mask]
-        w = weights[order][uniq_mask]
+    @property
+    def num_nodes(self) -> int:
+        return self.csr.shape[0]
 
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
-        vals = np.concatenate([w, w])
-        return cls._from_coo(num_nodes, rows, cols, vals)
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return self.csr.indptr
 
-    @classmethod
-    def _from_coo(cls, num_nodes, rows, cols, vals) -> "SparseAdjacency":
-        # (row, col) pairs are unique here, so one argsort of the int64 key
-        # gives the same row-major order as a two-key lexsort.  The key is
-        # built in place: see load_dataset on freeing large temporaries.
-        key = rows * num_nodes
-        key += cols
-        order = np.argsort(key)
-        rows = rows[order]
-        cols = cols[order]
-        vals = vals[order]
-        counts = np.bincount(rows, minlength=num_nodes)
-        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(
-            num_nodes=int(num_nodes),
-            row_offsets=offsets,
-            col_indices=cols.astype(np.int64, copy=False),
-            values=vals.astype(np.float64, copy=False),
-        )
+    @property
+    def col_indices(self) -> np.ndarray:
+        return self.csr.indices
 
     @property
     def num_edges(self) -> int:
@@ -102,39 +90,25 @@ class SparseAdjacency:
     def neighbors(self, node: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[node] : self.row_offsets[node + 1]]
 
-    def to_scipy(self):
-        from scipy.sparse import csr_matrix
-
-        return csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.num_nodes, self.num_nodes),
-        )
-
-    def with_self_loops(self) -> "SparseAdjacency":
-        """Return a copy with a unit self-loop added to every node."""
-        rows = np.concatenate([self.row_ids(), np.arange(self.num_nodes, dtype=np.int64)])
-        cols = np.concatenate([self.col_indices, np.arange(self.num_nodes, dtype=np.int64)])
-        vals = np.concatenate([self.values, np.ones(self.num_nodes)])
-        return SparseAdjacency._from_coo(self.num_nodes, rows, cols, vals)
-
     def validate(self) -> None:
         """Check the structural invariants; raise DatasetFormatError on violation."""
-        n = self.num_nodes
-        if self.row_offsets.shape != (n + 1,) or self.row_offsets[0] != 0:
+        n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
+        if (offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != len(cols)
+                or np.any(np.diff(offsets) < 0)):
             raise DatasetFormatError("malformed row offsets")
-        if self.row_offsets[-1] != len(self.col_indices):
-            raise DatasetFormatError("row offsets do not cover col_indices")
-        if len(self.col_indices) and (self.col_indices.min() < 0 or self.col_indices.max() >= n):
+        if len(cols) and (cols.min() < 0 or cols.max() >= n):
             raise DatasetFormatError("column index out of range")
         rows = self.row_ids()
-        if np.any(rows == self.col_indices):
+        if np.any(rows == cols):
             raise DatasetFormatError("self-loop present")
         same_row = rows[1:] == rows[:-1]
-        if np.any(same_row & (np.diff(self.col_indices) <= 0)):
+        if np.any(same_row & (np.diff(cols) <= 0)):
             raise DatasetFormatError("a row has unsorted or duplicate columns")
         # Symmetry: the multiset of (row, col) pairs equals its transpose.
-        fwd = rows * n + self.col_indices
-        bwd = self.col_indices * n + rows
+        # Keys are int64: with int32 columns, col * n wraps once n > 46,341.
+        cols = cols.astype(np.int64)
+        fwd = rows * n + cols
+        bwd = cols * n + rows
         if not np.array_equal(np.sort(fwd), np.sort(bwd)):
             raise DatasetFormatError("adjacency is not symmetric")
 
@@ -234,22 +208,23 @@ class HomophilyReport:
 # ---------------------------------------------------------------------------
 
 
-def normalized_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
-    """Symmetric normalization D^{-1/2} A D^{-1/2}.
+def normalized_adjacency(adj: SparseAdjacency, add_self_loops: bool = False):
+    """Symmetric normalization D^{-1/2} A D^{-1/2}, or of A + I with
+    ``add_self_loops``, as a CSR over the same index arrays as its operand.
 
     Rows and columns of isolated nodes stay all-zero (they have no entries).
     """
-    rows = adj.row_ids()
-    deg = np.bincount(rows, weights=adj.values, minlength=adj.num_nodes)
+    import scipy.sparse as sp
+
+    a = adj.csr
+    if add_self_loops:
+        a = a + sp.identity(a.shape[0], format="csr")
+    counts = np.diff(a.indptr)
+    deg = counts.astype(np.float64)  # the values are all 1
     with np.errstate(divide="ignore"):
         dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    vals = adj.values * dinv_sqrt[rows] * dinv_sqrt[adj.col_indices]
-    return SparseAdjacency(
-        num_nodes=adj.num_nodes,
-        row_offsets=adj.row_offsets.copy(),
-        col_indices=adj.col_indices.copy(),
-        values=vals,
-    )
+    vals = np.repeat(dinv_sqrt, counts) * dinv_sqrt[a.indices]
+    return sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +352,6 @@ def load_dataset(directory: str | os.PathLike) -> GraphDataset:
     meta = _read_meta(directory)
     n, d = int(meta["num_nodes"]), int(meta["num_features"])
 
-    # The order below changes peak memory, not results.  glibc raises its
-    # mmap threshold to the size of each large block freed, and later
-    # temporaries up to that size then stay resident after use.  So the
-    # graph is built before labels and splits are read, and `edges` is
-    # held until return (freeing either early cost up to 28 MB of
-    # `preprocess` peak RSS at n=200k).
     edges = _read_edges_tsv(_dataset_file(directory, "edges.tsv"))
     adjacency = SparseAdjacency.from_edges(n, edges)
     adjacency.validate()
@@ -432,16 +401,14 @@ def write_dataset(dataset: GraphDataset, directory: str | os.PathLike) -> None:
     adj = dataset.adjacency
     rows = adj.row_ids()
     mask = rows < adj.col_indices  # each unordered edge once
-    with open(os.path.join(directory, "edges.tsv"), "w", encoding="utf-8") as f:
-        for u, v in zip(rows[mask], adj.col_indices[mask]):
-            f.write(f"{u}\t{v}\n")
+    np.savetxt(os.path.join(directory, "edges.tsv"),
+               np.column_stack([rows[mask], adj.col_indices[mask]]), fmt="%d", delimiter="\t")
 
     _write_features_bin(os.path.join(directory, "features.bin"), dataset.features)
 
-    with open(os.path.join(directory, "labels.csv"), "w", encoding="utf-8") as f:
-        for i, y in enumerate(dataset.labels):
-            if y != UNKNOWN_LABEL:
-                f.write(f"{i},{int(y)}\n")
+    labeled = np.flatnonzero(dataset.labels != UNKNOWN_LABEL)
+    np.savetxt(os.path.join(directory, "labels.csv"),
+               np.column_stack([labeled, dataset.labels[labeled]]), fmt="%d", delimiter=",")
 
     payload = [
         {"train": [int(i) for i in s.train],
@@ -480,28 +447,26 @@ def _read_edges_tsv(path: str) -> np.ndarray:
 
 
 def _read_features_bin(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != FEATURES_MAGIC:
-            raise DatasetFormatError(f"features.bin: bad magic {magic!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise DatasetFormatError("features.bin: truncated header")
-        n, d = struct.unpack("<QQ", header)
-        payload = f.read()
-    expected = n * d * 4
-    if len(payload) != expected:
-        raise DatasetFormatError(
-            f"features.bin: payload is {len(payload)} bytes, expected {expected}"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(n, d).copy()
+    file = CacheFile(path, FEATURES_MAGIC, _FEATURES_HEADER, "features.bin", DatasetFormatError)
+    try:
+        n, d = file.fields
+        expected = n * d * 4
+        if file.payload_bytes != expected:
+            raise DatasetFormatError(
+                f"features.bin: payload is {file.payload_bytes} bytes, expected {expected}"
+            )
+        features = np.empty((n, d), dtype="<f4")
+        file.read_into(features, file.payload_offset)
+    finally:
+        file.close()
+    return features
 
 
 def _write_features_bin(path: str, features: np.ndarray) -> None:
     n, d = features.shape
     with open(path, "wb") as f:
         f.write(FEATURES_MAGIC)
-        f.write(struct.pack("<QQ", n, d))
+        f.write(_FEATURES_HEADER.pack(n, d))
         f.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
         f.flush()
         os.fsync(f.fileno())

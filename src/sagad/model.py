@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .cachefile import CacheFile
 from .chebyshev import ChebBasisCache, chebyshev_nodes, chebyshev_series
 from .context import ContextCache
 from .errors import CacheFormatError, ConfigError
@@ -30,6 +31,7 @@ ACTIVATIONS = ("relu", "elu", "tanh", "identity")
 NORMALIZATIONS = ("none", "layer")
 
 CHECKPOINT_MAGIC = b"SGMDL001"
+_BLOB_LEN = struct.Struct("<Q")  # byte length of the JSON header that follows
 
 _LN_EPS = 1e-5
 _SEED_DOMAIN_MODEL = 0x3A9
@@ -687,7 +689,7 @@ def save_checkpoint(state: ModelState, path: str | os.PathLike) -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(os.fspath(path), "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
+        f.write(_BLOB_LEN.pack(len(blob)))
         f.write(blob)
         for arr in arrays:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -696,31 +698,41 @@ def save_checkpoint(state: ModelState, path: str | os.PathLike) -> None:
 
 
 def load_checkpoint(path: str | os.PathLike) -> ModelState:
-    with open(os.fspath(path), "rb") as f:
-        magic = f.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise CacheFormatError(f"bad checkpoint magic {magic!r}")
-        (blob_len,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(blob_len).decode("utf-8"))
-        payload = f.read()
-    total = header["total_values"]
-    if len(payload) != total * 8:
-        raise CacheFormatError(
-            f"checkpoint payload is {len(payload)} bytes, expected {total * 8}"
-        )
-    flat = np.frombuffer(payload, dtype="<f8")
-    config = ModelConfig(**header["config"])
-    state = init_model(config, header["dim"])
-    values = {
-        entry["name"]: flat[entry["offset"] : entry["offset"] + int(np.prod(entry["shape"]))]
-        .reshape(entry["shape"])
-        .copy()
-        for entry in header["layout"]
-    }
+    """Read a checkpoint; a malformed header or payload is a CacheFormatError."""
+    file = CacheFile(path, CHECKPOINT_MAGIC, _BLOB_LEN, "checkpoint")
+    try:
+        (blob_len,) = file.fields
+        if blob_len > file.payload_bytes:
+            raise CacheFormatError(
+                f"truncated checkpoint header: {blob_len} bytes announced, "
+                f"{file.payload_bytes} present"
+            )
+        blob = np.empty(blob_len, dtype=np.uint8)
+        file.read_into(blob, file.payload_offset)
+        try:
+            header = json.loads(blob.tobytes().decode("utf-8"))
+            total = int(header["total_values"])
+            dim = int(header["dim"])
+            if dim < 1:
+                raise ValueError(f"dim={dim}")
+            layout = {e["name"]: (int(e["offset"]), tuple(e["shape"])) for e in header["layout"]}
+            state = init_model(ModelConfig(**header["config"]), dim)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CacheFormatError(f"malformed checkpoint header: {exc!r}") from exc
+        payload_bytes = file.payload_bytes - blob_len
+        if payload_bytes != total * 8:
+            raise CacheFormatError(
+                f"checkpoint payload is {payload_bytes} bytes, expected {total * 8}"
+            )
+        flat = np.empty(total, dtype="<f8")
+        file.read_into(flat, file.payload_offset + blob_len)
+    finally:
+        file.close()
     for name, arr in iter_params(state):
-        if name not in values:
+        if name not in layout:
             raise CacheFormatError(f"checkpoint missing parameter {name}")
-        if values[name].shape != arr.shape:
-            raise CacheFormatError(f"checkpoint parameter {name} has wrong shape")
-        arr[...] = values[name]
+        offset, shape = layout[name]
+        if shape != arr.shape or not 0 <= offset <= total - arr.size:
+            raise CacheFormatError(f"checkpoint parameter {name} has wrong shape or offset")
+        arr[...] = flat[offset : offset + arr.size].reshape(shape)
     return state

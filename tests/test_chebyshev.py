@@ -32,7 +32,7 @@ class TestBasisRecurrence:
     def test_recurrence_matches_direct_apply(self):
         ds = er_dataset(30, 0.2, 2, seed=2)
         cache = build_cheb_basis(ds, 4, dtype=np.float64)
-        l_hat = -normalized_adjacency(ds.adjacency).to_scipy().toarray()
+        l_hat = -normalized_adjacency(ds.adjacency).toarray()
         for k in range(2, 5):
             expected = 2.0 * l_hat @ cache.blocks[k - 1] - cache.blocks[k - 2]
             np.testing.assert_allclose(cache.blocks[k], expected, atol=1e-12)
@@ -52,7 +52,7 @@ class TestDenseOracle:
     def test_linear_filter_applies_laplacian(self):
         ds = er_dataset(25, 0.2, 3, seed=4)
         out = dense_spectral_oracle(ds, [0.0, 1.0])
-        l_hat = -normalized_adjacency(ds.adjacency).to_scipy().toarray()
+        l_hat = -normalized_adjacency(ds.adjacency).toarray()
         np.testing.assert_allclose(out, l_hat @ ds.features, atol=1e-10)
 
     def test_recurrence_agrees_with_oracle(self):
@@ -71,7 +71,7 @@ class TestDenseOracle:
 
     def test_scaled_spectrum_in_unit_interval(self):
         ds = er_dataset(60, 0.15, 2, seed=6)
-        l_hat = -normalized_adjacency(ds.adjacency).to_scipy().toarray()
+        l_hat = -normalized_adjacency(ds.adjacency).toarray()
         eigvals = np.linalg.eigvalsh(l_hat)
         assert eigvals.min() >= -1.0 - 1e-10
         assert eigvals.max() <= 1.0 + 1e-10

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sagad import chebyshev, cli, context, model, training
+from sagad import chebyshev, cli, context, csbm, model, training
 from sagad.cli import dispatch, main, parse_config
 from sagad.errors import CacheFormatError, ConfigError, DatasetFormatError
 
@@ -339,6 +339,28 @@ class TestCheckpointConfigDecidesCaches:
         assert dispatch("train", cfg) == 0
         assert not (run_dir / "context_cache.bin").exists()
         assert dispatch(command, dataclasses.replace(cfg, context_mode="rq")) == 0
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("content", [
+        model.CHECKPOINT_MAGIC + b"\x00\x00",  # cut after the magic: a 10-byte file
+        model.CHECKPOINT_MAGIC + (5).to_bytes(8, "little") + b"{bad}",
+    ])
+    def test_eval_exits_1(self, toy_run, tmp_path, capsys, content):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        with open(os.path.join(cfg.run_dir, "checkpoint_0.bin"), "wb") as f:
+            f.write(content)
+        rc = main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir])
+        assert rc == 1
+        assert "error: " in capsys.readouterr().err
+
+
+class TestSynthCsbmFiles:
+    def test_regimes_match_line_at_a_time_writer(self, toy_run):
+        regimes = csbm.generate_csbm(toy_run.csbm.to_params()).regimes
+        # the line-at-a-time writer regimes.csv came from before
+        text = "node_id,regime\n" + "".join(f"{i},{int(r)}\n" for i, r in enumerate(regimes))
+        assert read(os.path.join(toy_run.dataset, "regimes.csv"), "rb") == text.encode()
 
 
 class TestBenchmarkSpans:

@@ -69,7 +69,7 @@ class TestRayleighQuotient:
         subset = rng.choice(15, size=5, replace=False)
         base = rayleigh_quotient(subset, ds)
         scaled = make_dataset(
-            np.argwhere(np.triu(ds.adjacency.to_scipy().toarray(), 1) > 0),
+            np.argwhere(np.triu(ds.adjacency.csr.toarray(), 1) > 0),
             ds.features * scale,
             ds.labels,
             num_nodes=15,

@@ -114,7 +114,7 @@ class TestGeneration:
         sample = generate_csbm(params, include_ego=True)
         y, r, theta = sample.dataset.labels, sample.regimes, sample.theta
         n, pi_a = params.n, params.pi_a
-        deg = sample.ego.out_degrees()
+        deg = np.diff(sample.ego.indptr)
         for z in (1, 0):
             for h in (0, 1):
                 mask = (y == z) & (r == h)
@@ -135,9 +135,9 @@ class TestGeneration:
         y, r = sample.dataset.labels, sample.regimes
         ego = sample.ego
         mask = (y == 1) & (r == 0)
-        rows = np.repeat(np.arange(params.n), ego.out_degrees())
+        rows = np.repeat(np.arange(params.n), np.diff(ego.indptr))
         row_sel = mask[rows]
-        nbr_labels = y[ego.col_indices[row_sel]]
+        nbr_labels = y[ego.indices[row_sel]]
         frac = float(np.mean(nbr_labels == 1))
         pi_a = params.pi_a
         omega = pi_a * params.p1 / (pi_a * params.p1 + (1 - pi_a) * params.q1)
@@ -170,24 +170,24 @@ class TestGeneration:
 class TestRandomWalkFilter:
     def test_neighbor_mean_swap(self):
         ds = make_dataset([[0, 1]], [[1.0], [3.0]], [0, 0])
-        filtered, isolated = random_walk_filter(ds.adjacency, ds.features, np.asarray([0, 0]))
+        filtered, isolated = random_walk_filter(ds.adjacency.csr, ds.features, np.asarray([0, 0]))
         np.testing.assert_allclose(filtered, [[3.0], [1.0]])
         assert not isolated.any()
 
     def test_heterophilic_sign_flip(self):
         ds = make_dataset([[0, 1]], [[1.0], [3.0]], [0, 0])
-        filtered, _ = random_walk_filter(ds.adjacency, ds.features, np.asarray([1, 0]))
+        filtered, _ = random_walk_filter(ds.adjacency.csr, ds.features, np.asarray([1, 0]))
         assert filtered[0, 0] == pytest.approx(-3.0)
         assert filtered[1, 0] == pytest.approx(1.0)
 
     def test_triangle_neighbor_mean(self):
         ds = make_dataset([[0, 1], [0, 2], [1, 2]], [[0.0], [3.0], [6.0]], [0, 0, 0])
-        filtered, _ = random_walk_filter(ds.adjacency, ds.features, np.zeros(3, dtype=int))
+        filtered, _ = random_walk_filter(ds.adjacency.csr, ds.features, np.zeros(3, dtype=int))
         assert filtered[0, 0] == pytest.approx(4.5)
 
     def test_isolated_flagged_not_raised(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0], [5.0]], [0, 0, 0], num_nodes=3)
-        filtered, isolated = random_walk_filter(ds.adjacency, ds.features, np.zeros(3, dtype=int))
+        filtered, isolated = random_walk_filter(ds.adjacency.csr, ds.features, np.zeros(3, dtype=int))
         assert isolated[2] and not isolated[0]
         np.testing.assert_array_equal(filtered[2], 0.0)
 
@@ -195,11 +195,11 @@ class TestRandomWalkFilter:
     def test_directed_rows_match_a_per_row_loop(self):
         ego = generate_csbm(small_params(seed=9), include_ego=True).ego
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((ego.num_nodes, 3))
-        regimes = rng.integers(0, 2, ego.num_nodes)
+        x = rng.standard_normal((ego.shape[0], 3))
+        regimes = rng.integers(0, 2, ego.shape[0])
         filtered, isolated = random_walk_filter(ego, x, regimes)
-        for i in range(ego.num_nodes):
-            nbrs = ego.col_indices[ego.row_offsets[i]:ego.row_offsets[i + 1]]
+        for i in range(ego.shape[0]):
+            nbrs = ego.indices[ego.indptr[i]:ego.indptr[i + 1]]
             assert isolated[i] == (len(nbrs) == 0)
             want = np.zeros(3) if len(nbrs) == 0 else x[nbrs].mean(axis=0)
             sign = 1.0 if regimes[i] == 0 else -1.0

@@ -1,14 +1,21 @@
 import json
 import math
 import os
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sagad import graph
+from sagad.cachefile import CacheFile
 from sagad.errors import DatasetFormatError
 from sagad.graph import (
+    FEATURES_MAGIC,
     UNKNOWN_LABEL,
+    SparseAdjacency,
     SplitSet,
     class_homophily,
     edge_homophily,
@@ -192,6 +199,48 @@ class TestLoader:
             loaded.features, np.asarray(ds.features, dtype=np.float32)
         )
 
+    @pytest.mark.parametrize(("content", "message"), [
+        (b"NOTFEATS" + struct.pack("<QQ", 10, 4), "bad features.bin magic"),
+        (FEATURES_MAGIC + b"\x00" * 10, "truncated features.bin header"),
+        (FEATURES_MAGIC + struct.pack("<QQ", 10, 4) + b"\x00" * 156,
+         "features.bin: payload is 156 bytes, expected 160"),
+        (FEATURES_MAGIC + struct.pack("<QQ", 10, 4) + b"\x00" * 164,
+         "features.bin: payload is 164 bytes, expected 160"),
+    ])
+    def test_malformed_features_bin_rejected(self, tmp_path, monkeypatch, content, message):
+        opened = []
+
+        class RecordingFile(CacheFile):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "CacheFile", RecordingFile)
+        write_dataset(er_dataset(10, 0.3, 4, seed=2), tmp_path)
+        (tmp_path / "features.bin").write_bytes(content)
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(tmp_path)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_writers_match_line_at_a_time_writer(self, tmp_path):
+        ds = er_dataset(300, 0.05, 2, seed=8)
+        ds.labels[::7] = UNKNOWN_LABEL
+        write_dataset(ds, tmp_path)
+        # the line-at-a-time writer write_dataset replaced
+        adj = ds.adjacency
+        rows = adj.row_ids()
+        mask = rows < adj.col_indices
+        edges = "".join(f"{u}\t{v}\n" for u, v in zip(rows[mask], adj.col_indices[mask]))
+        labels = "".join(f"{i},{int(y)}\n" for i, y in enumerate(ds.labels) if y != UNKNOWN_LABEL)
+        assert (tmp_path / "edges.tsv").read_bytes() == edges.encode()
+        assert (tmp_path / "labels.csv").read_bytes() == labels.encode()
+
+    def test_empty_graph_and_labels_write_empty_files(self, tmp_path):
+        ds = make_dataset(np.zeros((0, 2)), [[1.0], [2.0]], [UNKNOWN_LABEL] * 2)
+        write_dataset(ds, tmp_path)
+        assert (tmp_path / "edges.tsv").read_bytes() == b""
+        assert (tmp_path / "labels.csv").read_bytes() == b""
+
 
 class TestSplitValidation:
     @pytest.mark.parametrize(("train", "message"), [
@@ -242,26 +291,33 @@ class TestRowIds:
 
 
 class TestNormalizedAdjacency:
+    def test_shares_the_index_arrays(self):
+        adj = er_dataset(30, 0.2, 2, seed=1).adjacency
+        norm = normalized_adjacency(adj)
+        assert np.shares_memory(norm.indices, adj.csr.indices)
+        assert np.shares_memory(norm.indptr, adj.csr.indptr)
+        np.testing.assert_array_equal(adj.csr.data, 1.0)  # the graph is not rescaled
+
     def test_single_edge(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
         norm = normalized_adjacency(ds.adjacency)
-        dense = norm.to_scipy().toarray()
+        dense = norm.toarray()
         np.testing.assert_allclose(dense, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_isolated_node_row_is_zero(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0], [1.0]], [0, 0, 0], num_nodes=3)
-        dense = normalized_adjacency(ds.adjacency).to_scipy().toarray()
+        dense = normalized_adjacency(ds.adjacency).toarray()
         np.testing.assert_array_equal(dense[2], 0.0)
         np.testing.assert_array_equal(dense[:, 2], 0.0)
 
     def test_path_value(self, path3):
-        dense = normalized_adjacency(path3.adjacency).to_scipy().toarray()
+        dense = normalized_adjacency(path3.adjacency).toarray()
         assert dense[0][1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_symmetry_is_exact(self):
         ds = er_dataset(40, 0.15, 2, seed=9)
         norm = normalized_adjacency(ds.adjacency)
-        dense = norm.to_scipy().toarray()
+        dense = norm.toarray()
         # same value stored twice, so equality is bitwise
         assert np.array_equal(dense, dense.T)
 
@@ -337,9 +393,71 @@ class TestHomophily:
 
 
 class TestSelfLoops:
-    def test_with_self_loops_adds_diagonal(self):
+    def test_self_loops_normalize_a_plus_identity(self):
+        # A + I of one edge is all ones; every degree is 2, so every entry is 1/2
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
-        looped = ds.adjacency.with_self_loops()
-        dense = looped.to_scipy().toarray()
-        np.testing.assert_allclose(np.diag(dense), 1.0)
-        assert dense[0][1] == 1.0
+        dense = normalized_adjacency(ds.adjacency, add_self_loops=True).toarray()
+        np.testing.assert_allclose(dense, np.full((2, 2), 0.5), rtol=1e-15)
+        # the graph itself keeps no self-loop
+        np.testing.assert_array_equal(ds.adjacency.csr.diagonal(), 0.0)
+
+
+def _raw_adjacency(n, offsets, cols):
+    """A SparseAdjacency over CSR arrays taken as given: scipy's constructor
+    would reject some of them before validate() sees them."""
+    csr = sp.csr_matrix((n, n))
+    csr.indptr = np.asarray(offsets, dtype=np.int32)
+    csr.indices = np.asarray(cols, dtype=np.int32)
+    csr.data = np.ones(len(csr.indices))
+    return SparseAdjacency(csr)
+
+
+class TestAdjacencyValidate:
+    @pytest.mark.parametrize(("offsets", "cols", "message"), [
+        ([0, 1, 2], [1, 0], "malformed row offsets"),  # 3 nodes need 4 offsets
+        ([1, 1, 2, 2], [1, 0], "malformed row offsets"),
+        ([0, 1, 2, 3], [1, 0], "malformed row offsets"),  # last offset past the columns
+        ([0, 2, 1, 2], [1, 0], "malformed row offsets"),  # decreasing
+        ([0, 1, 2, 2], [3, 0], "column index out of range"),
+        ([0, 1, 2, 2], [1, -1], "column index out of range"),
+        ([0, 1, 2, 2], [0, 0], "self-loop present"),
+        ([0, 2, 3, 4], [2, 1, 0, 0], "a row has unsorted or duplicate columns"),
+        ([0, 2, 3, 3], [1, 1, 0], "a row has unsorted or duplicate columns"),
+        ([0, 1, 1, 1], [1], "adjacency is not symmetric"),
+    ])
+    def test_malformed_csr_rejected(self, offsets, cols, message):
+        with pytest.raises(DatasetFormatError, match=message):
+            _raw_adjacency(3, offsets, cols).validate()
+
+    def test_symmetry_keys_do_not_wrap_above_46341_nodes(self):
+        # The one entry 0 -> 65536 of a 65537-node graph is not symmetric,
+        # but an int32 key 65536 * 65537 wraps to 65536, the forward key.
+        n = 65537
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        offsets[1:] = 1
+        with pytest.raises(DatasetFormatError, match="adjacency is not symmetric"):
+            _raw_adjacency(n, offsets, [65536]).validate()
+        # a symmetric graph on such ids passes
+        adj = SparseAdjacency.from_edges(n, np.asarray([[0, 65536], [46342, 50000]]))
+        assert adj.col_indices.dtype == np.int32
+        adj.validate()
+
+
+class TestFromEdges:
+    def test_many_duplicates_keep_the_edge(self):
+        # 256 copies would wrap a uint8 count to 0, which scipy drops
+        adj = SparseAdjacency.from_edges(3, np.asarray([[0, 1]] * 256 + [[1, 2]]))
+        np.testing.assert_array_equal(adj.csr.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+    def test_peak_memory_bounded_by_input(self):
+        # 1.6M edges at n = 200k: a 25.6 MB input may not take 4x that to build
+        n = 200_000
+        edges = np.random.default_rng(0).integers(0, n, size=(1_600_000, 2))
+        tracemalloc.start()
+        try:
+            adj = SparseAdjacency.from_edges(n, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert adj.num_edges > 1_500_000
+        assert peak < 4 * edges.nbytes, f"from_edges peaked at {peak / 1e6:.1f} MB"

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from sagad.chebyshev import build_cheb_basis, chebyshev_nodes, dense_spectral_or
 from sagad.context import build_context_cache
 from sagad.errors import CacheFormatError, ConfigError
 from sagad.model import (
+    CHECKPOINT_MAGIC,
     FilterParams,
     ModelConfig,
     cheb_weights,
@@ -332,4 +336,54 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(CacheFormatError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(("content", "message"), [
+        (CHECKPOINT_MAGIC + b"\x00\x00", "truncated checkpoint header"),  # a 10-byte file
+        (CHECKPOINT_MAGIC + struct.pack("<Q", 50) + b"{}", "truncated checkpoint header"),
+        (CHECKPOINT_MAGIC + struct.pack("<Q", 5) + b"{bad}", "malformed checkpoint header"),
+        (CHECKPOINT_MAGIC + struct.pack("<Q", 2) + b"\xff\xfe", "malformed checkpoint header"),
+        (CHECKPOINT_MAGIC + struct.pack("<Q", 2) + b"[]", "malformed checkpoint header"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, content, message):
+        path = tmp_path / "model.bin"
+        path.write_bytes(content)
+        with pytest.raises(CacheFormatError, match=message):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        save_checkpoint(init_model(ModelConfig(K=2, hidden_dim=4), 3), path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + blob_len])
+        edit(header)
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + blob_len :])
+
+    @pytest.mark.parametrize("key", ["total_values", "config", "dim", "layout"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        path = tmp_path / "model.bin"
+        self._rewrite_header(path, lambda header: header.pop(key))
+        message = f"malformed checkpoint header: KeyError\\('{key}'\\)"
+        with pytest.raises(CacheFormatError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header.update(dim=0),
+        lambda header: header.update(dim=-3),
+        lambda header: header["config"].update(K="x"),
+        lambda header: header["config"].update(bogus=1),
+    ])
+    def test_bad_header_value_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.bin"
+        self._rewrite_header(path, edit)
+        with pytest.raises(CacheFormatError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    def test_payload_size_checked(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_model(ModelConfig(K=2, hidden_dim=4), 3), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CacheFormatError, match="checkpoint payload is"):
             load_checkpoint(path)
