@@ -1,4 +1,5 @@
-"""Cache files read by row: a checked header plus an open file.
+"""Cache files read by row: a checked header plus an open file; and the
+atomic writer every cache and checkpoint is written through.
 
 ``CacheFile`` checks a cache's magic and fixed-size header, takes the
 payload size from ``os.fstat`` and keeps the file open; the payload is
@@ -15,6 +16,7 @@ kept 416 MB resident.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import warnings
@@ -143,6 +145,37 @@ class CacheRows:
         for lo, hi in zip([0] + cuts, cuts + [ids.size]):
             self.file.read_into(out[lo:hi], self.offset + int(ids[lo]) * self._row_bytes)
         return out
+
+
+@contextlib.contextmanager
+def atomic_file(path: str | os.PathLike):
+    """Open a new binary file to be written in place of ``path``.
+
+    The bytes go to a temporary file in the same directory, which is
+    fsynced and renamed onto ``path`` (``os.replace``) when the block
+    ends.  If the block raises, the temporary file is removed, so ``path``
+    holds either its previous content or all of the new one, never part.
+    """
+    path = os.fspath(path)
+    # os.urandom, not `secrets`: that imports hashlib's OpenSSL (+4 MB RSS)
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    # mode as `open(path, "wb")` would create the file with
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_array(f, arr: np.ndarray, dtype: str) -> None:
+    """Write ``arr`` as C-order ``dtype`` values straight from its buffer
+    (no ``tobytes`` copy; a converted copy only if dtype or order differ)."""
+    f.write(np.ascontiguousarray(arr, dtype=dtype).reshape(-1).view(np.uint8))
 
 
 class FileBacked:

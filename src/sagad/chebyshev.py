@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import CacheFile, CacheRows, FileBacked
+from .cachefile import CacheFile, CacheRows, FileBacked, atomic_file, write_array
 from .errors import CacheFormatError
-from .graph import GraphDataset, normalized_adjacency
+from .graph import GraphDataset, degree_scaling, normalized_adjacency
 
 CACHE_MAGIC = b"SGCHEB01"
 _DTYPE_F32 = 0
@@ -31,9 +31,10 @@ LAMBDA_MAX = 2.0
 class ChebBasisCache(FileBacked):
     """The (K+1) precomputed matrices blocks[k] = T_k(scaled Laplacian) X.
 
-    A built cache holds ndarrays; one from ``read_cache`` holds ``CacheRows``
-    over its open ``file``, which ``close()`` (or ``with``) releases.  Both
-    are indexed the same way: ``blocks[k][ids]``.
+    A cache built in memory holds ndarrays; one from ``read_cache`` (or
+    built with a ``path``) holds ``CacheRows`` over its open ``file``, which
+    ``close()`` (or ``with``) releases.  Both are indexed the same way:
+    ``blocks[k][ids]``.
     """
 
     order: int
@@ -50,48 +51,86 @@ class ChebBasisCache(FileBacked):
                 raise CacheFormatError(f"block {k} has shape {b.shape}")
 
 
+# Rows per chunk of the recurrence: a chunk's sparse product, its f32 copy
+# and the write stay small next to the two n*d f64 buffers.
+_CHUNK_ROWS = 1 << 13
+
+
 def build_cheb_basis(
     dataset: GraphDataset,
     order: int,
     dtype=np.float32,
     add_self_loops: bool = False,
+    path: str | os.PathLike | None = None,
 ) -> ChebBasisCache:
     """Compute T_k(L_hat) X for k = 0..order by the three-term recurrence.
 
     L_hat = 2 L_norm / lambda_max - I with lambda_max pinned at 2, which
     collapses to the negated normalized adjacency.  The recurrence runs in
-    float64; each block is cast to ``dtype`` as soon as it is computed.
+    float64 over two n*d buffers, one row chunk at a time (see
+    ``_basis_chunks``).  Without ``path`` the chunks are cast to ``dtype``
+    into (order+1) in-memory blocks.  With ``path`` each chunk is written
+    to the cache file as soon as it is computed (f32; the file replaces
+    ``path`` only once complete) and the returned cache reads that file by
+    row: close it, or use it in a ``with`` block.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    a_norm = normalized_adjacency(dataset.adjacency, add_self_loops)
+    n, d = dataset.num_nodes, dataset.num_features
+    chunks = _basis_chunks(dataset, order, add_self_loops)
+    if path is None:
+        blocks = [np.empty((n, d), dtype=dtype) for _ in range(order + 1)]
+        for k, lo, rows in chunks:
+            blocks[k][lo : lo + len(rows)] = rows
+        cache = ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks)
+        cache.validate()
+        return cache
+    if np.dtype(dtype) != np.float32:
+        raise ValueError(f"a basis cache file holds float32 blocks, not {np.dtype(dtype)}")
+    with atomic_file(path) as f:
+        f.write(CACHE_MAGIC)
+        f.write(_HEADER.pack(n, d, order, _DTYPE_F32))
+        for _, _, rows in chunks:
+            write_array(f, rows, "<f4")
+    # the file just written, not an input: opened without `read_cache`
+    return _open_cache(path)
 
-    def emit(block: np.ndarray) -> np.ndarray:
-        return block if block.dtype == dtype else np.ascontiguousarray(block, dtype=dtype)
 
-    # three rolling f64 buffers updated in place; finished blocks are stored
-    # in the target dtype, so peak transient memory stays at ~3 n*d values
-    # beyond the output
-    blocks = [emit(np.ascontiguousarray(dataset.features))]  # T_0 X is X, bit-exact
-    b_prev = np.ascontiguousarray(dataset.features, dtype=np.float64)
-    b_cur = a_norm @ b_prev
-    np.negative(b_cur, out=b_cur)  # L_hat X = -(A_norm X)
-    blocks.append(emit(b_cur))
-    for _ in range(2, order + 1):
-        b_next = a_norm @ b_cur
-        b_next *= -2.0
-        b_next -= b_prev
-        blocks.append(emit(b_next))
-        b_prev, b_cur = b_cur, b_next
+def _basis_chunks(dataset: GraphDataset, order: int, add_self_loops: bool):
+    """Yield (k, lo, rows): rows lo:lo+len(rows) of T_k X in float64, block
+    by block and rows ascending (the cache file's order).  ``rows`` is a
+    view of a work buffer, valid until the next chunk is asked for.
 
-    cache = ChebBasisCache(
-        order=order,
-        num_nodes=dataset.num_nodes,
-        dim=dataset.num_features,
-        blocks=blocks,
-    )
-    cache.validate()
-    return cache
+    Two n*d buffers hold T_{k-1} X and T_{k-2} X; chunk lo:hi of T_k X
+    overwrites rows lo:hi of T_{k-2} X, which nothing reads again.  Each
+    row of a sparse product is summed from zero in column order, as the
+    whole-matrix product sums it, so the values do not depend on the
+    chunking.
+    """
+    adj, n = dataset.adjacency, dataset.num_nodes
+    scaling = degree_scaling(adj, add_self_loops)
+
+    def a_norm(lo: int, hi: int):
+        return normalized_adjacency(adj, add_self_loops, (lo, hi), scaling)
+
+    bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+    # a copy even for f64 features: the buffer is overwritten below
+    b_prev = np.array(dataset.features, dtype=np.float64, order="C")  # T_0 X is X, bit-exact
+    for lo, hi in bounds:
+        yield 0, lo, b_prev[lo:hi]
+    b_cur = np.empty_like(b_prev)
+    for lo, hi in bounds:
+        out = b_cur[lo:hi]
+        np.negative(a_norm(lo, hi) @ b_prev, out=out)
+        yield 1, lo, out  # L_hat X = -(A_norm X)
+    for k in range(2, order + 1):
+        for lo, hi in bounds:
+            rows = a_norm(lo, hi) @ b_cur
+            rows *= -2.0
+            out = b_prev[lo:hi]
+            np.subtract(rows, out, out=out)
+            yield k, lo, out
+        b_prev, b_cur = b_cur, b_prev
 
 
 def dense_spectral_oracle(
@@ -147,20 +186,24 @@ def chebyshev_nodes(order: int) -> np.ndarray:
 
 
 def write_cache(cache: ChebBasisCache, path: str | os.PathLike) -> None:
-    """Serialize to disk: 28-byte header then (K+1) row-major f32 blocks."""
+    """Serialize to disk: 28-byte header then (K+1) row-major f32 blocks.
+
+    Written atomically (see ``cachefile.atomic_file``).
+    """
     cache.validate()
-    path = os.fspath(path)
-    with open(path, "wb") as f:
+    with atomic_file(path) as f:
         f.write(CACHE_MAGIC)
         f.write(_HEADER.pack(cache.num_nodes, cache.dim, cache.order, _DTYPE_F32))
         for block in cache.blocks:
-            f.write(np.ascontiguousarray(block[:], dtype="<f4").tobytes())
-        f.flush()
-        os.fsync(f.fileno())
+            write_array(f, block[:], "<f4")
 
 
 def read_cache(path: str | os.PathLike) -> ChebBasisCache:
     """Open a basis cache: the header is checked now, blocks are read by row."""
+    return _open_cache(path)
+
+
+def _open_cache(path: str | os.PathLike) -> ChebBasisCache:
     file = CacheFile(path, CACHE_MAGIC, _HEADER, "cache")
     try:
         n, d, order, dtype_code = file.fields

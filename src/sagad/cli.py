@@ -355,10 +355,10 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 def _cmd_preprocess(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
-    cache = chebyshev.build_cheb_basis(dataset, cfg.K, add_self_loops=cfg.add_self_loops)
     os.makedirs(cfg.run_dir, exist_ok=True)
-    chebyshev.write_cache(cache, _cheb_path(cfg))
-    print(f"wrote {_cheb_path(cfg)} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
+    with chebyshev.build_cheb_basis(dataset, cfg.K, add_self_loops=cfg.add_self_loops,
+                                    path=_cheb_path(cfg)) as cache:
+        print(f"wrote {_cheb_path(cfg)} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
     return 0
 
 

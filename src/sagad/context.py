@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import CacheFile, CacheRows, FileBacked
+from .cachefile import CacheFile, CacheRows, FileBacked, atomic_file, write_array
 from .errors import CacheFormatError
 from .graph import GraphDataset
 
@@ -252,6 +252,21 @@ def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
     return context, sizes
 
 
+def _full_khop_context(dataset: GraphDataset, x: np.ndarray):
+    """(A x + x) / (degree + 1) for every node, pooled a row chunk at a time
+    straight into the f32 output; each row sums from zero in column order,
+    as the whole-matrix product does."""
+    csr = dataset.adjacency.csr
+    sizes = (np.diff(csr.indptr) + 1).astype(np.int64)
+    context = np.empty((dataset.num_nodes, dataset.num_features), dtype=np.float32)
+    for s in _chunks(dataset.num_nodes, x.shape[1]):
+        pooled = csr[s] @ x
+        pooled += x[s]
+        pooled /= sizes[s, None]
+        context[s] = pooled
+    return context, sizes
+
+
 def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP, seed: int = 0,
                         mode: str = "rq") -> ContextCache:
     """Mean-pooled subgraph features for every node.
@@ -266,20 +281,13 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
     n = dataset.num_nodes
     x = np.asarray(dataset.features, dtype=np.float64)
     if mode == "full_khop":
-        adj = dataset.adjacency
-        pooled = adj.csr @ x + x
-        sizes = (np.diff(adj.row_offsets) + 1).astype(np.int64)
-        context = pooled / sizes[:, None]
+        context, sizes = _full_khop_context(dataset, x)
     elif mode == "rq":
         context, sizes = _rq_context(dataset, x, cap, seed)
     else:
         raise ValueError(f"unknown context mode {mode!r}")
-    cache = ContextCache(
-        num_nodes=n,
-        dim=dataset.num_features,
-        context=np.ascontiguousarray(context, dtype=np.float32),
-        subgraph_size=sizes,
-    )
+    cache = ContextCache(num_nodes=n, dim=dataset.num_features, context=context,
+                         subgraph_size=sizes)
     cache.validate()
     return cache
 
@@ -290,14 +298,14 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
 
 
 def write_context_cache(cache: ContextCache, path: str | os.PathLike) -> None:
+    """Header, the (n, d) f32 context rows, then n u32 subgraph sizes; written
+    atomically (see ``cachefile.atomic_file``)."""
     cache.validate()
-    with open(os.fspath(path), "wb") as f:
+    with atomic_file(path) as f:
         f.write(CONTEXT_MAGIC)
         f.write(_HEADER.pack(cache.num_nodes, cache.dim))
-        f.write(np.ascontiguousarray(cache.context[:], dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(cache.subgraph_size, dtype="<u4").tobytes())
-        f.flush()
-        os.fsync(f.fileno())
+        write_array(f, cache.context[:], "<f4")
+        write_array(f, cache.subgraph_size, "<u4")
 
 
 def read_context_cache(path: str | os.PathLike) -> ContextCache:

@@ -16,10 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import CacheFile
+from .cachefile import CacheFile, write_array
 from .errors import DatasetFormatError
 
 UNKNOWN_LABEL = -1
+
+# rows per chunk of SparseAdjacency.validate's per-entry checks
+_VALIDATE_ROWS = 1 << 14
 
 FEATURES_MAGIC = b"SGFEAT01"
 _FEATURES_HEADER = struct.Struct("<QQ")  # n, d
@@ -91,25 +94,38 @@ class SparseAdjacency:
         return self.col_indices[self.row_offsets[node] : self.row_offsets[node + 1]]
 
     def validate(self) -> None:
-        """Check the structural invariants; raise DatasetFormatError on violation."""
+        """Check the structural invariants; raise DatasetFormatError on violation.
+
+        Works on the index arrays a row chunk at a time, plus the transposed
+        pattern: no array of one int64 per entry is formed.
+        """
+        import scipy.sparse as sp
+
         n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
         if (offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != len(cols)
                 or np.any(np.diff(offsets) < 0)):
             raise DatasetFormatError("malformed row offsets")
         if len(cols) and (cols.min() < 0 or cols.max() >= n):
             raise DatasetFormatError("column index out of range")
-        rows = self.row_ids()
-        if np.any(rows == cols):
+        self_loop = unsorted = False
+        for lo in range(0, n, _VALIDATE_ROWS):
+            hi = min(lo + _VALIDATE_ROWS, n)
+            rows = np.repeat(np.arange(lo, hi), np.diff(offsets[lo : hi + 1]))
+            chunk = cols[offsets[lo] : offsets[hi]]
+            self_loop |= bool(np.any(rows == chunk))
+            unsorted |= bool(np.any((rows[1:] == rows[:-1]) & (np.diff(chunk) <= 0)))
+        if self_loop:
             raise DatasetFormatError("self-loop present")
-        same_row = rows[1:] == rows[:-1]
-        if np.any(same_row & (np.diff(cols) <= 0)):
+        if unsorted:
             raise DatasetFormatError("a row has unsorted or duplicate columns")
-        # Symmetry: the multiset of (row, col) pairs equals its transpose.
-        # Keys are int64: with int32 columns, col * n wraps once n > 46,341.
-        cols = cols.astype(np.int64)
-        fwd = rows * n + cols
-        bwd = cols * n + rows
-        if not np.array_equal(np.sort(fwd), np.sort(bwd)):
+        # Symmetry: with sorted unique columns, the pattern equals its
+        # transpose exactly when the transposed CSR's arrays equal its own.
+        # One-byte values keep the transpose at 6 bytes per entry.
+        pattern = sp.csr_matrix((np.ones(len(cols), dtype=bool), cols, offsets), shape=(n, n))
+        transposed = pattern.T.tocsr()
+        del pattern
+        if not (np.array_equal(transposed.indptr, offsets)
+                and np.array_equal(transposed.indices, cols)):
             raise DatasetFormatError("adjacency is not symmetric")
 
 
@@ -208,23 +224,42 @@ class HomophilyReport:
 # ---------------------------------------------------------------------------
 
 
-def normalized_adjacency(adj: SparseAdjacency, add_self_loops: bool = False):
+def degree_scaling(adj: SparseAdjacency, add_self_loops: bool = False) -> np.ndarray:
+    """D^{-1/2} of A, or of A + I: one f64 per node, 0 for an isolated node."""
+    # the values are all 1, so a degree is an entry count
+    deg = np.diff(adj.row_offsets).astype(np.float64) + int(add_self_loops)
+    with np.errstate(divide="ignore"):
+        return np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+
+
+def normalized_adjacency(adj: SparseAdjacency, add_self_loops: bool = False,
+                         rows: tuple[int, int] | None = None,
+                         scaling: np.ndarray | None = None):
     """Symmetric normalization D^{-1/2} A D^{-1/2}, or of A + I with
     ``add_self_loops``, as a CSR over the same index arrays as its operand.
 
-    Rows and columns of isolated nodes stay all-zero (they have no entries).
+    ``rows=(lo, hi)`` gives rows lo:hi only, as a (hi - lo, n) CSR whose
+    values are formed for those rows alone, over the graph's index slices.
+    ``scaling`` is ``degree_scaling(adj, add_self_loops)``, passed by a
+    caller that asks for many row chunks so it is computed once.  Rows and
+    columns of isolated nodes stay all-zero (they have no entries).
     """
     import scipy.sparse as sp
 
-    a = adj.csr
+    csr, n = adj.csr, adj.num_nodes
+    lo, hi = (0, n) if rows is None else rows
+    if scaling is None:
+        scaling = degree_scaling(adj, add_self_loops)
+    start, stop = csr.indptr[lo], csr.indptr[hi]
+    indices, indptr = csr.indices[start:stop], csr.indptr[lo : hi + 1]
+    if start:
+        indptr = indptr - start
     if add_self_loops:
-        a = a + sp.identity(a.shape[0], format="csr")
-    counts = np.diff(a.indptr)
-    deg = counts.astype(np.float64)  # the values are all 1
-    with np.errstate(divide="ignore"):
-        dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    vals = np.repeat(dinv_sqrt, counts) * dinv_sqrt[a.indices]
-    return sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape, copy=False)
+        a = sp.csr_matrix((csr.data[start:stop], indices, indptr), shape=(hi - lo, n), copy=False)
+        a = a + sp.eye(hi - lo, n, k=lo, format="csr")
+        indices, indptr = a.indices, a.indptr
+    vals = np.repeat(scaling[lo:hi], np.diff(indptr)) * scaling[indices]
+    return sp.csr_matrix((vals, indices, indptr), shape=(hi - lo, n), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +502,7 @@ def _write_features_bin(path: str, features: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(FEATURES_MAGIC)
         f.write(_FEATURES_HEADER.pack(n, d))
-        f.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
+        write_array(f, features, "<f4")
         f.flush()
         os.fsync(f.fileno())
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cachefile import CacheFile
+from .cachefile import CacheFile, atomic_file, write_array
 from .chebyshev import ChebBasisCache, chebyshev_nodes, chebyshev_series
 from .context import ContextCache
 from .errors import CacheFormatError, ConfigError
@@ -687,14 +687,12 @@ def save_checkpoint(state: ModelState, path: str | os.PathLike) -> None:
         "payload": "little-endian float64, concatenated in layout order",
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(os.fspath(path), "wb") as f:
+    with atomic_file(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(_BLOB_LEN.pack(len(blob)))
         f.write(blob)
         for arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        f.flush()
-        os.fsync(f.fileno())
+            write_array(f, arr, "<f8")
 
 
 def load_checkpoint(path: str | os.PathLike) -> ModelState:

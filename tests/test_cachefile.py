@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sagad import cachefile
-from sagad.chebyshev import build_cheb_basis, read_cache, write_cache
+from sagad.chebyshev import build_cheb_basis, expected_cache_bytes, read_cache, write_cache
 from sagad.context import build_context_cache, read_context_cache, write_context_cache
 from sagad.errors import CacheFormatError
 from sagad.model import ModelConfig, gather_rows, init_model
@@ -86,12 +86,22 @@ class TestRowSource:
     def test_short_read_raises(self, written):
         cheb, _, cheb_path, _ = written
         with read_cache(cheb_path) as disk:
-            # the writer truncates in place: a cache rewritten smaller while open
-            write_cache(build_cheb_basis(er_dataset(10, 0.3, 5, seed=1), 3), cheb_path)
+            # a cache truncated in place while open (to the size of a 10-node one)
+            os.truncate(cheb_path, expected_cache_bytes(3, 10, 5))
             with pytest.raises(CacheFormatError, match="short read"):
                 disk.blocks[3][50:60]
             with pytest.raises(CacheFormatError, match="short read"):
                 disk.blocks[3][np.asarray([2, 58])]
+
+    def test_rewrite_while_open_keeps_the_old_rows(self, written):
+        # the writers replace the file: an open reader keeps reading the
+        # complete old cache, never a mix of old and new rows
+        cheb, _, cheb_path, _ = written
+        with read_cache(cheb_path) as disk:
+            write_cache(build_cheb_basis(er_dataset(10, 0.3, 5, seed=1), 3), cheb_path)
+            np.testing.assert_array_equal(disk.blocks[3][50:60], cheb.blocks[3][50:60])
+        with read_cache(cheb_path) as fresh:
+            assert fresh.num_nodes == 10
 
     def test_oversized_payload_rejected(self, written):
         _, _, cheb_path, ctx_path = written
@@ -186,3 +196,56 @@ class TestGatherFromDisk:
         cheb, _, _, _ = written
         with pytest.raises(ValueError, match="order 3 does not match model K=5"):
             gather_rows(cheb, None, np.arange(4), ModelConfig(K=5, context_mode="features_only"))
+
+
+class TestAtomicWrite:
+    def _writers(self):
+        from sagad import chebyshev, context, model
+
+        ds = er_dataset(20, 0.2, 3, seed=9)
+        state = init_model(ModelConfig(K=2, hidden_dim=4), 3)
+        return [
+            (chebyshev, lambda p: write_cache(build_cheb_basis(ds, 2), p)),
+            (context, lambda p: write_context_cache(build_context_cache(ds), p)),
+            (model, lambda p: model.save_checkpoint(state, p)),
+        ]
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        for module, write in self._writers():
+            path = tmp_path / "out.bin"
+            path.write_bytes(b"previous")
+            real, calls = module.write_array, []
+
+            def fail_on_second(*args):
+                calls.append(args)
+                if len(calls) > 1:
+                    raise OSError("disk full")
+                real(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(module, "write_array", fail_on_second)
+                with pytest.raises(OSError, match="disk full"):
+                    write(path)
+            assert path.read_bytes() == b"previous", module.__name__
+            assert os.listdir(tmp_path) == ["out.bin"], module.__name__
+            write(path)  # and a complete write replaces it
+            assert path.read_bytes() != b"previous"
+            assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_new_file_mode_is_that_of_open(self, tmp_path):
+        with cachefile.atomic_file(tmp_path / "a.bin") as f:
+            f.write(b"x")
+        with open(tmp_path / "b.bin", "wb") as f:
+            f.write(b"x")
+        assert os.stat(tmp_path / "a.bin").st_mode == os.stat(tmp_path / "b.bin").st_mode
+
+    def test_arrays_are_written_as_their_bytes(self, tmp_path):
+        arrays = [(np.arange(12, dtype=np.float64).reshape(3, 4), "<f4"),
+                  (np.arange(6, dtype=np.float32)[::2], "<f8"),  # strided
+                  (np.arange(5, dtype=np.int64), "<u4"),
+                  (np.zeros((0, 3), dtype=np.float32), "<f4")]
+        with cachefile.atomic_file(tmp_path / "a.bin") as f:
+            for arr, dtype in arrays:
+                cachefile.write_array(f, arr, dtype)
+        expected = b"".join(np.ascontiguousarray(a, dtype=t).tobytes() for a, t in arrays)
+        assert (tmp_path / "a.bin").read_bytes() == expected

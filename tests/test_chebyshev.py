@@ -2,8 +2,11 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sagad import chebyshev
 from sagad.chebyshev import (
+    ChebBasisCache,
     build_cheb_basis,
     chebyshev_nodes,
     dense_spectral_oracle,
@@ -173,3 +176,90 @@ class TestGrowthBound:
         cache = build_cheb_basis(ds, 8, dtype=np.float64)
         for k, block in enumerate(cache.blocks):
             assert np.max(np.abs(block)) <= 10.0, f"block {k} exploded"
+
+
+def whole_matrix_basis(ds, order, add_self_loops=False):
+    """The recurrence over the whole normalized matrix, three f64 buffers and
+    f32 blocks (test oracle for the row-chunked one)."""
+    a = ds.adjacency.csr
+    if add_self_loops:
+        a = a + sp.identity(a.shape[0], format="csr")
+    counts = np.diff(a.indptr)
+    deg = counts.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+    vals = np.repeat(dinv_sqrt, counts) * dinv_sqrt[a.indices]
+    a_norm = sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape)
+    blocks = [np.ascontiguousarray(ds.features, dtype=np.float32)]
+    b_prev = np.ascontiguousarray(ds.features, dtype=np.float64)
+    b_cur = a_norm @ b_prev
+    np.negative(b_cur, out=b_cur)
+    blocks.append(b_cur.astype(np.float32))
+    for _ in range(2, order + 1):
+        b_next = a_norm @ b_cur
+        b_next *= -2.0
+        b_next -= b_prev
+        blocks.append(b_next.astype(np.float32))
+        b_prev, b_cur = b_cur, b_next
+    return ChebBasisCache(order, ds.num_nodes, ds.num_features, blocks)
+
+
+def _graphs():
+    rng = np.random.default_rng(3)
+    # 23 nodes, 5 of them isolated (19..23 never appear in an edge)
+    edges = np.argwhere(np.triu(rng.random((18, 18)) < 0.25, 1))
+    return {
+        "isolated": make_dataset(edges, rng.standard_normal((23, 4)), [0] * 23),
+        "edgeless": make_dataset(np.zeros((0, 2)), rng.standard_normal((9, 3)), [0] * 9),
+        "er": er_dataset(40, 0.15, 5, seed=12),
+    }
+
+
+class TestStreamedBasis:
+    @pytest.mark.parametrize("name", ["isolated", "edgeless", "er"])
+    @pytest.mark.parametrize("chunk", ["1", "7", "n", "n+5"])
+    @pytest.mark.parametrize("loops", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_file_is_byte_identical_to_whole_matrix(self, tmp_path, monkeypatch, name, chunk,
+                                                    loops, order):
+        ds = _graphs()[name]
+        n = ds.num_nodes
+        monkeypatch.setattr(chebyshev, "_CHUNK_ROWS", {"1": 1, "7": 7, "n": n, "n+5": n + 5}[chunk])
+        write_cache(whole_matrix_basis(ds, order, loops), tmp_path / "oracle.bin")
+        with build_cheb_basis(ds, order, add_self_loops=loops, path=tmp_path / "c.bin") as disk:
+            assert (disk.order, disk.num_nodes, disk.dim) == (order, n, ds.num_features)
+        assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+        # the in-memory sink collects the same chunks
+        write_cache(build_cheb_basis(ds, order, add_self_loops=loops), tmp_path / "mem.bin")
+        assert (tmp_path / "mem.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+
+    def test_f64_features_are_not_overwritten(self):
+        ds = er_dataset(20, 0.2, 3, seed=1)
+        before = ds.features.copy()
+        build_cheb_basis(ds, 4, dtype=np.float64)
+        np.testing.assert_array_equal(ds.features, before)
+
+    def test_file_holds_f32_only(self, tmp_path):
+        with pytest.raises(ValueError, match="float32"):
+            build_cheb_basis(er_dataset(10, 0.3, 2), 2, dtype=np.float64, path=tmp_path / "c.bin")
+        assert os.listdir(tmp_path) == []
+
+    def test_failure_mid_stream_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        ds = er_dataset(30, 0.2, 3, seed=4)
+        path = tmp_path / "cheb_cache.bin"
+        build_cheb_basis(er_dataset(12, 0.3, 3, seed=5), 2, path=path).close()
+        previous = path.read_bytes()
+        real, calls = chebyshev.normalized_adjacency, []
+
+        def fail_after_first_chunk(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise RuntimeError("recurrence failed")
+            return real(*args)
+
+        monkeypatch.setattr(chebyshev, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(chebyshev, "normalized_adjacency", fail_after_first_chunk)
+        with pytest.raises(RuntimeError, match="recurrence failed"):
+            build_cheb_basis(ds, 3, path=path)
+        assert path.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["cheb_cache.bin"]

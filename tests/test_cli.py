@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sagad import chebyshev, cli, context, csbm, model, training
+from sagad import chebyshev, cli, context, csbm, graph, model, training
 from sagad.cli import dispatch, main, parse_config
 from sagad.errors import CacheFormatError, ConfigError, DatasetFormatError
 
@@ -367,6 +367,17 @@ class TestBenchmarkSpans:
     """perfbench/spans.py wraps sagad functions by name; renaming or deleting
     one of them must fail here, not only in the traced benchmark run."""
 
+    def test_every_wrapped_attribute_exists(self):
+        # the benchmark's traced run wraps package functions by module
+        # attribute; a renamed one would fail every traced command
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        driver = "import spans\nspans.install(spans.Recorder())\n"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "perfbench"), os.path.join(root, "src")]))
+        proc = subprocess.run([sys.executable, "-c", driver], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_layers_are_recorded(self, toy_run, tmp_path):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
@@ -486,6 +497,43 @@ class TestProcessMemory:
             extra = peaks[200_000][command] - peaks[20_000][command]
             assert extra < 0.1 * growth, (
                 f"{command} peak grew {extra / 1e6:.1f} MB for {growth / 1e6:.1f} MB more cache")
+
+
+class TestSetupMemory:
+    """`preprocess` streams the basis and `sample-context` pools in row
+    chunks: beyond the features and the graph, each holds two n*d f64
+    buffers, whatever the size of the caches they write."""
+
+    D, K, HEADROOM = 32, 3, 16e6  # headroom: parsing labels/splits, chunk buffers
+
+    def _write_dataset(self, base, n):
+        rng = np.random.default_rng(n)
+        adj = graph.SparseAdjacency.from_edges(n, rng.integers(0, n, (4 * n, 2)))
+        labels = (rng.random(n) < 0.05).astype(np.int8)
+        ids = rng.permutation(n)
+        split = graph.SplitSet(train=ids[:50], val=ids[50:100], test=ids[100:1100])
+        ds = graph.GraphDataset(adj, rng.standard_normal((n, self.D), dtype=np.float32),
+                                labels, [split], f"setup{n}")
+        graph.write_dataset(ds, base / f"data{n}")
+        csr = adj.csr
+        # what the bound allows: features, the graph, two n*d f64 buffers
+        allowed = (ds.features.nbytes + csr.data.nbytes + csr.indices.nbytes
+                   + csr.indptr.nbytes + 2 * n * self.D * 8)
+        return ["--dataset", str(base / f"data{n}"), "--run-dir", str(base / f"run{n}"),
+                "--K", str(self.K), "--context-mode", "full_khop"], allowed
+
+    def test_peak_grows_by_two_work_buffers_at_most(self, tmp_path, capsys):
+        peaks, allowed = {}, {}
+        for n in (20_000, 200_000):
+            args, allowed[n] = self._write_dataset(tmp_path, n)
+            peaks[n] = {command: TestProcessMemory._peak([command, *args])
+                        for command in ("preprocess", "sample-context")}
+        capsys.readouterr()
+        bound = allowed[200_000] - allowed[20_000] + self.HEADROOM
+        for command in ("preprocess", "sample-context"):
+            extra = peaks[200_000][command] - peaks[20_000][command]
+            assert extra < bound, (
+                f"{command} peak grew {extra / 1e6:.1f} MB, allowed {bound / 1e6:.1f} MB")
 
 
 class TestSamplerConfig:

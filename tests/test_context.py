@@ -351,3 +351,33 @@ class TestKernelLimits:
         small = build_context_cache(ds, cap=16, seed=2)
         assert whole.context.tobytes() == small.context.tobytes()
         np.testing.assert_array_equal(whole.subgraph_size, small.subgraph_size)
+
+
+class TestChunkedFullKhop:
+    @staticmethod
+    def _whole_matrix(ds):
+        """The 1-hop pool as one sparse product (test oracle)."""
+        x = np.asarray(ds.features, dtype=np.float64)
+        sizes = np.diff(ds.adjacency.csr.indptr) + 1
+        return ((ds.adjacency.csr @ x + x) / sizes[:, None]).astype(np.float32), sizes
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+    def test_bit_identical_to_one_product(self, monkeypatch, rows_per_chunk):
+        from sagad import context
+
+        rng = np.random.default_rng(8)
+        graphs = [
+            er_dataset(50, 0.12, 6, seed=17),
+            # isolated nodes 15..19
+            make_dataset(np.argwhere(np.triu(rng.random((15, 15)) < 0.3, 1)),
+                         rng.standard_normal((20, 3)), [0] * 20),
+            make_dataset(np.zeros((0, 2)), rng.standard_normal((6, 2)), [0] * 6),
+        ]
+        for ds in graphs:
+            if rows_per_chunk is not None:  # else one chunk holds every row
+                monkeypatch.setattr(context, "_CHUNK_VALUES", rows_per_chunk * ds.num_features)
+            cache = build_context_cache(ds, mode="full_khop")
+            expected, sizes = self._whole_matrix(ds)
+            assert cache.context.dtype == np.float32
+            assert cache.context.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(cache.subgraph_size, sizes)

@@ -314,6 +314,21 @@ class TestNormalizedAdjacency:
         dense = normalized_adjacency(path3.adjacency).toarray()
         assert dense[0][1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_row_chunks_stack_to_the_whole_matrix(self, loops):
+        # isolated nodes 30..34; chunks of 7 rows do not divide 35
+        adj = make_dataset(np.argwhere(np.triu(np.random.default_rng(2).random((30, 30)) < 0.2, 1)),
+                           [[0.0]] * 35, [0] * 35).adjacency
+        whole = normalized_adjacency(adj, loops)
+        scaling = graph.degree_scaling(adj, loops)
+        for given in (None, scaling):
+            chunks = [normalized_adjacency(adj, loops, (lo, min(lo + 7, 35)), given)
+                      for lo in range(0, 35, 7)]
+            stacked = sp.vstack(chunks, format="csr")
+            np.testing.assert_array_equal(stacked.indptr, whole.indptr)
+            np.testing.assert_array_equal(stacked.indices, whole.indices)
+            assert stacked.data.tobytes() == whole.data.tobytes()
+
     def test_symmetry_is_exact(self):
         ds = er_dataset(40, 0.15, 2, seed=9)
         norm = normalized_adjacency(ds.adjacency)
@@ -441,6 +456,38 @@ class TestAdjacencyValidate:
         adj = SparseAdjacency.from_edges(n, np.asarray([[0, 65536], [46342, 50000]]))
         assert adj.col_indices.dtype == np.int32
         adj.validate()
+
+
+class TestValidateChunks:
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_row_chunks_give_the_same_verdicts(self, monkeypatch, rows):
+        monkeypatch.setattr(graph, "_VALIDATE_ROWS", rows)
+        for offsets, cols, message in [
+            ([0, 1, 2, 2], [0, 0], "self-loop present"),
+            ([0, 2, 2, 3], [2, 1, 2], "self-loop present"),  # reported before row 0's order
+            ([0, 2, 3, 4], [2, 1, 0, 0], "a row has unsorted or duplicate columns"),
+            ([0, 2, 3, 3], [1, 1, 0], "a row has unsorted or duplicate columns"),
+            ([0, 1, 1, 1], [1], "adjacency is not symmetric"),
+        ]:
+            with pytest.raises(DatasetFormatError, match=message):
+                _raw_adjacency(3, offsets, cols).validate()
+        # columns fall from one row to the next, as they may
+        _raw_adjacency(3, [0, 2, 3, 4], [1, 2, 0, 0]).validate()
+        er_dataset(40, 0.2, 2, seed=3).adjacency.validate()
+
+    def test_peak_memory_bounded_by_the_index_arrays(self):
+        # 1.6M edges at n = 200k: the checks may not take more than twice the
+        # CSR's own index bytes (no int64 array per entry)
+        n = 200_000
+        adj = SparseAdjacency.from_edges(n, np.random.default_rng(0).integers(0, n, (1_600_000, 2)))
+        index_bytes = adj.row_offsets.nbytes + adj.col_indices.nbytes
+        tracemalloc.start()
+        try:
+            adj.validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * index_bytes, f"validate peaked at {peak / 1e6:.1f} MB"
 
 
 class TestFromEdges:
