@@ -64,9 +64,12 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _midranks(scores: np.ndarray) -> np.ndarray:
+def _midranks(scores: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """1-based ranks, tied runs sharing their average; ``order`` is the
+    stable ascending argsort of ``scores`` when the caller already has it."""
     n = len(scores)
-    order = np.argsort(scores, kind="stable")
+    if order is None:
+        order = np.argsort(scores, kind="stable")
     s = scores[order]
     boundaries = np.nonzero(np.diff(s))[0] + 1
     starts = np.concatenate([[0], boundaries])
@@ -114,13 +117,51 @@ def rec_at_k(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> fl
     return float(np.sum(y[top] == 1) / n_pos)
 
 
+def _descending_from_ascending(s: np.ndarray, asc: np.ndarray) -> np.ndarray:
+    """``_descending_order(s)`` from a stable ascending order of ``s``.
+
+    Runs of equal scores swap places (the highest run first) and keep
+    their ascending node-id order inside; NaNs, each a run of its own,
+    stay last, where both sorts put them.
+    """
+    n = len(asc)
+    sa = s[asc]
+    starts = np.flatnonzero(np.concatenate([[True], sa[1:] != sa[:-1]]))
+    lengths = np.diff(np.append(starts, n))
+    f = n - int(np.count_nonzero(np.isnan(sa)))
+    new_starts = np.where(starts < f, f - starts - lengths, starts)
+    desc = np.empty_like(asc)
+    desc[np.arange(n) + np.repeat(new_starts - starts, lengths)] = asc
+    return desc
+
+
 def evaluate(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> EvalReport:
+    """AUROC, AP and Rec@K from one sort of the scores.
+
+    Bit for bit what ``auroc``, ``average_precision`` and ``rec_at_k``
+    return, with the same errors in the same order; those three sort on
+    their own.
+    """
     y = _check_binary(labels)
-    k_used = int(np.sum(y == 1)) if k is None else k
+    s = np.asarray(scores, dtype=np.float64)
+    if s.shape != y.shape:
+        raise ValueError(f"scores of shape {s.shape} do not match labels of shape {y.shape}")
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("auroc requires both classes present")
+    k_used = n_pos if k is None else k
+    if k_used <= 0:
+        raise ValueError(f"k must be positive, got {k_used}")
+    asc = np.argsort(s, kind="stable")
+    rank_sum = float(np.sum(_midranks(s, asc)[y == 1]))
+    order = _descending_from_ascending(s, asc)
+    hits = (y[order] == 1).astype(np.float64)
+    precision_at = np.cumsum(hits) / np.arange(1, len(y) + 1)
     return EvalReport(
-        auroc=auroc(scores, labels),
-        auprc=average_precision(scores, labels),
-        rec_at_k=rec_at_k(scores, labels, k_used),
+        auroc=(rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg),
+        auprc=float(np.sum(precision_at * hits) / n_pos),
+        rec_at_k=float(np.sum(y[order[: min(k_used, len(y))]] == 1) / n_pos),
         k_used=k_used,
     )
 

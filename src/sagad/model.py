@@ -37,6 +37,7 @@ _LN_EPS = 1e-5
 _SEED_DOMAIN_MODEL = 0x3A9
 _PURPOSE_INIT = 1
 _PURPOSE_DROPOUT = 2
+_NEEDS_TRAIN_FORWARD = "a backward pass needs the trace of a train-mode forward (train_mode=True)"
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +124,18 @@ def inv_softplus(y: float) -> float:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
+    """Logistic function; exp is taken only of -|x|, so it never overflows.
+
+    Every entry gets e = exp(-x) if x >= 0 else exp(x), and then 1/(1+e)
+    or e/(1+e) respectively.  Both branches are formed for all entries and
+    ``where`` picks one, which avoids a boolean gather and scatter; the
+    sign of the exponent is chosen with ``where`` rather than ``-abs(x)``
+    so that a NaN keeps its sign bit.
+    """
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
 
 
 def reparam_filter_values(params: FilterParams) -> tuple[np.ndarray, np.ndarray]:
@@ -278,36 +285,47 @@ def mlp_forward(
     x: np.ndarray,
     train_mode: bool = False,
     dropout_rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, list[dict]]:
-    """Forward pass; returns output and per-layer trace for the backward pass.
+) -> tuple[np.ndarray, list[dict] | None]:
+    """Forward pass; returns the output and, in train mode, the per-layer
+    trace the backward pass needs.
 
     Hidden layers apply linear -> (layer norm) -> activation -> (dropout);
     the final layer is linear only.  Dropout is inverted and only active in
-    train mode with an explicit rng.
+    train mode with an explicit rng.  In eval mode the trace is None and
+    each hidden layer reuses its own output buffer (ReLU is applied in
+    place), so a layer's temporaries are freed before the next layer runs.
     """
-    trace: list[dict] = []
+    trace: list[dict] | None = [] if train_mode else None
     out = np.asarray(x, dtype=np.float64)
     last = params.depth - 1
     for i, layer in enumerate(params.layers):
-        entry: dict = {"x": out}
-        pre = _row_stable_matmul(out, layer.weight) + layer.bias
-        entry["pre"] = pre
+        pre = _row_stable_matmul(out, layer.weight)
+        pre += layer.bias
         if i == last:
+            if trace is not None:
+                trace.append({"x": out})
             out = pre
-            trace.append(entry)
             break
         h = pre
+        ln = None
         if layer.ln_gain is not None:
             mu = h.mean(axis=1, keepdims=True)
             var = h.var(axis=1, keepdims=True)
             invstd = 1.0 / np.sqrt(var + _LN_EPS)
             xhat = (h - mu) * invstd
-            entry["ln"] = (invstd, xhat)
+            ln = (invstd, xhat)
             h = layer.ln_gain * xhat + layer.ln_bias
-        entry["normed"] = h
+        if trace is None:
+            if params.activation == "relu":
+                out = np.maximum(h, 0.0, out=h)
+            else:
+                out = _activate(params.activation, h)
+            continue
         act = _activate(params.activation, h)
-        entry["act"] = act
-        if train_mode and params.dropout > 0.0:
+        entry: dict = {"x": out, "normed": h, "act": act}
+        if ln is not None:
+            entry["ln"] = ln
+        if params.dropout > 0.0:
             if dropout_rng is None:
                 raise ValueError("train-mode dropout requires an rng")
             mask = dropout_rng.random(act.shape) >= params.dropout
@@ -321,10 +339,16 @@ def mlp_forward(
 
 def mlp_backward(
     params: MlpParams,
-    trace: list[dict],
+    trace: list[dict] | None,
     d_out: np.ndarray,
 ) -> tuple[list[MlpLayer], np.ndarray]:
-    """Gradients for every layer plus the gradient w.r.t. the input."""
+    """Gradients for every layer plus the gradient w.r.t. the input.
+
+    ``trace`` is the one a train-mode ``mlp_forward`` returned; an eval-mode
+    forward records none and is rejected.
+    """
+    if trace is None or len(trace) != params.depth:
+        raise ValueError(_NEEDS_TRAIN_FORWARD)
     grads: list[MlpLayer] = [None] * params.depth  # type: ignore[list-item]
     d_cur = np.asarray(d_out, dtype=np.float64)
     last = params.depth - 1
@@ -488,7 +512,8 @@ def _combine(block_rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
 
 
 def _fusion_gate(state, context_rows, feature_rows, train_mode, rng):
-    """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace."""
+    """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace
+    (None in eval mode)."""
     if state.config.context_mode == "features_only":
         inp = feature_rows
     else:
@@ -524,7 +549,7 @@ class ForwardTrace:
     coef: np.ndarray | None
     fusion_trace: list | None
     z: np.ndarray
-    clf_trace: list
+    clf_trace: list | None
     yhat: np.ndarray
     cbar: np.ndarray | None
 
@@ -539,7 +564,9 @@ def forward_bundle(
 
     ``yhat`` holds the anomaly probabilities, ``coef`` the fusion gate
     and ``cbar`` its per-node mean (both None without a fusion MLP);
-    the rest is what ``backward_bundle`` needs.
+    the rest is what ``backward_bundle`` needs.  Only a train-mode pass
+    records the MLP traces; in eval mode ``fusion_trace`` and
+    ``clf_trace`` are None and the MLPs keep no per-layer arrays.
     """
     cfg = state.config
     gamma_low, gamma_high = reparam_filter_values(state.filter)
@@ -589,7 +616,11 @@ def backward_bundle(
     d_yhat: np.ndarray,
     d_cbar: np.ndarray | None,
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of a scalar objective given d(obj)/d(yhat) and d(obj)/d(cbar)."""
+    """Exact gradients of a scalar objective given d(obj)/d(yhat) and d(obj)/d(cbar).
+
+    ``trace`` must come from a train-mode forward; an eval-mode one has no
+    MLP traces and is rejected with a ValueError.
+    """
     cfg = state.config
     grads: dict[str, np.ndarray] = {}
 

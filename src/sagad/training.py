@@ -6,6 +6,9 @@ training memory is independent of graph size.  Inference batches over
 all nodes.  Caches opened from disk are read by row, one batch at a
 time, so this holds for the whole process, not only inside ``train``:
 neither training nor scoring ever holds a cache payload in memory.
+Only the training step runs a train-mode forward, which records what
+the backward pass needs; validation and scoring run the eval-mode
+forward, which records nothing and computes hidden layers in place.
 Scores are not bit-exactly independent of the batch split: the
 classifier's last layer is a ``(B, hidden) @ (hidden, 1)`` product whose
 rounding can depend on a row's position in the batch (see ``score_all``).
@@ -332,11 +335,15 @@ def score_all(
     """Eval-mode anomaly probability for every node, batched over id ranges.
 
     Each batch reads its id range of every cache block, so memory is
-    bounded by the batch, not by n.  Two batch sizes can give scores that
-    differ in the last bit for some rows: BLAS may round a row of the
-    classifier's single-column product differently at another position
-    in the batch.  Batch sizes that divide each other have given
-    identical scores on the benchmark graphs, but that is not guaranteed.
+    bounded by the batch, not by n.  The eval-mode forward keeps no
+    backward trace, so a batch's arrays are freed layer by layer and the
+    allocator reuses the same memory for every batch instead of handing
+    it back to the kernel and faulting it in again.  Two batch sizes can
+    give scores that differ in the last bit for some rows: BLAS may round
+    a row of the classifier's single-column product differently at
+    another position in the batch.  Batch sizes that divide each other
+    have given identical scores on the benchmark graphs, but that is not
+    guaranteed.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

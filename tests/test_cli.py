@@ -499,6 +499,39 @@ class TestProcessMemory:
                 f"{command} peak grew {extra / 1e6:.1f} MB for {growth / 1e6:.1f} MB more cache")
 
 
+class TestScoreFaults:
+    """An eval-mode forward keeps no backward trace, so a batch's arrays do
+    not pile up: the allocator reuses one batch's memory for the next
+    instead of returning it to the kernel and faulting it back in. The
+    minor page faults of a fresh `score` process then barely grow with n
+    (a per-batch trace cost about 660 faults per 1,000 rows)."""
+
+    MAX_FAULTS_PER_1000_ROWS = 50
+
+    def test_faults_do_not_grow_with_rows(self, tmp_path, capsys):
+        resource = pytest.importorskip("resource")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        faults = {}
+        for n in (20_000, 200_000):
+            args, _ = TestProcessMemory()._write_run(tmp_path, n)
+            assert main(["train", *args, "--max-epochs", "3", "--patience", "3"]) == 0
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            # a fresh process: its heap has not been grown by earlier commands
+            proc = subprocess.run([sys.executable, "-m", "sagad.cli", "score", *args],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            faults[n] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+        capsys.readouterr()
+        if faults[20_000] <= 0:
+            pytest.skip("this platform does not count minor page faults")
+        per_1000 = (faults[200_000] - faults[20_000]) / 180
+        assert per_1000 < self.MAX_FAULTS_PER_1000_ROWS, (
+            f"score took {faults[20_000]} minor faults at n=20k and {faults[200_000]} "
+            f"at n=200k: {per_1000:.0f} per 1,000 extra rows")
+
+
 class TestSetupMemory:
     """`preprocess` streams the basis and `sample-context` pools in row
     chunks: beyond the features and the graph, each holds two n*d f64

@@ -149,6 +149,46 @@ class TestRecAtK:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+class TestEvaluate:
+    """``evaluate`` sorts once; ``auroc``, ``average_precision`` and
+    ``rec_at_k``, which each sort on their own, are its reference."""
+
+    POOL = np.asarray([0.0, -0.0, 0.25, 0.5, 1.0, 1e-300, np.inf, -np.inf, np.nan, -np.nan])
+
+    @staticmethod
+    def _reference(scores, labels, k):
+        k_used = int(np.sum(labels == 1)) if k is None else k
+        return (auroc(scores, labels), average_precision(scores, labels),
+                rec_at_k(scores, labels, k_used), k_used)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_equals_the_single_metric_functions_on_ties(self):
+        rng = np.random.default_rng(11)
+        for trial in range(600):
+            n = int(rng.integers(2, 120))
+            if trial % 3 == 0:  # few distinct values: long tied runs
+                scores = rng.integers(0, int(rng.integers(1, 6)), n) / 4.0
+            elif trial % 3 == 1:  # signed zeros, infinities, NaNs
+                scores = rng.choice(self.POOL, n)
+            else:
+                scores = np.where(rng.random(n) < 0.5, rng.choice(self.POOL, n), rng.random(n))
+            labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+            if labels.min() == labels.max():
+                continue
+            k = None if trial % 4 else int(rng.integers(1, n + 5))
+            rep = evaluate(scores, labels, k)
+            assert (rep.auroc, rep.auprc, rep.rec_at_k, rep.k_used) == self._reference(
+                scores, labels, k), (scores, labels, k)
+
+    def test_errors_in_the_reference_order(self):
+        with pytest.raises(ValueError, match="both classes"):
+            evaluate([0.5, 0.2], [0, 0], k=0)
+        with pytest.raises(ValueError, match="k must be positive"):
+            evaluate(FIX_SCORES, FIX_LABELS, k=0)
+        with pytest.raises(ValueError, match="do not match"):
+            evaluate(FIX_SCORES[:3], FIX_LABELS)
+
+
 class TestQuartiles:
     def test_sorting_contract(self):
         # 4 test anomalies with distinct homophily: one per quartile

@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 
@@ -10,7 +11,11 @@ from sagad.chebyshev import build_cheb_basis, chebyshev_nodes, dense_spectral_or
 from sagad.context import build_context_cache
 from sagad.errors import CacheFormatError, ConfigError
 from sagad.model import (
+    ACTIVATIONS,
     CHECKPOINT_MAGIC,
+    FILTER_MODES,
+    FUSION_MODES,
+    NORMALIZATIONS,
     FilterParams,
     ModelConfig,
     cheb_weights,
@@ -296,6 +301,78 @@ class TestForward:
         out = run(state, cache, ctx, np.arange(ds.num_nodes))
         assert np.all((out.yhat > 0) & (out.yhat < 1))
         assert np.all((out.cbar > 0) & (out.cbar < 1))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def masked_sigmoid(x):
+    """The logistic function by boolean gather and scatter: the reference
+    for ``_sigmoid``, which must give every entry the same bits."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_reference(self):
+        from sagad.model import _sigmoid
+
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0,
+                   1e-300, -1e-300, 5e-324, -5e-324, tiny, -tiny, tiny / 3, -tiny / 3,
+                   36.7, -36.7, 710.0, -710.0]
+        rng = np.random.default_rng(0)
+        grid = np.concatenate([special, np.linspace(-60.0, 60.0, 24_001),
+                               rng.uniform(-800.0, 800.0, 4000), 10.0 * rng.standard_normal(4000)])
+        strided = grid[: grid.size // 7 * 7].reshape(-1, 7)[:, ::2]
+        for x in (grid, strided):
+            np.testing.assert_array_equal(bits(_sigmoid(x)), bits(masked_sigmoid(x)))
+
+
+class TestLeanEvalForward:
+    """The eval-mode forward keeps no trace and computes hidden layers in
+    place; its outputs equal a train-mode (dropout 0) forward's bit for bit."""
+
+    @staticmethod
+    def _state(dim, **cfg):
+        state = init_model(ModelConfig(K=3, hidden_dim=6, **cfg), dim)
+        prng = np.random.default_rng(7)
+        for _, arr in iter_params(state):  # both ReLU signs, non-trivial LN gains
+            arr += prng.normal(0.0, 0.5, arr.shape)
+        return state
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    @pytest.mark.parametrize("filter_mode", FILTER_MODES)
+    @pytest.mark.parametrize("context_mode", ["rq", "features_only"])
+    def test_equals_train_mode_forward(self, activation, normalization, fusion_mode,
+                                       filter_mode, context_mode):
+        ds = er_dataset(12, 0.3, 4, seed=1)
+        cache = build_cheb_basis(ds, 3, dtype=np.float64)
+        ctx = build_context_cache(ds)
+        for depth, use_fpg, rows in itertools.product((1, 3), (True, False), (1, 7)):
+            state = self._state(ds.num_features, activation=activation, mlp_depth=depth,
+                                normalization=normalization, fusion_mode=fusion_mode,
+                                filter_mode=filter_mode, context_mode=context_mode,
+                                use_fpg=use_fpg)
+            bundle = gather_rows(cache, ctx, np.arange(2, 2 + rows), state.config)
+            inputs = [b.copy() for b in bundle.block_rows]
+            lean = forward_bundle(state, bundle)
+            full = forward_bundle(state, bundle, train_mode=True)
+            assert lean.fusion_trace is None and lean.clf_trace is None
+            assert full.clf_trace is not None
+            np.testing.assert_array_equal(bits(lean.yhat), bits(full.yhat))
+            assert (lean.cbar is None) == (full.cbar is None) == (state.fusion_mlp is None)
+            if lean.cbar is not None:
+                np.testing.assert_array_equal(bits(lean.cbar), bits(full.cbar))
+            for before, after in zip(inputs, bundle.block_rows):
+                np.testing.assert_array_equal(bits(before), bits(after))
 
 
 class TestConfigValidation:

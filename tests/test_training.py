@@ -263,13 +263,28 @@ class TestGradients:
         cfg = ModelConfig(K=2, hidden_dim=4, use_fpg=True)
         ds, cache, ctx, state, bundle = _fd_setup(cfg, seed=3)
         y = ds.labels.astype(float)
-        trace = forward_bundle(state, bundle)
+        trace = forward_bundle(state, bundle, train_mode=True)
         _, d_yhat = bce_loss_grad(trace.yhat, y, 1.0, EPS)
         _, d_cbar = fpg_loss_grad(trace.cbar, y, 1.0, cfg.p_a, cfg.p_n, EPS)
         g1 = backward_bundle(state, trace, d_yhat, d_cbar)
         g2 = backward_bundle(state, trace, 2.0 * d_yhat, 2.0 * d_cbar)
         for name in g1:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-14)
+
+    def test_backward_needs_a_train_mode_forward(self):
+        from sagad.model import backward_bundle, forward_bundle, mlp_backward
+        from sagad.training import bce_loss_grad
+
+        cfg = ModelConfig(K=2, hidden_dim=4, use_fpg=True)
+        ds, cache, ctx, state, bundle = _fd_setup(cfg, seed=3)
+        y = ds.labels.astype(float)
+        trace = forward_bundle(state, bundle)
+        _, d_yhat = bce_loss_grad(trace.yhat, y, 1.0, EPS)
+        _, d_cbar = fpg_loss_grad(trace.cbar, y, 1.0, cfg.p_a, cfg.p_n, EPS)
+        with pytest.raises(ValueError, match="train-mode forward"):
+            backward_bundle(state, trace, d_yhat, d_cbar)
+        with pytest.raises(ValueError, match="train-mode forward"):
+            mlp_backward(state.classifier_mlp, trace.clf_trace, d_yhat[:, None])
 
     def test_gradients_cover_every_parameter(self):
         cfg = ModelConfig(K=2, hidden_dim=4)
