@@ -140,6 +140,10 @@ class RunConfig:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        seeds = [("csbm.seed", self.csbm.seed)] + [("sweep.seeds", s) for s in self.sweep.seeds]
+        for key, seed in seeds:
+            if seed < 0:
+                raise ConfigError(f"{key} must be >= 0, got {seed}")
 
 
 def _number(value, kind, key: str):

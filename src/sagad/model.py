@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,6 +84,10 @@ class ModelConfig:
             raise ConfigError(f"normalization must be one of {NORMALIZATIONS}")
         if self.mlp_depth not in (1, 2, 3):
             raise ConfigError(f"mlp_depth must be 1, 2, or 3, got {self.mlp_depth}")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
@@ -203,47 +209,15 @@ class MlpLayer:
 
 @dataclass
 class MlpParams:
+    """An MLP's layers; a hidden layer has layer-norm arrays iff they are not None."""
+
     layers: list[MlpLayer]
     activation: str = "relu"
-    normalization: str = "none"
     dropout: float = 0.0
 
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[1]
-
-
-def init_mlp(
-    rng: np.random.Generator,
-    in_dim: int,
-    hidden_dim: int,
-    out_dim: int,
-    depth: int,
-    activation: str,
-    normalization: str,
-    dropout: float,
-) -> MlpParams:
-    dims = [in_dim] + [hidden_dim] * (depth - 1) + [out_dim]
-    layers = []
-    for i in range(depth):
-        fan_in = dims[i]
-        bound = 1.0 / np.sqrt(fan_in)
-        weight = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
-        bias = np.zeros(dims[i + 1])
-        ln_gain = ln_bias = None
-        if normalization == "layer" and i < depth - 1:
-            ln_gain = np.ones(dims[i + 1])
-            ln_bias = np.zeros(dims[i + 1])
-        layers.append(MlpLayer(weight=weight, bias=bias, ln_gain=ln_gain, ln_bias=ln_bias))
-    return MlpParams(layers=layers, activation=activation, normalization=normalization, dropout=dropout)
 
 
 def _activate(name: str, x: np.ndarray) -> np.ndarray:
@@ -341,100 +315,161 @@ def mlp_backward(
     params: MlpParams,
     trace: list[dict] | None,
     d_out: np.ndarray,
-) -> tuple[list[MlpLayer], np.ndarray]:
-    """Gradients for every layer plus the gradient w.r.t. the input.
+    grads: MlpParams,
+) -> np.ndarray:
+    """Write every layer's gradients into ``grads`` (shaped as ``params``)
+    and return the gradient w.r.t. the input.
 
     ``trace`` is the one a train-mode ``mlp_forward`` returned; an eval-mode
     forward records none and is rejected.
     """
     if trace is None or len(trace) != params.depth:
         raise ValueError(_NEEDS_TRAIN_FORWARD)
-    grads: list[MlpLayer] = [None] * params.depth  # type: ignore[list-item]
     d_cur = np.asarray(d_out, dtype=np.float64)
     last = params.depth - 1
     for i in range(last, -1, -1):
         layer = params.layers[i]
+        grad = grads.layers[i]
         entry = trace[i]
         if i < last:
             if "mask" in entry:
                 d_cur = d_cur * entry["mask"] / (1.0 - params.dropout)
             d_cur = d_cur * _activate_grad(params.activation, entry["normed"], entry["act"])
-            d_gain = d_bias_ln = None
             if layer.ln_gain is not None:
                 invstd, xhat = entry["ln"]
-                d_gain = np.sum(d_cur * xhat, axis=0)
-                d_bias_ln = np.sum(d_cur, axis=0)
+                np.sum(d_cur * xhat, axis=0, out=grad.ln_gain)
+                np.sum(d_cur, axis=0, out=grad.ln_bias)
                 d_xhat = d_cur * layer.ln_gain
                 d_cur = invstd * (
                     d_xhat
                     - d_xhat.mean(axis=1, keepdims=True)
                     - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True)
                 )
-        else:
-            d_gain = d_bias_ln = None
-        d_weight = entry["x"].T @ d_cur
-        d_bias = np.sum(d_cur, axis=0)
-        grads[i] = MlpLayer(weight=d_weight, bias=d_bias, ln_gain=d_gain, ln_bias=d_bias_ln)
+        np.matmul(entry["x"].T, d_cur, out=grad.weight)
+        np.sum(d_cur, axis=0, out=grad.bias)
         d_cur = d_cur @ layer.weight.T
-    return grads, d_cur
+    return d_cur
 
 
 # ---------------------------------------------------------------------------
-# Model state
+# Parameter layout and model state
 # ---------------------------------------------------------------------------
+
+
+def param_layout(config: ModelConfig, dim: int) -> list[dict]:
+    """Name, shape and offset into one flat vector of every trainable array
+    of a model, in order: the filter vector(s), then the fusion MLP (if
+    any) and the classifier, layer by layer (weight, bias, and a hidden
+    layer's layer-norm gain and bias).
+
+    Parameters, gradients, Adam moments and the checkpoint payload are
+    all flat f64 vectors in this layout, and a checkpoint's header stores
+    the list as it is.
+    """
+    shapes = [("filter.raw", (config.K + 1,))]
+    if not config.share_gamma:
+        shapes.append(("filter.raw_high", (config.K + 1,)))
+    mlps = []
+    if config.uses_fusion_mlp():
+        mlps.append(("fusion", dim if config.context_mode == "features_only" else 2 * dim, dim))
+    concat = config.filter_mode == "dual" and config.fusion_mode == "concat"
+    mlps.append(("classifier", 2 * dim if concat else dim, 1))
+    for prefix, in_dim, out_dim in mlps:
+        dims = [in_dim] + [config.hidden_dim] * (config.mlp_depth - 1) + [out_dim]
+        for i in range(config.mlp_depth):
+            width = dims[i + 1]
+            shapes += [(f"{prefix}.{i}.weight", (dims[i], width)), (f"{prefix}.{i}.bias", (width,))]
+            if config.normalization == "layer" and i < config.mlp_depth - 1:
+                shapes += [(f"{prefix}.{i}.ln_gain", (width,)), (f"{prefix}.{i}.ln_bias", (width,))]
+    layout = []
+    offset = 0
+    for name, shape in shapes:
+        layout.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape)
+    return layout
+
+
+class ParamVector(Mapping[str, np.ndarray]):
+    """A zeroed flat f64 vector in a ``param_layout``; indexing it by a
+    parameter name gives that parameter's array, a view into ``flat``."""
+
+    def __init__(self, layout: list[dict]):
+        self.layout = layout
+        sizes = [math.prod(slot["shape"]) for slot in layout]
+        # little-endian, as checkpoints store it, so a payload is read straight in
+        self.flat = np.zeros(sum(sizes), dtype="<f8")
+        self._views = {
+            slot["name"]: self.flat[slot["offset"] : slot["offset"] + size].reshape(slot["shape"])
+            for slot, size in zip(layout, sizes)
+        }
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
 
 @dataclass
 class ModelState:
-    filter: FilterParams
-    fusion_mlp: MlpParams | None
-    classifier_mlp: MlpParams
+    """A model's config and its zero-initialized parameters.
+
+    ``params.flat`` holds every trainable value; the arrays of ``filter``
+    and of the MLP layers are views into it, so an update of either is
+    seen by both.
+    """
+
     config: ModelConfig
     dim: int
+    params: ParamVector = field(init=False)
+    filter: FilterParams = field(init=False)
+    fusion_mlp: MlpParams | None = field(init=False)
+    classifier_mlp: MlpParams = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.params = ParamVector(param_layout(self.config, self.dim))
+        self.filter = FilterParams(
+            raw=self.params["filter.raw"], raw_high=self.params.get("filter.raw_high")
+        )
+        self.fusion_mlp = self._mlp("fusion")
+        self.classifier_mlp = self._mlp("classifier")
+
+    def _mlp(self, prefix: str) -> MlpParams | None:
+        p = self.params
+        if f"{prefix}.0.weight" not in p:
+            return None
+        layers = [
+            MlpLayer(p[f"{prefix}.{i}.weight"], p[f"{prefix}.{i}.bias"],
+                     p.get(f"{prefix}.{i}.ln_gain"), p.get(f"{prefix}.{i}.ln_bias"))
+            for i in range(self.config.mlp_depth)
+        ]
+        return MlpParams(layers, self.config.activation, self.config.dropout)
 
 
 def init_model(config: ModelConfig, dim: int) -> ModelState:
-    """Seeded initialization: gammas near 1/(K+1), MLP weights +-1/sqrt(fan_in)."""
+    """Seeded initialization: gammas near 1/(K+1), MLP weights +-1/sqrt(fan_in),
+    biases 0 and layer-norm gains 1."""
     config.validate()
     rng = np.random.default_rng(
         np.random.SeedSequence([_SEED_DOMAIN_MODEL, config.seed, _PURPOSE_INIT])
     )
+    state = ModelState(config, dim)
     raw0 = inv_softplus(1.0 / (config.K + 1))
-    raw = np.full(config.K + 1, raw0)
-    raw_high = None if config.share_gamma else np.full(config.K + 1, raw0)
-    filter_params = FilterParams(raw=raw, raw_high=raw_high)
-
-    fusion = None
-    if config.uses_fusion_mlp():
-        fusion_in = dim if config.context_mode == "features_only" else 2 * dim
-        fusion = init_mlp(
-            rng,
-            fusion_in,
-            config.hidden_dim,
-            dim,
-            config.mlp_depth,
-            config.activation,
-            config.normalization,
-            config.dropout,
-        )
-    clf_in = 2 * dim if (config.filter_mode == "dual" and config.fusion_mode == "concat") else dim
-    classifier = init_mlp(
-        rng,
-        clf_in,
-        config.hidden_dim,
-        1,
-        config.mlp_depth,
-        config.activation,
-        config.normalization,
-        config.dropout,
-    )
-    return ModelState(
-        filter=filter_params,
-        fusion_mlp=fusion,
-        classifier_mlp=classifier,
-        config=config,
-        dim=dim,
-    )
+    state.filter.raw[...] = raw0
+    if state.filter.raw_high is not None:
+        state.filter.raw_high[...] = raw0
+    for mlp in (state.fusion_mlp, state.classifier_mlp):
+        if mlp is None:
+            continue
+        for layer in mlp.layers:
+            bound = 1.0 / np.sqrt(layer.weight.shape[0])
+            layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)
+            if layer.ln_gain is not None:
+                layer.ln_gain[...] = 1.0
+    return state
 
 
 def dropout_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -444,19 +479,8 @@ def dropout_rng(seed: int, epoch: int) -> np.random.Generator:
 
 
 def iter_params(state: ModelState):
-    """Yield (name, array) for every trainable array, in a fixed order."""
-    yield "filter.raw", state.filter.raw
-    if state.filter.raw_high is not None:
-        yield "filter.raw_high", state.filter.raw_high
-    for prefix, mlp in (("fusion", state.fusion_mlp), ("classifier", state.classifier_mlp)):
-        if mlp is None:
-            continue
-        for i, layer in enumerate(mlp.layers):
-            yield f"{prefix}.{i}.weight", layer.weight
-            yield f"{prefix}.{i}.bias", layer.bias
-            if layer.ln_gain is not None:
-                yield f"{prefix}.{i}.ln_gain", layer.ln_gain
-                yield f"{prefix}.{i}.ln_bias", layer.ln_bias
+    """Yield (name, array) for every trainable array, in layout order."""
+    yield from state.params.items()
 
 
 # ---------------------------------------------------------------------------
@@ -615,18 +639,18 @@ def backward_bundle(
     trace: ForwardTrace,
     d_yhat: np.ndarray,
     d_cbar: np.ndarray | None,
-) -> dict[str, np.ndarray]:
-    """Exact gradients of a scalar objective given d(obj)/d(yhat) and d(obj)/d(cbar).
+) -> ParamVector:
+    """Exact gradients of a scalar objective given d(obj)/d(yhat) and d(obj)/d(cbar),
+    as one vector in the state's parameter layout.
 
     ``trace`` must come from a train-mode forward; an eval-mode one has no
     MLP traces and is rejected with a ValueError.
     """
     cfg = state.config
-    grads: dict[str, np.ndarray] = {}
+    grad = ModelState(cfg, state.dim)  # zeroed, shaped as the state
 
     d_logits = (d_yhat * trace.yhat * (1.0 - trace.yhat))[:, None]
-    clf_grads, d_z = mlp_backward(state.classifier_mlp, trace.clf_trace, d_logits)
-    _store_mlp_grads(grads, "classifier", clf_grads)
+    d_z = mlp_backward(state.classifier_mlp, trace.clf_trace, d_logits, grad.classifier_mlp)
 
     d_coef = None
     if trace.coef is not None and d_cbar is not None:
@@ -654,8 +678,7 @@ def backward_bundle(
 
     if d_coef is not None:
         d_pre = d_coef * trace.coef * (1.0 - trace.coef)
-        fusion_grads, _ = mlp_backward(state.fusion_mlp, trace.fusion_trace, d_pre)
-        _store_mlp_grads(grads, "fusion", fusion_grads)
+        mlp_backward(state.fusion_mlp, trace.fusion_trace, d_pre, grad.fusion_mlp)
 
     k1 = len(trace.bundle.block_rows)
     d_w_low = np.zeros(k1)
@@ -680,21 +703,11 @@ def backward_bundle(
     d_base_low[1:] = -np.cumsum(masked[::-1])[::-1]
 
     if state.filter.shared:
-        d_raw = (d_base_low + d_base_high) * _sigmoid(state.filter.raw)
-        grads["filter.raw"] = d_raw
+        grad.filter.raw[...] = (d_base_low + d_base_high) * _sigmoid(state.filter.raw)
     else:
-        grads["filter.raw"] = d_base_low * _sigmoid(state.filter.raw)
-        grads["filter.raw_high"] = d_base_high * _sigmoid(state.filter.raw_high)
-    return grads
-
-
-def _store_mlp_grads(grads: dict, prefix: str, layer_grads: list[MlpLayer]) -> None:
-    for i, g in enumerate(layer_grads):
-        grads[f"{prefix}.{i}.weight"] = g.weight
-        grads[f"{prefix}.{i}.bias"] = g.bias
-        if g.ln_gain is not None:
-            grads[f"{prefix}.{i}.ln_gain"] = g.ln_gain
-            grads[f"{prefix}.{i}.ln_bias"] = g.ln_bias
+        grad.filter.raw[...] = d_base_low * _sigmoid(state.filter.raw)
+        grad.filter.raw_high[...] = d_base_high * _sigmoid(state.filter.raw_high)
+    return grad.params
 
 
 # ---------------------------------------------------------------------------
@@ -702,19 +715,25 @@ def _store_mlp_grads(grads: dict, prefix: str, layer_grads: list[MlpLayer]) -> N
 # ---------------------------------------------------------------------------
 
 
+def _layout_mismatch(found, expected: list[dict]) -> str:
+    """Name the first parameter whose checkpoint layout entry is wrong."""
+    entries = found if isinstance(found, list) else []
+    by_name = {str(e.get("name")): e for e in entries if isinstance(e, dict)}
+    for want in expected:
+        if want["name"] not in by_name:
+            return f"checkpoint missing parameter {want['name']}"
+        if by_name[want["name"]] != want:
+            return f"checkpoint parameter {want['name']} has wrong shape or offset"
+    return "checkpoint layout has parameters the model lacks, or another order"
+
+
 def save_checkpoint(state: ModelState, path: str | os.PathLike) -> None:
-    """JSON header (config, shapes, layout) followed by an f64 parameter payload."""
-    names, arrays = zip(*list(iter_params(state)))
-    layout = []
-    offset = 0
-    for name, arr in zip(names, arrays):
-        layout.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
+    """JSON header (config, dim, layout) followed by the f64 parameter vector."""
     header = {
         "config": asdict(state.config),
         "dim": state.dim,
-        "layout": layout,
-        "total_values": offset,
+        "layout": state.params.layout,
+        "total_values": state.params.flat.size,
         "payload": "little-endian float64, concatenated in layout order",
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -722,12 +741,12 @@ def save_checkpoint(state: ModelState, path: str | os.PathLike) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(_BLOB_LEN.pack(len(blob)))
         f.write(blob)
-        for arr in arrays:
-            write_array(f, arr, "<f8")
+        write_array(f, state.params.flat, "<f8")
 
 
 def load_checkpoint(path: str | os.PathLike) -> ModelState:
-    """Read a checkpoint; a malformed header or payload is a CacheFormatError."""
+    """Read a checkpoint; a malformed header or payload is a CacheFormatError,
+    and so is a layout other than the one its config gives."""
     file = CacheFile(path, CHECKPOINT_MAGIC, _BLOB_LEN, "checkpoint")
     try:
         (blob_len,) = file.fields
@@ -744,24 +763,20 @@ def load_checkpoint(path: str | os.PathLike) -> ModelState:
             dim = int(header["dim"])
             if dim < 1:
                 raise ValueError(f"dim={dim}")
-            layout = {e["name"]: (int(e["offset"]), tuple(e["shape"])) for e in header["layout"]}
+            layout = header["layout"]
             state = init_model(ModelConfig(**header["config"]), dim)
         except (ValueError, KeyError, TypeError) as exc:
             raise CacheFormatError(f"malformed checkpoint header: {exc!r}") from exc
+        if layout != state.params.layout:
+            raise CacheFormatError(_layout_mismatch(layout, state.params.layout))
+        flat = state.params.flat
         payload_bytes = file.payload_bytes - blob_len
-        if payload_bytes != total * 8:
+        if total != flat.size or payload_bytes != flat.nbytes:
             raise CacheFormatError(
-                f"checkpoint payload is {payload_bytes} bytes, expected {total * 8}"
+                f"checkpoint payload is {payload_bytes} bytes of total_values={total}, "
+                f"expected {flat.nbytes} bytes of {flat.size}"
             )
-        flat = np.empty(total, dtype="<f8")
         file.read_into(flat, file.payload_offset + blob_len)
     finally:
         file.close()
-    for name, arr in iter_params(state):
-        if name not in layout:
-            raise CacheFormatError(f"checkpoint missing parameter {name}")
-        offset, shape = layout[name]
-        if shape != arr.shape or not 0 <= offset <= total - arr.size:
-            raise CacheFormatError(f"checkpoint parameter {name} has wrong shape or offset")
-        arr[...] = flat[offset : offset + arr.size].reshape(shape)
     return state

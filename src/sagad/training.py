@@ -1,5 +1,11 @@
 """Losses, hand-written gradients, Adam optimization, and inference.
 
+Parameters, gradients and the two Adam moments are flat f64 vectors in
+one layout (``model.param_layout``), so the optimizer, the weight-decay
+term and the best-epoch snapshot are whole-vector operations.  The L2
+term belongs to the objective: ``loss_and_grads_bundle`` adds its
+gradient once, and ``adam_step`` is plain Adam.
+
 Training is full-batch over the (small) labeled set: only the labeled
 rows of the basis and context caches are ever materialized, so peak
 training memory is independent of graph size.  Inference batches over
@@ -28,13 +34,13 @@ from .metrics import average_precision
 from .model import (
     ModelConfig,
     ModelState,
+    ParamVector,
     RowBundle,
     backward_bundle,
     dropout_rng,
     forward_bundle,
     gather_rows,
     init_model,
-    iter_params,
 )
 
 
@@ -52,20 +58,24 @@ class TrainConfig:
             raise ConfigError(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
         if self.patience > self.max_epochs:
             raise ConfigError("patience must not exceed max_epochs")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
+        if self.beta_override is not None and not self.beta_override > 0:
+            raise ConfigError(f"beta_override must be positive, got {self.beta_override}")
 
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators, one pair per parameter array."""
+    """Adam moment accumulators, laid out as the model's parameter vector."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -73,37 +83,23 @@ class OptimizerState:
 
 
 def init_optimizer(state: ModelState) -> OptimizerState:
-    m = {name: np.zeros_like(arr) for name, arr in iter_params(state)}
-    v = {name: np.zeros_like(arr) for name, arr in iter_params(state)}
-    return OptimizerState(m=m, v=v)
+    return OptimizerState(m=np.zeros_like(state.params.flat), v=np.zeros_like(state.params.flat))
 
 
-def adam_step(
-    state: ModelState,
-    grads: dict[str, np.ndarray],
-    opt: OptimizerState,
-    lr: float,
-    weight_decay: float = 0.0,
-) -> None:
-    """One bias-corrected Adam update, in place."""
+def adam_step(state: ModelState, grad: np.ndarray, opt: OptimizerState, lr: float) -> None:
+    """One bias-corrected Adam update of ``state.params.flat``, in place;
+    ``grad`` is a vector in the same layout (``ParamVector.flat``)."""
+    params = state.params.flat
+    if grad.shape != params.shape:
+        raise ValueError(f"gradient has shape {grad.shape}, want {params.shape}")
     opt.step += 1
     bc1 = 1.0 - opt.beta1**opt.step
     bc2 = 1.0 - opt.beta2**opt.step
-    for name, param in iter_params(state):
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(param)
-        if g.shape != param.shape:
-            raise ValueError(f"gradient for {name} has shape {g.shape}, want {param.shape}")
-        if weight_decay:
-            g = g + weight_decay * param
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    opt.m *= opt.beta1
+    opt.m += (1.0 - opt.beta1) * grad
+    opt.v *= opt.beta2
+    opt.v += (1.0 - opt.beta2) * (grad * grad)
+    params -= lr * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + opt.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +188,8 @@ def objective_terms(
         loss += fpg
     objective = loss
     if train_config.weight_decay:
-        for _, param in iter_params(state):
-            objective += 0.5 * train_config.weight_decay * float(np.sum(param * param))
+        params = state.params.flat
+        objective += 0.5 * train_config.weight_decay * float(np.vdot(params, params))
     return loss, objective, d_yhat, d_cbar
 
 
@@ -206,7 +202,7 @@ def objective_terms(
 class LossBreakdown:
     data_loss: float
     objective: float  # data loss plus the L2 (weight decay) term
-    grads: dict[str, np.ndarray]
+    grads: ParamVector  # of the objective; ``grads.flat`` is what Adam reads
 
 
 def loss_and_grads_bundle(
@@ -221,18 +217,15 @@ def loss_and_grads_bundle(
 
     The objective is the one ``objective_terms`` assembles, so gradients
     (including the decay term) match finite differences of the returned
-    objective.
+    objective.  This is the one place the L2 gradient is added.
     """
     trace = forward_bundle(state, bundle, train_mode=True, rng=rng)
     loss, objective, d_yhat, d_cbar = objective_terms(
         state, trace.yhat, trace.cbar, labels, beta, train_config
     )
     grads = backward_bundle(state, trace, d_yhat, d_cbar)
-    wd = train_config.weight_decay
-    if wd:
-        for name, param in iter_params(state):
-            g = grads.get(name)
-            grads[name] = wd * param if g is None else g + wd * param
+    if train_config.weight_decay:
+        grads.flat += train_config.weight_decay * state.params.flat
     return LossBreakdown(data_loss=loss, objective=objective, grads=grads)
 
 
@@ -299,13 +292,13 @@ def train(
 
     history: list[EpochRecord] = []
     best_auprc = -np.inf
-    best_params: dict[str, np.ndarray] = {}
+    best_params = np.empty_like(state.params.flat)
     epochs_since_improve = 0
 
     for epoch in range(train_config.max_epochs):
         rng = dropout_rng(model_config.seed, epoch) if model_config.dropout > 0.0 else None
         breakdown = loss_and_grads_bundle(state, train_bundle, y_train, beta, train_config, rng)
-        adam_step(state, breakdown.grads, opt, train_config.lr)
+        adam_step(state, breakdown.grads.flat, opt, train_config.lr)
 
         val_out = forward_bundle(state, val_bundle, train_mode=False)
         val_auprc = average_precision(val_out.yhat, y_val)
@@ -313,16 +306,15 @@ def train(
 
         if val_auprc > best_auprc:
             best_auprc = val_auprc
-            best_params = {name: arr.copy() for name, arr in iter_params(state)}
+            np.copyto(best_params, state.params.flat)
             epochs_since_improve = 0
         else:
             epochs_since_improve += 1
         if epochs_since_improve >= train_config.patience:
             break
 
-    if best_params:
-        for name, arr in iter_params(state):
-            arr[...] = best_params[name]
+    if best_auprc > -np.inf:  # with a NaN AUPRC every epoch, the final parameters stay
+        np.copyto(state.params.flat, best_params)
     return state, history
 
 

@@ -214,16 +214,14 @@ class TestAtomicWrite:
         for module, write in self._writers():
             path = tmp_path / "out.bin"
             path.write_bytes(b"previous")
-            real, calls = module.write_array, []
+            real = module.write_array
 
-            def fail_on_second(*args):
-                calls.append(args)
-                if len(calls) > 1:
-                    raise OSError("disk full")
-                real(*args)
+            def fail_after_writing(*args):
+                real(*args)  # the header and one array reach the file...
+                raise OSError("disk full")  # ...then the disk fills
 
             with monkeypatch.context() as m:
-                m.setattr(module, "write_array", fail_on_second)
+                m.setattr(module, "write_array", fail_after_writing)
                 with pytest.raises(OSError, match="disk full"):
                     write(path)
             assert path.read_bytes() == b"previous", module.__name__

@@ -418,6 +418,23 @@ class TestConfigValues:
         assert main(["validate", flag, value]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: expected")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["sample-context", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["synth-csbm", "--set", "csbm.seed=-1"], "csbm.seed must be >= 0, got -1"),
+        (["csbm-sweep", "--set", "sweep.seeds=0,-2"], "sweep.seeds must be >= 0, got -2"),
+        (["train", "--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+        (["train", "--hidden-dim", "-3"], "hidden_dim must be >= 1, got -3"),
+        (["train", "--patience", "0"], "patience must be >= 1, got 0"),
+        (["train", "--patience", "-2"], "patience must be >= 1, got -2"),
+        (["train", "--beta-override", "-1"], "beta_override must be positive, got -1.0"),
+    ])
+    def test_out_of_range_value_exits_1(self, tmp_path, argv, message, capsys):
+        rc = main([*argv, "--dataset", str(tmp_path / "data"), "--run-dir", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("payload", [
         {"K": "three"}, {"beta_override": [1]}, {"sweep": {"dims": "16,x"}},
         {"sweep": {"seeds": [1, "a"]}}, {"sweep": {"seeds": 3}},

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import struct
@@ -388,6 +389,90 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="mlp_depth"):
             ModelConfig(mlp_depth=4).validate()
 
+    @pytest.mark.parametrize("hidden_dim", [0, -3])
+    def test_hidden_dim_below_one_rejected(self, hidden_dim):
+        with pytest.raises(ConfigError, match=f"hidden_dim must be >= 1, got {hidden_dim}"):
+            init_model(ModelConfig(hidden_dim=hidden_dim), 3)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            init_model(ModelConfig(seed=-1), 3)
+
+
+def _per_array_init(cfg, dim):
+    """Initialization as it was written per MLP layer, allocating each
+    array: the reference for init_model's draws into the flat vector."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x3A9, cfg.seed, 1]))
+    raw0 = inv_softplus(1.0 / (cfg.K + 1))
+    arrays = [np.full(cfg.K + 1, raw0)] + ([] if cfg.share_gamma else [np.full(cfg.K + 1, raw0)])
+    fusion_in = dim if cfg.context_mode == "features_only" else 2 * dim
+    mlps = [(fusion_in, dim)] if cfg.uses_fusion_mlp() else []
+    concat = cfg.filter_mode == "dual" and cfg.fusion_mode == "concat"
+    for in_dim, out_dim in mlps + [(2 * dim if concat else dim, 1)]:
+        dims = [in_dim] + [cfg.hidden_dim] * (cfg.mlp_depth - 1) + [out_dim]
+        for i in range(cfg.mlp_depth):
+            bound = 1.0 / np.sqrt(dims[i])
+            arrays.append(rng.uniform(-bound, bound, size=(dims[i], dims[i + 1])))
+            arrays.append(np.zeros(dims[i + 1]))
+            if cfg.normalization == "layer" and i < cfg.mlp_depth - 1:
+                arrays += [np.ones(dims[i + 1]), np.zeros(dims[i + 1])]
+    return arrays
+
+
+def _per_array_checkpoint(state):
+    """Checkpoint bytes as they were written one parameter array at a time:
+    the reference for save_checkpoint's single flat payload."""
+    names, arrays = zip(*[(n, a.copy()) for n, a in iter_params(state)])
+    layout, offset = [], 0
+    for name, arr in zip(names, arrays):
+        layout.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.size
+    header = {
+        "config": dataclasses.asdict(state.config),
+        "dim": state.dim,
+        "layout": layout,
+        "total_values": offset,
+        "payload": "little-endian float64, concatenated in layout order",
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = b"".join(arr.astype("<f8").tobytes() for arr in arrays)
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+
+
+_LAYOUT_CONFIGS = [
+    ModelConfig(K=2, hidden_dim=4),
+    ModelConfig(K=3, hidden_dim=8, mlp_depth=3, normalization="layer", share_gamma=False, seed=5),
+    ModelConfig(K=1, hidden_dim=3, mlp_depth=1, fusion_mode="concat", use_fpg=False, seed=2),
+    ModelConfig(K=2, hidden_dim=5, context_mode="features_only", seed=9),
+]
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("cfg", _LAYOUT_CONFIGS)
+    def test_init_matches_per_array_reference(self, cfg):
+        state = init_model(cfg, 3)
+        ref = _per_array_init(cfg, 3)
+        assert len(ref) == len(state.params)
+        for (_, arr), want in zip(iter_params(state), ref):
+            np.testing.assert_array_equal(arr, want)
+
+    def test_arrays_are_views_of_one_vector(self):
+        state = init_model(_LAYOUT_CONFIGS[1], 3)
+        slots = state.params.layout
+        assert [s["name"] for s in slots] == [name for name, _ in iter_params(state)]
+        ends = [s["offset"] + int(np.prod(s["shape"])) for s in slots]
+        assert [s["offset"] for s in slots] == [0] + ends[:-1]
+        assert ends[-1] == state.params.flat.size
+        state.params.flat[...] = np.arange(state.params.flat.size)
+        for slot, end in zip(slots, ends):
+            np.testing.assert_array_equal(
+                state.params[slot["name"]].reshape(-1), np.arange(slot["offset"], end)
+            )
+        assert state.classifier_mlp.layers[-1].bias[0] == state.params.flat[-1]
+        assert state.filter.raw_high[0] == state.params["filter.raw_high"][0]
+
+
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_outputs(self, tmp_path):
@@ -456,6 +541,42 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         self._rewrite_header(path, edit)
         with pytest.raises(CacheFormatError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cfg", _LAYOUT_CONFIGS)
+    def test_bytes_equal_per_array_writer(self, tmp_path, cfg):
+        state = init_model(cfg, 3)
+        rng = np.random.default_rng(7)
+        for _, arr in iter_params(state):
+            arr += rng.normal(0, 0.1, arr.shape)
+        save_checkpoint(state, tmp_path / "model.bin")
+        assert (tmp_path / "model.bin").read_bytes() == _per_array_checkpoint(state)
+
+    @pytest.mark.parametrize(("edit", "message"), [
+        (lambda layout: layout[1].update(shape=[3, 4]),
+         "checkpoint parameter fusion.0.weight has wrong shape or offset"),
+        (lambda layout: layout[2].update(offset=layout[2]["offset"] + 1),
+         "checkpoint parameter fusion.0.bias has wrong shape or offset"),
+        (lambda layout: layout.pop(3), "checkpoint missing parameter fusion.1.weight"),
+        (lambda layout: layout.append({"name": "extra", "shape": [1], "offset": 0}),
+         "parameters the model lacks, or another order"),
+        (lambda layout: layout.reverse(), "parameters the model lacks, or another order"),
+        (lambda layout: layout.clear(), "checkpoint missing parameter filter.raw"),
+        (lambda layout: layout.__setitem__(0, {"name": [1]}),
+         "checkpoint missing parameter filter.raw"),
+        (lambda layout: layout.__setitem__(0, "filter.raw"),
+         "checkpoint missing parameter filter.raw"),
+    ])
+    def test_layout_mismatch_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "model.bin"
+        self._rewrite_header(path, lambda header: edit(header["layout"]))
+        with pytest.raises(CacheFormatError, match=message):
+            load_checkpoint(path)
+
+    def test_total_values_checked(self, tmp_path):
+        path = tmp_path / "model.bin"
+        self._rewrite_header(path, lambda header: header.update(total_values=3))
+        with pytest.raises(CacheFormatError, match="checkpoint payload is .* total_values=3"):
             load_checkpoint(path)
 
     def test_payload_size_checked(self, tmp_path):

@@ -7,7 +7,15 @@ from sagad.chebyshev import build_cheb_basis
 from sagad.context import build_context_cache
 from sagad.errors import ConfigError
 from sagad.graph import SplitSet
-from sagad.model import ModelConfig, dropout_rng, gather_rows, init_model, iter_params
+from sagad import training
+from sagad.model import (
+    ModelConfig,
+    ParamVector,
+    dropout_rng,
+    gather_rows,
+    init_model,
+    iter_params,
+)
 from sagad.training import (
     TrainConfig,
     adam_step,
@@ -166,9 +174,9 @@ class TestAdam:
         opt = init_optimizer(state)
         name, param = next(iter_params(state))
         before = param.copy()
-        grads = {n: np.zeros_like(a) for n, a in iter_params(state)}
-        grads[name] = np.ones_like(param)
-        adam_step(state, grads, opt, lr=1e-3)
+        grads = ParamVector(state.params.layout)
+        grads[name][...] = 1.0
+        adam_step(state, grads.flat, opt, lr=1e-3)
         delta = param - before
         np.testing.assert_allclose(delta, -1e-3 / (1 + 1e-8), atol=1e-12)
 
@@ -176,8 +184,7 @@ class TestAdam:
         state = self._scalar_state()
         opt = init_optimizer(state)
         before = {n: a.copy() for n, a in iter_params(state)}
-        grads = {n: np.zeros_like(a) for n, a in iter_params(state)}
-        adam_step(state, grads, opt, lr=0.1, weight_decay=0.0)
+        adam_step(state, np.zeros_like(state.params.flat), opt, lr=0.1)
         for n, a in iter_params(state):
             np.testing.assert_array_equal(a, before[n])
 
@@ -188,11 +195,43 @@ class TestAdam:
             opt = init_optimizer(state)
             rng = np.random.default_rng(0)
             for _ in range(5):
-                grads = {n: rng.normal(size=a.shape) for n, a in iter_params(state)}
-                adam_step(state, grads, opt, lr=0.01)
+                adam_step(state, rng.normal(size=state.params.flat.shape), opt, lr=0.01)
             runs.append({n: a.copy() for n, a in iter_params(state)})
         for n in runs[0]:
             np.testing.assert_array_equal(runs[0][n], runs[1][n])
+
+    def test_wrong_gradient_length_rejected(self):
+        state = self._scalar_state()
+        with pytest.raises(ValueError, match="gradient has shape"):
+            adam_step(state, np.zeros(state.params.flat.size + 1), init_optimizer(state), lr=0.1)
+
+    def test_flat_update_equals_per_array_reference(self):
+        # the reference is Adam written per parameter array; the flat
+        # update does the same elementwise arithmetic and must match it bit
+        # for bit over many steps and gradients spanning ten decades
+        cfg = ModelConfig(K=3, hidden_dim=8, normalization="layer", share_gamma=False)
+        state = init_model(cfg, 5)
+        ref = {n: a.copy() for n, a in iter_params(state)}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        opt = init_optimizer(state)
+        rng = np.random.default_rng(11)
+        grads = ParamVector(state.params.layout)
+        for step in range(1, 201):
+            grads.flat[...] = rng.normal(size=grads.flat.size) * 10.0 ** rng.uniform(
+                -8, 2, grads.flat.size
+            )
+            adam_step(state, grads.flat, opt, lr=0.01)
+            bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for name, param in ref.items():
+                g = grads[name]
+                m[name] *= 0.9
+                m[name] += (1.0 - 0.9) * g
+                v[name] *= 0.999
+                v[name] += (1.0 - 0.999) * (g * g)
+                param -= 0.01 * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+        for name, param in iter_params(state):
+            np.testing.assert_array_equal(param, ref[name])
 
 
 def _fd_setup(cfg, seed=0, n=16):
@@ -271,6 +310,16 @@ class TestGradients:
         for name in g1:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-14)
 
+    def test_weight_decay_is_added_once(self):
+        # L2 enters the gradient only in the objective: wd * params on top
+        # of the data-loss gradient, bit for bit
+        cfg = ModelConfig(K=2, hidden_dim=4)
+        ds, cache, ctx, state, bundle = _fd_setup(cfg, seed=5)
+        y = ds.labels.astype(float)
+        plain = loss_and_grads_bundle(state, bundle, y, 1.0, TrainConfig()).grads
+        decayed = loss_and_grads_bundle(state, bundle, y, 1.0, TrainConfig(weight_decay=0.1)).grads
+        np.testing.assert_array_equal(decayed.flat, plain.flat + 0.1 * state.params.flat)
+
     def test_backward_needs_a_train_mode_forward(self):
         from sagad.model import backward_bundle, forward_bundle, mlp_backward
         from sagad.training import bce_loss_grad
@@ -284,7 +333,8 @@ class TestGradients:
         with pytest.raises(ValueError, match="train-mode forward"):
             backward_bundle(state, trace, d_yhat, d_cbar)
         with pytest.raises(ValueError, match="train-mode forward"):
-            mlp_backward(state.classifier_mlp, trace.clf_trace, d_yhat[:, None])
+            mlp_backward(state.classifier_mlp, trace.clf_trace, d_yhat[:, None],
+                         init_model(cfg, 3).classifier_mlp)
 
     def test_gradients_cover_every_parameter(self):
         cfg = ModelConfig(K=2, hidden_dim=4)
@@ -323,12 +373,14 @@ class TestTrainLoop:
         _, history = train(ds.labels, cache, ctx, cfg, tc, split)
         assert history[-1].train_loss < history[0].train_loss
 
-    def test_patience_zero_runs_one_epoch(self):
+    def test_patience_one_stops_at_the_first_epoch_without_gain(self):
         ds, cache, ctx, split = self._toy(seed=1)
         cfg = ModelConfig(K=2, hidden_dim=8)
-        tc = TrainConfig(max_epochs=100, patience=0)
+        tc = TrainConfig(max_epochs=100, patience=1)
         _, history = train(ds.labels, cache, ctx, cfg, tc, split)
-        assert len(history) == 1
+        auprc = [r.val_auprc for r in history]
+        assert all(b > a for a, b in zip(auprc, auprc[1:-1]))
+        assert len(history) == 100 or auprc[-1] <= max(auprc[:-1])
 
     def test_same_seed_identical_history(self):
         ds, cache, ctx, split = self._toy(seed=2)
@@ -360,11 +412,39 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="non-empty"):
             train(ds.labels, cache, ctx, ModelConfig(K=2), TrainConfig(), bad)
 
+    def test_final_parameters_kept_when_no_epoch_improves(self, monkeypatch):
+        ds, cache, ctx, split = self._toy(seed=5)
+        cfg = ModelConfig(K=2, hidden_dim=8, seed=4)
+        tc = TrainConfig(max_epochs=3, patience=3)
+        monkeypatch.setattr(training, "average_precision", lambda scores, labels: math.nan)
+        state, history = train(ds.labels, cache, ctx, cfg, tc, split)
+        assert len(history) == 3
+        ref = init_model(cfg, cache.dim)
+        opt = init_optimizer(ref)
+        ids = np.asarray(split.train)
+        bundle = gather_rows(cache, ctx, ids, cfg)
+        beta = compute_beta(split, ds.labels)
+        for _ in range(3):
+            grads = loss_and_grads_bundle(ref, bundle, ds.labels[ids].astype(float), beta, tc).grads
+            adam_step(ref, grads.flat, opt, tc.lr)
+        np.testing.assert_array_equal(state.params.flat, ref.params.flat)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(patience=10, max_epochs=5).validate()
         with pytest.raises(ConfigError):
             TrainConfig(clamp_eps=0.7).validate()
+
+    @pytest.mark.parametrize(("fields", "message"), [
+        ({"patience": 0}, "patience must be >= 1, got 0"),
+        ({"patience": -2}, "patience must be >= 1, got -2"),
+        ({"beta_override": 0.0}, "beta_override must be positive"),
+        ({"beta_override": -1.0}, "beta_override must be positive"),
+        ({"beta_override": math.nan}, "beta_override must be positive"),
+    ])
+    def test_patience_and_beta_override_bounds(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**fields).validate()
 
 
 class TestScoreAll:
