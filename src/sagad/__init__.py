@@ -24,7 +24,7 @@ from .csbm import (
     separability_experiment,
     theoretical_separator,
 )
-from .errors import CacheFormatError, ConfigError, DatasetFormatError, SagadError
+from .errors import CacheFormatError, ConfigError, DatasetFormatError, SagadError, SplitError
 from .graph import (
     GraphDataset,
     HomophilyReport,

@@ -1,11 +1,14 @@
-"""Cache files read by row: a checked header plus an open file; and the
-atomic writer every cache and checkpoint is written through.
+"""The one codec of the binary files (the basis and context caches,
+features.bin and checkpoints) and the caches' row reader.
 
-``CacheFile`` checks a cache's magic and fixed-size header, takes the
-payload size from ``os.fstat`` and keeps the file open; the payload is
-never read whole.  ``CacheRows`` is one (n, d) little-endian f32 matrix in
-that payload, read by ``rows[ids]`` with positioned reads (``os.preadv``)
-into a preallocated buffer.  A process that scores or trains therefore
+A ``BinaryFormat`` is one file type: magic bytes, a fixed-size header and
+the name and error class its messages use.  It writes a file atomically
+(magic, header, then arrays) and opens one as a ``CacheFile``, which
+checks the magic and header, takes the payload size from ``os.fstat`` and
+keeps the file open; a cache's payload is never read whole.  ``CacheRows``
+is one (n, d) little-endian f32 matrix in that payload, read by
+``rows[ids]`` with positioned reads (``os.preadv``) into a preallocated
+buffer.  A process that scores or trains therefore
 holds only the rows it asked for, whatever the size of the cache.
 
 ``np.memmap`` is not used on purpose: the page-cache pages a mapped read
@@ -21,41 +24,90 @@ import os
 import struct
 import warnings
 import weakref
+from collections.abc import Callable, Iterable
+from typing import TypeVar
 
 import numpy as np
 
 from .errors import CacheFormatError, SagadError
 
 _ROW_DTYPE = np.dtype("<f4")
+T = TypeVar("T")
+
+
+class BinaryFormat:
+    """One binary file type: ``magic``, then a ``header`` of fixed-size
+    fields (a ``struct`` format), then the payload.
+
+    ``what`` names the file in messages; every format error is raised as
+    ``error`` (a CacheFormatError unless the file is a dataset file).
+    """
+
+    def __init__(self, magic: bytes, header: str, what: str,
+                 error: type[SagadError] = CacheFormatError):
+        self.magic = magic
+        self.header = struct.Struct(header)
+        self.what = what
+        self.error = error
+        self.header_bytes = len(magic) + self.header.size
+
+    def write(self, path: str | os.PathLike, fields: tuple,
+              arrays: Iterable[tuple[np.ndarray, str]]) -> None:
+        """Write the magic, ``fields`` and each ``(array, dtype)`` in turn,
+        atomically; ``arrays`` may be a generator, so a payload larger than
+        memory streams to the file."""
+        with atomic_file(path) as f:
+            f.write(self.magic)
+            f.write(self.header.pack(*fields))
+            for arr, dtype in arrays:
+                write_array(f, arr, dtype)
+
+    def open(self, path: str | os.PathLike, build: Callable[[CacheFile], T]) -> T:
+        """``build(file)`` on ``path`` opened with its magic and header checked.
+
+        The file stays open for what ``build`` returns to read by row; if
+        ``build`` raises, the file is closed.
+        """
+        file = CacheFile(path, self)
+        try:
+            return build(file)
+        except BaseException:
+            file.close()
+            raise
+
+    def read(self, path: str | os.PathLike, build: Callable[[CacheFile], T]) -> T:
+        """As ``open``, for a ``build`` that reads what it needs: the file is
+        closed when ``build`` returns."""
+        with contextlib.closing(CacheFile(path, self)) as file:
+            return build(file)
 
 
 class CacheFile:
-    """One open cache file: its header fields and its payload's offset and size.
+    """One open file of a ``BinaryFormat``: its header fields and its
+    payload's offset and size.
 
-    Every format error is raised as ``error`` (a CacheFormatError unless
-    the file is a dataset file).  The descriptor is released by
-    ``close()``; if the file is dropped unclosed, a finalizer closes it and
-    warns with a ResourceWarning, as an unclosed Python file does.
+    The descriptor is released by ``close()``; if the file is dropped
+    unclosed, a finalizer closes it and warns with a ResourceWarning, as an
+    unclosed Python file does.
     """
 
-    def __init__(self, path: str | os.PathLike, magic: bytes, header: struct.Struct, what: str,
-                 error: type[SagadError] = CacheFormatError):
+    def __init__(self, path: str | os.PathLike, fmt: BinaryFormat):
         self.path = os.fspath(path)
-        self.error = error
+        self.what, self.error = fmt.what, fmt.error
         try:
             self.fd = os.open(self.path, os.O_RDONLY)
         except FileNotFoundError:
-            raise error(f"{what} not found: {self.path}") from None
+            raise self.error(f"{self.what} not found: {self.path}") from None
         self._finalizer = weakref.finalize(self, _close_unclosed, self.fd, self.path)
         try:
-            found = os.pread(self.fd, len(magic), 0)
-            if found != magic:
-                raise error(f"bad {what} magic {found!r} (expected {magic!r})")
-            raw = os.pread(self.fd, header.size, len(magic))
-            if len(raw) != header.size:
-                raise error(f"truncated {what} header")
-            self.fields = header.unpack(raw)
-            self.payload_offset = len(magic) + header.size
+            found = os.pread(self.fd, len(fmt.magic), 0)
+            if found != fmt.magic:
+                raise self.error(f"bad {self.what} magic {found!r} (expected {fmt.magic!r})")
+            raw = os.pread(self.fd, fmt.header.size, len(fmt.magic))
+            if len(raw) != fmt.header.size:
+                raise self.error(f"truncated {self.what} header")
+            self.fields = fmt.header.unpack(raw)
+            self.payload_offset = fmt.header_bytes
             self.payload_bytes = os.fstat(self.fd).st_size - self.payload_offset
         except BaseException:
             self.close()
@@ -68,6 +120,12 @@ class CacheFile:
     def close(self) -> None:
         if self._finalizer.detach() is not None:
             os.close(self.fd)
+
+    def expect_payload(self, nbytes: int) -> None:
+        if self.payload_bytes != nbytes:
+            raise self.error(
+                f"{self.what}: payload is {self.payload_bytes} bytes, expected {nbytes}"
+            )
 
     def read_into(self, out: np.ndarray, offset: int) -> None:
         """Fill the C-contiguous array ``out`` from the file at byte ``offset``.

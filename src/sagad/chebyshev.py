@@ -9,22 +9,17 @@ row (see ``cachefile``); training never touches the graph again.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import CacheFile, CacheRows, FileBacked, atomic_file, write_array
+from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked
 from .errors import CacheFormatError
 from .graph import GraphDataset, degree_scaling, normalized_adjacency
 
-CACHE_MAGIC = b"SGCHEB01"
+# header: u64 n, u64 d, u16 K, u16 dtype code; then (K+1) f32 blocks
+CACHE_FORMAT = BinaryFormat(b"SGCHEB01", "<QQHH", "basis cache")
 _DTYPE_F32 = 0
-# magic (8) + u64 n (8) + u64 d (8) + u16 K (2) + u16 dtype code (2)
-HEADER_BYTES = 28
-_HEADER = struct.Struct("<QQHH")
-
-LAMBDA_MAX = 2.0
 
 
 @dataclass
@@ -87,13 +82,9 @@ def build_cheb_basis(
         return cache
     if np.dtype(dtype) != np.float32:
         raise ValueError(f"a basis cache file holds float32 blocks, not {np.dtype(dtype)}")
-    with atomic_file(path) as f:
-        f.write(CACHE_MAGIC)
-        f.write(_HEADER.pack(n, d, order, _DTYPE_F32))
-        for _, _, rows in chunks:
-            write_array(f, rows, "<f4")
+    CACHE_FORMAT.write(path, (n, d, order, _DTYPE_F32), ((rows, "<f4") for _, _, rows in chunks))
     # the file just written, not an input: opened without `read_cache`
-    return _open_cache(path)
+    return CACHE_FORMAT.open(path, _cache_from_file)
 
 
 def _basis_chunks(dataset: GraphDataset, order: int, add_self_loops: bool):
@@ -191,38 +182,25 @@ def write_cache(cache: ChebBasisCache, path: str | os.PathLike) -> None:
     Written atomically (see ``cachefile.atomic_file``).
     """
     cache.validate()
-    with atomic_file(path) as f:
-        f.write(CACHE_MAGIC)
-        f.write(_HEADER.pack(cache.num_nodes, cache.dim, cache.order, _DTYPE_F32))
-        for block in cache.blocks:
-            write_array(f, block[:], "<f4")
+    fields = (cache.num_nodes, cache.dim, cache.order, _DTYPE_F32)
+    CACHE_FORMAT.write(path, fields, ((block[:], "<f4") for block in cache.blocks))
 
 
 def read_cache(path: str | os.PathLike) -> ChebBasisCache:
     """Open a basis cache: the header is checked now, blocks are read by row."""
-    return _open_cache(path)
+    return CACHE_FORMAT.open(path, _cache_from_file)
 
 
-def _open_cache(path: str | os.PathLike) -> ChebBasisCache:
-    file = CacheFile(path, CACHE_MAGIC, _HEADER, "cache")
-    try:
-        n, d, order, dtype_code = file.fields
-        if dtype_code != _DTYPE_F32:
-            raise CacheFormatError(f"unsupported dtype code {dtype_code}")
-        expected = (order + 1) * n * d * 4
-        if file.payload_bytes != expected:
-            raise CacheFormatError(
-                f"cache payload is {file.payload_bytes} bytes, expected {expected}"
-            )
-        blocks = [CacheRows(file, file.payload_offset + k * n * d * 4, n, d)
-                  for k in range(order + 1)]
-        cache = ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks, file=file)
-        cache.validate()
-    except BaseException:
-        file.close()
-        raise
+def _cache_from_file(file: CacheFile) -> ChebBasisCache:
+    n, d, order, dtype_code = file.fields
+    if dtype_code != _DTYPE_F32:
+        raise CacheFormatError(f"unsupported dtype code {dtype_code}")
+    file.expect_payload((order + 1) * n * d * 4)
+    blocks = [CacheRows(file, file.payload_offset + k * n * d * 4, n, d) for k in range(order + 1)]
+    cache = ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks, file=file)
+    cache.validate()
     return cache
 
 
 def expected_cache_bytes(order: int, num_nodes: int, dim: int) -> int:
-    return HEADER_BYTES + (order + 1) * num_nodes * dim * 4
+    return CACHE_FORMAT.header_bytes + (order + 1) * num_nodes * dim * 4

@@ -140,10 +140,15 @@ class RunConfig:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        seeds = [("csbm.seed", self.csbm.seed)] + [("sweep.seeds", s) for s in self.sweep.seeds]
-        for key, seed in seeds:
-            if seed < 0:
-                raise ConfigError(f"{key} must be >= 0, got {seed}")
+        c, sw = self.csbm, self.sweep
+        minimums = [("csbm.seed", c.seed, 0)] + [("sweep.seeds", s, 0) for s in sw.seeds]
+        minimums += [("sweep.dims", d, 1) for d in sw.dims]
+        for key, value, low in minimums:
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if sw.prior_mode not in csbm.PRIOR_MODES:
+            raise ConfigError(f"sweep.prior_mode must be one of {', '.join(csbm.PRIOR_MODES)}, "
+                              f"got {sw.prior_mode!r}")
 
 
 def _number(value, kind, key: str):
@@ -279,14 +284,17 @@ def _get_split(data, index: int) -> graph.SplitSet:
 
 
 @contextlib.contextmanager
-def _load_caches(cfg: RunConfig, model_config: model.ModelConfig, data=None):
+def _load_caches(cfg: RunConfig, model_config: model.ModelConfig, data=None,
+                 checkpoint: str | None = None):
     """Open the basis cache and, if ``model_config`` uses one, the context cache.
 
     A context manager: the caches are read by row while the block runs
     and their files are closed when it ends.  The basis cache's order
-    must equal ``cfg.K``.  ``data`` (a Supervision or GraphDataset) is the
-    dataset the caches stand in for; when given, the caches must match
-    its node count and feature dimension.
+    must equal ``model_config.K``: the flags' K, or that of the
+    ``checkpoint`` the model config was read from.  ``data`` (a
+    Supervision or GraphDataset) is the dataset the caches stand in for;
+    when given, the caches must match its node count and feature
+    dimension.
     """
     with contextlib.ExitStack() as stack:
         cheb = stack.enter_context(
@@ -297,10 +305,12 @@ def _load_caches(cfg: RunConfig, model_config: model.ModelConfig, data=None):
             ctx = stack.enter_context(context.read_context_cache(
                 _require_file(_context_path(cfg), "run `sample-context` first")
             ))
-        if cheb.order != cfg.K:
+        if cheb.order != model_config.K:
             raise CacheFormatError(
-                f"cheb_cache.bin K={cheb.order} does not match the config's K={cfg.K}; "
-                "rerun `preprocess` with this K"
+                f"{checkpoint} was trained with K={model_config.K}, but "
+                f"cheb_cache.bin has K={cheb.order}" if checkpoint else
+                f"cheb_cache.bin K={cheb.order} does not match the config's "
+                f"K={model_config.K}; rerun `preprocess` with this K"
             )
         if data is not None:
             found = [("cheb_cache.bin n", cheb.num_nodes, "num_nodes", data.num_nodes),
@@ -328,14 +338,9 @@ def _score_nodes(cfg: RunConfig, data=None) -> np.ndarray:
     path = _checkpoint_path(cfg)
     state = model.load_checkpoint(path) if os.path.exists(path) else None
     model_config = cfg.model_config() if state is None else state.config
-    with _load_caches(cfg, model_config, data) as (cheb, ctx):
+    with _load_caches(cfg, model_config, data, None if state is None else path) as (cheb, ctx):
         if state is None:
             _require_file(path, "run `train` first")
-        if state.config.K != cheb.order:
-            raise CacheFormatError(
-                f"{path} was trained with K={state.config.K}, but "
-                f"cheb_cache.bin has K={cheb.order}"
-            )
         return training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
 
 
@@ -519,6 +524,10 @@ def _cmd_synth_csbm(cfg: RunConfig) -> int:
     if not cfg.dataset:
         raise ConfigError("synth-csbm writes to the 'dataset' path; none configured")
     section = cfg.csbm
+    for labeled, pool in (("labeled_anomalies", "n_a"), ("labeled_normals", "n_n")):
+        value, limit = getattr(section, labeled), getattr(section, pool)
+        if not 0 <= value <= limit:
+            raise ConfigError(f"csbm.{labeled} must lie in [0, {limit}] (csbm.{pool}), got {value}")
     sample = csbm.generate_csbm(section.to_params(), include_ego=False)
     dataset = sample.dataset
     dataset.splits = csbm.standard_splits(
@@ -551,22 +560,13 @@ def _cmd_csbm_sweep(cfg: RunConfig) -> int:
             "seed,d,n,p1,q1,p2,q2,pi_a,regime_frac,kappa_eff,margin_value,"
             "accuracy,acc_anomaly,acc_normal\n"
         )
+        n_a = int(round(sw.n * sw.anomaly_frac))
         for dim in sw.dims:
-            direction = np.ones(dim) / np.sqrt(dim)
-            n_a = int(round(sw.n * sw.anomaly_frac))
             for seed in sw.seeds:
-                params = csbm.CsbmParams(
-                    n_a=n_a,
-                    n_n=sw.n - n_a,
-                    mu=-0.5 * sw.mean_gap * direction,
-                    nu=0.5 * sw.mean_gap * direction,
-                    p1=sw.p1,
-                    q1=sw.q1,
-                    p2=sw.p2,
-                    q2=sw.q2,
-                    regime_frac=sw.regime_frac,
-                    seed=seed,
-                )
+                params = CsbmSection(
+                    n_a=n_a, n_n=sw.n - n_a, dim=dim, mean_gap=sw.mean_gap, p1=sw.p1, q1=sw.q1,
+                    p2=sw.p2, q2=sw.q2, regime_frac=sw.regime_frac, seed=seed,
+                ).to_params()
                 res = csbm.separability_experiment(params, R=sw.R, prior_mode=sw.prior_mode)
                 f.write(
                     f"{seed},{dim},{sw.n},{sw.p1!r},{sw.q1!r},{sw.p2!r},{sw.q2!r},"

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import functools
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import CacheFile, CacheRows, FileBacked, atomic_file, write_array
+from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked
 from .errors import CacheFormatError
 from .graph import GraphDataset
 
-CONTEXT_MAGIC = b"SGCTX001"
-_HEADER = struct.Struct("<QQ")  # n, d
+# header: u64 n, u64 d; then the (n, d) f32 context rows and n u32 subgraph sizes
+CONTEXT_FORMAT = BinaryFormat(b"SGCTX001", "<QQ", "context cache")
 
 EXHAUSTIVE_DEGREE_LIMIT = 10
 DEFAULT_CANDIDATE_CAP = 64
@@ -301,31 +300,22 @@ def write_context_cache(cache: ContextCache, path: str | os.PathLike) -> None:
     """Header, the (n, d) f32 context rows, then n u32 subgraph sizes; written
     atomically (see ``cachefile.atomic_file``)."""
     cache.validate()
-    with atomic_file(path) as f:
-        f.write(CONTEXT_MAGIC)
-        f.write(_HEADER.pack(cache.num_nodes, cache.dim))
-        write_array(f, cache.context[:], "<f4")
-        write_array(f, cache.subgraph_size, "<u4")
+    CONTEXT_FORMAT.write(path, (cache.num_nodes, cache.dim),
+                         [(cache.context[:], "<f4"), (cache.subgraph_size, "<u4")])
 
 
 def read_context_cache(path: str | os.PathLike) -> ContextCache:
     """Open a context cache: header and subgraph sizes are read and checked
     now, context rows are read by row."""
-    file = CacheFile(path, CONTEXT_MAGIC, _HEADER, "context cache")
-    try:
-        n, d = file.fields
-        expected = n * d * 4 + n * 4
-        if file.payload_bytes != expected:
-            raise CacheFormatError(
-                f"context cache payload is {file.payload_bytes} bytes, expected {expected}"
-            )
-        context = CacheRows(file, file.payload_offset, n, d)
-        sizes = np.empty(n, dtype="<u4")
-        file.read_into(sizes, file.payload_offset + n * d * 4)
-        sizes = sizes.astype(np.int64)
-        cache = ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes, file=file)
-        cache.validate()
-    except BaseException:
-        file.close()
-        raise
+    return CONTEXT_FORMAT.open(path, _context_from_file)
+
+
+def _context_from_file(file: CacheFile) -> ContextCache:
+    n, d = file.fields
+    file.expect_payload(n * d * 4 + n * 4)
+    sizes = np.empty(n, dtype="<u4")
+    file.read_into(sizes, file.payload_offset + n * d * 4)
+    cache = ContextCache(num_nodes=n, dim=d, context=CacheRows(file, file.payload_offset, n, d),
+                         subgraph_size=sizes.astype(np.int64), file=file)
+    cache.validate()
     return cache

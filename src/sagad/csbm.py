@@ -25,6 +25,7 @@ from .errors import ConfigError
 from .graph import GraphDataset, SparseAdjacency, SplitSet
 
 _SEED_DOMAIN_CSBM = 0xC5B
+PRIOR_MODES = ("lda", "quoted", "none")  # see _decision_bias
 
 
 @dataclass
@@ -169,12 +170,17 @@ def generate_csbm(params: CsbmParams, include_ego: bool = False) -> CsbmSample:
     x[params.n_a :] = params.nu + rng_feat.standard_normal((params.n_n, d)) / np.sqrt(d)
 
     intra, inter = _node_rate_tables(params, regimes)
-    edges, clipped = _sample_undirected(rng_edges, n, labels, theta, intra, inter)
-    adjacency = SparseAdjacency.from_edges(n, edges)
+    src, dst, clipped = _sample_pairs(rng_edges, labels, theta, intra, inter, ego=False)
+    adjacency = SparseAdjacency.from_edges(n, np.stack([src, dst], axis=1))
 
     ego = None
     if include_ego:
-        ego, ego_clipped = _sample_ego(rng_ego, n, labels, theta, intra, inter)
+        from scipy.sparse import csr_matrix
+
+        src, dst, ego_clipped = _sample_pairs(rng_ego, labels, theta, intra, inter, ego=True)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        ego = csr_matrix((np.ones(len(dst)), dst, offsets), shape=(n, n))
         clipped += ego_clipped
 
     dataset = GraphDataset(
@@ -194,54 +200,32 @@ def generate_csbm(params: CsbmParams, include_ego: bool = False) -> CsbmSample:
     )
 
 
-def _sample_undirected(rng, n, labels, theta, intra, inter):
+def _sample_pairs(rng, labels, theta, intra, inter, ego: bool):
+    """Draw each pair (i, j) once, 512 rows i at a time: j > i for the
+    undirected graph, every j != i for the ego draw.  Returns the drawn
+    (rows, cols) in row-major order and the count of pairs whose raw
+    probability exceeded 1 before it was clipped."""
+    n = len(labels)
     srcs, dsts = [], []
     clipped = 0
     cols = np.arange(n)
     for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        rows = np.arange(lo, hi)
+        rows = np.arange(lo, min(lo + _BLOCK, n))
         same = labels[rows, None] == labels[None, :]
         val_i = np.where(same, intra[rows, None], inter[rows, None])
-        val_j = np.where(same, intra[None, :], inter[None, :])
-        prob = theta[rows, None] * theta[None, :] * 0.5 * (val_i + val_j)
-        upper = cols[None, :] > rows[:, None]
-        clipped += int(np.sum((prob > 1.0) & upper))
+        if ego:  # row-node regime governs the whole row
+            prob = theta[rows, None] * theta[None, :] * val_i
+            candidate = cols[None, :] != rows[:, None]
+        else:
+            val_j = np.where(same, intra[None, :], inter[None, :])
+            prob = theta[rows, None] * theta[None, :] * 0.5 * (val_i + val_j)
+            candidate = cols[None, :] > rows[:, None]
+        clipped += int(np.sum((prob > 1.0) & candidate))
         np.clip(prob, 0.0, 1.0, out=prob)
-        hit = (rng.random((hi - lo, n)) < prob) & upper
-        r, c = np.nonzero(hit)
+        r, c = np.nonzero((rng.random((len(rows), n)) < prob) & candidate)
         srcs.append(rows[r])
-        dsts.append(cols[c])
-    edges = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
-    return edges, clipped
-
-
-def _sample_ego(rng, n, labels, theta, intra, inter):
-    from scipy.sparse import csr_matrix
-
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    col_chunks = []
-    clipped = 0
-    cols = np.arange(n)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        rows = np.arange(lo, hi)
-        same = labels[rows, None] == labels[None, :]
-        # row-node regime governs the whole row
-        prob = theta[rows, None] * theta[None, :] * np.where(
-            same, intra[rows, None], inter[rows, None]
-        )
-        off_diag = cols[None, :] != rows[:, None]
-        clipped += int(np.sum((prob > 1.0) & off_diag))
-        np.clip(prob, 0.0, 1.0, out=prob)
-        hit = (rng.random((hi - lo, n)) < prob) & off_diag
-        counts = hit.sum(axis=1)
-        offsets[lo + 1 : hi + 1] = counts
-        r, c = np.nonzero(hit)
-        col_chunks.append(cols[c])
-    np.cumsum(offsets, out=offsets)
-    nbrs = np.concatenate(col_chunks)
-    return csr_matrix((np.ones(len(nbrs)), nbrs, offsets), shape=(n, n)), clipped
+        dsts.append(c)
+    return np.concatenate(srcs), np.concatenate(dsts), clipped
 
 
 def standard_splits(

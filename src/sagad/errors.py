@@ -15,3 +15,8 @@ class CacheFormatError(SagadError):
 
 class ConfigError(SagadError):
     """A configuration file or flag combination is invalid."""
+
+
+class SplitError(SagadError, ValueError):
+    """A node set cannot be trained or scored on: it is empty, or it lacks
+    a class (or enough anomalies) the metric needs."""

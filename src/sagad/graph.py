@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import CacheFile, write_array
+from .cachefile import BinaryFormat, CacheFile
 from .errors import DatasetFormatError
 
 UNKNOWN_LABEL = -1
@@ -24,8 +23,9 @@ UNKNOWN_LABEL = -1
 # rows per chunk of SparseAdjacency.validate's per-entry checks
 _VALIDATE_ROWS = 1 << 14
 
-FEATURES_MAGIC = b"SGFEAT01"
-_FEATURES_HEADER = struct.Struct("<QQ")  # n, d
+# header: u64 n, u64 d; then the (n, d) f32 features, row-major
+FEATURES_FORMAT = BinaryFormat(b"SGFEAT01", "<QQ", "features.bin", DatasetFormatError)
+FEATURES_MAGIC = FEATURES_FORMAT.magic
 
 
 @dataclass
@@ -393,7 +393,7 @@ def load_dataset(directory: str | os.PathLike) -> GraphDataset:
 
     path = os.path.join(directory, "features.bin")
     if os.path.exists(path):
-        features = _read_features_bin(path)
+        features = FEATURES_FORMAT.read(path, _features_from_file)
     else:
         path = _dataset_file(directory, "features.csv")
         features = _read_features_csv(path)
@@ -439,7 +439,8 @@ def write_dataset(dataset: GraphDataset, directory: str | os.PathLike) -> None:
     np.savetxt(os.path.join(directory, "edges.tsv"),
                np.column_stack([rows[mask], adj.col_indices[mask]]), fmt="%d", delimiter="\t")
 
-    _write_features_bin(os.path.join(directory, "features.bin"), dataset.features)
+    FEATURES_FORMAT.write(os.path.join(directory, "features.bin"), dataset.features.shape,
+                          [(dataset.features, "<f4")])
 
     labeled = np.flatnonzero(dataset.labels != UNKNOWN_LABEL)
     np.savetxt(os.path.join(directory, "labels.csv"),
@@ -481,30 +482,12 @@ def _read_edges_tsv(path: str) -> np.ndarray:
     return _read_int_pairs(path, None, "u<TAB>v")
 
 
-def _read_features_bin(path: str) -> np.ndarray:
-    file = CacheFile(path, FEATURES_MAGIC, _FEATURES_HEADER, "features.bin", DatasetFormatError)
-    try:
-        n, d = file.fields
-        expected = n * d * 4
-        if file.payload_bytes != expected:
-            raise DatasetFormatError(
-                f"features.bin: payload is {file.payload_bytes} bytes, expected {expected}"
-            )
-        features = np.empty((n, d), dtype="<f4")
-        file.read_into(features, file.payload_offset)
-    finally:
-        file.close()
+def _features_from_file(file: CacheFile) -> np.ndarray:
+    n, d = file.fields
+    file.expect_payload(n * d * 4)
+    features = np.empty((n, d), dtype="<f4")
+    file.read_into(features, file.payload_offset)
     return features
-
-
-def _write_features_bin(path: str, features: np.ndarray) -> None:
-    n, d = features.shape
-    with open(path, "wb") as f:
-        f.write(FEATURES_MAGIC)
-        f.write(_FEATURES_HEADER.pack(n, d))
-        write_array(f, features, "<f4")
-        f.flush()
-        os.fsync(f.fileno())
 
 
 def _read_features_csv(path: str) -> np.ndarray:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SplitError
+
 TIE_POLICY = "auroc=half-credit; ap,rec@k=stable node-id order"
 
 
@@ -58,7 +60,7 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("auroc requires both classes present")
+        raise SplitError("auroc requires both classes present")
     ranks = _midranks(s)
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -149,7 +151,7 @@ def evaluate(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> Ev
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("auroc requires both classes present")
+        raise SplitError("auroc requires both classes present")
     k_used = n_pos if k is None else k
     if k_used <= 0:
         raise ValueError(f"k must be positive, got {k_used}")
@@ -186,11 +188,11 @@ def quartile_report(
     anom = test_ids[(y[test_ids] == 1) & ~np.isnan(h[test_ids])]
     normals = test_ids[y[test_ids] == 0]
     if len(anom) < 4:
-        raise ValueError(
+        raise SplitError(
             f"need at least 4 test anomalies with defined homophily, got {len(anom)}"
         )
     if len(normals) == 0:
-        raise ValueError("no test normals to score against")
+        raise SplitError("no test normals to score against")
 
     anom = anom[np.argsort(-h[anom], kind="stable")]
     base, rem = divmod(len(anom), 4)

@@ -15,13 +15,12 @@ import functools
 import json
 import math
 import os
-import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cachefile import CacheFile, atomic_file, write_array
+from .cachefile import BinaryFormat, CacheFile
 from .chebyshev import ChebBasisCache, chebyshev_nodes, chebyshev_series
 from .context import ContextCache
 from .errors import CacheFormatError, ConfigError
@@ -32,8 +31,9 @@ FILTER_MODES = ("dual", "low_only", "high_only")
 ACTIVATIONS = ("relu", "elu", "tanh", "identity")
 NORMALIZATIONS = ("none", "layer")
 
-CHECKPOINT_MAGIC = b"SGMDL001"
-_BLOB_LEN = struct.Struct("<Q")  # byte length of the JSON header that follows
+# header: u64 byte length of the JSON header that follows; then the f64 parameters
+CHECKPOINT_FORMAT = BinaryFormat(b"SGMDL001", "<Q", "checkpoint")
+CHECKPOINT_MAGIC = CHECKPOINT_FORMAT.magic
 
 _LN_EPS = 1e-5
 _SEED_DOMAIN_MODEL = 0x3A9
@@ -736,47 +736,43 @@ def save_checkpoint(state: ModelState, path: str | os.PathLike) -> None:
         "total_values": state.params.flat.size,
         "payload": "little-endian float64, concatenated in layout order",
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_file(path) as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(_BLOB_LEN.pack(len(blob)))
-        f.write(blob)
-        write_array(f, state.params.flat, "<f8")
+    blob = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    CHECKPOINT_FORMAT.write(path, (blob.size,), [(blob, "u1"), (state.params.flat, "<f8")])
 
 
 def load_checkpoint(path: str | os.PathLike) -> ModelState:
     """Read a checkpoint; a malformed header or payload is a CacheFormatError,
     and so is a layout other than the one its config gives."""
-    file = CacheFile(path, CHECKPOINT_MAGIC, _BLOB_LEN, "checkpoint")
+    return CHECKPOINT_FORMAT.read(path, _checkpoint_from_file)
+
+
+def _checkpoint_from_file(file: CacheFile) -> ModelState:
+    (blob_len,) = file.fields
+    if blob_len > file.payload_bytes:
+        raise CacheFormatError(
+            f"truncated checkpoint header: {blob_len} bytes announced, "
+            f"{file.payload_bytes} present"
+        )
+    blob = np.empty(blob_len, dtype=np.uint8)
+    file.read_into(blob, file.payload_offset)
     try:
-        (blob_len,) = file.fields
-        if blob_len > file.payload_bytes:
-            raise CacheFormatError(
-                f"truncated checkpoint header: {blob_len} bytes announced, "
-                f"{file.payload_bytes} present"
-            )
-        blob = np.empty(blob_len, dtype=np.uint8)
-        file.read_into(blob, file.payload_offset)
-        try:
-            header = json.loads(blob.tobytes().decode("utf-8"))
-            total = int(header["total_values"])
-            dim = int(header["dim"])
-            if dim < 1:
-                raise ValueError(f"dim={dim}")
-            layout = header["layout"]
-            state = init_model(ModelConfig(**header["config"]), dim)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CacheFormatError(f"malformed checkpoint header: {exc!r}") from exc
-        if layout != state.params.layout:
-            raise CacheFormatError(_layout_mismatch(layout, state.params.layout))
-        flat = state.params.flat
-        payload_bytes = file.payload_bytes - blob_len
-        if total != flat.size or payload_bytes != flat.nbytes:
-            raise CacheFormatError(
-                f"checkpoint payload is {payload_bytes} bytes of total_values={total}, "
-                f"expected {flat.nbytes} bytes of {flat.size}"
-            )
-        file.read_into(flat, file.payload_offset + blob_len)
-    finally:
-        file.close()
+        header = json.loads(blob.tobytes().decode("utf-8"))
+        total = int(header["total_values"])
+        dim = int(header["dim"])
+        if dim < 1:
+            raise ValueError(f"dim={dim}")
+        layout = header["layout"]
+        state = init_model(ModelConfig(**header["config"]), dim)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CacheFormatError(f"malformed checkpoint header: {exc!r}") from exc
+    if layout != state.params.layout:
+        raise CacheFormatError(_layout_mismatch(layout, state.params.layout))
+    flat = state.params.flat
+    payload_bytes = file.payload_bytes - blob_len
+    if total != flat.size or payload_bytes != flat.nbytes:
+        raise CacheFormatError(
+            f"checkpoint payload is {payload_bytes} bytes of total_values={total}, "
+            f"expected {flat.nbytes} bytes of {flat.size}"
+        )
+    file.read_into(flat, file.payload_offset + blob_len)
     return state

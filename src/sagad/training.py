@@ -28,7 +28,7 @@ import numpy as np
 
 from .chebyshev import ChebBasisCache
 from .context import ContextCache
-from .errors import ConfigError
+from .errors import ConfigError, SplitError
 from .graph import SplitSet
 from .metrics import average_precision
 from .model import (
@@ -114,7 +114,7 @@ def compute_beta(split: SplitSet, labels: np.ndarray) -> float:
     n_anom = int(np.sum(y == 1))
     n_norm = int(np.sum(y == 0))
     if n_anom == 0 or n_norm == 0:
-        raise ValueError(
+        raise SplitError(
             f"labeled set must contain both classes (anomalies={n_anom}, normals={n_norm})"
         )
     return n_anom / n_norm
@@ -275,7 +275,7 @@ def train(
     train_ids = np.asarray(split.train, dtype=np.int64)
     val_ids = np.asarray(split.val, dtype=np.int64)
     if train_ids.size == 0 or val_ids.size == 0:
-        raise ValueError("train and val splits must be non-empty")
+        raise SplitError("train and val splits must be non-empty")
 
     beta = (
         train_config.beta_override

@@ -200,35 +200,42 @@ class TestGatherFromDisk:
 
 class TestAtomicWrite:
     def _writers(self):
-        from sagad import chebyshev, context, model
+        """(name, write, others): ``write(d)`` writes the binary file ``d/name``
+        and, outside the codec, the text files ``others``."""
+        from sagad import model
+        from sagad.graph import write_dataset
 
         ds = er_dataset(20, 0.2, 3, seed=9)
         state = init_model(ModelConfig(K=2, hidden_dim=4), 3)
         return [
-            (chebyshev, lambda p: write_cache(build_cheb_basis(ds, 2), p)),
-            (context, lambda p: write_context_cache(build_context_cache(ds), p)),
-            (model, lambda p: model.save_checkpoint(state, p)),
+            ("out.bin", lambda d: write_cache(build_cheb_basis(ds, 2), d / "out.bin"), ()),
+            ("out.bin", lambda d: write_context_cache(build_context_cache(ds), d / "out.bin"), ()),
+            ("out.bin", lambda d: model.save_checkpoint(state, d / "out.bin"), ()),
+            ("features.bin", lambda d: write_dataset(ds, d),
+             ("edges.tsv", "labels.csv", "meta.json", "splits.json")),
         ]
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
-        for module, write in self._writers():
-            path = tmp_path / "out.bin"
+        real = cachefile.write_array
+
+        def fail_after_writing(*args):
+            real(*args)  # the header and one array reach the file...
+            raise OSError("disk full")  # ...then the disk fills
+
+        for i, (name, write, others) in enumerate(self._writers()):
+            d = tmp_path / str(i)
+            d.mkdir()
+            path = d / name
             path.write_bytes(b"previous")
-            real = module.write_array
-
-            def fail_after_writing(*args):
-                real(*args)  # the header and one array reach the file...
-                raise OSError("disk full")  # ...then the disk fills
-
             with monkeypatch.context() as m:
-                m.setattr(module, "write_array", fail_after_writing)
+                m.setattr(cachefile, "write_array", fail_after_writing)
                 with pytest.raises(OSError, match="disk full"):
-                    write(path)
-            assert path.read_bytes() == b"previous", module.__name__
-            assert os.listdir(tmp_path) == ["out.bin"], module.__name__
-            write(path)  # and a complete write replaces it
+                    write(d)
+            assert path.read_bytes() == b"previous", name
+            assert set(os.listdir(d)) - set(others) == {name}, name
+            write(d)  # and a complete write replaces it
             assert path.read_bytes() != b"previous"
-            assert os.listdir(tmp_path) == ["out.bin"]
+            assert sorted(os.listdir(d)) == sorted([name, *others])
 
     def test_new_file_mode_is_that_of_open(self, tmp_path):
         with cachefile.atomic_file(tmp_path / "a.bin") as f:

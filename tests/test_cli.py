@@ -314,6 +314,19 @@ class TestCacheOrder:
         with pytest.raises(CacheFormatError, match="trained with K=3, but cheb_cache.bin has K=5"):
             dispatch(command, cfg)
 
+    @pytest.mark.parametrize("command", ["eval", "score", "quartiles"])
+    def test_checkpoint_K_needs_no_flag(self, toy_run, tmp_path, command):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        cfg = dataclasses.replace(cfg, K=5, max_epochs=3, patience=3)
+        for step in ("preprocess", "train", command):
+            assert dispatch(step, cfg) == 0
+        output = os.path.join(cfg.run_dir, {"eval": "report.csv", "score": "scores_0.csv",
+                                            "quartiles": "quartiles.csv"}[command])
+        with_flag = read(output)
+        os.remove(output)
+        assert main([command, "--dataset", cfg.dataset, "--run-dir", cfg.run_dir]) == 0
+        assert read(output) == with_flag
+
 
 class TestCheckpointConfigDecidesCaches:
     """eval, score and quartiles score with the checkpoint's model config,
@@ -353,6 +366,50 @@ class TestCorruptCheckpoint:
         rc = main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir])
         assert rc == 1
         assert "error: " in capsys.readouterr().err
+
+
+class TestSplitErrors:
+    """A split a command cannot use exits 1 with one error line, before any output."""
+
+    @pytest.mark.parametrize("command,split,message,outputs", [
+        ("train", {"train": [*range(5), *range(40, 60)], "val": [], "test": [*range(100, 400)]},
+         "train and val splits must be non-empty", ["checkpoint_0.bin", "history_0.csv"]),
+        ("train", {"train": [*range(40, 60)], "val": [*range(60, 70)], "test": [*range(100, 400)]},
+         "labeled set must contain both classes", ["checkpoint_0.bin", "history_0.csv"]),
+        ("eval", {"train": [*range(5), *range(40, 60)], "val": [*range(5, 10), *range(60, 80)],
+                  "test": [*range(100, 400)]},
+         "auroc requires both classes present", ["report.csv", "summary.csv"]),
+        ("quartiles", {"train": [*range(5), *range(40, 60)], "val": [*range(5, 10), *range(60, 80)],
+                       "test": [10, 11, 12, *range(100, 400)]},
+         "need at least 4 test anomalies", ["quartiles.csv"]),
+    ])
+    def test_exits_1(self, toy_run, tmp_path, capsys, command, split, message, outputs):
+        data_dir = tmp_path / "data"
+        shutil.copytree(toy_run.dataset, data_dir)
+        (data_dir / "splits.json").write_text(json.dumps([split]))
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        if command != "train":
+            shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+        rc = main([command, "--dataset", str(data_dir), "--run-dir", cfg.run_dir,
+                   "--max-epochs", "3", "--patience", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        for name in outputs:
+            assert not os.path.exists(os.path.join(cfg.run_dir, name)), name
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("labeled_anomalies", 40, "csbm.labeled_anomalies must lie in [0, 30] (csbm.n_a), got 40"),
+        ("labeled_anomalies", -1, "csbm.labeled_anomalies must lie in [0, 30] (csbm.n_a), got -1"),
+        ("labeled_normals", 101, "csbm.labeled_normals must lie in [0, 100] (csbm.n_n), got 101"),
+    ])
+    def test_labeled_budget_outside_class_size_exits_1(self, tmp_path, capsys, key, value,
+                                                        message):
+        rc = main(["synth-csbm", "--dataset", str(tmp_path / "data"), "--set", "csbm.n_a=30",
+                   "--set", "csbm.n_n=100", "--set", f"csbm.{key}={value}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "data").exists()
 
 
 class TestSynthCsbmFiles:
@@ -428,6 +485,11 @@ class TestConfigValues:
         (["train", "--patience", "0"], "patience must be >= 1, got 0"),
         (["train", "--patience", "-2"], "patience must be >= 1, got -2"),
         (["train", "--beta-override", "-1"], "beta_override must be positive, got -1.0"),
+        (["csbm-sweep", "--set", "sweep.dims=4,0", "--set", "sweep.n=200",
+          "--set", "sweep.seeds=0"],
+         "sweep.dims must be >= 1, got 0"),
+        (["csbm-sweep", "--set", "sweep.prior_mode=foo", "--set", "sweep.n=200"],
+         "sweep.prior_mode must be one of lda, quoted, none, got 'foo'"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, argv, message, capsys):
         rc = main([*argv, "--dataset", str(tmp_path / "data"), "--run-dir", str(tmp_path / "run")])

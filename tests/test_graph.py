@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sagad import graph
+from sagad import cachefile, graph
 from sagad.cachefile import CacheFile
 from sagad.errors import DatasetFormatError
 from sagad.graph import (
@@ -215,7 +215,7 @@ class TestLoader:
                 opened.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(graph, "CacheFile", RecordingFile)
+        monkeypatch.setattr(cachefile, "CacheFile", RecordingFile)
         write_dataset(er_dataset(10, 0.3, 4, seed=2), tmp_path)
         (tmp_path / "features.bin").write_bytes(content)
         with pytest.raises(DatasetFormatError, match=message):
