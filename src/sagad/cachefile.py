@@ -1,5 +1,6 @@
-"""The one codec of the binary files (the basis and context caches,
-features.bin and checkpoints) and the caches' row reader.
+"""The one write path of every file sagad writes, the one codec of the
+binary files (the basis and context caches, features.bin and checkpoints)
+and the caches' row reader.
 
 A ``BinaryFormat`` is one file type: magic bytes, a fixed-size header and
 the name and error class its messages use.  It writes a file atomically
@@ -228,6 +229,15 @@ def atomic_file(path: str | os.PathLike):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
+    """Write each string of ``chunks`` to ``path`` as UTF-8, atomically (see
+    ``atomic_file``); ``chunks`` may be a generator, so a text larger than
+    memory streams to the file, and one that raises leaves ``path`` as it was."""
+    with atomic_file(path) as f:
+        for chunk in chunks:
+            f.write(chunk.encode("utf-8"))
 
 
 def write_array(f, arr: np.ndarray, dtype: str) -> None:

@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import chebyshev, context, csbm, graph, metrics, model, training
+from . import cachefile, chebyshev, context, csbm, graph, metrics, model, training
 from .errors import CacheFormatError, ConfigError, SagadError
 
 COMMANDS = (
@@ -146,6 +148,9 @@ class RunConfig:
         for key, value, low in minimums:
             if value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if not 0 < sw.anomaly_frac < 1 or not 1 <= round(sw.n * sw.anomaly_frac) < sw.n:
+            raise ConfigError(f"sweep.anomaly_frac={sw.anomaly_frac!r} gives round(sweep.n * "
+                              f"sweep.anomaly_frac) outside [1, {sw.n - 1}]; both classes need a node")
         if sw.prior_mode not in csbm.PRIOR_MODES:
             raise ConfigError(f"sweep.prior_mode must be one of {', '.join(csbm.PRIOR_MODES)}, "
                               f"got {sw.prior_mode!r}")
@@ -232,10 +237,6 @@ def parse_config(config_path: str | None, overrides: dict | None = None) -> RunC
     return cfg
 
 
-def _resolved_json(cfg: RunConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
-
-
 def _persist_config(cfg: RunConfig, command: str) -> None:
     if not cfg.run_dir:
         return
@@ -243,8 +244,8 @@ def _persist_config(cfg: RunConfig, command: str) -> None:
     payload = dataclasses.asdict(cfg)
     payload["_command"] = command
     payload["_tie_policy"] = metrics.TIE_POLICY
-    with open(os.path.join(cfg.run_dir, f"config_{command}.json"), "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+    cachefile.write_text(os.path.join(cfg.run_dir, f"config_{command}.json"),
+                         [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _require_file(path: str, hint: str) -> str:
@@ -391,11 +392,10 @@ def _cmd_train(cfg: RunConfig) -> int:
             sup.labels, cheb, ctx, model_config, cfg.train_config(), split
         )
     model.save_checkpoint(state, _checkpoint_path(cfg))
-    hist_path = os.path.join(cfg.run_dir, f"history_{cfg.split_index}.csv")
-    with open(hist_path, "w", encoding="utf-8") as f:
-        f.write("epoch,train_loss,val_auprc\n")
-        for rec in history:
-            f.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_auprc!r}\n")
+    cachefile.write_text(os.path.join(cfg.run_dir, f"history_{cfg.split_index}.csv"), [
+        "epoch,train_loss,val_auprc\n",
+        *(f"{rec.epoch},{rec.train_loss!r},{rec.val_auprc!r}\n" for rec in history),
+    ])
     best = max(history, key=lambda r: r.val_auprc)
     print(
         f"trained split {cfg.split_index}: {len(history)} epochs, "
@@ -407,24 +407,17 @@ def _cmd_train(cfg: RunConfig) -> int:
 def _cmd_eval(cfg: RunConfig) -> int:
     sup = graph.load_supervision(_dataset_dir(cfg))
     split = _get_split(sup, cfg.split_index)
-    scores = _score_nodes(cfg, sup)
     test_ids = np.asarray(split.test, dtype=np.int64)
     y_test = sup.labels[test_ids]
+    # an unusable test split fails before any node is scored
     if np.any(y_test == graph.UNKNOWN_LABEL):
         raise ConfigError("test split contains unlabeled nodes; cannot evaluate")
-    report = metrics.evaluate(scores[test_ids], y_test)
-    report_path = os.path.join(cfg.run_dir, "report.csv")
-    _update_report_csv(
-        report_path,
-        cfg.split_index,
-        [
-            ("auroc", report.auroc),
-            ("auprc", report.auprc),
-            ("rec_at_k", report.rec_at_k),
-            ("k_used", float(report.k_used)),
-        ],
-    )
-    _write_summary_csv(report_path, os.path.join(cfg.run_dir, "summary.csv"))
+    metrics.class_counts(y_test)
+    report = metrics.evaluate(_score_nodes(cfg, sup)[test_ids], y_test)
+    # one row per EvalReport field: auroc, auprc, rec_at_k, k_used
+    rows = _update_report_csv(os.path.join(cfg.run_dir, "report.csv"), cfg.split_index,
+                              dataclasses.asdict(report).items())
+    _write_summary_csv(rows, os.path.join(cfg.run_dir, "summary.csv"))
     print(
         f"split {cfg.split_index}: AUROC {report.auroc:.4f}  AUPRC {report.auprc:.4f}  "
         f"Rec@{report.k_used} {report.rec_at_k:.4f}"
@@ -432,22 +425,20 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _write_summary_csv(report_path: str, summary_path: str) -> None:
-    """Aggregate per-split metric rows into mean and std across splits."""
+def _write_summary_csv(rows: list[tuple[int, str, str]], summary_path: str) -> None:
+    """Aggregate report.csv's per-split metric rows into mean and std across splits."""
     by_metric: dict[str, list[float]] = {}
-    with open(report_path, "r", encoding="utf-8") as f:
-        next(f, None)
-        for line in f:
-            _, name, value = line.rstrip("\n").split(",")
-            by_metric.setdefault(name, []).append(float(value))
-    with open(summary_path, "w", encoding="utf-8") as f:
-        f.write("metric,splits,mean,std\n")
-        for name in sorted(by_metric):
-            vals = np.asarray(by_metric[name])
-            f.write(f"{name},{len(vals)},{float(vals.mean())!r},{float(vals.std())!r}\n")
+    for _, name, value in rows:
+        by_metric.setdefault(name, []).append(float(value))
+    cachefile.write_text(summary_path, ["metric,splits,mean,std\n", *(
+        f"{name},{len(v)},{float(np.mean(v))!r},{float(np.std(v))!r}\n"
+        for name, v in sorted(by_metric.items())
+    )])
 
 
-def _update_report_csv(path: str, split_index: int, rows: list[tuple[str, float]]) -> None:
+def _update_report_csv(path: str, split_index: int,
+                       rows: Iterable[tuple[str, float]]) -> list[tuple[int, str, str]]:
+    """Replace ``split_index``'s rows of report.csv; return all its rows."""
     existing: list[tuple[int, str, str]] = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as f:
@@ -459,22 +450,21 @@ def _update_report_csv(path: str, split_index: int, rows: list[tuple[str, float]
     for name, value in rows:
         existing.append((split_index, name, repr(float(value))))
     existing.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("split,metric,value\n")
-        for split_i, name, value in existing:
-            f.write(f"{split_i},{name},{value}\n")
+    cachefile.write_text(path, ["split,metric,value\n", *(
+        f"{split_i},{name},{value}\n" for split_i, name, value in existing
+    )])
+    return existing
 
 
 def _cmd_score(cfg: RunConfig) -> int:
     scores = _score_nodes(cfg)
     out_path = os.path.join(cfg.run_dir, f"scores_{cfg.split_index}.csv")
-    with open(out_path, "w", encoding="utf-8") as f:
-        # Python floats: repr is the shortest round-trip form.  Rows are
-        # formatted one batch at a time, so the text never holds all n rows.
-        f.write("node_id,score\n")
-        for lo in range(0, len(scores), cfg.batch_size):
-            rows = scores[lo : lo + cfg.batch_size].tolist()
-            f.write("".join(f"{i},{s!r}\n" for i, s in enumerate(rows, lo)))
+    # Python floats: repr is the shortest round-trip form.  Rows are
+    # formatted one batch at a time, so the text never holds all n rows.
+    cachefile.write_text(out_path, itertools.chain(["node_id,score\n"], (
+        "".join(f"{i},{s!r}\n" for i, s in enumerate(scores[lo : lo + cfg.batch_size].tolist(), lo))
+        for lo in range(0, len(scores), cfg.batch_size)
+    )))
     print(f"wrote {out_path} ({len(scores)} nodes)")
     return 0
 
@@ -486,34 +476,35 @@ def _cmd_homophily(cfg: RunConfig) -> int:
     print(f"class homophily (abnormal): {report.class_homophily_abnormal:.6f}")
     print(f"class homophily (normal):   {report.class_homophily_normal:.6f}")
     if cfg.run_dir:
-        os.makedirs(cfg.run_dir, exist_ok=True)
-        path = os.path.join(cfg.run_dir, "homophily.csv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("metric,value\n")
-            f.write(f"edge_homophily,{report.edge_homophily!r}\n")
-            f.write(f"class_homophily_abnormal,{report.class_homophily_abnormal!r}\n")
-            f.write(f"class_homophily_normal,{report.class_homophily_normal!r}\n")
-        node_path = os.path.join(cfg.run_dir, "node_homophily.csv")
-        with open(node_path, "w", encoding="utf-8") as f:
-            f.write("node_id,node_homophily\n")
-            for i, h in enumerate(report.node_homophily):
-                f.write(f"{i},{'' if np.isnan(h) else repr(float(h))}\n")
+        cachefile.write_text(os.path.join(cfg.run_dir, "homophily.csv"), [
+            "metric,value\n",
+            f"edge_homophily,{report.edge_homophily!r}\n",
+            f"class_homophily_abnormal,{report.class_homophily_abnormal!r}\n",
+            f"class_homophily_normal,{report.class_homophily_normal!r}\n",
+        ])
+        cachefile.write_text(os.path.join(cfg.run_dir, "node_homophily.csv"), itertools.chain(
+            ["node_id,node_homophily\n"],
+            (f"{i},{'' if np.isnan(h) else repr(float(h))}\n"
+             for i, h in enumerate(report.node_homophily)),
+        ))
     return 0
 
 
 def _cmd_quartiles(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     split = _get_split(dataset, cfg.split_index)
-    scores = _score_nodes(cfg, dataset)
     node_h = graph.node_homophily(dataset)
-    report = metrics.quartile_report(scores, dataset.labels, node_h, np.asarray(split.test))
+    # an unusable test split fails before any node is scored
+    metrics.quartile_groups(dataset.labels, node_h, split.test)
+    report = metrics.quartile_report(_score_nodes(cfg, dataset), dataset.labels, node_h,
+                                     np.asarray(split.test))
     path = os.path.join(cfg.run_dir, "quartiles.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("group,auprc,auroc\n")
-        for q in range(4):
-            f.write(f"Q{q + 1},{report.auprc[q]!r},{report.auroc[q]!r}\n")
-        for i, q in enumerate((2, 3, 4)):
-            f.write(f"Q1-Q{q},{report.auprc_gaps[i]!r},{report.auroc_gaps[i]!r}\n")
+    cachefile.write_text(path, [
+        "group,auprc,auroc\n",
+        *(f"Q{q + 1},{report.auprc[q]!r},{report.auroc[q]!r}\n" for q in range(4)),
+        *(f"Q1-Q{q},{report.auprc_gaps[i]!r},{report.auroc_gaps[i]!r}\n"
+          for i, q in enumerate((2, 3, 4))),
+    ])
     print(f"wrote {path}")
     for q in range(4):
         print(f"  Q{q + 1}: AUPRC {report.auprc[q]:.4f}  AUROC {report.auroc[q]:.4f}")
@@ -539,9 +530,9 @@ def _cmd_synth_csbm(cfg: RunConfig) -> int:
     )
     dataset.name = f"csbm-n{dataset.num_nodes}-seed{section.seed}"
     graph.write_dataset(dataset, cfg.dataset)
-    np.savetxt(os.path.join(cfg.dataset, "regimes.csv"),
-               np.column_stack([np.arange(dataset.num_nodes), sample.regimes]),
-               fmt="%d", delimiter=",", header="node_id,regime", comments="")
+    with cachefile.atomic_file(os.path.join(cfg.dataset, "regimes.csv")) as f:
+        np.savetxt(f, np.column_stack([np.arange(dataset.num_nodes), sample.regimes]),
+                   fmt="%d", delimiter=",", header="node_id,regime", comments="")
     print(
         f"wrote dataset to {cfg.dataset}: {dataset.num_nodes} nodes, "
         f"{dataset.adjacency.num_edges} edges, {sample.clipped_pairs} clipped pairs"
@@ -553,27 +544,24 @@ def _cmd_csbm_sweep(cfg: RunConfig) -> int:
     if not cfg.run_dir:
         raise ConfigError("csbm-sweep requires run_dir for its output CSV")
     sw = cfg.sweep
-    os.makedirs(cfg.run_dir, exist_ok=True)
+    rows = ["seed,d,n,p1,q1,p2,q2,pi_a,regime_frac,kappa_eff,margin_value,"
+            "accuracy,acc_anomaly,acc_normal\n"]
+    n_a = round(sw.n * sw.anomaly_frac)
+    for dim in sw.dims:
+        for seed in sw.seeds:
+            params = CsbmSection(
+                n_a=n_a, n_n=sw.n - n_a, dim=dim, mean_gap=sw.mean_gap, p1=sw.p1, q1=sw.q1,
+                p2=sw.p2, q2=sw.q2, regime_frac=sw.regime_frac, seed=seed,
+            ).to_params()
+            res = csbm.separability_experiment(params, R=sw.R, prior_mode=sw.prior_mode)
+            rows.append(
+                f"{seed},{dim},{sw.n},{sw.p1!r},{sw.q1!r},{sw.p2!r},{sw.q2!r},"
+                f"{params.pi_a!r},{sw.regime_frac!r},{res.kappa_eff!r},"
+                f"{res.margin_value!r},{res.accuracy!r},{res.acc_anomaly!r},"
+                f"{res.acc_normal!r}\n"
+            )
     path = os.path.join(cfg.run_dir, "csbm_sweep.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(
-            "seed,d,n,p1,q1,p2,q2,pi_a,regime_frac,kappa_eff,margin_value,"
-            "accuracy,acc_anomaly,acc_normal\n"
-        )
-        n_a = int(round(sw.n * sw.anomaly_frac))
-        for dim in sw.dims:
-            for seed in sw.seeds:
-                params = CsbmSection(
-                    n_a=n_a, n_n=sw.n - n_a, dim=dim, mean_gap=sw.mean_gap, p1=sw.p1, q1=sw.q1,
-                    p2=sw.p2, q2=sw.q2, regime_frac=sw.regime_frac, seed=seed,
-                ).to_params()
-                res = csbm.separability_experiment(params, R=sw.R, prior_mode=sw.prior_mode)
-                f.write(
-                    f"{seed},{dim},{sw.n},{sw.p1!r},{sw.q1!r},{sw.p2!r},{sw.q2!r},"
-                    f"{params.pi_a!r},{sw.regime_frac!r},{res.kappa_eff!r},"
-                    f"{res.margin_value!r},{res.accuracy!r},{res.acc_anomaly!r},"
-                    f"{res.acc_normal!r}\n"
-                )
+    cachefile.write_text(path, rows)
     print(f"wrote {path}")
     return 0
 
@@ -596,7 +584,7 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     """Run one pipeline command; echo and persist the resolved config."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command: {command}")
-    print(_resolved_json(cfg))
+    print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
     _persist_config(cfg, command.replace("-", "_"))
     return _HANDLERS[command](cfg)
 

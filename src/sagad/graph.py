@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import BinaryFormat, CacheFile
+from .cachefile import BinaryFormat, CacheFile, atomic_file, write_text
 from .errors import DatasetFormatError
 
 UNKNOWN_LABEL = -1
@@ -30,8 +30,8 @@ FEATURES_MAGIC = FEATURES_FORMAT.magic
 
 @dataclass
 class SparseAdjacency:
-    """Symmetric adjacency held as one scipy CSR (``csr``): unit values, no
-    self-loops, sorted columns, no duplicates.
+    """Symmetric adjacency held as one scipy CSR (``csr``): one-byte unit
+    values, no self-loops, sorted columns, no duplicates.
 
     Each undirected edge is stored twice (once per direction), so
     ``col_indices`` has length 2m for m undirected edges.  scipy picks the
@@ -58,7 +58,8 @@ class SparseAdjacency:
         keep = edges[:, 0] != edges[:, 1]
         # Duplicates are summed as f32 counts, which saturate but never reach
         # 0 (a narrow integer count could wrap to 0 and be dropped as an
-        # explicit zero); f32 halves the transient of the sum below.
+        # explicit zero); f32 halves the transient of the sum below.  The
+        # stored values are int8 ones: no consumer reads them but as 1.
         half = sp.coo_matrix(
             (np.ones(int(keep.sum()), dtype=np.float32), (edges[keep, 0], edges[keep, 1])),
             shape=(num_nodes, num_nodes),
@@ -66,7 +67,7 @@ class SparseAdjacency:
         csr = half + half.T
         del half
         csr.sort_indices()
-        csr.data = np.ones(csr.nnz)
+        csr.data = np.ones(csr.nnz, dtype=np.int8)
         return cls(csr)
 
     @property
@@ -97,10 +98,8 @@ class SparseAdjacency:
         """Check the structural invariants; raise DatasetFormatError on violation.
 
         Works on the index arrays a row chunk at a time, plus the transposed
-        pattern: no array of one int64 per entry is formed.
+        CSR: no array of one int64 per entry is formed.
         """
-        import scipy.sparse as sp
-
         n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
         if (offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != len(cols)
                 or np.any(np.diff(offsets) < 0)):
@@ -121,9 +120,7 @@ class SparseAdjacency:
         # Symmetry: with sorted unique columns, the pattern equals its
         # transpose exactly when the transposed CSR's arrays equal its own.
         # One-byte values keep the transpose at 6 bytes per entry.
-        pattern = sp.csr_matrix((np.ones(len(cols), dtype=bool), cols, offsets), shape=(n, n))
-        transposed = pattern.T.tocsr()
-        del pattern
+        transposed = self.csr.T.tocsr()
         if not (np.array_equal(transposed.indptr, offsets)
                 and np.array_equal(transposed.indices, cols)):
             raise DatasetFormatError("adjacency is not symmetric")
@@ -267,24 +264,34 @@ def normalized_adjacency(adj: SparseAdjacency, add_self_loops: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _require_labeled(labels: np.ndarray, ids: np.ndarray, what: str) -> None:
-    bad = ids[labels[ids] == UNKNOWN_LABEL]
+def _agreement(dataset: GraphDataset, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node, the neighbors sharing its label, the degree (both f64) and
+    their ratio, the node homophily (NaN for an isolated node): the one pass
+    over the edges every homophily value is derived from.
+
+    An edge endpoint without a label raises, naming ``what``; the graph is
+    symmetric, so the endpoints are the nodes of nonzero degree.
+    """
+    adj, labels = dataset.adjacency, dataset.labels
+    counts = np.diff(adj.row_offsets).astype(np.float64)
+    bad = np.flatnonzero((counts > 0) & (labels == UNKNOWN_LABEL))
     if bad.size:
         raise DatasetFormatError(f"{what}: node {bad[0]} has no label")
+    rows = adj.row_ids()
+    same = (labels[rows] == labels[adj.col_indices]).astype(np.float64)
+    agree = np.bincount(rows, weights=same, minlength=adj.num_nodes)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return agree, counts, np.where(counts > 0, agree / counts, np.nan)
 
 
 def edge_homophily(dataset: GraphDataset) -> float:
     """Fraction of unordered edges whose endpoints share a label."""
-    adj = dataset.adjacency
-    if adj.num_edges == 0:
+    if dataset.adjacency.num_edges == 0:
         return 0.0
-    rows = adj.row_ids()
-    cols = adj.col_indices
-    _require_labeled(dataset.labels, np.unique(np.concatenate([rows, cols])), "edge_homophily")
-    same = dataset.labels[rows] == dataset.labels[cols]
-    # Each undirected edge appears twice, so the mean over directed entries
-    # equals the unordered-edge fraction.
-    return float(np.mean(same))
+    agree, counts, _ = _agreement(dataset, "edge_homophily")
+    # Each undirected edge appears twice, so the fraction over directed
+    # entries (two exact integer sums) equals the unordered-edge fraction.
+    return float(agree.sum() / counts.sum())
 
 
 def node_homophily(dataset: GraphDataset) -> np.ndarray:
@@ -292,40 +299,31 @@ def node_homophily(dataset: GraphDataset) -> np.ndarray:
 
     Isolated nodes get NaN and are excluded from downstream averages.
     """
-    adj = dataset.adjacency
-    labels = dataset.labels
-    rows = adj.row_ids()
-    if rows.size:
-        _require_labeled(labels, np.unique(np.concatenate([rows, adj.col_indices])), "node_homophily")
-    same = (labels[rows] == labels[adj.col_indices]).astype(np.float64)
-    agree = np.bincount(rows, weights=same, minlength=adj.num_nodes)
-    counts = np.diff(adj.row_offsets).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        h = np.where(counts > 0, agree / counts, np.nan)
-    return h
+    return _agreement(dataset, "node_homophily")[2]
 
 
 def class_homophily(dataset: GraphDataset) -> tuple[float, float]:
     """Mean node homophily over anomalies and over normal nodes."""
-    h = node_homophily(dataset)
-    out = []
+    report = homophily_report(dataset)
+    return report.class_homophily_abnormal, report.class_homophily_normal
+
+
+def homophily_report(dataset: GraphDataset) -> HomophilyReport:
+    """Edge, node and class homophily from one pass over the edges."""
+    agree, counts, h = _agreement(dataset, "node_homophily")
+    means = []
     for cls, name in ((1, "abnormal"), (0, "normal")):
         mask = (dataset.labels == cls) & ~np.isnan(h)
         if not np.any(mask):
             raise DatasetFormatError(
                 f"class_homophily: no {name} node has a defined node homophily"
             )
-        out.append(float(np.mean(h[mask])))
-    return out[0], out[1]
-
-
-def homophily_report(dataset: GraphDataset) -> HomophilyReport:
-    h_a, h_n = class_homophily(dataset)
+        means.append(float(np.mean(h[mask])))
     return HomophilyReport(
-        edge_homophily=edge_homophily(dataset),
-        node_homophily=node_homophily(dataset),
-        class_homophily_abnormal=h_a,
-        class_homophily_normal=h_n,
+        edge_homophily=float(agree.sum() / counts.sum()) if dataset.adjacency.num_edges else 0.0,
+        node_homophily=h,
+        class_homophily_abnormal=means[0],
+        class_homophily_normal=means[1],
     )
 
 
@@ -430,30 +428,26 @@ def write_dataset(dataset: GraphDataset, directory: str | os.PathLike) -> None:
         "num_nodes": dataset.num_nodes,
         "num_features": dataset.num_features,
     }
-    with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as f:
-        json.dump(meta, f, sort_keys=True, indent=2)
+    write_text(os.path.join(directory, "meta.json"), [json.dumps(meta, sort_keys=True, indent=2)])
 
     adj = dataset.adjacency
     rows = adj.row_ids()
     mask = rows < adj.col_indices  # each unordered edge once
-    np.savetxt(os.path.join(directory, "edges.tsv"),
-               np.column_stack([rows[mask], adj.col_indices[mask]]), fmt="%d", delimiter="\t")
+    with atomic_file(os.path.join(directory, "edges.tsv")) as f:
+        np.savetxt(f, np.column_stack([rows[mask], adj.col_indices[mask]]), fmt="%d",
+                   delimiter="\t")
 
     FEATURES_FORMAT.write(os.path.join(directory, "features.bin"), dataset.features.shape,
                           [(dataset.features, "<f4")])
 
     labeled = np.flatnonzero(dataset.labels != UNKNOWN_LABEL)
-    np.savetxt(os.path.join(directory, "labels.csv"),
-               np.column_stack([labeled, dataset.labels[labeled]]), fmt="%d", delimiter=",")
+    with atomic_file(os.path.join(directory, "labels.csv")) as f:
+        np.savetxt(f, np.column_stack([labeled, dataset.labels[labeled]]), fmt="%d",
+                   delimiter=",")
 
-    payload = [
-        {"train": [int(i) for i in s.train],
-         "val": [int(i) for i in s.val],
-         "test": [int(i) for i in s.test]}
-        for s in dataset.splits
-    ]
-    with open(os.path.join(directory, "splits.json"), "w", encoding="utf-8") as f:
-        json.dump(payload, f)
+    payload = [{part: np.asarray(getattr(s, part)).tolist() for part in ("train", "val", "test")}
+               for s in dataset.splits]
+    write_text(os.path.join(directory, "splits.json"), [json.dumps(payload)])
 
 
 def _read_int_pairs(path: str, delimiter: str | None, layout: str) -> np.ndarray:

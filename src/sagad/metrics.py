@@ -49,6 +49,17 @@ def _check_binary(labels: np.ndarray) -> np.ndarray:
     return y
 
 
+def class_counts(labels: np.ndarray) -> tuple[int, int]:
+    """Numbers of positives and negatives in binary ``labels``; SplitError
+    unless both classes are present."""
+    y = np.asarray(labels)
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise SplitError("auroc requires both classes present")
+    return n_pos, n_neg
+
+
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability that a random positive outranks a random negative.
 
@@ -57,10 +68,7 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """
     y = _check_binary(labels)
     s = np.asarray(scores, dtype=np.float64)
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise SplitError("auroc requires both classes present")
+    n_pos, n_neg = class_counts(y)
     ranks = _midranks(s)
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -148,10 +156,7 @@ def evaluate(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> Ev
     s = np.asarray(scores, dtype=np.float64)
     if s.shape != y.shape:
         raise ValueError(f"scores of shape {s.shape} do not match labels of shape {y.shape}")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise SplitError("auroc requires both classes present")
+    n_pos, n_neg = class_counts(y)
     k_used = n_pos if k is None else k
     if k_used <= 0:
         raise ValueError(f"k must be positive, got {k_used}")
@@ -168,23 +173,18 @@ def evaluate(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> Ev
     )
 
 
-def quartile_report(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    node_homophily: np.ndarray,
-    test_ids: np.ndarray,
-) -> QuartileReport:
-    """Metrics per homophily quartile of the test anomalies.
+def quartile_groups(labels: np.ndarray, node_homophily: np.ndarray,
+                    test_ids: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The four homophily quartiles of the test anomalies, and the test normals.
 
     Test anomalies with defined node homophily are sorted descending and
     cut into four equal-count groups (remainder goes to the earlier
-    quartiles).  Each group is evaluated against all test normals.
+    quartiles).  SplitError when there are fewer than 4 of them or no
+    test normals.
     """
     test_ids = np.asarray(test_ids, dtype=np.int64)
     y = np.asarray(labels)
     h = np.asarray(node_homophily, dtype=np.float64)
-    s = np.asarray(scores, dtype=np.float64)
-
     anom = test_ids[(y[test_ids] == 1) & ~np.isnan(h[test_ids])]
     normals = test_ids[y[test_ids] == 0]
     if len(anom) < 4:
@@ -196,25 +196,31 @@ def quartile_report(
 
     anom = anom[np.argsort(-h[anom], kind="stable")]
     base, rem = divmod(len(anom), 4)
-    sizes = [base + (1 if q < rem else 0) for q in range(4)]
-    groups = []
-    start = 0
-    for size in sizes:
-        groups.append(anom[start : start + size])
-        start += size
+    cuts = np.cumsum([base + (1 if q < rem else 0) for q in range(3)])
+    return np.split(anom, cuts), normals
 
+
+def quartile_report(
+    scores: np.ndarray,
+    labels: np.ndarray,
+    node_homophily: np.ndarray,
+    test_ids: np.ndarray,
+) -> QuartileReport:
+    """Metrics per homophily quartile of the test anomalies (see
+    ``quartile_groups``); each group is evaluated against all test normals."""
+    groups, normals = quartile_groups(labels, node_homophily, test_ids)
+    y = np.asarray(labels)
+    s = np.asarray(scores, dtype=np.float64)
     auprcs, aurocs = [], []
     for group in groups:
         ids = np.concatenate([group, normals])
-        grp_scores = s[ids]
-        grp_labels = (y[ids] == 1).astype(np.int64)
-        auprcs.append(average_precision(grp_scores, grp_labels))
-        aurocs.append(auroc(grp_scores, grp_labels))
-
+        report = evaluate(s[ids], (y[ids] == 1).astype(np.int64))
+        auprcs.append(report.auprc)
+        aurocs.append(report.auroc)
     return QuartileReport(
         auprc=auprcs,
         auroc=aurocs,
-        sizes=sizes,
+        sizes=[len(g) for g in groups],
         auprc_gaps=[auprcs[0] - auprcs[q] for q in (1, 2, 3)],
         auroc_gaps=[aurocs[0] - aurocs[q] for q in (1, 2, 3)],
     )

@@ -2,6 +2,8 @@
 
 import gc
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,7 +203,7 @@ class TestGatherFromDisk:
 class TestAtomicWrite:
     def _writers(self):
         """(name, write, others): ``write(d)`` writes the binary file ``d/name``
-        and, outside the codec, the text files ``others``."""
+        and, outside the binary codec, the text files ``others``."""
         from sagad import model
         from sagad.graph import write_dataset
 
@@ -236,6 +238,59 @@ class TestAtomicWrite:
             write(d)  # and a complete write replaces it
             assert path.read_bytes() != b"previous"
             assert sorted(os.listdir(d)) == sorted([name, *others])
+
+    def test_failed_sweep_keeps_the_previous_csv(self, tmp_path, monkeypatch):
+        from sagad import cli, csbm
+
+        real, calls = csbm.separability_experiment, []
+
+        def fail_on_second_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        path = tmp_path / "csbm_sweep.csv"
+        path.write_bytes(b"previous")
+        monkeypatch.setattr(csbm, "separability_experiment", fail_on_second_call)
+        cfg = cli.parse_config(None, {"run_dir": str(tmp_path), "sweep.dims": "8,16",
+                                      "sweep.seeds": "0", "sweep.n": "200"})
+        with pytest.raises(OSError, match="disk full"):
+            cli.dispatch("csbm-sweep", cfg)
+        assert len(calls) == 2
+        assert path.read_bytes() == b"previous"
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_text_write_cut_short_keeps_the_previous_file(self, tmp_path):
+        """A ``score`` whose CSV outgrows the process's file-size limit (EFBIG,
+        as on a full disk) leaves the previous scores file as it was."""
+        from sagad import graph, model
+
+        ds = er_dataset(400, 0.02, 3, seed=9)
+        graph.write_dataset(ds, tmp_path / "data")
+        run = tmp_path / "run"
+        run.mkdir()
+        build_cheb_basis(ds, 3, path=run / "cheb_cache.bin").close()
+        write_context_cache(build_context_cache(ds), run / "context_cache.bin")
+        model.save_checkpoint(init_model(ModelConfig(), 3), run / "checkpoint_0.bin")
+        path = run / "scores_0.csv"
+        path.write_bytes(b"previous")
+        limit = 4096  # above config_score.json, below the ~9 kB of scores
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+                "from sagad.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "score", "--dataset", str(tmp_path / "data"),
+             "--run-dir", str(run), "--batch-size", "16"],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode != 0
+        assert "File too large" in done.stderr
+        assert path.read_bytes() == b"previous"
+        assert not [name for name in os.listdir(run) if name.endswith(".tmp")]
 
     def test_new_file_mode_is_that_of_open(self, tmp_path):
         with cachefile.atomic_file(tmp_path / "a.bin") as f:

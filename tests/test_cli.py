@@ -369,7 +369,8 @@ class TestCorruptCheckpoint:
 
 
 class TestSplitErrors:
-    """A split a command cannot use exits 1 with one error line, before any output."""
+    """A split a command cannot use exits 1 with one error line, before any output
+    and, for eval and quartiles, before any node is scored."""
 
     @pytest.mark.parametrize("command,split,message,outputs", [
         ("train", {"train": [*range(5), *range(40, 60)], "val": [], "test": [*range(100, 400)]},
@@ -379,17 +380,31 @@ class TestSplitErrors:
         ("eval", {"train": [*range(5), *range(40, 60)], "val": [*range(5, 10), *range(60, 80)],
                   "test": [*range(100, 400)]},
          "auroc requires both classes present", ["report.csv", "summary.csv"]),
+        ("eval", {"train": [*range(5), *range(40, 60)], "val": [*range(5, 10), *range(60, 80)],
+                  "test": [10, 11, *range(100, 400)], "unlabeled": [150]},
+         "test split contains unlabeled nodes", ["report.csv", "summary.csv"]),
         ("quartiles", {"train": [*range(5), *range(40, 60)], "val": [*range(5, 10), *range(60, 80)],
                        "test": [10, 11, 12, *range(100, 400)]},
          "need at least 4 test anomalies", ["quartiles.csv"]),
     ])
-    def test_exits_1(self, toy_run, tmp_path, capsys, command, split, message, outputs):
+    def test_exits_1(self, toy_run, tmp_path, capsys, monkeypatch, command, split, message,
+                     outputs):
         data_dir = tmp_path / "data"
         shutil.copytree(toy_run.dataset, data_dir)
-        (data_dir / "splits.json").write_text(json.dumps([split]))
+        unlabeled = split.get("unlabeled", [])
+        (data_dir / "splits.json").write_text(json.dumps([{
+            part: split[part] for part in ("train", "val", "test")}]))
+        labels = np.loadtxt(data_dir / "labels.csv", delimiter=",", dtype=np.int64)
+        np.savetxt(data_dir / "labels.csv", labels[~np.isin(labels[:, 0], unlabeled)],
+                   fmt="%d", delimiter=",")
         cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
         if command != "train":
             shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+
+            def no_scoring(*args, **kwargs):
+                raise AssertionError("scored before the split was checked")
+
+            monkeypatch.setattr(training, "score_all", no_scoring)
         rc = main([command, "--dataset", str(data_dir), "--run-dir", cfg.run_dir,
                    "--max-epochs", "3", "--patience", "3"])
         assert rc == 1
@@ -490,6 +505,15 @@ class TestConfigValues:
          "sweep.dims must be >= 1, got 0"),
         (["csbm-sweep", "--set", "sweep.prior_mode=foo", "--set", "sweep.n=200"],
          "sweep.prior_mode must be one of lda, quoted, none, got 'foo'"),
+        (["csbm-sweep", "--set", "sweep.n=200", "--set", "sweep.anomaly_frac=0.001"],
+         "sweep.anomaly_frac=0.001 gives round(sweep.n * sweep.anomaly_frac) outside [1, 199]; "
+         "both classes need a node"),
+        (["csbm-sweep", "--set", "sweep.n=200", "--set", "sweep.anomaly_frac=0.999"],
+         "sweep.anomaly_frac=0.999 gives round(sweep.n * sweep.anomaly_frac) outside [1, 199]; "
+         "both classes need a node"),
+        (["csbm-sweep", "--set", "sweep.anomaly_frac=1e308"],
+         "sweep.anomaly_frac=1e+308 gives round(sweep.n * sweep.anomaly_frac) outside [1, 3999]; "
+         "both classes need a node"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, argv, message, capsys):
         rc = main([*argv, "--dataset", str(tmp_path / "data"), "--run-dir", str(tmp_path / "run")])

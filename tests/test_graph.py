@@ -19,6 +19,7 @@ from sagad.graph import (
     SplitSet,
     class_homophily,
     edge_homophily,
+    homophily_report,
     load_dataset,
     load_supervision,
     node_homophily,
@@ -297,6 +298,7 @@ class TestNormalizedAdjacency:
         assert np.shares_memory(norm.indices, adj.csr.indices)
         assert np.shares_memory(norm.indptr, adj.csr.indptr)
         np.testing.assert_array_equal(adj.csr.data, 1.0)  # the graph is not rescaled
+        assert adj.csr.data.dtype == np.int8
 
     def test_single_edge(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
@@ -399,6 +401,18 @@ class TestHomophily:
             ]
             assert got == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
+    def test_report_is_one_pass_over_the_edges(self, monkeypatch):
+        ds = er_dataset(60, 0.12, 2, seed=3)
+        real, calls = SparseAdjacency.row_ids, []
+        monkeypatch.setattr(SparseAdjacency, "row_ids", lambda adj: calls.append(1) or real(adj))
+        report = homophily_report(ds)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report.edge_homophily == edge_homophily(ds)
+        np.testing.assert_array_equal(report.node_homophily, node_homophily(ds))
+        assert (report.class_homophily_abnormal,
+                report.class_homophily_normal) == class_homophily(ds)
+
     def test_values_in_unit_interval(self):
         ds = er_dataset(80, 0.1, 2, seed=6)
         assert 0.0 <= edge_homophily(ds) <= 1.0
@@ -423,7 +437,7 @@ def _raw_adjacency(n, offsets, cols):
     csr = sp.csr_matrix((n, n))
     csr.indptr = np.asarray(offsets, dtype=np.int32)
     csr.indices = np.asarray(cols, dtype=np.int32)
-    csr.data = np.ones(len(csr.indices))
+    csr.data = np.ones(len(csr.indices), dtype=np.int8)
     return SparseAdjacency(csr)
 
 
