@@ -55,7 +55,6 @@ def build_cheb_basis(
     dataset: GraphDataset,
     order: int,
     dtype=np.float32,
-    add_self_loops: bool = False,
     path: str | os.PathLike | None = None,
 ) -> ChebBasisCache:
     """Compute T_k(L_hat) X for k = 0..order by the three-term recurrence.
@@ -72,7 +71,7 @@ def build_cheb_basis(
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n, d = dataset.num_nodes, dataset.num_features
-    chunks = _basis_chunks(dataset, order, add_self_loops)
+    chunks = _basis_chunks(dataset, order)
     if path is None:
         blocks = [np.empty((n, d), dtype=dtype) for _ in range(order + 1)]
         for k, lo, rows in chunks:
@@ -87,7 +86,7 @@ def build_cheb_basis(
     return CACHE_FORMAT.open(path, _cache_from_file)
 
 
-def _basis_chunks(dataset: GraphDataset, order: int, add_self_loops: bool):
+def _basis_chunks(dataset: GraphDataset, order: int):
     """Yield (k, lo, rows): rows lo:lo+len(rows) of T_k X in float64, block
     by block and rows ascending (the cache file's order).  ``rows`` is a
     view of a work buffer, valid until the next chunk is asked for.
@@ -99,10 +98,10 @@ def _basis_chunks(dataset: GraphDataset, order: int, add_self_loops: bool):
     chunking.
     """
     adj, n = dataset.adjacency, dataset.num_nodes
-    scaling = degree_scaling(adj, add_self_loops)
+    scaling = degree_scaling(adj)
 
     def a_norm(lo: int, hi: int):
-        return normalized_adjacency(adj, add_self_loops, (lo, hi), scaling)
+        return normalized_adjacency(adj, (lo, hi), scaling)
 
     bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
     # a copy even for f64 features: the buffer is overwritten below
@@ -127,7 +126,6 @@ def _basis_chunks(dataset: GraphDataset, order: int, add_self_loops: bool):
 def dense_spectral_oracle(
     dataset: GraphDataset,
     weights: np.ndarray,
-    add_self_loops: bool = False,
     max_nodes: int = 500,
 ) -> np.ndarray:
     """Reference filter via dense eigendecomposition (test oracle).
@@ -139,7 +137,7 @@ def dense_spectral_oracle(
     if n > max_nodes:
         raise ValueError(f"dense oracle limited to n <= {max_nodes}, got {n}")
     weights = np.asarray(weights, dtype=np.float64)
-    a_norm = normalized_adjacency(dataset.adjacency, add_self_loops).toarray()
+    a_norm = normalized_adjacency(dataset.adjacency).toarray()
     l_hat = -a_norm
     eigvals, eigvecs = np.linalg.eigh(l_hat)
     response = chebyshev_series(weights, eigvals)

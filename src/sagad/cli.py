@@ -1,8 +1,8 @@
 """Command-line surface for the full pipeline.
 
 One declarative JSON config drives every command; flags override file
-values and the fully resolved config is echoed and persisted next to the
-outputs, so a run directory is self-describing and reproducible.
+values and the fully resolved config is persisted next to the outputs, so
+a run directory is self-describing and reproducible.
 """
 
 from __future__ import annotations
@@ -22,20 +22,6 @@ import numpy as np
 
 from . import cachefile, chebyshev, context, csbm, graph, metrics, model, training
 from .errors import CacheFormatError, ConfigError, SagadError
-
-COMMANDS = (
-    "validate",
-    "preprocess",
-    "sample-context",
-    "train",
-    "eval",
-    "score",
-    "synth-csbm",
-    "csbm-sweep",
-    "homophily",
-    "quartiles",
-)
-
 
 @dataclass
 class CsbmSection:
@@ -90,35 +76,15 @@ class SweepSection:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(model.ModelConfig, training.TrainConfig):
+    """Every config key: the model and training sections' fields, which it
+    inherits, and the keys of the commands themselves, declared here."""
+
     dataset: str = ""
     run_dir: str = ""
     split_index: int = 0
-    add_self_loops: bool = False
-    # model
-    K: int = 3
-    p_a: float = 0.1
-    p_n: float = 0.9
-    fusion_mode: str = "adaptive"
-    context_mode: str = "rq"
-    filter_mode: str = "dual"
-    use_fpg: bool = True
-    seed: int = 0
-    hidden_dim: int = 64
-    mlp_depth: int = 2
-    activation: str = "relu"
-    normalization: str = "none"
-    dropout: float = 0.0
-    share_gamma: bool = True
-    # training
-    lr: float = 0.01
-    weight_decay: float = 0.0
-    max_epochs: int = 1000
-    patience: int = 50
     # scoring batch in rows: bounds the memory of eval, score and quartiles
     batch_size: int = 1024
-    clamp_eps: float = 1e-7
-    beta_override: float | None = None
     # context sampler: candidate cap per node
     cap: int = 64
     # nested sections
@@ -136,8 +102,8 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(section)}
 
     def validate(self) -> None:
-        self.model_config().validate()
-        self.train_config().validate()
+        model.ModelConfig.validate(self)
+        training.TrainConfig.validate(self)
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
         if self.batch_size < 1:
@@ -181,7 +147,6 @@ def _coerce(value, target_type, key: str):
     return value
 
 
-_OPTIONAL_FLOAT_KEYS = {"beta_override"}
 _LIST_KEYS = {"dims", "seeds"}
 
 
@@ -195,11 +160,6 @@ def _apply_mapping(cfg, mapping: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{prefix}{key} must be an object")
             _apply_mapping(current, value, prefix=f"{key}.")
-        elif key in _OPTIONAL_FLOAT_KEYS:
-            if value is None or (isinstance(value, str) and value.lower() == "none"):
-                setattr(cfg, key, None)
-            else:
-                setattr(cfg, key, _number(value, float, f"{prefix}{key}"))
         elif key in _LIST_KEYS:
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v]
@@ -255,21 +215,27 @@ def _require_file(path: str, hint: str) -> str:
 
 
 def _cheb_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.run_dir, "cheb_cache.bin")
+    return os.path.join(_run_dir(cfg), "cheb_cache.bin")
 
 
 def _context_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.run_dir, "context_cache.bin")
+    return os.path.join(_run_dir(cfg), "context_cache.bin")
 
 
 def _checkpoint_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.run_dir, f"checkpoint_{cfg.split_index}.bin")
+    return os.path.join(_run_dir(cfg), f"checkpoint_{cfg.split_index}.bin")
 
 
 def _dataset_dir(cfg: RunConfig) -> str:
     if not cfg.dataset:
         raise ConfigError("no dataset path configured (set 'dataset')")
     return cfg.dataset
+
+
+def _run_dir(cfg: RunConfig) -> str:
+    if not cfg.run_dir:
+        raise ConfigError("no run directory configured (set 'run_dir')")
+    return cfg.run_dir
 
 
 def _load_dataset(cfg: RunConfig) -> graph.GraphDataset:
@@ -364,22 +330,20 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 
 def _cmd_preprocess(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg)
-    os.makedirs(cfg.run_dir, exist_ok=True)
-    with chebyshev.build_cheb_basis(dataset, cfg.K, add_self_loops=cfg.add_self_loops,
-                                    path=_cheb_path(cfg)) as cache:
-        print(f"wrote {_cheb_path(cfg)} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
+    path = _cheb_path(cfg)
+    with chebyshev.build_cheb_basis(_load_dataset(cfg), cfg.K, path=path) as cache:
+        print(f"wrote {path} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
     return 0
 
 
 def _cmd_sample_context(cfg: RunConfig) -> int:
     if cfg.context_mode == "features_only":
         raise ConfigError("context_mode features_only does not use a context cache")
+    path = _context_path(cfg)
     dataset = _load_dataset(cfg)
     cache = context.build_context_cache(dataset, cap=cfg.cap, seed=cfg.seed, mode=cfg.context_mode)
-    os.makedirs(cfg.run_dir, exist_ok=True)
-    context.write_context_cache(cache, _context_path(cfg))
-    print(f"wrote {_context_path(cfg)} (mode={cfg.context_mode}, n={cache.num_nodes})")
+    context.write_context_cache(cache, path)
+    print(f"wrote {path} (mode={cfg.context_mode}, n={cache.num_nodes})")
     return 0
 
 
@@ -392,7 +356,7 @@ def _cmd_train(cfg: RunConfig) -> int:
             sup.labels, cheb, ctx, model_config, cfg.train_config(), split
         )
     model.save_checkpoint(state, _checkpoint_path(cfg))
-    cachefile.write_text(os.path.join(cfg.run_dir, f"history_{cfg.split_index}.csv"), [
+    cachefile.write_text(os.path.join(_run_dir(cfg), f"history_{cfg.split_index}.csv"), [
         "epoch,train_loss,val_auprc\n",
         *(f"{rec.epoch},{rec.train_loss!r},{rec.val_auprc!r}\n" for rec in history),
     ])
@@ -415,9 +379,9 @@ def _cmd_eval(cfg: RunConfig) -> int:
     metrics.class_counts(y_test)
     report = metrics.evaluate(_score_nodes(cfg, sup)[test_ids], y_test)
     # one row per EvalReport field: auroc, auprc, rec_at_k, k_used
-    rows = _update_report_csv(os.path.join(cfg.run_dir, "report.csv"), cfg.split_index,
+    rows = _update_report_csv(os.path.join(_run_dir(cfg), "report.csv"), cfg.split_index,
                               dataclasses.asdict(report).items())
-    _write_summary_csv(rows, os.path.join(cfg.run_dir, "summary.csv"))
+    _write_summary_csv(rows, os.path.join(_run_dir(cfg), "summary.csv"))
     print(
         f"split {cfg.split_index}: AUROC {report.auroc:.4f}  AUPRC {report.auprc:.4f}  "
         f"Rec@{report.k_used} {report.rec_at_k:.4f}"
@@ -443,10 +407,16 @@ def _update_report_csv(path: str, split_index: int,
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as f:
             next(f, None)
-            for line in f:
-                parts = line.rstrip("\n").split(",")
-                if len(parts) == 3 and int(parts[0]) != split_index:
-                    existing.append((int(parts[0]), parts[1], parts[2]))
+            for number, line in enumerate(f, 2):
+                try:
+                    split_i, name, value = line.rstrip("\n").split(",")
+                    split_i, _ = int(split_i), float(value)
+                except ValueError:
+                    raise CacheFormatError(
+                        f"{path} line {number}: expected 'split,metric,value' with an integer "
+                        f"split and a number, got {line!r}") from None
+                if split_i != split_index:
+                    existing.append((split_i, name, value))
     for name, value in rows:
         existing.append((split_index, name, repr(float(value))))
     existing.sort(key=lambda r: (r[0], r[1]))
@@ -458,7 +428,7 @@ def _update_report_csv(path: str, split_index: int,
 
 def _cmd_score(cfg: RunConfig) -> int:
     scores = _score_nodes(cfg)
-    out_path = os.path.join(cfg.run_dir, f"scores_{cfg.split_index}.csv")
+    out_path = os.path.join(_run_dir(cfg), f"scores_{cfg.split_index}.csv")
     # Python floats: repr is the shortest round-trip form.  Rows are
     # formatted one batch at a time, so the text never holds all n rows.
     cachefile.write_text(out_path, itertools.chain(["node_id,score\n"], (
@@ -498,7 +468,7 @@ def _cmd_quartiles(cfg: RunConfig) -> int:
     metrics.quartile_groups(dataset.labels, node_h, split.test)
     report = metrics.quartile_report(_score_nodes(cfg, dataset), dataset.labels, node_h,
                                      np.asarray(split.test))
-    path = os.path.join(cfg.run_dir, "quartiles.csv")
+    path = os.path.join(_run_dir(cfg), "quartiles.csv")
     cachefile.write_text(path, [
         "group,auprc,auroc\n",
         *(f"Q{q + 1},{report.auprc[q]!r},{report.auroc[q]!r}\n" for q in range(4)),
@@ -541,8 +511,7 @@ def _cmd_synth_csbm(cfg: RunConfig) -> int:
 
 
 def _cmd_csbm_sweep(cfg: RunConfig) -> int:
-    if not cfg.run_dir:
-        raise ConfigError("csbm-sweep requires run_dir for its output CSV")
+    path = os.path.join(_run_dir(cfg), "csbm_sweep.csv")
     sw = cfg.sweep
     rows = ["seed,d,n,p1,q1,p2,q2,pi_a,regime_frac,kappa_eff,margin_value,"
             "accuracy,acc_anomaly,acc_normal\n"]
@@ -560,7 +529,6 @@ def _cmd_csbm_sweep(cfg: RunConfig) -> int:
                 f"{res.margin_value!r},{res.accuracy!r},{res.acc_anomaly!r},"
                 f"{res.acc_normal!r}\n"
             )
-    path = os.path.join(cfg.run_dir, "csbm_sweep.csv")
     cachefile.write_text(path, rows)
     print(f"wrote {path}")
     return 0
@@ -581,10 +549,9 @@ _HANDLERS = {
 
 
 def dispatch(command: str, cfg: RunConfig) -> int:
-    """Run one pipeline command; echo and persist the resolved config."""
+    """Run one pipeline command; persist the resolved config first."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command: {command}")
-    print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
     _persist_config(cfg, command.replace("-", "_"))
     return _HANDLERS[command](cfg)
 
@@ -594,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sagad",
         description="Spectral graph anomaly detection pipeline",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument(
         "--set",

@@ -221,40 +221,35 @@ class HomophilyReport:
 # ---------------------------------------------------------------------------
 
 
-def degree_scaling(adj: SparseAdjacency, add_self_loops: bool = False) -> np.ndarray:
-    """D^{-1/2} of A, or of A + I: one f64 per node, 0 for an isolated node."""
+def degree_scaling(adj: SparseAdjacency) -> np.ndarray:
+    """D^{-1/2} of A: one f64 per node, 0 for an isolated node."""
     # the values are all 1, so a degree is an entry count
-    deg = np.diff(adj.row_offsets).astype(np.float64) + int(add_self_loops)
+    deg = np.diff(adj.row_offsets).astype(np.float64)
     with np.errstate(divide="ignore"):
         return np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
 
 
-def normalized_adjacency(adj: SparseAdjacency, add_self_loops: bool = False,
-                         rows: tuple[int, int] | None = None,
+def normalized_adjacency(adj: SparseAdjacency, rows: tuple[int, int] | None = None,
                          scaling: np.ndarray | None = None):
-    """Symmetric normalization D^{-1/2} A D^{-1/2}, or of A + I with
-    ``add_self_loops``, as a CSR over the same index arrays as its operand.
+    """Symmetric normalization D^{-1/2} A D^{-1/2}, as a CSR over the same
+    index arrays as its operand.
 
     ``rows=(lo, hi)`` gives rows lo:hi only, as a (hi - lo, n) CSR whose
     values are formed for those rows alone, over the graph's index slices.
-    ``scaling`` is ``degree_scaling(adj, add_self_loops)``, passed by a
-    caller that asks for many row chunks so it is computed once.  Rows and
-    columns of isolated nodes stay all-zero (they have no entries).
+    ``scaling`` is ``degree_scaling(adj)``, passed by a caller that asks
+    for many row chunks so it is computed once.  Rows and columns of
+    isolated nodes stay all-zero (they have no entries).
     """
     import scipy.sparse as sp
 
     csr, n = adj.csr, adj.num_nodes
     lo, hi = (0, n) if rows is None else rows
     if scaling is None:
-        scaling = degree_scaling(adj, add_self_loops)
+        scaling = degree_scaling(adj)
     start, stop = csr.indptr[lo], csr.indptr[hi]
     indices, indptr = csr.indices[start:stop], csr.indptr[lo : hi + 1]
     if start:
         indptr = indptr - start
-    if add_self_loops:
-        a = sp.csr_matrix((csr.data[start:stop], indices, indptr), shape=(hi - lo, n), copy=False)
-        a = a + sp.eye(hi - lo, n, k=lo, format="csr")
-        indices, indptr = a.indices, a.indptr
     vals = np.repeat(scaling[lo:hi], np.diff(indptr)) * scaling[indices]
     return sp.csr_matrix((vals, indices, indptr), shape=(hi - lo, n), copy=False)
 
@@ -339,24 +334,37 @@ def _dataset_file(directory: str, name: str) -> str:
     return path
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise DatasetFormatError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _read_meta(directory: str) -> dict:
-    with open(_dataset_file(directory, "meta.json"), "r", encoding="utf-8") as f:
-        meta = json.load(f)
+    meta = _read_json(_dataset_file(directory, "meta.json"))
+    if not isinstance(meta, dict):
+        raise DatasetFormatError("meta.json must hold a JSON object")
     for key in ("name", "num_nodes", "num_features"):
         if key not in meta:
             raise DatasetFormatError(f"meta.json missing key '{key}'")
+    for key in ("num_nodes", "num_features"):
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise DatasetFormatError(f"meta.json: {key} must be an integer >= 0, got {value!r}")
     return meta
 
 
 def _read_supervision(directory: str, meta: dict) -> Supervision:
-    n = int(meta["num_nodes"])
+    n = meta["num_nodes"]
     labels = _read_labels_csv(_dataset_file(directory, "labels.csv"), n)
     splits = _read_splits_json(_dataset_file(directory, "splits.json"))
     _validate_supervision(n, labels, splits)
     return Supervision(
         name=str(meta["name"]),
         num_nodes=n,
-        num_features=int(meta["num_features"]),
+        num_features=meta["num_features"],
         labels=labels,
         splits=splits,
     )
@@ -383,7 +391,7 @@ def load_dataset(directory: str | os.PathLike) -> GraphDataset:
     """
     directory = os.fspath(directory)
     meta = _read_meta(directory)
-    n, d = int(meta["num_nodes"]), int(meta["num_features"])
+    n, d = meta["num_nodes"], meta["num_features"]
 
     edges = _read_edges_tsv(_dataset_file(directory, "edges.tsv"))
     adjacency = SparseAdjacency.from_edges(n, edges)
@@ -511,8 +519,7 @@ def _read_labels_csv(path: str, num_nodes: int) -> np.ndarray:
 
 
 def _read_splits_json(path: str) -> list[SplitSet]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise DatasetFormatError("splits.json must hold an array of split objects")
     splits = []
@@ -525,6 +532,6 @@ def _read_splits_json(path: str) -> list[SplitSet]:
                     test=np.asarray(entry["test"], dtype=np.int64),
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatasetFormatError(f"splits.json entry {i}: {exc}") from exc
     return splits

@@ -50,12 +50,8 @@ class TrainConfig:
     weight_decay: float = 0.0
     max_epochs: int = 1000
     patience: int = 50
-    clamp_eps: float = 1e-7
-    beta_override: float | None = None
 
     def validate(self) -> None:
-        if not 0.0 < self.clamp_eps < 0.5:
-            raise ConfigError(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
         if self.patience > self.max_epochs:
             raise ConfigError("patience must not exceed max_epochs")
         if self.patience < 1:
@@ -66,8 +62,6 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
-        if self.beta_override is not None and not self.beta_override > 0:
-            raise ConfigError(f"beta_override must be positive, got {self.beta_override}")
 
 
 @dataclass
@@ -178,13 +172,12 @@ def objective_terms(
     (None without FPG).
     """
     cfg = state.config
-    eps = train_config.clamp_eps
-    loss, d_yhat = bce_loss_grad(yhat, labels, beta, eps)
+    loss, d_yhat = bce_loss_grad(yhat, labels, beta)
     d_cbar = None
     if cfg.use_fpg:
         if cbar is None:
             raise ValueError("use_fpg requires fusion coefficients in the forward pass")
-        fpg, d_cbar = fpg_loss_grad(cbar, labels, beta, cfg.p_a, cfg.p_n, eps)
+        fpg, d_cbar = fpg_loss_grad(cbar, labels, beta, cfg.p_a, cfg.p_n)
         loss += fpg
     objective = loss
     if train_config.weight_decay:
@@ -277,11 +270,7 @@ def train(
     if train_ids.size == 0 or val_ids.size == 0:
         raise SplitError("train and val splits must be non-empty")
 
-    beta = (
-        train_config.beta_override
-        if train_config.beta_override is not None
-        else compute_beta(split, labels)
-    )
+    beta = compute_beta(split, labels)
     y_train = labels[train_ids].astype(np.float64)
     y_val = labels[val_ids].astype(np.float64)
 

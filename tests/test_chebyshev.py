@@ -155,19 +155,6 @@ class TestCacheFile:
             assert (loaded.num_nodes, loaded.dim, loaded.order) == (12, 2, 2)
 
 
-class TestSelfLoops:
-    def test_self_loop_flag_changes_operator_consistently(self):
-        ds = er_dataset(30, 0.2, 3, seed=10)
-        rng = np.random.default_rng(0)
-        w = rng.uniform(0, 1, 4)
-        cache = build_cheb_basis(ds, 3, dtype=np.float64, add_self_loops=True)
-        combo = sum(w[k] * cache.blocks[k] for k in range(4))
-        oracle = dense_spectral_oracle(ds, w, add_self_loops=True)
-        np.testing.assert_allclose(combo, oracle, atol=1e-9)
-        plain = build_cheb_basis(ds, 3, dtype=np.float64)
-        assert not np.allclose(cache.blocks[1], plain.blocks[1])
-
-
 class TestGrowthBound:
     def test_blocks_do_not_blow_up(self):
         # unit-norm feature columns; |T_k| <= 1 on [-1,1] bounds each block
@@ -178,12 +165,10 @@ class TestGrowthBound:
             assert np.max(np.abs(block)) <= 10.0, f"block {k} exploded"
 
 
-def whole_matrix_basis(ds, order, add_self_loops=False):
+def whole_matrix_basis(ds, order):
     """The recurrence over the whole normalized matrix, three f64 buffers and
     f32 blocks (test oracle for the row-chunked one)."""
     a = ds.adjacency.csr
-    if add_self_loops:
-        a = a + sp.identity(a.shape[0], format="csr")
     counts = np.diff(a.indptr)
     deg = counts.astype(np.float64)
     with np.errstate(divide="ignore"):
@@ -218,19 +203,18 @@ def _graphs():
 class TestStreamedBasis:
     @pytest.mark.parametrize("name", ["isolated", "edgeless", "er"])
     @pytest.mark.parametrize("chunk", ["1", "7", "n", "n+5"])
-    @pytest.mark.parametrize("loops", [False, True])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_file_is_byte_identical_to_whole_matrix(self, tmp_path, monkeypatch, name, chunk,
-                                                    loops, order):
+                                                    order):
         ds = _graphs()[name]
         n = ds.num_nodes
         monkeypatch.setattr(chebyshev, "_CHUNK_ROWS", {"1": 1, "7": 7, "n": n, "n+5": n + 5}[chunk])
-        write_cache(whole_matrix_basis(ds, order, loops), tmp_path / "oracle.bin")
-        with build_cheb_basis(ds, order, add_self_loops=loops, path=tmp_path / "c.bin") as disk:
+        write_cache(whole_matrix_basis(ds, order), tmp_path / "oracle.bin")
+        with build_cheb_basis(ds, order, path=tmp_path / "c.bin") as disk:
             assert (disk.order, disk.num_nodes, disk.dim) == (order, n, ds.num_features)
         assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
         # the in-memory sink collects the same chunks
-        write_cache(build_cheb_basis(ds, order, add_self_loops=loops), tmp_path / "mem.bin")
+        write_cache(build_cheb_basis(ds, order), tmp_path / "mem.bin")
         assert (tmp_path / "mem.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
 
     def test_f64_features_are_not_overwritten(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -48,6 +49,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("add_self_loops", "false"), ("clamp_eps", "1e-7"), ("beta_override", "2"),
+    ])
+    def test_deleted_keys_are_rejected(self, tmp_path, capsys, key, value):
+        with pytest.raises(SystemExit) as err:
+            main(["validate", f"--{key.replace('_', '-')}", value])
+        assert err.value.code == 2
+        capsys.readouterr()
+        config = write_config(tmp_path, {key: value})
+        for argv in (["--config", config], ["--set", f"{key}={value}"]):
+            assert main(["validate", *argv]) == 1
+            assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
+
     def test_unknown_nested_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"csbm": {"bogus": 1}})
         with pytest.raises(ConfigError, match="csbm.bogus"):
@@ -79,11 +93,16 @@ class TestConfigDerivation:
             missing = {f.name for f in dataclasses.fields(section)} - keys
             assert not missing, f"{section.__name__} fields without a RunConfig key: {missing}"
 
+    def test_section_fields_are_declared_once(self):
+        own = set(cli.RunConfig.__annotations__)  # this class's declarations only
+        for section in (model.ModelConfig, training.TrainConfig):
+            assert not own & {f.name for f in dataclasses.fields(section)}
+
     def test_values_reach_the_sections(self):
         cfg = parse_config(None, {"hidden_dim": "8", "dropout": "0.25", "lr": "0.5",
-                                  "beta_override": "2", "use_fpg": "false"})
+                                  "patience": "7", "use_fpg": "false"})
         assert cfg.model_config() == model.ModelConfig(hidden_dim=8, dropout=0.25, use_fpg=False)
-        assert cfg.train_config() == training.TrainConfig(lr=0.5, beta_override=2.0)
+        assert cfg.train_config() == training.TrainConfig(lr=0.5, patience=7)
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +446,44 @@ class TestSplitErrors:
         assert not (tmp_path / "data").exists()
 
 
+class TestMissingRunDir:
+    @pytest.mark.parametrize("command", ["preprocess", "sample-context", "train", "eval", "score",
+                                         "quartiles", "csbm-sweep"])
+    def test_exits_1(self, toy_run, capsys, command):
+        assert main([command, "--dataset", toy_run.dataset]) == 1
+        assert capsys.readouterr().err == "error: no run directory configured (set 'run_dir')\n"
+
+
+class TestMalformedInputs:
+    """A dataset file or report.csv that does not parse exits 1 with one
+    error line naming the file, before any output is written."""
+
+    @pytest.mark.parametrize("name,content,message", [
+        ("meta.json", "{not json", "meta.json is not valid JSON"),
+        ("meta.json", json.dumps({"name": "toy", "num_nodes": "4OO", "num_features": 16}),
+         "meta.json: num_nodes must be an integer >= 0, got '4OO'"),
+        ("meta.json", json.dumps({"name": "toy", "num_nodes": -1, "num_features": 16}),
+         "meta.json: num_nodes must be an integer >= 0, got -1"),
+        ("splits.json", "[{", "splits.json is not valid JSON"),
+        ("splits.json", json.dumps([{"train": ["a"], "val": [], "test": []}]),
+         "splits.json entry 0: invalid literal"),
+        ("report.csv", "split,metric,value\nzero,auroc,0.5\n", "report.csv line 2: expected"),
+    ], ids=["meta-not-json", "meta-text-num-nodes", "meta-negative-num-nodes",
+            "splits-not-json", "splits-text-id", "report-text-split"])
+    def test_eval_exits_1(self, toy_run, tmp_path, capsys, name, content, message):
+        data_dir = tmp_path / "data"
+        shutil.copytree(toy_run.dataset, data_dir)
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+        directory = cfg.run_dir if name == "report.csv" else data_dir
+        with open(os.path.join(directory, name), "w") as f:
+            f.write(content)
+        assert main(["eval", "--dataset", str(data_dir), "--run-dir", cfg.run_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not os.path.exists(os.path.join(cfg.run_dir, "summary.csv"))
+
+
 class TestSynthCsbmFiles:
     def test_regimes_match_line_at_a_time_writer(self, toy_run):
         regimes = csbm.generate_csbm(toy_run.csbm.to_params()).regimes
@@ -482,9 +539,9 @@ class TestBenchmarkSpans:
 
 class TestConfigValues:
     @pytest.mark.parametrize("flag,value,key", [
-        ("--cap", "abc", "cap"), ("--lr", "x", "lr"), ("--beta-override", "x", "beta_override"),
+        ("--cap", "abc", "cap"), ("--lr", "x", "lr"),
         ("--lr", "nan", "lr"), ("--weight-decay", "nan", "weight_decay"),
-        ("--beta-override", "inf", "beta_override"),
+        ("--lr", "inf", "lr"),
     ])
     def test_non_numeric_flag_exits_1(self, flag, value, key, capsys):
         assert main(["validate", flag, value]) == 1
@@ -499,7 +556,6 @@ class TestConfigValues:
         (["train", "--hidden-dim", "-3"], "hidden_dim must be >= 1, got -3"),
         (["train", "--patience", "0"], "patience must be >= 1, got 0"),
         (["train", "--patience", "-2"], "patience must be >= 1, got -2"),
-        (["train", "--beta-override", "-1"], "beta_override must be positive, got -1.0"),
         (["csbm-sweep", "--set", "sweep.dims=4,0", "--set", "sweep.n=200",
           "--set", "sweep.seeds=0"],
          "sweep.dims must be >= 1, got 0"),
@@ -522,7 +578,7 @@ class TestConfigValues:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("payload", [
-        {"K": "three"}, {"beta_override": [1]}, {"sweep": {"dims": "16,x"}},
+        {"K": "three"}, {"lr": [1]}, {"sweep": {"dims": "16,x"}},
         {"sweep": {"seeds": [1, "a"]}}, {"sweep": {"seeds": 3}},
     ])
     def test_non_numeric_file_value_rejected(self, tmp_path, payload):
@@ -723,6 +779,17 @@ class TestReadmeExample:
         assert args.dataset and args.run_dir
 
 
+class TestReadmeConfigTable:
+    def test_table_names_every_key(self):
+        table = read(README).split("### Key config fields", 1)[1].split("\n## ", 1)[0]
+        named = set()
+        for row in table.splitlines():
+            if row.startswith("| `"):
+                named.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        keys = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"csbm", "sweep"}
+        assert named == keys | {"csbm.*", "sweep.*"}
+
+
 class TestCsbmSweep:
     def test_sweep_writes_csv(self, tmp_path):
         cfg = parse_config(None, {
@@ -754,10 +821,11 @@ class TestMainEntry:
 
     def test_flag_override_wins(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"lr": 0.001, "dataset": str(tmp_path / "d")})
-        rc = main(["validate", "--config", cfg_path, "--lr", "0.05"])
-        out = capsys.readouterr().out
-        assert '"lr": 0.05' in out
-        assert rc == 1  # dataset directory does not exist; config echo still ran
+        rc = main(["validate", "--config", cfg_path, "--lr", "0.05",
+                   "--run-dir", str(tmp_path / "run")])
+        assert rc == 1  # dataset directory does not exist; the config was still written
+        assert json.loads(read(tmp_path / "run" / "config_validate.json"))["lr"] == 0.05
+        assert capsys.readouterr().out == ""
 
     def test_set_flag_nested(self, capsys):
         rc = main(["csbm-sweep", "--set", "sweep.dims=16", "--set", "sweep.seeds=0"])

@@ -316,15 +316,14 @@ class TestNormalizedAdjacency:
         dense = normalized_adjacency(path3.adjacency).toarray()
         assert dense[0][1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
-    @pytest.mark.parametrize("loops", [False, True])
-    def test_row_chunks_stack_to_the_whole_matrix(self, loops):
+    def test_row_chunks_stack_to_the_whole_matrix(self):
         # isolated nodes 30..34; chunks of 7 rows do not divide 35
         adj = make_dataset(np.argwhere(np.triu(np.random.default_rng(2).random((30, 30)) < 0.2, 1)),
                            [[0.0]] * 35, [0] * 35).adjacency
-        whole = normalized_adjacency(adj, loops)
-        scaling = graph.degree_scaling(adj, loops)
+        whole = normalized_adjacency(adj)
+        scaling = graph.degree_scaling(adj)
         for given in (None, scaling):
-            chunks = [normalized_adjacency(adj, loops, (lo, min(lo + 7, 35)), given)
+            chunks = [normalized_adjacency(adj, (lo, min(lo + 7, 35)), given)
                       for lo in range(0, 35, 7)]
             stacked = sp.vstack(chunks, format="csr")
             np.testing.assert_array_equal(stacked.indptr, whole.indptr)
@@ -419,16 +418,6 @@ class TestHomophily:
         h = node_homophily(ds)
         defined = h[~np.isnan(h)]
         assert np.all((defined >= 0) & (defined <= 1))
-
-
-class TestSelfLoops:
-    def test_self_loops_normalize_a_plus_identity(self):
-        # A + I of one edge is all ones; every degree is 2, so every entry is 1/2
-        ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
-        dense = normalized_adjacency(ds.adjacency, add_self_loops=True).toarray()
-        np.testing.assert_allclose(dense, np.full((2, 2), 0.5), rtol=1e-15)
-        # the graph itself keeps no self-loop
-        np.testing.assert_array_equal(ds.adjacency.csr.diagonal(), 0.0)
 
 
 def _raw_adjacency(n, offsets, cols):

@@ -35,10 +35,10 @@ from conftest import er_dataset
 EPS = 1e-7
 
 
-def data_loss(yhat, cbar, labels, beta, cfg, eps):
+def data_loss(yhat, cbar, labels, beta, cfg):
     """The objective's data loss (BCE, plus FPG when enabled), no weight decay."""
     state = init_model(cfg, 1)
-    return objective_terms(state, yhat, cbar, labels, beta, TrainConfig(clamp_eps=eps))[0]
+    return objective_terms(state, yhat, cbar, labels, beta, TrainConfig())[0]
 
 
 class TestComputeBeta:
@@ -126,7 +126,7 @@ class TestTotalLoss:
         cfg = ModelConfig(use_fpg=False)
         yhat = np.asarray([0.3, 0.6])
         labels = np.asarray([1, 0])
-        assert data_loss(yhat, None, labels, 0.5, cfg, EPS) == bce_loss_grad(yhat, labels, 0.5, EPS)[0]
+        assert data_loss(yhat, None, labels, 0.5, cfg) == bce_loss_grad(yhat, labels, 0.5, EPS)[0]
 
     def test_sum_of_hand_cases(self):
         # the two sub-loss oracles add: 0.43322 + 0.69315 = 1.12637
@@ -143,14 +143,14 @@ class TestTotalLoss:
         cbar = np.asarray([0.4, 0.6, 0.5])
         labels = np.asarray([1, 0, 0])
         expected = bce_loss_grad(yhat, labels, 0.5, EPS)[0] + fpg_loss_grad(cbar, labels, 0.5, 0.1, 0.9, EPS)[0]
-        assert data_loss(yhat, cbar, labels, 0.5, cfg, EPS) == pytest.approx(expected, abs=1e-12)
+        assert data_loss(yhat, cbar, labels, 0.5, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_objective_adds_the_weight_decay_term(self):
         cfg = ModelConfig(use_fpg=False)
         state = init_model(cfg, 2)
         yhat, labels = np.asarray([0.3, 0.6]), np.asarray([1, 0])
         loss, objective, _, _ = objective_terms(
-            state, yhat, None, labels, 0.5, TrainConfig(weight_decay=0.1, clamp_eps=EPS)
+            state, yhat, None, labels, 0.5, TrainConfig(weight_decay=0.1)
         )
         sq = sum(float(np.sum(p * p)) for _, p in iter_params(state))
         assert loss == bce_loss_grad(yhat, labels, 0.5, EPS)[0]
@@ -159,7 +159,7 @@ class TestTotalLoss:
     def test_requires_cbar_when_enabled(self):
         cfg = ModelConfig(use_fpg=True)
         with pytest.raises(ValueError, match="fusion"):
-            data_loss(np.asarray([0.5]), None, np.asarray([0]), 1.0, cfg, EPS)
+            data_loss(np.asarray([0.5]), None, np.asarray([0]), 1.0, cfg)
 
 
 class TestAdam:
@@ -432,17 +432,12 @@ class TestTrainLoop:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(patience=10, max_epochs=5).validate()
-        with pytest.raises(ConfigError):
-            TrainConfig(clamp_eps=0.7).validate()
 
     @pytest.mark.parametrize(("fields", "message"), [
         ({"patience": 0}, "patience must be >= 1, got 0"),
         ({"patience": -2}, "patience must be >= 1, got -2"),
-        ({"beta_override": 0.0}, "beta_override must be positive"),
-        ({"beta_override": -1.0}, "beta_override must be positive"),
-        ({"beta_override": math.nan}, "beta_override must be positive"),
     ])
-    def test_patience_and_beta_override_bounds(self, fields, message):
+    def test_patience_bounds(self, fields, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**fields).validate()
 
