@@ -197,11 +197,20 @@ def _graphs():
         "isolated": make_dataset(edges, rng.standard_normal((23, 4)), [0] * 23),
         "edgeless": make_dataset(np.zeros((0, 2)), rng.standard_normal((9, 3)), [0] * 9),
         "er": er_dataset(40, 0.15, 5, seed=12),
+        # one hub row spans every chunk's columns; degrees 1 and 29 meet in each entry
+        "star": make_dataset([[0, v] for v in range(1, 30)], rng.standard_normal((30, 3)),
+                             [0] * 30),
+        # bipartite: the spectrum reaches -1, and T_k X carries signal k hops across chunks
+        "path": make_dataset([[v, v + 1] for v in range(30)], rng.standard_normal((31, 2)),
+                             [0] * 31),
+        # every row is full, so each chunk reads all n columns of the previous block
+        "complete": make_dataset(np.argwhere(np.triu(np.ones((12, 12)), 1)),
+                                 rng.standard_normal((12, 3)), [0] * 12),
     }
 
 
 class TestStreamedBasis:
-    @pytest.mark.parametrize("name", ["isolated", "edgeless", "er"])
+    @pytest.mark.parametrize("name", ["isolated", "edgeless", "er", "star", "path", "complete"])
     @pytest.mark.parametrize("chunk", ["1", "7", "n", "n+5"])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_file_is_byte_identical_to_whole_matrix(self, tmp_path, monkeypatch, name, chunk,
