@@ -76,9 +76,7 @@ def build_cheb_basis(
         blocks = [np.empty((n, d), dtype=dtype) for _ in range(order + 1)]
         for k, lo, rows in chunks:
             blocks[k][lo : lo + len(rows)] = rows
-        cache = ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks)
-        cache.validate()
-        return cache
+        return ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks)
     if np.dtype(dtype) != np.float32:
         raise ValueError(f"a basis cache file holds float32 blocks, not {np.dtype(dtype)}")
     CACHE_FORMAT.write(path, (n, d, order, _DTYPE_F32), ((rows, "<f4") for _, _, rows in chunks))
@@ -195,9 +193,7 @@ def _cache_from_file(file: CacheFile) -> ChebBasisCache:
         raise CacheFormatError(f"unsupported dtype code {dtype_code}")
     file.expect_payload((order + 1) * n * d * 4)
     blocks = [CacheRows(file, file.payload_offset + k * n * d * 4, n, d) for k in range(order + 1)]
-    cache = ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks, file=file)
-    cache.validate()
-    return cache
+    return ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks, file=file)
 
 
 def expected_cache_bytes(order: int, num_nodes: int, dim: int) -> int:

@@ -109,7 +109,8 @@ class RunConfig(model.ModelConfig, training.TrainConfig):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         c, sw = self.csbm, self.sweep
-        minimums = [("csbm.seed", c.seed, 0)] + [("sweep.seeds", s, 0) for s in sw.seeds]
+        minimums = [("csbm.seed", c.seed, 0), ("csbm.dim", c.dim, 1)]
+        minimums += [("sweep.seeds", s, 0) for s in sw.seeds]
         minimums += [("sweep.dims", d, 1) for d in sw.dims]
         for key, value, low in minimums:
             if value < low:

@@ -285,10 +285,8 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
         context, sizes = _rq_context(dataset, x, cap, seed)
     else:
         raise ValueError(f"unknown context mode {mode!r}")
-    cache = ContextCache(num_nodes=n, dim=dataset.num_features, context=context,
-                         subgraph_size=sizes)
-    cache.validate()
-    return cache
+    return ContextCache(num_nodes=n, dim=dataset.num_features, context=context,
+                        subgraph_size=sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,6 @@ class SeparabilityResult:
     mean_margin_misfiltered: float
     kappa_eff: float
     margin_value: float
-    n_excluded: int
     clipped_pairs: int
     separator: SeparatorSpec | None
 
@@ -363,7 +362,7 @@ def separability_experiment(
 
     Also classifies an all-low-pass variant (heterophilic nodes
     misfiltered) to expose the margin degradation.  Nodes with no ego
-    out-edges are excluded and counted.
+    out-edges are excluded.
     """
     params.validate()
     sample = generate_csbm(params, include_ego=True)
@@ -385,7 +384,6 @@ def separability_experiment(
             mean_margin_misfiltered=0.0,
             kappa_eff=kappa_eff(params),
             margin_value=0.0,
-            n_excluded=0,
             clipped_pairs=sample.clipped_pairs,
             separator=None,
         )
@@ -420,7 +418,6 @@ def separability_experiment(
         mean_margin_misfiltered=margin_low,
         kappa_eff=kappa_eff(params),
         margin_value=margin_condition_value(params),
-        n_excluded=int(np.sum(isolated)),
         clipped_pairs=sample.clipped_pairs,
         separator=sep,
     )

@@ -20,9 +20,6 @@ from .errors import DatasetFormatError
 
 UNKNOWN_LABEL = -1
 
-# rows per chunk of SparseAdjacency.validate's per-entry checks
-_VALIDATE_ROWS = 1 << 14
-
 # header: u64 n, u64 d; then the (n, d) f32 features, row-major
 FEATURES_FORMAT = BinaryFormat(b"SGFEAT01", "<QQ", "features.bin", DatasetFormatError)
 FEATURES_MAGIC = FEATURES_FORMAT.magic
@@ -46,6 +43,16 @@ class SparseAdjacency:
         """Build from an (m, 2) array of node-id pairs.
 
         Direction is ignored, duplicates are merged, self-loops dropped.
+        This is the one place the class invariants are established, each by
+        one step below, so nothing checks them again:
+
+        - ids in [0, num_nodes): the range check, which raises
+          DatasetFormatError (the only check; edges come from outside);
+        - no self-loops: the ``keep`` mask;
+        - unique columns: scipy's COO->CSR conversion sums duplicates;
+        - symmetric: ``half + half.T``;
+        - sorted columns: ``sort_indices``;
+        - unit values: the int8 ones written last.
         """
         import scipy.sparse as sp
 
@@ -94,37 +101,6 @@ class SparseAdjacency:
     def neighbors(self, node: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[node] : self.row_offsets[node + 1]]
 
-    def validate(self) -> None:
-        """Check the structural invariants; raise DatasetFormatError on violation.
-
-        Works on the index arrays a row chunk at a time, plus the transposed
-        CSR: no array of one int64 per entry is formed.
-        """
-        n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
-        if (offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != len(cols)
-                or np.any(np.diff(offsets) < 0)):
-            raise DatasetFormatError("malformed row offsets")
-        if len(cols) and (cols.min() < 0 or cols.max() >= n):
-            raise DatasetFormatError("column index out of range")
-        self_loop = unsorted = False
-        for lo in range(0, n, _VALIDATE_ROWS):
-            hi = min(lo + _VALIDATE_ROWS, n)
-            rows = np.repeat(np.arange(lo, hi), np.diff(offsets[lo : hi + 1]))
-            chunk = cols[offsets[lo] : offsets[hi]]
-            self_loop |= bool(np.any(rows == chunk))
-            unsorted |= bool(np.any((rows[1:] == rows[:-1]) & (np.diff(chunk) <= 0)))
-        if self_loop:
-            raise DatasetFormatError("self-loop present")
-        if unsorted:
-            raise DatasetFormatError("a row has unsorted or duplicate columns")
-        # Symmetry: with sorted unique columns, the pattern equals its
-        # transpose exactly when the transposed CSR's arrays equal its own.
-        # One-byte values keep the transpose at 6 bytes per entry.
-        transposed = self.csr.T.tocsr()
-        if not (np.array_equal(transposed.indptr, offsets)
-                and np.array_equal(transposed.indices, cols)):
-            raise DatasetFormatError("adjacency is not symmetric")
-
 
 @dataclass
 class SplitSet:
@@ -164,18 +140,6 @@ class Supervision:
     splits: list[SplitSet]
 
 
-def _validate_supervision(num_nodes: int, labels: np.ndarray, splits: list[SplitSet]) -> None:
-    if labels.shape != (num_nodes,):
-        raise DatasetFormatError("labels must be one value per node")
-    bad = ~np.isin(labels, (0, 1, UNKNOWN_LABEL))
-    if np.any(bad):
-        raise DatasetFormatError(
-            f"non-binary label value {labels[bad][0]} at node {np.nonzero(bad)[0][0]}"
-        )
-    for s in splits:
-        s.validate(num_nodes, labels)
-
-
 @dataclass
 class GraphDataset:
     """Adjacency + features + labels + evaluation splits.
@@ -197,15 +161,6 @@ class GraphDataset:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-    def validate(self) -> None:
-        self.adjacency.validate()
-        n = self.num_nodes
-        if self.features.shape[0] != n:
-            raise DatasetFormatError(
-                f"feature rows ({self.features.shape[0]}) != num_nodes ({n})"
-            )
-        _validate_supervision(n, self.labels, self.splits)
 
 
 @dataclass
@@ -349,10 +304,10 @@ def _read_meta(directory: str) -> dict:
     for key in ("name", "num_nodes", "num_features"):
         if key not in meta:
             raise DatasetFormatError(f"meta.json missing key '{key}'")
-    for key in ("num_nodes", "num_features"):
+    for key, low in (("num_nodes", 0), ("num_features", 1)):
         value = meta[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise DatasetFormatError(f"meta.json: {key} must be an integer >= 0, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise DatasetFormatError(f"meta.json: {key} must be an integer >= {low}, got {value!r}")
     return meta
 
 
@@ -360,7 +315,8 @@ def _read_supervision(directory: str, meta: dict) -> Supervision:
     n = meta["num_nodes"]
     labels = _read_labels_csv(_dataset_file(directory, "labels.csv"), n)
     splits = _read_splits_json(_dataset_file(directory, "splits.json"))
-    _validate_supervision(n, labels, splits)
+    for s in splits:
+        s.validate(n, labels)
     return Supervision(
         name=str(meta["name"]),
         num_nodes=n,
@@ -395,7 +351,6 @@ def load_dataset(directory: str | os.PathLike) -> GraphDataset:
 
     edges = _read_edges_tsv(_dataset_file(directory, "edges.tsv"))
     adjacency = SparseAdjacency.from_edges(n, edges)
-    adjacency.validate()
 
     path = os.path.join(directory, "features.bin")
     if os.path.exists(path):
@@ -515,6 +470,10 @@ def _read_labels_csv(path: str, num_nodes: int) -> np.ndarray:
         )
     labels = np.full(num_nodes, UNKNOWN_LABEL, dtype=np.int8)
     labels[nodes] = values
+    # fewer labeled nodes than lines: a node is listed twice
+    if np.count_nonzero(labels != UNKNOWN_LABEL) != len(nodes):
+        node = np.flatnonzero(np.bincount(nodes) > 1)[0]
+        raise DatasetFormatError(f"labels.csv: node {node} is listed more than once")
     return labels
 
 

@@ -64,6 +64,11 @@ class TrainConfig:
             raise ConfigError("weight_decay must be non-negative")
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam moment accumulators, laid out as the model's parameter vector."""
@@ -71,9 +76,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(state: ModelState) -> OptimizerState:
@@ -87,13 +89,13 @@ def adam_step(state: ModelState, grad: np.ndarray, opt: OptimizerState, lr: floa
     if grad.shape != params.shape:
         raise ValueError(f"gradient has shape {grad.shape}, want {params.shape}")
     opt.step += 1
-    bc1 = 1.0 - opt.beta1**opt.step
-    bc2 = 1.0 - opt.beta2**opt.step
-    opt.m *= opt.beta1
-    opt.m += (1.0 - opt.beta1) * grad
-    opt.v *= opt.beta2
-    opt.v += (1.0 - opt.beta2) * (grad * grad)
-    params -= lr * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + opt.eps)
+    bc1 = 1.0 - ADAM_BETA1**opt.step
+    bc2 = 1.0 - ADAM_BETA2**opt.step
+    opt.m *= ADAM_BETA1
+    opt.m += (1.0 - ADAM_BETA1) * grad
+    opt.v *= ADAM_BETA2
+    opt.v += (1.0 - ADAM_BETA2) * (grad * grad)
+    params -= lr * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,6 @@ def objective_terms(
 @dataclass
 class LossBreakdown:
     data_loss: float
-    objective: float  # data loss plus the L2 (weight decay) term
     grads: ParamVector  # of the objective; ``grads.flat`` is what Adam reads
 
 
@@ -206,20 +207,21 @@ def loss_and_grads_bundle(
     train_config: TrainConfig,
     rng: np.random.Generator | None = None,
 ) -> LossBreakdown:
-    """Objective value and exact gradients on a pre-gathered row bundle.
+    """Data loss and exact gradients of the objective on a pre-gathered row
+    bundle.
 
     The objective is the one ``objective_terms`` assembles, so gradients
-    (including the decay term) match finite differences of the returned
-    objective.  This is the one place the L2 gradient is added.
+    (including the decay term) match finite differences of
+    ``evaluate_objective``.  This is the one place the L2 gradient is added.
     """
     trace = forward_bundle(state, bundle, train_mode=True, rng=rng)
-    loss, objective, d_yhat, d_cbar = objective_terms(
+    loss, _, d_yhat, d_cbar = objective_terms(
         state, trace.yhat, trace.cbar, labels, beta, train_config
     )
     grads = backward_bundle(state, trace, d_yhat, d_cbar)
     if train_config.weight_decay:
         grads.flat += train_config.weight_decay * state.params.flat
-    return LossBreakdown(data_loss=loss, objective=objective, grads=grads)
+    return LossBreakdown(data_loss=loss, grads=grads)
 
 
 def evaluate_objective(

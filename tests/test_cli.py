@@ -570,6 +570,8 @@ class TestConfigValues:
         (["csbm-sweep", "--set", "sweep.anomaly_frac=1e308"],
          "sweep.anomaly_frac=1e+308 gives round(sweep.n * sweep.anomaly_frac) outside [1, 3999]; "
          "both classes need a node"),
+        (["synth-csbm", "--set", "csbm.dim=-1"], "csbm.dim must be >= 1, got -1"),
+        (["synth-csbm", "--set", "csbm.dim=0"], "csbm.dim must be >= 1, got 0"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, argv, message, capsys):
         rc = main([*argv, "--dataset", str(tmp_path / "data"), "--run-dir", str(tmp_path / "run")])

@@ -14,6 +14,7 @@ from sagad.csbm import (
 )
 from sagad.errors import ConfigError
 
+from adjacency_contract import assert_adjacency_contract
 from conftest import make_dataset
 
 
@@ -49,7 +50,7 @@ class TestParamsValidation:
 class TestGeneration:
     def test_graph_is_simple_and_symmetric(self):
         sample = generate_csbm(small_params())
-        sample.dataset.adjacency.validate()  # symmetry, loops, duplicates
+        assert_adjacency_contract(sample.dataset.adjacency, sample.dataset.num_nodes)
 
     def test_cross_class_pair_probability(self):
         # one anomaly + one normal, both homophilic, theta=1: the single
@@ -164,7 +165,8 @@ class TestGeneration:
         params = small_params(p1=0.9, theta_min=0.2, theta_max=3.0, seed=8)
         sample = generate_csbm(params)
         assert sample.clipped_pairs > 0
-        sample.dataset.adjacency.validate()  # clipping keeps the graph valid
+        # clipping keeps the graph valid
+        assert_adjacency_contract(sample.dataset.adjacency, sample.dataset.num_nodes)
 
 
 class TestRandomWalkFilter:

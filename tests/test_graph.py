@@ -27,6 +27,7 @@ from sagad.graph import (
     write_dataset,
 )
 
+from adjacency_contract import assert_adjacency_contract
 from conftest import er_dataset, make_dataset
 
 
@@ -106,6 +107,20 @@ class TestLoader:
         write_raw_dataset(tmp_path, 2, 1, ["0\t1"], [[1.0], [2.0]], ["0,0", "5,1"])
         with pytest.raises(DatasetFormatError, match="labels.csv: node id 5 >= 2"):
             load_dataset(tmp_path)
+
+    def test_node_labeled_twice_rejected(self, tmp_path):
+        # the last line does not silently win
+        write_raw_dataset(tmp_path, 3, 1, ["0\t1"], [[1.0], [2.0], [3.0]], ["2,0", "1,0", "2,1"])
+        for load in (load_supervision, load_dataset):
+            with pytest.raises(DatasetFormatError, match="labels.csv: node 2 is listed more than once"):
+                load(tmp_path)
+
+    def test_zero_features_rejected(self, tmp_path):
+        write_raw_dataset(tmp_path, 2, 0, ["0\t1"], [[1.0], [2.0]], ["0,0"])
+        for load in (load_supervision, load_dataset):
+            with pytest.raises(DatasetFormatError,
+                               match="meta.json: num_features must be an integer >= 1, got 0"):
+                load(tmp_path)
 
     @pytest.mark.parametrize("lines", [["0\tx"], ["0\t1\t2"], ["0\t1", "1\t2\t0"], ["0"]])
     def test_malformed_edge_lines_rejected(self, tmp_path, lines):
@@ -250,12 +265,9 @@ class TestSplitValidation:
         ([0, 0], "train split contains duplicate ids"),
     ])
     def test_malformed_split_rejected(self, train, message):
-        ds = make_dataset([[0, 1]], [[1.0], [2.0], [3.0]], [0, 1, 0])
-        ds.splits = [SplitSet(
-            train=np.asarray(train), val=np.asarray([1]), test=np.asarray([2]),
-        )]
+        split = SplitSet(train=np.asarray(train), val=np.asarray([1]), test=np.asarray([2]))
         with pytest.raises(DatasetFormatError, match=message):
-            ds.validate()
+            split.validate(3, np.asarray([0, 1, 0], dtype=np.int8))
 
     def test_split_errors_reported_by_loaders(self, tmp_path):
         splits = [{"train": [0], "val": [1], "test": [1, 2]}]
@@ -265,20 +277,14 @@ class TestSplitValidation:
                 load(tmp_path)
 
     def test_overlapping_splits_rejected(self):
-        ds = make_dataset([[0, 1]], [[1.0], [2.0]], [0, 1])
-        ds.splits = [SplitSet(
-            train=np.asarray([0]), val=np.asarray([0]), test=np.asarray([1]),
-        )]
+        split = SplitSet(train=np.asarray([0]), val=np.asarray([0]), test=np.asarray([1]))
         with pytest.raises(DatasetFormatError, match="disjoint"):
-            ds.validate()
+            split.validate(2, np.asarray([0, 1], dtype=np.int8))
 
     def test_unlabeled_train_node_rejected(self):
-        ds = make_dataset([[0, 1]], [[1.0], [2.0], [3.0]], [0, 1, -1], num_nodes=3)
-        ds.splits = [SplitSet(
-            train=np.asarray([2]), val=np.asarray([0]), test=np.asarray([1]),
-        )]
+        split = SplitSet(train=np.asarray([2]), val=np.asarray([0]), test=np.asarray([1]))
         with pytest.raises(DatasetFormatError, match="unlabeled"):
-            ds.validate()
+            split.validate(3, np.asarray([0, 1, UNKNOWN_LABEL], dtype=np.int8))
 
 
 class TestRowIds:
@@ -421,8 +427,8 @@ class TestHomophily:
 
 
 def _raw_adjacency(n, offsets, cols):
-    """A SparseAdjacency over CSR arrays taken as given: scipy's constructor
-    would reject some of them before validate() sees them."""
+    """A SparseAdjacency over CSR arrays taken as given, as from_edges
+    never builds them."""
     csr = sp.csr_matrix((n, n))
     csr.indptr = np.asarray(offsets, dtype=np.int32)
     csr.indices = np.asarray(cols, dtype=np.int32)
@@ -430,73 +436,64 @@ def _raw_adjacency(n, offsets, cols):
     return SparseAdjacency(csr)
 
 
-class TestAdjacencyValidate:
-    @pytest.mark.parametrize(("offsets", "cols", "message"), [
-        ([0, 1, 2], [1, 0], "malformed row offsets"),  # 3 nodes need 4 offsets
-        ([1, 1, 2, 2], [1, 0], "malformed row offsets"),
-        ([0, 1, 2, 3], [1, 0], "malformed row offsets"),  # last offset past the columns
-        ([0, 2, 1, 2], [1, 0], "malformed row offsets"),  # decreasing
-        ([0, 1, 2, 2], [3, 0], "column index out of range"),
-        ([0, 1, 2, 2], [1, -1], "column index out of range"),
-        ([0, 1, 2, 2], [0, 0], "self-loop present"),
-        ([0, 2, 3, 4], [2, 1, 0, 0], "a row has unsorted or duplicate columns"),
-        ([0, 2, 3, 3], [1, 1, 0], "a row has unsorted or duplicate columns"),
-        ([0, 1, 1, 1], [1], "adjacency is not symmetric"),
-    ])
-    def test_malformed_csr_rejected(self, offsets, cols, message):
-        with pytest.raises(DatasetFormatError, match=message):
-            _raw_adjacency(3, offsets, cols).validate()
+def _messy_edges(seed):
+    """A random edge list with duplicates, reversed pairs and self-loops;
+    the top quarter of the ids is left isolated."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    base = rng.integers(0, n - n // 4, size=(int(rng.integers(0, 3 * n)), 2))
+    loops = np.repeat(rng.integers(0, n, size=(3, 1)), 2, axis=1)
+    return n, rng.permutation(np.concatenate([base, base[::2, ::-1], base[::3], loops]))
 
-    def test_symmetry_keys_do_not_wrap_above_46341_nodes(self):
-        # The one entry 0 -> 65536 of a 65537-node graph is not symmetric,
-        # but an int32 key 65536 * 65537 wraps to 65536, the forward key.
+
+class TestFromEdgesContract:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_messy_edge_lists(self, seed):
+        n, edges = _messy_edges(seed)
+        assert_adjacency_contract(SparseAdjacency.from_edges(n, edges), n, edges)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_empty_edge_list(self, n):
+        edges = np.zeros((0, 2), dtype=np.int64)
+        adj = SparseAdjacency.from_edges(n, edges)
+        assert_adjacency_contract(adj, n, edges)
+        assert adj.num_edges == 0
+
+    def test_int32_ids_above_46341_nodes(self):
+        # 65536 * 65537 wraps an int32; scipy keeps int32 indices here
         n = 65537
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        offsets[1:] = 1
-        with pytest.raises(DatasetFormatError, match="adjacency is not symmetric"):
-            _raw_adjacency(n, offsets, [65536]).validate()
-        # a symmetric graph on such ids passes
         adj = SparseAdjacency.from_edges(n, np.asarray([[0, 65536], [46342, 50000]]))
         assert adj.col_indices.dtype == np.int32
-        adj.validate()
+        assert_adjacency_contract(adj, n)
+        assert [list(adj.neighbors(i)) for i in (0, 65536, 46342, 50000)] == \
+            [[65536], [0], [50000], [46342]]
 
+    @pytest.mark.parametrize(("n", "offsets", "cols"), [
+        (3, [0, 1, 2, 2], [0, 0]),  # self-loop
+        (3, [0, 2, 3, 4], [2, 1, 0, 0]),  # unsorted row
+        (3, [0, 2, 3, 3], [1, 1, 0]),  # duplicate column
+        (3, [0, 1, 1, 1], [1]),  # not symmetric
+        # an int32 key 65536 * 65537 would wrap to 65536, the forward key
+        (65537, [0] + [1] * 65537, [65536]),
+    ])
+    def test_checker_rejects_malformed_csr(self, n, offsets, cols):
+        with pytest.raises(AssertionError):
+            assert_adjacency_contract(_raw_adjacency(n, offsets, cols), n)
 
-class TestValidateChunks:
-    @pytest.mark.parametrize("rows", [1, 2])
-    def test_row_chunks_give_the_same_verdicts(self, monkeypatch, rows):
-        monkeypatch.setattr(graph, "_VALIDATE_ROWS", rows)
-        for offsets, cols, message in [
-            ([0, 1, 2, 2], [0, 0], "self-loop present"),
-            ([0, 2, 2, 3], [2, 1, 2], "self-loop present"),  # reported before row 0's order
-            ([0, 2, 3, 4], [2, 1, 0, 0], "a row has unsorted or duplicate columns"),
-            ([0, 2, 3, 3], [1, 1, 0], "a row has unsorted or duplicate columns"),
-            ([0, 1, 1, 1], [1], "adjacency is not symmetric"),
-        ]:
-            with pytest.raises(DatasetFormatError, match=message):
-                _raw_adjacency(3, offsets, cols).validate()
-        # columns fall from one row to the next, as they may
-        _raw_adjacency(3, [0, 2, 3, 4], [1, 2, 0, 0]).validate()
-        er_dataset(40, 0.2, 2, seed=3).adjacency.validate()
-
-    def test_peak_memory_bounded_by_the_index_arrays(self):
-        # 1.6M edges at n = 200k: the checks may not take more than twice the
-        # CSR's own index bytes (no int64 array per entry)
-        n = 200_000
-        adj = SparseAdjacency.from_edges(n, np.random.default_rng(0).integers(0, n, (1_600_000, 2)))
-        index_bytes = adj.row_offsets.nbytes + adj.col_indices.nbytes
-        tracemalloc.start()
-        try:
-            adj.validate()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * index_bytes, f"validate peaked at {peak / 1e6:.1f} MB"
+    def test_checker_rejects_values_other_than_int8_ones(self):
+        adj = er_dataset(20, 0.3, 1, seed=1).adjacency
+        assert_adjacency_contract(adj, 20)
+        adj.csr.data = adj.csr.data.astype(np.float32)
+        with pytest.raises(AssertionError):
+            assert_adjacency_contract(adj, 20)
 
 
 class TestFromEdges:
     def test_many_duplicates_keep_the_edge(self):
         # 256 copies would wrap a uint8 count to 0, which scipy drops
-        adj = SparseAdjacency.from_edges(3, np.asarray([[0, 1]] * 256 + [[1, 2]]))
+        edges = np.asarray([[0, 1]] * 256 + [[1, 0]] * 44 + [[1, 2]])
+        adj = SparseAdjacency.from_edges(3, edges)
+        assert_adjacency_contract(adj, 3, edges)
         np.testing.assert_array_equal(adj.csr.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_peak_memory_bounded_by_input(self):
