@@ -26,18 +26,19 @@ from .csbm import (
 )
 from .errors import CacheFormatError, ConfigError, DatasetFormatError, SagadError, SplitError
 from .graph import (
+    DatasetImage,
     GraphDataset,
     HomophilyReport,
     SparseAdjacency,
     SplitSet,
-    Supervision,
     class_homophily,
     edge_homophily,
     homophily_report,
+    ingest,
     load_dataset,
-    load_supervision,
     node_homophily,
     normalized_adjacency,
+    open_image,
     write_dataset,
 )
 from .metrics import (

@@ -1,6 +1,7 @@
 """The one write path of every file sagad writes, the one codec of the
-binary files (the basis and context caches, features.bin and checkpoints)
-and the caches' row reader.
+binary files (the basis and context caches, the dataset image,
+features.bin and checkpoints), the caches' row reader and the streamed
+file fingerprint.
 
 A ``BinaryFormat`` is one file type: magic bytes, a fixed-size header and
 the name and error class its messages use.  It writes a file atomically
@@ -25,6 +26,7 @@ import os
 import struct
 import warnings
 import weakref
+import zlib
 from collections.abc import Callable, Iterable
 from typing import TypeVar
 
@@ -33,6 +35,7 @@ import numpy as np
 from .errors import CacheFormatError, SagadError
 
 _ROW_DTYPE = np.dtype("<f4")
+_FINGERPRINT_CHUNK = 1 << 18
 T = TypeVar("T")
 
 
@@ -263,3 +266,17 @@ class FileBacked:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def fingerprint(path: str | os.PathLike) -> tuple[int, int]:
+    """``(size, crc32)`` of a file's bytes, read in fixed-size chunks, so a
+    file of any size is fingerprinted in constant memory.  zlib, not
+    hashlib: hashlib's OpenSSL import costs 4 MB of RSS."""
+    buf = bytearray(_FINGERPRINT_CHUNK)
+    view = memoryview(buf)
+    size = crc = 0
+    with open(path, "rb", buffering=0) as f:
+        while got := f.readinto(buf):
+            crc = zlib.crc32(view[:got], crc)
+            size += got
+    return size, crc

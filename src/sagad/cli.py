@@ -215,6 +215,10 @@ def _require_file(path: str, hint: str) -> str:
     return path
 
 
+def _image_path(cfg: RunConfig) -> str:
+    return os.path.join(_run_dir(cfg), "dataset.bin")
+
+
 def _cheb_path(cfg: RunConfig) -> str:
     return os.path.join(_run_dir(cfg), "cheb_cache.bin")
 
@@ -243,12 +247,18 @@ def _load_dataset(cfg: RunConfig) -> graph.GraphDataset:
     return graph.load_dataset(_dataset_dir(cfg))
 
 
-def _get_split(data, index: int) -> graph.SplitSet:
-    if index < 0 or index >= len(data.splits):
+def _open_image(cfg: RunConfig, sources: tuple[str, ...]) -> graph.DatasetImage:
+    """The run's dataset image, with the fingerprints of ``sources`` checked."""
+    path = _require_file(_image_path(cfg), "run `preprocess` first")
+    return graph.open_image(path, _dataset_dir(cfg), sources)
+
+
+def _get_split(image: graph.DatasetImage, index: int, parts: tuple[str, ...]) -> graph.SplitSet:
+    if index < 0 or index >= image.num_splits:
         raise ConfigError(
-            f"split index {index} out of range; dataset has {len(data.splits)} splits"
+            f"split index {index} out of range; dataset has {image.num_splits} splits"
         )
-    return data.splits[index]
+    return image.split(index, parts)
 
 
 @contextlib.contextmanager
@@ -260,7 +270,7 @@ def _load_caches(cfg: RunConfig, model_config: model.ModelConfig, data=None,
     and their files are closed when it ends.  The basis cache's order
     must equal ``model_config.K``: the flags' K, or that of the
     ``checkpoint`` the model config was read from.  ``data`` (a
-    Supervision or GraphDataset) is the dataset the caches stand in for;
+    DatasetImage or GraphDataset) is the dataset the caches stand in for;
     when given, the caches must match its node count and feature
     dimension.
     """
@@ -332,7 +342,8 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 def _cmd_preprocess(cfg: RunConfig) -> int:
     path = _cheb_path(cfg)
-    with chebyshev.build_cheb_basis(_load_dataset(cfg), cfg.K, path=path) as cache:
+    dataset = graph.ingest(_dataset_dir(cfg), _image_path(cfg))
+    with chebyshev.build_cheb_basis(dataset, cfg.K, path=path) as cache:
         print(f"wrote {path} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
     return 0
 
@@ -341,7 +352,8 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
     if cfg.context_mode == "features_only":
         raise ConfigError("context_mode features_only does not use a context cache")
     path = _context_path(cfg)
-    dataset = _load_dataset(cfg)
+    with _open_image(cfg, graph.IMAGE_SOURCES) as image:
+        dataset = image.dataset(_dataset_dir(cfg))
     cache = context.build_context_cache(dataset, cap=cfg.cap, seed=cfg.seed, mode=cfg.context_mode)
     context.write_context_cache(cache, path)
     print(f"wrote {path} (mode={cfg.context_mode}, n={cache.num_nodes})")
@@ -349,12 +361,13 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    sup = graph.load_supervision(_dataset_dir(cfg))
-    split = _get_split(sup, cfg.split_index)
+    with _open_image(cfg, graph.SUPERVISION_SOURCES) as image:
+        labels = image.labels()
+        split = _get_split(image, cfg.split_index, ("train", "val"))
     model_config = cfg.model_config()
-    with _load_caches(cfg, model_config, sup) as (cheb, ctx):
+    with _load_caches(cfg, model_config, image) as (cheb, ctx):
         state, history = training.train(
-            sup.labels, cheb, ctx, model_config, cfg.train_config(), split
+            labels, cheb, ctx, model_config, cfg.train_config(), split
         )
     model.save_checkpoint(state, _checkpoint_path(cfg))
     cachefile.write_text(os.path.join(_run_dir(cfg), f"history_{cfg.split_index}.csv"), [
@@ -370,15 +383,14 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
-    sup = graph.load_supervision(_dataset_dir(cfg))
-    split = _get_split(sup, cfg.split_index)
-    test_ids = np.asarray(split.test, dtype=np.int64)
-    y_test = sup.labels[test_ids]
+    with _open_image(cfg, graph.SUPERVISION_SOURCES) as image:
+        test_ids = _get_split(image, cfg.split_index, ("test",)).test
+        y_test = image.labels()[test_ids]
     # an unusable test split fails before any node is scored
     if np.any(y_test == graph.UNKNOWN_LABEL):
         raise ConfigError("test split contains unlabeled nodes; cannot evaluate")
     metrics.class_counts(y_test)
-    report = metrics.evaluate(_score_nodes(cfg, sup)[test_ids], y_test)
+    report = metrics.evaluate(_score_nodes(cfg, image)[test_ids], y_test)
     # one row per EvalReport field: auroc, auprc, rec_at_k, k_used
     rows = _update_report_csv(os.path.join(_run_dir(cfg), "report.csv"), cfg.split_index,
                               dataclasses.asdict(report).items())
@@ -462,13 +474,13 @@ def _cmd_homophily(cfg: RunConfig) -> int:
 
 
 def _cmd_quartiles(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg)
-    split = _get_split(dataset, cfg.split_index)
+    with _open_image(cfg, graph.IMAGE_SOURCES) as image:
+        test_ids = _get_split(image, cfg.split_index, ("test",)).test
+        dataset = image.dataset(_dataset_dir(cfg))
     node_h = graph.node_homophily(dataset)
     # an unusable test split fails before any node is scored
-    metrics.quartile_groups(dataset.labels, node_h, split.test)
-    report = metrics.quartile_report(_score_nodes(cfg, dataset), dataset.labels, node_h,
-                                     np.asarray(split.test))
+    metrics.quartile_groups(dataset.labels, node_h, test_ids)
+    report = metrics.quartile_report(_score_nodes(cfg, image), dataset.labels, node_h, test_ids)
     path = os.path.join(_run_dir(cfg), "quartiles.csv")
     cachefile.write_text(path, [
         "group,auprc,auroc\n",

@@ -4,10 +4,14 @@ The structural source of truth is a symmetric CSR adjacency without
 self-loops.  Datasets live on disk as a small directory of neutral files
 (meta.json, edges.tsv, features.bin or features.csv, labels.csv,
 splits.json) so they can be produced and consumed by external tools.
+``ingest`` parses them once and writes the parsed graph, labels and
+splits as one binary image (``dataset.bin``); ``open_image`` reads its
+parts back without parsing text.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import warnings
@@ -15,14 +19,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import BinaryFormat, CacheFile, atomic_file, write_text
-from .errors import DatasetFormatError
+from .cachefile import BinaryFormat, CacheFile, FileBacked, atomic_file, fingerprint, write_text
+from .errors import CacheFormatError, DatasetFormatError
 
 UNKNOWN_LABEL = -1
 
 # header: u64 n, u64 d; then the (n, d) f32 features, row-major
 FEATURES_FORMAT = BinaryFormat(b"SGFEAT01", "<QQ", "features.bin", DatasetFormatError)
 FEATURES_MAGIC = FEATURES_FORMAT.magic
+
+# header: u64 n, u64 d, u64 nnz (stored CSR entries), u64 split count, u8 id
+# width in bytes (4 or 8), then u64 size and u32 crc32 of each IMAGE_SOURCES
+# file; then the CSR's indptr (n+1 ids) and indices (nnz ids), the n int8
+# labels, the split offsets (3 * splits + 1 u64: part p of split i is ids
+# offsets[3i+p]:offsets[3i+p+1]) and the split ids.  Ids are little-endian
+# signed integers of the width the CSR's index dtype has.
+IMAGE_FORMAT = BinaryFormat(b"SGIMG001", "<QQQQB" + "QI" * 4, "dataset.bin")
+IMAGE_SOURCES = ("meta.json", "edges.tsv", "labels.csv", "splits.json")
+# the files the labels and splits come from: all that train and eval check
+SUPERVISION_SOURCES = ("meta.json", "labels.csv", "splits.json")
+SPLIT_PARTS = ("train", "val", "test")
 
 
 @dataclass
@@ -115,8 +131,11 @@ class SplitSet:
         seen = np.zeros(num_nodes, dtype=bool)
         for name, ids in parts.items():
             ids = np.asarray(ids, dtype=np.int64)
-            if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
-                raise DatasetFormatError(f"{name} split contains node id >= {num_nodes}")
+            outside = (ids < 0) | (ids >= num_nodes)
+            if np.any(outside):
+                raise DatasetFormatError(
+                    f"{name} split contains node id {ids[outside][0]} outside [0, {num_nodes})"
+                )
             if np.any(np.bincount(ids, minlength=num_nodes) > 1):
                 raise DatasetFormatError(f"{name} split contains duplicate ids")
             if np.any(seen[ids]):
@@ -126,18 +145,6 @@ class SplitSet:
             ids = parts[name]
             if ids.size and np.any(labels[np.asarray(ids)] == UNKNOWN_LABEL):
                 raise DatasetFormatError(f"{name} split contains unlabeled nodes")
-
-
-@dataclass
-class Supervision:
-    """The part of a dataset directory that training and evaluation read:
-    meta.json, labels.csv and splits.json.  Never the graph or features."""
-
-    name: str
-    num_nodes: int
-    num_features: int
-    labels: np.ndarray
-    splits: list[SplitSet]
 
 
 @dataclass
@@ -311,32 +318,6 @@ def _read_meta(directory: str) -> dict:
     return meta
 
 
-def _read_supervision(directory: str, meta: dict) -> Supervision:
-    n = meta["num_nodes"]
-    labels = _read_labels_csv(_dataset_file(directory, "labels.csv"), n)
-    splits = _read_splits_json(_dataset_file(directory, "splits.json"))
-    for s in splits:
-        s.validate(n, labels)
-    return Supervision(
-        name=str(meta["name"]),
-        num_nodes=n,
-        num_features=meta["num_features"],
-        labels=labels,
-        splits=splits,
-    )
-
-
-def load_supervision(directory: str | os.PathLike) -> Supervision:
-    """Load and validate meta.json, labels.csv and splits.json.
-
-    This is all that training and evaluation need of a dataset: the graph
-    and the features reach them only through the precomputed caches, so
-    edges.tsv and the feature file are not opened.
-    """
-    directory = os.fspath(directory)
-    return _read_supervision(directory, _read_meta(directory))
-
-
 def load_dataset(directory: str | os.PathLike) -> GraphDataset:
     """Load and validate a dataset directory.
 
@@ -351,7 +332,18 @@ def load_dataset(directory: str | os.PathLike) -> GraphDataset:
 
     edges = _read_edges_tsv(_dataset_file(directory, "edges.tsv"))
     adjacency = SparseAdjacency.from_edges(n, edges)
+    del edges
+    features = _read_features(directory, n, d)
+    labels = _read_labels_csv(_dataset_file(directory, "labels.csv"), n)
+    splits = _read_splits_json(_dataset_file(directory, "splits.json"))
+    for s in splits:
+        s.validate(n, labels)
+    return GraphDataset(adjacency, features, labels, splits, name=str(meta["name"]))
 
+
+def _read_features(directory: str, n: int, d: int) -> np.ndarray:
+    """The directory's features.bin (or features.csv), checked to be an
+    (n, d) matrix of finite values."""
     path = os.path.join(directory, "features.bin")
     if os.path.exists(path):
         features = FEATURES_FORMAT.read(path, _features_from_file)
@@ -371,15 +363,127 @@ def load_dataset(directory: str | os.PathLike) -> GraphDataset:
         raise DatasetFormatError(
             f"{os.path.basename(path)}: non-finite value at node {int(np.argmin(finite))}"
         )
+    return features
 
-    sup = _read_supervision(directory, meta)
-    return GraphDataset(
-        adjacency=adjacency,
-        features=features,
-        labels=sup.labels,
-        splits=sup.splits,
-        name=sup.name,
-    )
+
+# ---------------------------------------------------------------------------
+# Dataset image
+# ---------------------------------------------------------------------------
+
+
+def ingest(directory: str | os.PathLike, path: str | os.PathLike) -> GraphDataset:
+    """Load ``directory`` as ``load_dataset`` does and write its image to
+    ``path``; return the dataset.
+
+    The image holds the CSR, the labels and the splits, and the size and
+    crc32 of each ``IMAGE_SOURCES`` file.  The files are fingerprinted
+    before they are parsed, so one edited meanwhile leaves an image that
+    fails its check, never one that passes with the old content.
+    """
+    directory = os.fspath(directory)
+    sources = [fingerprint(_dataset_file(directory, name)) for name in IMAGE_SOURCES]
+    dataset = load_dataset(directory)
+    csr = dataset.adjacency.csr
+    ids = np.dtype(f"<i{csr.indices.dtype.itemsize}")
+    parts = [getattr(s, part) for s in dataset.splits for part in SPLIT_PARTS]
+    offsets = np.cumsum([0] + [len(p) for p in parts], dtype=np.uint64)
+    fields = (dataset.num_nodes, dataset.num_features, csr.nnz, len(dataset.splits),
+              ids.itemsize, *itertools.chain.from_iterable(sources))
+    IMAGE_FORMAT.write(path, fields, [
+        (csr.indptr, ids), (csr.indices, ids), (dataset.labels, "<i1"), (offsets, "<u8"),
+        *((p, ids) for p in parts),
+    ])
+    return dataset
+
+
+def open_image(path: str | os.PathLike, directory: str | os.PathLike,
+               sources: tuple[str, ...] = IMAGE_SOURCES) -> "DatasetImage":
+    """Open the image ``ingest`` wrote to ``path`` for the dataset ``directory``.
+
+    The magic, header and payload size are checked, and so is each of
+    ``sources`` in ``directory``: a file whose size or crc32 differs from
+    the one recorded is a CacheFormatError naming it.  The file stays open
+    for the parts to be read: close the image, or use it in a ``with``
+    block.
+    """
+    directory = os.fspath(directory)
+
+    def build(file: CacheFile) -> DatasetImage:
+        image = DatasetImage(file)
+        recorded = dict(zip(IMAGE_SOURCES, zip(file.fields[5::2], file.fields[6::2])))
+        for name in sources:
+            source = _dataset_file(directory, name)
+            if fingerprint(source) != recorded[name]:
+                raise CacheFormatError(
+                    f"{source} has changed since {file.path} was written from it; "
+                    "rerun `preprocess`"
+                )
+        return image
+
+    return IMAGE_FORMAT.open(path, build)
+
+
+class DatasetImage(FileBacked):
+    """An open ``dataset.bin`` (see ``open_image``): the sizes from its
+    header, and readers of its parts.  Each part is read when asked for,
+    with positioned reads, so a command holds only the parts it uses."""
+
+    def __init__(self, file: CacheFile):
+        n, d, nnz, num_splits, width = file.fields[:5]
+        if width not in (4, 8):
+            raise CacheFormatError(f"dataset.bin: unsupported id width {width}")
+        self.file = file
+        self.num_nodes, self.num_features, self.num_splits = n, d, num_splits
+        self._nnz = nnz
+        self._ids = np.dtype(f"<i{width}")
+        self._labels_at = (n + 1 + nnz) * width
+        table_at = self._labels_at + n
+        self._split_ids_at = table_at + (3 * num_splits + 1) * 8
+        if file.payload_bytes < self._split_ids_at:  # the offsets are not all there
+            file.expect_payload(self._split_ids_at)
+        self._offsets = self._read(table_at, 3 * num_splits + 1, "<u8")
+        if self._offsets[0] != 0 or np.any(self._offsets[1:] < self._offsets[:-1]):
+            raise CacheFormatError("dataset.bin: split offsets do not increase from 0")
+        file.expect_payload(self._split_ids_at + int(self._offsets[-1]) * width)
+
+    def _read(self, offset: int, count: int, dtype) -> np.ndarray:
+        out = np.empty(count, dtype=dtype)
+        self.file.read_into(out, self.file.payload_offset + offset)
+        return out
+
+    def adjacency(self) -> SparseAdjacency:
+        """The CSR ``from_edges`` built: the same index arrays, int8 ones."""
+        import scipy.sparse as sp
+
+        n, width = self.num_nodes, self._ids.itemsize
+        indptr = self._read(0, n + 1, self._ids)
+        indices = self._read((n + 1) * width, self._nnz, self._ids)
+        data = np.ones(self._nnz, dtype=np.int8)
+        return SparseAdjacency(sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False))
+
+    def labels(self) -> np.ndarray:
+        """One int8 per node: 1, 0 or UNKNOWN_LABEL."""
+        return self._read(self._labels_at, self.num_nodes, np.int8)
+
+    def split(self, index: int, parts: tuple[str, ...] = SPLIT_PARTS) -> SplitSet:
+        """Split ``index`` as int64 id arrays, one read per part; a part not
+        in ``parts`` is not read and comes back empty."""
+        if not 0 <= index < self.num_splits:
+            raise IndexError(f"split {index} out of range [0, {self.num_splits})")
+        ids = {}
+        for p, part in enumerate(SPLIT_PARTS):
+            lo, hi = (int(v) for v in self._offsets[3 * index + p : 3 * index + p + 2])
+            count = hi - lo if part in parts else 0
+            at = self._split_ids_at + lo * self._ids.itemsize
+            ids[part] = self._read(at, count, self._ids).astype(np.int64)
+        return SplitSet(**ids)
+
+    def dataset(self, directory: str | os.PathLike) -> GraphDataset:
+        """The graph and labels, with the features of ``directory``'s feature
+        file: ``load_dataset``'s result without the splits and the name, read
+        with no text file parsed but a features.csv."""
+        features = _read_features(os.fspath(directory), self.num_nodes, self.num_features)
+        return GraphDataset(self.adjacency(), features, self.labels())
 
 
 def write_dataset(dataset: GraphDataset, directory: str | os.PathLike) -> None:

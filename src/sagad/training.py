@@ -158,20 +158,19 @@ def fpg_loss_grad(
     return float(loss), d_c * inside
 
 
-def objective_terms(
+def data_loss_terms(
     state: ModelState,
     yhat: np.ndarray,
     cbar: np.ndarray | None,
     labels: np.ndarray,
     beta: float,
-    train_config: TrainConfig,
-) -> tuple[float, float, np.ndarray, np.ndarray | None]:
-    """The training objective on one forward pass's outputs.
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The data part of the training objective on one forward pass's outputs.
 
     Returns the data loss (class-weighted BCE, plus the FPG term when the
-    model uses it), the objective (the data loss plus 0.5 * weight_decay *
-    ||params||^2), and the data loss's gradients w.r.t. yhat and cbar
-    (None without FPG).
+    model uses it) and its gradients w.r.t. yhat and cbar (None without
+    FPG).  The objective adds 0.5 * weight_decay * ||params||^2 to the data
+    loss; only ``evaluate_objective`` forms its value.
     """
     cfg = state.config
     loss, d_yhat = bce_loss_grad(yhat, labels, beta)
@@ -181,11 +180,7 @@ def objective_terms(
             raise ValueError("use_fpg requires fusion coefficients in the forward pass")
         fpg, d_cbar = fpg_loss_grad(cbar, labels, beta, cfg.p_a, cfg.p_n)
         loss += fpg
-    objective = loss
-    if train_config.weight_decay:
-        params = state.params.flat
-        objective += 0.5 * train_config.weight_decay * float(np.vdot(params, params))
-    return loss, objective, d_yhat, d_cbar
+    return loss, d_yhat, d_cbar
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +205,12 @@ def loss_and_grads_bundle(
     """Data loss and exact gradients of the objective on a pre-gathered row
     bundle.
 
-    The objective is the one ``objective_terms`` assembles, so gradients
-    (including the decay term) match finite differences of
-    ``evaluate_objective``.  This is the one place the L2 gradient is added.
+    The objective is the one ``evaluate_objective`` forms, so gradients
+    (including the decay term) match its finite differences.  This is the
+    one place the L2 gradient is added.
     """
     trace = forward_bundle(state, bundle, train_mode=True, rng=rng)
-    loss, _, d_yhat, d_cbar = objective_terms(
-        state, trace.yhat, trace.cbar, labels, beta, train_config
-    )
+    loss, d_yhat, d_cbar = data_loss_terms(state, trace.yhat, trace.cbar, labels, beta)
     grads = backward_bundle(state, trace, d_yhat, d_cbar)
     if train_config.weight_decay:
         grads.flat += train_config.weight_decay * state.params.flat
@@ -232,9 +225,14 @@ def evaluate_objective(
     train_config: TrainConfig,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Scalar objective only, with no backward pass (for finite-difference checks)."""
+    """Scalar objective only, with no backward pass (for finite-difference
+    checks): the data loss plus 0.5 * weight_decay * ||params||^2."""
     trace = forward_bundle(state, bundle, train_mode=True, rng=rng)
-    return objective_terms(state, trace.yhat, trace.cbar, labels, beta, train_config)[1]
+    objective = data_loss_terms(state, trace.yhat, trace.cbar, labels, beta)[0]
+    if train_config.weight_decay:
+        params = state.params.flat
+        objective += 0.5 * train_config.weight_decay * float(np.vdot(params, params))
+    return objective
 
 
 # ---------------------------------------------------------------------------

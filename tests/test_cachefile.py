@@ -4,6 +4,8 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -309,3 +311,22 @@ class TestAtomicWrite:
                 cachefile.write_array(f, arr, dtype)
         expected = b"".join(np.ascontiguousarray(a, dtype=t).tobytes() for a, t in arrays)
         assert (tmp_path / "a.bin").read_bytes() == expected
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("size", [0, 1, cachefile._FINGERPRINT_CHUNK,
+                                      3 * cachefile._FINGERPRINT_CHUNK + 17])
+    def test_equals_crc32_of_the_whole_file(self, tmp_path, size):
+        content = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        (tmp_path / "f").write_bytes(content)
+        assert cachefile.fingerprint(tmp_path / "f") == (size, zlib.crc32(content))
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"\x5a" * (32 * cachefile._FINGERPRINT_CHUNK))
+        tracemalloc.start()
+        try:
+            cachefile.fingerprint(tmp_path / "f")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cachefile._FINGERPRINT_CHUNK

@@ -151,13 +151,16 @@ def small_run(tmp_path_factory):
     return cfg
 
 
-def _run_with_caches(run_dir, data_cfg, cheb_cfg, ctx_cfg):
-    """A run of data_cfg's dataset on the basis cache of cheb_cfg's run and
-    the context cache of ctx_cfg's run."""
+def _run_with_caches(run_dir, data_cfg, cheb_cfg, ctx_cfg, dataset=None):
+    """A run of data_cfg's dataset (or of the directory ``dataset``) on the
+    basis cache of cheb_cfg's run and the context cache of ctx_cfg's run,
+    with the dataset image `preprocess` would write for it."""
     os.makedirs(run_dir)
     shutil.copy(os.path.join(cheb_cfg.run_dir, "cheb_cache.bin"), run_dir)
     shutil.copy(os.path.join(ctx_cfg.run_dir, "context_cache.bin"), run_dir)
-    return dataclasses.replace(data_cfg, run_dir=str(run_dir))
+    cfg = dataclasses.replace(data_cfg, run_dir=str(run_dir), dataset=str(dataset or data_cfg.dataset))
+    graph.ingest(cfg.dataset, os.path.join(run_dir, "dataset.bin"))
+    return cfg
 
 
 class TestPipeline:
@@ -233,6 +236,9 @@ class TestPipeline:
             "dataset": toy_run.dataset,
             "run_dir": str(tmp_path / "fresh_run"),
         })
+        with pytest.raises(ConfigError, match="dataset.bin"):
+            dispatch("train", cfg)
+        graph.ingest(cfg.dataset, os.path.join(cfg.run_dir, "dataset.bin"))
         with pytest.raises(ConfigError, match="cheb_cache.bin"):
             dispatch("train", cfg)
 
@@ -305,12 +311,10 @@ class TestCacheMatchesDataset:
 
     def test_feature_dim_checked(self, toy_run, tmp_path):
         data_dir = tmp_path / "data"
-        shutil.copytree(toy_run.dataset, data_dir)
-        meta = json.loads((data_dir / "meta.json").read_text())
-        meta["num_features"] = 7
-        (data_dir / "meta.json").write_text(json.dumps(meta))
-        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
-        cfg = dataclasses.replace(cfg, dataset=str(data_dir))
+        ds = graph.load_dataset(toy_run.dataset)
+        ds.features = ds.features[:, :7]
+        graph.write_dataset(ds, data_dir)
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run, dataset=data_dir)
         with pytest.raises(CacheFormatError, match="cheb_cache.bin d=16 .* num_features=7"):
             dispatch("eval", cfg)
 
@@ -366,7 +370,8 @@ class TestCheckpointConfigDecidesCaches:
     def test_features_only_checkpoint_needs_no_context_cache(self, toy_run, tmp_path, command):
         run_dir = tmp_path / "run"
         os.makedirs(run_dir)
-        shutil.copy(os.path.join(toy_run.run_dir, "cheb_cache.bin"), run_dir)
+        for name in ("cheb_cache.bin", "dataset.bin"):
+            shutil.copy(os.path.join(toy_run.run_dir, name), run_dir)
         cfg = dataclasses.replace(toy_run, run_dir=str(run_dir), context_mode="features_only")
         assert dispatch("train", cfg) == 0
         assert not (run_dir / "context_cache.bin").exists()
@@ -416,7 +421,7 @@ class TestSplitErrors:
         labels = np.loadtxt(data_dir / "labels.csv", delimiter=",", dtype=np.int64)
         np.savetxt(data_dir / "labels.csv", labels[~np.isin(labels[:, 0], unlabeled)],
                    fmt="%d", delimiter=",")
-        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run, dataset=data_dir)
         if command != "train":
             shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
 
@@ -456,7 +461,8 @@ class TestMissingRunDir:
 
 class TestMalformedInputs:
     """A dataset file or report.csv that does not parse exits 1 with one
-    error line naming the file, before any output is written."""
+    error line naming the file, before any output is written.  Dataset
+    files are parsed by `preprocess` only; later commands read its image."""
 
     @pytest.mark.parametrize("name,content,message", [
         ("meta.json", "{not json", "meta.json is not valid JSON"),
@@ -467,21 +473,122 @@ class TestMalformedInputs:
         ("splits.json", "[{", "splits.json is not valid JSON"),
         ("splits.json", json.dumps([{"train": ["a"], "val": [], "test": []}]),
          "splits.json entry 0: invalid literal"),
-        ("report.csv", "split,metric,value\nzero,auroc,0.5\n", "report.csv line 2: expected"),
     ], ids=["meta-not-json", "meta-text-num-nodes", "meta-negative-num-nodes",
-            "splits-not-json", "splits-text-id", "report-text-split"])
-    def test_eval_exits_1(self, toy_run, tmp_path, capsys, name, content, message):
+            "splits-not-json", "splits-text-id"])
+    def test_preprocess_exits_1(self, toy_run, tmp_path, capsys, name, content, message):
         data_dir = tmp_path / "data"
         shutil.copytree(toy_run.dataset, data_dir)
+        (data_dir / name).write_text(content)
+        run_dir = tmp_path / "run"
+        assert main(["preprocess", "--dataset", str(data_dir), "--run-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        for output in ("dataset.bin", "cheb_cache.bin"):
+            assert not (run_dir / output).exists()
+
+    @pytest.mark.parametrize("name,content,message", [
+        ("report.csv", "split,metric,value\nzero,auroc,0.5\n", "report.csv line 2: expected"),
+    ], ids=["report-text-split"])
+    def test_eval_exits_1(self, toy_run, tmp_path, capsys, name, content, message):
         cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
         shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
-        directory = cfg.run_dir if name == "report.csv" else data_dir
-        with open(os.path.join(directory, name), "w") as f:
+        with open(os.path.join(cfg.run_dir, name), "w") as f:
             f.write(content)
-        assert main(["eval", "--dataset", str(data_dir), "--run-dir", cfg.run_dir]) == 1
+        assert main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not os.path.exists(os.path.join(cfg.run_dir, "summary.csv"))
+
+
+class TestDatasetImage:
+    """`preprocess` writes dataset.bin; every later command but `score` reads
+    the dataset from it and parses no text file of the dataset directory."""
+
+    READERS = {"train": graph.SUPERVISION_SOURCES, "eval": graph.SUPERVISION_SOURCES,
+               "sample-context": graph.IMAGE_SOURCES, "quartiles": graph.IMAGE_SOURCES}
+
+    def _run(self, toy_run, tmp_path):
+        data_dir = tmp_path / "data"
+        shutil.copytree(toy_run.dataset, data_dir)
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run, dataset=data_dir)
+        shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+        return cfg, ["--dataset", cfg.dataset, "--run-dir", cfg.run_dir,
+                     "--max-epochs", "3", "--patience", "3"]
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name) for command, sources in READERS.items() for name in sources])
+    def test_edited_source_exits_1(self, toy_run, tmp_path, capsys, command, name):
+        cfg, args = self._run(toy_run, tmp_path)
+        with open(os.path.join(cfg.dataset, name), "ab") as f:
+            f.write(b"\n")
+        before = {f: read(os.path.join(cfg.run_dir, f), "rb") for f in os.listdir(cfg.run_dir)}
+        assert main([command, *args]) == 1
+        image = os.path.join(cfg.run_dir, "dataset.bin")
+        assert capsys.readouterr().err == (
+            f"error: {os.path.join(cfg.dataset, name)} has changed since {image} was written "
+            "from it; rerun `preprocess`\n")
+        after = {f: read(os.path.join(cfg.run_dir, f), "rb") for f in os.listdir(cfg.run_dir)}
+        after.pop(f"config_{command.replace('-', '_')}.json")
+        assert after == before
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unread_sources_are_not_checked(self, toy_run, tmp_path, command):
+        cfg, args = self._run(toy_run, tmp_path)
+        with open(os.path.join(cfg.dataset, "edges.tsv"), "ab") as f:
+            f.write(b"\n")
+        assert main([command, *args]) == 0
+
+    def test_score_reads_no_dataset_file(self, toy_run, tmp_path):
+        cfg, args = self._run(toy_run, tmp_path)
+        shutil.rmtree(cfg.dataset)
+        assert main(["score", *args]) == 0
+
+    @pytest.mark.parametrize("command", list(READERS))
+    def test_missing_image_exits_1(self, toy_run, tmp_path, capsys, command):
+        cfg, args = self._run(toy_run, tmp_path)
+        image = os.path.join(cfg.run_dir, "dataset.bin")
+        os.remove(image)
+        assert main([command, *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: missing prerequisite artifact: {image} (run `preprocess` first)\n")
+
+    @pytest.mark.parametrize("command", list(READERS))
+    def test_truncated_image_exits_1(self, toy_run, tmp_path, capsys, command):
+        cfg, args = self._run(toy_run, tmp_path)
+        image = os.path.join(cfg.run_dir, "dataset.bin")
+        with open(image, "r+b") as f:
+            f.truncate(os.path.getsize(image) - 4)
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset.bin: payload is ") and err.count("\n") == 1
+
+    def test_no_command_parses_text(self, toy_run, tmp_path, monkeypatch):
+        cfg, args = self._run(toy_run, tmp_path)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a dataset text file was parsed")
+
+        for name in ("load_dataset", "_read_meta", "_read_int_pairs", "_read_json"):
+            monkeypatch.setattr(graph, name, no_parse)
+        for command in ("sample-context", "train", "eval", "score", "quartiles"):
+            assert main([command, *args]) == 0, command
+
+    def test_train_eval_score_never_import_scipy(self, toy_run, tmp_path):
+        cfg, args = self._run(toy_run, tmp_path)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        driver = (
+            "import json, sys\n"
+            "from sagad import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        for command in ("train", "eval", "score"):
+            proc = subprocess.run([sys.executable, "-c", driver, command, *args],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, []], command
 
 
 class TestSynthCsbmFiles:
@@ -593,7 +700,7 @@ class TestConfigValues:
         def no_read(*args, **kwargs):
             raise AssertionError("file read")
 
-        monkeypatch.setattr(cli.graph, "load_supervision", no_read)
+        monkeypatch.setattr(cli.graph, "open_image", no_read)
         monkeypatch.setattr(cli.chebyshev, "read_cache", no_read)
         rc = main([command, "--dataset", str(tmp_path / "data"),
                    "--run-dir", str(tmp_path / "run"), "--batch-size", "0"])
@@ -609,22 +716,23 @@ class TestProcessMemory:
     D, K = 32, 3
 
     def _write_run(self, base, n):
+        """A dataset with no edges and its run: the dataset image and random
+        caches.  As in the benchmark, every node is labeled and the test
+        split holds every node outside train and val."""
         rng = np.random.default_rng(n)
         data, run = base / f"data{n}", base / f"run{n}"
-        data.mkdir()
         run.mkdir()
-        (data / "meta.json").write_text(
-            json.dumps({"name": f"mem{n}", "num_nodes": n, "num_features": self.D}))
-        labels = np.zeros(n, dtype=np.int64)
+        labels = np.zeros(n, dtype=np.int8)
         labels[rng.choice(n, n // 20, replace=False)] = 1
-        (data / "labels.csv").write_text(
-            "".join(f"{i},{y}\n" for i, y in enumerate(labels.tolist())))
         anom, norm = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
-        rest = np.setdiff1d(np.arange(n), np.concatenate([anom[:20], norm[:80]]))
-        split = {"train": anom[:10].tolist() + norm[:40].tolist(),
-                 "val": anom[10:20].tolist() + norm[40:80].tolist(),
-                 "test": np.sort(rng.choice(rest, 1000, replace=False)).tolist()}
-        (data / "splits.json").write_text(json.dumps([split]))
+        train = np.concatenate([anom[:10], norm[:40]])
+        val = np.concatenate([anom[10:20], norm[40:80]])
+        test = np.setdiff1d(np.arange(n), np.concatenate([train, val]))
+        graph.write_dataset(graph.GraphDataset(
+            graph.SparseAdjacency.from_edges(n, np.zeros((0, 2))),
+            np.zeros((n, self.D), dtype=np.float32), labels,
+            [graph.SplitSet(train, val, test)], f"mem{n}"), data)
+        graph.ingest(data, run / "dataset.bin")
         blocks = [rng.standard_normal((n, self.D), dtype=np.float32) for _ in range(self.K + 1)]
         chebyshev.write_cache(chebyshev.ChebBasisCache(self.K, n, self.D, blocks),
                               run / "cheb_cache.bin")
@@ -658,6 +766,24 @@ class TestProcessMemory:
             extra = peaks[200_000][command] - peaks[20_000][command]
             assert extra < 0.1 * growth, (
                 f"{command} peak grew {extra / 1e6:.1f} MB for {growth / 1e6:.1f} MB more cache")
+
+    # what train holds per node: the int8 label and the context cache's
+    # subgraph size (read as u32, kept as int64); the labeled cache rows
+    # and the model do not depend on n
+    TRAIN_BYTES_PER_NODE = 16
+
+    def test_train_peak_does_not_grow_with_nodes(self, tmp_path, capsys):
+        """The test split holds 180,000 more ids at n=200k: `train` reads
+        only the train and val ids of the dataset image, so its peak stays
+        flat (parsing splits.json and labels.csv grew it by megabytes)."""
+        peaks = {}
+        for n in (20_000, 200_000):
+            args, _ = self._write_run(tmp_path, n)
+            peaks[n] = self._peak(["train", *args, "--max-epochs", "3", "--patience", "3"])
+        capsys.readouterr()
+        extra = peaks[200_000] - peaks[20_000]
+        assert extra < self.TRAIN_BYTES_PER_NODE * 180_000, (
+            f"train peak grew {extra / 1e6:.2f} MB from n=20k to n=200k")
 
 
 class TestScoreFaults:
@@ -747,7 +873,7 @@ class TestSamplerConfig:
         def no_read(*args, **kwargs):
             raise AssertionError("dataset read")
 
-        monkeypatch.setattr(cli.graph, "load_dataset", no_read)
+        monkeypatch.setattr(cli.graph, "open_image", no_read)
         rc = main(["sample-context", "--dataset", str(tmp_path / "data"),
                    "--run-dir", str(tmp_path / "run"), "--cap", cap])
         assert rc == 1

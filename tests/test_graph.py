@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -9,21 +10,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sagad import cachefile, graph
+from sagad import cachefile, csbm, graph
 from sagad.cachefile import CacheFile
-from sagad.errors import DatasetFormatError
+from sagad.errors import CacheFormatError, DatasetFormatError
 from sagad.graph import (
     FEATURES_MAGIC,
+    IMAGE_FORMAT,
+    IMAGE_SOURCES,
+    SUPERVISION_SOURCES,
     UNKNOWN_LABEL,
     SparseAdjacency,
     SplitSet,
     class_homophily,
     edge_homophily,
     homophily_report,
+    ingest,
     load_dataset,
-    load_supervision,
     node_homophily,
     normalized_adjacency,
+    open_image,
     write_dataset,
 )
 
@@ -111,16 +116,14 @@ class TestLoader:
     def test_node_labeled_twice_rejected(self, tmp_path):
         # the last line does not silently win
         write_raw_dataset(tmp_path, 3, 1, ["0\t1"], [[1.0], [2.0], [3.0]], ["2,0", "1,0", "2,1"])
-        for load in (load_supervision, load_dataset):
-            with pytest.raises(DatasetFormatError, match="labels.csv: node 2 is listed more than once"):
-                load(tmp_path)
+        with pytest.raises(DatasetFormatError, match="labels.csv: node 2 is listed more than once"):
+            load_dataset(tmp_path)
 
     def test_zero_features_rejected(self, tmp_path):
         write_raw_dataset(tmp_path, 2, 0, ["0\t1"], [[1.0], [2.0]], ["0,0"])
-        for load in (load_supervision, load_dataset):
-            with pytest.raises(DatasetFormatError,
-                               match="meta.json: num_features must be an integer >= 1, got 0"):
-                load(tmp_path)
+        with pytest.raises(DatasetFormatError,
+                           match="meta.json: num_features must be an integer >= 1, got 0"):
+            load_dataset(tmp_path)
 
     @pytest.mark.parametrize("lines", [["0\tx"], ["0\t1\t2"], ["0\t1", "1\t2\t0"], ["0"]])
     def test_malformed_edge_lines_rejected(self, tmp_path, lines):
@@ -174,17 +177,6 @@ class TestLoader:
             ds.adjacency.row_offsets, np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         )
         np.testing.assert_array_equal(ds.labels, ref_labels)
-
-    def test_supervision_opens_no_graph_file(self, tmp_path):
-        splits = [{"train": [0], "val": [1], "test": [2]}]
-        write_raw_dataset(tmp_path, 3, 2, ["not an edge"], [[1.0]], ["0,1", "1,0", "2,0"], splits)
-        os.remove(tmp_path / "features.csv")
-        sup = load_supervision(tmp_path)
-        assert (sup.name, sup.num_nodes, sup.num_features) == ("raw", 3, 2)
-        assert list(sup.labels) == [1, 0, 0]
-        assert list(sup.splits[0].test) == [2]
-        with pytest.raises(DatasetFormatError, match="edges.tsv"):
-            load_dataset(tmp_path)
 
     def test_self_loops_dropped(self, tmp_path):
         write_raw_dataset(tmp_path, 2, 1, ["0\t0", "0\t1"], [[1.0], [2.0]], ["0,0", "1,0"])
@@ -260,21 +252,22 @@ class TestLoader:
 
 class TestSplitValidation:
     @pytest.mark.parametrize(("train", "message"), [
-        ([0, 3], "train split contains node id >= 3"),
-        ([-1], "train split contains node id >= 3"),
+        ([0, 3], "train split contains node id 3 outside [0, 3)"),
+        ([-1], "train split contains node id -1 outside [0, 3)"),
         ([0, 0], "train split contains duplicate ids"),
     ])
     def test_malformed_split_rejected(self, train, message):
         split = SplitSet(train=np.asarray(train), val=np.asarray([1]), test=np.asarray([2]))
-        with pytest.raises(DatasetFormatError, match=message):
+        with pytest.raises(DatasetFormatError, match=re.escape(message)):
             split.validate(3, np.asarray([0, 1, 0], dtype=np.int8))
 
     def test_split_errors_reported_by_loaders(self, tmp_path):
         splits = [{"train": [0], "val": [1], "test": [1, 2]}]
         write_raw_dataset(tmp_path, 3, 1, ["0\t1"], [[1.0], [2.0], [3.0]], ["0,1", "1,0"], splits)
-        for load in (load_supervision, load_dataset):
+        for load in (load_dataset, lambda d: ingest(d, d / "dataset.bin")):
             with pytest.raises(DatasetFormatError, match="disjoint"):
                 load(tmp_path)
+        assert not (tmp_path / "dataset.bin").exists()
 
     def test_overlapping_splits_rejected(self):
         split = SplitSet(train=np.asarray([0]), val=np.asarray([0]), test=np.asarray([1]))
@@ -285,6 +278,170 @@ class TestSplitValidation:
         split = SplitSet(train=np.asarray([2]), val=np.asarray([0]), test=np.asarray([1]))
         with pytest.raises(DatasetFormatError, match="unlabeled"):
             split.validate(3, np.asarray([0, 1, UNKNOWN_LABEL], dtype=np.int8))
+
+
+def _image_cases(tmp_path, case):
+    """A dataset directory for one image round-trip case."""
+    directory = tmp_path / case
+    if case == "csbm":
+        params = csbm.CsbmParams(n_a=20, n_n=180, mu=-0.5 * np.ones(4), nu=0.5 * np.ones(4),
+                                 p1=0.05, q1=0.01, p2=0.01, q2=0.05, seed=3)
+        ds = csbm.generate_csbm(params).dataset
+        ds.splits = csbm.standard_splits(ds.labels, num_splits=3, labeled_anomalies=10,
+                                         labeled_normals=40, seed=3)
+        write_dataset(ds, directory)
+    elif case == "isolated-nodes":
+        splits = [{"train": [0, 5], "val": [1, 6], "test": [2, 3, 4]}]
+        write_raw_dataset(directory, 7, 2, ["0\t1", "1\t2", "2\t0"], [[float(i), 1.0] for i in range(7)],
+                          [f"{i},{int(i in (0, 1))}" for i in range(7)], splits)
+        ds = load_dataset(directory)
+        (directory / "features.csv").unlink()
+        write_dataset(ds, directory)  # features.bin in place of features.csv
+    elif case == "no-edges":
+        write_raw_dataset(directory, 4, 1, [], [[1.0], [2.0], [3.0], [4.0]],
+                          ["0,1", "1,0", "2,0", "3,1"], [{"train": [0, 1], "val": [2, 3], "test": []}])
+    elif case == "unlabeled-nodes":
+        write_raw_dataset(directory, 6, 1, ["0\t1", "2\t3", "4\t5", "1\t4"],
+                          [[float(i)] for i in range(6)], ["0,1", "1,0", "4,0"],
+                          [{"train": [0], "val": [1], "test": [2, 3, 5]},
+                           {"train": [1, 4], "val": [0], "test": []}])
+    else:  # "features-csv": write_raw_dataset writes features.csv
+        write_raw_dataset(directory, 5, 3, ["0\t1", "3\t4", "4\t3", "2\t2"],
+                          [[0.5 * i, -1.0, 2.0 + i] for i in range(5)],
+                          [f"{i},{i % 2}" for i in range(5)], [{"train": [1], "val": [0], "test": [2, 3, 4]}])
+    return directory
+
+
+class TestDatasetImage:
+    CASES = ["csbm", "isolated-nodes", "no-edges", "unlabeled-nodes", "features-csv"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_roundtrip_equals_load_dataset(self, tmp_path, case):
+        directory = _image_cases(tmp_path, case)
+        ds = load_dataset(directory)
+        returned = ingest(directory, tmp_path / "dataset.bin")
+        assert returned.adjacency.csr is not ds.adjacency.csr
+        with open_image(tmp_path / "dataset.bin", directory) as image:
+            assert (image.num_nodes, image.num_features, image.num_splits) == (
+                ds.num_nodes, ds.num_features, len(ds.splits))
+            adj = image.adjacency()
+            for got, want in ((adj.csr.indptr, ds.adjacency.csr.indptr),
+                              (adj.csr.indices, ds.adjacency.csr.indices),
+                              (adj.csr.data, ds.adjacency.csr.data)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert adj.csr.shape == ds.adjacency.csr.shape
+            assert_adjacency_contract(adj, ds.num_nodes)
+            labels = image.labels()
+            assert labels.dtype == np.int8 and labels.tobytes() == ds.labels.tobytes()
+            for i, want in enumerate(ds.splits):
+                got = image.split(i)
+                for part in graph.SPLIT_PARTS:
+                    assert getattr(got, part).dtype == np.int64
+                    np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+            full = image.dataset(directory)
+            np.testing.assert_array_equal(full.features, ds.features)
+            assert full.features.dtype == ds.features.dtype
+            assert full.adjacency.csr.indices.tobytes() == ds.adjacency.csr.indices.tobytes()
+            assert full.labels.tobytes() == ds.labels.tobytes()
+        assert image.file.closed
+
+    def test_split_reads_only_the_parts_asked_for(self, tmp_path):
+        directory = _image_cases(tmp_path, "unlabeled-nodes")
+        ingest(directory, tmp_path / "dataset.bin")
+        with open_image(tmp_path / "dataset.bin", directory) as image:
+            split = image.split(1, ("train", "val"))
+            assert split.train.tolist() == [1, 4] and split.val.tolist() == [0]
+            assert split.test.size == 0 and split.test.dtype == np.int64
+            assert image.split(0, ("test",)).test.tolist() == [2, 3, 5]
+            with pytest.raises(IndexError, match="split 2 out of range"):
+                image.split(2)
+
+    def test_supervision_opens_no_graph_file(self, tmp_path):
+        """Opened for labels and splits, the image checks meta.json,
+        labels.csv and splits.json only: edges.tsv and the features may
+        hold anything."""
+        directory = _image_cases(tmp_path, "features-csv")
+        ingest(directory, tmp_path / "dataset.bin")
+        (directory / "edges.tsv").write_text("not an edge\n")
+        (directory / "features.csv").unlink()
+        with open_image(tmp_path / "dataset.bin", directory, SUPERVISION_SOURCES) as image:
+            assert image.labels().tolist() == [0, 1, 0, 1, 0]
+            assert image.split(0).test.tolist() == [2, 3, 4]
+        with pytest.raises(CacheFormatError, match="edges.tsv has changed"):
+            open_image(tmp_path / "dataset.bin", directory)
+
+    @pytest.mark.parametrize("name", IMAGE_SOURCES)
+    @pytest.mark.parametrize("edit", ["same-size", "appended"])
+    def test_edited_source_rejected(self, tmp_path, name, edit):
+        directory = _image_cases(tmp_path, "csbm")
+        ingest(directory, tmp_path / "dataset.bin")
+        path = directory / name
+        content = path.read_bytes()
+        if edit == "same-size":
+            at = next(i for i, c in enumerate(content) if chr(c).isdigit())
+            content = content[:at] + (b"7" if content[at:at + 1] != b"7" else b"8") + content[at + 1:]
+        else:
+            content += b"\n"
+        path.write_bytes(content)
+        with pytest.raises(CacheFormatError) as err:
+            open_image(tmp_path / "dataset.bin", directory)
+        assert str(err.value) == (f"{path} has changed since {tmp_path / 'dataset.bin'} was "
+                                  "written from it; rerun `preprocess`")
+        others = tuple(s for s in IMAGE_SOURCES if s != name)
+        open_image(tmp_path / "dataset.bin", directory, others).close()
+
+    def test_missing_source_rejected(self, tmp_path):
+        directory = _image_cases(tmp_path, "no-edges")
+        ingest(directory, tmp_path / "dataset.bin")
+        (directory / "labels.csv").unlink()
+        with pytest.raises(DatasetFormatError, match="missing dataset file: .*labels.csv"):
+            open_image(tmp_path / "dataset.bin", directory, SUPERVISION_SOURCES)
+
+    def test_malformed_image_rejected(self, tmp_path, monkeypatch):
+        opened = []
+
+        class RecordingFile(CacheFile):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cachefile, "CacheFile", RecordingFile)
+        directory = _image_cases(tmp_path, "csbm")
+        path = tmp_path / "dataset.bin"
+        ingest(directory, path)
+        opened.clear()  # ingest's read of features.bin
+        good = path.read_bytes()
+        header = IMAGE_FORMAT.header_bytes
+        cases = [
+            (b"NOTIMAGE" + good[8:], "bad dataset.bin magic"),
+            (good[: header - 1], "truncated dataset.bin header"),
+            (good[:-1], f"dataset.bin: payload is {len(good) - header - 1} bytes, expected "
+                        f"{len(good) - header}"),
+            (good + b"\0", f"dataset.bin: payload is {len(good) - header + 1} bytes, expected "
+                           f"{len(good) - header}"),
+            (good[:header + 100], f"dataset.bin: payload is 100 bytes, expected "),
+        ]
+        for content, message in cases:
+            path.write_bytes(content)
+            with pytest.raises(CacheFormatError, match=message):
+                open_image(path, directory)
+        assert len(opened) == len(cases) and all(f.closed for f in opened)
+        path.unlink()
+        with pytest.raises(CacheFormatError, match="dataset.bin not found"):
+            open_image(path, directory)
+
+    def test_split_offsets_must_increase(self, tmp_path):
+        directory = _image_cases(tmp_path, "unlabeled-nodes")
+        path = tmp_path / "dataset.bin"
+        ingest(directory, path)
+        with open_image(path, directory) as image:
+            table_at = image.file.payload_offset + image._labels_at + image.num_nodes
+        content = bytearray(path.read_bytes())
+        content[table_at + 8 : table_at + 16] = struct.pack("<Q", 5)  # offsets 0, 5, 1, ...
+        path.write_bytes(bytes(content))
+        with pytest.raises(CacheFormatError, match="split offsets do not increase from 0"):
+            open_image(path, directory)
 
 
 class TestRowIds:

@@ -21,11 +21,11 @@ from sagad.training import (
     adam_step,
     bce_loss_grad,
     compute_beta,
+    data_loss_terms,
     evaluate_objective,
     fpg_loss_grad,
     init_optimizer,
     loss_and_grads_bundle,
-    objective_terms,
     score_all,
     train,
 )
@@ -38,7 +38,7 @@ EPS = 1e-7
 def data_loss(yhat, cbar, labels, beta, cfg):
     """The objective's data loss (BCE, plus FPG when enabled), no weight decay."""
     state = init_model(cfg, 1)
-    return objective_terms(state, yhat, cbar, labels, beta, TrainConfig())[0]
+    return data_loss_terms(state, yhat, cbar, labels, beta)[0]
 
 
 class TestComputeBeta:
@@ -146,14 +146,13 @@ class TestTotalLoss:
         assert data_loss(yhat, cbar, labels, 0.5, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_objective_adds_the_weight_decay_term(self):
-        cfg = ModelConfig(use_fpg=False)
-        state = init_model(cfg, 2)
-        yhat, labels = np.asarray([0.3, 0.6]), np.asarray([1, 0])
-        loss, objective, _, _ = objective_terms(
-            state, yhat, None, labels, 0.5, TrainConfig(weight_decay=0.1)
-        )
+        cfg = ModelConfig(K=2, hidden_dim=4, use_fpg=False)
+        ds, _, _, state, bundle = _fd_setup(cfg)
+        labels = ds.labels.astype(float)
+        loss = evaluate_objective(state, bundle, labels, 0.5, TrainConfig())
+        objective = evaluate_objective(state, bundle, labels, 0.5, TrainConfig(weight_decay=0.1))
         sq = sum(float(np.sum(p * p)) for _, p in iter_params(state))
-        assert loss == bce_loss_grad(yhat, labels, 0.5, EPS)[0]
+        assert loss == loss_and_grads_bundle(state, bundle, labels, 0.5, TrainConfig()).data_loss
         assert objective == pytest.approx(loss + 0.05 * sq, rel=1e-12)
 
     def test_requires_cbar_when_enabled(self):
