@@ -27,6 +27,7 @@ from .csbm import (
 from .errors import CacheFormatError, ConfigError, DatasetFormatError, SagadError, SplitError
 from .graph import (
     DatasetImage,
+    FeatureFile,
     GraphDataset,
     HomophilyReport,
     SparseAdjacency,

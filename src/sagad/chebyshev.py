@@ -62,11 +62,13 @@ def build_cheb_basis(
     L_hat = 2 L_norm / lambda_max - I with lambda_max pinned at 2, which
     collapses to the negated normalized adjacency.  The recurrence runs in
     float64 over two n*d buffers, one row chunk at a time (see
-    ``_basis_chunks``).  Without ``path`` the chunks are cast to ``dtype``
-    into (order+1) in-memory blocks.  With ``path`` each chunk is written
-    to the cache file as soon as it is computed (f32; the file replaces
-    ``path`` only once complete) and the returned cache reads that file by
-    row: close it, or use it in a ``with`` block.
+    ``_basis_chunks``); features given as a ``FeatureFile`` are read into
+    the first of them, with no other copy held.  Without ``path`` the
+    chunks are cast to ``dtype`` into (order+1) in-memory blocks.  With
+    ``path`` each chunk is written to the cache file as soon as it is
+    computed (f32; the file replaces ``path`` only once complete) and the
+    returned cache reads that file by row: close it, or use it in a
+    ``with`` block.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -102,8 +104,9 @@ def _basis_chunks(dataset: GraphDataset, order: int):
         return normalized_adjacency(adj, (lo, hi), scaling)
 
     bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
-    # a copy even for f64 features: the buffer is overwritten below
-    b_prev = np.array(dataset.features, dtype=np.float64, order="C")  # T_0 X is X, bit-exact
+    # T_0 X is X, bit-exact, in a new buffer (it is overwritten below); a
+    # FeatureFile is read straight into it
+    b_prev = dataset.feature_matrix()
     for lo, hi in bounds:
         yield 0, lo, b_prev[lo:hi]
     b_cur = np.empty_like(b_prev)

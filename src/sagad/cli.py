@@ -341,10 +341,21 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 
 def _cmd_preprocess(cfg: RunConfig) -> int:
-    path = _cheb_path(cfg)
-    dataset = graph.ingest(_dataset_dir(cfg), _image_path(cfg))
-    with chebyshev.build_cheb_basis(dataset, cfg.K, path=path) as cache:
-        print(f"wrote {path} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
+    directory, image_path, path = _dataset_dir(cfg), _image_path(cfg), _cheb_path(cfg)
+    # Two phases: the parse is released before the basis allocates, and the
+    # basis reads the graph back from the image and the features from
+    # their file.  A failure of the second phase (say, a non-finite
+    # feature) removes the image, so a failed run leaves no output.
+    graph.ingest(directory, image_path)
+    try:
+        # written from these sources just now: not fingerprinted again
+        with graph.open_image(image_path, directory, ()) as image:
+            dataset = image.dataset(directory)
+        with chebyshev.build_cheb_basis(dataset, cfg.K, path=path) as cache:
+            print(f"wrote {path} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
+    except BaseException:
+        os.unlink(image_path)
+        raise
     return 0
 
 
@@ -454,7 +465,7 @@ def _cmd_score(cfg: RunConfig) -> int:
 
 def _cmd_homophily(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
-    report = graph.homophily_report(dataset)
+    report = graph.homophily_report(dataset.adjacency, dataset.labels)
     print(f"edge homophily: {report.edge_homophily:.6f}")
     print(f"class homophily (abnormal): {report.class_homophily_abnormal:.6f}")
     print(f"class homophily (normal):   {report.class_homophily_normal:.6f}")
@@ -476,11 +487,11 @@ def _cmd_homophily(cfg: RunConfig) -> int:
 def _cmd_quartiles(cfg: RunConfig) -> int:
     with _open_image(cfg, graph.IMAGE_SOURCES) as image:
         test_ids = _get_split(image, cfg.split_index, ("test",)).test
-        dataset = image.dataset(_dataset_dir(cfg))
-    node_h = graph.node_homophily(dataset)
+        labels = image.labels()
+        node_h = graph.node_homophily(image.adjacency(), labels)
     # an unusable test split fails before any node is scored
-    metrics.quartile_groups(dataset.labels, node_h, test_ids)
-    report = metrics.quartile_report(_score_nodes(cfg, image), dataset.labels, node_h, test_ids)
+    metrics.quartile_groups(labels, node_h, test_ids)
+    report = metrics.quartile_report(_score_nodes(cfg, image), labels, node_h, test_ids)
     path = os.path.join(_run_dir(cfg), "quartiles.csv")
     cachefile.write_text(path, [
         "group,auprc,auroc\n",

@@ -34,7 +34,8 @@ class ContextCache(FileBacked):
     """Mean-pooled features of each node's max-RQ subgraph.
 
     ``context`` is an ndarray when built, or ``CacheRows`` over the open
-    ``file`` when read from disk; ``subgraph_size`` is always in memory.
+    ``file`` when read from disk; ``subgraph_size`` is always in memory,
+    as the u32 the file stores when read from disk.
     """
 
     num_nodes: int
@@ -255,11 +256,11 @@ def _full_khop_context(dataset: GraphDataset, x: np.ndarray):
     """(A x + x) / (degree + 1) for every node, pooled a row chunk at a time
     straight into the f32 output; each row sums from zero in column order,
     as the whole-matrix product does."""
-    csr = dataset.adjacency.csr
-    sizes = (np.diff(csr.indptr) + 1).astype(np.int64)
-    context = np.empty((dataset.num_nodes, dataset.num_features), dtype=np.float32)
-    for s in _chunks(dataset.num_nodes, x.shape[1]):
-        pooled = csr[s] @ x
+    adj, n = dataset.adjacency, dataset.num_nodes
+    sizes = (np.diff(adj.row_offsets) + 1).astype(np.int64)
+    context = np.empty((n, dataset.num_features), dtype=np.float32)
+    for s in _chunks(n, x.shape[1]):
+        pooled = adj.to_csr((s.start, min(s.stop, n))) @ x
         pooled += x[s]
         pooled /= sizes[s, None]
         context[s] = pooled
@@ -273,12 +274,14 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
     mode "rq" runs the max-RQ sampler on every node in one batched pass
     (per-node seeding keeps each node's result independent of the rest).
     mode "full_khop" pools over the whole 1-hop neighborhood plus the node
-    itself, computed as one sparse product.
+    itself, computed as one sparse product.  The pooling reads the
+    features as f64 (``GraphDataset.feature_matrix``); a ``FeatureFile``
+    is read straight into that matrix.
     """
     if cap < 1:
         raise ValueError(f"candidate cap must be >= 1, got {cap}")
     n = dataset.num_nodes
-    x = np.asarray(dataset.features, dtype=np.float64)
+    x = dataset.feature_matrix()
     if mode == "full_khop":
         context, sizes = _full_khop_context(dataset, x)
     elif mode == "rq":
@@ -314,6 +317,6 @@ def _context_from_file(file: CacheFile) -> ContextCache:
     sizes = np.empty(n, dtype="<u4")
     file.read_into(sizes, file.payload_offset + n * d * 4)
     cache = ContextCache(num_nodes=n, dim=d, context=CacheRows(file, file.payload_offset, n, d),
-                         subgraph_size=sizes.astype(np.int64), file=file)
+                         subgraph_size=sizes, file=file)
     cache.validate()
     return cache

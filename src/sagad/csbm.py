@@ -267,7 +267,7 @@ def random_walk_filter(a, x: np.ndarray, regimes: np.ndarray) -> tuple[np.ndarra
 
     Row i is +(S X)_i for homophilic nodes and -(S X)_i for heterophilic
     nodes, with S = D^-1 A and D the row's neighbor count.  ``a`` is a CSR
-    with unit values: the dataset graph's ``adjacency.csr`` or the directed
+    with unit values: the dataset graph's ``adjacency.to_csr()`` or the directed
     ego draw.  Isolated rows are zero and flagged in the returned mask
     rather than raising.
     """

@@ -43,16 +43,20 @@ SPLIT_PARTS = ("train", "val", "test")
 
 @dataclass
 class SparseAdjacency:
-    """Symmetric adjacency held as one scipy CSR (``csr``): one-byte unit
-    values, no self-loops, sorted columns, no duplicates.
+    """Symmetric adjacency held as the two index arrays of a CSR with unit
+    values: ``row_offsets`` (its ``indptr``, n+1 entries) and
+    ``col_indices`` (its ``indices``), sorted within each row, without
+    duplicates or self-loops.
 
     Each undirected edge is stored twice (once per direction), so
     ``col_indices`` has length 2m for m undirected edges.  scipy picks the
-    index dtype: int32 while 2m < 2^31.  scipy is imported on first use, so
-    the commands that never build a graph do not pay for importing it.
+    index dtype: int32 while 2m < 2^31.  Only ``from_edges`` and
+    ``to_csr`` import scipy, so a command that builds no graph and forms
+    no sparse product never pays for importing it.
     """
 
-    csr: "scipy.sparse.csr_matrix"
+    row_offsets: np.ndarray
+    col_indices: np.ndarray
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges: np.ndarray) -> "SparseAdjacency":
@@ -67,8 +71,7 @@ class SparseAdjacency:
         - no self-loops: the ``keep`` mask;
         - unique columns: scipy's COO->CSR conversion sums duplicates;
         - symmetric: ``half + half.T``;
-        - sorted columns: ``sort_indices``;
-        - unit values: the int8 ones written last.
+        - sorted columns: ``sort_indices``.
         """
         import scipy.sparse as sp
 
@@ -81,8 +84,8 @@ class SparseAdjacency:
         keep = edges[:, 0] != edges[:, 1]
         # Duplicates are summed as f32 counts, which saturate but never reach
         # 0 (a narrow integer count could wrap to 0 and be dropped as an
-        # explicit zero); f32 halves the transient of the sum below.  The
-        # stored values are int8 ones: no consumer reads them but as 1.
+        # explicit zero); f32 halves the transient of the sum below.  Only
+        # the index arrays are kept: every entry stands for a 1.
         half = sp.coo_matrix(
             (np.ones(int(keep.sum()), dtype=np.float32), (edges[keep, 0], edges[keep, 1])),
             shape=(num_nodes, num_nodes),
@@ -90,20 +93,11 @@ class SparseAdjacency:
         csr = half + half.T
         del half
         csr.sort_indices()
-        csr.data = np.ones(csr.nnz, dtype=np.int8)
-        return cls(csr)
+        return cls(csr.indptr, csr.indices)
 
     @property
     def num_nodes(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.csr.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self.csr.indices
+        return len(self.row_offsets) - 1
 
     @property
     def num_edges(self) -> int:
@@ -116,6 +110,25 @@ class SparseAdjacency:
 
     def neighbors(self, node: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[node] : self.row_offsets[node + 1]]
+
+    def to_csr(self, rows: tuple[int, int] | None = None, values: np.ndarray | None = None):
+        """Rows lo:hi (``rows``; all rows by default) as a (hi - lo, n) scipy
+        CSR over slices of the index arrays, not copies.  Its values are
+        ``values``, one per stored entry of those rows, or int8 ones: the
+        operator to multiply by, ``to_csr() @ x`` sums each node's
+        neighbors."""
+        import scipy.sparse as sp
+
+        n = self.num_nodes
+        lo, hi = (0, n) if rows is None else rows
+        start, stop = self.row_offsets[lo], self.row_offsets[hi]
+        indptr = self.row_offsets[lo : hi + 1]
+        if start:
+            indptr = indptr - start
+        if values is None:
+            values = np.ones(stop - start, dtype=np.int8)
+        return sp.csr_matrix((values, self.col_indices[start:stop], indptr), shape=(hi - lo, n),
+                             copy=False)
 
 
 @dataclass
@@ -147,16 +160,89 @@ class SplitSet:
                 raise DatasetFormatError(f"{name} split contains unlabeled nodes")
 
 
+# Rows per chunk of a features.bin read: a chunk's f32 buffer stays small
+# next to the f64 matrix it is cast into.
+FEATURE_CHUNK_ROWS = 1 << 13
+
+
+@dataclass
+class FeatureFile:
+    """The features of the dataset ``directory``, not yet read: its
+    features.bin, or else its features.csv, which must hold a
+    (num_nodes, num_features) matrix of finite values."""
+
+    directory: str
+    num_nodes: int
+    num_features: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num_nodes, self.num_features
+
+    def read(self, dtype=np.float32) -> np.ndarray:
+        """The features as a new C-order array of ``dtype``, checked.
+
+        features.bin is read FEATURE_CHUNK_ROWS rows at a time, each chunk
+        checked finite and then cast into the result, so an f64 result is
+        filled without an f32 copy of the matrix.  features.csv is parsed
+        whole as f64 and rounded to f32, as features.bin stores them.
+        """
+        path = os.path.join(self.directory, "features.bin")
+        if os.path.exists(path):
+            return FEATURES_FORMAT.read(path, lambda file: self._read_bin(file, dtype))
+        path = _dataset_file(self.directory, "features.csv")
+        features = _read_features_csv(path)
+        self._check_shape(*features.shape)
+        _check_finite(path, features, 0)
+        return features.astype(dtype, copy=False)
+
+    def _read_bin(self, file: CacheFile, dtype) -> np.ndarray:
+        rows, dim = file.fields
+        file.expect_payload(rows * dim * 4)
+        self._check_shape(rows, dim)
+        out = np.empty(self.shape, dtype=dtype)
+        # f32 rows are read in place; other dtypes through one chunk buffer
+        buffer = None if out.dtype == np.dtype("<f4") else np.empty(
+            (min(FEATURE_CHUNK_ROWS, rows), dim), "<f4")
+        for lo in range(0, rows, FEATURE_CHUNK_ROWS):
+            hi = min(lo + FEATURE_CHUNK_ROWS, rows)
+            chunk = out[lo:hi] if buffer is None else buffer[: hi - lo]
+            file.read_into(chunk, file.payload_offset + lo * dim * 4)
+            _check_finite(file.path, chunk, lo)
+            if buffer is not None:
+                out[lo:hi] = chunk
+        return out
+
+    def _check_shape(self, rows: int, dim: int) -> None:
+        if rows != self.num_nodes:
+            raise DatasetFormatError(f"feature rows ({rows}) != num_nodes ({self.num_nodes})")
+        if dim != self.num_features:
+            raise DatasetFormatError(
+                f"feature dim ({dim}) != meta num_features ({self.num_features})"
+            )
+
+
+def _check_finite(path: str, rows: np.ndarray, first: int) -> None:
+    """Raise naming the first node of ``rows`` (node ``first`` onward) that
+    holds a non-finite value."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(
+            f"{os.path.basename(path)}: non-finite value at node {first + int(np.argmin(finite))}"
+        )
+
+
 @dataclass
 class GraphDataset:
     """Adjacency + features + labels + evaluation splits.
 
     Labels are 1 for anomalies (positive class), 0 for normal nodes and
-    UNKNOWN_LABEL (-1) where no ground truth is available.
+    UNKNOWN_LABEL (-1) where no ground truth is available.  ``features`` is
+    an (n, d) array, or the FeatureFile they are read from when used.
     """
 
     adjacency: SparseAdjacency
-    features: np.ndarray
+    features: np.ndarray | FeatureFile
     labels: np.ndarray
     splits: list[SplitSet] = field(default_factory=list)
     name: str = "unnamed"
@@ -168,6 +254,13 @@ class GraphDataset:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
+
+    def feature_matrix(self) -> np.ndarray:
+        """The features as a new C-order f64 array, which the caller may
+        overwrite: a FeatureFile is read straight into it."""
+        if isinstance(self.features, FeatureFile):
+            return self.features.read(np.float64)
+        return np.array(self.features, dtype=np.float64, order="C")
 
 
 @dataclass
@@ -202,18 +295,13 @@ def normalized_adjacency(adj: SparseAdjacency, rows: tuple[int, int] | None = No
     for many row chunks so it is computed once.  Rows and columns of
     isolated nodes stay all-zero (they have no entries).
     """
-    import scipy.sparse as sp
-
-    csr, n = adj.csr, adj.num_nodes
-    lo, hi = (0, n) if rows is None else rows
+    offsets = adj.row_offsets
+    lo, hi = (0, adj.num_nodes) if rows is None else rows
     if scaling is None:
         scaling = degree_scaling(adj)
-    start, stop = csr.indptr[lo], csr.indptr[hi]
-    indices, indptr = csr.indices[start:stop], csr.indptr[lo : hi + 1]
-    if start:
-        indptr = indptr - start
-    vals = np.repeat(scaling[lo:hi], np.diff(indptr)) * scaling[indices]
-    return sp.csr_matrix((vals, indices, indptr), shape=(hi - lo, n), copy=False)
+    columns = adj.col_indices[offsets[lo] : offsets[hi]]
+    vals = np.repeat(scaling[lo:hi], np.diff(offsets[lo : hi + 1])) * scaling[columns]
+    return adj.to_csr((lo, hi), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +309,8 @@ def normalized_adjacency(adj: SparseAdjacency, rows: tuple[int, int] | None = No
 # ---------------------------------------------------------------------------
 
 
-def _agreement(dataset: GraphDataset, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _agreement(adj: SparseAdjacency, labels: np.ndarray,
+               what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per node, the neighbors sharing its label, the degree (both f64) and
     their ratio, the node homophily (NaN for an isolated node): the one pass
     over the edges every homophily value is derived from.
@@ -229,7 +318,6 @@ def _agreement(dataset: GraphDataset, what: str) -> tuple[np.ndarray, np.ndarray
     An edge endpoint without a label raises, naming ``what``; the graph is
     symmetric, so the endpoints are the nodes of nonzero degree.
     """
-    adj, labels = dataset.adjacency, dataset.labels
     counts = np.diff(adj.row_offsets).astype(np.float64)
     bad = np.flatnonzero((counts > 0) & (labels == UNKNOWN_LABEL))
     if bad.size:
@@ -241,43 +329,43 @@ def _agreement(dataset: GraphDataset, what: str) -> tuple[np.ndarray, np.ndarray
         return agree, counts, np.where(counts > 0, agree / counts, np.nan)
 
 
-def edge_homophily(dataset: GraphDataset) -> float:
+def edge_homophily(adj: SparseAdjacency, labels: np.ndarray) -> float:
     """Fraction of unordered edges whose endpoints share a label."""
-    if dataset.adjacency.num_edges == 0:
+    if adj.num_edges == 0:
         return 0.0
-    agree, counts, _ = _agreement(dataset, "edge_homophily")
+    agree, counts, _ = _agreement(adj, labels, "edge_homophily")
     # Each undirected edge appears twice, so the fraction over directed
     # entries (two exact integer sums) equals the unordered-edge fraction.
     return float(agree.sum() / counts.sum())
 
 
-def node_homophily(dataset: GraphDataset) -> np.ndarray:
+def node_homophily(adj: SparseAdjacency, labels: np.ndarray) -> np.ndarray:
     """Per-node fraction of neighbors sharing the node's label.
 
     Isolated nodes get NaN and are excluded from downstream averages.
     """
-    return _agreement(dataset, "node_homophily")[2]
+    return _agreement(adj, labels, "node_homophily")[2]
 
 
-def class_homophily(dataset: GraphDataset) -> tuple[float, float]:
+def class_homophily(adj: SparseAdjacency, labels: np.ndarray) -> tuple[float, float]:
     """Mean node homophily over anomalies and over normal nodes."""
-    report = homophily_report(dataset)
+    report = homophily_report(adj, labels)
     return report.class_homophily_abnormal, report.class_homophily_normal
 
 
-def homophily_report(dataset: GraphDataset) -> HomophilyReport:
+def homophily_report(adj: SparseAdjacency, labels: np.ndarray) -> HomophilyReport:
     """Edge, node and class homophily from one pass over the edges."""
-    agree, counts, h = _agreement(dataset, "node_homophily")
+    agree, counts, h = _agreement(adj, labels, "node_homophily")
     means = []
     for cls, name in ((1, "abnormal"), (0, "normal")):
-        mask = (dataset.labels == cls) & ~np.isnan(h)
+        mask = (labels == cls) & ~np.isnan(h)
         if not np.any(mask):
             raise DatasetFormatError(
                 f"class_homophily: no {name} node has a defined node homophily"
             )
         means.append(float(np.mean(h[mask])))
     return HomophilyReport(
-        edge_homophily=float(agree.sum() / counts.sum()) if dataset.adjacency.num_edges else 0.0,
+        edge_homophily=float(agree.sum() / counts.sum()) if adj.num_edges else 0.0,
         node_homophily=h,
         class_homophily_abnormal=means[0],
         class_homophily_normal=means[1],
@@ -326,44 +414,26 @@ def load_dataset(directory: str | os.PathLike) -> GraphDataset:
     symmetrized and deduplicated; self-loops are dropped.  Features must
     be finite.
     """
-    directory = os.fspath(directory)
+    dataset = _parse(os.fspath(directory))
+    dataset.features = dataset.features.read()
+    return dataset
+
+
+def _parse(directory: str) -> GraphDataset:
+    """The text files of ``directory`` parsed and checked: the graph, the
+    labels and the splits, with the features as the FeatureFile they are
+    read from, not read yet."""
     meta = _read_meta(directory)
     n, d = meta["num_nodes"], meta["num_features"]
-
     edges = _read_edges_tsv(_dataset_file(directory, "edges.tsv"))
     adjacency = SparseAdjacency.from_edges(n, edges)
     del edges
-    features = _read_features(directory, n, d)
     labels = _read_labels_csv(_dataset_file(directory, "labels.csv"), n)
     splits = _read_splits_json(_dataset_file(directory, "splits.json"))
     for s in splits:
         s.validate(n, labels)
-    return GraphDataset(adjacency, features, labels, splits, name=str(meta["name"]))
-
-
-def _read_features(directory: str, n: int, d: int) -> np.ndarray:
-    """The directory's features.bin (or features.csv), checked to be an
-    (n, d) matrix of finite values."""
-    path = os.path.join(directory, "features.bin")
-    if os.path.exists(path):
-        features = FEATURES_FORMAT.read(path, _features_from_file)
-    else:
-        path = _dataset_file(directory, "features.csv")
-        features = _read_features_csv(path)
-    if features.shape[0] != n:
-        raise DatasetFormatError(
-            f"feature rows ({features.shape[0]}) != num_nodes ({n})"
-        )
-    if features.shape[1] != d:
-        raise DatasetFormatError(
-            f"feature dim ({features.shape[1]}) != meta num_features ({d})"
-        )
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise DatasetFormatError(
-            f"{os.path.basename(path)}: non-finite value at node {int(np.argmin(finite))}"
-        )
-    return features
+    return GraphDataset(adjacency, FeatureFile(directory, n, d), labels, splits,
+                        name=str(meta["name"]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,29 +441,31 @@ def _read_features(directory: str, n: int, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ingest(directory: str | os.PathLike, path: str | os.PathLike) -> GraphDataset:
-    """Load ``directory`` as ``load_dataset`` does and write its image to
-    ``path``; return the dataset.
+def ingest(directory: str | os.PathLike, path: str | os.PathLike) -> None:
+    """Parse and check the text files of ``directory`` as ``load_dataset``
+    does, all but the feature file, and write their image to ``path``.
 
     The image holds the CSR, the labels and the splits, and the size and
     crc32 of each ``IMAGE_SOURCES`` file.  The files are fingerprinted
     before they are parsed, so one edited meanwhile leaves an image that
-    fails its check, never one that passes with the old content.
+    fails its check, never one that passes with the old content.  Nothing
+    parsed outlives the call: a command reads back the parts it needs
+    (``open_image``), so what it allocates next does not sit above the
+    parse's freed buffers.
     """
     directory = os.fspath(directory)
     sources = [fingerprint(_dataset_file(directory, name)) for name in IMAGE_SOURCES]
-    dataset = load_dataset(directory)
-    csr = dataset.adjacency.csr
-    ids = np.dtype(f"<i{csr.indices.dtype.itemsize}")
+    dataset = _parse(directory)
+    adj = dataset.adjacency
+    ids = np.dtype(f"<i{adj.col_indices.dtype.itemsize}")
     parts = [getattr(s, part) for s in dataset.splits for part in SPLIT_PARTS]
     offsets = np.cumsum([0] + [len(p) for p in parts], dtype=np.uint64)
-    fields = (dataset.num_nodes, dataset.num_features, csr.nnz, len(dataset.splits),
+    fields = (dataset.num_nodes, dataset.num_features, len(adj.col_indices), len(dataset.splits),
               ids.itemsize, *itertools.chain.from_iterable(sources))
     IMAGE_FORMAT.write(path, fields, [
-        (csr.indptr, ids), (csr.indices, ids), (dataset.labels, "<i1"), (offsets, "<u8"),
+        (adj.row_offsets, ids), (adj.col_indices, ids), (dataset.labels, "<i1"), (offsets, "<u8"),
         *((p, ids) for p in parts),
     ])
-    return dataset
 
 
 def open_image(path: str | os.PathLike, directory: str | os.PathLike,
@@ -452,14 +524,10 @@ class DatasetImage(FileBacked):
         return out
 
     def adjacency(self) -> SparseAdjacency:
-        """The CSR ``from_edges`` built: the same index arrays, int8 ones."""
-        import scipy.sparse as sp
-
+        """The graph ``from_edges`` built: the same index arrays."""
         n, width = self.num_nodes, self._ids.itemsize
-        indptr = self._read(0, n + 1, self._ids)
-        indices = self._read((n + 1) * width, self._nnz, self._ids)
-        data = np.ones(self._nnz, dtype=np.int8)
-        return SparseAdjacency(sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False))
+        return SparseAdjacency(self._read(0, n + 1, self._ids),
+                               self._read((n + 1) * width, self._nnz, self._ids))
 
     def labels(self) -> np.ndarray:
         """One int8 per node: 1, 0 or UNKNOWN_LABEL."""
@@ -479,10 +547,11 @@ class DatasetImage(FileBacked):
         return SplitSet(**ids)
 
     def dataset(self, directory: str | os.PathLike) -> GraphDataset:
-        """The graph and labels, with the features of ``directory``'s feature
-        file: ``load_dataset``'s result without the splits and the name, read
-        with no text file parsed but a features.csv."""
-        features = _read_features(os.fspath(directory), self.num_nodes, self.num_features)
+        """The graph and labels, with the FeatureFile of ``directory``, read
+        when the features are used: ``load_dataset``'s result without the
+        splits and the name, and with no text file parsed but a
+        features.csv."""
+        features = FeatureFile(os.fspath(directory), self.num_nodes, self.num_features)
         return GraphDataset(self.adjacency(), features, self.labels())
 
 
@@ -541,14 +610,6 @@ def _read_int_pairs(path: str, delimiter: str | None, layout: str) -> np.ndarray
 
 def _read_edges_tsv(path: str) -> np.ndarray:
     return _read_int_pairs(path, None, "u<TAB>v")
-
-
-def _features_from_file(file: CacheFile) -> np.ndarray:
-    n, d = file.fields
-    file.expect_payload(n * d * 4)
-    features = np.empty((n, d), dtype="<f4")
-    file.read_into(features, file.payload_offset)
-    return features
 
 
 def _read_features_csv(path: str) -> np.ndarray:

@@ -168,7 +168,7 @@ class TestGrowthBound:
 def whole_matrix_basis(ds, order):
     """The recurrence over the whole normalized matrix, three f64 buffers and
     f32 blocks (test oracle for the row-chunked one)."""
-    a = ds.adjacency.csr
+    a = ds.adjacency.to_csr()
     counts = np.diff(a.indptr)
     deg = counts.astype(np.float64)
     with np.errstate(divide="ignore"):

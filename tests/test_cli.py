@@ -573,7 +573,23 @@ class TestDatasetImage:
         for command in ("sample-context", "train", "eval", "score", "quartiles"):
             assert main([command, *args]) == 0, command
 
-    def test_train_eval_score_never_import_scipy(self, toy_run, tmp_path):
+    def test_quartiles_reads_no_features(self, toy_run, tmp_path, monkeypatch):
+        cfg, args = self._run(toy_run, tmp_path)
+        assert main(["quartiles", *args]) == 0
+        path = os.path.join(cfg.run_dir, "quartiles.csv")
+        before = read(path, "rb")
+        os.remove(path)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the features were read")
+
+        monkeypatch.setattr(graph.FeatureFile, "read", no_read)
+        assert main(["quartiles", *args]) == 0
+        assert read(path, "rb") == before
+
+    def test_commands_without_a_sparse_product_never_import_scipy(self, toy_run, tmp_path):
+        """`train`, `eval`, `score`, `quartiles` and an `rq` `sample-context`
+        form no sparse product; scipy costs about 0.2 s to import."""
         cfg, args = self._run(toy_run, tmp_path)
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         driver = (
@@ -584,7 +600,8 @@ class TestDatasetImage:
         )
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        for command in ("train", "eval", "score"):
+        assert toy_run.context_mode == "rq"
+        for command in ("train", "eval", "score", "quartiles", "sample-context"):
             proc = subprocess.run([sys.executable, "-c", driver, command, *args],
                                   capture_output=True, text=True, env=env, timeout=300)
             assert proc.returncode == 0, proc.stderr
@@ -768,9 +785,9 @@ class TestProcessMemory:
                 f"{command} peak grew {extra / 1e6:.1f} MB for {growth / 1e6:.1f} MB more cache")
 
     # what train holds per node: the int8 label and the context cache's
-    # subgraph size (read as u32, kept as int64); the labeled cache rows
-    # and the model do not depend on n
-    TRAIN_BYTES_PER_NODE = 16
+    # subgraph size (a u32, as read); the labeled cache rows and the model
+    # do not depend on n
+    TRAIN_BYTES_PER_NODE = 8
 
     def test_train_peak_does_not_grow_with_nodes(self, tmp_path, capsys):
         """The test split holds 180,000 more ids at n=200k: `train` reads
@@ -821,8 +838,11 @@ class TestScoreFaults:
 
 class TestSetupMemory:
     """`preprocess` streams the basis and `sample-context` pools in row
-    chunks: beyond the features and the graph, each holds two n*d f64
-    buffers, whatever the size of the caches they write."""
+    chunks, and both read the features straight into f64.  Beyond the
+    graph, `preprocess` holds two n*d f64 buffers and `sample-context` the
+    f64 features and the f32 context, whatever the size of the caches they
+    write: no f32 copy of the features and, in `preprocess`, nothing of the
+    text parse."""
 
     D, K, HEADROOM = 32, 3, 16e6  # headroom: parsing labels/splits, chunk buffers
 
@@ -835,10 +855,10 @@ class TestSetupMemory:
         ds = graph.GraphDataset(adj, rng.standard_normal((n, self.D), dtype=np.float32),
                                 labels, [split], f"setup{n}")
         graph.write_dataset(ds, base / f"data{n}")
-        csr = adj.csr
-        # what the bound allows: features, the graph, two n*d f64 buffers
-        allowed = (ds.features.nbytes + csr.data.nbytes + csr.indices.nbytes
-                   + csr.indptr.nbytes + 2 * n * self.D * 8)
+        # what the bounds allow
+        graph_bytes = adj.row_offsets.nbytes + adj.col_indices.nbytes
+        allowed = {"preprocess": graph_bytes + 2 * n * self.D * 8,
+                   "sample-context": graph_bytes + n * self.D * (8 + 4)}
         return ["--dataset", str(base / f"data{n}"), "--run-dir", str(base / f"run{n}"),
                 "--K", str(self.K), "--context-mode", "full_khop"], allowed
 
@@ -849,11 +869,108 @@ class TestSetupMemory:
             peaks[n] = {command: TestProcessMemory._peak([command, *args])
                         for command in ("preprocess", "sample-context")}
         capsys.readouterr()
-        bound = allowed[200_000] - allowed[20_000] + self.HEADROOM
         for command in ("preprocess", "sample-context"):
+            bound = allowed[200_000][command] - allowed[20_000][command] + self.HEADROOM
             extra = peaks[200_000][command] - peaks[20_000][command]
             assert extra < bound, (
                 f"{command} peak grew {extra / 1e6:.1f} MB, allowed {bound / 1e6:.1f} MB")
+
+    def test_preprocess_resident_size_grows_by_the_work_buffers_at_most(self, tmp_path):
+        """The same bound on the peak resident size of a fresh process, which
+        tracemalloc does not see: the parse's freed buffers must not stay
+        resident under the basis.  A graph kept from the parse pins them
+        (the heap cannot shrink below it), so `preprocess` reads the graph
+        back from the image."""
+        if not sys.platform.startswith("linux"):
+            pytest.skip("ru_maxrss is in kB on Linux only")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        # Linux carries the peak RSS across exec, so the command is started
+        # by a small launcher, not by this large test process
+        launcher = (
+            "import os, sys\n"
+            "argv = [sys.executable, '-m', 'sagad.cli', *sys.argv[1:]]\n"
+            "_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        peaks, allowed = {}, {}
+        for n in (20_000, 200_000):
+            args, allowed[n] = self._write_dataset(tmp_path, n)
+            proc = subprocess.run([sys.executable, "-c", launcher, "preprocess", *args],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            code, maxrss_kb = (int(v) for v in proc.stdout.splitlines()[-1].split())
+            assert code == 0, proc.stderr
+            peaks[n] = maxrss_kb * 1024
+        bound = allowed[200_000]["preprocess"] - allowed[20_000]["preprocess"] + self.HEADROOM
+        extra = peaks[200_000] - peaks[20_000]
+        assert extra < bound, (
+            f"preprocess peak RSS grew {extra / 1e6:.1f} MB, allowed {bound / 1e6:.1f} MB")
+
+
+class TestFeatureStream:
+    """The basis and the context read the features a row chunk at a time
+    into f64: the same values and the same checks as reading them whole."""
+
+    D = 3
+
+    def _dataset(self, base, features):
+        n = len(features)
+        rng = np.random.default_rng(0)
+        adj = graph.SparseAdjacency.from_edges(n, rng.integers(0, n, (3 * n, 2)))
+        labels = np.zeros(n, dtype=np.int8)
+        labels[: n // 10] = 1
+        split = graph.SplitSet(np.arange(0, 40), np.arange(40, 80), np.arange(80, n))
+        graph.write_dataset(graph.GraphDataset(adj, features, labels, [split], "stream"), base)
+        return ["--dataset", str(base), "--run-dir", str(base / "run"), "--K", "2"]
+
+    @pytest.mark.parametrize("node", [graph.FEATURE_CHUNK_ROWS - 1, graph.FEATURE_CHUNK_ROWS])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_at_a_chunk_boundary_exits_1(self, tmp_path, capsys, node, value):
+        n = graph.FEATURE_CHUNK_ROWS + 100
+        features = np.random.default_rng(1).standard_normal((n, self.D), dtype=np.float32)
+        args = self._dataset(tmp_path / "data", features)
+        run_dir = tmp_path / "data" / "run"
+        assert main(["preprocess", *args]) == 0
+        written = {f: read(run_dir / f, "rb") for f in ("dataset.bin", "cheb_cache.bin")}
+        features[node, 1] = value
+        graph.FEATURES_FORMAT.write(tmp_path / "data" / "features.bin", features.shape,
+                                    [(features, "<f4")])
+        capsys.readouterr()
+        message = f"error: features.bin: non-finite value at node {node}\n"
+        assert main(["sample-context", *args]) == 1
+        assert capsys.readouterr().err == message
+        assert not (run_dir / "context_cache.bin").exists()
+        assert read(run_dir / "cheb_cache.bin", "rb") == written["cheb_cache.bin"]
+        shutil.rmtree(run_dir)
+        assert main(["preprocess", *args]) == 1
+        assert capsys.readouterr().err == message
+        for output in ("dataset.bin", "cheb_cache.bin"):
+            assert not (run_dir / output).exists()
+
+    @pytest.mark.parametrize("source", ["features.bin", "features.csv"])
+    def test_basis_and_context_equal_the_whole_read(self, tmp_path, source):
+        """Both caches equal those built from ``load_dataset``'s features,
+        byte for byte; features.csv values are rounded to f32 first."""
+        n = graph.FEATURE_CHUNK_ROWS + 100
+        features = np.random.default_rng(2).standard_normal((n, self.D))
+        data = tmp_path / "data"
+        args = self._dataset(data, features.astype(np.float32))
+        if source == "features.csv":
+            os.remove(data / "features.bin")
+            with open(data / "features.csv", "w") as f:
+                f.writelines(",".join(repr(v) for v in row) + "\n" for row in features.tolist())
+        for command in ("preprocess", "sample-context"):
+            assert main([command, *args, "--context-mode", "full_khop"]) == 0
+        ds = graph.load_dataset(data)
+        assert ds.features.dtype == np.float32
+        if source == "features.csv":
+            assert not np.array_equal(ds.features, features)  # rounded
+        chebyshev.write_cache(chebyshev.build_cheb_basis(ds, 2), tmp_path / "cheb.bin")
+        context.write_context_cache(context.build_context_cache(ds, mode="full_khop"),
+                                    tmp_path / "ctx.bin")
+        assert read(data / "run" / "cheb_cache.bin", "rb") == read(tmp_path / "cheb.bin", "rb")
+        assert read(data / "run" / "context_cache.bin", "rb") == read(tmp_path / "ctx.bin", "rb")
 
 
 class TestSamplerConfig:

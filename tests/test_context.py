@@ -69,7 +69,7 @@ class TestRayleighQuotient:
         subset = rng.choice(15, size=5, replace=False)
         base = rayleigh_quotient(subset, ds)
         scaled = make_dataset(
-            np.argwhere(np.triu(ds.adjacency.csr.toarray(), 1) > 0),
+            np.argwhere(np.triu(ds.adjacency.to_csr().toarray(), 1) > 0),
             ds.features * scale,
             ds.labels,
             num_nodes=15,
@@ -358,8 +358,8 @@ class TestChunkedFullKhop:
     def _whole_matrix(ds):
         """The 1-hop pool as one sparse product (test oracle)."""
         x = np.asarray(ds.features, dtype=np.float64)
-        sizes = np.diff(ds.adjacency.csr.indptr) + 1
-        return ((ds.adjacency.csr @ x + x) / sizes[:, None]).astype(np.float32), sizes
+        sizes = np.diff(ds.adjacency.row_offsets) + 1
+        return ((ds.adjacency.to_csr() @ x + x) / sizes[:, None]).astype(np.float32), sizes
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
     def test_bit_identical_to_one_product(self, monkeypatch, rows_per_chunk):

@@ -172,24 +172,24 @@ class TestGeneration:
 class TestRandomWalkFilter:
     def test_neighbor_mean_swap(self):
         ds = make_dataset([[0, 1]], [[1.0], [3.0]], [0, 0])
-        filtered, isolated = random_walk_filter(ds.adjacency.csr, ds.features, np.asarray([0, 0]))
+        filtered, isolated = random_walk_filter(ds.adjacency.to_csr(), ds.features, np.asarray([0, 0]))
         np.testing.assert_allclose(filtered, [[3.0], [1.0]])
         assert not isolated.any()
 
     def test_heterophilic_sign_flip(self):
         ds = make_dataset([[0, 1]], [[1.0], [3.0]], [0, 0])
-        filtered, _ = random_walk_filter(ds.adjacency.csr, ds.features, np.asarray([1, 0]))
+        filtered, _ = random_walk_filter(ds.adjacency.to_csr(), ds.features, np.asarray([1, 0]))
         assert filtered[0, 0] == pytest.approx(-3.0)
         assert filtered[1, 0] == pytest.approx(1.0)
 
     def test_triangle_neighbor_mean(self):
         ds = make_dataset([[0, 1], [0, 2], [1, 2]], [[0.0], [3.0], [6.0]], [0, 0, 0])
-        filtered, _ = random_walk_filter(ds.adjacency.csr, ds.features, np.zeros(3, dtype=int))
+        filtered, _ = random_walk_filter(ds.adjacency.to_csr(), ds.features, np.zeros(3, dtype=int))
         assert filtered[0, 0] == pytest.approx(4.5)
 
     def test_isolated_flagged_not_raised(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0], [5.0]], [0, 0, 0], num_nodes=3)
-        filtered, isolated = random_walk_filter(ds.adjacency.csr, ds.features, np.zeros(3, dtype=int))
+        filtered, isolated = random_walk_filter(ds.adjacency.to_csr(), ds.features, np.zeros(3, dtype=int))
         assert isolated[2] and not isolated[0]
         np.testing.assert_array_equal(filtered[2], 0.0)
 

@@ -319,18 +319,16 @@ class TestDatasetImage:
     def test_roundtrip_equals_load_dataset(self, tmp_path, case):
         directory = _image_cases(tmp_path, case)
         ds = load_dataset(directory)
-        returned = ingest(directory, tmp_path / "dataset.bin")
-        assert returned.adjacency.csr is not ds.adjacency.csr
+        assert ingest(directory, tmp_path / "dataset.bin") is None
         with open_image(tmp_path / "dataset.bin", directory) as image:
             assert (image.num_nodes, image.num_features, image.num_splits) == (
                 ds.num_nodes, ds.num_features, len(ds.splits))
             adj = image.adjacency()
-            for got, want in ((adj.csr.indptr, ds.adjacency.csr.indptr),
-                              (adj.csr.indices, ds.adjacency.csr.indices),
-                              (adj.csr.data, ds.adjacency.csr.data)):
+            for got, want in ((adj.row_offsets, ds.adjacency.row_offsets),
+                              (adj.col_indices, ds.adjacency.col_indices)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
-            assert adj.csr.shape == ds.adjacency.csr.shape
+            assert adj.num_nodes == ds.num_nodes
             assert_adjacency_contract(adj, ds.num_nodes)
             labels = image.labels()
             assert labels.dtype == np.int8 and labels.tobytes() == ds.labels.tobytes()
@@ -340,9 +338,11 @@ class TestDatasetImage:
                     assert getattr(got, part).dtype == np.int64
                     np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
             full = image.dataset(directory)
-            np.testing.assert_array_equal(full.features, ds.features)
-            assert full.features.dtype == ds.features.dtype
-            assert full.adjacency.csr.indices.tobytes() == ds.adjacency.csr.indices.tobytes()
+            assert full.features.shape == ds.features.shape
+            features = full.features.read()
+            np.testing.assert_array_equal(features, ds.features)
+            assert features.dtype == ds.features.dtype
+            assert full.adjacency.col_indices.tobytes() == ds.adjacency.col_indices.tobytes()
             assert full.labels.tobytes() == ds.labels.tobytes()
         assert image.file.closed
 
@@ -458,10 +458,10 @@ class TestNormalizedAdjacency:
     def test_shares_the_index_arrays(self):
         adj = er_dataset(30, 0.2, 2, seed=1).adjacency
         norm = normalized_adjacency(adj)
-        assert np.shares_memory(norm.indices, adj.csr.indices)
-        assert np.shares_memory(norm.indptr, adj.csr.indptr)
-        np.testing.assert_array_equal(adj.csr.data, 1.0)  # the graph is not rescaled
-        assert adj.csr.data.dtype == np.int8
+        assert np.shares_memory(norm.indices, adj.col_indices)
+        assert np.shares_memory(norm.indptr, adj.row_offsets)
+        unit = adj.to_csr()  # the graph is not rescaled
+        assert unit.data.dtype == np.int8 and np.all(unit.data == 1)
 
     def test_single_edge(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
@@ -504,42 +504,42 @@ class TestNormalizedAdjacency:
 class TestHomophily:
     def test_triangle_all_same(self):
         ds = make_dataset([[0, 1], [1, 2], [0, 2]], [[1.0]] * 3, [0, 0, 0])
-        assert edge_homophily(ds) == 1.0
+        assert edge_homophily(ds.adjacency, ds.labels) == 1.0
 
     def test_single_cross_edge(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 1])
-        assert edge_homophily(ds) == 0.0
+        assert edge_homophily(ds.adjacency, ds.labels) == 0.0
 
     def test_path_half(self, path3):
-        assert edge_homophily(path3) == 0.5
+        assert edge_homophily(path3.adjacency, path3.labels) == 0.5
 
     def test_node_homophily_path(self, path3):
-        np.testing.assert_allclose(node_homophily(path3), [1.0, 0.5, 0.0])
+        np.testing.assert_allclose(node_homophily(path3.adjacency, path3.labels), [1.0, 0.5, 0.0])
 
     def test_isolated_node_gets_nan(self):
         ds = make_dataset([[0, 1]], [[1.0]] * 3, [0, 0, 0], num_nodes=3)
-        h = node_homophily(ds)
+        h = node_homophily(ds.adjacency, ds.labels)
         assert np.isnan(h[2])
 
     def test_clique_identical_labels(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         ds = make_dataset(edges, [[1.0]] * 4, [1, 1, 1, 1])
-        np.testing.assert_allclose(node_homophily(ds), 1.0)
+        np.testing.assert_allclose(node_homophily(ds.adjacency, ds.labels), 1.0)
 
     def test_class_homophily_path(self, path3):
-        h_a, h_n = class_homophily(path3)
+        h_a, h_n = class_homophily(path3.adjacency, path3.labels)
         assert h_a == pytest.approx(0.75)
         assert h_n == pytest.approx(0.0)
 
     def test_empty_class_rejected(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
         with pytest.raises(DatasetFormatError, match="abnormal"):
-            class_homophily(ds)
+            class_homophily(ds.adjacency, ds.labels)
 
     def test_unlabeled_endpoint_rejected(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, -1])
         with pytest.raises(DatasetFormatError, match="no label"):
-            edge_homophily(ds)
+            edge_homophily(ds.adjacency, ds.labels)
 
     def test_edge_homophily_matches_enumeration(self):
         ds = er_dataset(60, 0.12, 2, seed=3)
@@ -550,12 +550,12 @@ class TestHomophily:
                 if v > u:
                     total += 1
                     same += int(ds.labels[u] == ds.labels[v])
-        assert edge_homophily(ds) == pytest.approx(same / total, abs=1e-12)
+        assert edge_homophily(ds.adjacency, ds.labels) == pytest.approx(same / total, abs=1e-12)
 
     def test_class_homophily_matches_bruteforce(self):
         ds = er_dataset(50, 0.15, 2, seed=4)
-        h = node_homophily(ds)
-        for cls, got in zip((1, 0), class_homophily(ds)):
+        h = node_homophily(ds.adjacency, ds.labels)
+        for cls, got in zip((1, 0), class_homophily(ds.adjacency, ds.labels)):
             vals = [
                 h[i]
                 for i in range(ds.num_nodes)
@@ -567,18 +567,18 @@ class TestHomophily:
         ds = er_dataset(60, 0.12, 2, seed=3)
         real, calls = SparseAdjacency.row_ids, []
         monkeypatch.setattr(SparseAdjacency, "row_ids", lambda adj: calls.append(1) or real(adj))
-        report = homophily_report(ds)
+        report = homophily_report(ds.adjacency, ds.labels)
         assert len(calls) == 1
         monkeypatch.undo()
-        assert report.edge_homophily == edge_homophily(ds)
-        np.testing.assert_array_equal(report.node_homophily, node_homophily(ds))
+        assert report.edge_homophily == edge_homophily(ds.adjacency, ds.labels)
+        np.testing.assert_array_equal(report.node_homophily, node_homophily(ds.adjacency, ds.labels))
         assert (report.class_homophily_abnormal,
-                report.class_homophily_normal) == class_homophily(ds)
+                report.class_homophily_normal) == class_homophily(ds.adjacency, ds.labels)
 
     def test_values_in_unit_interval(self):
         ds = er_dataset(80, 0.1, 2, seed=6)
-        assert 0.0 <= edge_homophily(ds) <= 1.0
-        h = node_homophily(ds)
+        assert 0.0 <= edge_homophily(ds.adjacency, ds.labels) <= 1.0
+        h = node_homophily(ds.adjacency, ds.labels)
         defined = h[~np.isnan(h)]
         assert np.all((defined >= 0) & (defined <= 1))
 
@@ -586,11 +586,7 @@ class TestHomophily:
 def _raw_adjacency(n, offsets, cols):
     """A SparseAdjacency over CSR arrays taken as given, as from_edges
     never builds them."""
-    csr = sp.csr_matrix((n, n))
-    csr.indptr = np.asarray(offsets, dtype=np.int32)
-    csr.indices = np.asarray(cols, dtype=np.int32)
-    csr.data = np.ones(len(csr.indices), dtype=np.int8)
-    return SparseAdjacency(csr)
+    return SparseAdjacency(np.asarray(offsets, dtype=np.int32), np.asarray(cols, dtype=np.int32))
 
 
 def _messy_edges(seed):
@@ -637,13 +633,6 @@ class TestFromEdgesContract:
         with pytest.raises(AssertionError):
             assert_adjacency_contract(_raw_adjacency(n, offsets, cols), n)
 
-    def test_checker_rejects_values_other_than_int8_ones(self):
-        adj = er_dataset(20, 0.3, 1, seed=1).adjacency
-        assert_adjacency_contract(adj, 20)
-        adj.csr.data = adj.csr.data.astype(np.float32)
-        with pytest.raises(AssertionError):
-            assert_adjacency_contract(adj, 20)
-
 
 class TestFromEdges:
     def test_many_duplicates_keep_the_edge(self):
@@ -651,7 +640,7 @@ class TestFromEdges:
         edges = np.asarray([[0, 1]] * 256 + [[1, 0]] * 44 + [[1, 2]])
         adj = SparseAdjacency.from_edges(3, edges)
         assert_adjacency_contract(adj, 3, edges)
-        np.testing.assert_array_equal(adj.csr.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(adj.to_csr().toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_peak_memory_bounded_by_input(self):
         # 1.6M edges at n = 200k: a 25.6 MB input may not take 4x that to build
