@@ -243,41 +243,50 @@ def _run_dir(cfg: RunConfig) -> str:
     return cfg.run_dir
 
 
-def _load_dataset(cfg: RunConfig) -> graph.GraphDataset:
-    return graph.load_dataset(_dataset_dir(cfg))
-
-
 def _open_image(cfg: RunConfig, sources: tuple[str, ...]) -> graph.DatasetImage:
     """The run's dataset image, with the fingerprints of ``sources`` checked."""
     path = _require_file(_image_path(cfg), "run `preprocess` first")
     return graph.open_image(path, _dataset_dir(cfg), sources)
 
 
-def _get_split(image: graph.DatasetImage, index: int, parts: tuple[str, ...]) -> graph.SplitSet:
-    if index < 0 or index >= image.num_splits:
-        raise ConfigError(
-            f"split index {index} out of range; dataset has {image.num_splits} splits"
-        )
-    return image.split(index, parts)
+def _open_basis(cfg: RunConfig) -> chebyshev.ChebBasisCache:
+    return chebyshev.read_cache(_require_file(_cheb_path(cfg), "run `preprocess` first"))
+
+
+def _require_match(found, hint: str) -> None:
+    """Raise a CacheFormatError for the first ``(what, got, whose, want)``
+    of ``found`` with got != want, ending in ``hint``: what to rerun."""
+    for what, got, whose, want in found:
+        if got != want:
+            raise CacheFormatError(f"{what}={got} does not match {whose}={want}; {hint}")
+
+
+def _check_basis(cheb: chebyshev.ChebBasisCache, data) -> None:
+    """The basis cache against the dataset (a DatasetImage or GraphDataset)
+    it stands in for: the same node count and feature dimension."""
+    _require_match([("cheb_cache.bin n", cheb.num_nodes, "the dataset's num_nodes", data.num_nodes),
+                    ("cheb_cache.bin d", cheb.dim, "the dataset's num_features", data.num_features)],
+                   "rerun `preprocess` and `sample-context` on this dataset")
 
 
 @contextlib.contextmanager
-def _load_caches(cfg: RunConfig, model_config: model.ModelConfig, data=None,
-                 checkpoint: str | None = None):
-    """Open the basis cache and, if ``model_config`` uses one, the context cache.
+def _load_caches(cfg: RunConfig, data=None, state: model.ModelState | None = None):
+    """Open the basis cache and, if the model config uses one, the context
+    cache, and check every pairing of what they stand for.
 
     A context manager: the caches are read by row while the block runs
-    and their files are closed when it ends.  The basis cache's order
-    must equal ``model_config.K``: the flags' K, or that of the
-    ``checkpoint`` the model config was read from.  ``data`` (a
-    DatasetImage or GraphDataset) is the dataset the caches stand in for;
-    when given, the caches must match its node count and feature
-    dimension.
+    and their files are closed when it ends.  The model config is that of
+    ``state``, the split's checkpoint, if given, else the flags'.  The
+    basis cache's order must equal its K, and its feature dimension the
+    checkpoint's.  ``data`` (a DatasetImage or GraphDataset) is the
+    dataset the caches stand in for; when given, the basis must match its
+    node count and feature dimension.  The context cache must match the
+    basis in both, for every command.
     """
+    model_config = cfg.model_config() if state is None else state.config
+    checkpoint = _checkpoint_path(cfg)
     with contextlib.ExitStack() as stack:
-        cheb = stack.enter_context(
-            chebyshev.read_cache(_require_file(_cheb_path(cfg), "run `preprocess` first"))
-        )
+        cheb = stack.enter_context(_open_basis(cfg))
         ctx = None
         if model_config.needs_context():
             ctx = stack.enter_context(context.read_context_cache(
@@ -286,21 +295,20 @@ def _load_caches(cfg: RunConfig, model_config: model.ModelConfig, data=None,
         if cheb.order != model_config.K:
             raise CacheFormatError(
                 f"{checkpoint} was trained with K={model_config.K}, but "
-                f"cheb_cache.bin has K={cheb.order}" if checkpoint else
+                f"cheb_cache.bin has K={cheb.order}" if state is not None else
                 f"cheb_cache.bin K={cheb.order} does not match the config's "
                 f"K={model_config.K}; rerun `preprocess` with this K"
             )
         if data is not None:
-            found = [("cheb_cache.bin n", cheb.num_nodes, "num_nodes", data.num_nodes),
-                     ("cheb_cache.bin d", cheb.dim, "num_features", data.num_features)]
-            if ctx is not None:
-                found.append(("context_cache.bin n", ctx.num_nodes, "num_nodes", data.num_nodes))
-            for what, got, key, want in found:
-                if got != want:
-                    raise CacheFormatError(
-                        f"{what}={got} does not match the dataset's {key}={want}; "
-                        "rerun `preprocess` and `sample-context` on this dataset"
-                    )
+            _check_basis(cheb, data)
+        if ctx is not None:
+            _require_match([("context_cache.bin n", ctx.num_nodes, "cheb_cache.bin's num_nodes",
+                             cheb.num_nodes),
+                            ("context_cache.bin d", ctx.dim, "cheb_cache.bin's num_features",
+                             cheb.dim)], "rerun `sample-context`")
+        if state is not None and cheb.dim != state.dim:
+            raise CacheFormatError(f"{checkpoint} was trained with d={state.dim}, but "
+                                   f"cheb_cache.bin has d={cheb.dim}; rerun `train`")
         yield cheb, ctx
 
 
@@ -315,8 +323,7 @@ def _score_nodes(cfg: RunConfig, data=None) -> np.ndarray:
     """
     path = _checkpoint_path(cfg)
     state = model.load_checkpoint(path) if os.path.exists(path) else None
-    model_config = cfg.model_config() if state is None else state.config
-    with _load_caches(cfg, model_config, data, None if state is None else path) as (cheb, ctx):
+    with _load_caches(cfg, data, state) as (cheb, ctx):
         if state is None:
             _require_file(path, "run `train` first")
         return training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
@@ -328,7 +335,7 @@ def _score_nodes(cfg: RunConfig, data=None) -> np.ndarray:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg)
+    dataset = graph.load_dataset(_dataset_dir(cfg))
     print(
         f"dataset '{dataset.name}': {dataset.num_nodes} nodes, "
         f"{dataset.adjacency.num_edges} edges, {dataset.num_features} features, "
@@ -363,9 +370,12 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
     if cfg.context_mode == "features_only":
         raise ConfigError("context_mode features_only does not use a context cache")
     path = _context_path(cfg)
-    with _open_image(cfg, graph.IMAGE_SOURCES) as image:
-        dataset = image.dataset(_dataset_dir(cfg))
-    cache = context.build_context_cache(dataset, cap=cfg.cap, seed=cfg.seed, mode=cfg.context_mode)
+    with _open_image(cfg, graph.IMAGE_SOURCES) as image, _open_basis(cfg) as cheb:
+        _check_basis(cheb, image)
+        # the features the basis was built from: its block 0, T_0 X, is X
+        dataset = graph.GraphDataset(image.adjacency(), cheb.blocks[0], image.labels())
+        cache = context.build_context_cache(dataset, cap=cfg.cap, seed=cfg.seed,
+                                            mode=cfg.context_mode)
     context.write_context_cache(cache, path)
     print(f"wrote {path} (mode={cfg.context_mode}, n={cache.num_nodes})")
     return 0
@@ -374,11 +384,10 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
 def _cmd_train(cfg: RunConfig) -> int:
     with _open_image(cfg, graph.SUPERVISION_SOURCES) as image:
         labels = image.labels()
-        split = _get_split(image, cfg.split_index, ("train", "val"))
-    model_config = cfg.model_config()
-    with _load_caches(cfg, model_config, image) as (cheb, ctx):
+        split = image.split(cfg.split_index, ("train", "val"))
+    with _load_caches(cfg, image) as (cheb, ctx):
         state, history = training.train(
-            labels, cheb, ctx, model_config, cfg.train_config(), split
+            labels, cheb, ctx, cfg.model_config(), cfg.train_config(), split
         )
     model.save_checkpoint(state, _checkpoint_path(cfg))
     cachefile.write_text(os.path.join(_run_dir(cfg), f"history_{cfg.split_index}.csv"), [
@@ -395,7 +404,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _cmd_eval(cfg: RunConfig) -> int:
     with _open_image(cfg, graph.SUPERVISION_SOURCES) as image:
-        test_ids = _get_split(image, cfg.split_index, ("test",)).test
+        test_ids = image.split(cfg.split_index, ("test",)).test
         y_test = image.labels()[test_ids]
     # an unusable test split fails before any node is scored
     if np.any(y_test == graph.UNKNOWN_LABEL):
@@ -464,7 +473,7 @@ def _cmd_score(cfg: RunConfig) -> int:
 
 
 def _cmd_homophily(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg)
+    dataset = graph.parse_dataset(_dataset_dir(cfg))  # the features are not read
     report = graph.homophily_report(dataset.adjacency, dataset.labels)
     print(f"edge homophily: {report.edge_homophily:.6f}")
     print(f"class homophily (abnormal): {report.class_homophily_abnormal:.6f}")
@@ -486,7 +495,7 @@ def _cmd_homophily(cfg: RunConfig) -> int:
 
 def _cmd_quartiles(cfg: RunConfig) -> int:
     with _open_image(cfg, graph.IMAGE_SOURCES) as image:
-        test_ids = _get_split(image, cfg.split_index, ("test",)).test
+        test_ids = image.split(cfg.split_index, ("test",)).test
         labels = image.labels()
         node_h = graph.node_homophily(image.adjacency(), labels)
     # an unusable test split fails before any node is scored

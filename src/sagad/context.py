@@ -276,7 +276,7 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
     mode "full_khop" pools over the whole 1-hop neighborhood plus the node
     itself, computed as one sparse product.  The pooling reads the
     features as f64 (``GraphDataset.feature_matrix``); a ``FeatureFile``
-    is read straight into that matrix.
+    or a basis cache's block 0 is read straight into that matrix.
     """
     if cap < 1:
         raise ValueError(f"candidate cap must be >= 1, got {cap}")

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import BinaryFormat, CacheFile, FileBacked, atomic_file, fingerprint, write_text
-from .errors import CacheFormatError, DatasetFormatError
+from .cachefile import (BinaryFormat, CacheFile, CacheRows, FileBacked, atomic_file, fingerprint,
+                        write_text)
+from .errors import CacheFormatError, ConfigError, DatasetFormatError
 
 UNKNOWN_LABEL = -1
 
@@ -238,11 +239,12 @@ class GraphDataset:
 
     Labels are 1 for anomalies (positive class), 0 for normal nodes and
     UNKNOWN_LABEL (-1) where no ground truth is available.  ``features`` is
-    an (n, d) array, or the FeatureFile they are read from when used.
+    an (n, d) array, or what they are read from when used: the FeatureFile
+    of a dataset directory, or the ``CacheRows`` of a basis cache's block 0.
     """
 
     adjacency: SparseAdjacency
-    features: np.ndarray | FeatureFile
+    features: np.ndarray | FeatureFile | CacheRows
     labels: np.ndarray
     splits: list[SplitSet] = field(default_factory=list)
     name: str = "unnamed"
@@ -257,10 +259,15 @@ class GraphDataset:
 
     def feature_matrix(self) -> np.ndarray:
         """The features as a new C-order f64 array, which the caller may
-        overwrite: a FeatureFile is read straight into it."""
+        overwrite: a FeatureFile is read straight into it, and other
+        features FEATURE_CHUNK_ROWS rows at a time, so rows read from a
+        file are never all held at once."""
         if isinstance(self.features, FeatureFile):
             return self.features.read(np.float64)
-        return np.array(self.features, dtype=np.float64, order="C")
+        out = np.empty(self.features.shape)
+        for lo in range(0, len(out), FEATURE_CHUNK_ROWS):
+            out[lo : lo + FEATURE_CHUNK_ROWS] = self.features[lo : lo + FEATURE_CHUNK_ROWS]
+        return out
 
 
 @dataclass
@@ -414,15 +421,16 @@ def load_dataset(directory: str | os.PathLike) -> GraphDataset:
     symmetrized and deduplicated; self-loops are dropped.  Features must
     be finite.
     """
-    dataset = _parse(os.fspath(directory))
+    dataset = parse_dataset(directory)
     dataset.features = dataset.features.read()
     return dataset
 
 
-def _parse(directory: str) -> GraphDataset:
+def parse_dataset(directory: str | os.PathLike) -> GraphDataset:
     """The text files of ``directory`` parsed and checked: the graph, the
     labels and the splits, with the features as the FeatureFile they are
-    read from, not read yet."""
+    read from, not read yet (nor checked)."""
+    directory = os.fspath(directory)
     meta = _read_meta(directory)
     n, d = meta["num_nodes"], meta["num_features"]
     edges = _read_edges_tsv(_dataset_file(directory, "edges.tsv"))
@@ -455,7 +463,7 @@ def ingest(directory: str | os.PathLike, path: str | os.PathLike) -> None:
     """
     directory = os.fspath(directory)
     sources = [fingerprint(_dataset_file(directory, name)) for name in IMAGE_SOURCES]
-    dataset = _parse(directory)
+    dataset = parse_dataset(directory)
     adj = dataset.adjacency
     ids = np.dtype(f"<i{adj.col_indices.dtype.itemsize}")
     parts = [getattr(s, part) for s in dataset.splits for part in SPLIT_PARTS]
@@ -537,7 +545,8 @@ class DatasetImage(FileBacked):
         """Split ``index`` as int64 id arrays, one read per part; a part not
         in ``parts`` is not read and comes back empty."""
         if not 0 <= index < self.num_splits:
-            raise IndexError(f"split {index} out of range [0, {self.num_splits})")
+            raise ConfigError(
+                f"split index {index} out of range; dataset has {self.num_splits} splits")
         ids = {}
         for p, part in enumerate(SPLIT_PARTS):
             lo, hi = (int(v) for v in self._offsets[3 * index + p : 3 * index + p + 2])

@@ -163,20 +163,15 @@ def reparam_filter_values(params: FilterParams) -> tuple[np.ndarray, np.ndarray]
 def interpolation_matrix(order: int) -> np.ndarray:
     """Matrix M with w = M gamma: w_k = (2 - delta_k0)/(K+1) sum_i gamma_i T_k(s_i).
 
-    Built once per order; the returned array is read-only because every
-    caller shares it.
+    Row k holds T_k at the nodes, evaluated as the series whose k-th weight
+    is 1.  Built once per order; the returned array is read-only because
+    every caller shares it.
     """
     nodes = chebyshev_nodes(order)
     m = order + 1
-    t = np.empty((m, m))
-    t[0] = 1.0
-    if m > 1:
-        t[1] = nodes
-    for k in range(2, m):
-        t[k] = 2.0 * nodes * t[k - 1] - t[k - 2]
     scale = np.full(m, 2.0 / m)
     scale[0] = 1.0 / m
-    out = scale[:, None] * t
+    out = scale[:, None] * np.array([chebyshev_series(unit, nodes) for unit in np.eye(m)])
     out.flags.writeable = False
     return out
 
@@ -220,24 +215,27 @@ class MlpParams:
         return len(self.layers)
 
 
-def _activate(name: str, x: np.ndarray) -> np.ndarray:
+def _activate(name: str, h: np.ndarray) -> np.ndarray:
+    """Apply the activation to ``h`` in place and return it."""
     if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "elu":
-        return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
-    if name == "tanh":
-        return np.tanh(x)
-    return x
+        np.maximum(h, 0.0, out=h)
+    elif name == "elu":
+        np.expm1(np.minimum(h, 0.0), out=h, where=~(h > 0))  # minimum: -0.0 gives 0.0
+    elif name == "tanh":
+        np.tanh(h, out=h)
+    return h
 
 
-def _activate_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _activate_grad(name: str, out: np.ndarray) -> np.ndarray:
+    """The derivative from the activation's output alone: ReLU and ELU give
+    out > 0 exactly where their input is > 0, and ELU's exp(x) is out + 1."""
     if name == "relu":
-        return (pre > 0).astype(np.float64)
+        return (out > 0).astype(np.float64)
     if name == "elu":
-        return np.where(pre > 0, 1.0, out + 1.0)
+        return np.where(out > 0, 1.0, out + 1.0)
     if name == "tanh":
         return 1.0 - out * out
-    return np.ones_like(pre)
+    return np.ones_like(out)
 
 
 def _row_stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -264,50 +262,37 @@ def mlp_forward(
     trace the backward pass needs.
 
     Hidden layers apply linear -> (layer norm) -> activation -> (dropout);
-    the final layer is linear only.  Dropout is inverted and only active in
-    train mode with an explicit rng.  In eval mode the trace is None and
-    each hidden layer reuses its own output buffer (ReLU is applied in
-    place), so a layer's temporaries are freed before the next layer runs.
+    the final layer is linear only.  Both modes run this one loop, each
+    layer into its own matmul buffer with the activation applied in place;
+    train mode only adds the record of ``x``, ``act``, ``ln`` and ``mask``.
+    Dropout is inverted and only active in train mode, with an explicit rng.
     """
     trace: list[dict] | None = [] if train_mode else None
     out = np.asarray(x, dtype=np.float64)
     last = params.depth - 1
     for i, layer in enumerate(params.layers):
-        pre = _row_stable_matmul(out, layer.weight)
-        pre += layer.bias
-        if i == last:
-            if trace is not None:
-                trace.append({"x": out})
-            out = pre
-            break
-        h = pre
-        ln = None
-        if layer.ln_gain is not None:
-            mu = h.mean(axis=1, keepdims=True)
-            var = h.var(axis=1, keepdims=True)
-            invstd = 1.0 / np.sqrt(var + _LN_EPS)
-            xhat = (h - mu) * invstd
-            ln = (invstd, xhat)
-            h = layer.ln_gain * xhat + layer.ln_bias
-        if trace is None:
-            if params.activation == "relu":
-                out = np.maximum(h, 0.0, out=h)
-            else:
-                out = _activate(params.activation, h)
-            continue
-        act = _activate(params.activation, h)
-        entry: dict = {"x": out, "normed": h, "act": act}
-        if ln is not None:
-            entry["ln"] = ln
-        if params.dropout > 0.0:
-            if dropout_rng is None:
-                raise ValueError("train-mode dropout requires an rng")
-            mask = dropout_rng.random(act.shape) >= params.dropout
-            entry["mask"] = mask
-            out = act * mask / (1.0 - params.dropout)
-        else:
-            out = act
-        trace.append(entry)
+        entry: dict = {"x": out}  # made before the matmul: the previous record is dropped first
+        h = _row_stable_matmul(out, layer.weight)
+        h += layer.bias
+        if i < last:
+            if layer.ln_gain is not None:
+                mu = h.mean(axis=1, keepdims=True)
+                var = h.var(axis=1, keepdims=True)
+                invstd = 1.0 / np.sqrt(var + _LN_EPS)
+                xhat = (h - mu) * invstd
+                entry["ln"] = (invstd, xhat)
+                h = layer.ln_gain * xhat + layer.ln_bias
+            h = _activate(params.activation, h)
+            entry["act"] = h
+            if train_mode and params.dropout > 0.0:
+                if dropout_rng is None:
+                    raise ValueError("train-mode dropout requires an rng")
+                mask = dropout_rng.random(h.shape) >= params.dropout
+                entry["mask"] = mask
+                h = h * mask / (1.0 - params.dropout)
+        if trace is not None:
+            trace.append(entry)
+        out = h
     return out, trace
 
 
@@ -334,7 +319,7 @@ def mlp_backward(
         if i < last:
             if "mask" in entry:
                 d_cur = d_cur * entry["mask"] / (1.0 - params.dropout)
-            d_cur = d_cur * _activate_grad(params.activation, entry["normed"], entry["act"])
+            d_cur = d_cur * _activate_grad(params.activation, entry["act"])
             if layer.ln_gain is not None:
                 invstd, xhat = entry["ln"]
                 np.sum(d_cur * xhat, axis=0, out=grad.ln_gain)
@@ -492,8 +477,7 @@ def iter_params(state: ModelState):
 class RowBundle:
     """Cached rows for one batch; the only graph-sized state is outside."""
 
-    block_rows: list[np.ndarray]
-    feat_rows: np.ndarray
+    block_rows: list[np.ndarray]  # block 0, T_0 X, holds the features
     ctx_rows: np.ndarray | None
 
 
@@ -507,6 +491,7 @@ def gather_rows(
 
     ``ids`` is a slice or a 1-D integer array; the cache blocks may be
     ndarrays or ``CacheRows`` read from disk, which index the same way.
+    This is a batch's one check; the forward pass checks the rows no more.
     """
     if cheb_cache.order != config.K:
         raise ValueError(f"basis cache order {cheb_cache.order} does not match model K={config.K}")
@@ -517,15 +502,14 @@ def gather_rows(
         if ids.size and int(ids.max()) >= cheb_cache.num_nodes:
             raise ValueError("batch id out of range for the basis cache")
     block_rows = [np.asarray(b[ids], dtype=np.float64) for b in cheb_cache.blocks]
-    feat_rows = block_rows[0]
     ctx_rows = None
     if config.needs_context():
         if context_cache is None:
             raise ValueError(f"context_mode={config.context_mode!r} requires a context cache")
-        if context_cache.num_nodes != cheb_cache.num_nodes:
-            raise ValueError("context cache and basis cache disagree on num_nodes")
+        if (context_cache.num_nodes, context_cache.dim) != (cheb_cache.num_nodes, cheb_cache.dim):
+            raise ValueError("context cache and basis cache disagree on (num_nodes, dim)")
         ctx_rows = np.asarray(context_cache.context[ids], dtype=np.float64)
-    return RowBundle(block_rows=block_rows, feat_rows=feat_rows, ctx_rows=ctx_rows)
+    return RowBundle(block_rows=block_rows, ctx_rows=ctx_rows)
 
 
 def _combine(block_rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
@@ -535,19 +519,12 @@ def _combine(block_rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fusion_gate(state, context_rows, feature_rows, train_mode, rng):
+def _fusion_gate(state, bundle, train_mode, rng):
     """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace
     (None in eval mode)."""
-    if state.config.context_mode == "features_only":
-        inp = feature_rows
-    else:
-        if context_rows is None:
-            raise ValueError("context rows required for this context mode")
-        if context_rows.shape != feature_rows.shape:
-            raise ValueError(
-                f"context rows {context_rows.shape} do not align with features {feature_rows.shape}"
-            )
-        inp = np.concatenate([context_rows, feature_rows], axis=1)
+    inp = bundle.block_rows[0]  # the features
+    if state.config.context_mode != "features_only":
+        inp = np.concatenate([bundle.ctx_rows, inp], axis=1)
     pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode, rng)
     return _sigmoid(pre), trace
 
@@ -603,7 +580,7 @@ def forward_bundle(
     coef = None
     fusion_trace = None
     if state.fusion_mlp is not None:
-        coef, fusion_trace = _fusion_gate(state, bundle.ctx_rows, bundle.feat_rows, train_mode, rng)
+        coef, fusion_trace = _fusion_gate(state, bundle, train_mode, rng)
 
     if cfg.filter_mode == "low_only":
         z = z_low

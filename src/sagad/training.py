@@ -12,9 +12,9 @@ training memory is independent of graph size.  Inference batches over
 all nodes.  Caches opened from disk are read by row, one batch at a
 time, so this holds for the whole process, not only inside ``train``:
 neither training nor scoring ever holds a cache payload in memory.
-Only the training step runs a train-mode forward, which records what
-the backward pass needs; validation and scoring run the eval-mode
-forward, which records nothing and computes hidden layers in place.
+Training, validation and scoring run the one forward pass, which
+computes hidden layers in place; only the training step runs it in
+train mode, which also records what the backward pass needs.
 Scores are not bit-exactly independent of the batch split: the
 classifier's last layer is a ``(B, hidden) @ (hidden, 1)`` product whose
 rounding can depend on a row's position in the batch (see ``score_all``).

@@ -319,6 +319,56 @@ class TestCacheMatchesDataset:
             dispatch("eval", cfg)
 
 
+@pytest.fixture(scope="module")
+def narrow_run(tmp_path_factory, toy_run):
+    """The toy run's dataset regenerated with 8 features, not 16 (same
+    nodes), with its own preprocess and sample-context."""
+    tmp = tmp_path_factory.mktemp("narrow")
+    cfg = dataclasses.replace(toy_run, dataset=str(tmp / "data"), run_dir=str(tmp / "run"),
+                              csbm=dataclasses.replace(toy_run.csbm, dim=8))
+    for command in ("synth-csbm", "preprocess", "sample-context"):
+        assert dispatch(command, cfg) == 0
+    return cfg
+
+
+class TestMismatchedRunFiles:
+    """A run directory whose files disagree exits 1 with one error line
+    naming both files and what to rerun, and writes no output."""
+
+    def _exits_1(self, cfg, command, capsys, message):
+        before = {f: read(os.path.join(cfg.run_dir, f), "rb") for f in os.listdir(cfg.run_dir)}
+        capsys.readouterr()
+        assert main([command, "--dataset", cfg.dataset, "--run-dir", cfg.run_dir,
+                     "--max-epochs", "3", "--patience", "3"]) == 1, command
+        assert capsys.readouterr().err == f"error: {message}\n"
+        after = {f: read(os.path.join(cfg.run_dir, f), "rb") for f in os.listdir(cfg.run_dir)}
+        after.pop(f"config_{command}.json")
+        assert after == before, command
+
+    def test_checkpoint_of_another_feature_dimension(self, toy_run, narrow_run, tmp_path,
+                                                     capsys):
+        cfg = _run_with_caches(tmp_path / "run", narrow_run, narrow_run, narrow_run)
+        shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+        checkpoint = os.path.join(cfg.run_dir, "checkpoint_0.bin")
+        for command in ("eval", "score", "quartiles"):
+            self._exits_1(cfg, command, capsys, f"{checkpoint} was trained with d=16, but "
+                          "cheb_cache.bin has d=8; rerun `train`")
+
+    def test_context_of_another_node_count(self, toy_run, small_run, tmp_path, capsys):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, small_run)
+        shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+        for command in ("train", "eval", "score", "quartiles"):
+            self._exits_1(cfg, command, capsys, "context_cache.bin n=300 does not match "
+                          "cheb_cache.bin's num_nodes=400; rerun `sample-context`")
+
+    def test_context_of_another_feature_dimension(self, toy_run, narrow_run, tmp_path, capsys):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, narrow_run)
+        shutil.copy(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), cfg.run_dir)
+        for command in ("train", "eval", "score", "quartiles"):
+            self._exits_1(cfg, command, capsys, "context_cache.bin d=8 does not match "
+                          "cheb_cache.bin's num_features=16; rerun `sample-context`")
+
+
 class TestCacheOrder:
     def test_cache_order_must_match_K(self, toy_run, tmp_path, capsys):
         cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
@@ -586,6 +636,21 @@ class TestDatasetImage:
         monkeypatch.setattr(graph.FeatureFile, "read", no_read)
         assert main(["quartiles", *args]) == 0
         assert read(path, "rb") == before
+
+    def test_homophily_reads_no_features(self, toy_run, tmp_path, monkeypatch):
+        cfg, args = self._run(toy_run, tmp_path)
+        assert main(["homophily", *args]) == 0
+        paths = [os.path.join(cfg.run_dir, f) for f in ("homophily.csv", "node_homophily.csv")]
+        before = [read(path, "rb") for path in paths]
+        for path in paths:
+            os.remove(path)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the features were read")
+
+        monkeypatch.setattr(graph.FeatureFile, "read", no_read)
+        assert main(["homophily", *args]) == 0
+        assert [read(path, "rb") for path in paths] == before
 
     def test_commands_without_a_sparse_product_never_import_scipy(self, toy_run, tmp_path):
         """`train`, `eval`, `score`, `quartiles` and an `rq` `sample-context`
@@ -931,18 +996,10 @@ class TestFeatureStream:
         features = np.random.default_rng(1).standard_normal((n, self.D), dtype=np.float32)
         args = self._dataset(tmp_path / "data", features)
         run_dir = tmp_path / "data" / "run"
-        assert main(["preprocess", *args]) == 0
-        written = {f: read(run_dir / f, "rb") for f in ("dataset.bin", "cheb_cache.bin")}
         features[node, 1] = value
         graph.FEATURES_FORMAT.write(tmp_path / "data" / "features.bin", features.shape,
                                     [(features, "<f4")])
-        capsys.readouterr()
         message = f"error: features.bin: non-finite value at node {node}\n"
-        assert main(["sample-context", *args]) == 1
-        assert capsys.readouterr().err == message
-        assert not (run_dir / "context_cache.bin").exists()
-        assert read(run_dir / "cheb_cache.bin", "rb") == written["cheb_cache.bin"]
-        shutil.rmtree(run_dir)
         assert main(["preprocess", *args]) == 1
         assert capsys.readouterr().err == message
         for output in ("dataset.bin", "cheb_cache.bin"):
@@ -971,6 +1028,45 @@ class TestFeatureStream:
                                     tmp_path / "ctx.bin")
         assert read(data / "run" / "cheb_cache.bin", "rb") == read(tmp_path / "cheb.bin", "rb")
         assert read(data / "run" / "context_cache.bin", "rb") == read(tmp_path / "ctx.bin", "rb")
+
+
+class TestContextFromBasis:
+    """`sample-context` pools the features the basis was built from, block 0
+    of cheb_cache.bin (T_0 X = X), not the dataset's feature file."""
+
+    @pytest.mark.parametrize("mode", ["rq", "full_khop"])
+    def test_edited_features_change_no_context_byte(self, toy_run, tmp_path, mode):
+        data = tmp_path / "data"
+        shutil.copytree(toy_run.dataset, data)
+        args = ["--dataset", str(data), "--run-dir", str(tmp_path / "run"), "--context-mode", mode]
+        path = tmp_path / "run" / "context_cache.bin"
+        assert main(["preprocess", *args]) == 0
+        assert main(["sample-context", *args]) == 0
+        before = read(path, "rb")
+        os.remove(path)
+        features = graph.load_dataset(data).features
+        graph.FEATURES_FORMAT.write(data / "features.bin", features.shape, [(2 * features, "<f4")])
+        assert main(["sample-context", *args]) == 0
+        assert read(path, "rb") == before
+
+    def test_missing_basis_exits_1(self, toy_run, tmp_path, capsys):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        for name in ("cheb_cache.bin", "context_cache.bin"):
+            os.remove(os.path.join(cfg.run_dir, name))
+        assert main(["sample-context", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir]) == 1
+        basis = os.path.join(cfg.run_dir, "cheb_cache.bin")
+        assert capsys.readouterr().err == (
+            f"error: missing prerequisite artifact: {basis} (run `preprocess` first)\n")
+        assert not os.path.exists(os.path.join(cfg.run_dir, "context_cache.bin"))
+
+    def test_basis_of_another_dataset_exits_1(self, toy_run, small_run, tmp_path, capsys):
+        cfg = _run_with_caches(tmp_path / "run", toy_run, small_run, small_run)
+        os.remove(os.path.join(cfg.run_dir, "context_cache.bin"))
+        assert main(["sample-context", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir]) == 1
+        assert capsys.readouterr().err == (
+            "error: cheb_cache.bin n=300 does not match the dataset's num_nodes=400; "
+            "rerun `preprocess` and `sample-context` on this dataset\n")
+        assert not os.path.exists(os.path.join(cfg.run_dir, "context_cache.bin"))
 
 
 class TestSamplerConfig:

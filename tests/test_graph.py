@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from sagad import cachefile, csbm, graph
 from sagad.cachefile import CacheFile
-from sagad.errors import CacheFormatError, DatasetFormatError
+from sagad.errors import CacheFormatError, ConfigError, DatasetFormatError
 from sagad.graph import (
     FEATURES_MAGIC,
     IMAGE_FORMAT,
@@ -354,7 +354,7 @@ class TestDatasetImage:
             assert split.train.tolist() == [1, 4] and split.val.tolist() == [0]
             assert split.test.size == 0 and split.test.dtype == np.int64
             assert image.split(0, ("test",)).test.tolist() == [2, 3, 5]
-            with pytest.raises(IndexError, match="split 2 out of range"):
+            with pytest.raises(ConfigError, match="split index 2 out of range; dataset has 2 splits"):
                 image.split(2)
 
     def test_supervision_opens_no_graph_file(self, tmp_path):

@@ -106,6 +106,21 @@ class TestChebWeights:
         assert np.all(np.diff(high) >= -1e-10)
         assert np.all(np.diff(low) <= 1e-10)
 
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_interpolation_matrix_equals_the_explicit_recurrence(self, order):
+        """Reference: T_0 = 1, T_1 = s, T_k = 2 s T_{k-1} - T_{k-2} at the
+        nodes s, one row per k, scaled by (2 - delta_k0) / (K + 1)."""
+        nodes = chebyshev_nodes(order)
+        m = order + 1
+        t = np.empty((m, m))
+        t[0] = 1.0
+        t[1] = nodes
+        for k in range(2, m):
+            t[k] = 2.0 * nodes * t[k - 1] - t[k - 2]
+        scale = np.full(m, 2.0 / m)
+        scale[0] = 1.0 / m
+        np.testing.assert_array_equal(bits(interpolation_matrix(order)), bits(scale[:, None] * t))
+
     def test_interpolation_matrix_built_once_per_order(self):
         m = interpolation_matrix(3)
         assert interpolation_matrix(3) is m
@@ -199,6 +214,14 @@ class TestDualEmbed:
 
         with pytest.raises(ValueError, match="out of range"):
             gather_rows(cache, None, np.asarray([999]), ModelConfig(context_mode="features_only"))
+
+
+    def test_context_of_another_dimension_rejected(self):
+        ds, cache = self._cache()
+        narrow = er_dataset(ds.num_nodes, 0.3, ds.num_features - 1, seed=9)
+        ctx = build_context_cache(narrow)
+        with pytest.raises(ValueError, match="disagree on"):
+            gather_rows(cache, ctx, np.arange(4), ModelConfig())
 
 
 class TestFusion:
@@ -333,6 +356,60 @@ class TestSigmoid:
         strided = grid[: grid.size // 7 * 7].reshape(-1, 7)[:, ::2]
         for x in (grid, strided):
             np.testing.assert_array_equal(bits(_sigmoid(x)), bits(masked_sigmoid(x)))
+
+
+def activate_reference(name, pre):
+    """The activations as first written, each into a new array."""
+    if name == "relu":
+        return np.maximum(pre, 0.0)
+    if name == "elu":
+        return np.where(pre > 0, pre, np.expm1(np.minimum(pre, 0.0)))
+    if name == "tanh":
+        return np.tanh(pre)
+    return pre.copy()
+
+
+def activate_grad_reference(name, pre, out):
+    """The derivatives as first written, from the pre-activation and the output."""
+    if name == "relu":
+        return (pre > 0).astype(np.float64)
+    if name == "elu":
+        return np.where(pre > 0, 1.0, out + 1.0)
+    if name == "tanh":
+        return 1.0 - out * out
+    return np.ones_like(pre)
+
+
+class TestActivations:
+    """The in-place activations and the derivatives taken from their
+    output give every entry the bits of the reference formulas."""
+
+    @staticmethod
+    def _grid():
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300, 5e-324,
+                   -5e-324, tiny, -tiny, 1e-17, -1e-17, 20.0, -20.0, 40.0, -40.0, 710.0, -710.0,
+                   1e308, -1e308]
+        rng = np.random.default_rng(0)
+        return np.concatenate([special, np.linspace(-30.0, 30.0, 6001),
+                               10.0 * rng.standard_normal(4000)])
+
+    @pytest.mark.parametrize("name", ACTIVATIONS)
+    def test_in_place_activation_equals_reference(self, name):
+        from sagad.model import _activate
+
+        pre = self._grid()
+        out = _activate(name, pre.copy())
+        np.testing.assert_array_equal(bits(out), bits(activate_reference(name, pre)))
+
+    @pytest.mark.parametrize("name", ACTIVATIONS)
+    def test_grad_from_output_equals_reference(self, name):
+        from sagad.model import _activate_grad
+
+        pre = self._grid()
+        out = activate_reference(name, pre)
+        np.testing.assert_array_equal(bits(_activate_grad(name, out)),
+                                      bits(activate_grad_reference(name, pre, out)))
 
 
 class TestLeanEvalForward:
