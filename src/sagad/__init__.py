@@ -52,7 +52,6 @@ from .metrics import (
     rec_at_k,
 )
 from .model import (
-    FilterParams,
     MlpParams,
     ModelConfig,
     ModelState,

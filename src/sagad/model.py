@@ -5,8 +5,9 @@ high-pass filter (prefix sums) and a monotone low-pass filter (clamped
 prefix differences); both are mapped to Chebyshev expansion weights by
 interpolation at the Chebyshev nodes.  Low- and high-pass embeddings are
 read from the precomputed basis cache and fused per node and per feature
-dimension by a sigmoid-gated MLP conditioned on subgraph context.  All
-gradients are computed by hand in plain numpy.
+dimension by a sigmoid-gated MLP conditioned on subgraph context.  Each
+MLP is linear layers with ReLU between them.  All gradients are computed
+by hand in plain numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,17 +29,13 @@ from .errors import CacheFormatError, ConfigError
 FUSION_MODES = ("adaptive", "mean", "concat")
 CONTEXT_MODES = ("rq", "full_khop", "features_only")
 FILTER_MODES = ("dual", "low_only", "high_only")
-ACTIVATIONS = ("relu", "elu", "tanh", "identity")
-NORMALIZATIONS = ("none", "layer")
 
 # header: u64 byte length of the JSON header that follows; then the f64 parameters
 CHECKPOINT_FORMAT = BinaryFormat(b"SGMDL001", "<Q", "checkpoint")
 CHECKPOINT_MAGIC = CHECKPOINT_FORMAT.magic
 
-_LN_EPS = 1e-5
 _SEED_DOMAIN_MODEL = 0x3A9
 _PURPOSE_INIT = 1
-_PURPOSE_DROPOUT = 2
 _NEEDS_TRAIN_FORWARD = "a backward pass needs the trace of a train-mode forward (train_mode=True)"
 
 
@@ -59,10 +56,6 @@ class ModelConfig:
     seed: int = 0
     hidden_dim: int = 64
     mlp_depth: int = 2
-    activation: str = "relu"
-    normalization: str = "none"
-    dropout: float = 0.0
-    share_gamma: bool = True
 
     def validate(self) -> None:
         if self.K < 1:
@@ -78,18 +71,12 @@ class ModelConfig:
             raise ConfigError(f"context_mode must be one of {CONTEXT_MODES}")
         if self.filter_mode not in FILTER_MODES:
             raise ConfigError(f"filter_mode must be one of {FILTER_MODES}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ConfigError(f"normalization must be one of {NORMALIZATIONS}")
         if self.mlp_depth not in (1, 2, 3):
             raise ConfigError(f"mlp_depth must be 1, 2, or 3, got {self.mlp_depth}")
         if self.hidden_dim < 1:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
     def uses_fusion_mlp(self) -> bool:
         """C is materialized for adaptive fusion or for the preference loss."""
@@ -102,22 +89,6 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 # Filter parameterization
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FilterParams:
-    """Unconstrained parameters; softplus maps them to non-negative gammas.
-
-    With ``raw_high`` unset, one vector drives both filter shapes; setting
-    it decouples the low- and high-pass parameterizations.
-    """
-
-    raw: np.ndarray
-    raw_high: np.ndarray | None = None
-
-    @property
-    def shared(self) -> bool:
-        return self.raw_high is None
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -144,18 +115,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / d, e / d)
 
 
-def reparam_filter_values(params: FilterParams) -> tuple[np.ndarray, np.ndarray]:
+def reparam_filter_values(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monotone filter values at the interpolation nodes.
 
-    High-pass: prefix sums of the gammas (non-decreasing).  Low-pass:
-    gamma_0 minus the prefix sums of the remaining gammas, floored at 0
-    (non-increasing).  Index 0 of both equals gamma_0.
+    ``raw`` holds the unconstrained parameters; softplus maps them to the
+    non-negative gammas that drive both filter shapes.  High-pass: prefix
+    sums of the gammas (non-decreasing).  Low-pass: gamma_0 minus the
+    prefix sums of the remaining gammas, floored at 0 (non-increasing).
+    Index 0 of both equals gamma_0.
     """
-    g_low = softplus(params.raw)
-    g_high = g_low if params.shared else softplus(params.raw_high)
-    gamma_high = np.cumsum(g_high)
-    prefix = g_low[0] - np.cumsum(g_low[1:])
-    gamma_low = np.concatenate([[g_low[0]], np.maximum(prefix, 0.0)])
+    g = softplus(raw)
+    gamma_high = np.cumsum(g)
+    prefix = g[0] - np.cumsum(g[1:])
+    gamma_low = np.concatenate([[g[0]], np.maximum(prefix, 0.0)])
     return gamma_low, gamma_high
 
 
@@ -198,44 +170,29 @@ def filter_response(weights: np.ndarray, t: np.ndarray | float):
 class MlpLayer:
     weight: np.ndarray
     bias: np.ndarray
-    ln_gain: np.ndarray | None = None
-    ln_bias: np.ndarray | None = None
 
 
 @dataclass
 class MlpParams:
-    """An MLP's layers; a hidden layer has layer-norm arrays iff they are not None."""
+    """An MLP's layers; every hidden layer is linear then ReLU."""
 
     layers: list[MlpLayer]
-    activation: str = "relu"
-    dropout: float = 0.0
 
     @property
     def depth(self) -> int:
         return len(self.layers)
 
 
-def _activate(name: str, h: np.ndarray) -> np.ndarray:
-    """Apply the activation to ``h`` in place and return it."""
-    if name == "relu":
-        np.maximum(h, 0.0, out=h)
-    elif name == "elu":
-        np.expm1(np.minimum(h, 0.0), out=h, where=~(h > 0))  # minimum: -0.0 gives 0.0
-    elif name == "tanh":
-        np.tanh(h, out=h)
+def _activate(h: np.ndarray) -> np.ndarray:
+    """Apply ReLU to ``h`` in place and return it."""
+    np.maximum(h, 0.0, out=h)
     return h
 
 
-def _activate_grad(name: str, out: np.ndarray) -> np.ndarray:
-    """The derivative from the activation's output alone: ReLU and ELU give
-    out > 0 exactly where their input is > 0, and ELU's exp(x) is out + 1."""
-    if name == "relu":
-        return (out > 0).astype(np.float64)
-    if name == "elu":
-        return np.where(out > 0, 1.0, out + 1.0)
-    if name == "tanh":
-        return 1.0 - out * out
-    return np.ones_like(out)
+def _activate_grad(out: np.ndarray) -> np.ndarray:
+    """ReLU's derivative from its output alone: out > 0 exactly where its
+    input is > 0."""
+    return (out > 0).astype(np.float64)
 
 
 def _row_stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -256,16 +213,14 @@ def mlp_forward(
     params: MlpParams,
     x: np.ndarray,
     train_mode: bool = False,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, list[dict] | None]:
     """Forward pass; returns the output and, in train mode, the per-layer
     trace the backward pass needs.
 
-    Hidden layers apply linear -> (layer norm) -> activation -> (dropout);
-    the final layer is linear only.  Both modes run this one loop, each
-    layer into its own matmul buffer with the activation applied in place;
-    train mode only adds the record of ``x``, ``act``, ``ln`` and ``mask``.
-    Dropout is inverted and only active in train mode, with an explicit rng.
+    Hidden layers apply linear -> ReLU; the final layer is linear only.
+    Both modes run this one loop, each layer into its own matmul buffer
+    with ReLU applied in place; train mode only adds the record of each
+    layer's input ``x`` and ReLU output ``act``.
     """
     trace: list[dict] | None = [] if train_mode else None
     out = np.asarray(x, dtype=np.float64)
@@ -275,21 +230,7 @@ def mlp_forward(
         h = _row_stable_matmul(out, layer.weight)
         h += layer.bias
         if i < last:
-            if layer.ln_gain is not None:
-                mu = h.mean(axis=1, keepdims=True)
-                var = h.var(axis=1, keepdims=True)
-                invstd = 1.0 / np.sqrt(var + _LN_EPS)
-                xhat = (h - mu) * invstd
-                entry["ln"] = (invstd, xhat)
-                h = layer.ln_gain * xhat + layer.ln_bias
-            h = _activate(params.activation, h)
-            entry["act"] = h
-            if train_mode and params.dropout > 0.0:
-                if dropout_rng is None:
-                    raise ValueError("train-mode dropout requires an rng")
-                mask = dropout_rng.random(h.shape) >= params.dropout
-                entry["mask"] = mask
-                h = h * mask / (1.0 - params.dropout)
+            entry["act"] = _activate(h)
         if trace is not None:
             trace.append(entry)
         out = h
@@ -317,19 +258,7 @@ def mlp_backward(
         grad = grads.layers[i]
         entry = trace[i]
         if i < last:
-            if "mask" in entry:
-                d_cur = d_cur * entry["mask"] / (1.0 - params.dropout)
-            d_cur = d_cur * _activate_grad(params.activation, entry["act"])
-            if layer.ln_gain is not None:
-                invstd, xhat = entry["ln"]
-                np.sum(d_cur * xhat, axis=0, out=grad.ln_gain)
-                np.sum(d_cur, axis=0, out=grad.ln_bias)
-                d_xhat = d_cur * layer.ln_gain
-                d_cur = invstd * (
-                    d_xhat
-                    - d_xhat.mean(axis=1, keepdims=True)
-                    - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True)
-                )
+            d_cur = d_cur * _activate_grad(entry["act"])
         np.matmul(entry["x"].T, d_cur, out=grad.weight)
         np.sum(d_cur, axis=0, out=grad.bias)
         d_cur = d_cur @ layer.weight.T
@@ -343,17 +272,14 @@ def mlp_backward(
 
 def param_layout(config: ModelConfig, dim: int) -> list[dict]:
     """Name, shape and offset into one flat vector of every trainable array
-    of a model, in order: the filter vector(s), then the fusion MLP (if
-    any) and the classifier, layer by layer (weight, bias, and a hidden
-    layer's layer-norm gain and bias).
+    of a model, in order: the filter vector, then the fusion MLP (if
+    any) and the classifier, layer by layer (weight, then bias).
 
     Parameters, gradients, Adam moments and the checkpoint payload are
     all flat f64 vectors in this layout, and a checkpoint's header stores
     the list as it is.
     """
     shapes = [("filter.raw", (config.K + 1,))]
-    if not config.share_gamma:
-        shapes.append(("filter.raw_high", (config.K + 1,)))
     mlps = []
     if config.uses_fusion_mlp():
         mlps.append(("fusion", dim if config.context_mode == "features_only" else 2 * dim, dim))
@@ -364,8 +290,6 @@ def param_layout(config: ModelConfig, dim: int) -> list[dict]:
         for i in range(config.mlp_depth):
             width = dims[i + 1]
             shapes += [(f"{prefix}.{i}.weight", (dims[i], width)), (f"{prefix}.{i}.bias", (width,))]
-            if config.normalization == "layer" and i < config.mlp_depth - 1:
-                shapes += [(f"{prefix}.{i}.ln_gain", (width,)), (f"{prefix}.{i}.ln_bias", (width,))]
     layout = []
     offset = 0
     for name, shape in shapes:
@@ -402,23 +326,22 @@ class ParamVector(Mapping[str, np.ndarray]):
 class ModelState:
     """A model's config and its zero-initialized parameters.
 
-    ``params.flat`` holds every trainable value; the arrays of ``filter``
-    and of the MLP layers are views into it, so an update of either is
-    seen by both.
+    ``params.flat`` holds every trainable value; ``filter``, the raw
+    filter vector that ``reparam_filter_values`` takes, and the arrays of
+    the MLP layers are views into it, so an update of either is seen by
+    both.
     """
 
     config: ModelConfig
     dim: int
     params: ParamVector = field(init=False)
-    filter: FilterParams = field(init=False)
+    filter: np.ndarray = field(init=False)
     fusion_mlp: MlpParams | None = field(init=False)
     classifier_mlp: MlpParams = field(init=False)
 
     def __post_init__(self) -> None:
         self.params = ParamVector(param_layout(self.config, self.dim))
-        self.filter = FilterParams(
-            raw=self.params["filter.raw"], raw_high=self.params.get("filter.raw_high")
-        )
+        self.filter = self.params["filter.raw"]
         self.fusion_mlp = self._mlp("fusion")
         self.classifier_mlp = self._mlp("classifier")
 
@@ -426,41 +349,28 @@ class ModelState:
         p = self.params
         if f"{prefix}.0.weight" not in p:
             return None
-        layers = [
-            MlpLayer(p[f"{prefix}.{i}.weight"], p[f"{prefix}.{i}.bias"],
-                     p.get(f"{prefix}.{i}.ln_gain"), p.get(f"{prefix}.{i}.ln_bias"))
+        return MlpParams([
+            MlpLayer(p[f"{prefix}.{i}.weight"], p[f"{prefix}.{i}.bias"])
             for i in range(self.config.mlp_depth)
-        ]
-        return MlpParams(layers, self.config.activation, self.config.dropout)
+        ])
 
 
 def init_model(config: ModelConfig, dim: int) -> ModelState:
-    """Seeded initialization: gammas near 1/(K+1), MLP weights +-1/sqrt(fan_in),
-    biases 0 and layer-norm gains 1."""
+    """Seeded initialization: gammas near 1/(K+1), MLP weights +-1/sqrt(fan_in)
+    and biases 0."""
     config.validate()
     rng = np.random.default_rng(
         np.random.SeedSequence([_SEED_DOMAIN_MODEL, config.seed, _PURPOSE_INIT])
     )
     state = ModelState(config, dim)
-    raw0 = inv_softplus(1.0 / (config.K + 1))
-    state.filter.raw[...] = raw0
-    if state.filter.raw_high is not None:
-        state.filter.raw_high[...] = raw0
+    state.filter[...] = inv_softplus(1.0 / (config.K + 1))
     for mlp in (state.fusion_mlp, state.classifier_mlp):
         if mlp is None:
             continue
         for layer in mlp.layers:
             bound = 1.0 / np.sqrt(layer.weight.shape[0])
             layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)
-            if layer.ln_gain is not None:
-                layer.ln_gain[...] = 1.0
     return state
-
-
-def dropout_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([_SEED_DOMAIN_MODEL, seed, _PURPOSE_DROPOUT, epoch])
-    )
 
 
 def iter_params(state: ModelState):
@@ -519,20 +429,20 @@ def _combine(block_rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fusion_gate(state, bundle, train_mode, rng):
+def _fusion_gate(state, bundle, train_mode):
     """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace
     (None in eval mode)."""
     inp = bundle.block_rows[0]  # the features
     if state.config.context_mode != "features_only":
         inp = np.concatenate([bundle.ctx_rows, inp], axis=1)
-    pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode, rng)
+    pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode)
     return _sigmoid(pre), trace
 
 
 def fuse(z_low: np.ndarray, z_high: np.ndarray, c: np.ndarray | None, fusion_mode: str) -> np.ndarray:
+    """Combine the two embeddings; adaptive fusion takes ``c``, the gate
+    ``_fusion_gate`` gives for the same rows."""
     if fusion_mode == "adaptive":
-        if c is None or c.shape != z_low.shape:
-            raise ValueError("adaptive fusion requires coefficients aligned with embeddings")
         return c * z_low + (1.0 - c) * z_high
     if fusion_mode == "mean":
         return 0.5 * (z_low + z_high)
@@ -559,7 +469,6 @@ def forward_bundle(
     state: ModelState,
     bundle: RowBundle,
     train_mode: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
     """The model's forward pass on one batch of gathered rows.
 
@@ -580,7 +489,7 @@ def forward_bundle(
     coef = None
     fusion_trace = None
     if state.fusion_mlp is not None:
-        coef, fusion_trace = _fusion_gate(state, bundle, train_mode, rng)
+        coef, fusion_trace = _fusion_gate(state, bundle, train_mode)
 
     if cfg.filter_mode == "low_only":
         z = z_low
@@ -589,7 +498,7 @@ def forward_bundle(
     else:
         z = fuse(z_low, z_high, coef if cfg.fusion_mode == "adaptive" else None, cfg.fusion_mode)
 
-    logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode, rng)
+    logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode)
     yhat = _sigmoid(logits[:, 0])
     cbar = coef.mean(axis=1) if coef is not None else None
     return ForwardTrace(
@@ -679,11 +588,7 @@ def backward_bundle(
     d_base_low[0] = d_gamma_low[0] + masked.sum()
     d_base_low[1:] = -np.cumsum(masked[::-1])[::-1]
 
-    if state.filter.shared:
-        grad.filter.raw[...] = (d_base_low + d_base_high) * _sigmoid(state.filter.raw)
-    else:
-        grad.filter.raw[...] = d_base_low * _sigmoid(state.filter.raw)
-        grad.filter.raw_high[...] = d_base_high * _sigmoid(state.filter.raw_high)
+    grad.filter[...] = (d_base_low + d_base_high) * _sigmoid(state.filter)
     return grad.params
 
 
@@ -723,6 +628,21 @@ def load_checkpoint(path: str | os.PathLike) -> ModelState:
     return CHECKPOINT_FORMAT.read(path, _checkpoint_from_file)
 
 
+def _header_config(raw) -> ModelConfig:
+    """The checkpoint's model config, which must name exactly the keys of
+    ``ModelConfig``: the parameters were trained under every key it holds,
+    so an unknown key is never dropped and a missing one never defaulted."""
+    keys = {f.name for f in fields(ModelConfig)}
+    if isinstance(raw, dict) and set(raw) != keys:
+        raise CacheFormatError(
+            "malformed checkpoint header: model config keys differ from this version's "
+            f"(unknown: {', '.join(sorted(set(raw) - keys)) or 'none'}; "
+            f"missing: {', '.join(sorted(keys - set(raw))) or 'none'}); "
+            "rerun `train` to write a checkpoint this version can load"
+        )
+    return ModelConfig(**raw)
+
+
 def _checkpoint_from_file(file: CacheFile) -> ModelState:
     (blob_len,) = file.fields
     if blob_len > file.payload_bytes:
@@ -739,7 +659,7 @@ def _checkpoint_from_file(file: CacheFile) -> ModelState:
         if dim < 1:
             raise ValueError(f"dim={dim}")
         layout = header["layout"]
-        state = init_model(ModelConfig(**header["config"]), dim)
+        state = init_model(_header_config(header["config"]), dim)
     except (ValueError, KeyError, TypeError) as exc:
         raise CacheFormatError(f"malformed checkpoint header: {exc!r}") from exc
     if layout != state.params.layout:

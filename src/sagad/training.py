@@ -37,7 +37,6 @@ from .model import (
     ParamVector,
     RowBundle,
     backward_bundle,
-    dropout_rng,
     forward_bundle,
     gather_rows,
     init_model,
@@ -200,7 +199,6 @@ def loss_and_grads_bundle(
     labels: np.ndarray,
     beta: float,
     train_config: TrainConfig,
-    rng: np.random.Generator | None = None,
 ) -> LossBreakdown:
     """Data loss and exact gradients of the objective on a pre-gathered row
     bundle.
@@ -209,7 +207,7 @@ def loss_and_grads_bundle(
     (including the decay term) match its finite differences.  This is the
     one place the L2 gradient is added.
     """
-    trace = forward_bundle(state, bundle, train_mode=True, rng=rng)
+    trace = forward_bundle(state, bundle, train_mode=True)
     loss, d_yhat, d_cbar = data_loss_terms(state, trace.yhat, trace.cbar, labels, beta)
     grads = backward_bundle(state, trace, d_yhat, d_cbar)
     if train_config.weight_decay:
@@ -223,11 +221,10 @@ def evaluate_objective(
     labels: np.ndarray,
     beta: float,
     train_config: TrainConfig,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Scalar objective only, with no backward pass (for finite-difference
     checks): the data loss plus 0.5 * weight_decay * ||params||^2."""
-    trace = forward_bundle(state, bundle, train_mode=True, rng=rng)
+    trace = forward_bundle(state, bundle, train_mode=True)
     objective = data_loss_terms(state, trace.yhat, trace.cbar, labels, beta)[0]
     if train_config.weight_decay:
         params = state.params.flat
@@ -263,7 +260,6 @@ def train(
     epochs pass without improvement.  Only labeled cache rows are
     gathered, so memory does not scale with graph size.
     """
-    model_config.validate()
     train_config.validate()
     train_ids = np.asarray(split.train, dtype=np.int64)
     val_ids = np.asarray(split.val, dtype=np.int64)
@@ -285,8 +281,7 @@ def train(
     epochs_since_improve = 0
 
     for epoch in range(train_config.max_epochs):
-        rng = dropout_rng(model_config.seed, epoch) if model_config.dropout > 0.0 else None
-        breakdown = loss_and_grads_bundle(state, train_bundle, y_train, beta, train_config, rng)
+        breakdown = loss_and_grads_bundle(state, train_bundle, y_train, beta, train_config)
         adam_step(state, breakdown.grads.flat, opt, train_config.lr)
 
         val_out = forward_bundle(state, val_bundle, train_mode=False)

@@ -51,6 +51,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("add_self_loops", "false"), ("clamp_eps", "1e-7"), ("beta_override", "2"),
+        ("activation", "elu"), ("normalization", "layer"), ("dropout", "0.1"),
+        ("share_gamma", "false"),
     ])
     def test_deleted_keys_are_rejected(self, tmp_path, capsys, key, value):
         with pytest.raises(SystemExit) as err:
@@ -99,10 +101,32 @@ class TestConfigDerivation:
             assert not own & {f.name for f in dataclasses.fields(section)}
 
     def test_values_reach_the_sections(self):
-        cfg = parse_config(None, {"hidden_dim": "8", "dropout": "0.25", "lr": "0.5",
+        cfg = parse_config(None, {"hidden_dim": "8", "p_a": "0.25", "lr": "0.5",
                                   "patience": "7", "use_fpg": "false"})
-        assert cfg.model_config() == model.ModelConfig(hidden_dim=8, dropout=0.25, use_fpg=False)
+        assert cfg.model_config() == model.ModelConfig(hidden_dim=8, p_a=0.25, use_fpg=False)
         assert cfg.train_config() == training.TrainConfig(lr=0.5, patience=7)
+
+
+class TestReadmeConfigTable:
+    """README's "Key config fields" table names exactly the config keys:
+    its first column with `csbm.*` and `sweep.*` read as every key of their
+    section, and every `csbm.<key>` or `sweep.<key>` it mentions exists."""
+
+    def test_table_names_every_key(self):
+        table = read(README).split("### Key config fields", 1)[1].split("\n## ", 1)[0]
+        sections = {"csbm": cli.CsbmSection, "sweep": cli.SweepSection}
+        section_keys = {name: {f"{name}.{f.name}" for f in dataclasses.fields(section)}
+                        for name, section in sections.items()}
+        keys = {f.name for f in dataclasses.fields(cli.RunConfig)} - set(sections)
+        keys = keys.union(*section_keys.values())
+        named, mentioned = set(), set()
+        for row in table.splitlines():
+            if row.startswith("| `"):
+                for key in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                    named |= section_keys.get(key.removesuffix(".*"), {key})
+                mentioned.update(re.findall(r"`((?:csbm|sweep)\.\w+)`", row))
+        assert named == keys
+        assert mentioned <= keys, mentioned - keys
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +464,24 @@ class TestCorruptCheckpoint:
         rc = main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir])
         assert rc == 1
         assert "error: " in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_1(self, toy_run, tmp_path, capsys):
+        """A checkpoint whose config has a key the model lacks, such as one
+        an earlier version wrote, is refused rather than scored without it."""
+        cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        raw = read(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), "rb")
+        blob_len = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16 : 16 + blob_len])
+        header["config"]["activation"] = "elu"
+        blob = json.dumps(header).encode()
+        with open(os.path.join(cfg.run_dir, "checkpoint_0.bin"), "wb") as f:
+            f.write(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + blob_len :])
+        capsys.readouterr()
+        assert main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\(unknown: activation; missing: none\); "
+                            r"rerun `train`[^\n]*\n", err), err
+        assert not os.path.exists(os.path.join(cfg.run_dir, "report.csv"))
 
 
 class TestSplitErrors:
@@ -1118,17 +1160,6 @@ class TestReadmeExample:
         args = cli._build_parser().parse_args(argv[1:])
         assert args.command == argv[1]
         assert args.dataset and args.run_dir
-
-
-class TestReadmeConfigTable:
-    def test_table_names_every_key(self):
-        table = read(README).split("### Key config fields", 1)[1].split("\n## ", 1)[0]
-        named = set()
-        for row in table.splitlines():
-            if row.startswith("| `"):
-                named.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
-        keys = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"csbm", "sweep"}
-        assert named == keys | {"csbm.*", "sweep.*"}
 
 
 class TestCsbmSweep:

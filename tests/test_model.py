@@ -12,12 +12,9 @@ from sagad.chebyshev import build_cheb_basis, chebyshev_nodes, dense_spectral_or
 from sagad.context import build_context_cache
 from sagad.errors import CacheFormatError, ConfigError
 from sagad.model import (
-    ACTIVATIONS,
     CHECKPOINT_MAGIC,
     FILTER_MODES,
     FUSION_MODES,
-    NORMALIZATIONS,
-    FilterParams,
     ModelConfig,
     cheb_weights,
     filter_response,
@@ -42,11 +39,10 @@ def run(state, cache, ctx, ids):
 
 
 def filter_from_gamma(gammas):
-    """FilterParams whose softplus output equals the requested gammas."""
-    raw = np.asarray(
+    """The raw filter vector whose softplus output equals the requested gammas."""
+    return np.asarray(
         [inv_softplus(g) if g > 1e-300 else -745.0 for g in gammas], dtype=np.float64
     )
-    return FilterParams(raw=raw)
 
 
 class TestReparam:
@@ -63,13 +59,6 @@ class TestReparam:
         gl, gh = reparam_filter_values(filter_from_gamma([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(gl, 0.0, atol=1e-12)
         np.testing.assert_allclose(gh, 0.0, atol=1e-12)
-
-    def test_decoupled_vectors(self):
-        raw = filter_from_gamma([0.5, 0.2]).raw
-        raw_high = filter_from_gamma([0.1, 0.4]).raw
-        gl, gh = reparam_filter_values(FilterParams(raw=raw, raw_high=raw_high))
-        np.testing.assert_allclose(gl, [0.5, 0.3], atol=1e-12)
-        np.testing.assert_allclose(gh, [0.1, 0.5], atol=1e-12)
 
 
 class TestChebWeights:
@@ -99,7 +88,7 @@ class TestChebWeights:
         rng = np.random.default_rng(seed)
         order = int(rng.integers(2, 6))
         raw = rng.normal(0, 2, order + 1)
-        gl, gh = reparam_filter_values(FilterParams(raw=raw))
+        gl, gh = reparam_filter_values(raw)
         nodes = chebyshev_nodes(order)
         high = filter_response(cheb_weights(gh), nodes)
         low = filter_response(cheb_weights(gl), nodes)
@@ -135,7 +124,7 @@ class TestChebWeights:
         # that is the set where the unfloored prefix difference is <= 0
         rng = np.random.default_rng(seed)
         raw = rng.normal(0, 2, int(rng.integers(2, 7)))
-        gl, _ = reparam_filter_values(FilterParams(raw=raw))
+        gl, _ = reparam_filter_values(raw)
         g = np.log1p(np.exp(-np.abs(raw))) + np.maximum(raw, 0.0)
         prefix = g[0] - np.cumsum(g[1:])
         np.testing.assert_array_equal(gl[1:] == 0.0, prefix <= 0.0)
@@ -162,10 +151,10 @@ class TestFilterResponse:
 
 
 def dual_embed(cache, fp, ids):
-    """z_low and z_high of the forward pass of a model with filter ``fp``."""
+    """z_low and z_high of the forward pass of a model with raw filter ``fp``."""
     state = init_model(ModelConfig(K=cache.order, context_mode="features_only", hidden_dim=4),
                        cache.dim)
-    state.filter = fp
+    state.filter[...] = fp
     out = run(state, cache, None, ids)
     return out.z_low, out.z_high
 
@@ -303,7 +292,7 @@ class TestForward:
         np.testing.assert_allclose(out.yhat, _sigmoid(logits[:, 0]), atol=1e-12)
 
     def test_eval_mode_is_deterministic(self):
-        cfg = ModelConfig(K=3, hidden_dim=8, dropout=0.4)
+        cfg = ModelConfig(K=3, hidden_dim=8)
         ds, cache, ctx, state = self._setup(cfg, seed=4)
         a = run(state, cache, ctx, np.arange(ds.num_nodes))
         b = run(state, cache, ctx, np.arange(ds.num_nodes))
@@ -358,31 +347,10 @@ class TestSigmoid:
             np.testing.assert_array_equal(bits(_sigmoid(x)), bits(masked_sigmoid(x)))
 
 
-def activate_reference(name, pre):
-    """The activations as first written, each into a new array."""
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    if name == "elu":
-        return np.where(pre > 0, pre, np.expm1(np.minimum(pre, 0.0)))
-    if name == "tanh":
-        return np.tanh(pre)
-    return pre.copy()
-
-
-def activate_grad_reference(name, pre, out):
-    """The derivatives as first written, from the pre-activation and the output."""
-    if name == "relu":
-        return (pre > 0).astype(np.float64)
-    if name == "elu":
-        return np.where(pre > 0, 1.0, out + 1.0)
-    if name == "tanh":
-        return 1.0 - out * out
-    return np.ones_like(pre)
-
-
 class TestActivations:
-    """The in-place activations and the derivatives taken from their
-    output give every entry the bits of the reference formulas."""
+    """The in-place ReLU and the derivative taken from its output give
+    every entry the bits of the reference formulas: ReLU into a new array,
+    and its derivative from the pre-activation."""
 
     @staticmethod
     def _grid():
@@ -394,49 +362,43 @@ class TestActivations:
         return np.concatenate([special, np.linspace(-30.0, 30.0, 6001),
                                10.0 * rng.standard_normal(4000)])
 
-    @pytest.mark.parametrize("name", ACTIVATIONS)
-    def test_in_place_activation_equals_reference(self, name):
+    def test_in_place_activation_equals_reference(self):
         from sagad.model import _activate
 
         pre = self._grid()
-        out = _activate(name, pre.copy())
-        np.testing.assert_array_equal(bits(out), bits(activate_reference(name, pre)))
+        out = _activate(pre.copy())
+        np.testing.assert_array_equal(bits(out), bits(np.maximum(pre, 0.0)))
 
-    @pytest.mark.parametrize("name", ACTIVATIONS)
-    def test_grad_from_output_equals_reference(self, name):
+    def test_grad_from_output_equals_reference(self):
         from sagad.model import _activate_grad
 
         pre = self._grid()
-        out = activate_reference(name, pre)
-        np.testing.assert_array_equal(bits(_activate_grad(name, out)),
-                                      bits(activate_grad_reference(name, pre, out)))
+        out = np.maximum(pre, 0.0)
+        np.testing.assert_array_equal(bits(_activate_grad(out)),
+                                      bits((pre > 0).astype(np.float64)))
 
 
 class TestLeanEvalForward:
     """The eval-mode forward keeps no trace and computes hidden layers in
-    place; its outputs equal a train-mode (dropout 0) forward's bit for bit."""
+    place; its outputs equal a train-mode forward's bit for bit."""
 
     @staticmethod
     def _state(dim, **cfg):
         state = init_model(ModelConfig(K=3, hidden_dim=6, **cfg), dim)
         prng = np.random.default_rng(7)
-        for _, arr in iter_params(state):  # both ReLU signs, non-trivial LN gains
+        for _, arr in iter_params(state):  # both ReLU signs
             arr += prng.normal(0.0, 0.5, arr.shape)
         return state
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
     @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
     @pytest.mark.parametrize("filter_mode", FILTER_MODES)
     @pytest.mark.parametrize("context_mode", ["rq", "features_only"])
-    def test_equals_train_mode_forward(self, activation, normalization, fusion_mode,
-                                       filter_mode, context_mode):
+    def test_equals_train_mode_forward(self, fusion_mode, filter_mode, context_mode):
         ds = er_dataset(12, 0.3, 4, seed=1)
         cache = build_cheb_basis(ds, 3, dtype=np.float64)
         ctx = build_context_cache(ds)
         for depth, use_fpg, rows in itertools.product((1, 3), (True, False), (1, 7)):
-            state = self._state(ds.num_features, activation=activation, mlp_depth=depth,
-                                normalization=normalization, fusion_mode=fusion_mode,
+            state = self._state(ds.num_features, mlp_depth=depth, fusion_mode=fusion_mode,
                                 filter_mode=filter_mode, context_mode=context_mode,
                                 use_fpg=use_fpg)
             bundle = gather_rows(cache, ctx, np.arange(2, 2 + rows), state.config)
@@ -481,7 +443,7 @@ def _per_array_init(cfg, dim):
     array: the reference for init_model's draws into the flat vector."""
     rng = np.random.default_rng(np.random.SeedSequence([0x3A9, cfg.seed, 1]))
     raw0 = inv_softplus(1.0 / (cfg.K + 1))
-    arrays = [np.full(cfg.K + 1, raw0)] + ([] if cfg.share_gamma else [np.full(cfg.K + 1, raw0)])
+    arrays = [np.full(cfg.K + 1, raw0)]
     fusion_in = dim if cfg.context_mode == "features_only" else 2 * dim
     mlps = [(fusion_in, dim)] if cfg.uses_fusion_mlp() else []
     concat = cfg.filter_mode == "dual" and cfg.fusion_mode == "concat"
@@ -491,8 +453,6 @@ def _per_array_init(cfg, dim):
             bound = 1.0 / np.sqrt(dims[i])
             arrays.append(rng.uniform(-bound, bound, size=(dims[i], dims[i + 1])))
             arrays.append(np.zeros(dims[i + 1]))
-            if cfg.normalization == "layer" and i < cfg.mlp_depth - 1:
-                arrays += [np.ones(dims[i + 1]), np.zeros(dims[i + 1])]
     return arrays
 
 
@@ -518,7 +478,7 @@ def _per_array_checkpoint(state):
 
 _LAYOUT_CONFIGS = [
     ModelConfig(K=2, hidden_dim=4),
-    ModelConfig(K=3, hidden_dim=8, mlp_depth=3, normalization="layer", share_gamma=False, seed=5),
+    ModelConfig(K=3, hidden_dim=8, mlp_depth=3, seed=5),
     ModelConfig(K=1, hidden_dim=3, mlp_depth=1, fusion_mode="concat", use_fpg=False, seed=2),
     ModelConfig(K=2, hidden_dim=5, context_mode="features_only", seed=9),
 ]
@@ -546,14 +506,14 @@ class TestParamLayout:
                 state.params[slot["name"]].reshape(-1), np.arange(slot["offset"], end)
             )
         assert state.classifier_mlp.layers[-1].bias[0] == state.params.flat[-1]
-        assert state.filter.raw_high[0] == state.params["filter.raw_high"][0]
+        np.testing.assert_array_equal(state.filter, np.arange(state.config.K + 1))
 
 
 
 
 class TestCheckpoint:
     def test_roundtrip_preserves_outputs(self, tmp_path):
-        cfg = ModelConfig(K=3, hidden_dim=8, mlp_depth=2, normalization="layer", seed=3)
+        cfg = ModelConfig(K=3, hidden_dim=8, mlp_depth=2, seed=3)
         ds = er_dataset(15, 0.3, 3, seed=7)
         cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
         ctx = build_context_cache(ds)
@@ -613,6 +573,7 @@ class TestCheckpoint:
         lambda header: header.update(dim=-3),
         lambda header: header["config"].update(K="x"),
         lambda header: header["config"].update(bogus=1),
+        lambda header: header["config"].pop("fusion_mode"),
     ])
     def test_bad_header_value_rejected(self, tmp_path, edit):
         path = tmp_path / "model.bin"
