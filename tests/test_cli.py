@@ -465,21 +465,25 @@ class TestCorruptCheckpoint:
         assert rc == 1
         assert "error: " in capsys.readouterr().err
 
-    def test_unknown_config_key_exits_1(self, toy_run, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value", [
+        ("activation", "elu"), ("normalization", "layer"), ("dropout", 0.2),
+        ("share_gamma", False),
+    ])
+    def test_unknown_config_key_exits_1(self, toy_run, tmp_path, capsys, key, value):
         """A checkpoint whose config has a key the model lacks, such as one
         an earlier version wrote, is refused rather than scored without it."""
         cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
         raw = read(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), "rb")
         blob_len = int.from_bytes(raw[8:16], "little")
         header = json.loads(raw[16 : 16 + blob_len])
-        header["config"]["activation"] = "elu"
+        header["config"][key] = value
         blob = json.dumps(header).encode()
         with open(os.path.join(cfg.run_dir, "checkpoint_0.bin"), "wb") as f:
             f.write(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + blob_len :])
         capsys.readouterr()
         assert main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir]) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: [^\n]*\(unknown: activation; missing: none\); "
+        assert re.fullmatch(rf"error: [^\n]*\(unknown: {key}; missing: none\); "
                             r"rerun `train`[^\n]*\n", err), err
         assert not os.path.exists(os.path.join(cfg.run_dir, "report.csv"))
 

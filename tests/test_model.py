@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import struct
 
@@ -393,26 +392,29 @@ class TestLeanEvalForward:
     @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
     @pytest.mark.parametrize("filter_mode", FILTER_MODES)
     @pytest.mark.parametrize("context_mode", ["rq", "features_only"])
-    def test_equals_train_mode_forward(self, fusion_mode, filter_mode, context_mode):
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("use_fpg", [True, False])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_equals_train_mode_forward(self, fusion_mode, filter_mode, context_mode, depth,
+                                       use_fpg, rows):
         ds = er_dataset(12, 0.3, 4, seed=1)
         cache = build_cheb_basis(ds, 3, dtype=np.float64)
         ctx = build_context_cache(ds)
-        for depth, use_fpg, rows in itertools.product((1, 3), (True, False), (1, 7)):
-            state = self._state(ds.num_features, mlp_depth=depth, fusion_mode=fusion_mode,
-                                filter_mode=filter_mode, context_mode=context_mode,
-                                use_fpg=use_fpg)
-            bundle = gather_rows(cache, ctx, np.arange(2, 2 + rows), state.config)
-            inputs = [b.copy() for b in bundle.block_rows]
-            lean = forward_bundle(state, bundle)
-            full = forward_bundle(state, bundle, train_mode=True)
-            assert lean.fusion_trace is None and lean.clf_trace is None
-            assert full.clf_trace is not None
-            np.testing.assert_array_equal(bits(lean.yhat), bits(full.yhat))
-            assert (lean.cbar is None) == (full.cbar is None) == (state.fusion_mlp is None)
-            if lean.cbar is not None:
-                np.testing.assert_array_equal(bits(lean.cbar), bits(full.cbar))
-            for before, after in zip(inputs, bundle.block_rows):
-                np.testing.assert_array_equal(bits(before), bits(after))
+        state = self._state(ds.num_features, mlp_depth=depth, fusion_mode=fusion_mode,
+                            filter_mode=filter_mode, context_mode=context_mode,
+                            use_fpg=use_fpg)
+        bundle = gather_rows(cache, ctx, np.arange(2, 2 + rows), state.config)
+        inputs = [b.copy() for b in bundle.block_rows]
+        lean = forward_bundle(state, bundle)
+        full = forward_bundle(state, bundle, train_mode=True)
+        assert lean.fusion_trace is None and lean.clf_trace is None
+        assert full.clf_trace is not None
+        np.testing.assert_array_equal(bits(lean.yhat), bits(full.yhat))
+        assert (lean.cbar is None) == (full.cbar is None) == (state.fusion_mlp is None)
+        if lean.cbar is not None:
+            np.testing.assert_array_equal(bits(lean.cbar), bits(full.cbar))
+        for before, after in zip(inputs, bundle.block_rows):
+            np.testing.assert_array_equal(bits(before), bits(after))
 
 
 class TestConfigValidation:
