@@ -4,15 +4,12 @@ Rayleigh-Quotient-guided context, and adaptive frequency fusion."""
 from .chebyshev import (
     ChebBasisCache,
     build_cheb_basis,
-    dense_spectral_oracle,
     read_cache,
     write_cache,
 )
 from .context import (
     ContextCache,
     build_context_cache,
-    max_rq_subgraph,
-    rayleigh_quotient,
     read_context_cache,
     write_context_cache,
 )
@@ -32,7 +29,6 @@ from .graph import (
     HomophilyReport,
     SparseAdjacency,
     SplitSet,
-    class_homophily,
     edge_homophily,
     homophily_report,
     ingest,

@@ -106,10 +106,10 @@ class CacheFile:
         try:
             found = os.pread(self.fd, len(fmt.magic), 0)
             if found != fmt.magic:
-                raise self.error(f"bad {self.what} magic {found!r} (expected {fmt.magic!r})")
+                raise self.fail(f"bad {self.what} magic {found!r}, expected {fmt.magic!r}")
             raw = os.pread(self.fd, fmt.header.size, len(fmt.magic))
             if len(raw) != fmt.header.size:
-                raise self.error(f"truncated {self.what} header")
+                raise self.fail(f"truncated {self.what} header")
             self.fields = fmt.header.unpack(raw)
             self.payload_offset = fmt.header_bytes
             self.payload_bytes = os.fstat(self.fd).st_size - self.payload_offset
@@ -125,9 +125,13 @@ class CacheFile:
         if self._finalizer.detach() is not None:
             os.close(self.fd)
 
+    def fail(self, message: str) -> SagadError:
+        """The format's error for ``message``, naming this file."""
+        return self.error(f"{message} (in {self.path})")
+
     def expect_payload(self, nbytes: int) -> None:
         if self.payload_bytes != nbytes:
-            raise self.error(
+            raise self.fail(
                 f"{self.what}: payload is {self.payload_bytes} bytes, expected {nbytes}"
             )
 

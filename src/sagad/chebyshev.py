@@ -124,28 +124,6 @@ def _basis_chunks(dataset: GraphDataset, order: int):
         b_prev, b_cur = b_cur, b_prev
 
 
-def dense_spectral_oracle(
-    dataset: GraphDataset,
-    weights: np.ndarray,
-    max_nodes: int = 500,
-) -> np.ndarray:
-    """Reference filter via dense eigendecomposition (test oracle).
-
-    Returns U diag(sum_k w_k T_k(lambda_i)) U^T X in float64.  Only meant
-    for small graphs; refuses n > max_nodes.
-    """
-    n = dataset.num_nodes
-    if n > max_nodes:
-        raise ValueError(f"dense oracle limited to n <= {max_nodes}, got {n}")
-    weights = np.asarray(weights, dtype=np.float64)
-    a_norm = normalized_adjacency(dataset.adjacency).toarray()
-    l_hat = -a_norm
-    eigvals, eigvecs = np.linalg.eigh(l_hat)
-    response = chebyshev_series(weights, eigvals)
-    x = np.asarray(dataset.features, dtype=np.float64)
-    return eigvecs @ (response[:, None] * (eigvecs.T @ x))
-
-
 def chebyshev_series(weights: np.ndarray, t: np.ndarray | float) -> np.ndarray:
     """Evaluate sum_k w_k T_k(t) by the three-term recurrence."""
     t = np.asarray(t, dtype=np.float64)
@@ -193,11 +171,8 @@ def read_cache(path: str | os.PathLike) -> ChebBasisCache:
 def _cache_from_file(file: CacheFile) -> ChebBasisCache:
     n, d, order, dtype_code = file.fields
     if dtype_code != _DTYPE_F32:
-        raise CacheFormatError(f"unsupported dtype code {dtype_code}")
+        raise file.fail(f"unsupported dtype code {dtype_code}")
     file.expect_payload((order + 1) * n * d * 4)
     blocks = [CacheRows(file, file.payload_offset + k * n * d * 4, n, d) for k in range(order + 1)]
     return ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks, file=file)
 
-
-def expected_cache_bytes(order: int, num_nodes: int, dim: int) -> int:
-    return CACHE_FORMAT.header_bytes + (order + 1) * num_nodes * dim * 4

@@ -118,6 +118,8 @@ class RunConfig(model.ModelConfig, training.TrainConfig):
         if not 0 < sw.anomaly_frac < 1 or not 1 <= round(sw.n * sw.anomaly_frac) < sw.n:
             raise ConfigError(f"sweep.anomaly_frac={sw.anomaly_frac!r} gives round(sweep.n * "
                               f"sweep.anomaly_frac) outside [1, {sw.n - 1}]; both classes need a node")
+        if sw.R <= 0:
+            raise ConfigError(f"sweep.R must be > 0, got {sw.R!r}")
         if sw.prior_mode not in csbm.PRIOR_MODES:
             raise ConfigError(f"sweep.prior_mode must be one of {', '.join(csbm.PRIOR_MODES)}, "
                               f"got {sw.prior_mode!r}")

@@ -53,66 +53,11 @@ class ContextCache(FileBacked):
             raise CacheFormatError("subgraph sizes must be >= 1")
 
 
-def rayleigh_quotient(subset: np.ndarray, dataset: GraphDataset) -> float:
-    """trace(X^T L X) / trace(X^T X) on the induced subgraph.
-
-    L is the unnormalized Laplacian of the subgraph induced by ``subset``;
-    feature rows are restricted to the subset.  Returns 0 when the feature
-    energy (denominator) is zero.
-    """
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size == 0:
-        raise ValueError("rayleigh_quotient: subset must be non-empty")
-    members = set(int(i) for i in subset)
-    x = np.asarray(dataset.features, dtype=np.float64)
-    den = float(np.sum(x[subset] ** 2))
-    if den == 0.0:
-        return 0.0
-    adj = dataset.adjacency
-    num = 0.0
-    for i in members:
-        for j in adj.neighbors(i):
-            j = int(j)
-            if j in members and j > i:  # each undirected edge once
-                diff = x[i] - x[j]
-                num += float(diff @ diff)
-    return num / den
-
-
-def max_rq_subgraph(node: int, dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
-                    seed: int = 0, branch: str = "auto") -> np.ndarray:
-    """Subset of {node} + 1-hop neighbors maximizing the Rayleigh Quotient.
-
-    Candidates above ``cap`` are uniformly subsampled with a per-node seeded
-    stream.  Degree <= 10 is solved exactly by enumerating every subset
-    containing the node; larger candidate sets use greedy marginal gain
-    (ties broken by smallest node id, stop when no strict improvement).
-    ``branch`` forces "exhaustive" or "greedy" for testing.  One-node run
-    of the kernel behind ``build_context_cache``.
-    """
-    n = dataset.num_nodes
-    if node < 0 or node >= n:
-        raise ValueError(f"node id {node} out of range [0, {n})")
-    if branch not in ("auto", "exhaustive", "greedy"):
-        raise ValueError(f"unknown branch {branch!r}")
-    if cap < 1:
-        raise ValueError(f"candidate cap must be >= 1, got {cap}")
-    adj = dataset.adjacency
-    k = min(len(adj.neighbors(node)), cap)
-    ids = _candidates(adj, np.asarray([node]), k, cap, seed)
-    exhaustive = branch == "exhaustive" or (branch == "auto" and k <= EXHAUSTIVE_DEGREE_LIMIT)
-    if exhaustive and k > EXHAUSTIVE_DEGREE_LIMIT:
-        raise ValueError(f"exhaustive search over {k} candidates needs 2^{k} subsets")
-    x = np.asarray(dataset.features, dtype=np.float64)
-    keys, energy = _edge_energies(adj, x, np.unique(ids))
-    return np.sort(ids[_select(ids, np.sum(x[ids] ** 2, axis=2), keys, energy, n, exhaustive)])
-
-
 # A chunk holds about this many values: B*(k+1)^2 local weights, B*2^k
 # subsets and B*d pooled features for B nodes, or edges*d differences.
 # Nothing of size n*cap is formed: the sampler needs O(n*d + m) memory.
 _CHUNK_VALUES = 1 << 16
-_NEAR_TIE = 1e-12  # relative band of near-ties re-ranked on the exact branch
+_NEAR_TIE = 1e-12  # relative band of near-ties the exhaustive search re-ranks exactly
 
 
 def _chunks(total: int, values_per_item: int):

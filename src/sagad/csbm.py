@@ -298,6 +298,8 @@ def theoretical_separator(
         raise ValueError("mu and nu coincide; the separator direction is undefined")
     if not 0.0 < pi_a < 1.0:
         raise ValueError("pi_a must lie strictly between 0 and 1")
+    if not R > 0.0:
+        raise ValueError(f"R must be > 0, got {R!r}")
     w_star = R * (nu - mu) / gap
     tau_pi = R * np.log(pi_a / (1.0 - pi_a)) / gap
     b_star = -float((mu + nu) @ w_star) / 2.0 + tau_pi
@@ -318,7 +320,7 @@ def kappa_eff(params: CsbmParams) -> float:
 def margin_condition_value(params: CsbmParams) -> float:
     """||mu - nu|| sqrt(d n kappa_eff) / log n; larger favors separability."""
     gap = float(np.linalg.norm(np.asarray(params.mu) - np.asarray(params.nu)))
-    return gap * np.sqrt(params.dim * params.n * kappa_eff(params)) / np.log(params.n)
+    return float(gap * np.sqrt(params.dim * params.n * kappa_eff(params)) / np.log(params.n))
 
 
 def _decision_bias(
@@ -422,24 +424,3 @@ def separability_experiment(
         separator=sep,
     )
 
-
-def strong_separation_params(seed: int = 0, dim: int = 64, n: int = 4000) -> CsbmParams:
-    """A pinned configuration well inside the separability region.
-
-    Regime contrast dominates the 1:9 class imbalance (pi_a * p1 > pi_n * q1
-    and pi_a * q2 > pi_n * p2), unit mean gap, mixed regimes, flat degrees.
-    """
-    n_a = n // 10
-    direction = np.ones(dim) / np.sqrt(dim)
-    return CsbmParams(
-        n_a=n_a,
-        n_n=n - n_a,
-        mu=-0.5 * direction,
-        nu=0.5 * direction,
-        p1=0.15,
-        q1=0.004,
-        p2=0.004,
-        q2=0.15,
-        regime_frac=0.5,
-        seed=seed,
-    )

@@ -354,12 +354,6 @@ def node_homophily(adj: SparseAdjacency, labels: np.ndarray) -> np.ndarray:
     return _agreement(adj, labels, "node_homophily")[2]
 
 
-def class_homophily(adj: SparseAdjacency, labels: np.ndarray) -> tuple[float, float]:
-    """Mean node homophily over anomalies and over normal nodes."""
-    report = homophily_report(adj, labels)
-    return report.class_homophily_abnormal, report.class_homophily_normal
-
-
 def homophily_report(adj: SparseAdjacency, labels: np.ndarray) -> HomophilyReport:
     """Edge, node and class homophily from one pass over the edges."""
     agree, counts, h = _agreement(adj, labels, "node_homophily")
@@ -368,7 +362,7 @@ def homophily_report(adj: SparseAdjacency, labels: np.ndarray) -> HomophilyRepor
         mask = (labels == cls) & ~np.isnan(h)
         if not np.any(mask):
             raise DatasetFormatError(
-                f"class_homophily: no {name} node has a defined node homophily"
+                f"class homophily: no {name} node has a defined node homophily"
             )
         means.append(float(np.mean(h[mask])))
     return HomophilyReport(
@@ -511,7 +505,7 @@ class DatasetImage(FileBacked):
     def __init__(self, file: CacheFile):
         n, d, nnz, num_splits, width = file.fields[:5]
         if width not in (4, 8):
-            raise CacheFormatError(f"dataset.bin: unsupported id width {width}")
+            raise file.fail(f"dataset.bin: unsupported id width {width}")
         self.file = file
         self.num_nodes, self.num_features, self.num_splits = n, d, num_splits
         self._nnz = nnz
@@ -523,7 +517,7 @@ class DatasetImage(FileBacked):
             file.expect_payload(self._split_ids_at)
         self._offsets = self._read(table_at, 3 * num_splits + 1, "<u8")
         if self._offsets[0] != 0 or np.any(self._offsets[1:] < self._offsets[:-1]):
-            raise CacheFormatError("dataset.bin: split offsets do not increase from 0")
+            raise file.fail("dataset.bin: split offsets do not increase from 0")
         file.expect_payload(self._split_ids_at + int(self._offsets[-1]) * width)
 
     def _read(self, offset: int, count: int, dtype) -> np.ndarray:

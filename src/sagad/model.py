@@ -24,7 +24,7 @@ import numpy as np
 from .cachefile import BinaryFormat, CacheFile
 from .chebyshev import ChebBasisCache, chebyshev_nodes, chebyshev_series
 from .context import ContextCache
-from .errors import CacheFormatError, ConfigError
+from .errors import ConfigError
 
 FUSION_MODES = ("adaptive", "mean", "concat")
 CONTEXT_MODES = ("rq", "full_khop", "features_only")
@@ -104,7 +104,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function; exp is taken only of -|x|, so it never overflows.
 
     Every entry gets e = exp(-x) if x >= 0 else exp(x), and then 1/(1+e)
-    or e/(1+e) respectively.  Both branches are formed for all entries and
+    or e/(1+e) respectively.  Both quotients are formed for all entries and
     ``where`` picks one, which avoids a boolean gather and scatter; the
     sign of the exponent is chosen with ``where`` rather than ``-abs(x)``
     so that a NaN keeps its sign bit.
@@ -373,11 +373,6 @@ def init_model(config: ModelConfig, dim: int) -> ModelState:
     return state
 
 
-def iter_params(state: ModelState):
-    """Yield (name, array) for every trainable array, in layout order."""
-    yield from state.params.items()
-
-
 # ---------------------------------------------------------------------------
 # Row gathering and forward pass
 # ---------------------------------------------------------------------------
@@ -628,13 +623,13 @@ def load_checkpoint(path: str | os.PathLike) -> ModelState:
     return CHECKPOINT_FORMAT.read(path, _checkpoint_from_file)
 
 
-def _header_config(raw) -> ModelConfig:
+def _header_config(raw, file: CacheFile) -> ModelConfig:
     """The checkpoint's model config, which must name exactly the keys of
     ``ModelConfig``: the parameters were trained under every key it holds,
     so an unknown key is never dropped and a missing one never defaulted."""
     keys = {f.name for f in fields(ModelConfig)}
     if isinstance(raw, dict) and set(raw) != keys:
-        raise CacheFormatError(
+        raise file.fail(
             "malformed checkpoint header: model config keys differ from this version's "
             f"(unknown: {', '.join(sorted(set(raw) - keys)) or 'none'}; "
             f"missing: {', '.join(sorted(keys - set(raw))) or 'none'}); "
@@ -646,7 +641,7 @@ def _header_config(raw) -> ModelConfig:
 def _checkpoint_from_file(file: CacheFile) -> ModelState:
     (blob_len,) = file.fields
     if blob_len > file.payload_bytes:
-        raise CacheFormatError(
+        raise file.fail(
             f"truncated checkpoint header: {blob_len} bytes announced, "
             f"{file.payload_bytes} present"
         )
@@ -659,15 +654,15 @@ def _checkpoint_from_file(file: CacheFile) -> ModelState:
         if dim < 1:
             raise ValueError(f"dim={dim}")
         layout = header["layout"]
-        state = init_model(_header_config(header["config"]), dim)
+        state = init_model(_header_config(header["config"], file), dim)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CacheFormatError(f"malformed checkpoint header: {exc!r}") from exc
+        raise file.fail(f"malformed checkpoint header: {exc!r}") from exc
     if layout != state.params.layout:
-        raise CacheFormatError(_layout_mismatch(layout, state.params.layout))
+        raise file.fail(_layout_mismatch(layout, state.params.layout))
     flat = state.params.flat
     payload_bytes = file.payload_bytes - blob_len
     if total != flat.size or payload_bytes != flat.nbytes:
-        raise CacheFormatError(
+        raise file.fail(
             f"checkpoint payload is {payload_bytes} bytes of total_values={total}, "
             f"expected {flat.nbytes} bytes of {flat.size}"
         )

@@ -169,7 +169,8 @@ def data_loss_terms(
     Returns the data loss (class-weighted BCE, plus the FPG term when the
     model uses it) and its gradients w.r.t. yhat and cbar (None without
     FPG).  The objective adds 0.5 * weight_decay * ||params||^2 to the data
-    loss; only ``evaluate_objective`` forms its value.
+    loss; training needs only that term's gradient, which
+    ``loss_and_grads_bundle`` adds.
     """
     cfg = state.config
     loss, d_yhat = bce_loss_grad(yhat, labels, beta)
@@ -203,9 +204,8 @@ def loss_and_grads_bundle(
     """Data loss and exact gradients of the objective on a pre-gathered row
     bundle.
 
-    The objective is the one ``evaluate_objective`` forms, so gradients
-    (including the decay term) match its finite differences.  This is the
-    one place the L2 gradient is added.
+    The objective is the data loss plus 0.5 * weight_decay * ||params||^2;
+    this is the one place the L2 gradient is added.
     """
     trace = forward_bundle(state, bundle, train_mode=True)
     loss, d_yhat, d_cbar = data_loss_terms(state, trace.yhat, trace.cbar, labels, beta)
@@ -213,23 +213,6 @@ def loss_and_grads_bundle(
     if train_config.weight_decay:
         grads.flat += train_config.weight_decay * state.params.flat
     return LossBreakdown(data_loss=loss, grads=grads)
-
-
-def evaluate_objective(
-    state: ModelState,
-    bundle: RowBundle,
-    labels: np.ndarray,
-    beta: float,
-    train_config: TrainConfig,
-) -> float:
-    """Scalar objective only, with no backward pass (for finite-difference
-    checks): the data loss plus 0.5 * weight_decay * ||params||^2."""
-    trace = forward_bundle(state, bundle, train_mode=True)
-    objective = data_loss_terms(state, trace.yhat, trace.cbar, labels, beta)[0]
-    if train_config.weight_decay:
-        params = state.params.flat
-        objective += 0.5 * train_config.weight_decay * float(np.vdot(params, params))
-    return objective
 
 
 # ---------------------------------------------------------------------------

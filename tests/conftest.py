@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from sagad.graph import GraphDataset, SparseAdjacency
+# One BLAS thread, as perfbench/run.py pins it, so a timing gate (8c) measures
+# the same single-threaded kernels on any host.  OpenBLAS reads these when
+# numpy loads, which has not happened yet when pytest imports this file.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from sagad.graph import GraphDataset, SparseAdjacency  # noqa: E402
 
 
 def make_dataset(edges, features, labels, num_nodes=None, splits=None, name="test"):

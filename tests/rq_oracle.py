@@ -5,7 +5,8 @@ in ``sagad.context``: ``_pair_energy`` rebuilds each ego-net's local
 weight matrix, ``_exhaustive_subgraph`` enumerates every subset and
 ``_greedy_subgraph`` recomputes every candidate's gain per step.  The
 package must choose the same subsets, so the tests compare it against
-these functions node by node.
+these functions node by node.  ``rayleigh_quotient`` is the energy ratio
+the sampler maximizes, summed edge by edge over any subset.
 """
 
 from __future__ import annotations
@@ -14,6 +15,32 @@ import numpy as np
 
 from sagad.context import EXHAUSTIVE_DEGREE_LIMIT, DEFAULT_CANDIDATE_CAP, _SEED_DOMAIN_SAMPLER
 from sagad.graph import GraphDataset
+
+
+def rayleigh_quotient(subset: np.ndarray, dataset: GraphDataset) -> float:
+    """trace(X^T L X) / trace(X^T X) on the induced subgraph.
+
+    L is the unnormalized Laplacian of the subgraph induced by ``subset``;
+    feature rows are restricted to the subset.  Returns 0 when the feature
+    energy (denominator) is zero.
+    """
+    subset = np.asarray(subset, dtype=np.int64)
+    if subset.size == 0:
+        raise ValueError("rayleigh_quotient: subset must be non-empty")
+    members = set(int(i) for i in subset)
+    x = np.asarray(dataset.features, dtype=np.float64)
+    den = float(np.sum(x[subset] ** 2))
+    if den == 0.0:
+        return 0.0
+    adj = dataset.adjacency
+    num = 0.0
+    for i in members:
+        for j in adj.neighbors(i):
+            j = int(j)
+            if j in members and j > i:  # each undirected edge once
+                diff = x[i] - x[j]
+                num += float(diff @ diff)
+    return num / den
 
 
 def max_rq_subgraph(

@@ -14,10 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sagad.chebyshev import build_cheb_basis, chebyshev_nodes, dense_spectral_oracle, write_cache
+from sagad.chebyshev import build_cheb_basis, chebyshev_nodes, write_cache
 from sagad.cli import dispatch, parse_config
-from sagad.context import build_context_cache, max_rq_subgraph, rayleigh_quotient
-from sagad.csbm import separability_experiment, strong_separation_params
+from sagad.context import build_context_cache
+from sagad.csbm import separability_experiment
 from sagad.graph import GraphDataset, SparseAdjacency, SplitSet
 from sagad.metrics import auroc, average_precision, rec_at_k
 from sagad.model import (
@@ -26,18 +26,19 @@ from sagad.model import (
     filter_response,
     gather_rows,
     init_model,
-    iter_params,
     reparam_filter_values,
 )
 from sagad.training import (
     TrainConfig,
-    evaluate_objective,
     loss_and_grads_bundle,
     score_all,
     train,
 )
 
 from conftest import er_dataset
+from oracles import dense_spectral_oracle, evaluate_objective, strong_separation_params
+from rq_kernel import max_rq_subgraph
+from rq_oracle import rayleigh_quotient
 
 
 def report(number: int, name: str, detail: str) -> None:
@@ -144,7 +145,7 @@ def test_criterion_3_gradient_correctness():
         ) if cfg.needs_context() else None
         state = init_model(cfg, 3)
         prng = np.random.default_rng(1000 + idx)
-        for _, arr in iter_params(state):
+        for _, arr in state.params.items():
             arr += prng.normal(0.0, 0.3, arr.shape)
         bundle = gather_rows(cache, ctx, np.arange(16), cfg)
         labels = ds.labels.astype(np.float64)
@@ -154,7 +155,7 @@ def test_criterion_3_gradient_correctness():
             return evaluate_objective(state, bundle, labels, 1.0, tc)
 
         grads = loss_and_grads_bundle(state, bundle, labels, 1.0, tc).grads
-        for name, arr in iter_params(state):
+        for name, arr in state.params.items():
             flat = arr.reshape(-1)
             gflat = grads[name].reshape(-1)
             for j in range(flat.size):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sagad import cachefile
-from sagad.chebyshev import build_cheb_basis, expected_cache_bytes, read_cache, write_cache
+from sagad.chebyshev import CACHE_FORMAT, build_cheb_basis, read_cache, write_cache
 from sagad.context import build_context_cache, read_context_cache, write_context_cache
 from sagad.errors import CacheFormatError
 from sagad.model import ModelConfig, gather_rows, init_model
@@ -91,7 +91,7 @@ class TestRowSource:
         cheb, _, cheb_path, _ = written
         with read_cache(cheb_path) as disk:
             # a cache truncated in place while open (to the size of a 10-node one)
-            os.truncate(cheb_path, expected_cache_bytes(3, 10, 5))
+            os.truncate(cheb_path, CACHE_FORMAT.header_bytes + 4 * 10 * 5 * 4)
             with pytest.raises(CacheFormatError, match="short read"):
                 disk.blocks[3][50:60]
             with pytest.raises(CacheFormatError, match="short read"):

@@ -6,11 +6,10 @@ import scipy.sparse as sp
 
 from sagad import chebyshev
 from sagad.chebyshev import (
+    CACHE_FORMAT,
     ChebBasisCache,
     build_cheb_basis,
     chebyshev_nodes,
-    dense_spectral_oracle,
-    expected_cache_bytes,
     read_cache,
     write_cache,
 )
@@ -18,6 +17,7 @@ from sagad.errors import CacheFormatError
 from sagad.graph import normalized_adjacency
 
 from conftest import er_dataset, make_dataset
+from oracles import dense_spectral_oracle
 
 
 class TestBasisRecurrence:
@@ -115,7 +115,7 @@ class TestCacheFile:
         write_cache(cache, path)
         expected = 28 + (cache.order + 1) * cache.num_nodes * cache.dim * 4
         assert os.path.getsize(path) == expected
-        assert expected == expected_cache_bytes(cache.order, cache.num_nodes, cache.dim)
+        assert CACHE_FORMAT.header_bytes == 28
 
     def test_bad_magic_rejected(self, tmp_path):
         cache = self._small_cache()

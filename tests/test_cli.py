@@ -452,18 +452,42 @@ class TestCheckpointConfigDecidesCaches:
         assert dispatch(command, dataclasses.replace(cfg, context_mode="rq")) == 0
 
 
+def _edit_header(raw, edit):
+    """A checkpoint's bytes with its JSON header changed by ``edit``."""
+    blob_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + blob_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    return raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + blob_len :]
+
+
 class TestCorruptCheckpoint:
-    @pytest.mark.parametrize("content", [
-        model.CHECKPOINT_MAGIC + b"\x00\x00",  # cut after the magic: a 10-byte file
-        model.CHECKPOINT_MAGIC + (5).to_bytes(8, "little") + b"{bad}",
-    ])
-    def test_eval_exits_1(self, toy_run, tmp_path, capsys, content):
+    @pytest.mark.parametrize("name,corrupt,message", [
+        # cut after the magic: a 10-byte file
+        ("checkpoint_0.bin", lambda raw: model.CHECKPOINT_MAGIC + b"\x00\x00",
+         "truncated checkpoint header"),
+        ("checkpoint_0.bin", lambda raw: model.CHECKPOINT_MAGIC + (5).to_bytes(8, "little") + b"{bad}",
+         "malformed checkpoint header"),
+        ("checkpoint_0.bin", lambda raw: b"XXXXXXXX" + raw[8:], "bad checkpoint magic"),
+        ("checkpoint_0.bin", lambda raw: raw[:16] + b"{bad}", "truncated checkpoint header"),
+        ("checkpoint_0.bin", lambda raw: _edit_header(raw, lambda header: header["layout"].reverse()),
+         "checkpoint layout"),
+        ("checkpoint_0.bin", lambda raw: raw[:-8], "checkpoint payload is"),
+        ("cheb_cache.bin", lambda raw: raw + b"\0" * 7, "basis cache: payload is"),
+        ("context_cache.bin", lambda raw: b"XXXXXXXX" + raw[8:], "bad context cache magic"),
+    ], ids=["short-file", "bad-json", "magic", "short-json", "layout", "payload", "basis-payload",
+            "context-magic"])
+    def test_eval_exits_1(self, toy_run, tmp_path, capsys, name, corrupt, message):
+        """One error line, naming the file."""
         cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
-        with open(os.path.join(cfg.run_dir, "checkpoint_0.bin"), "wb") as f:
-            f.write(content)
-        rc = main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir])
-        assert rc == 1
-        assert "error: " in capsys.readouterr().err
+        path = os.path.join(cfg.run_dir, name)
+        with open(path, "wb") as f:
+            f.write(corrupt(read(os.path.join(toy_run.run_dir, name), "rb")))
+        capsys.readouterr()
+        assert main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and f"(in {path})" in err, err
 
     @pytest.mark.parametrize("key,value", [
         ("activation", "elu"), ("normalization", "layer"), ("dropout", 0.2),
@@ -473,18 +497,16 @@ class TestCorruptCheckpoint:
         """A checkpoint whose config has a key the model lacks, such as one
         an earlier version wrote, is refused rather than scored without it."""
         cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
+        path = os.path.join(cfg.run_dir, "checkpoint_0.bin")
         raw = read(os.path.join(toy_run.run_dir, "checkpoint_0.bin"), "rb")
-        blob_len = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16 : 16 + blob_len])
-        header["config"][key] = value
-        blob = json.dumps(header).encode()
-        with open(os.path.join(cfg.run_dir, "checkpoint_0.bin"), "wb") as f:
-            f.write(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + blob_len :])
+        with open(path, "wb") as f:
+            f.write(_edit_header(raw, lambda header: header["config"].update({key: value})))
         capsys.readouterr()
         assert main(["eval", "--dataset", cfg.dataset, "--run-dir", cfg.run_dir]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: [^\n]*\(unknown: {key}; missing: none\); "
                             r"rerun `train`[^\n]*\n", err), err
+        assert f"(in {path})" in err, err
         assert not os.path.exists(os.path.join(cfg.run_dir, "report.csv"))
 
 
@@ -805,6 +827,8 @@ class TestConfigValues:
         (["csbm-sweep", "--set", "sweep.anomaly_frac=1e308"],
          "sweep.anomaly_frac=1e+308 gives round(sweep.n * sweep.anomaly_frac) outside [1, 3999]; "
          "both classes need a node"),
+        (["csbm-sweep", "--set", "sweep.R=0"], "sweep.R must be > 0, got 0.0"),
+        (["csbm-sweep", "--set", "sweep.R=-1"], "sweep.R must be > 0, got -1.0"),
         (["synth-csbm", "--set", "csbm.dim=-1"], "csbm.dim must be >= 1, got -1"),
         (["synth-csbm", "--set", "csbm.dim=0"], "csbm.dim must be >= 1, got 0"),
     ])
@@ -1181,6 +1205,9 @@ class TestCsbmSweep:
         assert len(lines) == 3  # header + 2 dims x 1 seed
         for line in lines[1:]:
             fields = line.split(",")
+            assert len(fields) == len(lines[0].split(","))
+            for value in fields:
+                float(value)  # every field is a number, never a numpy repr
             assert 0.0 <= float(fields[11]) <= 1.0  # accuracy column
 
 

@@ -9,13 +9,13 @@ from sagad.csbm import (
     random_walk_filter,
     separability_experiment,
     standard_splits,
-    strong_separation_params,
     theoretical_separator,
 )
 from sagad.errors import ConfigError
 
 from adjacency_contract import assert_adjacency_contract
 from conftest import make_dataset
+from oracles import strong_separation_params
 
 
 def small_params(**kwargs):
@@ -240,6 +240,12 @@ class TestSeparator:
         with pytest.raises(ValueError, match="coincide"):
             theoretical_separator(np.ones(3), np.ones(3), 0.1)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_nonpositive_scale_rejected(self, R):
+        # R = 0 divides by zero in the LDA bias, and R < 0 flips the separator
+        with pytest.raises(ValueError, match="R must be > 0"):
+            theoretical_separator(-np.ones(3), np.ones(3), 0.1, R=R)
+
 
 class TestSeparabilityExperiment:
     def test_kappa_eff_value(self):
@@ -255,6 +261,7 @@ class TestSeparabilityExperiment:
         params = strong_separation_params()
         expected = 1.0 * np.sqrt(64 * 4000 * kappa_eff(params)) / np.log(4000)
         assert margin_condition_value(params) == pytest.approx(expected)
+        assert type(margin_condition_value(params)) is float
 
     def test_strong_config_separates(self):
         res = separability_experiment(strong_separation_params(seed=0, n=1500))

@@ -21,7 +21,6 @@ from sagad.graph import (
     UNKNOWN_LABEL,
     SparseAdjacency,
     SplitSet,
-    class_homophily,
     edge_homophily,
     homophily_report,
     ingest,
@@ -527,14 +526,14 @@ class TestHomophily:
         np.testing.assert_allclose(node_homophily(ds.adjacency, ds.labels), 1.0)
 
     def test_class_homophily_path(self, path3):
-        h_a, h_n = class_homophily(path3.adjacency, path3.labels)
-        assert h_a == pytest.approx(0.75)
-        assert h_n == pytest.approx(0.0)
+        report = homophily_report(path3.adjacency, path3.labels)
+        assert report.class_homophily_abnormal == pytest.approx(0.75)
+        assert report.class_homophily_normal == pytest.approx(0.0)
 
     def test_empty_class_rejected(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
         with pytest.raises(DatasetFormatError, match="abnormal"):
-            class_homophily(ds.adjacency, ds.labels)
+            homophily_report(ds.adjacency, ds.labels)
 
     def test_unlabeled_endpoint_rejected(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, -1])
@@ -555,7 +554,9 @@ class TestHomophily:
     def test_class_homophily_matches_bruteforce(self):
         ds = er_dataset(50, 0.15, 2, seed=4)
         h = node_homophily(ds.adjacency, ds.labels)
-        for cls, got in zip((1, 0), class_homophily(ds.adjacency, ds.labels)):
+        report = homophily_report(ds.adjacency, ds.labels)
+        for cls, got in zip((1, 0), (report.class_homophily_abnormal,
+                                     report.class_homophily_normal)):
             vals = [
                 h[i]
                 for i in range(ds.num_nodes)
@@ -571,9 +572,10 @@ class TestHomophily:
         assert len(calls) == 1
         monkeypatch.undo()
         assert report.edge_homophily == edge_homophily(ds.adjacency, ds.labels)
-        np.testing.assert_array_equal(report.node_homophily, node_homophily(ds.adjacency, ds.labels))
-        assert (report.class_homophily_abnormal,
-                report.class_homophily_normal) == class_homophily(ds.adjacency, ds.labels)
+        h = node_homophily(ds.adjacency, ds.labels)
+        np.testing.assert_array_equal(report.node_homophily, h)
+        assert (report.class_homophily_abnormal, report.class_homophily_normal) == tuple(
+            float(np.mean(h[(ds.labels == cls) & ~np.isnan(h)])) for cls in (1, 0))
 
     def test_values_in_unit_interval(self):
         ds = er_dataset(80, 0.1, 2, seed=6)

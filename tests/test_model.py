@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagad.chebyshev import build_cheb_basis, chebyshev_nodes, dense_spectral_oracle
+from sagad.chebyshev import build_cheb_basis, chebyshev_nodes
 from sagad.context import build_context_cache
 from sagad.errors import CacheFormatError, ConfigError
 from sagad.model import (
@@ -23,13 +23,13 @@ from sagad.model import (
     init_model,
     interpolation_matrix,
     inv_softplus,
-    iter_params,
     load_checkpoint,
     reparam_filter_values,
     save_checkpoint,
 )
 
 from conftest import er_dataset, make_dataset
+from oracles import dense_spectral_oracle
 
 
 def run(state, cache, ctx, ids):
@@ -385,7 +385,7 @@ class TestLeanEvalForward:
     def _state(dim, **cfg):
         state = init_model(ModelConfig(K=3, hidden_dim=6, **cfg), dim)
         prng = np.random.default_rng(7)
-        for _, arr in iter_params(state):  # both ReLU signs
+        for _, arr in state.params.items():  # both ReLU signs
             arr += prng.normal(0.0, 0.5, arr.shape)
         return state
 
@@ -461,7 +461,7 @@ def _per_array_init(cfg, dim):
 def _per_array_checkpoint(state):
     """Checkpoint bytes as they were written one parameter array at a time:
     the reference for save_checkpoint's single flat payload."""
-    names, arrays = zip(*[(n, a.copy()) for n, a in iter_params(state)])
+    names, arrays = zip(*[(n, a.copy()) for n, a in state.params.items()])
     layout, offset = [], 0
     for name, arr in zip(names, arrays):
         layout.append({"name": name, "shape": list(arr.shape), "offset": offset})
@@ -492,13 +492,13 @@ class TestParamLayout:
         state = init_model(cfg, 3)
         ref = _per_array_init(cfg, 3)
         assert len(ref) == len(state.params)
-        for (_, arr), want in zip(iter_params(state), ref):
+        for (_, arr), want in zip(state.params.items(), ref):
             np.testing.assert_array_equal(arr, want)
 
     def test_arrays_are_views_of_one_vector(self):
         state = init_model(_LAYOUT_CONFIGS[1], 3)
         slots = state.params.layout
-        assert [s["name"] for s in slots] == [name for name, _ in iter_params(state)]
+        assert [s["name"] for s in slots] == [name for name, _ in state.params.items()]
         ends = [s["offset"] + int(np.prod(s["shape"])) for s in slots]
         assert [s["offset"] for s in slots] == [0] + ends[:-1]
         assert ends[-1] == state.params.flat.size
@@ -521,12 +521,12 @@ class TestCheckpoint:
         ctx = build_context_cache(ds)
         state = init_model(cfg, ds.num_features)
         rng = np.random.default_rng(1)
-        for _, arr in iter_params(state):
+        for _, arr in state.params.items():
             arr += rng.normal(0, 0.1, arr.shape)
         path = tmp_path / "model.bin"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
-        for (na, a), (nb, b) in zip(iter_params(state), iter_params(loaded)):
+        for (na, a), (nb, b) in zip(state.params.items(), loaded.params.items()):
             assert na == nb
             np.testing.assert_array_equal(a, b)
         ya = run(state, cache, ctx, np.arange(ds.num_nodes)).yhat
@@ -587,7 +587,7 @@ class TestCheckpoint:
     def test_bytes_equal_per_array_writer(self, tmp_path, cfg):
         state = init_model(cfg, 3)
         rng = np.random.default_rng(7)
-        for _, arr in iter_params(state):
+        for _, arr in state.params.items():
             arr += rng.normal(0, 0.1, arr.shape)
         save_checkpoint(state, tmp_path / "model.bin")
         assert (tmp_path / "model.bin").read_bytes() == _per_array_checkpoint(state)

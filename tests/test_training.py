@@ -13,7 +13,6 @@ from sagad.model import (
     ParamVector,
     gather_rows,
     init_model,
-    iter_params,
 )
 from sagad.training import (
     TrainConfig,
@@ -21,7 +20,6 @@ from sagad.training import (
     bce_loss_grad,
     compute_beta,
     data_loss_terms,
-    evaluate_objective,
     fpg_loss_grad,
     init_optimizer,
     loss_and_grads_bundle,
@@ -30,6 +28,7 @@ from sagad.training import (
 )
 
 from conftest import er_dataset
+from oracles import evaluate_objective
 
 EPS = 1e-7
 
@@ -150,7 +149,7 @@ class TestTotalLoss:
         labels = ds.labels.astype(float)
         loss = evaluate_objective(state, bundle, labels, 0.5, TrainConfig())
         objective = evaluate_objective(state, bundle, labels, 0.5, TrainConfig(weight_decay=0.1))
-        sq = sum(float(np.sum(p * p)) for _, p in iter_params(state))
+        sq = sum(float(np.sum(p * p)) for _, p in state.params.items())
         assert loss == loss_and_grads_bundle(state, bundle, labels, 0.5, TrainConfig()).data_loss
         assert objective == pytest.approx(loss + 0.05 * sq, rel=1e-12)
 
@@ -170,7 +169,7 @@ class TestAdam:
     def test_first_step_magnitude(self):
         state = self._scalar_state()
         opt = init_optimizer(state)
-        name, param = next(iter_params(state))
+        name, param = next(iter(state.params.items()))
         before = param.copy()
         grads = ParamVector(state.params.layout)
         grads[name][...] = 1.0
@@ -181,9 +180,9 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         state = self._scalar_state()
         opt = init_optimizer(state)
-        before = {n: a.copy() for n, a in iter_params(state)}
+        before = {n: a.copy() for n, a in state.params.items()}
         adam_step(state, np.zeros_like(state.params.flat), opt, lr=0.1)
-        for n, a in iter_params(state):
+        for n, a in state.params.items():
             np.testing.assert_array_equal(a, before[n])
 
     def test_deterministic(self):
@@ -194,7 +193,7 @@ class TestAdam:
             rng = np.random.default_rng(0)
             for _ in range(5):
                 adam_step(state, rng.normal(size=state.params.flat.shape), opt, lr=0.01)
-            runs.append({n: a.copy() for n, a in iter_params(state)})
+            runs.append({n: a.copy() for n, a in state.params.items()})
         for n in runs[0]:
             np.testing.assert_array_equal(runs[0][n], runs[1][n])
 
@@ -209,7 +208,7 @@ class TestAdam:
         # for bit over many steps and gradients spanning ten decades
         cfg = ModelConfig(K=3, hidden_dim=8)
         state = init_model(cfg, 5)
-        ref = {n: a.copy() for n, a in iter_params(state)}
+        ref = {n: a.copy() for n, a in state.params.items()}
         m = {n: np.zeros_like(a) for n, a in ref.items()}
         v = {n: np.zeros_like(a) for n, a in ref.items()}
         opt = init_optimizer(state)
@@ -228,7 +227,7 @@ class TestAdam:
                 v[name] *= 0.999
                 v[name] += (1.0 - 0.999) * (g * g)
                 param -= 0.01 * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
-        for name, param in iter_params(state):
+        for name, param in state.params.items():
             np.testing.assert_array_equal(param, ref[name])
 
 
@@ -238,7 +237,7 @@ def _fd_setup(cfg, seed=0, n=16):
     ctx = build_context_cache(ds) if cfg.needs_context() else None
     state = init_model(cfg, ds.num_features)
     prng = np.random.default_rng(seed + 100)
-    for _, arr in iter_params(state):
+    for _, arr in state.params.items():
         arr += prng.normal(0, 0.25, arr.shape)
     bundle = gather_rows(cache, ctx, np.arange(n), cfg)
     return ds, cache, ctx, state, bundle
@@ -247,7 +246,7 @@ def _fd_setup(cfg, seed=0, n=16):
 def _fd_check(state, bundle, labels, tc, h=1e-5):
     breakdown = loss_and_grads_bundle(state, bundle, labels, 1.0, tc)
     worst = 0.0
-    for name, arr in iter_params(state):
+    for name, arr in state.params.items():
         grad = breakdown.grads[name].reshape(-1)
         flat = arr.reshape(-1)
         for i in range(flat.size):
@@ -327,7 +326,7 @@ class TestGradients:
         state = init_model(cfg, 3)
         bundle = gather_rows(cache, ctx, np.arange(8), cfg)
         breakdown = loss_and_grads_bundle(state, bundle, ds.labels[:8], 1.0, TrainConfig())
-        names = {n for n, _ in iter_params(state)}
+        names = {n for n, _ in state.params.items()}
         assert set(breakdown.grads) == names
 
 
