@@ -71,8 +71,6 @@ class SweepSection:
     q2: float = 0.15
     regime_frac: float = 0.5
     mean_gap: float = 1.0
-    R: float = 1.0
-    prior_mode: str = "lda"
 
 
 @dataclass
@@ -118,11 +116,6 @@ class RunConfig(model.ModelConfig, training.TrainConfig):
         if not 0 < sw.anomaly_frac < 1 or not 1 <= round(sw.n * sw.anomaly_frac) < sw.n:
             raise ConfigError(f"sweep.anomaly_frac={sw.anomaly_frac!r} gives round(sweep.n * "
                               f"sweep.anomaly_frac) outside [1, {sw.n - 1}]; both classes need a node")
-        if sw.R <= 0:
-            raise ConfigError(f"sweep.R must be > 0, got {sw.R!r}")
-        if sw.prior_mode not in csbm.PRIOR_MODES:
-            raise ConfigError(f"sweep.prior_mode must be one of {', '.join(csbm.PRIOR_MODES)}, "
-                              f"got {sw.prior_mode!r}")
 
 
 def _number(value, kind, key: str):
@@ -557,7 +550,7 @@ def _cmd_csbm_sweep(cfg: RunConfig) -> int:
                 n_a=n_a, n_n=sw.n - n_a, dim=dim, mean_gap=sw.mean_gap, p1=sw.p1, q1=sw.q1,
                 p2=sw.p2, q2=sw.q2, regime_frac=sw.regime_frac, seed=seed,
             ).to_params()
-            res = csbm.separability_experiment(params, R=sw.R, prior_mode=sw.prior_mode)
+            res = csbm.separability_experiment(params)
             rows.append(
                 f"{seed},{dim},{sw.n},{sw.p1!r},{sw.q1!r},{sw.p2!r},{sw.q2!r},"
                 f"{params.pi_a!r},{sw.regime_frac!r},{res.kappa_eff!r},"

@@ -25,7 +25,6 @@ from .errors import ConfigError
 from .graph import GraphDataset, SparseAdjacency, SplitSet
 
 _SEED_DOMAIN_CSBM = 0xC5B
-PRIOR_MODES = ("lda", "quoted", "none")  # see _decision_bias
 
 
 @dataclass
@@ -88,7 +87,6 @@ class CsbmSample:
     theta: np.ndarray
     ego: "scipy.sparse.csr_matrix | None"  # row i: node i's out-neighborhood
     clipped_pairs: int
-    params: CsbmParams
 
 
 @dataclass
@@ -99,12 +97,6 @@ class SeparatorSpec:
     b_star: float
     R: float
     tau_pi: float
-
-    def scores(self, filtered: np.ndarray) -> np.ndarray:
-        return filtered @ self.w_star + self.b_star
-
-    def predict(self, filtered: np.ndarray) -> np.ndarray:
-        return (self.scores(filtered) < 0.0).astype(np.int64)
 
 
 @dataclass
@@ -117,7 +109,6 @@ class SeparabilityResult:
     mean_margin_misfiltered: float
     kappa_eff: float
     margin_value: float
-    clipped_pairs: int
     separator: SeparatorSpec | None
 
 
@@ -195,7 +186,6 @@ def generate_csbm(params: CsbmParams, include_ego: bool = False) -> CsbmSample:
         theta=theta,
         ego=ego,
         clipped_pairs=clipped,
-        params=params,
     )
 
 
@@ -323,50 +313,37 @@ def margin_condition_value(params: CsbmParams) -> float:
     return float(gap * np.sqrt(params.dim * params.n * kappa_eff(params)) / np.log(params.n))
 
 
-def _decision_bias(
-    sep: SeparatorSpec, filtered: np.ndarray, labels: np.ndarray, prior_mode: str
-) -> float:
-    """Bias actually used for classification.
-
-    "quoted" applies b_star as constructed.  "none" drops the prior term.
-    "lda" (default) rescales the prior term by the pooled within-class
-    variance of the unit-direction projections, which is the textbook
-    correction for Gaussians with spherical covariance; without the
-    variance factor the prior term exceeds any achievable margin once the
-    classes are imbalanced.
+def _decision_bias(sep: SeparatorSpec, filtered: np.ndarray, labels: np.ndarray) -> float:
+    """Bias used for classification (linear discriminant analysis): the
+    midpoint bias minus tau_pi times the pooled within-class variance of
+    the unit-direction projections.  The variance factor is the textbook
+    correction for Gaussians with spherical covariance; without it the
+    prior term exceeds any achievable margin once the classes are
+    imbalanced.
     """
     midpoint_bias = sep.b_star - sep.tau_pi
-    if prior_mode == "quoted":
-        return sep.b_star
-    if prior_mode == "none":
-        return midpoint_bias
-    if prior_mode == "lda":
-        proj = filtered @ sep.w_star / sep.R
-        var_sum = 0.0
-        count = 0
-        for cls in (0, 1):
-            vals = proj[labels == cls]
-            if len(vals) > 1:
-                var_sum += float(np.sum((vals - vals.mean()) ** 2))
-                count += len(vals) - 1
-        sigma2 = var_sum / count if count else 0.0
-        return midpoint_bias - sigma2 * sep.tau_pi
-    raise ValueError(f"unknown prior_mode {prior_mode!r}")
+    proj = filtered @ sep.w_star / sep.R
+    var_sum = 0.0
+    count = 0
+    for cls in (0, 1):
+        vals = proj[labels == cls]
+        if len(vals) > 1:
+            var_sum += float(np.sum((vals - vals.mean()) ** 2))
+            count += len(vals) - 1
+    sigma2 = var_sum / count if count else 0.0
+    return midpoint_bias - sigma2 * sep.tau_pi
 
 
-def separability_experiment(
-    params: CsbmParams,
-    R: float = 1.0,
-    prior_mode: str = "lda",
-) -> SeparabilityResult:
+def separability_experiment(params: CsbmParams) -> SeparabilityResult:
     """Generate, filter node-adaptively on the ego neighborhoods, classify
-    with the closed-form separator, and report accuracies and margins.
+    with the closed-form separator at R = 1 (R scales the margins, never
+    a decision) and the bias of ``_decision_bias``, and report accuracies
+    and margins.
 
     Also classifies an all-low-pass variant (heterophilic nodes
     misfiltered) to expose the margin degradation.  Nodes with no ego
-    out-edges are excluded.
+    out-edges are excluded.  ``generate_csbm`` validates ``params``.
     """
-    params.validate()
     sample = generate_csbm(params, include_ego=True)
     labels = sample.dataset.labels.astype(np.int64)
     x = np.asarray(sample.dataset.features, dtype=np.float64)
@@ -386,18 +363,17 @@ def separability_experiment(
             mean_margin_misfiltered=0.0,
             kappa_eff=kappa_eff(params),
             margin_value=0.0,
-            clipped_pairs=sample.clipped_pairs,
             separator=None,
         )
 
-    sep = theoretical_separator(params.mu, params.nu, params.pi_a, R=R)
+    sep = theoretical_separator(params.mu, params.nu, params.pi_a)
 
     adaptive, isolated = random_walk_filter(sample.ego, x, sample.regimes)
     all_low, _ = random_walk_filter(sample.ego, x, np.zeros_like(sample.regimes))
     keep = ~isolated
 
     def classify(filtered):
-        bias = _decision_bias(sep, filtered[keep], labels[keep], prior_mode)
+        bias = _decision_bias(sep, filtered[keep], labels[keep])
         scores = filtered[keep] @ sep.w_star + bias
         pred = (scores < 0.0).astype(np.int64)
         truth = labels[keep]
@@ -420,7 +396,6 @@ def separability_experiment(
         mean_margin_misfiltered=margin_low,
         kappa_eff=kappa_eff(params),
         margin_value=margin_condition_value(params),
-        clipped_pairs=sample.clipped_pairs,
         separator=sep,
     )
 

@@ -193,14 +193,14 @@ class FeatureFile:
             return FEATURES_FORMAT.read(path, lambda file: self._read_bin(file, dtype))
         path = _dataset_file(self.directory, "features.csv")
         features = _read_features_csv(path)
-        self._check_shape(*features.shape)
+        self._check_shape(path, *features.shape)
         _check_finite(path, features, 0)
         return features.astype(dtype, copy=False)
 
     def _read_bin(self, file: CacheFile, dtype) -> np.ndarray:
         rows, dim = file.fields
         file.expect_payload(rows * dim * 4)
-        self._check_shape(rows, dim)
+        self._check_shape(file.path, rows, dim)
         out = np.empty(self.shape, dtype=dtype)
         # f32 rows are read in place; other dtypes through one chunk buffer
         buffer = None if out.dtype == np.dtype("<f4") else np.empty(
@@ -214,13 +214,12 @@ class FeatureFile:
                 out[lo:hi] = chunk
         return out
 
-    def _check_shape(self, rows: int, dim: int) -> None:
-        if rows != self.num_nodes:
-            raise DatasetFormatError(f"feature rows ({rows}) != num_nodes ({self.num_nodes})")
-        if dim != self.num_features:
-            raise DatasetFormatError(
-                f"feature dim ({dim}) != meta num_features ({self.num_features})"
-            )
+    def _check_shape(self, path: str, rows: int, dim: int) -> None:
+        for what, got, key, want in (("rows", rows, "num_nodes", self.num_nodes),
+                                     ("dim", dim, "num_features", self.num_features)):
+            if got != want:
+                raise DatasetFormatError(f"feature {what} ({got}) != meta {key} ({want}) "
+                                         f"(in {path})")
 
 
 def _check_finite(path: str, rows: np.ndarray, first: int) -> None:

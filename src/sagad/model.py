@@ -65,12 +65,11 @@ class ModelConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
         if self.p_a > self.p_n:
             raise ConfigError(f"p_a ({self.p_a}) must not exceed p_n ({self.p_n})")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}")
-        if self.context_mode not in CONTEXT_MODES:
-            raise ConfigError(f"context_mode must be one of {CONTEXT_MODES}")
-        if self.filter_mode not in FILTER_MODES:
-            raise ConfigError(f"filter_mode must be one of {FILTER_MODES}")
+        for name, legal in (("fusion_mode", FUSION_MODES), ("context_mode", CONTEXT_MODES),
+                            ("filter_mode", FILTER_MODES)):
+            value = getattr(self, name)
+            if value not in legal:
+                raise ConfigError(f"{name} must be one of {', '.join(legal)}, got {value!r}")
         if self.mlp_depth not in (1, 2, 3):
             raise ConfigError(f"mlp_depth must be 1, 2, or 3, got {self.mlp_depth}")
         if self.hidden_dim < 1:

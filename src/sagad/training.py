@@ -51,16 +51,17 @@ class TrainConfig:
     patience: int = 50
 
     def validate(self) -> None:
-        if self.patience > self.max_epochs:
-            raise ConfigError("patience must not exceed max_epochs")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
+        if self.patience > self.max_epochs:
+            raise ConfigError(f"patience ({self.patience}) must not exceed "
+                              f"max_epochs ({self.max_epochs})")
         if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+            raise ConfigError(f"lr must be > 0, got {self.lr!r}")
         if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
 
 
 ADAM_BETA1 = 0.9

@@ -52,14 +52,15 @@ class TestParseConfig:
     @pytest.mark.parametrize("key,value", [
         ("add_self_loops", "false"), ("clamp_eps", "1e-7"), ("beta_override", "2"),
         ("activation", "elu"), ("normalization", "layer"), ("dropout", "0.1"),
-        ("share_gamma", "false"),
+        ("share_gamma", "false"), ("sweep.R", "1"), ("sweep.prior_mode", "lda"),
     ])
     def test_deleted_keys_are_rejected(self, tmp_path, capsys, key, value):
         with pytest.raises(SystemExit) as err:
             main(["validate", f"--{key.replace('_', '-')}", value])
         assert err.value.code == 2
         capsys.readouterr()
-        config = write_config(tmp_path, {key: value})
+        section, _, name = key.rpartition(".")
+        config = write_config(tmp_path, {section: {name: value}} if section else {key: value})
         for argv in (["--config", config], ["--set", f"{key}={value}"]):
             assert main(["validate", *argv]) == 1
             assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
@@ -475,8 +476,13 @@ class TestCorruptCheckpoint:
         ("checkpoint_0.bin", lambda raw: raw[:-8], "checkpoint payload is"),
         ("cheb_cache.bin", lambda raw: raw + b"\0" * 7, "basis cache: payload is"),
         ("context_cache.bin", lambda raw: b"XXXXXXXX" + raw[8:], "bad context cache magic"),
+        # header fields after the magic: dataset.bin's id width is byte 40,
+        # cheb_cache.bin's u16 dtype code bytes 26-27
+        ("dataset.bin", lambda raw: raw[:40] + b"\x03" + raw[41:], "unsupported id width 3"),
+        ("cheb_cache.bin", lambda raw: raw[:26] + (1).to_bytes(2, "little") + raw[28:],
+         "unsupported dtype code 1"),
     ], ids=["short-file", "bad-json", "magic", "short-json", "layout", "payload", "basis-payload",
-            "context-magic"])
+            "context-magic", "image-id-width", "basis-dtype"])
     def test_eval_exits_1(self, toy_run, tmp_path, capsys, name, corrupt, message):
         """One error line, naming the file."""
         cfg = _run_with_caches(tmp_path / "run", toy_run, toy_run, toy_run)
@@ -555,19 +561,6 @@ class TestSplitErrors:
         for name in outputs:
             assert not os.path.exists(os.path.join(cfg.run_dir, name)), name
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("labeled_anomalies", 40, "csbm.labeled_anomalies must lie in [0, 30] (csbm.n_a), got 40"),
-        ("labeled_anomalies", -1, "csbm.labeled_anomalies must lie in [0, 30] (csbm.n_a), got -1"),
-        ("labeled_normals", 101, "csbm.labeled_normals must lie in [0, 100] (csbm.n_n), got 101"),
-    ])
-    def test_labeled_budget_outside_class_size_exits_1(self, tmp_path, capsys, key, value,
-                                                        message):
-        rc = main(["synth-csbm", "--dataset", str(tmp_path / "data"), "--set", "csbm.n_a=30",
-                   "--set", "csbm.n_n=100", "--set", f"csbm.{key}={value}"])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "data").exists()
-
 
 class TestMissingRunDir:
     @pytest.mark.parametrize("command", ["preprocess", "sample-context", "train", "eval", "score",
@@ -588,19 +581,32 @@ class TestMalformedInputs:
          "meta.json: num_nodes must be an integer >= 0, got '4OO'"),
         ("meta.json", json.dumps({"name": "toy", "num_nodes": -1, "num_features": 16}),
          "meta.json: num_nodes must be an integer >= 0, got -1"),
+        ("meta.json", "[]", "meta.json must hold a JSON object"),
+        ("meta.json", json.dumps({"num_nodes": 400, "num_features": 16}),
+         "meta.json missing key 'name'"),
+        ("meta.json", json.dumps({"name": "toy", "num_nodes": 400, "num_features": 3}),
+         "feature dim (16) != meta num_features (3) (in {data_dir}/features.bin)"),
+        ("meta.json", json.dumps({"name": "toy", "num_nodes": 401, "num_features": 16}),
+         "feature rows (400) != meta num_nodes (401) (in {data_dir}/features.bin)"),
         ("splits.json", "[{", "splits.json is not valid JSON"),
         ("splits.json", json.dumps([{"train": ["a"], "val": [], "test": []}]),
          "splits.json entry 0: invalid literal"),
-    ], ids=["meta-not-json", "meta-text-num-nodes", "meta-negative-num-nodes",
-            "splits-not-json", "splits-text-id"])
+        ("splits.json", "{}", "splits.json must hold an array of split objects"),
+        ("features.csv", "1,2\nx,y\n", "features.csv: could not convert string 'x'"),
+    ], ids=["meta-not-json", "meta-text-num-nodes", "meta-negative-num-nodes", "meta-not-object",
+            "meta-no-name", "meta-wrong-d", "meta-wrong-n", "splits-not-json", "splits-text-id",
+            "splits-not-array", "features-csv-text"])
     def test_preprocess_exits_1(self, toy_run, tmp_path, capsys, name, content, message):
         data_dir = tmp_path / "data"
         shutil.copytree(toy_run.dataset, data_dir)
+        if name == "features.csv":
+            os.remove(data_dir / "features.bin")  # read in preference to features.csv
         (data_dir / name).write_text(content)
         run_dir = tmp_path / "run"
         assert main(["preprocess", "--dataset", str(data_dir), "--run-dir", str(run_dir)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message.format(data_dir=data_dir) in err, err
         for output in ("dataset.bin", "cheb_cache.bin"):
             assert not (run_dir / output).exists()
 
@@ -748,6 +754,23 @@ class TestSynthCsbmFiles:
         text = "node_id,regime\n" + "".join(f"{i},{int(r)}\n" for i, r in enumerate(regimes))
         assert read(os.path.join(toy_run.dataset, "regimes.csv"), "rb") == text.encode()
 
+    @pytest.mark.parametrize("sets,message", [
+        (["labeled_anomalies=40"], "csbm.labeled_anomalies must lie in [0, 30] (csbm.n_a), got 40"),
+        (["labeled_anomalies=-1"], "csbm.labeled_anomalies must lie in [0, 30] (csbm.n_a), got -1"),
+        (["labeled_normals=101"], "csbm.labeled_normals must lie in [0, 100] (csbm.n_n), got 101"),
+        (["p1=2"], "p1 must lie in [0, 1], got 2.0"),
+        (["regime_frac=2"], "regime_frac must lie in [0, 1]"),
+        (["theta_min=0"], "need 0 < theta_min <= theta_max"),
+        (["p1=0.001"], "homophilic regime requires p1 > q1"),
+        (["n_a=0", "labeled_anomalies=0"], "both classes need at least one node"),
+    ])
+    def test_bad_section_exits_1(self, tmp_path, capsys, sets, message):
+        rc = main(["synth-csbm", "--dataset", str(tmp_path / "data"), "--set", "csbm.n_a=30",
+                   "--set", "csbm.n_n=100", *(f"--set=csbm.{item}" for item in sets)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "data").exists()
+
 
 class TestBenchmarkSpans:
     """perfbench/spans.py wraps sagad functions by name; renaming or deleting
@@ -816,8 +839,6 @@ class TestConfigValues:
         (["csbm-sweep", "--set", "sweep.dims=4,0", "--set", "sweep.n=200",
           "--set", "sweep.seeds=0"],
          "sweep.dims must be >= 1, got 0"),
-        (["csbm-sweep", "--set", "sweep.prior_mode=foo", "--set", "sweep.n=200"],
-         "sweep.prior_mode must be one of lda, quoted, none, got 'foo'"),
         (["csbm-sweep", "--set", "sweep.n=200", "--set", "sweep.anomaly_frac=0.001"],
          "sweep.anomaly_frac=0.001 gives round(sweep.n * sweep.anomaly_frac) outside [1, 199]; "
          "both classes need a node"),
@@ -827,8 +848,17 @@ class TestConfigValues:
         (["csbm-sweep", "--set", "sweep.anomaly_frac=1e308"],
          "sweep.anomaly_frac=1e+308 gives round(sweep.n * sweep.anomaly_frac) outside [1, 3999]; "
          "both classes need a node"),
-        (["csbm-sweep", "--set", "sweep.R=0"], "sweep.R must be > 0, got 0.0"),
-        (["csbm-sweep", "--set", "sweep.R=-1"], "sweep.R must be > 0, got -1.0"),
+        (["train", "--max-epochs", "0"], "max_epochs must be >= 1, got 0"),
+        (["train", "--max-epochs", "10", "--patience", "11"],
+         "patience (11) must not exceed max_epochs (10)"),
+        (["train", "--lr", "0"], "lr must be > 0, got 0.0"),
+        (["train", "--weight-decay", "-1"], "weight_decay must be >= 0, got -1.0"),
+        (["train", "--fusion-mode", "x"],
+         "fusion_mode must be one of adaptive, mean, concat, got 'x'"),
+        (["train", "--context-mode", "x"],
+         "context_mode must be one of rq, full_khop, features_only, got 'x'"),
+        (["train", "--filter-mode", "x"],
+         "filter_mode must be one of dual, low_only, high_only, got 'x'"),
         (["synth-csbm", "--set", "csbm.dim=-1"], "csbm.dim must be >= 1, got -1"),
         (["synth-csbm", "--set", "csbm.dim=0"], "csbm.dim must be >= 1, got 0"),
     ])
@@ -838,13 +868,24 @@ class TestConfigValues:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("payload", [
-        {"K": "three"}, {"lr": [1]}, {"sweep": {"dims": "16,x"}},
-        {"sweep": {"seeds": [1, "a"]}}, {"sweep": {"seeds": 3}},
+    @pytest.mark.parametrize("text,message", [
+        ('{"K": "three"}', "K: expected an integer, got 'three'"),
+        ('{"lr": [1]}', "lr: expected a finite number, got [1]"),
+        ('{"sweep": {"dims": "16,x"}}', "sweep.dims: expected an integer, got 'x'"),
+        ('{"sweep": {"seeds": [1, "a"]}}', "sweep.seeds: expected an integer, got 'a'"),
+        ('{"sweep": {"seeds": 3}}', "sweep.seeds: expected a list of integers, got 3"),
+        ('{"csbm": 3}', "csbm must be an object"),
+        ("[1]", "config file must hold a JSON object"),
+        ("{not json", "config file is not valid JSON: Expecting property name"),
+        (None, "config file not found: {path}"),
     ])
-    def test_non_numeric_file_value_rejected(self, tmp_path, payload):
-        with pytest.raises(ConfigError, match="expected"):
-            parse_config(write_config(tmp_path, payload))
+    def test_bad_config_file_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(path=path)}") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", ["train", "eval", "score"])
     def test_batch_size_below_one_rejected_before_reading(self, tmp_path, command, capsys,
@@ -1211,11 +1252,61 @@ class TestCsbmSweep:
             assert 0.0 <= float(fields[11]) <= 1.0  # accuracy column
 
 
+class TestNoInertSectionKey:
+    """Every `csbm.*` and `sweep.*` key changes its command's output: a key
+    whose other legal value leaves every output byte as it was is inert."""
+
+    # a small base run of each command, and one other legal value per key
+    BASE = {"csbm": {"n_a": "20", "n_n": "180", "num_splits": "2", "labeled_anomalies": "10",
+                     "labeled_normals": "40"},
+            "sweep": {"n": "200", "dims": "4", "seeds": "0"}}
+    OTHER = {
+        "csbm": {"n_a": "21", "n_n": "181", "dim": "8", "mean_gap": "0.5", "p1": "0.05",
+                 "q1": "0.015", "p2": "0.015", "q2": "0.05", "regime_frac": "0.6",
+                 "theta_min": "0.5", "theta_max": "2", "seed": "1", "num_splits": "3",
+                 "labeled_anomalies": "8", "labeled_normals": "30"},
+        "sweep": {"dims": "5", "seeds": "1", "n": "220", "anomaly_frac": "0.2", "p1": "0.2",
+                  "q1": "0.01", "p2": "0.01", "q2": "0.2", "regime_frac": "0.4",
+                  "mean_gap": "0.8"},
+    }
+    SECTIONS = {"csbm": cli.CsbmSection, "sweep": cli.SweepSection}
+
+    @staticmethod
+    def _outputs(tmp_path, section, overrides):
+        """The bytes of every file a synth-csbm dataset directory or a
+        csbm-sweep's csbm_sweep.csv holds, for the base run plus ``overrides``."""
+        out = tmp_path / "out"
+        sets = {**TestNoInertSectionKey.BASE[section], **overrides}
+        argv = [f"--set={section}.{key}={value}" for key, value in sets.items()]
+        if section == "csbm":
+            assert main(["synth-csbm", "--dataset", str(out), *argv]) == 0
+            return {name: read(out / name, "rb") for name in sorted(os.listdir(out))}
+        assert main(["csbm-sweep", "--run-dir", str(out), *argv]) == 0
+        return read(out / "csbm_sweep.csv", "rb")
+
+    def test_every_key_has_another_value(self):
+        for name, section in self.SECTIONS.items():
+            assert set(self.OTHER[name]) == {f.name for f in dataclasses.fields(section)}
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, others in OTHER.items() for key in others])
+    def test_key_changes_output(self, tmp_path_factory, section, key):
+        base = self._outputs(tmp_path_factory.mktemp("base"), section, {})
+        other = self._outputs(tmp_path_factory.mktemp("other"), section,
+                              {key: self.OTHER[section][key]})
+        assert other != base, f"{section}.{key}={self.OTHER[section][key]} changed no output"
+
+
 class TestMainEntry:
-    def test_unknown_command_exits_nonzero(self, capsys):
+    @pytest.mark.parametrize("argv,message", [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["validate", "--set", "foo"], "--set expects KEY=VALUE, got 'foo'"),
+    ])
+    def test_bad_command_line_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
-            main(["frobnicate"])
-        assert err.value.code != 0
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"sagad: error: {message}")
 
     def test_error_path_returns_one(self, tmp_path, capsys):
         rc = main(["validate", "--dataset", str(tmp_path / "nope")])

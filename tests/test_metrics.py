@@ -42,9 +42,12 @@ class TestAuroc:
     def test_all_ties_give_half(self):
         assert auroc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
 
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="both classes"):
-            auroc([0.1, 0.2], [1, 1])
+    @pytest.mark.parametrize("labels,message", [
+        ([1, 1], "both classes"), ([[0, 1]], "1-d array"), ([0, 2], "binary 0/1"),
+    ])
+    def test_invalid_labels_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            auroc([0.1, 0.2], labels)
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(0)
