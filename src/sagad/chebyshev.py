@@ -46,8 +46,8 @@ class ChebBasisCache(FileBacked):
                 raise CacheFormatError(f"block {k} has shape {b.shape}")
 
 
-# Rows per chunk of the recurrence: a chunk's sparse product, its f32 copy
-# and the write stay small next to the two n*d f64 buffers.
+# Rows per chunk of the recurrence: a chunk's normalized values, its sparse
+# product and the write stay small next to the two n*d work buffers.
 _CHUNK_ROWS = 1 << 13
 
 
@@ -61,19 +61,20 @@ def build_cheb_basis(
 
     L_hat = 2 L_norm / lambda_max - I with lambda_max pinned at 2, which
     collapses to the negated normalized adjacency.  The recurrence runs in
-    float64 over two n*d buffers, one row chunk at a time (see
-    ``_basis_chunks``); features given as a ``FeatureFile`` are read into
-    the first of them, with no other copy held.  Without ``path`` the
-    chunks are cast to ``dtype`` into (order+1) in-memory blocks.  With
-    ``path`` each chunk is written to the cache file as soon as it is
-    computed (f32; the file replaces ``path`` only once complete) and the
-    returned cache reads that file by row: close it, or use it in a
-    ``with`` block.
+    ``dtype``, the precision of the blocks it produces, over two n*d
+    buffers, one row chunk at a time (see ``_basis_chunks``): f32 for the
+    cache file and by default, f64 only when f64 blocks are asked for.
+    Features given as a ``FeatureFile`` are read into the first buffer,
+    with no other copy held.  Without ``path`` the chunks are copied into
+    (order+1) in-memory blocks.  With ``path`` each chunk is written to the
+    cache file as soon as it is computed (the file replaces ``path`` only
+    once complete) and the returned cache reads that file by row: close
+    it, or use it in a ``with`` block.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n, d = dataset.num_nodes, dataset.num_features
-    chunks = _basis_chunks(dataset, order)
+    chunks = _basis_chunks(dataset, order, dtype)
     if path is None:
         blocks = [np.empty((n, d), dtype=dtype) for _ in range(order + 1)]
         for k, lo, rows in chunks:
@@ -86,14 +87,16 @@ def build_cheb_basis(
     return CACHE_FORMAT.open(path, _cache_from_file)
 
 
-def _basis_chunks(dataset: GraphDataset, order: int):
-    """Yield (k, lo, rows): rows lo:lo+len(rows) of T_k X in float64, block
-    by block and rows ascending (the cache file's order).  ``rows`` is a
-    view of a work buffer, valid until the next chunk is asked for.
+def _basis_chunks(dataset: GraphDataset, order: int, dtype):
+    """Yield (k, lo, rows): rows lo:lo+len(rows) of T_k X in ``dtype``,
+    block by block and rows ascending (the cache file's order).  ``rows``
+    is a view of a work buffer, valid until the next chunk is asked for.
 
-    Two n*d buffers hold T_{k-1} X and T_{k-2} X; chunk lo:hi of T_k X
-    overwrites rows lo:hi of T_{k-2} X, which nothing reads again.  Each
-    row of a sparse product is summed from zero in column order, as the
+    Two n*d ``dtype`` buffers hold T_{k-1} X and T_{k-2} X; chunk lo:hi of
+    T_k X overwrites rows lo:hi of T_{k-2} X, which nothing reads again.
+    The normalized values are formed in f64 and rounded once to ``dtype``,
+    so each sparse product runs in ``dtype`` throughout.  Each row of a
+    sparse product is summed from zero in column order, as the
     whole-matrix product sums it, so the values do not depend on the
     chunking.
     """
@@ -101,12 +104,12 @@ def _basis_chunks(dataset: GraphDataset, order: int):
     scaling = degree_scaling(adj)
 
     def a_norm(lo: int, hi: int):
-        return normalized_adjacency(adj, (lo, hi), scaling)
+        return normalized_adjacency(adj, (lo, hi), scaling, dtype)
 
     bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
-    # T_0 X is X, bit-exact, in a new buffer (it is overwritten below); a
+    # T_0 X is X in ``dtype``, in a new buffer (it is overwritten below); a
     # FeatureFile is read straight into it
-    b_prev = dataset.feature_matrix()
+    b_prev = dataset.feature_matrix(dtype)
     for lo, hi in bounds:
         yield 0, lo, b_prev[lo:hi]
     b_cur = np.empty_like(b_prev)

@@ -72,6 +72,13 @@ class SweepSection:
     regime_frac: float = 0.5
     mean_gap: float = 1.0
 
+    def section(self, dim: int, seed: int) -> CsbmSection:
+        """The generator section of the experiment at ``dim`` and ``seed``."""
+        n_a = round(self.n * self.anomaly_frac)
+        return CsbmSection(n_a=n_a, n_n=self.n - n_a, dim=dim, mean_gap=self.mean_gap,
+                           p1=self.p1, q1=self.q1, p2=self.p2, q2=self.q2,
+                           regime_frac=self.regime_frac, seed=seed)
+
 
 @dataclass
 class RunConfig(model.ModelConfig, training.TrainConfig):
@@ -116,6 +123,13 @@ class RunConfig(model.ModelConfig, training.TrainConfig):
         if not 0 < sw.anomaly_frac < 1 or not 1 <= round(sw.n * sw.anomaly_frac) < sw.n:
             raise ConfigError(f"sweep.anomaly_frac={sw.anomaly_frac!r} gives round(sweep.n * "
                               f"sweep.anomaly_frac) outside [1, {sw.n - 1}]; both classes need a node")
+        for key, gap in (("csbm.mean_gap", c.mean_gap), ("sweep.mean_gap", sw.mean_gap)):
+            if not -2.0 <= gap <= 2.0:
+                raise ConfigError(f"{key} must lie in [-2, 2] (mean vectors of norm <= 1), "
+                                  f"got {gap}")
+        c.to_params().validate("csbm.")
+        # no check depends on the experiment's dim or seed
+        sw.section(1, 0).to_params().validate("sweep.")
 
 
 def _number(value, kind, key: str):
@@ -543,13 +557,9 @@ def _cmd_csbm_sweep(cfg: RunConfig) -> int:
     sw = cfg.sweep
     rows = ["seed,d,n,p1,q1,p2,q2,pi_a,regime_frac,kappa_eff,margin_value,"
             "accuracy,acc_anomaly,acc_normal\n"]
-    n_a = round(sw.n * sw.anomaly_frac)
     for dim in sw.dims:
         for seed in sw.seeds:
-            params = CsbmSection(
-                n_a=n_a, n_n=sw.n - n_a, dim=dim, mean_gap=sw.mean_gap, p1=sw.p1, q1=sw.q1,
-                p2=sw.p2, q2=sw.q2, regime_frac=sw.regime_frac, seed=seed,
-            ).to_params()
+            params = sw.section(dim, seed).to_params()
             res = csbm.separability_experiment(params)
             rows.append(
                 f"{seed},{dim},{sw.n},{sw.p1!r},{sw.q1!r},{sw.p2!r},{sw.q2!r},"

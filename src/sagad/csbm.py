@@ -56,9 +56,13 @@ class CsbmParams:
     def pi_a(self) -> float:
         return self.n_a / self.n
 
-    def validate(self) -> None:
+    def validate(self, prefix: str = "") -> None:
+        """Raise a ConfigError naming the first field out of range, with its
+        value; ``prefix`` (a config section such as ``"csbm."``) goes before
+        each field name."""
         if self.n_a < 1 or self.n_n < 1:
-            raise ConfigError("both classes need at least one node")
+            raise ConfigError(f"both classes need at least one node: {prefix}n_a and "
+                              f"{prefix}n_n must be >= 1, got {self.n_a} and {self.n_n}")
         mu = np.asarray(self.mu, dtype=np.float64)
         nu = np.asarray(self.nu, dtype=np.float64)
         if mu.shape != nu.shape or mu.ndim != 1:
@@ -67,17 +71,19 @@ class CsbmParams:
             raise ConfigError("mean vectors must have norm <= 1")
         for value, name in (
             (self.p1, "p1"), (self.q1, "q1"), (self.p2, "p2"), (self.q2, "q2"),
+            (self.regime_frac, "regime_frac"),
         ):
             if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+                raise ConfigError(f"{prefix}{name} must lie in [0, 1], got {value}")
         if not self.p1 > self.q1:
-            raise ConfigError("homophilic regime requires p1 > q1")
+            raise ConfigError(f"homophilic regime requires {prefix}p1 > {prefix}q1, "
+                              f"got {self.p1} and {self.q1}")
         if not self.p2 < self.q2:
-            raise ConfigError("heterophilic regime requires p2 < q2")
-        if not 0.0 <= self.regime_frac <= 1.0:
-            raise ConfigError("regime_frac must lie in [0, 1]")
+            raise ConfigError(f"heterophilic regime requires {prefix}p2 < {prefix}q2, "
+                              f"got {self.p2} and {self.q2}")
         if not 0.0 < self.theta_min <= self.theta_max:
-            raise ConfigError("need 0 < theta_min <= theta_max")
+            raise ConfigError(f"need 0 < {prefix}theta_min <= {prefix}theta_max, "
+                              f"got {self.theta_min} and {self.theta_max}")
 
 
 @dataclass

@@ -161,8 +161,8 @@ class SplitSet:
                 raise DatasetFormatError(f"{name} split contains unlabeled nodes")
 
 
-# Rows per chunk of a features.bin read: a chunk's f32 buffer stays small
-# next to the f64 matrix it is cast into.
+# Rows per chunk of a features.bin read, or of a cast into a
+# ``feature_matrix``: a chunk's buffer stays small next to the whole matrix.
 FEATURE_CHUNK_ROWS = 1 << 13
 
 
@@ -186,7 +186,8 @@ class FeatureFile:
         features.bin is read FEATURE_CHUNK_ROWS rows at a time, each chunk
         checked finite and then cast into the result, so an f64 result is
         filled without an f32 copy of the matrix.  features.csv is parsed
-        whole as f64 and rounded to f32, as features.bin stores them.
+        whole as f64 and rounded to f32, as features.bin stores them; a
+        finite value beyond the f32 range is rejected.
         """
         path = os.path.join(self.directory, "features.bin")
         if os.path.exists(path):
@@ -195,6 +196,9 @@ class FeatureFile:
         features = _read_features_csv(path)
         self._check_shape(path, *features.shape)
         _check_finite(path, features, 0)
+        with np.errstate(over="ignore"):
+            features = features.astype(np.float32)
+        _check_finite(path, features, 0, "value outside the float32 range")
         return features.astype(dtype, copy=False)
 
     def _read_bin(self, file: CacheFile, dtype) -> np.ndarray:
@@ -222,13 +226,14 @@ class FeatureFile:
                                          f"(in {path})")
 
 
-def _check_finite(path: str, rows: np.ndarray, first: int) -> None:
+def _check_finite(path: str, rows: np.ndarray, first: int,
+                  what: str = "non-finite value") -> None:
     """Raise naming the first node of ``rows`` (node ``first`` onward) that
-    holds a non-finite value."""
+    holds a non-finite value, as ``what``."""
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise DatasetFormatError(
-            f"{os.path.basename(path)}: non-finite value at node {first + int(np.argmin(finite))}"
+            f"{os.path.basename(path)}: {what} at node {first + int(np.argmin(finite))}"
         )
 
 
@@ -256,14 +261,15 @@ class GraphDataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def feature_matrix(self) -> np.ndarray:
-        """The features as a new C-order f64 array, which the caller may
-        overwrite: a FeatureFile is read straight into it, and other
-        features FEATURE_CHUNK_ROWS rows at a time, so rows read from a
+    def feature_matrix(self, dtype=np.float64) -> np.ndarray:
+        """The features as a new C-order ``dtype`` array, which the caller
+        may overwrite: a FeatureFile is read straight into it (f32 rows in
+        place, other dtypes through one chunk buffer), and other features
+        are cast FEATURE_CHUNK_ROWS rows at a time, so rows read from a
         file are never all held at once."""
         if isinstance(self.features, FeatureFile):
-            return self.features.read(np.float64)
-        out = np.empty(self.features.shape)
+            return self.features.read(dtype)
+        out = np.empty(self.features.shape, dtype=dtype)
         for lo in range(0, len(out), FEATURE_CHUNK_ROWS):
             out[lo : lo + FEATURE_CHUNK_ROWS] = self.features[lo : lo + FEATURE_CHUNK_ROWS]
         return out
@@ -291,15 +297,16 @@ def degree_scaling(adj: SparseAdjacency) -> np.ndarray:
 
 
 def normalized_adjacency(adj: SparseAdjacency, rows: tuple[int, int] | None = None,
-                         scaling: np.ndarray | None = None):
+                         scaling: np.ndarray | None = None, dtype=np.float64):
     """Symmetric normalization D^{-1/2} A D^{-1/2}, as a CSR over the same
     index arrays as its operand.
 
     ``rows=(lo, hi)`` gives rows lo:hi only, as a (hi - lo, n) CSR whose
     values are formed for those rows alone, over the graph's index slices.
     ``scaling`` is ``degree_scaling(adj)``, passed by a caller that asks
-    for many row chunks so it is computed once.  Rows and columns of
-    isolated nodes stay all-zero (they have no entries).
+    for many row chunks so it is computed once.  Each value is formed in
+    f64 as ``s_i * s_j`` and then rounded once to ``dtype``.  Rows and
+    columns of isolated nodes stay all-zero (they have no entries).
     """
     offsets = adj.row_offsets
     lo, hi = (0, adj.num_nodes) if rows is None else rows
@@ -307,7 +314,7 @@ def normalized_adjacency(adj: SparseAdjacency, rows: tuple[int, int] | None = No
         scaling = degree_scaling(adj)
     columns = adj.col_indices[offsets[lo] : offsets[hi]]
     vals = np.repeat(scaling[lo:hi], np.diff(offsets[lo : hi + 1])) * scaling[columns]
-    return adj.to_csr((lo, hi), vals)
+    return adj.to_csr((lo, hi), vals.astype(dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +626,7 @@ def _read_features_csv(path: str) -> np.ndarray:
         data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise DatasetFormatError(f"features.csv: {exc}") from exc
-    return data.astype(np.float32)
+    return data
 
 
 def _read_labels_csv(path: str, num_nodes: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from sagad.chebyshev import (
     write_cache,
 )
 from sagad.errors import CacheFormatError
-from sagad.graph import normalized_adjacency
+from sagad.graph import (
+    FEATURES_FORMAT,
+    FeatureFile,
+    GraphDataset,
+    SparseAdjacency,
+    normalized_adjacency,
+)
 
 from conftest import er_dataset, make_dataset
 from oracles import dense_spectral_oracle
@@ -165,28 +172,38 @@ class TestGrowthBound:
             assert np.max(np.abs(block)) <= 10.0, f"block {k} exploded"
 
 
-def whole_matrix_basis(ds, order):
-    """The recurrence over the whole normalized matrix, three f64 buffers and
-    f32 blocks (test oracle for the row-chunked one)."""
+def whole_matrix_basis(ds, order, dtype=np.float32):
+    """The recurrence over the whole normalized matrix in ``dtype``: values
+    formed in f64 and rounded once, three ``dtype`` buffers (test oracle for
+    the row-chunked one)."""
     a = ds.adjacency.to_csr()
     counts = np.diff(a.indptr)
     deg = counts.astype(np.float64)
     with np.errstate(divide="ignore"):
         dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    vals = np.repeat(dinv_sqrt, counts) * dinv_sqrt[a.indices]
+    vals = (np.repeat(dinv_sqrt, counts) * dinv_sqrt[a.indices]).astype(dtype)
     a_norm = sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape)
-    blocks = [np.ascontiguousarray(ds.features, dtype=np.float32)]
-    b_prev = np.ascontiguousarray(ds.features, dtype=np.float64)
+    b_prev = np.array(ds.features, dtype=dtype)
     b_cur = a_norm @ b_prev
     np.negative(b_cur, out=b_cur)
-    blocks.append(b_cur.astype(np.float32))
+    blocks = [b_prev, b_cur]
     for _ in range(2, order + 1):
         b_next = a_norm @ b_cur
         b_next *= -2.0
         b_next -= b_prev
-        blocks.append(b_next.astype(np.float32))
+        blocks.append(b_next)
         b_prev, b_cur = b_cur, b_next
     return ChebBasisCache(order, ds.num_nodes, ds.num_features, blocks)
+
+
+def _heavy_tailed_dataset(n=3000, d=6, seed=13):
+    """Chung-Lu graph on Pareto(1.5) weights: hubs of degree in the hundreds
+    beside leaves of degree one, so the normalized values span a wide range."""
+    rng = np.random.default_rng(seed)
+    p = rng.pareto(1.5, n) + 1.0
+    p /= p.sum()
+    edges = np.stack([rng.choice(n, 4 * n, p=p), rng.choice(n, 4 * n, p=p)], axis=1)
+    return make_dataset(edges, rng.standard_normal((n, d)), [0] * n)
 
 
 def _graphs():
@@ -225,6 +242,23 @@ class TestStreamedBasis:
         # the in-memory sink collects the same chunks
         write_cache(build_cheb_basis(ds, order), tmp_path / "mem.bin")
         assert (tmp_path / "mem.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+        # and f64 blocks come from an f64 recurrence, just as independent of the chunking
+        f64 = build_cheb_basis(ds, order, dtype=np.float64)
+        for got, want in zip(f64.blocks, whole_matrix_basis(ds, order, np.float64).blocks):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["isolated", "edgeless", "er", "star", "path", "complete",
+                                      "heavy-tailed"])
+    def test_f32_blocks_stay_within_rounding_of_the_f64_reference(self, name):
+        ds = _heavy_tailed_dataset() if name == "heavy-tailed" else _graphs()[name]
+        order = 4
+        f32 = build_cheb_basis(ds, order)
+        f64 = build_cheb_basis(ds, order, dtype=np.float64)
+        for k, (low, ref) in enumerate(zip(f32.blocks, f64.blocks)):
+            assert low.dtype == np.float32
+            deviation = np.max(np.abs(low - ref))
+            assert deviation <= 1e-5 * np.max(np.abs(ref)), f"block {k}: max |delta| {deviation}"
 
     def test_f64_features_are_not_overwritten(self):
         ds = er_dataset(20, 0.2, 3, seed=1)
@@ -256,3 +290,34 @@ class TestStreamedBasis:
             build_cheb_basis(ds, 3, path=path)
         assert path.read_bytes() == previous
         assert os.listdir(tmp_path) == ["cheb_cache.bin"]
+
+
+class TestBasisMemory:
+    def test_streamed_basis_holds_two_f32_buffers(self, tmp_path):
+        # ring plus 3n random edges, features read from features.bin
+        n, d = 50_000, 32
+        rng = np.random.default_rng(2)
+        ring = np.arange(n)
+        edges = np.concatenate([np.stack([ring, (ring + 1) % n], axis=1),
+                                rng.integers(0, n, size=(3 * n, 2))])
+        adj = SparseAdjacency.from_edges(n, edges)
+        FEATURES_FORMAT.write(tmp_path / "features.bin", (n, d),
+                              [(rng.standard_normal((n, d)), "<f4")])
+        ds = GraphDataset(adjacency=adj, features=FeatureFile(str(tmp_path), n, d),
+                          labels=np.zeros(n, dtype=np.int8))
+        build_cheb_basis(ds, 3, path=tmp_path / "warmup.bin").close()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        build_cheb_basis(ds, 3, path=tmp_path / "c.bin").close()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # beyond the two buffers: the degree scaling and its f64 temporaries
+        # (40 bytes per node), and one chunk's normalized values with their
+        # f64 temporaries and index slices (40 bytes per stored entry) and
+        # its sparse product
+        rows = chebyshev._CHUNK_ROWS
+        offsets = adj.row_offsets
+        chunk_entries = max(offsets[min(lo + rows, n)] - offsets[lo] for lo in range(0, n, rows))
+        allowance = 40 * n + 40 * int(chunk_entries) + rows * d * 4
+        assert peak <= 2 * n * d * 4 + allowance, (
+            f"peak {peak / 1e6:.1f} MB, bound {(2 * n * d * 4 + allowance) / 1e6:.1f} MB")

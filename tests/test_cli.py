@@ -593,9 +593,15 @@ class TestMalformedInputs:
          "splits.json entry 0: invalid literal"),
         ("splits.json", "{}", "splits.json must hold an array of split objects"),
         ("features.csv", "1,2\nx,y\n", "features.csv: could not convert string 'x'"),
+        # finite in the text, but beyond f32: no numpy overflow warning either
+        pytest.param("features.csv",
+                     "".join(",".join(["1e39" if i == 1 else "0.5"] * 16) + "\n"
+                             for i in range(400)),
+                     "features.csv: value outside the float32 range at node 1",
+                     marks=pytest.mark.filterwarnings("error")),
     ], ids=["meta-not-json", "meta-text-num-nodes", "meta-negative-num-nodes", "meta-not-object",
             "meta-no-name", "meta-wrong-d", "meta-wrong-n", "splits-not-json", "splits-text-id",
-            "splits-not-array", "features-csv-text"])
+            "splits-not-array", "features-csv-text", "features-csv-beyond-f32"])
     def test_preprocess_exits_1(self, toy_run, tmp_path, capsys, name, content, message):
         data_dir = tmp_path / "data"
         shutil.copytree(toy_run.dataset, data_dir)
@@ -758,11 +764,6 @@ class TestSynthCsbmFiles:
         (["labeled_anomalies=40"], "csbm.labeled_anomalies must lie in [0, 30] (csbm.n_a), got 40"),
         (["labeled_anomalies=-1"], "csbm.labeled_anomalies must lie in [0, 30] (csbm.n_a), got -1"),
         (["labeled_normals=101"], "csbm.labeled_normals must lie in [0, 100] (csbm.n_n), got 101"),
-        (["p1=2"], "p1 must lie in [0, 1], got 2.0"),
-        (["regime_frac=2"], "regime_frac must lie in [0, 1]"),
-        (["theta_min=0"], "need 0 < theta_min <= theta_max"),
-        (["p1=0.001"], "homophilic regime requires p1 > q1"),
-        (["n_a=0", "labeled_anomalies=0"], "both classes need at least one node"),
     ])
     def test_bad_section_exits_1(self, tmp_path, capsys, sets, message):
         rc = main(["synth-csbm", "--dataset", str(tmp_path / "data"), "--set", "csbm.n_a=30",
@@ -861,6 +862,23 @@ class TestConfigValues:
          "filter_mode must be one of dual, low_only, high_only, got 'x'"),
         (["synth-csbm", "--set", "csbm.dim=-1"], "csbm.dim must be >= 1, got -1"),
         (["synth-csbm", "--set", "csbm.dim=0"], "csbm.dim must be >= 1, got 0"),
+        (["synth-csbm", "--set", "csbm.p1=2"], "csbm.p1 must lie in [0, 1], got 2.0"),
+        (["synth-csbm", "--set", "csbm.regime_frac=2"],
+         "csbm.regime_frac must lie in [0, 1], got 2.0"),
+        (["synth-csbm", "--set", "csbm.theta_min=0"],
+         "need 0 < csbm.theta_min <= csbm.theta_max, got 0.0 and 1.0"),
+        (["synth-csbm", "--set", "csbm.p1=0.001"],
+         "homophilic regime requires csbm.p1 > csbm.q1, got 0.001 and 0.002"),
+        (["synth-csbm", "--set", "csbm.n_a=0"],
+         "both classes need at least one node: csbm.n_a and csbm.n_n must be >= 1, "
+         "got 0 and 2910"),
+        (["synth-csbm", "--set", "csbm.mean_gap=2.5"],
+         "csbm.mean_gap must lie in [-2, 2] (mean vectors of norm <= 1), got 2.5"),
+        (["csbm-sweep", "--set", "sweep.p1=2"], "sweep.p1 must lie in [0, 1], got 2.0"),
+        (["csbm-sweep", "--set", "sweep.q2=0.001"],
+         "heterophilic regime requires sweep.p2 < sweep.q2, got 0.004 and 0.001"),
+        (["csbm-sweep", "--set", "sweep.mean_gap=-3"],
+         "sweep.mean_gap must lie in [-2, 2] (mean vectors of norm <= 1), got -3.0"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, argv, message, capsys):
         rc = main([*argv, "--dataset", str(tmp_path / "data"), "--run-dir", str(tmp_path / "run")])
