@@ -111,6 +111,8 @@ class RunConfig(model.ModelConfig, training.TrainConfig):
         training.TrainConfig.validate(self)
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
+        if self.cap > context.MAX_CANDIDATE_CAP:
+            raise ConfigError(f"cap must be <= {context.MAX_CANDIDATE_CAP}, got {self.cap}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         c, sw = self.csbm, self.sweep

@@ -6,6 +6,13 @@ on that subgraph), then cache the mean-pooled features of that subgraph.
 Small neighborhoods are solved exactly by enumeration; larger ones use a
 greedy marginal-gain search over a capped, seeded candidate sample.  One
 batched kernel solves all nodes with the same candidate count at once.
+
+The edges among a chunk's candidates come from a degree-oriented edge
+list: each undirected edge is stored once, with its energy, from its
+endpoint of lower degree, so every out-list is short and a chunk finds
+its edges by scanning its ids' out-lists against its own sorted keys.
+No array of size 2m or n*cap is formed: the sampler holds the f32
+features and output plus about 12 B per edge, O(n*d + m) in all.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ CONTEXT_FORMAT = BinaryFormat(b"SGCTX001", "<QQ", "context cache")
 
 EXHAUSTIVE_DEGREE_LIMIT = 10
 DEFAULT_CANDIDATE_CAP = 64
+# a node's (cap+1)^2 f64 local weights: 8.4 MB at this cap
+MAX_CANDIDATE_CAP = 1024
 
 _SEED_DOMAIN_SAMPLER = 0x5C1
 
@@ -54,8 +63,10 @@ class ContextCache(FileBacked):
 
 
 # A chunk holds about this many values: B*(k+1)^2 local weights, B*2^k
-# subsets and B*d pooled features for B nodes, or edges*d differences.
-# Nothing of size n*cap is formed: the sampler needs O(n*d + m) memory.
+# subsets, B*d pooled features or out-list entries scanned for B nodes, or
+# edges*d differences.  Nothing of size n*cap or 2m is formed: the sampler
+# needs O(n*d + m) memory, the f32 features and output plus about 12 B per
+# undirected edge (its out-list target and energy).
 _CHUNK_VALUES = 1 << 16
 _NEAR_TIE = 1e-12  # relative band of near-ties the exhaustive search re-ranks exactly
 
@@ -65,21 +76,44 @@ def _chunks(total: int, values_per_item: int):
     return (slice(lo, lo + step) for lo in range(0, total, step))
 
 
-def _edge_energies(adj, x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys row*n + col of the CSR entries of ``rows``, and ||x_row - x_col||^2."""
-    offsets = adj.row_offsets
-    counts = offsets[rows + 1] - offsets[rows]
-    entries = np.repeat(offsets[rows] - np.cumsum(counts) + counts, counts)
-    dst = adj.col_indices[entries + np.arange(len(entries))]
-    src = np.repeat(rows, counts)
-    energy = np.empty(len(src))
-    for s in _chunks(len(src), x.shape[1]):
-        diff = x[src[s]] - x[dst[s]]
-        # one BLAS dot per edge, as `diff @ diff` takes it
-        energy[s] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
-    src *= adj.num_nodes
-    src += dst
-    return src, energy
+def _gather(x: np.ndarray, rows) -> np.ndarray:
+    """``x[rows]`` widened to f64, which is exact for f32 features."""
+    return x[rows].astype(np.float64, copy=False)
+
+
+def _oriented_edges(adj, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every undirected edge once, in the out-list of its endpoint of lower
+    (degree, id) rank: the out-lists' offsets (n + 1) and targets, and each
+    edge's ||x_u - x_v||^2 in f64.
+
+    Ranking by degree keeps the out-lists short (a hub's edges sit mostly
+    in its neighbors' lists), so the edges among a chunk's ids are found
+    by scanning those ids' out-lists.  The energy is one BLAS dot per
+    edge, as ``diff @ diff`` takes it, and does not depend on the
+    direction: ``x_v - x_u`` is exactly ``-(x_u - x_v)``."""
+    n, offsets, cols = adj.num_nodes, adj.row_offsets, adj.col_indices
+    degree = np.diff(offsets)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(degree, kind="stable")] = np.arange(n)
+    out_degree = np.empty(n, dtype=np.int64)
+    targets = np.empty(len(cols) // 2, dtype=cols.dtype)
+    energy = np.empty(len(targets))
+    end = 0
+    # rows of about _CHUNK_VALUES stored entries at the mean degree
+    for s in _chunks(n, len(cols) // max(n, 1) + 1):
+        lo, hi = s.start, min(s.stop, n)
+        dst = cols[offsets[lo] : offsets[hi]]
+        src = np.repeat(np.arange(lo, hi), degree[lo:hi])
+        keep = rank[src] < rank[dst]
+        src, dst = src[keep], dst[keep]
+        out_degree[lo:hi] = np.bincount(src - lo, minlength=hi - lo)
+        targets[end : end + len(dst)] = dst
+        out = energy[end : end + len(dst)]
+        for e in _chunks(len(src), x.shape[1]):
+            diff = _gather(x, src[e]) - _gather(x, dst[e])
+            out[e] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+        end += len(dst)
+    return np.concatenate([[0], np.cumsum(out_degree)]), targets, energy
 
 
 def _candidates(adj, nodes: np.ndarray, k: int, cap: int, seed: int) -> np.ndarray:
@@ -113,17 +147,53 @@ def _subset_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _select(ids, node_energy, keys, energy, n: int, exhaustive: bool) -> np.ndarray:
-    """(B, k+1) membership of each node's max-RQ subset (column 0: the node)."""
+def _local_weights(ids: np.ndarray, edges, present: np.ndarray) -> np.ndarray:
+    """(B, k+1, k+1) local weights of a chunk: w[b, i, j] is the energy of
+    the edge between ids[b, i] and ids[b, j], or 0 where there is none.
+
+    Each edge among a node's ids lies in the out-list of one of them
+    (``_oriented_edges``), so scanning the out-lists of all the chunk's
+    ids finds it exactly once.  An out-list entry is kept when its target
+    is one of the chunk's ids (``present``, n flags, all False on entry
+    and on return) and its ``slot*n + target`` key is among the chunk's
+    own sorted keys."""
+    offsets, targets, energy = edges
     b, k1 = ids.shape
-    iu, ju = np.triu_indices(k1, 1)
-    query = ids[:, iu] * n + ids[:, ju]
-    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    w_pairs = np.where(keys[pos] == query, energy[pos], 0.0)
+    n = len(present)
+    keys = (np.arange(b)[:, None] * n + ids).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    flat = ids.ravel()
+    starts, stops = offsets[flat], offsets[flat + 1]
+    present[flat] = True
     w = np.zeros((b, k1, k1))
-    w[:, iu, ju] = w[:, ju, iu] = w_pairs
+    # about _CHUNK_VALUES / 4 out-list entries at a time, whatever the
+    # degrees: each takes four int64 work values
+    ends = np.cumsum(stops - starts)
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1], max(_CHUNK_VALUES // 4, 1)), side="right")
+    for lo, hi in zip(cuts, [*cuts[1:], len(ends)]):
+        counts = stops[lo:hi] - starts[lo:hi]
+        entry = np.repeat(starts[lo:hi] - np.cumsum(counts) + counts, counts)
+        entry += np.arange(len(entry))
+        near = np.flatnonzero(present[targets[entry]])
+        owner, entry = np.repeat(np.arange(lo, hi), counts)[near], entry[near]
+        query = owner // k1 * n + targets[entry]
+        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        hit = keys[pos] == query
+        owner, other, entry = owner[hit], order[pos[hit]], entry[hit]
+        slot, i, j = owner // k1, owner % k1, other % k1
+        w[slot, i, j] = w[slot, j, i] = energy[entry]
+    present[flat] = False
+    return w
+
+
+def _select(w: np.ndarray, node_energy: np.ndarray, exhaustive: bool) -> np.ndarray:
+    """(B, k+1) membership of each node's max-RQ subset (column 0: the node)."""
     if not exhaustive:
         return _greedy(w, node_energy)
+    b, k1 = node_energy.shape
+    iu, ju = np.triu_indices(k1, 1)
+    w_pairs = w[:, iu, ju]
     member, pairs = _subset_tables(k1 - 1)
     rq = _ratio(w_pairs @ pairs.T, node_energy @ member.T)
     # argmax keeps the first (smallest) subset at the maximum; subset 0 is
@@ -170,10 +240,11 @@ def _greedy(w: np.ndarray, node_energy: np.ndarray) -> np.ndarray:
 def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
     """The sampler on every node, a chunk of equal k = min(degree, cap) at a time."""
     adj, n = dataset.adjacency, dataset.num_nodes
-    keys, energy = _edge_energies(adj, x, np.arange(n))
+    edges = _oriented_edges(adj, x)
+    present = np.zeros(n, dtype=bool)
     row_energy = np.empty(n)
     for s in _chunks(n, x.shape[1]):
-        row_energy[s] = np.sum(x[s] ** 2, axis=1)
+        row_energy[s] = np.sum(_gather(x, s) ** 2, axis=1)
     count = np.minimum(np.diff(adj.row_offsets), cap)
     order = np.argsort(count, kind="stable")
     bounds = np.searchsorted(count[order], np.arange(int(count.max(initial=0)) + 2))
@@ -184,7 +255,7 @@ def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
         exhaustive = k <= EXHAUSTIVE_DEGREE_LIMIT
         for s in _chunks(len(group), max((k + 1) ** 2, 2**k if exhaustive else 0, x.shape[1])):
             ids = _candidates(adj, group[s], k, cap, seed)
-            in_set = _select(ids, row_energy[ids], keys, energy, n, exhaustive)
+            in_set = _select(_local_weights(ids, edges, present), row_energy[ids], exhaustive)
             # the mean of the chosen rows, summed from zero in ascending
             # node-id order as `x[subset].mean(axis=0)` sums them
             size = in_set.sum(axis=1)
@@ -192,7 +263,7 @@ def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
             total = np.zeros((len(ids), x.shape[1]))
             for r in range(int(size.max())):
                 rows = np.flatnonzero(size > r)
-                total[rows] += x[chosen[rows, r]]
+                total[rows] += _gather(x, chosen[rows, r])
             context[group[s]], sizes[group[s]] = total / size[:, None], size
     return context, sizes
 
@@ -218,18 +289,24 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
 
     mode "rq" runs the max-RQ sampler on every node in one batched pass
     (per-node seeding keeps each node's result independent of the rest).
-    mode "full_khop" pools over the whole 1-hop neighborhood plus the node
-    itself, computed as one sparse product.  The pooling reads the
-    features as f64 (``GraphDataset.feature_matrix``); a ``FeatureFile``
-    or a basis cache's block 0 is read straight into that matrix.
+    It reads the features at the precision they are held in: a
+    ``FeatureFile`` or a basis cache's block 0 as f32, an in-memory array
+    as it is, and widens to f64 only the rows each energy or pooling
+    gather takes.  mode "full_khop" pools over the whole 1-hop
+    neighborhood plus the node itself, computed as one sparse product over
+    the features read as f64 (``GraphDataset.feature_matrix``).
     """
     if cap < 1:
         raise ValueError(f"candidate cap must be >= 1, got {cap}")
+    if cap > MAX_CANDIDATE_CAP:
+        raise ValueError(f"candidate cap must be <= {MAX_CANDIDATE_CAP}, got {cap}")
     n = dataset.num_nodes
-    x = dataset.feature_matrix()
     if mode == "full_khop":
-        context, sizes = _full_khop_context(dataset, x)
+        context, sizes = _full_khop_context(dataset, dataset.feature_matrix())
     elif mode == "rq":
+        features = dataset.features
+        x = (np.ascontiguousarray(features) if isinstance(features, np.ndarray)
+             else dataset.feature_matrix(np.float32))
         context, sizes = _rq_context(dataset, x, cap, seed)
     else:
         raise ValueError(f"unknown context mode {mode!r}")

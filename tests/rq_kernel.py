@@ -15,7 +15,8 @@ from sagad.context import (
     DEFAULT_CANDIDATE_CAP,
     EXHAUSTIVE_DEGREE_LIMIT,
     _candidates,
-    _edge_energies,
+    _local_weights,
+    _oriented_edges,
     _select,
 )
 from sagad.graph import GraphDataset
@@ -29,6 +30,7 @@ def max_rq_subgraph(node: int, dataset: GraphDataset, cap: int = DEFAULT_CANDIDA
     ids = _candidates(adj, np.asarray([node]), k, cap, seed)
     exhaustive = branch == "exhaustive" or (branch == "auto" and k <= EXHAUSTIVE_DEGREE_LIMIT)
     x = np.asarray(dataset.features, dtype=np.float64)
-    keys, energy = _edge_energies(adj, x, np.unique(ids))
-    in_set = _select(ids, np.sum(x[ids] ** 2, axis=2), keys, energy, dataset.num_nodes, exhaustive)
+    present = np.zeros(dataset.num_nodes, dtype=bool)  # _local_weights' scratch flags
+    w = _local_weights(ids, _oriented_edges(adj, x), present)
+    in_set = _select(w, np.sum(x[ids] ** 2, axis=2), exhaustive)
     return np.sort(ids[in_set])

@@ -1222,8 +1222,23 @@ class TestSamplerConfig:
         assert f"cap must be >= 1, got {cap}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("cap", ["1025", "100000000000000000000"])
+    def test_cap_above_bound_rejected_before_reading(self, tmp_path, cap, capsys, monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("dataset read")
+
+        monkeypatch.setattr(cli.graph, "open_image", no_read)
+        rc = main(["sample-context", "--dataset", str(tmp_path / "data"),
+                   "--run-dir", str(tmp_path / "run"), "--cap", cap])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cap must be <= 1024, got {cap}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_cap_one_accepted(self):
         assert parse_config(None, {"cap": "1"}).cap == 1
+
+    def test_cap_at_bound_accepted(self):
+        assert parse_config(None, {"cap": "1024"}).cap == 1024
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

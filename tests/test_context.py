@@ -1,11 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagad.context import build_context_cache, read_context_cache, write_context_cache
+from sagad import context
+from sagad.context import (
+    EXHAUSTIVE_DEGREE_LIMIT,
+    MAX_CANDIDATE_CAP,
+    _candidates,
+    _local_weights,
+    _oriented_edges,
+    build_context_cache,
+    read_context_cache,
+    write_context_cache,
+)
 from sagad.errors import CacheFormatError
-from sagad.graph import GraphDataset
+from sagad.graph import FEATURES_FORMAT, FeatureFile, GraphDataset, SparseAdjacency
 
 import rq_oracle
 from conftest import er_dataset, make_dataset
@@ -247,6 +259,37 @@ def degree_at_cap(cap, seed):
     return make_dataset(edges, rng.standard_normal((n, 2)), [0] * n, num_nodes=n)
 
 
+def equal_degree_ring(n, seed):
+    """Each node joined to the three nearest on either side of a ring: every
+    degree is 6, so every edge's orientation is decided by id alone, and
+    consecutive nodes form triangles."""
+    rng = np.random.default_rng(seed)
+    edges = [[v, (v + step) % n] for v in range(n) for step in (1, 2, 3)]
+    return make_dataset(edges, rng.standard_normal((n, 3)), [0] * n)
+
+
+def capped_hub_triangles(num_leaves, seed):
+    """Hub 0 above both caps; leaves i and j (1 <= i < j) are joined when
+    j - i <= 2, so any sample of its leaves holds triangles among itself."""
+    rng = np.random.default_rng(seed)
+    n = num_leaves + 1
+    edges = [[0, i] for i in range(1, n)]
+    edges += [[i, j] for i in range(1, n) for j in (i + 1, i + 2) if j < n]
+    return make_dataset(edges, rng.integers(-2, 3, size=(n, 3)) * 0.5, [0] * n)
+
+
+def rank_against_id(seed):
+    """Degree order against id order: node 0's neighbors 1..6 are paired
+    (1, 6), (2, 5), (3, 4), and the smaller id of each pair also holds
+    pendants 7..18, so it has the higher degree.  Each pair's edge then
+    lies only in the out-list of its larger id, and the edges from node 0
+    to 1..3 only in node 0's."""
+    rng = np.random.default_rng(seed)
+    edges = [[0, i] for i in range(1, 7)] + [[1, 6], [2, 5], [3, 4]]
+    edges += [[1 + p % 3, 7 + p] for p in range(12)]
+    return make_dataset(edges, rng.standard_normal((19, 2)), [0] * 19)
+
+
 def corpus():
     for kind in (gaussian_er, integer_er, decimal_er, zero_rows_er):
         for p in (0.06, 0.15, 0.3):
@@ -261,6 +304,10 @@ def corpus():
         yield f"degree_at_cap-{cap}", degree_at_cap(cap, cap)
     # isolated nodes: ids past the last edge endpoint
     yield "isolated", make_dataset([[0, 1], [1, 2]], np.eye(5), [0] * 5, num_nodes=5)
+    # cases of the degree-oriented edge lookup (test_corpus_covers_the_edge_lookup)
+    yield "equal_degree_ring", equal_degree_ring(30, 5)
+    yield "capped_hub_triangles", capped_hub_triangles(40, 6)
+    yield "rank_against_id", rank_against_id(7)
 
 
 CORPUS = dict(corpus())
@@ -304,12 +351,59 @@ class TestMatchesOracle:
         assert all(zero)
 
 
+class TestEdgeLookup:
+    def test_corpus_covers_the_edge_lookup(self):
+        """Edges between equal-degree candidates, a capped node whose sample
+        holds a triangle, and an edge among candidates whose lower-degree
+        endpoint has the larger id."""
+        equal = triangle = against = False
+        for ds in CORPUS.values():
+            adj, degree = ds.adjacency, np.diff(ds.adjacency.row_offsets)
+            for v in range(ds.num_nodes):
+                cand = _candidates(adj, np.asarray([v]), min(degree[v], 8), 8, 3)[0, 1:]
+                pairs = [(a, b) for a in cand for b in cand if a < b and b in adj.neighbors(a)]
+                equal |= any(degree[a] == degree[b] for a, b in pairs)
+                against |= any(degree[a] > degree[b] for a, b in pairs)
+                if degree[v] > 8:
+                    triangle |= any(c > b and c in adj.neighbors(a) and c in adj.neighbors(b)
+                                    for a, b in pairs for c in cand)
+        assert equal and triangle and against
+
+    def test_weights_match_each_candidate_pair(self):
+        """The scanned weights equal one dot product per joined pair, and
+        zero elsewhere, for every node of the corpus, with all the nodes of
+        one candidate count in one chunk."""
+        for ds in CORPUS.values():
+            adj, x = ds.adjacency, np.asarray(ds.features, dtype=np.float64)
+            edges = _oriented_edges(adj, x)
+            for cap in (8, 16):
+                count = np.minimum(np.diff(adj.row_offsets), cap)
+                for k in np.unique(count):
+                    ids = _candidates(adj, np.flatnonzero(count == k), k, cap, 3)
+                    w = _local_weights(ids, edges, np.zeros(ds.num_nodes, dtype=bool))
+                    want = np.zeros_like(w)
+                    for slot, row in enumerate(ids):
+                        pos = {int(a): i for i, a in enumerate(row)}
+                        for i, a in enumerate(row):
+                            for j in (pos[int(b)] for b in adj.neighbors(a) if int(b) in pos):
+                                diff = x[a] - x[row[j]]
+                                want[slot, i, j] = diff @ diff
+                    assert w.tobytes() == want.tobytes(), f"k {k} cap {cap}"
+
+
 class TestKernelLimits:
     def test_cap_below_one_rejected(self):
         ds = er_dataset(10, 0.3, 2, seed=1)
         for cap in (0, -1):
             with pytest.raises(ValueError, match="cap must be >= 1"):
                 build_context_cache(ds, cap=cap)
+
+    def test_cap_above_bound_rejected(self):
+        ds = er_dataset(10, 0.3, 2, seed=1)
+        for cap in (MAX_CANDIDATE_CAP + 1, 10**20):
+            with pytest.raises(ValueError, match=f"cap must be <= {MAX_CANDIDATE_CAP}, got {cap}"):
+                build_context_cache(ds, cap=cap)
+        build_context_cache(ds, cap=MAX_CANDIDATE_CAP)
 
     def test_ten_candidates_solved_exactly(self):
         # a node of degree 40 capped at 10 candidates, the exhaustive limit
@@ -328,6 +422,36 @@ class TestKernelLimits:
         small = build_context_cache(ds, cap=16, seed=2)
         assert whole.context.tobytes() == small.context.tobytes()
         np.testing.assert_array_equal(whole.subgraph_size, small.subgraph_size)
+
+
+class TestSamplerMemory:
+    def test_rq_holds_f32_features_and_one_oriented_edge_list(self, tmp_path):
+        # ring plus 15n random edges (mean degree ~32), features read from features.bin
+        n, d = 6000, 64
+        rng = np.random.default_rng(2)
+        ring = np.arange(n)
+        edges = np.concatenate([np.stack([ring, (ring + 1) % n], axis=1),
+                                rng.integers(0, n, size=(15 * n, 2))])
+        adj = SparseAdjacency.from_edges(n, edges)
+        FEATURES_FORMAT.write(tmp_path / "features.bin", (n, d),
+                              [(rng.standard_normal((n, d)), "<f4")])
+        ds = GraphDataset(adjacency=adj, features=FeatureFile(str(tmp_path), n, d),
+                          labels=np.zeros(n, dtype=np.int8))
+        for k in range(EXHAUSTIVE_DEGREE_LIMIT + 1):
+            context._subset_tables(k)  # shared tables, built once per process
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        cache = build_context_cache(ds, cap=64, mode="rq")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert cache.context.dtype == np.float32
+        # the f32 features and output, 12 B per undirected edge (an out-list
+        # target and its f64 energy), 64 B per node (out-list offsets, node
+        # energies, the order by candidate count and the sizes) and four
+        # f64 arrays of one chunk.  A 2m int64 key array (1.5 MB here) or an
+        # n x d f64 copy of the features (+1.5 MB) does not fit.
+        bound = 2 * n * d * 4 + 12 * adj.num_edges + 64 * n + 4 * 8 * context._CHUNK_VALUES
+        assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 class TestChunkedFullKhop:

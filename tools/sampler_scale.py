@@ -1,0 +1,73 @@
+"""Per-node cost and peak memory of the RQ sampler as n grows.
+
+    python tools/sampler_scale.py [--sizes 20000,200000,1000000] [--seed 1]
+                                  [--work-dir DIR] [--src SRC_DIR]
+
+For each size, perfbench's generator (``perfbench/gen.py``, the workloads'
+graph family, only imported) writes a dataset under ``--work-dir``, which
+is reused when it is already there; ``sagad preprocess`` builds its caches,
+then one ``sagad sample-context --context-mode rq`` runs in a child process
+with one BLAS thread.  Each line gives its wall time, microseconds per node,
+``wait4`` peak RSS and the sha256 prefix of ``context_cache.bin``.
+``--src`` runs another checkout's package.  This process imports only the
+standard library: Linux carries a parent's peak RSS into a child across
+fork and exec, so a small parent keeps each child's number its own.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GENERATE = ("import sys, gen; n, seed, out = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]; "
+            "gen.write_dataset(gen.generate(gen.GraphSpec(n=n, num_splits=3), seed), out, 'scale')")
+
+
+def child(argv: list[str], env: dict) -> tuple[float, float]:
+    """Run ``argv``; its wall seconds and peak RSS in MiB.  Raises on failure."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"failed: {' '.join(argv)}")
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="20000,200000,1000000")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--work-dir", default=os.path.join(tempfile.gettempdir(), "sampler_scale"))
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    args = parser.parse_args()
+    threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **threads)
+    print(f"{'n':>9} {'wall_s':>8} {'us/node':>8} {'peak_MiB':>9}  context sha256")
+    for n in (int(size) for size in args.sizes.split(",")):
+        data = os.path.join(args.work_dir, f"gen-n{n}-s{args.seed}")
+        run = os.path.join(args.work_dir, f"run-n{n}-s{args.seed}")
+        if not os.path.exists(os.path.join(data, "splits.json")):
+            gen_env = dict(env, PYTHONPATH=os.path.join(ROOT, "perfbench"))
+            child([sys.executable, "-c", GENERATE, str(n), str(args.seed), data], gen_env)
+        sagad = [sys.executable, "-m", "sagad.cli"]
+        flags = ["--dataset", data, "--run-dir", run, "--context-mode", "rq", "--cap", "64"]
+        sagad_env = dict(env, PYTHONPATH=os.path.abspath(args.src))
+        child(sagad + ["preprocess"] + flags, sagad_env)
+        wall, peak = child(sagad + ["sample-context"] + flags, sagad_env)
+        digest = hashlib.sha256()
+        with open(os.path.join(run, "context_cache.bin"), "rb") as f:
+            for block in iter(lambda: f.read(1 << 20), b""):
+                digest.update(block)
+        print(f"{n:>9} {wall:>8.2f} {wall / n * 1e6:>8.1f} {peak:>9.1f}  "
+              f"{digest.hexdigest()[:16]}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
