@@ -53,7 +53,6 @@ from .model import (
     ModelState,
     cheb_weights,
     filter_response,
-    fuse,
     init_model,
     load_checkpoint,
     reparam_filter_values,

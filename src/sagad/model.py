@@ -4,10 +4,11 @@ A shared non-negative coefficient vector is turned into a monotone
 high-pass filter (prefix sums) and a monotone low-pass filter (clamped
 prefix differences); both are mapped to Chebyshev expansion weights by
 interpolation at the Chebyshev nodes.  Low- and high-pass embeddings are
-read from the precomputed basis cache and fused per node and per feature
-dimension by a sigmoid-gated MLP conditioned on subgraph context.  Each
-MLP is linear layers with ReLU between them.  All gradients are computed
-by hand in plain numpy.
+read from the precomputed basis cache and mixed as c * z_low + (1 - c) *
+z_high: c is a sigmoid-gated MLP conditioned on subgraph context, per node
+and per feature dimension, or a constant in the ablations.  Each MLP is
+linear layers with ReLU between them.  All gradients are computed by hand
+in plain numpy.
 """
 
 from __future__ import annotations
@@ -26,9 +27,18 @@ from .chebyshev import ChebBasisCache, chebyshev_nodes, chebyshev_series
 from .context import ContextCache
 from .errors import ConfigError
 
-FUSION_MODES = ("adaptive", "mean", "concat")
+FUSION_MODES = ("adaptive", "mean", "concat", "low_only", "high_only")
 CONTEXT_MODES = ("rq", "full_khop", "features_only")
-FILTER_MODES = ("dual", "low_only", "high_only")
+# Every fusion mode but concat forms c * z_low + (1 - c) * z_high; c is
+# the fusion gate for adaptive and this constant for the others.
+_FIXED_GATE = {"mean": 0.5, "low_only": 1.0, "high_only": 0.0}
+# The basis header stores K as u16, and interpolation_matrix is built in
+# O(K^3): 0.4 s at this bound on a 2-core x86-64 host, 8 s at K=1024.
+MAX_K = 256
+# A depth-3 MLP has a hidden_dim^2 f64 layer, 8.4 MB at this bound, and
+# training keeps five such vectors: parameters, gradients, two Adam
+# moments and the best epoch's.
+MAX_HIDDEN_DIM = 1024
 
 # header: u64 byte length of the JSON header that follows; then the f64 parameters
 CHECKPOINT_FORMAT = BinaryFormat(b"SGMDL001", "<Q", "checkpoint")
@@ -51,35 +61,35 @@ class ModelConfig:
     p_n: float = 0.9
     fusion_mode: str = "adaptive"
     context_mode: str = "rq"
-    filter_mode: str = "dual"
     use_fpg: bool = True
     seed: int = 0
     hidden_dim: int = 64
     mlp_depth: int = 2
 
     def validate(self) -> None:
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
+        for name, high in (("K", MAX_K), ("hidden_dim", MAX_HIDDEN_DIM)):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if value > high:
+                raise ConfigError(f"{name} must be <= {high}, got {value}")
         for p, name in ((self.p_a, "p_a"), (self.p_n, "p_n")):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
         if self.p_a > self.p_n:
             raise ConfigError(f"p_a ({self.p_a}) must not exceed p_n ({self.p_n})")
-        for name, legal in (("fusion_mode", FUSION_MODES), ("context_mode", CONTEXT_MODES),
-                            ("filter_mode", FILTER_MODES)):
+        for name, legal in (("fusion_mode", FUSION_MODES), ("context_mode", CONTEXT_MODES)):
             value = getattr(self, name)
             if value not in legal:
                 raise ConfigError(f"{name} must be one of {', '.join(legal)}, got {value!r}")
         if self.mlp_depth not in (1, 2, 3):
             raise ConfigError(f"mlp_depth must be 1, 2, or 3, got {self.mlp_depth}")
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def uses_fusion_mlp(self) -> bool:
         """C is materialized for adaptive fusion or for the preference loss."""
-        return (self.filter_mode == "dual" and self.fusion_mode == "adaptive") or self.use_fpg
+        return self.fusion_mode == "adaptive" or self.use_fpg
 
     def needs_context(self) -> bool:
         return self.uses_fusion_mlp() and self.context_mode != "features_only"
@@ -282,8 +292,7 @@ def param_layout(config: ModelConfig, dim: int) -> list[dict]:
     mlps = []
     if config.uses_fusion_mlp():
         mlps.append(("fusion", dim if config.context_mode == "features_only" else 2 * dim, dim))
-    concat = config.filter_mode == "dual" and config.fusion_mode == "concat"
-    mlps.append(("classifier", 2 * dim if concat else dim, 1))
+    mlps.append(("classifier", 2 * dim if config.fusion_mode == "concat" else dim, 1))
     for prefix, in_dim, out_dim in mlps:
         dims = [in_dim] + [config.hidden_dim] * (config.mlp_depth - 1) + [out_dim]
         for i in range(config.mlp_depth):
@@ -433,24 +442,12 @@ def _fusion_gate(state, bundle, train_mode):
     return _sigmoid(pre), trace
 
 
-def fuse(z_low: np.ndarray, z_high: np.ndarray, c: np.ndarray | None, fusion_mode: str) -> np.ndarray:
-    """Combine the two embeddings; adaptive fusion takes ``c``, the gate
-    ``_fusion_gate`` gives for the same rows."""
-    if fusion_mode == "adaptive":
-        return c * z_low + (1.0 - c) * z_high
-    if fusion_mode == "mean":
-        return 0.5 * (z_low + z_high)
-    if fusion_mode == "concat":
-        return np.concatenate([z_low, z_high], axis=1)
-    raise ValueError(f"unknown fusion mode {fusion_mode!r}")
-
-
 @dataclass
 class ForwardTrace:
     bundle: RowBundle
     gamma_low: np.ndarray
-    z_low: np.ndarray | None
-    z_high: np.ndarray | None
+    z_low: np.ndarray
+    z_high: np.ndarray
     coef: np.ndarray | None
     fusion_trace: list | None
     z: np.ndarray
@@ -474,23 +471,19 @@ def forward_bundle(
     """
     cfg = state.config
     gamma_low, gamma_high = reparam_filter_values(state.filter)
-    z_low = z_high = None
-    if cfg.filter_mode != "high_only":
-        z_low = _combine(bundle.block_rows, cheb_weights(gamma_low))
-    if cfg.filter_mode != "low_only":
-        z_high = _combine(bundle.block_rows, cheb_weights(gamma_high))
+    z_low = _combine(bundle.block_rows, cheb_weights(gamma_low))
+    z_high = _combine(bundle.block_rows, cheb_weights(gamma_high))
 
     coef = None
     fusion_trace = None
     if state.fusion_mlp is not None:
         coef, fusion_trace = _fusion_gate(state, bundle, train_mode)
 
-    if cfg.filter_mode == "low_only":
-        z = z_low
-    elif cfg.filter_mode == "high_only":
-        z = z_high
+    if cfg.fusion_mode == "concat":
+        z = np.concatenate([z_low, z_high], axis=1)
     else:
-        z = fuse(z_low, z_high, coef if cfg.fusion_mode == "adaptive" else None, cfg.fusion_mode)
+        c = _FIXED_GATE.get(cfg.fusion_mode, coef)
+        z = c * z_low + (1.0 - c) * z_high
 
     logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode)
     yhat = _sigmoid(logits[:, 0])
@@ -538,23 +531,17 @@ def backward_bundle(
             (d_cbar / trace.coef.shape[1])[:, None], trace.coef.shape
         ).copy()
 
-    d_z_low = d_z_high = None
-    if cfg.filter_mode == "low_only":
-        d_z_low = d_z
-    elif cfg.filter_mode == "high_only":
-        d_z_high = d_z
-    elif cfg.fusion_mode == "adaptive":
-        d_z_low = d_z * trace.coef
-        d_z_high = d_z * (1.0 - trace.coef)
-        dc = d_z * (trace.z_low - trace.z_high)
-        d_coef = dc if d_coef is None else d_coef + dc
-    elif cfg.fusion_mode == "mean":
-        d_z_low = 0.5 * d_z
-        d_z_high = 0.5 * d_z
-    else:  # concat
+    if cfg.fusion_mode == "concat":
         d = trace.z_low.shape[1]
         d_z_low = d_z[:, :d]
         d_z_high = d_z[:, d:]
+    else:
+        c = _FIXED_GATE.get(cfg.fusion_mode, trace.coef)
+        d_z_low = d_z * c
+        d_z_high = d_z * (1.0 - c)
+        if cfg.fusion_mode == "adaptive":
+            dc = d_z * (trace.z_low - trace.z_high)
+            d_coef = dc if d_coef is None else d_coef + dc
 
     if d_coef is not None:
         d_pre = d_coef * trace.coef * (1.0 - trace.coef)
@@ -564,10 +551,8 @@ def backward_bundle(
     d_w_low = np.zeros(k1)
     d_w_high = np.zeros(k1)
     for k, block in enumerate(trace.bundle.block_rows):
-        if d_z_low is not None:
-            d_w_low[k] = float(np.vdot(d_z_low, block))
-        if d_z_high is not None:
-            d_w_high[k] = float(np.vdot(d_z_high, block))
+        d_w_low[k] = float(np.vdot(d_z_low, block))
+        d_w_high[k] = float(np.vdot(d_z_high, block))
 
     m = interpolation_matrix(k1 - 1)
     d_gamma_low = m.T @ d_w_low
@@ -654,7 +639,7 @@ def _checkpoint_from_file(file: CacheFile) -> ModelState:
             raise ValueError(f"dim={dim}")
         layout = header["layout"]
         state = init_model(_header_config(header["config"], file), dim)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise file.fail(f"malformed checkpoint header: {exc!r}") from exc
     if layout != state.params.layout:
         raise file.fail(_layout_mismatch(layout, state.params.layout))

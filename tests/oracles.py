@@ -2,10 +2,11 @@
 the package against; the pipeline runs none of them.
 
 ``dense_spectral_oracle`` filters by a dense eigendecomposition instead of
-the Chebyshev recurrence, ``evaluate_objective`` forms the training
-objective's value for finite-difference gradient checks, and
-``strong_separation_params`` is a CSBM configuration well inside the
-separability region.
+the Chebyshev recurrence, ``fuse_per_mode`` mixes the two embeddings by
+each fusion mode's own formula instead of the one gated mix,
+``evaluate_objective`` forms the training objective's value for
+finite-difference gradient checks, and ``strong_separation_params`` is a
+CSBM configuration well inside the separability region.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ def dense_spectral_oracle(
     response = chebyshev_series(weights, eigvals)
     x = np.asarray(dataset.features, dtype=np.float64)
     return eigvecs @ (response[:, None] * (eigvecs.T @ x))
+
+
+def fuse_per_mode(z_low: np.ndarray, z_high: np.ndarray, coef: np.ndarray | None,
+                  fusion_mode: str) -> np.ndarray:
+    """The fused embedding by each mode's own formula; adaptive fusion
+    takes ``coef``, the fusion gate of the same rows."""
+    if fusion_mode == "adaptive":
+        return coef * z_low + (1.0 - coef) * z_high
+    if fusion_mode == "mean":
+        return 0.5 * (z_low + z_high)
+    if fusion_mode == "concat":
+        return np.concatenate([z_low, z_high], axis=1)
+    return {"low_only": z_low, "high_only": z_high}[fusion_mode]
 
 
 def evaluate_objective(

@@ -114,7 +114,8 @@ def _gradient_configs():
     depths = [1, 2, 3]
     fusions = ["adaptive", "mean", "concat"]
     contexts = ["rq", "full_khop", "features_only"]
-    filters = ["dual", "low_only", "high_only"]
+    # the single-pass modes replace the fusion mode where they fall
+    single_pass = [None, "low_only", "high_only"]
     rng = np.random.default_rng(303)
     configs = []
     for i in range(20):
@@ -123,9 +124,8 @@ def _gradient_configs():
                 K=int(rng.integers(2, 5)),
                 hidden_dim=4,
                 mlp_depth=depths[i % 3],
-                fusion_mode=fusions[i % 3],
+                fusion_mode=single_pass[i % 5 % 3] or fusions[i % 3],
                 context_mode=contexts[i % 3],
-                filter_mode=filters[i % 5 % 3],
                 use_fpg=bool(i % 2),
                 seed=i,
             )

@@ -53,6 +53,7 @@ class TestParseConfig:
         ("add_self_loops", "false"), ("clamp_eps", "1e-7"), ("beta_override", "2"),
         ("activation", "elu"), ("normalization", "layer"), ("dropout", "0.1"),
         ("share_gamma", "false"), ("sweep.R", "1"), ("sweep.prior_mode", "lda"),
+        ("filter_mode", "low_only"),
     ])
     def test_deleted_keys_are_rejected(self, tmp_path, capsys, key, value):
         with pytest.raises(SystemExit) as err:
@@ -497,7 +498,7 @@ class TestCorruptCheckpoint:
 
     @pytest.mark.parametrize("key,value", [
         ("activation", "elu"), ("normalization", "layer"), ("dropout", 0.2),
-        ("share_gamma", False),
+        ("share_gamma", False), ("filter_mode", "low_only"),
     ])
     def test_unknown_config_key_exits_1(self, toy_run, tmp_path, capsys, key, value):
         """A checkpoint whose config has a key the model lacks, such as one
@@ -835,6 +836,8 @@ class TestConfigValues:
         (["csbm-sweep", "--set", "sweep.seeds=0,-2"], "sweep.seeds must be >= 0, got -2"),
         (["train", "--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
         (["train", "--hidden-dim", "-3"], "hidden_dim must be >= 1, got -3"),
+        (["train", "--hidden-dim", "100000000"], "hidden_dim must be <= 1024, got 100000000"),
+        (["preprocess", "--K", "70000"], "K must be <= 256, got 70000"),
         (["train", "--patience", "0"], "patience must be >= 1, got 0"),
         (["train", "--patience", "-2"], "patience must be >= 1, got -2"),
         (["csbm-sweep", "--set", "sweep.dims=4,0", "--set", "sweep.n=200",
@@ -855,11 +858,9 @@ class TestConfigValues:
         (["train", "--lr", "0"], "lr must be > 0, got 0.0"),
         (["train", "--weight-decay", "-1"], "weight_decay must be >= 0, got -1.0"),
         (["train", "--fusion-mode", "x"],
-         "fusion_mode must be one of adaptive, mean, concat, got 'x'"),
+         "fusion_mode must be one of adaptive, mean, concat, low_only, high_only, got 'x'"),
         (["train", "--context-mode", "x"],
          "context_mode must be one of rq, full_khop, features_only, got 'x'"),
-        (["train", "--filter-mode", "x"],
-         "filter_mode must be one of dual, low_only, high_only, got 'x'"),
         (["synth-csbm", "--set", "csbm.dim=-1"], "csbm.dim must be >= 1, got -1"),
         (["synth-csbm", "--set", "csbm.dim=0"], "csbm.dim must be >= 1, got 0"),
         (["synth-csbm", "--set", "csbm.p1=2"], "csbm.p1 must lie in [0, 1], got 2.0"),

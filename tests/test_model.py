@@ -12,13 +12,11 @@ from sagad.context import build_context_cache
 from sagad.errors import CacheFormatError, ConfigError
 from sagad.model import (
     CHECKPOINT_MAGIC,
-    FILTER_MODES,
     FUSION_MODES,
     ModelConfig,
     cheb_weights,
     filter_response,
     forward_bundle,
-    fuse,
     gather_rows,
     init_model,
     interpolation_matrix,
@@ -29,7 +27,7 @@ from sagad.model import (
 )
 
 from conftest import er_dataset, make_dataset
-from oracles import dense_spectral_oracle
+from oracles import dense_spectral_oracle, fuse_per_mode
 
 
 def run(state, cache, ctx, ids):
@@ -240,17 +238,21 @@ class TestFusion:
         c = run(state, cache, ctx, np.asarray([0, 0])).coef
         np.testing.assert_array_equal(c[0], c[1])
 
-    def test_fuse_extremes_and_mean(self):
-        z_low = np.asarray([[1.0, 2.0]])
-        z_high = np.asarray([[3.0, 6.0]])
-        np.testing.assert_array_equal(fuse(z_low, z_high, np.ones_like(z_low), "adaptive"), z_low)
-        np.testing.assert_array_equal(fuse(z_low, z_high, np.zeros_like(z_low), "adaptive"), z_high)
-        half = fuse(z_low, z_high, np.full_like(z_low, 0.5), "adaptive")
-        np.testing.assert_array_equal(half, fuse(z_low, z_high, None, "mean"))
-
-    def test_concat_doubles_width(self):
-        z = fuse(np.ones((3, 2)), np.zeros((3, 2)), None, "concat")
-        assert z.shape == (3, 4)
+    @pytest.mark.parametrize("use_fpg", [True, False])
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    def test_forward_matches_per_mode_formula(self, fusion_mode, use_fpg):
+        """Every mode's one gated mix (or concat) gives its own formula's
+        embedding bit for bit."""
+        cfg = ModelConfig(K=2, hidden_dim=8, fusion_mode=fusion_mode, use_fpg=use_fpg, seed=4)
+        ds, cache, ctx, state = self._setup(cfg, seed=4)
+        prng = np.random.default_rng(11)
+        state.params.flat += prng.normal(0.0, 0.5, state.params.flat.shape)
+        for train_mode in (False, True):
+            out = forward_bundle(state, gather_rows(cache, ctx, np.arange(ds.num_nodes), cfg),
+                                 train_mode)
+            want = fuse_per_mode(out.z_low, out.z_high, out.coef, fusion_mode)
+            assert out.z.shape == want.shape
+            np.testing.assert_array_equal(bits(out.z), bits(want))
 
     def test_adaptive_stays_between_embeddings(self):
         ds, cache, ctx, state = self._setup(seed=3)
@@ -278,7 +280,7 @@ class TestForward:
         np.testing.assert_allclose(yhat, 0.5)
 
     def test_low_only_reduces_to_classifier_of_zlow(self):
-        cfg = ModelConfig(K=2, hidden_dim=8, filter_mode="low_only", use_fpg=False)
+        cfg = ModelConfig(K=2, hidden_dim=8, fusion_mode="low_only", use_fpg=False)
         ds, cache, ctx, state = self._setup(cfg)
         assert state.fusion_mlp is None
         from sagad.model import mlp_forward, _sigmoid
@@ -390,19 +392,16 @@ class TestLeanEvalForward:
         return state
 
     @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
-    @pytest.mark.parametrize("filter_mode", FILTER_MODES)
     @pytest.mark.parametrize("context_mode", ["rq", "features_only"])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("use_fpg", [True, False])
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_equals_train_mode_forward(self, fusion_mode, filter_mode, context_mode, depth,
-                                       use_fpg, rows):
+    def test_equals_train_mode_forward(self, fusion_mode, context_mode, depth, use_fpg, rows):
         ds = er_dataset(12, 0.3, 4, seed=1)
         cache = build_cheb_basis(ds, 3, dtype=np.float64)
         ctx = build_context_cache(ds)
         state = self._state(ds.num_features, mlp_depth=depth, fusion_mode=fusion_mode,
-                            filter_mode=filter_mode, context_mode=context_mode,
-                            use_fpg=use_fpg)
+                            context_mode=context_mode, use_fpg=use_fpg)
         bundle = gather_rows(cache, ctx, np.arange(2, 2 + rows), state.config)
         inputs = [b.copy() for b in bundle.block_rows]
         lean = forward_bundle(state, bundle)
@@ -448,7 +447,7 @@ def _per_array_init(cfg, dim):
     arrays = [np.full(cfg.K + 1, raw0)]
     fusion_in = dim if cfg.context_mode == "features_only" else 2 * dim
     mlps = [(fusion_in, dim)] if cfg.uses_fusion_mlp() else []
-    concat = cfg.filter_mode == "dual" and cfg.fusion_mode == "concat"
+    concat = cfg.fusion_mode == "concat"
     for in_dim, out_dim in mlps + [(2 * dim if concat else dim, 1)]:
         dims = [in_dim] + [cfg.hidden_dim] * (cfg.mlp_depth - 1) + [out_dim]
         for i in range(cfg.mlp_depth):
@@ -576,12 +575,17 @@ class TestCheckpoint:
         lambda header: header["config"].update(K="x"),
         lambda header: header["config"].update(bogus=1),
         lambda header: header["config"].pop("fusion_mode"),
+        lambda header: header["config"].update(K=0),
+        lambda header: header["config"].update(hidden_dim=0),
+        lambda header: header["config"].update(fusion_mode="bogus"),
+        lambda header: header["config"].update(mlp_depth=9),
     ])
     def test_bad_header_value_rejected(self, tmp_path, edit):
         path = tmp_path / "model.bin"
         self._rewrite_header(path, edit)
-        with pytest.raises(CacheFormatError, match="malformed checkpoint header"):
+        with pytest.raises(CacheFormatError, match="malformed checkpoint header") as err:
             load_checkpoint(path)
+        assert f"(in {path})" in str(err.value)
 
     @pytest.mark.parametrize("cfg", _LAYOUT_CONFIGS)
     def test_bytes_equal_per_array_writer(self, tmp_path, cfg):

@@ -9,6 +9,7 @@ from sagad.errors import ConfigError
 from sagad.graph import SplitSet
 from sagad import training
 from sagad.model import (
+    FUSION_MODES,
     ModelConfig,
     ParamVector,
     gather_rows,
@@ -162,7 +163,7 @@ class TestTotalLoss:
 class TestAdam:
     def _scalar_state(self):
         cfg = ModelConfig(K=1, hidden_dim=2, mlp_depth=1, use_fpg=False,
-                          context_mode="features_only", filter_mode="low_only")
+                          context_mode="features_only", fusion_mode="low_only")
         state = init_model(cfg, 1)
         return state
 
@@ -387,6 +388,18 @@ class TestTrainLoop:
         from sagad.metrics import average_precision
 
         assert average_precision(out.yhat, ds.labels[np.asarray(split.val)]) == pytest.approx(best)
+
+    def test_fusion_modes_train_different_parameters(self):
+        """No two fusion modes are the same model: on one graph, with the
+        same seed and init, each trains its own parameter payload."""
+        ds, cache, ctx, split = self._toy(seed=6)
+        tc = TrainConfig(max_epochs=10, patience=10)
+        payloads = {
+            mode: train(ds.labels, cache, ctx, ModelConfig(K=2, hidden_dim=8, fusion_mode=mode),
+                        tc, split)[0].params.flat.tobytes()
+            for mode in FUSION_MODES
+        }
+        assert len(set(payloads.values())) == len(FUSION_MODES)
 
     def test_empty_split_rejected(self):
         ds, cache, ctx, split = self._toy(seed=4)
