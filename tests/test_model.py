@@ -396,13 +396,22 @@ class TestLeanEvalForward:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("use_fpg", [True, False])
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_equals_train_mode_forward(self, fusion_mode, context_mode, depth, use_fpg, rows):
+    @pytest.mark.parametrize("as_slice", [False, True], ids=["ids", "slice"])
+    def test_equals_train_mode_forward(
+        self, fusion_mode, context_mode, depth, use_fpg, rows, as_slice
+    ):
+        # Training gathers id arrays (copies); scoring gathers slices, whose
+        # f64 rows are views of the cache blocks, so an in-place write by the
+        # forward would corrupt the cache.
         ds = er_dataset(12, 0.3, 4, seed=1)
         cache = build_cheb_basis(ds, 3, dtype=np.float64)
         ctx = build_context_cache(ds)
         state = self._state(ds.num_features, mlp_depth=depth, fusion_mode=fusion_mode,
                             context_mode=context_mode, use_fpg=use_fpg)
-        bundle = gather_rows(cache, ctx, np.arange(2, 2 + rows), state.config)
+        ids = slice(2, 2 + rows) if as_slice else np.arange(2, 2 + rows)
+        bundle = gather_rows(cache, ctx, ids, state.config)
+        assert all(np.shares_memory(r, b) == as_slice
+                   for r, b in zip(bundle.block_rows, cache.blocks))
         inputs = [b.copy() for b in bundle.block_rows]
         lean = forward_bundle(state, bundle)
         full = forward_bundle(state, bundle, train_mode=True)
