@@ -60,11 +60,20 @@ class BinaryFormat:
         """Write the magic, ``fields`` and each ``(array, dtype)`` in turn,
         atomically; ``arrays`` may be a generator, so a payload larger than
         memory streams to the file."""
+        with self.writer(path, fields) as f:
+            for arr, dtype in arrays:
+                write_array(f, arr, dtype)
+
+    @contextlib.contextmanager
+    def writer(self, path: str | os.PathLike, fields: tuple):
+        """The new file of ``write``, open after its magic and ``fields``
+        for a caller that writes the payload itself: it replaces ``path``
+        when the block ends (see ``atomic_file``).  Bytes written can be
+        read back with ``pread_into`` on its ``fileno()`` once flushed."""
         with atomic_file(path) as f:
             f.write(self.magic)
             f.write(self.header.pack(*fields))
-            for arr, dtype in arrays:
-                write_array(f, arr, dtype)
+            yield f
 
     def open(self, path: str | os.PathLike, build: Callable[[CacheFile], T]) -> T:
         """``build(file)`` on ``path`` opened with its magic and header checked.
@@ -136,23 +145,31 @@ class CacheFile:
             )
 
     def read_into(self, out: np.ndarray, offset: int) -> None:
-        """Fill the C-contiguous array ``out`` from the file at byte ``offset``.
-
-        Raises ``self.error`` if the file ends first: ``out`` comes from
-        ``np.empty``, so a short read must never reach the caller.
-        """
+        """Fill the C-contiguous array ``out`` from the file at byte
+        ``offset``; ``pread_into`` with this format's error."""
         if self.closed:
             raise ValueError(f"read from closed cache file {self.path}")
-        view = out.reshape(-1).view(np.uint8)
-        done = 0
-        while done < view.size:
-            got = os.preadv(self.fd, [view[done:]], offset + done)
-            if got == 0:
-                raise self.error(
-                    f"short read from {self.path}: {done} of {view.size} bytes at offset "
-                    f"{offset}; the file was truncated or rewritten while open"
-                )
-            done += got
+        pread_into(self.fd, out, offset, self.path, self.error)
+
+
+def pread_into(fd: int, out: np.ndarray, offset: int, path: str,
+               error: type[SagadError] = CacheFormatError) -> None:
+    """Fill the C-contiguous array ``out`` from the open file ``fd`` (named
+    ``path`` in messages) at byte ``offset``, with positioned reads.
+
+    Raises ``error`` if the file ends first: ``out`` comes from
+    ``np.empty``, so a short read must never reach the caller.
+    """
+    view = out.reshape(-1).view(np.uint8)
+    done = 0
+    while done < view.size:
+        got = os.preadv(fd, [view[done:]], offset + done)
+        if got == 0:
+            raise error(
+                f"short read from {path}: {done} of {view.size} bytes at offset "
+                f"{offset}; the file was truncated or rewritten while open"
+            )
+        done += got
 
 
 def _close_unclosed(fd: int, path: str) -> None:
@@ -225,8 +242,9 @@ def atomic_file(path: str | os.PathLike):
     path = os.fspath(path)
     # os.urandom, not `secrets`: that imports hashlib's OpenSSL (+4 MB RSS)
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-    # mode as `open(path, "wb")` would create the file with
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    # mode as `open(path, "wb")` would create the file with; readable too,
+    # for a writer that reads back what it wrote (`BinaryFormat.writer`)
+    fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             yield f

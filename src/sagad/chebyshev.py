@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked
+from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked, pread_into, write_array
 from .errors import CacheFormatError
 from .graph import GraphDataset, degree_scaling, normalized_adjacency
 
@@ -47,7 +47,7 @@ class ChebBasisCache(FileBacked):
 
 
 # Rows per chunk of the recurrence: a chunk's normalized values, its sparse
-# product and the write stay small next to the two n*d work buffers.
+# product and the rows read back stay small next to the n*d blocks.
 _CHUNK_ROWS = 1 << 13
 
 
@@ -61,70 +61,84 @@ def build_cheb_basis(
 
     L_hat = 2 L_norm / lambda_max - I with lambda_max pinned at 2, which
     collapses to the negated normalized adjacency.  The recurrence runs in
-    ``dtype``, the precision of the blocks it produces, over two n*d
-    buffers, one row chunk at a time (see ``_basis_chunks``): f32 for the
-    cache file and by default, f64 only when f64 blocks are asked for.
-    Features given as a ``FeatureFile`` are read into the first buffer,
-    with no other copy held.  Without ``path`` the chunks are copied into
-    (order+1) in-memory blocks.  With ``path`` each chunk is written to the
-    cache file as soon as it is computed (the file replaces ``path`` only
-    once complete) and the returned cache reads that file by row: close
-    it, or use it in a ``with`` block.
+    ``dtype``, the precision of the blocks it produces, one row chunk at a
+    time (see ``_basis_chunks``): f32 for the cache file and by default,
+    f64 only when f64 blocks are asked for.  The features are read into a
+    new ``dtype`` array, T_0 X, with no other copy held.
+
+    Without ``path`` the chunks go into (order+1) in-memory blocks, the
+    recurrence reading T_{k-1} X and T_{k-2} X from the blocks themselves.
+    With ``path`` each chunk is written to the cache file as soon as it is
+    computed (the file replaces ``path`` only once complete), and one n*d
+    buffer holds T_{k-1} X: T_{k-2} X is read back from the file a chunk
+    at a time, and each finished block is read back into the buffer.  The
+    returned cache reads that file by row: close it, or use it in a
+    ``with`` block.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n, d = dataset.num_nodes, dataset.num_features
-    chunks = _basis_chunks(dataset, order, dtype)
-    if path is None:
-        blocks = [np.empty((n, d), dtype=dtype) for _ in range(order + 1)]
-        for k, lo, rows in chunks:
-            blocks[k][lo : lo + len(rows)] = rows
-        return ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks)
-    if np.dtype(dtype) != np.float32:
+    if path is not None and np.dtype(dtype) != np.float32:
         raise ValueError(f"a basis cache file holds float32 blocks, not {np.dtype(dtype)}")
-    CACHE_FORMAT.write(path, (n, d, order, _DTYPE_F32), ((rows, "<f4") for _, _, rows in chunks))
+    x = dataset.feature_matrix(dtype)
+    if path is None:
+        blocks = [x, *(np.empty((n, d), dtype=dtype) for _ in range(order))]
+        for k, lo, rows in _basis_chunks(dataset, order, blocks.__getitem__,
+                                         lambda k, lo, hi: blocks[k][lo:hi]):
+            if k:
+                blocks[k][lo : lo + len(rows)] = rows
+        return ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks)
+    path = os.fspath(path)
+    with CACHE_FORMAT.writer(path, (n, d, order, _DTYPE_F32)) as f:
+
+        def read_back(out: np.ndarray, k: int, lo: int) -> np.ndarray:
+            pread_into(f.fileno(), out, CACHE_FORMAT.header_bytes + (k * n + lo) * d * 4, path)
+            return out
+
+        def block(k: int) -> np.ndarray:
+            if k:  # block k is all written: read it back over block k-1
+                f.flush()
+                read_back(x, k, 0)
+            return x
+
+        def rows(k: int, lo: int, hi: int) -> np.ndarray:
+            return read_back(np.empty((hi - lo, d), dtype=np.float32), k, lo)
+
+        for _, _, chunk in _basis_chunks(dataset, order, block, rows):
+            write_array(f, chunk, "<f4")
     # the file just written, not an input: opened without `read_cache`
     return CACHE_FORMAT.open(path, _cache_from_file)
 
 
-def _basis_chunks(dataset: GraphDataset, order: int, dtype):
-    """Yield (k, lo, rows): rows lo:lo+len(rows) of T_k X in ``dtype``,
-    block by block and rows ascending (the cache file's order).  ``rows``
-    is a view of a work buffer, valid until the next chunk is asked for.
+def _basis_chunks(dataset: GraphDataset, order: int, block, rows):
+    """Yield (k, lo, chunk): rows lo:lo+len(chunk) of T_k X, block by block
+    and rows ascending (the cache file's order).  ``chunk`` is valid until
+    the next one is asked for.
 
-    Two n*d ``dtype`` buffers hold T_{k-1} X and T_{k-2} X; chunk lo:hi of
-    T_k X overwrites rows lo:hi of T_{k-2} X, which nothing reads again.
-    The normalized values are formed in f64 and rounded once to ``dtype``,
-    so each sparse product runs in ``dtype`` throughout.  Each row of a
-    sparse product is summed from zero in column order, as the
-    whole-matrix product sums it, so the values do not depend on the
-    chunking.
+    ``block(k)`` is all of T_k X, asked for once every chunk of block k
+    has been taken; ``rows(k, lo, hi)`` is its rows lo:hi, asked for
+    while block k+2 is computed.  The normalized values are formed in f64
+    and rounded once to the blocks' dtype, so each sparse product runs in
+    that dtype throughout.  Each row of a sparse product is summed from
+    zero in column order, as the whole-matrix product sums it, so the
+    values do not depend on the chunking.
     """
     adj, n = dataset.adjacency, dataset.num_nodes
     scaling = degree_scaling(adj)
-
-    def a_norm(lo: int, hi: int):
-        return normalized_adjacency(adj, (lo, hi), scaling, dtype)
-
     bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
-    # T_0 X is X in ``dtype``, in a new buffer (it is overwritten below); a
-    # FeatureFile is read straight into it
-    b_prev = dataset.feature_matrix(dtype)
+    x = block(0)
     for lo, hi in bounds:
-        yield 0, lo, b_prev[lo:hi]
-    b_cur = np.empty_like(b_prev)
-    for lo, hi in bounds:
-        out = b_cur[lo:hi]
-        np.negative(a_norm(lo, hi) @ b_prev, out=out)
-        yield 1, lo, out  # L_hat X = -(A_norm X)
-    for k in range(2, order + 1):
+        yield 0, lo, x[lo:hi]
+    for k in range(1, order + 1):
+        prev = block(k - 1)
         for lo, hi in bounds:
-            rows = a_norm(lo, hi) @ b_cur
-            rows *= -2.0
-            out = b_prev[lo:hi]
-            np.subtract(rows, out, out=out)
-            yield k, lo, out
-        b_prev, b_cur = b_cur, b_prev
+            chunk = normalized_adjacency(adj, (lo, hi), scaling, x.dtype) @ prev
+            if k == 1:
+                np.negative(chunk, out=chunk)  # L_hat X = -(A_norm X)
+            else:
+                chunk *= -2.0
+                np.subtract(chunk, rows(k - 2, lo, hi), out=chunk)
+            yield k, lo, chunk
 
 
 def chebyshev_series(weights: np.ndarray, t: np.ndarray | float) -> np.ndarray:

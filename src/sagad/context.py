@@ -269,17 +269,31 @@ def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
 
 
 def _full_khop_context(dataset: GraphDataset, x: np.ndarray):
-    """(A x + x) / (degree + 1) for every node, pooled a row chunk at a time
-    straight into the f32 output; each row sums from zero in column order,
-    as the whole-matrix product does."""
+    """(A x + x) / (degree + 1) for every node, pooled a row chunk at a
+    time straight into the f32 output.
+
+    Each row is summed in f64 from zero in column order, as a sparse
+    product sums it: neighbor rank j of all the chunk's rows at a time.
+    The rows are taken in descending-degree order, so the rows with a
+    j-th neighbor are a prefix of the chunk, and a chunk loops only to
+    its own largest degree."""
     adj, n = dataset.adjacency, dataset.num_nodes
-    sizes = (np.diff(adj.row_offsets) + 1).astype(np.int64)
+    degree = np.diff(adj.row_offsets)
+    sizes = (degree + 1).astype(np.int64)
+    order = np.argsort(degree)[::-1]
     context = np.empty((n, dataset.num_features), dtype=np.float32)
     for s in _chunks(n, x.shape[1]):
-        pooled = adj.to_csr((s.start, min(s.stop, n))) @ x
-        pooled += x[s]
-        pooled /= sizes[s, None]
-        context[s] = pooled
+        rows = order[s]
+        start, deg = adj.row_offsets[rows], degree[rows]
+        # rows with a rank-j neighbor, for each j below the chunk's top degree
+        having = np.searchsorted(-deg, -np.arange(deg[0]))
+        pooled = np.zeros((len(rows), x.shape[1]))
+        # np.take: a row gather several times faster than fancy indexing
+        for j, count in enumerate(having):
+            pooled[:count] += np.take(x, np.take(adj.col_indices, start[:count] + j), axis=0)
+        pooled += np.take(x, rows, axis=0)
+        pooled /= sizes[rows, None]
+        context[rows] = pooled
     return context, sizes
 
 
@@ -289,28 +303,25 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
 
     mode "rq" runs the max-RQ sampler on every node in one batched pass
     (per-node seeding keeps each node's result independent of the rest).
-    It reads the features at the precision they are held in: a
+    mode "full_khop" pools over the whole 1-hop neighborhood plus the node
+    itself.  Both read the features at the precision they are held in: a
     ``FeatureFile`` or a basis cache's block 0 as f32, an in-memory array
-    as it is, and widens to f64 only the rows each energy or pooling
-    gather takes.  mode "full_khop" pools over the whole 1-hop
-    neighborhood plus the node itself, computed as one sparse product over
-    the features read as f64 (``GraphDataset.feature_matrix``).
+    as it is, and sum in f64 the rows each energy or pooling gather takes.
     """
     if cap < 1:
         raise ValueError(f"candidate cap must be >= 1, got {cap}")
     if cap > MAX_CANDIDATE_CAP:
         raise ValueError(f"candidate cap must be <= {MAX_CANDIDATE_CAP}, got {cap}")
-    n = dataset.num_nodes
-    if mode == "full_khop":
-        context, sizes = _full_khop_context(dataset, dataset.feature_matrix())
-    elif mode == "rq":
-        features = dataset.features
-        x = (np.ascontiguousarray(features) if isinstance(features, np.ndarray)
-             else dataset.feature_matrix(np.float32))
+    if mode not in ("rq", "full_khop"):
+        raise ValueError(f"unknown context mode {mode!r}")
+    features = dataset.features
+    x = (np.ascontiguousarray(features) if isinstance(features, np.ndarray)
+         else dataset.feature_matrix(np.float32))
+    if mode == "rq":
         context, sizes = _rq_context(dataset, x, cap, seed)
     else:
-        raise ValueError(f"unknown context mode {mode!r}")
-    return ContextCache(num_nodes=n, dim=dataset.num_features, context=context,
+        context, sizes = _full_khop_context(dataset, x)
+    return ContextCache(num_nodes=dataset.num_nodes, dim=dataset.num_features, context=context,
                         subgraph_size=sizes)
 
 

@@ -42,6 +42,21 @@ SUPERVISION_SOURCES = ("meta.json", "labels.csv", "splits.json")
 SPLIT_PARTS = ("train", "val", "test")
 
 
+# The largest node count whose edge keys u * n + v fit in an int64.
+MAX_NODES = 3_037_000_499  # isqrt(2^63 - 1)
+# Entries per chunk of the CSR build's key fill, compaction and column
+# split: each chunk's temporaries stay small next to the key array.
+_EDGE_CHUNK = 1 << 16
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _index_dtype(num_nodes: int, nnz: int) -> np.dtype:
+    """The CSR index dtype: int32 while the node count and the stored-entry
+    count fit in it, else int64, as scipy's ``get_index_dtype`` picks for
+    a CSR with these contents."""
+    return np.dtype(np.int32 if max(num_nodes, nnz) <= _INT32_MAX else np.int64)
+
+
 @dataclass
 class SparseAdjacency:
     """Symmetric adjacency held as the two index arrays of a CSR with unit
@@ -50,17 +65,18 @@ class SparseAdjacency:
     duplicates or self-loops.
 
     Each undirected edge is stored twice (once per direction), so
-    ``col_indices`` has length 2m for m undirected edges.  scipy picks the
-    index dtype: int32 while 2m < 2^31.  Only ``from_edges`` and
-    ``to_csr`` import scipy, so a command that builds no graph and forms
-    no sparse product never pays for importing it.
+    ``col_indices`` has length 2m for m undirected edges.  Both arrays
+    have the dtype ``_index_dtype`` picks: int32 while n and 2m fit in it.
+    Only ``to_csr`` imports scipy, so a command that forms no sparse
+    product never pays for importing it.
     """
 
     row_offsets: np.ndarray
     col_indices: np.ndarray
 
     @classmethod
-    def from_edges(cls, num_nodes: int, edges: np.ndarray) -> "SparseAdjacency":
+    def from_edges(cls, num_nodes: int, edges: np.ndarray, *,
+                   overwrite_edges: bool = False) -> "SparseAdjacency":
         """Build from an (m, 2) array of node-id pairs.
 
         Direction is ignored, duplicates are merged, self-loops dropped.
@@ -69,32 +85,62 @@ class SparseAdjacency:
 
         - ids in [0, num_nodes): the range check, which raises
           DatasetFormatError (the only check; edges come from outside);
-        - no self-loops: the ``keep`` mask;
-        - unique columns: scipy's COO->CSR conversion sums duplicates;
-        - symmetric: ``half + half.T``;
-        - sorted columns: ``sort_indices``.
-        """
-        import scipy.sparse as sp
+        - symmetric: each pair gives both keys ``u*n + v`` and ``v*n + u``;
+        - no self-loops: a self-loop's keys are set past every edge's and
+          cut off after the sort;
+        - sorted columns: the keys are sorted, row-major;
+        - unique columns: only the first of equal sorted keys is kept.
 
+        The keys take an (m, 2) int64 buffer, one per pair.  With
+        ``overwrite_edges`` a C-order int64 ``edges`` is that buffer, and
+        its content is lost, so a caller that parsed the edges for this
+        build holds no second array of their size.
+        """
+        if not 0 <= num_nodes <= MAX_NODES:
+            raise DatasetFormatError(f"num_nodes must lie in [0, {MAX_NODES}] (edge keys "
+                                     f"u*n + v are int64), got {num_nodes}")
+        n = num_nodes
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise DatasetFormatError(
-                f"edge endpoint out of range [0, {num_nodes}): "
+                f"edge endpoint out of range [0, {n}): "
                 f"min={edges.min()}, max={edges.max()}"
             )
-        keep = edges[:, 0] != edges[:, 1]
-        # Duplicates are summed as f32 counts, which saturate but never reach
-        # 0 (a narrow integer count could wrap to 0 and be dropped as an
-        # explicit zero); f32 halves the transient of the sum below.  Only
-        # the index arrays are kept: every entry stands for a 1.
-        half = sp.coo_matrix(
-            (np.ones(int(keep.sum()), dtype=np.float32), (edges[keep, 0], edges[keep, 1])),
-            shape=(num_nodes, num_nodes),
-        ).tocsr()
-        csr = half + half.T
-        del half
-        csr.sort_indices()
-        return cls(csr.indptr, csr.indices)
+        own = overwrite_edges and edges.flags.c_contiguous
+        keys = edges if own else np.empty_like(edges, order="C")
+        past = np.iinfo(np.int64).max  # the key of a self-loop
+        for lo in range(0, len(edges), _EDGE_CHUNK):
+            u, v = edges[lo : lo + _EDGE_CHUNK].T
+            forward, backward = u * n + v, v * n + u
+            loops = u == v
+            forward[loops] = backward[loops] = past
+            keys[lo : lo + _EDGE_CHUNK, 0], keys[lo : lo + _EDGE_CHUNK, 1] = forward, backward
+        del edges
+        keys = keys.reshape(-1)
+        keys.sort()
+        keys = keys[: np.searchsorted(keys, past)]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        # compact the unique keys to the front, in place: a chunk's keys
+        # never land past where they were read
+        nnz = 0
+        for lo in range(0, len(keys), _EDGE_CHUNK):
+            unique = keys[lo : lo + _EDGE_CHUNK][first[lo : lo + _EDGE_CHUNK]]
+            keys[nnz : nnz + len(unique)] = unique
+            nnz += len(unique)
+        del first
+        keys = keys[:nnz]
+        ids = _index_dtype(n, nnz)
+        col_indices = np.empty(nnz, dtype=ids)
+        for lo in range(0, nnz, _EDGE_CHUNK):
+            col_indices[lo : lo + _EDGE_CHUNK] = keys[lo : lo + _EDGE_CHUNK] % n
+        # row i's entries are the keys in [i*n, (i+1)*n)
+        row_offsets = np.empty(n + 1, dtype=ids)
+        for lo in range(0, n + 1, _EDGE_CHUNK):
+            bounds = np.arange(lo, min(lo + _EDGE_CHUNK, n + 1), dtype=np.int64) * n
+            row_offsets[lo : lo + len(bounds)] = np.searchsorted(keys, bounds)
+        return cls(row_offsets, col_indices)
 
     @property
     def num_nodes(self) -> int:
@@ -261,7 +307,7 @@ class GraphDataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def feature_matrix(self, dtype=np.float64) -> np.ndarray:
+    def feature_matrix(self, dtype) -> np.ndarray:
         """The features as a new C-order ``dtype`` array, which the caller
         may overwrite: a FeatureFile is read straight into it (f32 rows in
         place, other dtypes through one chunk buffer), and other features
@@ -433,9 +479,9 @@ def parse_dataset(directory: str | os.PathLike) -> GraphDataset:
     directory = os.fspath(directory)
     meta = _read_meta(directory)
     n, d = meta["num_nodes"], meta["num_features"]
-    edges = _read_edges_tsv(_dataset_file(directory, "edges.tsv"))
-    adjacency = SparseAdjacency.from_edges(n, edges)
-    del edges
+    # the parsed text array becomes the build's key buffer
+    adjacency = SparseAdjacency.from_edges(
+        n, _read_edges_tsv(_dataset_file(directory, "edges.tsv")), overwrite_edges=True)
     labels = _read_labels_csv(_dataset_file(directory, "labels.csv"), n)
     splits = _read_splits_json(_dataset_file(directory, "splits.json"))
     for s in splits:

@@ -32,8 +32,9 @@ CONTEXT_MODES = ("rq", "full_khop", "features_only")
 # Every fusion mode but concat forms c * z_low + (1 - c) * z_high; c is
 # the fusion gate for adaptive and this constant for the others.
 _FIXED_GATE = {"mean": 0.5, "low_only": 1.0, "high_only": 0.0}
-# The basis header stores K as u16, and interpolation_matrix is built in
-# O(K^3): 0.4 s at this bound on a 2-core x86-64 host, 8 s at K=1024.
+# The basis cache holds K+1 blocks of n*d f32, so this bound holds it to
+# 257 times the features (the header would store K up to 2^16 - 1); the
+# O(K^2) interpolation_matrix takes 2 ms here on a 2-core x86-64 host.
 MAX_K = 256
 # A depth-3 MLP has a hidden_dim^2 f64 layer, 8.4 MB at this bound, and
 # training keeps five such vectors: parameters, gradients, two Adam
@@ -144,15 +145,20 @@ def reparam_filter_values(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def interpolation_matrix(order: int) -> np.ndarray:
     """Matrix M with w = M gamma: w_k = (2 - delta_k0)/(K+1) sum_i gamma_i T_k(s_i).
 
-    Row k holds T_k at the nodes, evaluated as the series whose k-th weight
-    is 1.  Built once per order; the returned array is read-only because
-    every caller shares it.
+    Row k holds T_k at the nodes, from one three-term recurrence over k,
+    the steps ``chebyshev_series`` takes.  Built once per order; the
+    returned array is read-only because every caller shares it.
     """
     nodes = chebyshev_nodes(order)
     m = order + 1
+    t = np.empty((m, m))
+    t[0] = 1.0
+    t[1:2] = nodes  # no such row at order 0
+    for k in range(2, m):
+        t[k] = 2.0 * nodes * t[k - 1] - t[k - 2]
     scale = np.full(m, 2.0 / m)
     scale[0] = 1.0 / m
-    out = scale[:, None] * np.array([chebyshev_series(unit, nodes) for unit in np.eye(m)])
+    out = scale[:, None] * t
     out.flags.writeable = False
     return out
 

@@ -40,6 +40,16 @@ def er_dataset(n, p, d, seed=0, anomaly_frac=0.2):
     return GraphDataset(adjacency=adj, features=features, labels=labels)
 
 
+def messy_edges(seed):
+    """n and a random edge list on n nodes with duplicates, reversed pairs
+    and self-loops; the top quarter of the ids is left isolated."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    base = rng.integers(0, n - n // 4, size=(int(rng.integers(0, 3 * n)), 2))
+    loops = np.repeat(rng.integers(0, n, size=(3, 1)), 2, axis=1)
+    return n, rng.permutation(np.concatenate([base, base[::2, ::-1], base[::3], loops]))
+
+
 @pytest.fixture
 def path3():
     """Path graph 0-1-2 with labels (1, 1, 0)."""

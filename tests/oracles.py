@@ -2,18 +2,24 @@
 the package against; the pipeline runs none of them.
 
 ``dense_spectral_oracle`` filters by a dense eigendecomposition instead of
-the Chebyshev recurrence, ``fuse_per_mode`` mixes the two embeddings by
-each fusion mode's own formula instead of the one gated mix,
-``evaluate_objective`` forms the training objective's value for
-finite-difference gradient checks, and ``strong_separation_params`` is a
-CSBM configuration well inside the separability region.
+the Chebyshev recurrence, ``interpolation_matrix_per_unit_vector`` builds
+the interpolation matrix by one series evaluation per unit vector,
+``csr_from_edges`` builds the adjacency through scipy's COO->CSR
+conversion and ``full_khop_pool`` pools the 1-hop context as one f64
+scipy product, each instead of the package's own code.
+``fuse_per_mode`` mixes the two embeddings by each fusion mode's own
+formula instead of the one gated mix, ``evaluate_objective`` forms the
+training objective's value for finite-difference gradient checks, and
+``strong_separation_params`` is a CSBM configuration well inside the
+separability region.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from sagad.chebyshev import chebyshev_series
+from sagad.chebyshev import chebyshev_nodes, chebyshev_series
 from sagad.csbm import CsbmParams
 from sagad.graph import GraphDataset, normalized_adjacency
 from sagad.model import ModelState, RowBundle, forward_bundle
@@ -40,6 +46,43 @@ def dense_spectral_oracle(
     response = chebyshev_series(weights, eigvals)
     x = np.asarray(dataset.features, dtype=np.float64)
     return eigvecs @ (response[:, None] * (eigvecs.T @ x))
+
+
+def interpolation_matrix_per_unit_vector(order: int) -> np.ndarray:
+    """``model.interpolation_matrix`` with row k evaluated as the series
+    whose k-th weight is 1."""
+    nodes = chebyshev_nodes(order)
+    m = order + 1
+    scale = np.full(m, 2.0 / m)
+    scale[0] = 1.0 / m
+    return scale[:, None] * np.array([chebyshev_series(unit, nodes) for unit in np.eye(m)])
+
+
+def csr_from_edges(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """``SparseAdjacency.from_edges``'s (indptr, indices) by scipy: COO->CSR
+    sums duplicates, ``half + half.T`` symmetrizes and ``sort_indices``
+    sorts each row; scipy picks the index dtype."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keep = edges[:, 0] != edges[:, 1]
+    # f32 counts saturate but never reach 0, so no duplicate is dropped
+    half = sp.coo_matrix(
+        (np.ones(int(keep.sum()), dtype=np.float32), (edges[keep, 0], edges[keep, 1])),
+        shape=(num_nodes, num_nodes),
+    ).tocsr()
+    csr = half + half.T
+    csr.sort_indices()
+    return csr.indptr, csr.indices
+
+
+def full_khop_pool(dataset: GraphDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The ``full_khop`` context and sizes: (A x + x) / (degree + 1) as one
+    scipy product over the features widened to f64, rounded to f32."""
+    x = np.asarray(dataset.features, dtype=np.float64)
+    sizes = np.diff(dataset.adjacency.row_offsets) + 1
+    pooled = dataset.adjacency.to_csr() @ x
+    pooled += x
+    pooled /= sizes[:, None]
+    return pooled.astype(np.float32), sizes
 
 
 def fuse_per_mode(z_low: np.ndarray, z_high: np.ndarray, coef: np.ndarray | None,

@@ -293,9 +293,11 @@ class TestStreamedBasis:
 
 
 class TestBasisMemory:
-    def test_streamed_basis_holds_two_f32_buffers(self, tmp_path):
+    N, D, K = 50_000, 32, 3
+
+    def _dataset(self, tmp_path):
         # ring plus 3n random edges, features read from features.bin
-        n, d = 50_000, 32
+        n, d = self.N, self.D
         rng = np.random.default_rng(2)
         ring = np.arange(n)
         edges = np.concatenate([np.stack([ring, (ring + 1) % n], axis=1),
@@ -303,21 +305,40 @@ class TestBasisMemory:
         adj = SparseAdjacency.from_edges(n, edges)
         FEATURES_FORMAT.write(tmp_path / "features.bin", (n, d),
                               [(rng.standard_normal((n, d)), "<f4")])
-        ds = GraphDataset(adjacency=adj, features=FeatureFile(str(tmp_path), n, d),
-                          labels=np.zeros(n, dtype=np.int8))
-        build_cheb_basis(ds, 3, path=tmp_path / "warmup.bin").close()
+        return GraphDataset(adjacency=adj, features=FeatureFile(str(tmp_path), n, d),
+                            labels=np.zeros(n, dtype=np.int8))
+
+    def _peak(self, ds, path=None):
+        build_cheb_basis(ds, self.K, path=path and path.with_suffix(".warmup")).close()
         tracemalloc.start()
         tracemalloc.reset_peak()
-        build_cheb_basis(ds, 3, path=tmp_path / "c.bin").close()
+        cache = build_cheb_basis(ds, self.K, path=path)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # beyond the two buffers: the degree scaling and its f64 temporaries
-        # (40 bytes per node), and one chunk's normalized values with their
-        # f64 temporaries and index slices (40 bytes per stored entry) and
-        # its sparse product
-        rows = chebyshev._CHUNK_ROWS
-        offsets = adj.row_offsets
+        cache.close()
+        return peak
+
+    def _allowance(self, adj):
+        """Beyond the blocks: the degree scaling and its f64 temporaries (40
+        bytes per node), and one chunk's normalized values with their f64
+        temporaries and index slices (40 bytes per stored entry), its
+        sparse product and the rows of T_{k-2} X it subtracts."""
+        n, rows, offsets = self.N, chebyshev._CHUNK_ROWS, adj.row_offsets
         chunk_entries = max(offsets[min(lo + rows, n)] - offsets[lo] for lo in range(0, n, rows))
-        allowance = 40 * n + 40 * int(chunk_entries) + rows * d * 4
-        assert peak <= 2 * n * d * 4 + allowance, (
-            f"peak {peak / 1e6:.1f} MB, bound {(2 * n * d * 4 + allowance) / 1e6:.1f} MB")
+        return 40 * n + 40 * int(chunk_entries) + 2 * rows * self.D * 4
+
+    def test_streamed_basis_holds_one_f32_buffer(self, tmp_path):
+        """T_{k-2} X is read back from the file being written, so one n*d
+        buffer holds T_{k-1} X."""
+        ds = self._dataset(tmp_path)
+        peak = self._peak(ds, tmp_path / "c.bin")
+        bound = self.N * self.D * 4 + self._allowance(ds.adjacency)
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+    def test_in_memory_basis_holds_its_blocks_only(self, tmp_path):
+        """The recurrence reads T_{k-1} X and T_{k-2} X from the blocks
+        themselves: no work buffer beside the K+1 blocks."""
+        ds = self._dataset(tmp_path)
+        peak = self._peak(ds)
+        bound = (self.K + 1) * self.N * self.D * 4 + self._allowance(ds.adjacency)
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"

@@ -734,11 +734,12 @@ class TestDatasetImage:
         assert [read(path, "rb") for path in paths] == before
 
     def test_commands_without_a_sparse_product_never_import_scipy(self, toy_run, tmp_path):
-        """`train`, `eval`, `score`, `quartiles` and an `rq` `sample-context`
-        form no sparse product; scipy costs about 0.2 s to import."""
+        """Only `preprocess` (the basis) and the csbm commands form a scipy
+        sparse product: the graph is built and the 1-hop context pooled in
+        numpy, and scipy costs about 0.2 s to import."""
         cfg, args = self._run(toy_run, tmp_path)
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        driver = (
+        script = (
             "import json, sys\n"
             "from sagad import cli\n"
             "code = cli.main(sys.argv[1:])\n"
@@ -747,8 +748,11 @@ class TestDatasetImage:
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         assert toy_run.context_mode == "rq"
-        for command in ("train", "eval", "score", "quartiles", "sample-context"):
-            proc = subprocess.run([sys.executable, "-c", driver, command, *args],
+        # the full_khop context replaces the rq one last, as nothing reads it
+        for command in (["validate"], ["homophily"], ["train"], ["eval"], ["score"],
+                        ["quartiles"], ["sample-context"],
+                        ["sample-context", "--context-mode", "full_khop"]):
+            proc = subprocess.run([sys.executable, "-c", script, *command, *args],
                                   capture_output=True, text=True, env=env, timeout=300)
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, []], command
@@ -1033,11 +1037,12 @@ class TestScoreFaults:
 
 class TestSetupMemory:
     """`preprocess` streams the basis and `sample-context` pools in row
-    chunks, and both read the features straight into f64.  Beyond the
-    graph, `preprocess` holds two n*d f64 buffers and `sample-context` the
-    f64 features and the f32 context, whatever the size of the caches they
-    write: no f32 copy of the features and, in `preprocess`, nothing of the
-    text parse."""
+    chunks, and both read the features as f32.  Beyond the graph,
+    `preprocess` holds one n*d f32 buffer (T_{k-1} X; T_{k-2} X is read
+    back from the cache file being written) and `sample-context` the f32
+    features and the f32 context, whatever the size of the caches they
+    write: no f64 copy of the features and, in `preprocess`, nothing of
+    the text parse."""
 
     D, K, HEADROOM = 32, 3, 16e6  # headroom: parsing labels/splits, chunk buffers
 
@@ -1052,8 +1057,8 @@ class TestSetupMemory:
         graph.write_dataset(ds, base / f"data{n}")
         # what the bounds allow
         graph_bytes = adj.row_offsets.nbytes + adj.col_indices.nbytes
-        allowed = {"preprocess": graph_bytes + 2 * n * self.D * 8,
-                   "sample-context": graph_bytes + n * self.D * (8 + 4)}
+        allowed = {"preprocess": graph_bytes + n * self.D * 4,
+                   "sample-context": graph_bytes + 2 * n * self.D * 4}
         return ["--dataset", str(base / f"data{n}"), "--run-dir", str(base / f"run{n}"),
                 "--K", str(self.K), "--context-mode", "full_khop"], allowed
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from sagad.errors import CacheFormatError
 from sagad.graph import FEATURES_FORMAT, FeatureFile, GraphDataset, SparseAdjacency
 
 import rq_oracle
-from conftest import er_dataset, make_dataset
+from conftest import er_dataset, make_dataset, messy_edges
+from oracles import full_khop_pool
 from rq_kernel import max_rq_subgraph
 from rq_oracle import rayleigh_quotient
 
@@ -455,17 +457,21 @@ class TestSamplerMemory:
 
 
 class TestChunkedFullKhop:
+    """The numpy pool against one f64 scipy product (``oracles.full_khop_pool``),
+    byte for byte, whatever the chunking and the in-memory feature dtype."""
+
     @staticmethod
-    def _whole_matrix(ds):
-        """The 1-hop pool as one sparse product (test oracle)."""
-        x = np.asarray(ds.features, dtype=np.float64)
-        sizes = np.diff(ds.adjacency.row_offsets) + 1
-        return ((ds.adjacency.to_csr() @ x + x) / sizes[:, None]).astype(np.float32), sizes
+    def _check(ds, rows_per_chunk=None):
+        values = context._CHUNK_VALUES if rows_per_chunk is None else rows_per_chunk * ds.num_features
+        with mock.patch.object(context, "_CHUNK_VALUES", values):
+            cache = build_context_cache(ds, mode="full_khop")
+        expected, sizes = full_khop_pool(ds)
+        assert cache.context.dtype == np.float32
+        assert cache.context.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(cache.subgraph_size, sizes)
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
-    def test_bit_identical_to_one_product(self, monkeypatch, rows_per_chunk):
-        from sagad import context
-
+    def test_bit_identical_to_one_product(self, rows_per_chunk):
         rng = np.random.default_rng(8)
         graphs = [
             er_dataset(50, 0.12, 6, seed=17),
@@ -474,11 +480,28 @@ class TestChunkedFullKhop:
                          rng.standard_normal((20, 3)), [0] * 20),
             make_dataset(np.zeros((0, 2)), rng.standard_normal((6, 2)), [0] * 6),
         ]
-        for ds in graphs:
-            if rows_per_chunk is not None:  # else one chunk holds every row
-                monkeypatch.setattr(context, "_CHUNK_VALUES", rows_per_chunk * ds.num_features)
-            cache = build_context_cache(ds, mode="full_khop")
-            expected, sizes = self._whole_matrix(ds)
-            assert cache.context.dtype == np.float32
-            assert cache.context.tobytes() == expected.tobytes()
-            np.testing.assert_array_equal(cache.subgraph_size, sizes)
+        for ds in graphs:  # None: one chunk holds every row
+            for dtype in (np.float64, np.float32):
+                self._check(_with_features(ds, ds.features.astype(dtype)), rows_per_chunk)
+
+    def test_isolated_nodes_end_a_chunk(self):
+        # rows are pooled by descending degree: chunks of three rows are the
+        # path's inner nodes, its ends and an isolated node, then isolated
+        # nodes alone
+        rng = np.random.default_rng(3)
+        self._check(make_dataset([[0, 1], [1, 2], [2, 3], [3, 4]],
+                                 rng.standard_normal((11, 4)), [0] * 11), rows_per_chunk=3)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=9),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, seed, rows_per_chunk, dtype):
+        """Duplicates, self-loops and isolated nodes in the edge list, and
+        features of both signs of zero, so a sum that started elsewhere
+        than at +0 would show."""
+        n, edges = messy_edges(seed)
+        rng = np.random.default_rng(seed)
+        features = rng.integers(-2, 3, size=(n, 3)) * 0.5
+        features[rng.random((n, 3)) < 0.2] = -0.0
+        ds = make_dataset(edges, np.zeros((n, 3)), [0] * n)
+        self._check(_with_features(ds, features.astype(dtype)), rows_per_chunk)

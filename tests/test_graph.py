@@ -5,10 +5,13 @@ import re
 import struct
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagad import cachefile, csbm, graph
 from sagad.cachefile import CacheFile
@@ -32,7 +35,8 @@ from sagad.graph import (
 )
 
 from adjacency_contract import assert_adjacency_contract
-from conftest import er_dataset, make_dataset
+from conftest import er_dataset, make_dataset, messy_edges
+from oracles import csr_from_edges
 
 
 def write_raw_dataset(directory, num_nodes, num_features, edge_lines, feature_rows, label_lines, splits=None):
@@ -591,20 +595,10 @@ def _raw_adjacency(n, offsets, cols):
     return SparseAdjacency(np.asarray(offsets, dtype=np.int32), np.asarray(cols, dtype=np.int32))
 
 
-def _messy_edges(seed):
-    """A random edge list with duplicates, reversed pairs and self-loops;
-    the top quarter of the ids is left isolated."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 60))
-    base = rng.integers(0, n - n // 4, size=(int(rng.integers(0, 3 * n)), 2))
-    loops = np.repeat(rng.integers(0, n, size=(3, 1)), 2, axis=1)
-    return n, rng.permutation(np.concatenate([base, base[::2, ::-1], base[::3], loops]))
-
-
 class TestFromEdgesContract:
     @pytest.mark.parametrize("seed", range(12))
     def test_messy_edge_lists(self, seed):
-        n, edges = _messy_edges(seed)
+        n, edges = messy_edges(seed)
         assert_adjacency_contract(SparseAdjacency.from_edges(n, edges), n, edges)
 
     @pytest.mark.parametrize("n", [0, 1, 7])
@@ -615,7 +609,7 @@ class TestFromEdgesContract:
         assert adj.num_edges == 0
 
     def test_int32_ids_above_46341_nodes(self):
-        # 65536 * 65537 wraps an int32; scipy keeps int32 indices here
+        # the key 65536 * 65537 wraps an int32; the indices stay int32 here
         n = 65537
         adj = SparseAdjacency.from_edges(n, np.asarray([[0, 65536], [46342, 50000]]))
         assert adj.col_indices.dtype == np.int32
@@ -638,7 +632,7 @@ class TestFromEdgesContract:
 
 class TestFromEdges:
     def test_many_duplicates_keep_the_edge(self):
-        # 256 copies would wrap a uint8 count to 0, which scipy drops
+        # 256 copies: a uint8 count of them would wrap to 0
         edges = np.asarray([[0, 1]] * 256 + [[1, 0]] * 44 + [[1, 2]])
         adj = SparseAdjacency.from_edges(3, edges)
         assert_adjacency_contract(adj, 3, edges)
@@ -656,3 +650,68 @@ class TestFromEdges:
             tracemalloc.stop()
         assert adj.num_edges > 1_500_000
         assert peak < 4 * edges.nbytes, f"from_edges peaked at {peak / 1e6:.1f} MB"
+
+
+class TestFromEdgesMatchesScipy:
+    """The sort-based build against scipy's COO->CSR build
+    (``oracles.csr_from_edges``): the same index arrays, byte for byte, in
+    the same dtype, whatever the chunking."""
+
+    @staticmethod
+    def _check(n, edges, chunk=None):
+        with mock.patch.object(graph, "_EDGE_CHUNK", chunk or graph._EDGE_CHUNK):
+            adj = SparseAdjacency.from_edges(n, edges)
+        indptr, indices = csr_from_edges(n, edges)
+        assert (adj.row_offsets.dtype, adj.col_indices.dtype) == (indptr.dtype, indices.dtype)
+        assert adj.row_offsets.tobytes() == indptr.tobytes()
+        assert adj.col_indices.tobytes() == indices.tobytes()
+        return adj
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=9))
+    @settings(max_examples=80, deadline=None)
+    def test_messy_edge_lists(self, seed, chunk):
+        # duplicates, reversed pairs, self-loops and isolated nodes, with
+        # chunks of a few entries
+        self._check(*messy_edges(seed), chunk)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_empty_edge_list(self, n):
+        self._check(n, np.zeros((0, 2), dtype=np.int64))
+
+    def test_only_self_loops(self):
+        assert self._check(4, [[2, 2], [0, 0], [2, 2]]).num_edges == 0
+
+    def test_ids_above_46341_nodes(self):
+        self._check(65537, [[0, 65536], [46342, 50000], [65536, 65536], [65536, 0]])
+
+    @pytest.mark.parametrize(("n", "nnz"), [
+        (2**31 - 1, 0), (2**31, 0), (10, 2**31 - 1), (10, 2**31), (0, 0),
+    ])
+    def test_index_dtype_is_scipys(self, n, nnz):
+        assert graph._index_dtype(n, nnz) == sp.get_index_dtype(maxval=max(n, nnz))
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_parsed_edge_file_matches(self, tmp_path, empty):
+        """The parse hands its text array over as the key buffer."""
+        n, edges = messy_edges(5)
+        edges = edges[:0] if empty else edges
+        write_raw_dataset(tmp_path, n, 1, [f"{u}\t{v}" for u, v in edges], [[1.0]] * n, [])
+        adj = graph.parse_dataset(tmp_path).adjacency
+        indptr, indices = csr_from_edges(n, edges)
+        assert adj.row_offsets.tobytes() == indptr.tobytes()
+        assert adj.col_indices.tobytes() == indices.tobytes()
+
+    def test_edges_kept_unless_overwritten(self):
+        n, edges = messy_edges(3)
+        before = edges.copy()
+        kept = SparseAdjacency.from_edges(n, edges)
+        np.testing.assert_array_equal(edges, before)
+        overwritten = SparseAdjacency.from_edges(n, edges, overwrite_edges=True)
+        assert overwritten.col_indices.tobytes() == kept.col_indices.tobytes()
+        assert overwritten.row_offsets.tobytes() == kept.row_offsets.tobytes()
+
+    def test_node_count_beyond_int64_keys_rejected(self):
+        top = graph.MAX_NODES
+        assert (top - 1) * top + (top - 1) <= np.iinfo(np.int64).max < top * (top + 1) + top
+        with pytest.raises(DatasetFormatError, match="num_nodes must lie in"):
+            SparseAdjacency.from_edges(top + 1, np.zeros((0, 2), dtype=np.int64))

@@ -27,7 +27,7 @@ from sagad.model import (
 )
 
 from conftest import er_dataset, make_dataset
-from oracles import dense_spectral_oracle, fuse_per_mode
+from oracles import dense_spectral_oracle, fuse_per_mode, interpolation_matrix_per_unit_vector
 
 
 def run(state, cache, ctx, ids):
@@ -106,6 +106,11 @@ class TestChebWeights:
         scale = np.full(m, 2.0 / m)
         scale[0] = 1.0 / m
         np.testing.assert_array_equal(bits(interpolation_matrix(order)), bits(scale[:, None] * t))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 10, 64, 256])
+    def test_interpolation_matrix_equals_one_series_per_unit_vector(self, order):
+        np.testing.assert_array_equal(bits(interpolation_matrix(order)),
+                                      bits(interpolation_matrix_per_unit_vector(order)))
 
     def test_interpolation_matrix_built_once_per_order(self):
         m = interpolation_matrix(3)

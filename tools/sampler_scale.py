@@ -1,14 +1,17 @@
-"""Per-node cost and peak memory of the RQ sampler as n grows.
+"""Wall time and peak memory of the set-up commands as n grows.
 
     python tools/sampler_scale.py [--sizes 20000,200000,1000000] [--seed 1]
-                                  [--work-dir DIR] [--src SRC_DIR]
+                                  [--context-mode rq] [--work-dir DIR]
+                                  [--src SRC_DIR]
 
 For each size, perfbench's generator (``perfbench/gen.py``, the workloads'
 graph family, only imported) writes a dataset under ``--work-dir``, which
-is reused when it is already there; ``sagad preprocess`` builds its caches,
-then one ``sagad sample-context --context-mode rq`` runs in a child process
-with one BLAS thread.  Each line gives its wall time, microseconds per node,
-``wait4`` peak RSS and the sha256 prefix of ``context_cache.bin``.
+is reused when it is already there; then ``sagad preprocess`` and one
+``sagad sample-context`` in ``--context-mode`` (``rq``, cap 64, or
+``full_khop``) each run in a child process with one BLAS thread.  Each
+line gives the wall time and ``wait4`` peak RSS of both commands, the
+sampler's microseconds per node and the sha256 prefix of
+``context_cache.bin``.
 ``--src`` runs another checkout's package.  This process imports only the
 standard library: Linux carries a parent's peak RSS into a child across
 fork and exec, so a small parent keeps each child's number its own.
@@ -44,12 +47,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="20000,200000,1000000")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--context-mode", choices=("rq", "full_khop"), default="rq")
     parser.add_argument("--work-dir", default=os.path.join(tempfile.gettempdir(), "sampler_scale"))
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     args = parser.parse_args()
     threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **threads)
-    print(f"{'n':>9} {'wall_s':>8} {'us/node':>8} {'peak_MiB':>9}  context sha256")
+    print(f"{'n':>9} {'prep_s':>8} {'prep_MiB':>9} {'ctx_s':>8} {'us/node':>8} {'ctx_MiB':>9}"
+          "  context sha256")
     for n in (int(size) for size in args.sizes.split(",")):
         data = os.path.join(args.work_dir, f"gen-n{n}-s{args.seed}")
         run = os.path.join(args.work_dir, f"run-n{n}-s{args.seed}")
@@ -57,16 +62,17 @@ def main() -> None:
             gen_env = dict(env, PYTHONPATH=os.path.join(ROOT, "perfbench"))
             child([sys.executable, "-c", GENERATE, str(n), str(args.seed), data], gen_env)
         sagad = [sys.executable, "-m", "sagad.cli"]
-        flags = ["--dataset", data, "--run-dir", run, "--context-mode", "rq", "--cap", "64"]
+        flags = ["--dataset", data, "--run-dir", run, "--context-mode", args.context_mode,
+                 "--cap", "64"]
         sagad_env = dict(env, PYTHONPATH=os.path.abspath(args.src))
-        child(sagad + ["preprocess"] + flags, sagad_env)
+        prep_wall, prep_peak = child(sagad + ["preprocess"] + flags, sagad_env)
         wall, peak = child(sagad + ["sample-context"] + flags, sagad_env)
         digest = hashlib.sha256()
         with open(os.path.join(run, "context_cache.bin"), "rb") as f:
             for block in iter(lambda: f.read(1 << 20), b""):
                 digest.update(block)
-        print(f"{n:>9} {wall:>8.2f} {wall / n * 1e6:>8.1f} {peak:>9.1f}  "
-              f"{digest.hexdigest()[:16]}", flush=True)
+        print(f"{n:>9} {prep_wall:>8.2f} {prep_peak:>9.1f} {wall:>8.2f} {wall / n * 1e6:>8.1f} "
+              f"{peak:>9.1f}  {digest.hexdigest()[:16]}", flush=True)
 
 
 if __name__ == "__main__":
