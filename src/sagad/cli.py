@@ -368,7 +368,8 @@ def _cmd_preprocess(cfg: RunConfig) -> int:
     try:
         # written from these sources just now: not fingerprinted again
         with graph.open_image(image_path, directory, ()) as image:
-            dataset = image.dataset(directory)
+            features = graph.FeatureFile(directory, image.num_nodes, image.num_features)
+            dataset = graph.GraphDataset(image.adjacency(), features, image.labels())
         with chebyshev.build_cheb_basis(dataset, cfg.K, path=path) as cache:
             print(f"wrote {path} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
     except BaseException:

@@ -76,11 +76,6 @@ def _chunks(total: int, values_per_item: int):
     return (slice(lo, lo + step) for lo in range(0, total, step))
 
 
-def _gather(x: np.ndarray, rows) -> np.ndarray:
-    """``x[rows]`` widened to f64, which is exact for f32 features."""
-    return x[rows].astype(np.float64, copy=False)
-
-
 def _oriented_edges(adj, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every undirected edge once, in the out-list of its endpoint of lower
     (degree, id) rank: the out-lists' offsets (n + 1) and targets, and each
@@ -110,7 +105,8 @@ def _oriented_edges(adj, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
         targets[end : end + len(dst)] = dst
         out = energy[end : end + len(dst)]
         for e in _chunks(len(src), x.shape[1]):
-            diff = _gather(x, src[e]) - _gather(x, dst[e])
+            diff = np.subtract(np.take(x, src[e], axis=0), np.take(x, dst[e], axis=0),
+                               dtype=np.float64)
             out[e] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
         end += len(dst)
     return np.concatenate([[0], np.cumsum(out_degree)]), targets, energy
@@ -244,7 +240,7 @@ def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
     present = np.zeros(n, dtype=bool)
     row_energy = np.empty(n)
     for s in _chunks(n, x.shape[1]):
-        row_energy[s] = np.sum(_gather(x, s) ** 2, axis=1)
+        row_energy[s] = np.sum(np.square(x[s], dtype=np.float64), axis=1)
     count = np.minimum(np.diff(adj.row_offsets), cap)
     order = np.argsort(count, kind="stable")
     bounds = np.searchsorted(count[order], np.arange(int(count.max(initial=0)) + 2))
@@ -263,7 +259,7 @@ def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
             total = np.zeros((len(ids), x.shape[1]))
             for r in range(int(size.max())):
                 rows = np.flatnonzero(size > r)
-                total[rows] += _gather(x, chosen[rows, r])
+                total[rows] += np.take(x, chosen[rows, r], axis=0)
             context[group[s]], sizes[group[s]] = total / size[:, None], size
     return context, sizes
 

@@ -207,8 +207,8 @@ class SplitSet:
                 raise DatasetFormatError(f"{name} split contains unlabeled nodes")
 
 
-# Rows per chunk of a features.bin read, or of a cast into a
-# ``feature_matrix``: a chunk's buffer stays small next to the whole matrix.
+# Rows per chunk of a features.bin read, each checked finite as it
+# arrives, or of a cast into a ``feature_matrix`` from other features.
 FEATURE_CHUNK_ROWS = 1 << 13
 
 
@@ -226,18 +226,17 @@ class FeatureFile:
     def shape(self) -> tuple[int, int]:
         return self.num_nodes, self.num_features
 
-    def read(self, dtype=np.float32) -> np.ndarray:
-        """The features as a new C-order array of ``dtype``, checked.
+    def read(self) -> np.ndarray:
+        """The features as a new C-order f32 array, checked.
 
-        features.bin is read FEATURE_CHUNK_ROWS rows at a time, each chunk
-        checked finite and then cast into the result, so an f64 result is
-        filled without an f32 copy of the matrix.  features.csv is parsed
+        features.bin is read FEATURE_CHUNK_ROWS rows at a time straight
+        into the result, each chunk checked finite.  features.csv is parsed
         whole as f64 and rounded to f32, as features.bin stores them; a
         finite value beyond the f32 range is rejected.
         """
         path = os.path.join(self.directory, "features.bin")
         if os.path.exists(path):
-            return FEATURES_FORMAT.read(path, lambda file: self._read_bin(file, dtype))
+            return FEATURES_FORMAT.read(path, self._read_bin)
         path = _dataset_file(self.directory, "features.csv")
         features = _read_features_csv(path)
         self._check_shape(path, *features.shape)
@@ -245,23 +244,17 @@ class FeatureFile:
         with np.errstate(over="ignore"):
             features = features.astype(np.float32)
         _check_finite(path, features, 0, "value outside the float32 range")
-        return features.astype(dtype, copy=False)
+        return features
 
-    def _read_bin(self, file: CacheFile, dtype) -> np.ndarray:
+    def _read_bin(self, file: CacheFile) -> np.ndarray:
         rows, dim = file.fields
         file.expect_payload(rows * dim * 4)
         self._check_shape(file.path, rows, dim)
-        out = np.empty(self.shape, dtype=dtype)
-        # f32 rows are read in place; other dtypes through one chunk buffer
-        buffer = None if out.dtype == np.dtype("<f4") else np.empty(
-            (min(FEATURE_CHUNK_ROWS, rows), dim), "<f4")
+        out = np.empty(self.shape, dtype=np.float32)
         for lo in range(0, rows, FEATURE_CHUNK_ROWS):
-            hi = min(lo + FEATURE_CHUNK_ROWS, rows)
-            chunk = out[lo:hi] if buffer is None else buffer[: hi - lo]
+            chunk = out[lo : lo + FEATURE_CHUNK_ROWS]
             file.read_into(chunk, file.payload_offset + lo * dim * 4)
             _check_finite(file.path, chunk, lo)
-            if buffer is not None:
-                out[lo:hi] = chunk
         return out
 
     def _check_shape(self, path: str, rows: int, dim: int) -> None:
@@ -309,12 +302,12 @@ class GraphDataset:
 
     def feature_matrix(self, dtype) -> np.ndarray:
         """The features as a new C-order ``dtype`` array, which the caller
-        may overwrite: a FeatureFile is read straight into it (f32 rows in
-        place, other dtypes through one chunk buffer), and other features
-        are cast FEATURE_CHUNK_ROWS rows at a time, so rows read from a
-        file are never all held at once."""
+        may overwrite.  A FeatureFile is read as f32 and then cast, so an
+        f64 request briefly holds the f32 read beside its cast; other
+        features are cast FEATURE_CHUNK_ROWS rows at a time, so rows read
+        from a file are never all held at once."""
         if isinstance(self.features, FeatureFile):
-            return self.features.read(dtype)
+            return self.features.read().astype(dtype, copy=False)
         out = np.empty(self.features.shape, dtype=dtype)
         for lo in range(0, len(out), FEATURE_CHUNK_ROWS):
             out[lo : lo + FEATURE_CHUNK_ROWS] = self.features[lo : lo + FEATURE_CHUNK_ROWS]
@@ -600,14 +593,6 @@ class DatasetImage(FileBacked):
             at = self._split_ids_at + lo * self._ids.itemsize
             ids[part] = self._read(at, count, self._ids).astype(np.int64)
         return SplitSet(**ids)
-
-    def dataset(self, directory: str | os.PathLike) -> GraphDataset:
-        """The graph and labels, with the FeatureFile of ``directory``, read
-        when the features are used: ``load_dataset``'s result without the
-        splits and the name, and with no text file parsed but a
-        features.csv."""
-        features = FeatureFile(os.fspath(directory), self.num_nodes, self.num_features)
-        return GraphDataset(self.adjacency(), features, self.labels())
 
 
 def write_dataset(dataset: GraphDataset, directory: str | os.PathLike) -> None:

@@ -1,9 +1,10 @@
 """Ranking metrics and the homophily-disparity report.
 
-All functions are pure and operate on plain arrays.  Tie handling:
-AUROC gives tied pairs half credit (rank statistic with midranks);
-average precision and Rec@K order ties by ascending node id, which makes
-results reproducible and is recorded in report metadata.
+All functions are pure and operate on plain arrays, and all rank from
+one stable descending sort of the scores.  Tie handling: AUROC gives
+tied pairs half credit (rank statistic with midranks), infinite scores
+included; average precision and Rec@K order ties by ascending node id,
+which makes results reproducible and is recorded in report metadata.
 """
 
 from __future__ import annotations
@@ -63,37 +64,43 @@ def class_counts(labels: np.ndarray) -> tuple[int, int]:
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability that a random positive outranks a random negative.
 
-    Computed from midranks, so tied pairs count 0.5; this equals the
-    brute-force average over all positive-negative pairs.
+    Computed from midranks, so tied pairs count 0.5, infinities included;
+    this equals the brute-force average over all positive-negative pairs.
     """
     y = _check_binary(labels)
     s = np.asarray(scores, dtype=np.float64)
     n_pos, n_neg = class_counts(y)
-    ranks = _midranks(s)
-    rank_sum = float(np.sum(ranks[y == 1]))
+    rank_sum = float(np.sum(_midranks(s, _descending_order(s))[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _midranks(scores: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """1-based ranks, tied runs sharing their average; ``order`` is the
-    stable ascending argsort of ``scores`` when the caller already has it."""
-    n = len(scores)
-    if order is None:
-        order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    boundaries = np.nonzero(np.diff(s))[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [n]])
-    group_rank = (starts + ends - 1) / 2.0 + 1.0  # 1-based average rank
-    group_of = np.repeat(np.arange(len(starts)), ends - starts)
-    ranks = np.empty(n)
-    ranks[order] = group_rank[group_of]
-    return ranks
-
-
 def _descending_order(scores: np.ndarray) -> np.ndarray:
-    # stable sort on negated scores keeps ascending node-id order inside ties
+    # stable sort on negated scores keeps ascending node-id order inside
+    # ties; NaNs go last, in node-id order, as an ascending sort puts them
     return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+
+
+def _midranks(s: np.ndarray, desc: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks of ``s``, tied runs sharing their average,
+    read from its descending order ``desc`` (``_descending_order(s)``).
+
+    A run of equal scores (found with ``!=``, so each NaN is a run of its
+    own) at average position m from the top ranks ``v + 1 - m`` among
+    the v non-NaN scores; the NaNs, last in both orders, keep their
+    positions.
+    """
+    n = len(desc)
+    sd = s[desc]
+    v = n - int(np.count_nonzero(np.isnan(sd)))
+    starts = np.flatnonzero(np.concatenate([[True], sd[1:] != sd[:-1]]))
+    del sd
+    lengths = np.diff(starts, append=n)
+    # each run's first position in ascending order, then its average rank
+    group_rank = np.where(starts < v, v - starts - lengths, starts) + (lengths - 1) / 2.0 + 1.0
+    del starts
+    ranks = np.empty(n)
+    ranks[desc] = np.repeat(group_rank, lengths)
+    return ranks
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -127,30 +134,12 @@ def rec_at_k(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> fl
     return float(np.sum(y[top] == 1) / n_pos)
 
 
-def _descending_from_ascending(s: np.ndarray, asc: np.ndarray) -> np.ndarray:
-    """``_descending_order(s)`` from a stable ascending order of ``s``.
-
-    Runs of equal scores swap places (the highest run first) and keep
-    their ascending node-id order inside; NaNs, each a run of its own,
-    stay last, where both sorts put them.
-    """
-    n = len(asc)
-    sa = s[asc]
-    starts = np.flatnonzero(np.concatenate([[True], sa[1:] != sa[:-1]]))
-    lengths = np.diff(np.append(starts, n))
-    f = n - int(np.count_nonzero(np.isnan(sa)))
-    new_starts = np.where(starts < f, f - starts - lengths, starts)
-    desc = np.empty_like(asc)
-    desc[np.arange(n) + np.repeat(new_starts - starts, lengths)] = asc
-    return desc
-
-
 def evaluate(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> EvalReport:
     """AUROC, AP and Rec@K from one sort of the scores.
 
     Bit for bit what ``auroc``, ``average_precision`` and ``rec_at_k``
-    return, with the same errors in the same order; those three sort on
-    their own.
+    return, with the same errors in the same order; each of those three
+    takes the same ``_descending_order`` on its own.
     """
     y = _check_binary(labels)
     s = np.asarray(scores, dtype=np.float64)
@@ -160,9 +149,8 @@ def evaluate(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> Ev
     k_used = n_pos if k is None else k
     if k_used <= 0:
         raise ValueError(f"k must be positive, got {k_used}")
-    asc = np.argsort(s, kind="stable")
-    rank_sum = float(np.sum(_midranks(s, asc)[y == 1]))
-    order = _descending_from_ascending(s, asc)
+    order = _descending_order(s)
+    rank_sum = float(np.sum(_midranks(s, order)[y == 1]))
     hits = (y[order] == 1).astype(np.float64)
     precision_at = np.cumsum(hits) / np.arange(1, len(y) + 1)
     return EvalReport(

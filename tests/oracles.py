@@ -6,7 +6,8 @@ the Chebyshev recurrence, ``interpolation_matrix_per_unit_vector`` builds
 the interpolation matrix by one series evaluation per unit vector,
 ``csr_from_edges`` builds the adjacency through scipy's COO->CSR
 conversion and ``full_khop_pool`` pools the 1-hop context as one f64
-scipy product, each instead of the package's own code.
+scipy product, and ``ascending_midranks`` ranks the scores from an
+ascending sort, each instead of the package's own code.
 ``fuse_per_mode`` mixes the two embeddings by each fusion mode's own
 formula instead of the one gated mix, ``evaluate_objective`` forms the
 training objective's value for finite-difference gradient checks, and
@@ -83,6 +84,20 @@ def full_khop_pool(dataset: GraphDataset) -> tuple[np.ndarray, np.ndarray]:
     pooled += x
     pooled /= sizes[:, None]
     return pooled.astype(np.float32), sizes
+
+
+def ascending_midranks(scores) -> np.ndarray:
+    """``metrics._midranks``'s result from a stable ascending sort: 1-based
+    ranks, each run of equal scores (found with ``!=``, so each NaN is a
+    run of its own) sharing its average rank."""
+    s = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(s, kind="stable")
+    sa = s[order]
+    starts = np.flatnonzero(np.concatenate([[True], sa[1:] != sa[:-1]]))
+    ends = np.append(starts[1:], len(s))
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
+    return ranks
 
 
 def fuse_per_mode(z_low: np.ndarray, z_high: np.ndarray, coef: np.ndarray | None,

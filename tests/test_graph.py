@@ -340,13 +340,11 @@ class TestDatasetImage:
                 for part in graph.SPLIT_PARTS:
                     assert getattr(got, part).dtype == np.int64
                     np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
-            full = image.dataset(directory)
-            assert full.features.shape == ds.features.shape
-            features = full.features.read()
+            feature_file = graph.FeatureFile(str(directory), image.num_nodes, image.num_features)
+            assert feature_file.shape == ds.features.shape
+            features = feature_file.read()
             np.testing.assert_array_equal(features, ds.features)
             assert features.dtype == ds.features.dtype
-            assert full.adjacency.col_indices.tobytes() == ds.adjacency.col_indices.tobytes()
-            assert full.labels.tobytes() == ds.labels.tobytes()
         assert image.file.closed
 
     def test_split_reads_only_the_parts_asked_for(self, tmp_path):

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ascending_midranks
 from sagad.metrics import (
+    _descending_order,
+    _midranks,
     auroc,
     average_precision,
     evaluate,
@@ -42,6 +47,10 @@ class TestAuroc:
     def test_all_ties_give_half(self):
         assert auroc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
 
+    def test_tied_infinities_give_half(self):
+        assert auroc([np.inf, np.inf], [1, 0]) == 0.5
+        assert auroc([-np.inf, 1.0, -np.inf], [0, 1, 1]) == 0.75
+
     @pytest.mark.parametrize("labels,message", [
         ([1, 1], "both classes"), ([[0, 1]], "1-d array"), ([0, 2], "binary 0/1"),
     ])
@@ -60,6 +69,17 @@ class TestAuroc:
             assert auroc(scores, labels) == pytest.approx(
                 pairwise_auroc(scores, labels), abs=1e-12
             )
+
+    def test_equals_pairwise_oracle_on_infinite_and_signed_zero_ties(self):
+        rng = np.random.default_rng(4)
+        values = np.asarray([0.0, -0.0, 0.5, np.inf, -np.inf])
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            scores = rng.choice(values[: int(rng.integers(2, 6))], n)
+            labels = rng.integers(0, 2, n)
+            if labels.sum() in (0, n):
+                continue
+            assert auroc(scores, labels) == pairwise_auroc(scores, labels), (scores, labels)
 
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -153,8 +173,11 @@ class TestRecAtK:
 
 
 class TestEvaluate:
-    """``evaluate`` sorts once; ``auroc``, ``average_precision`` and
-    ``rec_at_k``, which each sort on their own, are its reference."""
+    """``evaluate`` ranks, orders and counts from one ``_descending_order``;
+    ``auroc``, ``average_precision`` and ``rec_at_k`` each take that order
+    on their own, and ``evaluate`` must return what they do bit for bit.
+    The ranks themselves are checked against an ascending sort in
+    ``TestMidranks``, and AUROC against the pairwise count in ``TestAuroc``."""
 
     POOL = np.asarray([0.0, -0.0, 0.25, 0.5, 1.0, 1e-300, np.inf, -np.inf, np.nan, -np.nan])
 
@@ -164,7 +187,6 @@ class TestEvaluate:
         return (auroc(scores, labels), average_precision(scores, labels),
                 rec_at_k(scores, labels, k_used), k_used)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     def test_equals_the_single_metric_functions_on_ties(self):
         rng = np.random.default_rng(11)
         for trial in range(600):
@@ -190,6 +212,48 @@ class TestEvaluate:
             evaluate(FIX_SCORES, FIX_LABELS, k=0)
         with pytest.raises(ValueError, match="do not match"):
             evaluate(FIX_SCORES[:3], FIX_LABELS)
+
+    def test_peak_memory_on_distinct_scores(self):
+        """At most 7.5 n-long f64 arrays at once: the sort's input, output
+        and work space, the sorted scores, the runs, the ranks and AP's
+        running precision, not all alive together."""
+        n = 200_000
+        rng = np.random.default_rng(5)
+        scores = rng.permutation(n) / n
+        labels = (rng.random(n) < 0.1).astype(np.int8)
+        evaluate(scores, labels)
+        tracemalloc.start()
+        try:
+            evaluate(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 8 * n, peak / (8 * n)
+
+
+class TestMidranks:
+    """``_midranks`` reads the ascending midranks from the descending
+    order; ``oracles.ascending_midranks`` takes them from an ascending
+    sort, and the two must agree bit for bit."""
+
+    def test_equal_the_ascending_sort_reference(self):
+        rng = np.random.default_rng(12)
+        for trial in range(2000):
+            n = int(rng.integers(1, 120))
+            if trial % 3 == 0:  # few distinct values: long tied runs
+                scores = rng.integers(0, int(rng.integers(1, 6)), n) / 4.0
+            elif trial % 3 == 1:  # signed zeros, infinities, NaNs
+                scores = rng.choice(TestEvaluate.POOL, n)
+            else:
+                scores = np.where(rng.random(n) < 0.5, rng.choice(TestEvaluate.POOL, n),
+                                  rng.random(n))
+            got = _midranks(scores, _descending_order(scores))
+            assert got.tobytes() == ascending_midranks(scores).tobytes(), scores
+
+    def test_nans_rank_last_in_node_id_order(self):
+        scores = np.asarray([np.nan, 1.0, -np.nan, np.inf, 1.0, -np.inf])
+        got = _midranks(scores, _descending_order(scores))
+        assert got.tolist() == [5.0, 2.5, 6.0, 4.0, 2.5, 1.0]
 
 
 class TestQuartiles:
