@@ -8,10 +8,11 @@ the name and error class its messages use.  It writes a file atomically
 (magic, header, then arrays) and opens one as a ``CacheFile``, which
 checks the magic and header, takes the payload size from ``os.fstat`` and
 keeps the file open; a cache's payload is never read whole.  ``CacheRows``
-is one (n, d) little-endian f32 matrix in that payload, read by
-``rows[ids]`` with positioned reads (``os.preadv``) into a preallocated
-buffer.  A process that scores or trains therefore
-holds only the rows it asked for, whatever the size of the cache.
+is one array in that payload, an (n, d) little-endian f32 matrix or the
+dataset image's CSR columns, read by ``rows[ids]`` with positioned reads
+(``os.preadv``) into a preallocated buffer.  A process that scores or
+trains therefore holds only the rows it asked for, whatever the size of
+the cache.
 
 ``np.memmap`` is not used on purpose: the page-cache pages a mapped read
 faults in are counted in the process's RSS, and on a Linux host with large
@@ -34,7 +35,6 @@ import numpy as np
 
 from .errors import CacheFormatError, SagadError
 
-_ROW_DTYPE = np.dtype("<f4")
 _FINGERPRINT_CHUNK = 1 << 18
 T = TypeVar("T")
 
@@ -178,21 +178,24 @@ def _close_unclosed(fd: int, path: str) -> None:
 
 
 class CacheRows:
-    """An (n, d) ``<f4`` matrix stored at ``offset`` in an open cache file.
+    """An array of ``shape`` and little-endian ``dtype`` (f32 by default)
+    stored at ``offset`` in an open cache file: an (n, d) matrix of a
+    cache, or a 1-D array such as the dataset image's CSR columns.
 
     ``rows[ids]`` takes a slice or a 1-D integer array, as row selection on
-    an ndarray does, and returns a new float32 array of the selected rows
-    in the order asked for.  A unit-step slice is one read; an id array
-    is read as the contiguous runs of its sorted unique ids.  Ids must lie
-    in [0, n): a negative id raises IndexError instead of wrapping.
+    an ndarray does, and returns a new array of the selected rows in the
+    order asked for.  A unit-step slice is one read; an id array is read
+    as the contiguous runs of its sorted unique ids.  Ids must lie in
+    [0, n): a negative id raises IndexError instead of wrapping.
     """
 
-    def __init__(self, file: CacheFile, offset: int, num_rows: int, dim: int):
+    def __init__(self, file: CacheFile, offset: int, shape: tuple[int, ...],
+                 dtype: str | np.dtype = "<f4"):
         self.file = file
         self.offset = offset
-        self.shape = (num_rows, dim)
-        self.dtype = _ROW_DTYPE
-        self._row_bytes = dim * _ROW_DTYPE.itemsize
+        self.shape = tuple(shape)
+        self.dtype = np.dtype(dtype)
+        self._row_bytes = int(np.prod(self.shape[1:], dtype=np.int64)) * self.dtype.itemsize
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -217,13 +220,13 @@ class CacheRows:
         return self._read_sorted(ids)
 
     def _read_run(self, start: int, count: int) -> np.ndarray:
-        out = np.empty((count, self.shape[1]), dtype=_ROW_DTYPE)
+        out = np.empty((count, *self.shape[1:]), dtype=self.dtype)
         self.file.read_into(out, self.offset + start * self._row_bytes)
         return out
 
     def _read_sorted(self, ids: np.ndarray) -> np.ndarray:
         """Rows of strictly increasing ids, one read per run of consecutive ids."""
-        out = np.empty((ids.size, self.shape[1]), dtype=_ROW_DTYPE)
+        out = np.empty((ids.size, *self.shape[1:]), dtype=self.dtype)
         cuts = (np.flatnonzero(np.diff(ids) != 1) + 1).tolist()
         for lo, hi in zip([0] + cuts, cuts + [ids.size]):
             self.file.read_into(out[lo:hi], self.offset + int(ids[lo]) * self._row_bytes)

@@ -190,6 +190,6 @@ def _cache_from_file(file: CacheFile) -> ChebBasisCache:
     if dtype_code != _DTYPE_F32:
         raise file.fail(f"unsupported dtype code {dtype_code}")
     file.expect_payload((order + 1) * n * d * 4)
-    blocks = [CacheRows(file, file.payload_offset + k * n * d * 4, n, d) for k in range(order + 1)]
+    blocks = [CacheRows(file, file.payload_offset + k * n * d * 4, (n, d)) for k in range(order + 1)]
     return ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks, file=file)
 

@@ -361,7 +361,8 @@ def _cmd_validate(cfg: RunConfig) -> int:
 def _cmd_preprocess(cfg: RunConfig) -> int:
     directory, image_path, path = _dataset_dir(cfg), _image_path(cfg), _cheb_path(cfg)
     # Two phases: the parse is released before the basis allocates, and the
-    # basis reads the graph back from the image and the features from
+    # basis reads the graph back from the image (the row offsets whole,
+    # each row chunk's columns as it is multiplied) and the features from
     # their file.  A failure of the second phase (say, a non-finite
     # feature) removes the image, so a failed run leaves no output.
     graph.ingest(directory, image_path)
@@ -370,8 +371,8 @@ def _cmd_preprocess(cfg: RunConfig) -> int:
         with graph.open_image(image_path, directory, ()) as image:
             features = graph.FeatureFile(directory, image.num_nodes, image.num_features)
             dataset = graph.GraphDataset(image.adjacency(), features, image.labels())
-        with chebyshev.build_cheb_basis(dataset, cfg.K, path=path) as cache:
-            print(f"wrote {path} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
+            with chebyshev.build_cheb_basis(dataset, cfg.K, path=path) as cache:
+                print(f"wrote {path} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
     except BaseException:
         os.unlink(image_path)
         raise
@@ -386,10 +387,9 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
         _check_basis(cheb, image)
         # the features the basis was built from: its block 0, T_0 X, is X
         dataset = graph.GraphDataset(image.adjacency(), cheb.blocks[0], image.labels())
-        cache = context.build_context_cache(dataset, cap=cfg.cap, seed=cfg.seed,
-                                            mode=cfg.context_mode)
-    context.write_context_cache(cache, path)
-    print(f"wrote {path} (mode={cfg.context_mode}, n={cache.num_nodes})")
+        with context.build_context_cache(dataset, cap=cfg.cap, seed=cfg.seed,
+                                         mode=cfg.context_mode, path=path) as cache:
+            print(f"wrote {path} (mode={cfg.context_mode}, n={cache.num_nodes})")
     return 0
 
 

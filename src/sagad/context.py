@@ -13,11 +13,19 @@ endpoint of lower degree, so every out-list is short and a chunk finds
 its edges by scanning its ids' out-lists against its own sorted keys.
 No array of size 2m or n*cap is formed: the sampler holds the f32
 features and output plus about 12 B per edge, O(n*d + m) in all.
+
+The ``full_khop`` mode pools each node's whole 1-hop neighborhood
+instead, one contiguous row chunk at a time: a chunk reads only its own
+slice of the graph's columns (from the dataset image, when that is where
+they are), and with a cache path each pooled chunk is written to the
+file as it is computed.  It then holds the features and the row offsets,
+not the columns nor an n*d context.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -25,7 +33,7 @@ import numpy as np
 
 from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked
 from .errors import CacheFormatError
-from .graph import GraphDataset
+from .graph import GraphDataset, SparseAdjacency
 
 # header: u64 n, u64 d; then the (n, d) f32 context rows and n u32 subgraph sizes
 CONTEXT_FORMAT = BinaryFormat(b"SGCTX001", "<QQ", "context cache")
@@ -42,9 +50,10 @@ _SEED_DOMAIN_SAMPLER = 0x5C1
 class ContextCache(FileBacked):
     """Mean-pooled features of each node's max-RQ subgraph.
 
-    ``context`` is an ndarray when built, or ``CacheRows`` over the open
-    ``file`` when read from disk; ``subgraph_size`` is always in memory,
-    as the u32 the file stores when read from disk.
+    ``context`` is an ndarray when built in memory, or ``CacheRows`` over
+    the open ``file`` when read from disk or built with a path;
+    ``subgraph_size`` is always in memory, as the u32 the file stores when
+    read from disk.
     """
 
     num_nodes: int
@@ -233,9 +242,9 @@ def _greedy(w: np.ndarray, node_energy: np.ndarray) -> np.ndarray:
     return in_set > 0
 
 
-def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
+def _rq_context(adj: SparseAdjacency, x: np.ndarray, cap: int, seed: int):
     """The sampler on every node, a chunk of equal k = min(degree, cap) at a time."""
-    adj, n = dataset.adjacency, dataset.num_nodes
+    n = adj.num_nodes
     edges = _oriented_edges(adj, x)
     present = np.zeros(n, dtype=bool)
     row_energy = np.empty(n)
@@ -244,7 +253,7 @@ def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
     count = np.minimum(np.diff(adj.row_offsets), cap)
     order = np.argsort(count, kind="stable")
     bounds = np.searchsorted(count[order], np.arange(int(count.max(initial=0)) + 2))
-    context = np.empty((n, dataset.num_features), dtype=np.float32)
+    context = np.empty((n, x.shape[1]), dtype=np.float32)
     sizes = np.empty(n, dtype=np.int64)
     for k in range(len(bounds) - 1):
         group = order[bounds[k] : bounds[k + 1]]
@@ -264,45 +273,61 @@ def _rq_context(dataset: GraphDataset, x: np.ndarray, cap: int, seed: int):
     return context, sizes
 
 
-def _full_khop_context(dataset: GraphDataset, x: np.ndarray):
-    """(A x + x) / (degree + 1) for every node, pooled a row chunk at a
-    time straight into the f32 output.
+# Values per row chunk of the full_khop pool (its f64 sums): 16k rows at
+# d = 32.  A chunk loops to its own largest degree, so fewer, larger
+# chunks take fewer gather steps than the sampler's.
+_POOL_VALUES = 1 << 19
 
-    Each row is summed in f64 from zero in column order, as a sparse
-    product sums it: neighbor rank j of all the chunk's rows at a time.
-    The rows are taken in descending-degree order, so the rows with a
-    j-th neighbor are a prefix of the chunk, and a chunk loops only to
-    its own largest degree."""
-    adj, n = dataset.adjacency, dataset.num_nodes
-    degree = np.diff(adj.row_offsets)
-    sizes = (degree + 1).astype(np.int64)
-    order = np.argsort(degree)[::-1]
-    context = np.empty((n, dataset.num_features), dtype=np.float32)
-    for s in _chunks(n, x.shape[1]):
-        rows = order[s]
-        start, deg = adj.row_offsets[rows], degree[rows]
+
+def _full_khop_context(adj: SparseAdjacency, x: np.ndarray):
+    """Yield (lo, chunk): rows lo:lo+len(chunk) of (A x + x) / (degree + 1)
+    as f32, contiguous row chunks in ascending order.
+
+    A chunk's columns are read once, one slice of ``col_indices``.  Each
+    row is summed in f64 from zero in column order, as a sparse product
+    sums it: neighbor rank j of all the chunk's rows at a time.  The rows
+    are taken in descending-degree order, so the rows with a j-th neighbor
+    are a prefix, and a chunk loops only to its own largest degree."""
+    n, d = x.shape
+    offsets = adj.row_offsets
+    step = max(1, _POOL_VALUES // max(d, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        columns = adj.col_indices[offsets[lo] : offsets[hi]]
+        degree = np.diff(offsets[lo : hi + 1])
+        rows = np.argsort(degree)[::-1]
+        start, deg = offsets[lo:hi][rows] - offsets[lo], degree[rows]
         # rows with a rank-j neighbor, for each j below the chunk's top degree
         having = np.searchsorted(-deg, -np.arange(deg[0]))
-        pooled = np.zeros((len(rows), x.shape[1]))
+        pooled = np.zeros((len(rows), d))
         # np.take: a row gather several times faster than fancy indexing
         for j, count in enumerate(having):
-            pooled[:count] += np.take(x, np.take(adj.col_indices, start[:count] + j), axis=0)
-        pooled += np.take(x, rows, axis=0)
-        pooled /= sizes[rows, None]
-        context[rows] = pooled
-    return context, sizes
+            pooled[:count] += np.take(x, np.take(columns, start[:count] + j), axis=0)
+        pooled += np.take(x, rows + lo, axis=0)
+        pooled /= (deg + 1)[:, None]
+        chunk = np.empty((len(rows), d), dtype=np.float32)
+        chunk[rows] = pooled
+        yield lo, chunk
 
 
 def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP, seed: int = 0,
-                        mode: str = "rq") -> ContextCache:
+                        mode: str = "rq", path: str | os.PathLike | None = None) -> ContextCache:
     """Mean-pooled subgraph features for every node.
 
     mode "rq" runs the max-RQ sampler on every node in one batched pass
     (per-node seeding keeps each node's result independent of the rest).
     mode "full_khop" pools over the whole 1-hop neighborhood plus the node
-    itself.  Both read the features at the precision they are held in: a
-    ``FeatureFile`` or a basis cache's block 0 as f32, an in-memory array
-    as it is, and sum in f64 the rows each energy or pooling gather takes.
+    itself, a contiguous row chunk at a time.  Both read the features at
+    the precision they are held in: a ``FeatureFile`` or a basis cache's
+    block 0 as f32, an in-memory array as it is, and sum in f64 the rows
+    each energy or pooling gather takes.  The sampler indexes the graph's
+    columns at random, so it reads them whole; the pool reads each chunk's.
+
+    Without ``path`` the context is an in-memory f32 array.  With ``path``
+    the cache is written there (atomically, see ``cachefile.atomic_file``)
+    and returned open on that file: close it, or use it in a ``with``
+    block.  The pool then writes each chunk as it is computed, so no
+    n*d context array is held beside the features.
     """
     if cap < 1:
         raise ValueError(f"candidate cap must be >= 1, got {cap}")
@@ -310,15 +335,31 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
         raise ValueError(f"candidate cap must be <= {MAX_CANDIDATE_CAP}, got {cap}")
     if mode not in ("rq", "full_khop"):
         raise ValueError(f"unknown context mode {mode!r}")
+    n, d, adj = dataset.num_nodes, dataset.num_features, dataset.adjacency
     features = dataset.features
     x = (np.ascontiguousarray(features) if isinstance(features, np.ndarray)
          else dataset.feature_matrix(np.float32))
     if mode == "rq":
-        context, sizes = _rq_context(dataset, x, cap, seed)
+        # the sampler indexes the columns at random: read them whole, once
+        context, sizes = _rq_context(SparseAdjacency(adj.row_offsets, adj.col_indices[:]), x,
+                                     cap, seed)
+        cache = ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes)
+        if path is None:
+            return cache
+        write_context_cache(cache, path)
     else:
-        context, sizes = _full_khop_context(dataset, x)
-    return ContextCache(num_nodes=dataset.num_nodes, dim=dataset.num_features, context=context,
-                        subgraph_size=sizes)
+        sizes = np.diff(adj.row_offsets).astype(np.int64) + 1
+        chunks = _full_khop_context(adj, x)
+        if path is None:
+            context = np.empty((n, d), dtype=np.float32)
+            for lo, chunk in chunks:
+                context[lo : lo + len(chunk)] = chunk
+            return ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes)
+        # write_context_cache's layout, one chunk of rows at a time
+        CONTEXT_FORMAT.write(path, (n, d), itertools.chain(
+            ((chunk, "<f4") for _, chunk in chunks), [(sizes, "<u4")]))
+    # the file just written, not an input: opened without `read_context_cache`
+    return CONTEXT_FORMAT.open(path, _context_from_file)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +386,7 @@ def _context_from_file(file: CacheFile) -> ContextCache:
     file.expect_payload(n * d * 4 + n * 4)
     sizes = np.empty(n, dtype="<u4")
     file.read_into(sizes, file.payload_offset + n * d * 4)
-    cache = ContextCache(num_nodes=n, dim=d, context=CacheRows(file, file.payload_offset, n, d),
+    cache = ContextCache(num_nodes=n, dim=d, context=CacheRows(file, file.payload_offset, (n, d)),
                          subgraph_size=sizes, file=file)
     cache.validate()
     return cache

@@ -69,10 +69,16 @@ class SparseAdjacency:
     have the dtype ``_index_dtype`` picks: int32 while n and 2m fit in it.
     Only ``to_csr`` imports scipy, so a command that forms no sparse
     product never pays for importing it.
+
+    The row offsets are always in memory.  The columns are an ndarray, or
+    the ``CacheRows`` reader of an open dataset image (``DatasetImage
+    .adjacency``), which reads each slice ``col_indices[a:b]`` with one
+    positioned read; ``col_indices[:]`` is the whole array either way,
+    read once by a caller that indexes the columns at random.
     """
 
     row_offsets: np.ndarray
-    col_indices: np.ndarray
+    col_indices: np.ndarray | CacheRows
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges: np.ndarray, *,
@@ -158,12 +164,14 @@ class SparseAdjacency:
     def neighbors(self, node: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[node] : self.row_offsets[node + 1]]
 
-    def to_csr(self, rows: tuple[int, int] | None = None, values: np.ndarray | None = None):
+    def to_csr(self, rows: tuple[int, int] | None = None, values: np.ndarray | None = None,
+               columns: np.ndarray | None = None):
         """Rows lo:hi (``rows``; all rows by default) as a (hi - lo, n) scipy
         CSR over slices of the index arrays, not copies.  Its values are
         ``values``, one per stored entry of those rows, or int8 ones: the
         operator to multiply by, ``to_csr() @ x`` sums each node's
-        neighbors."""
+        neighbors.  ``columns`` is those rows' slice of ``col_indices``,
+        passed by a caller that has read it already."""
         import scipy.sparse as sp
 
         n = self.num_nodes
@@ -172,10 +180,11 @@ class SparseAdjacency:
         indptr = self.row_offsets[lo : hi + 1]
         if start:
             indptr = indptr - start
+        if columns is None:
+            columns = self.col_indices[start:stop]
         if values is None:
             values = np.ones(stop - start, dtype=np.int8)
-        return sp.csr_matrix((values, self.col_indices[start:stop], indptr), shape=(hi - lo, n),
-                             copy=False)
+        return sp.csr_matrix((values, columns, indptr), shape=(hi - lo, n), copy=False)
 
 
 @dataclass
@@ -341,7 +350,8 @@ def normalized_adjacency(adj: SparseAdjacency, rows: tuple[int, int] | None = No
     index arrays as its operand.
 
     ``rows=(lo, hi)`` gives rows lo:hi only, as a (hi - lo, n) CSR whose
-    values are formed for those rows alone, over the graph's index slices.
+    values are formed for those rows alone, over the graph's index slices;
+    the rows' columns are read once (one positioned read for an image's).
     ``scaling`` is ``degree_scaling(adj)``, passed by a caller that asks
     for many row chunks so it is computed once.  Each value is formed in
     f64 as ``s_i * s_j`` and then rounded once to ``dtype``.  Rows and
@@ -353,7 +363,7 @@ def normalized_adjacency(adj: SparseAdjacency, rows: tuple[int, int] | None = No
         scaling = degree_scaling(adj)
     columns = adj.col_indices[offsets[lo] : offsets[hi]]
     vals = np.repeat(scaling[lo:hi], np.diff(offsets[lo : hi + 1])) * scaling[columns]
-    return adj.to_csr((lo, hi), vals.astype(dtype, copy=False))
+    return adj.to_csr((lo, hi), vals.astype(dtype, copy=False), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +385,7 @@ def _agreement(adj: SparseAdjacency, labels: np.ndarray,
     if bad.size:
         raise DatasetFormatError(f"{what}: node {bad[0]} has no label")
     rows = adj.row_ids()
-    same = (labels[rows] == labels[adj.col_indices]).astype(np.float64)
+    same = (labels[rows] == labels[adj.col_indices[:]]).astype(np.float64)
     agree = np.bincount(rows, weights=same, minlength=adj.num_nodes)
     with np.errstate(invalid="ignore", divide="ignore"):
         return agree, counts, np.where(counts > 0, agree / counts, np.nan)
@@ -571,10 +581,13 @@ class DatasetImage(FileBacked):
         return out
 
     def adjacency(self) -> SparseAdjacency:
-        """The graph ``from_edges`` built: the same index arrays."""
+        """The graph ``from_edges`` built: its row offsets read now, and its
+        columns as a ``CacheRows`` reader over this image, valid while the
+        image is open; ``col_indices[:]`` reads them whole."""
         n, width = self.num_nodes, self._ids.itemsize
-        return SparseAdjacency(self._read(0, n + 1, self._ids),
-                               self._read((n + 1) * width, self._nnz, self._ids))
+        columns = CacheRows(self.file, self.file.payload_offset + (n + 1) * width, (self._nnz,),
+                            self._ids)
+        return SparseAdjacency(self._read(0, n + 1, self._ids), columns)
 
     def labels(self) -> np.ndarray:
         """One int8 per node: 1, 0 or UNKNOWN_LABEL."""
@@ -607,11 +620,10 @@ def write_dataset(dataset: GraphDataset, directory: str | os.PathLike) -> None:
     write_text(os.path.join(directory, "meta.json"), [json.dumps(meta, sort_keys=True, indent=2)])
 
     adj = dataset.adjacency
-    rows = adj.row_ids()
-    mask = rows < adj.col_indices  # each unordered edge once
+    rows, columns = adj.row_ids(), adj.col_indices[:]
+    mask = rows < columns  # each unordered edge once
     with atomic_file(os.path.join(directory, "edges.tsv")) as f:
-        np.savetxt(f, np.column_stack([rows[mask], adj.col_indices[mask]]), fmt="%d",
-                   delimiter="\t")
+        np.savetxt(f, np.column_stack([rows[mask], columns[mask]]), fmt="%d", delimiter="\t")
 
     FEATURES_FORMAT.write(os.path.join(directory, "features.bin"), dataset.features.shape,
                           [(dataset.features, "<f4")])

@@ -50,6 +50,15 @@ def _check_binary(labels: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_scores(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``scores`` as f64, one per label of ``y``; ValueError naming both
+    shapes otherwise."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.shape != y.shape:
+        raise ValueError(f"scores of shape {s.shape} do not match labels of shape {y.shape}")
+    return s
+
+
 def class_counts(labels: np.ndarray) -> tuple[int, int]:
     """Numbers of positives and negatives in binary ``labels``; SplitError
     unless both classes are present."""
@@ -68,7 +77,7 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     this equals the brute-force average over all positive-negative pairs.
     """
     y = _check_binary(labels)
-    s = np.asarray(scores, dtype=np.float64)
+    s = _check_scores(scores, y)
     n_pos, n_neg = class_counts(y)
     rank_sum = float(np.sum(_midranks(s, _descending_order(s))[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -106,10 +115,11 @@ def _midranks(s: np.ndarray, desc: np.ndarray) -> np.ndarray:
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the precision-recall curve via average precision."""
     y = _check_binary(labels)
+    s = _check_scores(scores, y)
     n_pos = int(np.sum(y == 1))
     if n_pos == 0:
         raise ValueError("average_precision requires at least one positive")
-    order = _descending_order(scores)
+    order = _descending_order(s)
     hits = (y[order] == 1).astype(np.float64)
     cum_hits = np.cumsum(hits)
     precision_at = cum_hits / np.arange(1, len(y) + 1)
@@ -122,6 +132,7 @@ def rec_at_k(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> fl
     k defaults to the number of positives in ``labels``.
     """
     y = _check_binary(labels)
+    s = _check_scores(scores, y)
     n_pos = int(np.sum(y == 1))
     if n_pos == 0:
         raise ValueError("rec_at_k requires at least one positive")
@@ -129,7 +140,7 @@ def rec_at_k(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> fl
         k = n_pos
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    order = _descending_order(scores)
+    order = _descending_order(s)
     top = order[: min(k, len(y))]
     return float(np.sum(y[top] == 1) / n_pos)
 
@@ -142,9 +153,7 @@ def evaluate(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> Ev
     takes the same ``_descending_order`` on its own.
     """
     y = _check_binary(labels)
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != y.shape:
-        raise ValueError(f"scores of shape {s.shape} do not match labels of shape {y.shape}")
+    s = _check_scores(scores, y)
     n_pos, n_neg = class_counts(y)
     k_used = n_pos if k is None else k
     if k_used <= 0:

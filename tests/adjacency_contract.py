@@ -18,7 +18,7 @@ def assert_adjacency_contract(adj, num_nodes: int, edges=None) -> None:
     """Assert ``adj`` is the simple undirected graph on ``num_nodes`` nodes
     of ``edges`` (an (m, 2) array of pairs; the dense comparison runs only
     when it is given and the graph is small)."""
-    indptr, indices = adj.row_offsets, adj.col_indices
+    indptr, indices = adj.row_offsets, adj.col_indices[:]
     assert indptr.shape == (num_nodes + 1,) and indptr[0] == 0 and indptr[-1] == len(indices)
     # a fresh matrix over the same arrays, so the flag is computed, not a cached one
     csr = adj.to_csr()

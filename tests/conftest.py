@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 # One BLAS thread, as perfbench/run.py pins it, so a timing gate (8c) measures
@@ -9,7 +10,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from sagad.graph import GraphDataset, SparseAdjacency  # noqa: E402
+from sagad.graph import (GraphDataset, SparseAdjacency, ingest, open_image,  # noqa: E402
+                         write_dataset)
 
 
 def make_dataset(edges, features, labels, num_nodes=None, splits=None, name="test"):
@@ -48,6 +50,35 @@ def messy_edges(seed):
     base = rng.integers(0, n - n // 4, size=(int(rng.integers(0, 3 * n)), 2))
     loops = np.repeat(rng.integers(0, n, size=(3, 1)), 2, axis=1)
     return n, rng.permutation(np.concatenate([base, base[::2, ::-1], base[::3], loops]))
+
+
+@contextlib.contextmanager
+def image_graph(ds, directory):
+    """``ds`` with its graph as the set-up commands read it: the dataset is
+    written to ``directory`` and ingested, and the adjacency comes from
+    the open image, its columns a reader over ``dataset.bin``."""
+    write_dataset(ds, directory)
+    image_path = os.path.join(directory, "dataset.bin")
+    ingest(directory, image_path)
+    with open_image(image_path, directory, ()) as image:
+        yield GraphDataset(image.adjacency(), ds.features, ds.labels)
+
+
+class LoggedColumns:
+    """A graph's columns that log each slice read from them; with
+    ``fail_after``, every read past that many raises RuntimeError."""
+
+    def __init__(self, columns, fail_after=None):
+        self.columns, self.fail_after, self.reads = columns, fail_after, []
+
+    def __len__(self):
+        return len(self.columns)
+
+    def __getitem__(self, ids):
+        self.reads.append(ids)
+        if self.fail_after is not None and len(self.reads) > self.fail_after:
+            raise RuntimeError("column read failed")
+        return self.columns[ids]
 
 
 @pytest.fixture

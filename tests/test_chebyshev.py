@@ -23,7 +23,7 @@ from sagad.graph import (
     normalized_adjacency,
 )
 
-from conftest import er_dataset, make_dataset
+from conftest import LoggedColumns, er_dataset, image_graph, make_dataset
 from oracles import dense_spectral_oracle
 
 
@@ -247,6 +247,27 @@ class TestStreamedBasis:
         for got, want in zip(f64.blocks, whole_matrix_basis(ds, order, np.float64).blocks):
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["isolated", "edgeless", "er", "star", "path", "complete"])
+    @pytest.mark.parametrize("chunk", ["1", "7", "n"])
+    def test_image_columns_are_read_once_per_chunk(self, tmp_path, monkeypatch, name, chunk):
+        """Built as `preprocess` builds it, on the columns of a dataset
+        image, the file is the whole-matrix recurrence's, and each product
+        reads its row chunk's columns with one slice."""
+        ds = _graphs()[name]
+        n, order = ds.num_nodes, 3
+        rows = {"1": 1, "7": 7, "n": n}[chunk]
+        monkeypatch.setattr(chebyshev, "_CHUNK_ROWS", rows)
+        write_cache(whole_matrix_basis(ds, order), tmp_path / "oracle.bin")
+        with image_graph(ds, tmp_path / "data") as on_disk:
+            offsets = on_disk.adjacency.row_offsets
+            columns = LoggedColumns(on_disk.adjacency.col_indices)
+            logged = GraphDataset(SparseAdjacency(offsets, columns), ds.features, ds.labels)
+            build_cheb_basis(logged, order, path=tmp_path / "c.bin").close()
+        assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+        bounds = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+        assert [(s.start, s.stop) for s in columns.reads] == [
+            (offsets[lo], offsets[hi]) for _ in range(order) for lo, hi in bounds]
 
     @pytest.mark.parametrize("name", ["isolated", "edgeless", "er", "star", "path", "complete",
                                       "heavy-tailed"])

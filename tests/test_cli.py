@@ -1036,13 +1036,16 @@ class TestScoreFaults:
 
 
 class TestSetupMemory:
-    """`preprocess` streams the basis and `sample-context` pools in row
-    chunks, and both read the features as f32.  Beyond the graph,
-    `preprocess` holds one n*d f32 buffer (T_{k-1} X; T_{k-2} X is read
-    back from the cache file being written) and `sample-context` the f32
-    features and the f32 context, whatever the size of the caches they
-    write: no f64 copy of the features and, in `preprocess`, nothing of
-    the text parse."""
+    """`preprocess` streams the basis and `sample-context` streams the
+    `full_khop` pool, both in row chunks, and both read the features as
+    f32 and each row chunk's graph columns from the dataset image.  Each
+    holds the graph's row offsets and one n*d f32 buffer, whatever the
+    size of the caches they write: `preprocess` T_{k-1} X (T_{k-2} X is
+    read back from the cache file being written) and `sample-context`
+    the features (each pooled chunk goes to the cache file as it is
+    computed).  No f64 copy of the features, no n*d context array, none
+    of the graph's columns and, in `preprocess`, nothing of the text
+    parse."""
 
     D, K, HEADROOM = 32, 3, 16e6  # headroom: parsing labels/splits, chunk buffers
 
@@ -1056,9 +1059,8 @@ class TestSetupMemory:
                                 labels, [split], f"setup{n}")
         graph.write_dataset(ds, base / f"data{n}")
         # what the bounds allow
-        graph_bytes = adj.row_offsets.nbytes + adj.col_indices.nbytes
-        allowed = {"preprocess": graph_bytes + n * self.D * 4,
-                   "sample-context": graph_bytes + 2 * n * self.D * 4}
+        held = adj.row_offsets.nbytes + n * self.D * 4
+        allowed = {"preprocess": held, "sample-context": held}
         return ["--dataset", str(base / f"data{n}"), "--run-dir", str(base / f"run{n}"),
                 "--K", str(self.K), "--context-mode", "full_khop"], allowed
 

@@ -1,3 +1,5 @@
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -10,6 +12,7 @@ from sagad import context
 from sagad.context import (
     EXHAUSTIVE_DEGREE_LIMIT,
     MAX_CANDIDATE_CAP,
+    ContextCache,
     _candidates,
     _local_weights,
     _oriented_edges,
@@ -21,7 +24,7 @@ from sagad.errors import CacheFormatError
 from sagad.graph import FEATURES_FORMAT, FeatureFile, GraphDataset, SparseAdjacency
 
 import rq_oracle
-from conftest import er_dataset, make_dataset, messy_edges
+from conftest import LoggedColumns, er_dataset, image_graph, make_dataset, messy_edges
 from oracles import full_khop_pool
 from rq_kernel import max_rq_subgraph
 from rq_oracle import rayleigh_quotient
@@ -192,6 +195,16 @@ class TestContextCache:
         with read_context_cache(path) as loaded:
             np.testing.assert_array_equal(cache.context, loaded.context[:])
             np.testing.assert_array_equal(cache.subgraph_size, loaded.subgraph_size)
+
+    @pytest.mark.parametrize("mode", ["rq", "full_khop"])
+    def test_built_with_a_path_is_the_written_in_memory_cache(self, tmp_path, mode):
+        ds = er_dataset(30, 0.2, 3, seed=17)
+        write_context_cache(build_context_cache(ds, seed=3, mode=mode), tmp_path / "want.bin")
+        with build_context_cache(ds, seed=3, mode=mode, path=tmp_path / "ctx.bin") as disk:
+            assert disk.file is not None and not disk.file.closed
+            assert (disk.num_nodes, disk.dim) == (30, 3)
+        assert disk.file.closed
+        assert (tmp_path / "ctx.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
     def test_corrupt_magic_rejected(self, tmp_path):
         ds = er_dataset(8, 0.4, 2, seed=16)
@@ -457,18 +470,30 @@ class TestSamplerMemory:
 
 
 class TestChunkedFullKhop:
-    """The numpy pool against one f64 scipy product (``oracles.full_khop_pool``),
-    byte for byte, whatever the chunking and the in-memory feature dtype."""
+    """The pool against one f64 scipy product (``oracles.full_khop_pool``),
+    byte for byte, whatever the row chunking and the in-memory feature
+    dtype: built in memory, and streamed to the cache file from the
+    columns of a dataset image."""
 
     @staticmethod
     def _check(ds, rows_per_chunk=None):
-        values = context._CHUNK_VALUES if rows_per_chunk is None else rows_per_chunk * ds.num_features
-        with mock.patch.object(context, "_CHUNK_VALUES", values):
-            cache = build_context_cache(ds, mode="full_khop")
+        values = (context._POOL_VALUES if rows_per_chunk is None
+                  else rows_per_chunk * ds.num_features)
         expected, sizes = full_khop_pool(ds)
-        assert cache.context.dtype == np.float32
-        assert cache.context.tobytes() == expected.tobytes()
-        np.testing.assert_array_equal(cache.subgraph_size, sizes)
+        with mock.patch.object(context, "_POOL_VALUES", values), \
+                tempfile.TemporaryDirectory() as tmp:
+            cache = build_context_cache(ds, mode="full_khop")
+            assert cache.context.dtype == np.float32
+            assert cache.context.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(cache.subgraph_size, sizes)
+            oracle, streamed = os.path.join(tmp, "oracle.bin"), os.path.join(tmp, "ctx.bin")
+            write_context_cache(ContextCache(ds.num_nodes, ds.num_features, expected, sizes),
+                                oracle)
+            with image_graph(ds, os.path.join(tmp, "data")) as on_disk:
+                with build_context_cache(on_disk, mode="full_khop", path=streamed) as disk:
+                    assert disk.context[:].tobytes() == expected.tobytes()
+            with open(oracle, "rb") as want, open(streamed, "rb") as got:
+                assert got.read() == want.read()
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
     def test_bit_identical_to_one_product(self, rows_per_chunk):
@@ -485,9 +510,9 @@ class TestChunkedFullKhop:
                 self._check(_with_features(ds, ds.features.astype(dtype)), rows_per_chunk)
 
     def test_isolated_nodes_end_a_chunk(self):
-        # rows are pooled by descending degree: chunks of three rows are the
-        # path's inner nodes, its ends and an isolated node, then isolated
-        # nodes alone
+        # a chunk pools its rows by descending degree: chunks of three rows
+        # are nodes 0-2 (degrees 1, 2, 2), nodes 3-5 (2, 1 and isolated
+        # node 5 last), then isolated nodes alone
         rng = np.random.default_rng(3)
         self._check(make_dataset([[0, 1], [1, 2], [2, 3], [3, 4]],
                                  rng.standard_normal((11, 4)), [0] * 11), rows_per_chunk=3)
@@ -505,3 +530,36 @@ class TestChunkedFullKhop:
         features[rng.random((n, 3)) < 0.2] = -0.0
         ds = make_dataset(edges, np.zeros((n, 3)), [0] * n)
         self._check(_with_features(ds, features.astype(dtype)), rows_per_chunk)
+
+    def test_edgeless_graph(self):
+        rng = np.random.default_rng(4)
+        for rows_per_chunk in (1, 2, 9):
+            self._check(make_dataset(np.zeros((0, 2)), rng.standard_normal((5, 3)), [0] * 5),
+                        rows_per_chunk)
+
+    def test_each_chunk_reads_its_columns_once(self):
+        ds = er_dataset(40, 0.15, 3, seed=6)
+        offsets = ds.adjacency.row_offsets
+        columns = LoggedColumns(ds.adjacency.col_indices)
+        logged = GraphDataset(SparseAdjacency(offsets, columns), ds.features, ds.labels)
+        with mock.patch.object(context, "_POOL_VALUES", 7 * ds.num_features):
+            cache = build_context_cache(logged, mode="full_khop")
+        assert cache.context.tobytes() == full_khop_pool(ds)[0].tobytes()
+        assert [(s.start, s.stop) for s in columns.reads] == [
+            (offsets[lo], offsets[min(lo + 7, 40)]) for lo in range(0, 40, 7)]
+
+    def test_failure_mid_stream_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        ds = er_dataset(30, 0.2, 3, seed=4)
+        path = tmp_path / "context_cache.bin"
+        build_context_cache(er_dataset(12, 0.3, 3, seed=5), mode="full_khop", path=path).close()
+        previous = path.read_bytes()
+        # the first chunk is pooled and written, the second one's read fails
+        columns = LoggedColumns(ds.adjacency.col_indices, fail_after=1)
+        failing = GraphDataset(SparseAdjacency(ds.adjacency.row_offsets, columns), ds.features,
+                               ds.labels)
+        monkeypatch.setattr(context, "_POOL_VALUES", 4 * ds.num_features)
+        with pytest.raises(RuntimeError, match="column read failed"):
+            build_context_cache(failing, mode="full_khop", path=path)
+        assert len(columns.reads) == 2
+        assert path.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["context_cache.bin"]

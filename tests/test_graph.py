@@ -22,6 +22,7 @@ from sagad.graph import (
     IMAGE_SOURCES,
     SUPERVISION_SOURCES,
     UNKNOWN_LABEL,
+    GraphDataset,
     SparseAdjacency,
     SplitSet,
     edge_homophily,
@@ -327,8 +328,11 @@ class TestDatasetImage:
             assert (image.num_nodes, image.num_features, image.num_splits) == (
                 ds.num_nodes, ds.num_features, len(ds.splits))
             adj = image.adjacency()
+            # the columns stay in the image, read by slice
+            assert isinstance(adj.col_indices, cachefile.CacheRows)
+            assert len(adj.col_indices) == len(ds.adjacency.col_indices)
             for got, want in ((adj.row_offsets, ds.adjacency.row_offsets),
-                              (adj.col_indices, ds.adjacency.col_indices)):
+                              (adj.col_indices[:], ds.adjacency.col_indices)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
             assert adj.num_nodes == ds.num_nodes
@@ -345,7 +349,13 @@ class TestDatasetImage:
             features = feature_file.read()
             np.testing.assert_array_equal(features, ds.features)
             assert features.dtype == ds.features.dtype
+            # the image's graph, columns read by slice, writes the same edges
+            write_dataset(GraphDataset(adj, features, labels, ds.splits), tmp_path / "again")
         assert image.file.closed
+        again = load_dataset(tmp_path / "again").adjacency
+        for got, want in ((again.row_offsets, ds.adjacency.row_offsets),
+                          (again.col_indices, ds.adjacency.col_indices)):
+            assert got.tobytes() == want.tobytes()
 
     def test_split_reads_only_the_parts_asked_for(self, tmp_path):
         directory = _image_cases(tmp_path, "unlabeled-nodes")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,17 @@ class TestEvaluate:
             evaluate(FIX_SCORES, FIX_LABELS, k=0)
         with pytest.raises(ValueError, match="do not match"):
             evaluate(FIX_SCORES[:3], FIX_LABELS)
+
+    @pytest.mark.parametrize("metric", [auroc, average_precision, rec_at_k, evaluate])
+    @pytest.mark.parametrize("scores, labels", [([0.9, 0.1, 0.5], [1, 0]), ([0.9], [1, 0]),
+                                                ([[0.9, 0.1]], [1, 0])])
+    def test_scores_and_labels_must_match(self, metric, scores, labels):
+        """Every metric names both shapes, before any other check on the
+        scores; a longer score list must not be ranked silently."""
+        message = (f"scores of shape {np.shape(scores)} do not match labels of shape "
+                   f"{np.shape(labels)}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            metric(scores, labels)
 
     def test_peak_memory_on_distinct_scores(self):
         """At most 7.5 n-long f64 arrays at once: the sort's input, output

@@ -10,8 +10,9 @@ is reused when it is already there; then ``sagad preprocess`` and one
 ``sagad sample-context`` in ``--context-mode`` (``rq``, cap 64, or
 ``full_khop``) each run in a child process with one BLAS thread.  Each
 line gives the wall time and ``wait4`` peak RSS of both commands, the
-sampler's microseconds per node and the sha256 prefix of
-``context_cache.bin``.
+sampler's microseconds per node and the sha256 prefixes of
+``cheb_cache.bin`` and ``context_cache.bin``, so two checkouts' set-up
+outputs can be compared.
 ``--src`` runs another checkout's package.  This process imports only the
 standard library: Linux carries a parent's peak RSS into a child across
 fork and exec, so a small parent keeps each child's number its own.
@@ -43,6 +44,14 @@ def child(argv: list[str], env: dict) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024.0
 
 
+def sha256_prefix(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()[:16]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="20000,200000,1000000")
@@ -54,7 +63,7 @@ def main() -> None:
     threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **threads)
     print(f"{'n':>9} {'prep_s':>8} {'prep_MiB':>9} {'ctx_s':>8} {'us/node':>8} {'ctx_MiB':>9}"
-          "  context sha256")
+          "  cheb sha256       context sha256")
     for n in (int(size) for size in args.sizes.split(",")):
         data = os.path.join(args.work_dir, f"gen-n{n}-s{args.seed}")
         run = os.path.join(args.work_dir, f"run-n{n}-s{args.seed}")
@@ -67,12 +76,10 @@ def main() -> None:
         sagad_env = dict(env, PYTHONPATH=os.path.abspath(args.src))
         prep_wall, prep_peak = child(sagad + ["preprocess"] + flags, sagad_env)
         wall, peak = child(sagad + ["sample-context"] + flags, sagad_env)
-        digest = hashlib.sha256()
-        with open(os.path.join(run, "context_cache.bin"), "rb") as f:
-            for block in iter(lambda: f.read(1 << 20), b""):
-                digest.update(block)
+        digests = (sha256_prefix(os.path.join(run, name))
+                   for name in ("cheb_cache.bin", "context_cache.bin"))
         print(f"{n:>9} {prep_wall:>8.2f} {prep_peak:>9.1f} {wall:>8.2f} {wall / n * 1e6:>8.1f} "
-              f"{peak:>9.1f}  {digest.hexdigest()[:16]}", flush=True)
+              f"{peak:>9.1f}  {'  '.join(digests)}", flush=True)
 
 
 if __name__ == "__main__":
