@@ -88,8 +88,6 @@ class RunConfig(model.ModelConfig, training.TrainConfig):
     dataset: str = ""
     run_dir: str = ""
     split_index: int = 0
-    # scoring batch in rows: bounds the memory of eval, score and quartiles
-    batch_size: int = 1024
     # context sampler: candidate cap per node
     cap: int = 64
     # nested sections
@@ -113,15 +111,16 @@ class RunConfig(model.ModelConfig, training.TrainConfig):
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
         if self.cap > context.MAX_CANDIDATE_CAP:
             raise ConfigError(f"cap must be <= {context.MAX_CANDIDATE_CAP}, got {self.cap}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         c, sw = self.csbm, self.sweep
-        minimums = [("csbm.seed", c.seed, 0), ("csbm.dim", c.dim, 1)]
-        minimums += [("sweep.seeds", s, 0) for s in sw.seeds]
-        minimums += [("sweep.dims", d, 1) for d in sw.dims]
-        for key, value, low in minimums:
+        # dims are checked before ``to_params`` allocates the mean vectors
+        ranges = [("csbm.seed", c.seed, 0, math.inf), ("csbm.dim", c.dim, 1, csbm.MAX_DIM)]
+        ranges += [("sweep.seeds", s, 0, math.inf) for s in sw.seeds]
+        ranges += [("sweep.dims", d, 1, csbm.MAX_DIM) for d in sw.dims]
+        for key, value, low, high in ranges:
             if value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
+            if value > high:
+                raise ConfigError(f"{key} must be <= {high}, got {value}")
         if not 0 < sw.anomaly_frac < 1 or not 1 <= round(sw.n * sw.anomaly_frac) < sw.n:
             raise ConfigError(f"sweep.anomaly_frac={sw.anomaly_frac!r} gives round(sweep.n * "
                               f"sweep.anomaly_frac) outside [1, {sw.n - 1}]; both classes need a node")
@@ -337,7 +336,7 @@ def _score_nodes(cfg: RunConfig, data=None) -> np.ndarray:
     with _load_caches(cfg, data, state) as (cheb, ctx):
         if state is None:
             _require_file(path, "run `train` first")
-        return training.score_all(state, cheb, ctx, batch_size=cfg.batch_size)
+        return training.score_all(state, cheb, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +474,11 @@ def _cmd_score(cfg: RunConfig) -> int:
     scores = _score_nodes(cfg)
     out_path = os.path.join(_run_dir(cfg), f"scores_{cfg.split_index}.csv")
     # Python floats: repr is the shortest round-trip form.  Rows are
-    # formatted one batch at a time, so the text never holds all n rows.
+    # formatted in the scoring tiles, so the text never holds all n rows.
+    rows = training.SCORE_ROWS
     cachefile.write_text(out_path, itertools.chain(["node_id,score\n"], (
-        "".join(f"{i},{s!r}\n" for i, s in enumerate(scores[lo : lo + cfg.batch_size].tolist(), lo))
-        for lo in range(0, len(scores), cfg.batch_size)
+        "".join(f"{i},{s!r}\n" for i, s in enumerate(scores[lo : lo + rows].tolist(), lo))
+        for lo in range(0, len(scores), rows)
     )))
     print(f"wrote {out_path} ({len(scores)} nodes)")
     return 0

@@ -26,6 +26,16 @@ from .graph import GraphDataset, SparseAdjacency, SplitSet
 
 _SEED_DOMAIN_CSBM = 0xC5B
 
+# Size bounds: the pair draw takes dense (512, n) blocks, so O(n^2) time.
+# Peaks are tracemalloc at n <= 12k, scaled: ``generate_csbm`` takes about
+# 23 KiB per node (270 MiB at 12k), 360 MiB at MAX_NODES; a sweep cell's
+# ego draw at the default densities, whose edges grow as n^2, about 1 GiB
+# (602 MiB at 12k).
+MAX_NODES = 16_000
+# A sweep cell holds about four n x dim f64 arrays (361 MiB more at dim
+# 4096 than at 16, n = 3000): about 0.5 GiB at MAX_NODES and MAX_DIM.
+MAX_DIM = 1024
+
 
 @dataclass
 class CsbmParams:
@@ -69,6 +79,10 @@ class CsbmParams:
             raise ConfigError("mu and nu must be 1-d vectors of equal length")
         if np.linalg.norm(mu) > 1.0 + 1e-12 or np.linalg.norm(nu) > 1.0 + 1e-12:
             raise ConfigError("mean vectors must have norm <= 1")
+        if self.n > MAX_NODES:
+            raise ConfigError(f"{prefix}n (n_a + n_n) must be <= {MAX_NODES}, got {self.n}")
+        if self.dim > MAX_DIM:
+            raise ConfigError(f"{prefix}dim must be <= {MAX_DIM}, got {self.dim}")
         for value, name in (
             (self.p1, "p1"), (self.q1, "q1"), (self.p2, "p2"), (self.q2, "q2"),
             (self.regime_frac, "regime_frac"),

@@ -694,6 +694,18 @@ def _read_labels_csv(path: str, num_nodes: int) -> np.ndarray:
     return labels
 
 
+def _split_ids(entry, part: str) -> np.ndarray:
+    """``entry[part]`` as int64 ids: a list of JSON integers within int64."""
+    ids = entry[part]
+    if isinstance(ids, list) and set(map(type, ids)) <= {int}:  # bool is not int here
+        try:
+            return np.asarray(ids, dtype=np.int64)
+        except OverflowError:
+            raise DatasetFormatError(f"{part} holds a node id beyond int64") from None
+    bad = next(v for v in ids if type(v) is not int) if isinstance(ids, list) else ids
+    raise DatasetFormatError(f"{part} must be a list of integer node ids, got {bad!r}")
+
+
 def _read_splits_json(path: str) -> list[SplitSet]:
     raw = _read_json(path)
     if not isinstance(raw, list):
@@ -701,13 +713,7 @@ def _read_splits_json(path: str) -> list[SplitSet]:
     splits = []
     for i, entry in enumerate(raw):
         try:
-            splits.append(
-                SplitSet(
-                    train=np.asarray(entry["train"], dtype=np.int64),
-                    val=np.asarray(entry["val"], dtype=np.int64),
-                    test=np.asarray(entry["test"], dtype=np.int64),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            splits.append(SplitSet(*(_split_ids(entry, part) for part in SPLIT_PARTS)))
+        except (KeyError, TypeError, DatasetFormatError) as exc:
             raise DatasetFormatError(f"splits.json entry {i}: {exc}") from exc
     return splits

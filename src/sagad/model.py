@@ -210,20 +210,6 @@ def _activate_grad(out: np.ndarray) -> np.ndarray:
     return (out > 0).astype(np.float64)
 
 
-def _row_stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Matmul that keeps single-row batches on the multi-row BLAS path.
-
-    Single-row inputs dispatch to a different BLAS kernel (GEMV) with a
-    different accumulation order; padding to two rows keeps every batch on
-    the GEMM path.  This does not make rows bit-exact across batch sizes:
-    within GEMM, a row's rounding can still depend on its position in the
-    batch (seen for the classifier's ``(B, hidden) @ (hidden, 1)`` layer).
-    """
-    if x.shape[0] == 1:
-        return (np.concatenate([x, np.zeros_like(x)]) @ w)[:1]
-    return x @ w
-
-
 def mlp_forward(
     params: MlpParams,
     x: np.ndarray,
@@ -242,7 +228,7 @@ def mlp_forward(
     last = params.depth - 1
     for i, layer in enumerate(params.layers):
         entry: dict = {"x": out}  # made before the matmul: the previous record is dropped first
-        h = _row_stable_matmul(out, layer.weight)
+        h = out @ layer.weight
         h += layer.bias
         if i < last:
             entry["act"] = _activate(h)

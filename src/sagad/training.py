@@ -8,16 +8,14 @@ gradient once, and ``adam_step`` is plain Adam.
 
 Training is full-batch over the (small) labeled set: only the labeled
 rows of the basis and context caches are ever materialized, so peak
-training memory is independent of graph size.  Inference batches over
-all nodes.  Caches opened from disk are read by row, one batch at a
-time, so this holds for the whole process, not only inside ``train``:
-neither training nor scoring ever holds a cache payload in memory.
-Training, validation and scoring run the one forward pass, which
-computes hidden layers in place; only the training step runs it in
-train mode, which also records what the backward pass needs.
-Scores are not bit-exactly independent of the batch split: the
-classifier's last layer is a ``(B, hidden) @ (hidden, 1)`` product whose
-rounding can depend on a row's position in the batch (see ``score_all``).
+training memory is independent of graph size.  Inference walks all
+nodes in fixed tiles of ``SCORE_ROWS`` rows.  Caches opened from disk
+are read by row, one tile at a time, so this holds for the whole
+process, not only inside ``train``: neither training nor scoring ever
+holds a cache payload in memory.  Training, validation and scoring run
+the one forward pass, which computes hidden layers in place; only the
+training step runs it in train mode, which also records what the
+backward pass needs.
 """
 
 from __future__ import annotations
@@ -286,31 +284,26 @@ def train(
     return state, history
 
 
+SCORE_ROWS = 1024  # one fixed tiling: a score depends only on the checkpoint and caches
+
+
 def score_all(
     state: ModelState,
     cheb_cache: ChebBasisCache,
     context_cache: ContextCache | None,
-    batch_size: int = 1024,
 ) -> np.ndarray:
-    """Eval-mode anomaly probability for every node, batched over id ranges.
+    """Eval-mode anomaly probability for every node, ``SCORE_ROWS`` ids at a time.
 
-    Each batch reads its id range of every cache block, so memory is
-    bounded by the batch, not by n.  The eval-mode forward keeps no
-    backward trace, so a batch's arrays are freed layer by layer and the
-    allocator reuses the same memory for every batch instead of handing
-    it back to the kernel and faulting it in again.  Two batch sizes can
-    give scores that differ in the last bit for some rows: BLAS may round
-    a row of the classifier's single-column product differently at
-    another position in the batch.  Batch sizes that divide each other
-    have given identical scores on the benchmark graphs, but that is not
-    guaranteed.
+    Each tile reads its id range of every cache block, so memory is
+    bounded by the tile, not by n.  The eval-mode forward keeps no
+    backward trace, so a tile's arrays are freed layer by layer and the
+    allocator reuses the same memory for every tile instead of handing
+    it back to the kernel and faulting it in again.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     n = cheb_cache.num_nodes
     scores = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for lo in range(0, n, SCORE_ROWS):
+        hi = min(lo + SCORE_ROWS, n)
         bundle = gather_rows(cheb_cache, context_cache, slice(lo, hi), state.config)
         out = forward_bundle(state, bundle, train_mode=False)
         scores[lo:hi] = out.yhat

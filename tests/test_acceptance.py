@@ -385,7 +385,7 @@ def test_criterion_8c_score_all_scales_linearly():
     def one_run(n):
         state, cache = setups[n]
         t0 = time.perf_counter()
-        score_all(state, cache, None, batch_size=8192)
+        score_all(state, cache, None)
         return time.perf_counter() - t0
 
     limiter = threadpool_limits(limits=1) if threadpool_limits else None

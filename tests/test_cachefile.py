@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from sagad import cachefile
+from sagad import cachefile, training
 from sagad.chebyshev import CACHE_FORMAT, build_cheb_basis, read_cache, write_cache
 from sagad.context import build_context_cache, read_context_cache, write_context_cache
 from sagad.errors import CacheFormatError
@@ -173,7 +173,7 @@ class TestFileLifetime:
 
 
 class TestGatherFromDisk:
-    def test_gather_and_scores_match_in_memory(self, written):
+    def test_gather_and_scores_match_in_memory(self, written, monkeypatch):
         cheb, ctx, cheb_path, ctx_path = written
         cfg = ModelConfig(K=3, hidden_dim=8, seed=3)
         state = init_model(cfg, 5)
@@ -184,9 +184,10 @@ class TestGatherFromDisk:
             for x, y in zip(a.block_rows + [a.ctx_rows], b.block_rows + [b.ctx_rows]):
                 assert y.dtype == np.float64
                 np.testing.assert_array_equal(x, y)
-            for batch_size in (7, 1024):
-                np.testing.assert_array_equal(score_all(state, disk, disk_ctx, batch_size),
-                                              score_all(state, cheb, ctx, batch_size))
+            for rows in (59, training.SCORE_ROWS):  # 60 nodes: a one-row last tile, one tile
+                monkeypatch.setattr(training, "SCORE_ROWS", rows)
+                np.testing.assert_array_equal(score_all(state, disk, disk_ctx),
+                                              score_all(state, cheb, ctx))
 
     def test_negative_ids_rejected(self, written):
         cheb, ctx, cheb_path, _ = written
@@ -280,12 +281,14 @@ class TestAtomicWrite:
         limit = 4096  # above config_score.json, below the ~9 kB of scores
         code = ("import resource, sys\n"
                 f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+                "from sagad import training\n"
+                "training.SCORE_ROWS = 19  # 400 rows: 21 full tiles, then one row\n"
                 "from sagad.cli import main\n"
                 "sys.exit(main(sys.argv[1:]))\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         done = subprocess.run(
             [sys.executable, "-c", code, "score", "--dataset", str(tmp_path / "data"),
-             "--run-dir", str(run), "--batch-size", "16"],
+             "--run-dir", str(run)],
             env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True, text=True, timeout=120,
         )

@@ -591,8 +591,23 @@ class TestMalformedInputs:
          "feature rows (400) != meta num_nodes (401) (in {data_dir}/features.bin)"),
         ("splits.json", "[{", "splits.json is not valid JSON"),
         ("splits.json", json.dumps([{"train": ["a"], "val": [], "test": []}]),
-         "splits.json entry 0: invalid literal"),
+         "splits.json entry 0: train must be a list of integer node ids, got 'a'"),
         ("splits.json", "{}", "splits.json must hold an array of split objects"),
+        # JSON integers only: no silent truncation, no raw numpy error
+        ("splits.json", '[{"train": [1.5], "val": [], "test": []}]',
+         "splits.json entry 0: train must be a list of integer node ids, got 1.5"),
+        ("splits.json", '[{"train": [0], "val": [true], "test": []}]',
+         "splits.json entry 0: val must be a list of integer node ids, got True"),
+        ("splits.json", '[{"train": [0], "val": [1], "test": ["3"]}]',
+         "splits.json entry 0: test must be a list of integer node ids, got '3'"),
+        ("splits.json", '[{"train": [[1, 2]], "val": [], "test": []}]',
+         "splits.json entry 0: train must be a list of integer node ids, got [1, 2]"),
+        ("splits.json", '[{"train": 3, "val": [], "test": []}]',
+         "splits.json entry 0: train must be a list of integer node ids, got 3"),
+        ("splits.json", '[{"train": [1e20], "val": [], "test": []}]',
+         "splits.json entry 0: train must be a list of integer node ids, got 1e+20"),
+        ("splits.json", '[{"train": [100000000000000000000], "val": [], "test": []}]',
+         "splits.json entry 0: train holds a node id beyond int64"),
         ("features.csv", "1,2\nx,y\n", "features.csv: could not convert string 'x'"),
         # finite in the text, but beyond f32: no numpy overflow warning either
         pytest.param("features.csv",
@@ -602,7 +617,9 @@ class TestMalformedInputs:
                      marks=pytest.mark.filterwarnings("error")),
     ], ids=["meta-not-json", "meta-text-num-nodes", "meta-negative-num-nodes", "meta-not-object",
             "meta-no-name", "meta-wrong-d", "meta-wrong-n", "splits-not-json", "splits-text-id",
-            "splits-not-array", "features-csv-text", "features-csv-beyond-f32"])
+            "splits-not-array", "splits-float-id", "splits-bool-id", "splits-string-id",
+            "splits-nested-ids", "splits-bare-number", "splits-float-beyond-int64",
+            "splits-int-beyond-int64", "features-csv-text", "features-csv-beyond-f32"])
     def test_preprocess_exits_1(self, toy_run, tmp_path, capsys, name, content, message):
         data_dir = tmp_path / "data"
         shutil.copytree(toy_run.dataset, data_dir)
@@ -898,6 +915,7 @@ class TestConfigValues:
         ('{"sweep": {"seeds": [1, "a"]}}', "sweep.seeds: expected an integer, got 'a'"),
         ('{"sweep": {"seeds": 3}}', "sweep.seeds: expected a list of integers, got 3"),
         ('{"csbm": 3}', "csbm must be an object"),
+        ('{"batch_size": 1024}', "unknown config key: batch_size"),
         ("[1]", "config file must hold a JSON object"),
         ("{not json", "config file is not valid JSON: Expecting property name"),
         (None, "config file not found: {path}"),
@@ -910,19 +928,57 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message.format(path=path)}") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("command", ["train", "eval", "score"])
-    def test_batch_size_below_one_rejected_before_reading(self, tmp_path, command, capsys,
-                                                          monkeypatch):
-        def no_read(*args, **kwargs):
-            raise AssertionError("file read")
+    def test_batch_size_is_an_unknown_key(self, capsys):
+        """Scoring has one tiling (`training.SCORE_ROWS`); no key sets it."""
+        assert main(["score", "--set", "batch_size=2"]) == 1
+        assert capsys.readouterr().err == "error: unknown config key: batch_size\n"
+        with pytest.raises(SystemExit) as err:
+            main(["score", "--batch-size", "2"])
+        assert err.value.code != 0
+        assert "--batch-size" in capsys.readouterr().err
 
-        monkeypatch.setattr(cli.graph, "open_image", no_read)
-        monkeypatch.setattr(cli.chebyshev, "read_cache", no_read)
-        rc = main([command, "--dataset", str(tmp_path / "data"),
-                   "--run-dir", str(tmp_path / "run"), "--batch-size", "0"])
-        assert rc == 1
-        assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+
+class TestCsbmBounds:
+    """The generator's size keys are bounded.  One past a bound is refused
+    when the config is parsed, before anything is generated; nothing is
+    ever generated at the bound here (its draw is O(n^2) in time)."""
+
+    N_A = cli.CsbmSection().n_a
+    PAST = [
+        ("synth-csbm", {"csbm.n_n": csbm.MAX_NODES + 1 - N_A},
+         f"csbm.n (n_a + n_n) must be <= {csbm.MAX_NODES}, got {csbm.MAX_NODES + 1}"),
+        ("synth-csbm", {"csbm.dim": csbm.MAX_DIM + 1},
+         f"csbm.dim must be <= {csbm.MAX_DIM}, got {csbm.MAX_DIM + 1}"),
+        ("csbm-sweep", {"sweep.n": csbm.MAX_NODES + 1},
+         f"sweep.n (n_a + n_n) must be <= {csbm.MAX_NODES}, got {csbm.MAX_NODES + 1}"),
+        ("csbm-sweep", {"sweep.dims": f"16,{csbm.MAX_DIM + 1}"},
+         f"sweep.dims must be <= {csbm.MAX_DIM}, got {csbm.MAX_DIM + 1}"),
+    ]
+
+    @pytest.mark.parametrize("command,overrides,message", PAST,
+                             ids=["csbm-nodes", "csbm-dim", "sweep-nodes", "sweep-dims"])
+    def test_one_past_the_bound_is_refused(self, tmp_path, capsys, monkeypatch, command,
+                                           overrides, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(None, overrides)
+        assert str(exc.value) == message
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("generated")
+
+        monkeypatch.setattr(csbm, "generate_csbm", no_draw)
+        monkeypatch.setattr(csbm, "separability_experiment", no_draw)
+        argv = [f"--set={key}={value}" for key, value in overrides.items()]
+        assert main([command, "--dataset", str(tmp_path / "data"),
+                     "--run-dir", str(tmp_path / "run"), *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
+
+    def test_the_bounds_are_accepted(self):
+        cfg = parse_config(None, {"csbm.n_n": csbm.MAX_NODES - self.N_A,
+                                  "csbm.dim": csbm.MAX_DIM, "sweep.n": csbm.MAX_NODES,
+                                  "sweep.dims": f"1,{csbm.MAX_DIM}"})
+        assert cfg.csbm.n_a + cfg.csbm.n_n == csbm.MAX_NODES == cfg.sweep.n
 
 
 class TestProcessMemory:
@@ -1221,14 +1277,17 @@ class TestSamplerConfig:
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_rejected_before_reading(self, tmp_path, cap, capsys, monkeypatch):
         def no_read(*args, **kwargs):
-            raise AssertionError("dataset read")
+            raise AssertionError("file read")
 
         monkeypatch.setattr(cli.graph, "open_image", no_read)
-        rc = main(["sample-context", "--dataset", str(tmp_path / "data"),
-                   "--run-dir", str(tmp_path / "run"), "--cap", cap])
-        assert rc == 1
-        assert f"cap must be >= 1, got {cap}" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        monkeypatch.setattr(cli.chebyshev, "read_cache", no_read)
+        monkeypatch.setattr(cli.model, "load_checkpoint", no_read)
+        for command in ("sample-context", "train", "eval", "score"):
+            rc = main([command, "--dataset", str(tmp_path / "data"),
+                       "--run-dir", str(tmp_path / "run"), "--cap", cap])
+            assert rc == 1, command
+            assert f"cap must be >= 1, got {cap}" in capsys.readouterr().err, command
+            assert not (tmp_path / "run").exists(), command
 
     @pytest.mark.parametrize("cap", ["1025", "100000000000000000000"])
     def test_cap_above_bound_rejected_before_reading(self, tmp_path, cap, capsys, monkeypatch):

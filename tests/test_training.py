@@ -438,18 +438,6 @@ class TestTrainLoop:
 
 
 class TestScoreAll:
-    def test_batch_size_invariance(self):
-        ds = er_dataset(50, 0.2, 3, seed=5)
-        cfg = ModelConfig(K=2, hidden_dim=8, seed=2)
-        cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
-        ctx = build_context_cache(ds)
-        state = init_model(cfg, 3)
-        a = score_all(state, cache, ctx, batch_size=1)
-        b = score_all(state, cache, ctx, batch_size=4096)
-        c = score_all(state, cache, ctx, batch_size=7)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
-
     def test_zero_classifier_scores_half(self):
         ds = er_dataset(30, 0.2, 3, seed=6)
         cfg = ModelConfig(K=2, hidden_dim=8)
