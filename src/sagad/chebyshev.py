@@ -9,13 +9,14 @@ row (see ``cachefile``); training never touches the graph again.
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked, pread_into, write_array
 from .errors import CacheFormatError
-from .graph import GraphDataset, degree_scaling, normalized_adjacency
+from .graph import GraphDataset, RowOperator, degree_scaling, normalized_adjacency
 
 # header: u64 n, u64 d, u16 K, u16 dtype code; then (K+1) f32 blocks
 CACHE_FORMAT = BinaryFormat(b"SGCHEB01", "<QQHH", "basis cache")
@@ -83,13 +84,15 @@ def build_cheb_basis(
     x = dataset.feature_matrix(dtype)
     if path is None:
         blocks = [x, *(np.empty((n, d), dtype=dtype) for _ in range(order))]
-        for k, lo, rows in _basis_chunks(dataset, order, blocks.__getitem__,
-                                         lambda k, lo, hi: blocks[k][lo:hi]):
-            if k:
-                blocks[k][lo : lo + len(rows)] = rows
+        with tempfile.TemporaryFile() as spill:
+            for k, lo, rows in _basis_chunks(dataset, order, blocks.__getitem__,
+                                             lambda k, lo, hi: blocks[k][lo:hi], spill):
+                if k:
+                    blocks[k][lo : lo + len(rows)] = rows
         return ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks)
     path = os.fspath(path)
-    with CACHE_FORMAT.writer(path, (n, d, order, _DTYPE_F32)) as f:
+    with CACHE_FORMAT.writer(path, (n, d, order, _DTYPE_F32)) as f, \
+            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as spill:
 
         def read_back(out: np.ndarray, k: int, lo: int) -> np.ndarray:
             pread_into(f.fileno(), out, CACHE_FORMAT.header_bytes + (k * n + lo) * d * 4, path)
@@ -104,13 +107,13 @@ def build_cheb_basis(
         def rows(k: int, lo: int, hi: int) -> np.ndarray:
             return read_back(np.empty((hi - lo, d), dtype=np.float32), k, lo)
 
-        for _, _, chunk in _basis_chunks(dataset, order, block, rows):
+        for _, _, chunk in _basis_chunks(dataset, order, block, rows, spill):
             write_array(f, chunk, "<f4")
     # the file just written, not an input: opened without `read_cache`
     return CACHE_FORMAT.open(path, _cache_from_file)
 
 
-def _basis_chunks(dataset: GraphDataset, order: int, block, rows):
+def _basis_chunks(dataset: GraphDataset, order: int, block, rows, spill):
     """Yield (k, lo, chunk): rows lo:lo+len(chunk) of T_k X, block by block
     and rows ascending (the cache file's order).  ``chunk`` is valid until
     the next one is asked for.
@@ -122,17 +125,37 @@ def _basis_chunks(dataset: GraphDataset, order: int, block, rows):
     that dtype throughout.  Each row of a sparse product is summed from
     zero in column order, as the whole-matrix product sums it, so the
     values do not depend on the chunking.
+
+    Each chunk's operator is laid out once, for T_1 X: its rank-major
+    columns and values go to ``spill``, an empty scratch file, and are
+    read back for every later block instead of being laid out again.
     """
     adj, n = dataset.adjacency, dataset.num_nodes
+    offsets = adj.row_offsets
     scaling = degree_scaling(adj)
     bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+    spilled = []  # per chunk: where its columns start in ``spill``, and their dtype
     x = block(0)
     for lo, hi in bounds:
         yield 0, lo, x[lo:hi]
     for k in range(1, order + 1):
         prev = block(k - 1)
-        for lo, hi in bounds:
-            chunk = normalized_adjacency(adj, (lo, hi), scaling, x.dtype) @ prev
+        spill.flush()  # what T_1 X spilled is read back from the file itself
+        for i, (lo, hi) in enumerate(bounds):
+            if k == 1:
+                op = normalized_adjacency(adj, (lo, hi), scaling, x.dtype)
+                if order > 1:
+                    spilled.append((spill.tell(), op.columns.dtype))
+                    write_array(spill, op.columns, op.columns.dtype)
+                    write_array(spill, op.values, op.values.dtype)
+            else:
+                at, column_dtype = spilled[i]
+                columns = np.empty(offsets[hi] - offsets[lo], dtype=column_dtype)
+                values = np.empty(len(columns), dtype=x.dtype)
+                pread_into(spill.fileno(), columns, at, "the basis scratch file")
+                pread_into(spill.fileno(), values, at + columns.nbytes, "the basis scratch file")
+                op = RowOperator(offsets[lo : hi + 1], columns, n, values, ranked=True)
+            chunk = op @ prev
             if k == 1:
                 np.negative(chunk, out=chunk)  # L_hat X = -(A_norm X)
             else:

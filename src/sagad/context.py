@@ -273,41 +273,35 @@ def _rq_context(adj: SparseAdjacency, x: np.ndarray, cap: int, seed: int):
     return context, sizes
 
 
-# Values per row chunk of the full_khop pool (its f64 sums): 16k rows at
-# d = 32.  A chunk loops to its own largest degree, so fewer, larger
-# chunks take fewer gather steps than the sampler's.
-_POOL_VALUES = 1 << 19
+# Values per row chunk of the full_khop pool (its f64 sums): 8k rows at
+# d = 32, as many as a basis chunk.  A chunk loops to its own largest
+# degree, so fewer, larger chunks take fewer gather steps than the
+# sampler's; at 200k nodes twice as many rows took no less time.
+_POOL_VALUES = 1 << 18
 
 
 def _full_khop_context(adj: SparseAdjacency, x: np.ndarray):
     """Yield (lo, chunk): rows lo:lo+len(chunk) of (A x + x) / (degree + 1)
     as f32, contiguous row chunks in ascending order.
 
-    A chunk's columns are read once, one slice of ``col_indices``.  Each
-    row is summed in f64 from zero in column order, as a sparse product
-    sums it: neighbor rank j of all the chunk's rows at a time.  The rows
-    are taken in descending-degree order, so the rows with a j-th neighbor
-    are a prefix, and a chunk loops only to its own largest degree."""
+    Each chunk is one product with the unit-valued ``adj.operator`` of its
+    rows, which reads the chunk's columns once and sums each row in f64
+    from zero in column order, as a sparse product sums it; the node's
+    own row is added last."""
     n, d = x.shape
-    offsets = adj.row_offsets
     step = max(1, _POOL_VALUES // max(d, 1))
     for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        columns = adj.col_indices[offsets[lo] : offsets[hi]]
-        degree = np.diff(offsets[lo : hi + 1])
-        rows = np.argsort(degree)[::-1]
-        start, deg = offsets[lo:hi][rows] - offsets[lo], degree[rows]
-        # rows with a rank-j neighbor, for each j below the chunk's top degree
-        having = np.searchsorted(-deg, -np.arange(deg[0]))
-        pooled = np.zeros((len(rows), d))
-        # np.take: a row gather several times faster than fancy indexing
-        for j, count in enumerate(having):
-            pooled[:count] += np.take(x, np.take(columns, start[:count] + j), axis=0)
-        pooled += np.take(x, rows + lo, axis=0)
-        pooled /= (deg + 1)[:, None]
-        chunk = np.empty((len(rows), d), dtype=np.float32)
-        chunk[rows] = pooled
-        yield lo, chunk
+        yield lo, _pool_rows(adj, x, lo, min(lo + step, n))
+
+
+def _pool_rows(adj: SparseAdjacency, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of the pool; its f64 sums are freed on return, before the
+    next chunk's are formed."""
+    op = adj.operator((lo, hi))
+    pooled = op @ x
+    pooled += x[lo:hi]
+    pooled /= (op.degree + 1)[:, None]
+    return pooled.astype(np.float32)
 
 
 def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP, seed: int = 0,

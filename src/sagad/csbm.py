@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import GraphDataset, SparseAdjacency, SplitSet
+from .graph import GraphDataset, RowOperator, SparseAdjacency, SplitSet
 
 _SEED_DOMAIN_CSBM = 0xC5B
 
@@ -105,7 +105,8 @@ class CsbmSample:
     dataset: GraphDataset
     regimes: np.ndarray  # 0 = homophilic, 1 = heterophilic
     theta: np.ndarray
-    ego: "scipy.sparse.csr_matrix | None"  # row i: node i's out-neighborhood
+    # the ego draw's (row offsets, targets): row i is node i's out-neighborhood
+    ego: tuple[np.ndarray, np.ndarray] | None
     clipped_pairs: int
 
 
@@ -185,12 +186,10 @@ def generate_csbm(params: CsbmParams, include_ego: bool = False) -> CsbmSample:
 
     ego = None
     if include_ego:
-        from scipy.sparse import csr_matrix
-
         src, dst, ego_clipped = _sample_pairs(rng_ego, labels, theta, intra, inter, ego=True)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-        ego = csr_matrix((np.ones(len(dst)), dst, offsets), shape=(n, n))
+        ego = (offsets, dst)
         clipped += ego_clipped
 
     dataset = GraphDataset(
@@ -272,16 +271,17 @@ def standard_splits(
 # ---------------------------------------------------------------------------
 
 
-def random_walk_filter(a, x: np.ndarray, regimes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def random_walk_filter(a: RowOperator, x: np.ndarray,
+                       regimes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Node-adaptive one-step random-walk filter over row neighborhoods.
 
     Row i is +(S X)_i for homophilic nodes and -(S X)_i for heterophilic
-    nodes, with S = D^-1 A and D the row's neighbor count.  ``a`` is a CSR
-    with unit values: the dataset graph's ``adjacency.to_csr()`` or the directed
-    ego draw.  Isolated rows are zero and flagged in the returned mask
-    rather than raising.
+    nodes, with S = D^-1 A and D the row's neighbor count.  ``a`` is a
+    unit-valued ``RowOperator``: the dataset graph's ``adjacency.operator()``
+    or one over the directed ego draw.  Isolated rows are zero and flagged
+    in the returned mask rather than raising.
     """
-    deg = np.diff(a.indptr).astype(np.float64)
+    deg = a.degree.astype(np.float64)
     isolated = deg == 0
     sx = a @ np.asarray(x, dtype=np.float64)
     safe = np.where(isolated, 1.0, deg)
@@ -388,8 +388,9 @@ def separability_experiment(params: CsbmParams) -> SeparabilityResult:
 
     sep = theoretical_separator(params.mu, params.nu, params.pi_a)
 
-    adaptive, isolated = random_walk_filter(sample.ego, x, sample.regimes)
-    all_low, _ = random_walk_filter(sample.ego, x, np.zeros_like(sample.regimes))
+    ego = RowOperator(*sample.ego, params.n)
+    adaptive, isolated = random_walk_filter(ego, x, sample.regimes)
+    all_low, _ = random_walk_filter(ego, x, np.zeros_like(sample.regimes))
     keep = ~isolated
 
     def classify(filtered):

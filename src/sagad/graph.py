@@ -67,8 +67,8 @@ class SparseAdjacency:
     Each undirected edge is stored twice (once per direction), so
     ``col_indices`` has length 2m for m undirected edges.  Both arrays
     have the dtype ``_index_dtype`` picks: int32 while n and 2m fit in it.
-    Only ``to_csr`` imports scipy, so a command that forms no sparse
-    product never pays for importing it.
+    ``operator`` and ``normalized_adjacency`` turn rows of it into a
+    ``RowOperator``, so every sparse product runs in numpy.
 
     The row offsets are always in memory.  The columns are an ndarray, or
     the ``CacheRows`` reader of an open dataset image (``DatasetImage
@@ -164,27 +164,100 @@ class SparseAdjacency:
     def neighbors(self, node: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[node] : self.row_offsets[node + 1]]
 
-    def to_csr(self, rows: tuple[int, int] | None = None, values: np.ndarray | None = None,
-               columns: np.ndarray | None = None):
-        """Rows lo:hi (``rows``; all rows by default) as a (hi - lo, n) scipy
-        CSR over slices of the index arrays, not copies.  Its values are
-        ``values``, one per stored entry of those rows, or int8 ones: the
-        operator to multiply by, ``to_csr() @ x`` sums each node's
-        neighbors.  ``columns`` is those rows' slice of ``col_indices``,
-        passed by a caller that has read it already."""
-        import scipy.sparse as sp
+    def operator(self, rows: tuple[int, int] | None = None) -> "RowOperator":
+        """Rows lo:hi (``rows``; all rows by default) with unit values:
+        ``adj.operator() @ x`` sums each node's neighbors in f64.  The
+        rows' columns are read once (one positioned read for an image's)."""
+        lo, hi = (0, self.num_nodes) if rows is None else rows
+        offsets = self.row_offsets[lo : hi + 1]
+        return RowOperator(offsets, self.col_indices[offsets[0] : offsets[-1]], self.num_nodes)
 
-        n = self.num_nodes
-        lo, hi = (0, n) if rows is None else rows
-        start, stop = self.row_offsets[lo], self.row_offsets[hi]
-        indptr = self.row_offsets[lo : hi + 1]
-        if start:
-            indptr = indptr - start
-        if columns is None:
-            columns = self.col_indices[start:stop]
-        if values is None:
-            values = np.ones(stop - start, dtype=np.int8)
-        return sp.csr_matrix((values, columns, indptr), shape=(hi - lo, n), copy=False)
+
+class RowOperator:
+    """Rows of a sparse matrix as the left operand of a product with a
+    dense matrix, ``op @ x``, computed in numpy one neighbor rank at a time.
+
+    ``offsets`` are the rows' h+1 offsets into a CSR's columns (the first
+    need not be 0) and ``columns`` those rows' columns, each below
+    ``num_cols``; ``values`` holds one value per entry, or is None for
+    unit values.  At construction the rows are ordered by descending
+    degree, so the rows with a j-th entry are a prefix, and the columns
+    and values are copied once into rank-major order (``op.columns`` and
+    ``op.values``), so the j-th entries of those rows are one contiguous
+    slice.  With ``ranked`` the given columns and values are in that
+    order already, as another operator over the same offsets holds them.
+    A product gathers the rows of ``x`` that a run of whole ranks names,
+    about as many as the rows with a first entry, multiplies them by their
+    values (not for unit values) and adds each rank's slice into the
+    prefix of the output.
+
+    Each output row is summed from +0.0 in column order, one rounded
+    product and one rounded add per entry, as scipy's CSR product sums
+    it, so a row's value depends neither on the other rows nor on how the
+    rows are chunked.  The product runs in the result dtype of ``x`` and
+    ``values``, in f64 for unit values.
+    """
+
+    def __init__(self, offsets: np.ndarray, columns: np.ndarray, num_cols: int,
+                 values: np.ndarray | None = None, *, ranked: bool = False):
+        degree = np.diff(offsets)
+        self.shape = (len(degree), num_cols)
+        self.degree = degree
+        order = np.argsort(-degree, kind="stable")
+        sorted_degree = degree[order]
+        # each row's position in that order: the output is taken back by it
+        self._rank = np.empty(len(order), dtype=np.intp)
+        self._rank[order] = np.arange(len(order))
+        # rows with a rank-j entry, for each rank j below the top degree
+        counts = np.searchsorted(-sorted_degree, -np.arange(sorted_degree[:1].sum())).tolist()
+        if ranked:
+            self.columns, self.values = columns, values
+        else:
+            self.columns = np.empty_like(columns)
+            self.values = None if values is None else np.empty_like(values)
+            # rank j is taken through a cursor on each row's j-th entry
+            cursor = (offsets[:-1] - offsets[0])[order].astype(np.intp)
+            start = 0
+            for c in counts:
+                np.take(columns, cursor[:c], out=self.columns[start : start + c])
+                if values is not None:
+                    np.take(values, cursor[:c], out=self.values[start : start + c])
+                cursor[:c] += 1
+                start += c
+        # runs of whole ranks whose entries fit a buffer of the first
+        # rank's rows: [start, stop, [(rows, offset in the run), ...]]
+        self._width = counts[0] if counts else 0
+        self._runs = []
+        stop = 0
+        for c in counts:
+            if not self._runs or stop + c - self._runs[-1][0] > self._width:
+                self._runs.append([stop, stop, []])
+            run = self._runs[-1]
+            run[2].append((c, stop - run[0]))
+            stop += c
+            run[1] = stop
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The (h, d) product with an (num_cols, d) ndarray ``x``."""
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} operator by shape {x.shape}")
+        h, d = self.shape[0], x.shape[1]
+        unit = self.values is None
+        dtype = np.result_type(x.dtype, np.float64 if unit else self.values.dtype)
+        out = np.zeros((h, d), dtype=dtype)
+        taken = np.empty((self._width, d), dtype=x.dtype)
+        product = taken if unit or dtype == x.dtype else np.empty_like(taken, dtype=dtype)
+        for start, stop, ranks in self._runs:
+            # mode="clip": the columns are in range, and "raise" with
+            # ``out`` gathers into a temporary copy first
+            np.take(x, self.columns[start:stop], axis=0, out=taken[: stop - start], mode="clip")
+            if not unit:
+                np.multiply(taken[: stop - start], self.values[start:stop, None],
+                            out=product[: stop - start])
+            for rows, offset in ranks:
+                out[:rows] += product[offset : offset + rows]
+        del taken, product  # freed before the output is put back in row order
+        return np.take(out, self._rank, axis=0)
 
 
 @dataclass
@@ -345,25 +418,24 @@ def degree_scaling(adj: SparseAdjacency) -> np.ndarray:
 
 
 def normalized_adjacency(adj: SparseAdjacency, rows: tuple[int, int] | None = None,
-                         scaling: np.ndarray | None = None, dtype=np.float64):
-    """Symmetric normalization D^{-1/2} A D^{-1/2}, as a CSR over the same
-    index arrays as its operand.
+                         scaling: np.ndarray | None = None, dtype=np.float64) -> RowOperator:
+    """Symmetric normalization D^{-1/2} A D^{-1/2}, as a ``RowOperator``.
 
-    ``rows=(lo, hi)`` gives rows lo:hi only, as a (hi - lo, n) CSR whose
-    values are formed for those rows alone, over the graph's index slices;
-    the rows' columns are read once (one positioned read for an image's).
-    ``scaling`` is ``degree_scaling(adj)``, passed by a caller that asks
-    for many row chunks so it is computed once.  Each value is formed in
-    f64 as ``s_i * s_j`` and then rounded once to ``dtype``.  Rows and
-    columns of isolated nodes stay all-zero (they have no entries).
+    ``rows=(lo, hi)`` gives rows lo:hi only, an (hi - lo, n) operator
+    whose values are formed for those rows alone; the rows' columns are
+    read once (one positioned read for an image's).  ``scaling`` is
+    ``degree_scaling(adj)``, passed by a caller that asks for many row
+    chunks so it is computed once.  Each value is formed in f64 as
+    ``s_i * s_j`` and then rounded once to ``dtype``.  Rows and columns of
+    isolated nodes stay all-zero (they have no entries).
     """
-    offsets = adj.row_offsets
     lo, hi = (0, adj.num_nodes) if rows is None else rows
     if scaling is None:
         scaling = degree_scaling(adj)
-    columns = adj.col_indices[offsets[lo] : offsets[hi]]
-    vals = np.repeat(scaling[lo:hi], np.diff(offsets[lo : hi + 1])) * scaling[columns]
-    return adj.to_csr((lo, hi), vals.astype(dtype, copy=False), columns)
+    offsets = adj.row_offsets[lo : hi + 1]
+    columns = adj.col_indices[offsets[0] : offsets[-1]]
+    vals = np.repeat(scaling[lo:hi], np.diff(offsets)) * scaling[columns]
+    return RowOperator(offsets, columns, adj.num_nodes, vals.astype(dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +784,14 @@ def _read_splits_json(path: str) -> list[SplitSet]:
         raise DatasetFormatError("splits.json must hold an array of split objects")
     splits = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise DatasetFormatError(f"splits.json entry {i} must be an object with "
+                                     f"{', '.join(SPLIT_PARTS)} lists, got {type(entry).__name__}")
+        missing = [part for part in SPLIT_PARTS if part not in entry]
+        if missing:
+            raise DatasetFormatError(f"splits.json entry {i} is missing {', '.join(missing)}")
         try:
             splits.append(SplitSet(*(_split_ids(entry, part) for part in SPLIT_PARTS)))
-        except (KeyError, TypeError, DatasetFormatError) as exc:
+        except DatasetFormatError as exc:
             raise DatasetFormatError(f"splits.json entry {i}: {exc}") from exc
     return splits

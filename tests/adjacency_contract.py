@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles import csr
+
 DENSE_ORACLE_MAX_NODES = 2000
 
 
@@ -21,13 +23,13 @@ def assert_adjacency_contract(adj, num_nodes: int, edges=None) -> None:
     indptr, indices = adj.row_offsets, adj.col_indices[:]
     assert indptr.shape == (num_nodes + 1,) and indptr[0] == 0 and indptr[-1] == len(indices)
     # a fresh matrix over the same arrays, so the flag is computed, not a cached one
-    csr = adj.to_csr()
-    assert csr.shape == (num_nodes, num_nodes)
-    assert csr.has_canonical_format, "a row has unsorted or duplicate columns"
+    matrix = csr(adj)
+    assert matrix.shape == (num_nodes, num_nodes)
+    assert matrix.has_canonical_format, "a row has unsorted or duplicate columns"
     assert not np.any(adj.row_ids() == indices), "self-loop present"
     # with canonical rows, the pattern is symmetric exactly when the
     # transpose, re-sorted, has the same arrays
-    transposed = csr.T.tocsr()
+    transposed = matrix.T.tocsr()
     transposed.sort_indices()
     np.testing.assert_array_equal(transposed.indptr, indptr)
     np.testing.assert_array_equal(transposed.indices, indices)
@@ -37,4 +39,4 @@ def assert_adjacency_contract(adj, num_nodes: int, edges=None) -> None:
         dense[pairs[:, 0], pairs[:, 1]] = 1
         dense[pairs[:, 1], pairs[:, 0]] = 1
         np.fill_diagonal(dense, 0)
-        np.testing.assert_array_equal(csr.toarray(), dense)
+        np.testing.assert_array_equal(matrix.toarray(), dense)

@@ -5,9 +5,11 @@ the package against; the pipeline runs none of them.
 the Chebyshev recurrence, ``interpolation_matrix_per_unit_vector`` builds
 the interpolation matrix by one series evaluation per unit vector,
 ``csr_from_edges`` builds the adjacency through scipy's COO->CSR
-conversion and ``full_khop_pool`` pools the 1-hop context as one f64
-scipy product, and ``ascending_midranks`` ranks the scores from an
-ascending sort, each instead of the package's own code.
+conversion, ``csr`` and ``normalized_csr`` are the graph's rows as scipy
+CSRs, the reference for every product of a ``RowOperator``,
+``full_khop_pool`` pools the 1-hop context as one f64 scipy product, and
+``ascending_midranks`` ranks the scores from an ascending sort, each
+instead of the package's own code.
 ``fuse_per_mode`` mixes the two embeddings by each fusion mode's own
 formula instead of the one gated mix, ``evaluate_objective`` forms the
 training objective's value for finite-difference gradient checks, and
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 
 from sagad.chebyshev import chebyshev_nodes, chebyshev_series
 from sagad.csbm import CsbmParams
-from sagad.graph import GraphDataset, normalized_adjacency
+from sagad.graph import GraphDataset, SparseAdjacency
 from sagad.model import ModelState, RowBundle, forward_bundle
 from sagad.training import TrainConfig, data_loss_terms
 
@@ -41,7 +43,7 @@ def dense_spectral_oracle(
     if n > max_nodes:
         raise ValueError(f"dense oracle limited to n <= {max_nodes}, got {n}")
     weights = np.asarray(weights, dtype=np.float64)
-    a_norm = normalized_adjacency(dataset.adjacency).toarray()
+    a_norm = normalized_csr(dataset.adjacency).toarray()
     l_hat = -a_norm
     eigvals, eigvecs = np.linalg.eigh(l_hat)
     response = chebyshev_series(weights, eigvals)
@@ -75,12 +77,42 @@ def csr_from_edges(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
     return csr.indptr, csr.indices
 
 
+def csr(adj: SparseAdjacency, rows: tuple[int, int] | None = None,
+        values: np.ndarray | None = None) -> sp.csr_matrix:
+    """Rows lo:hi of ``adj`` (all rows by default) as an (hi - lo, n) scipy
+    CSR over slices of its index arrays, with ``values`` (one per stored
+    entry of those rows) or int8 ones."""
+    n = adj.num_nodes
+    lo, hi = (0, n) if rows is None else rows
+    start, stop = adj.row_offsets[lo], adj.row_offsets[hi]
+    indptr = adj.row_offsets[lo : hi + 1] - start
+    if values is None:
+        values = np.ones(stop - start, dtype=np.int8)
+    return sp.csr_matrix((values, adj.col_indices[start:stop], indptr), shape=(hi - lo, n),
+                         copy=False)
+
+
+def normalized_csr(adj: SparseAdjacency, rows: tuple[int, int] | None = None,
+                   dtype=np.float64) -> sp.csr_matrix:
+    """``normalized_adjacency(adj, rows, dtype=dtype)`` as a scipy CSR: the
+    degrees counted from the CSR, each value ``s_i * s_j`` formed in f64
+    and rounded once to ``dtype``."""
+    a = csr(adj)
+    counts = np.diff(a.indptr)
+    deg = counts.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+    vals = (np.repeat(dinv_sqrt, counts) * dinv_sqrt[a.indices]).astype(dtype)
+    a_norm = sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape)
+    return a_norm if rows is None else a_norm[rows[0] : rows[1]]
+
+
 def full_khop_pool(dataset: GraphDataset) -> tuple[np.ndarray, np.ndarray]:
     """The ``full_khop`` context and sizes: (A x + x) / (degree + 1) as one
     scipy product over the features widened to f64, rounded to f32."""
     x = np.asarray(dataset.features, dtype=np.float64)
     sizes = np.diff(dataset.adjacency.row_offsets) + 1
-    pooled = dataset.adjacency.to_csr() @ x
+    pooled = csr(dataset.adjacency) @ x
     pooled += x
     pooled /= sizes[:, None]
     return pooled.astype(np.float32), sizes

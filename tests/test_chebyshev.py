@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from sagad import chebyshev
 from sagad.chebyshev import (
@@ -20,11 +19,10 @@ from sagad.graph import (
     FeatureFile,
     GraphDataset,
     SparseAdjacency,
-    normalized_adjacency,
 )
 
 from conftest import LoggedColumns, er_dataset, image_graph, make_dataset
-from oracles import dense_spectral_oracle
+from oracles import dense_spectral_oracle, normalized_csr
 
 
 class TestBasisRecurrence:
@@ -42,7 +40,7 @@ class TestBasisRecurrence:
     def test_recurrence_matches_direct_apply(self):
         ds = er_dataset(30, 0.2, 2, seed=2)
         cache = build_cheb_basis(ds, 4, dtype=np.float64)
-        l_hat = -normalized_adjacency(ds.adjacency).toarray()
+        l_hat = -normalized_csr(ds.adjacency).toarray()
         for k in range(2, 5):
             expected = 2.0 * l_hat @ cache.blocks[k - 1] - cache.blocks[k - 2]
             np.testing.assert_allclose(cache.blocks[k], expected, atol=1e-12)
@@ -62,7 +60,7 @@ class TestDenseOracle:
     def test_linear_filter_applies_laplacian(self):
         ds = er_dataset(25, 0.2, 3, seed=4)
         out = dense_spectral_oracle(ds, [0.0, 1.0])
-        l_hat = -normalized_adjacency(ds.adjacency).toarray()
+        l_hat = -normalized_csr(ds.adjacency).toarray()
         np.testing.assert_allclose(out, l_hat @ ds.features, atol=1e-10)
 
     def test_recurrence_agrees_with_oracle(self):
@@ -81,7 +79,7 @@ class TestDenseOracle:
 
     def test_scaled_spectrum_in_unit_interval(self):
         ds = er_dataset(60, 0.15, 2, seed=6)
-        l_hat = -normalized_adjacency(ds.adjacency).toarray()
+        l_hat = -normalized_csr(ds.adjacency).toarray()
         eigvals = np.linalg.eigvalsh(l_hat)
         assert eigvals.min() >= -1.0 - 1e-10
         assert eigvals.max() <= 1.0 + 1e-10
@@ -176,13 +174,7 @@ def whole_matrix_basis(ds, order, dtype=np.float32):
     """The recurrence over the whole normalized matrix in ``dtype``: values
     formed in f64 and rounded once, three ``dtype`` buffers (test oracle for
     the row-chunked one)."""
-    a = ds.adjacency.to_csr()
-    counts = np.diff(a.indptr)
-    deg = counts.astype(np.float64)
-    with np.errstate(divide="ignore"):
-        dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    vals = (np.repeat(dinv_sqrt, counts) * dinv_sqrt[a.indices]).astype(dtype)
-    a_norm = sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape)
+    a_norm = normalized_csr(ds.adjacency, dtype=dtype)
     b_prev = np.array(ds.features, dtype=dtype)
     b_cur = a_norm @ b_prev
     np.negative(b_cur, out=b_cur)
@@ -252,8 +244,10 @@ class TestStreamedBasis:
     @pytest.mark.parametrize("chunk", ["1", "7", "n"])
     def test_image_columns_are_read_once_per_chunk(self, tmp_path, monkeypatch, name, chunk):
         """Built as `preprocess` builds it, on the columns of a dataset
-        image, the file is the whole-matrix recurrence's, and each product
-        reads its row chunk's columns with one slice."""
+        image, the file is the whole-matrix recurrence's, and each row
+        chunk's columns are read with one slice, once for all K products:
+        the later products read the chunk's laid-out operator back from
+        the scratch file."""
         ds = _graphs()[name]
         n, order = ds.num_nodes, 3
         rows = {"1": 1, "7": 7, "n": n}[chunk]
@@ -267,7 +261,7 @@ class TestStreamedBasis:
         assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
         bounds = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
         assert [(s.start, s.stop) for s in columns.reads] == [
-            (offsets[lo], offsets[hi]) for _ in range(order) for lo, hi in bounds]
+            (offsets[lo], offsets[hi]) for lo, hi in bounds]
 
     @pytest.mark.parametrize("name", ["isolated", "edgeless", "er", "star", "path", "complete",
                                       "heavy-tailed"])

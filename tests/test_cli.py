@@ -608,6 +608,9 @@ class TestMalformedInputs:
          "splits.json entry 0: train must be a list of integer node ids, got 1e+20"),
         ("splits.json", '[{"train": [100000000000000000000], "val": [], "test": []}]',
          "splits.json entry 0: train holds a node id beyond int64"),
+        ("splits.json", '[{"val": [], "test": []}]', "splits.json entry 0 is missing train"),
+        ("splits.json", "[[1]]",
+         "splits.json entry 0 must be an object with train, val, test lists, got list"),
         ("features.csv", "1,2\nx,y\n", "features.csv: could not convert string 'x'"),
         # finite in the text, but beyond f32: no numpy overflow warning either
         pytest.param("features.csv",
@@ -619,7 +622,8 @@ class TestMalformedInputs:
             "meta-no-name", "meta-wrong-d", "meta-wrong-n", "splits-not-json", "splits-text-id",
             "splits-not-array", "splits-float-id", "splits-bool-id", "splits-string-id",
             "splits-nested-ids", "splits-bare-number", "splits-float-beyond-int64",
-            "splits-int-beyond-int64", "features-csv-text", "features-csv-beyond-f32"])
+            "splits-int-beyond-int64", "splits-missing-part", "splits-entry-not-object",
+            "features-csv-text", "features-csv-beyond-f32"])
     def test_preprocess_exits_1(self, toy_run, tmp_path, capsys, name, content, message):
         data_dir = tmp_path / "data"
         shutil.copytree(toy_run.dataset, data_dir)
@@ -750,10 +754,10 @@ class TestDatasetImage:
         assert main(["homophily", *args]) == 0
         assert [read(path, "rb") for path in paths] == before
 
-    def test_commands_without_a_sparse_product_never_import_scipy(self, toy_run, tmp_path):
-        """Only `preprocess` (the basis) and the csbm commands form a scipy
-        sparse product: the graph is built and the 1-hop context pooled in
-        numpy, and scipy costs about 0.2 s to import."""
+    def test_no_command_imports_scipy(self, toy_run, tmp_path):
+        """Every sparse product (the basis, the 1-hop pool, the csbm
+        filter) runs on numpy's ``RowOperator``, so no command imports
+        scipy, which costs about 0.2 s and 22 MB to import."""
         cfg, args = self._run(toy_run, tmp_path)
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = (
@@ -765,10 +769,11 @@ class TestDatasetImage:
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         assert toy_run.context_mode == "rq"
+        sweep = ["--set", "sweep.n=200", "--set", "sweep.dims=4", "--set", "sweep.seeds=0"]
         # the full_khop context replaces the rq one last, as nothing reads it
-        for command in (["validate"], ["homophily"], ["train"], ["eval"], ["score"],
-                        ["quartiles"], ["sample-context"],
-                        ["sample-context", "--context-mode", "full_khop"]):
+        for command in (["preprocess"], ["validate"], ["homophily"], ["train"], ["eval"],
+                        ["score"], ["quartiles"], ["sample-context"],
+                        ["sample-context", "--context-mode", "full_khop"], ["csbm-sweep", *sweep]):
             proc = subprocess.run([sys.executable, "-c", script, *command, *args],
                                   capture_output=True, text=True, env=env, timeout=300)
             assert proc.returncode == 0, proc.stderr

@@ -25,7 +25,7 @@ from sagad.graph import FEATURES_FORMAT, FeatureFile, GraphDataset, SparseAdjace
 
 import rq_oracle
 from conftest import LoggedColumns, er_dataset, image_graph, make_dataset, messy_edges
-from oracles import full_khop_pool
+from oracles import csr, full_khop_pool
 from rq_kernel import max_rq_subgraph
 from rq_oracle import rayleigh_quotient
 
@@ -82,7 +82,7 @@ class TestRayleighQuotient:
         subset = rng.choice(15, size=5, replace=False)
         base = rayleigh_quotient(subset, ds)
         scaled = make_dataset(
-            np.argwhere(np.triu(ds.adjacency.to_csr().toarray(), 1) > 0),
+            np.argwhere(np.triu(csr(ds.adjacency).toarray(), 1) > 0),
             ds.features * scale,
             ds.labels,
             num_nodes=15,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sagad.csbm import (
     CsbmParams,
@@ -12,6 +13,7 @@ from sagad.csbm import (
     theoretical_separator,
 )
 from sagad.errors import ConfigError
+from sagad.graph import RowOperator
 
 from adjacency_contract import assert_adjacency_contract
 from conftest import make_dataset
@@ -115,7 +117,8 @@ class TestGeneration:
         sample = generate_csbm(params, include_ego=True)
         y, r, theta = sample.dataset.labels, sample.regimes, sample.theta
         n, pi_a = params.n, params.pi_a
-        deg = np.diff(sample.ego.indptr)
+        offsets, _ = sample.ego
+        deg = np.diff(offsets)
         for z in (1, 0):
             for h in (0, 1):
                 mask = (y == z) & (r == h)
@@ -134,11 +137,11 @@ class TestGeneration:
                               regime_frac=0.3, seed=5)
         sample = generate_csbm(params, include_ego=True)
         y, r = sample.dataset.labels, sample.regimes
-        ego = sample.ego
+        offsets, targets = sample.ego
         mask = (y == 1) & (r == 0)
-        rows = np.repeat(np.arange(params.n), np.diff(ego.indptr))
+        rows = np.repeat(np.arange(params.n), np.diff(offsets))
         row_sel = mask[rows]
-        nbr_labels = y[ego.indices[row_sel]]
+        nbr_labels = y[targets[row_sel]]
         frac = float(np.mean(nbr_labels == 1))
         pi_a = params.pi_a
         omega = pi_a * params.p1 / (pi_a * params.p1 + (1 - pi_a) * params.q1)
@@ -172,40 +175,52 @@ class TestGeneration:
 class TestRandomWalkFilter:
     def test_neighbor_mean_swap(self):
         ds = make_dataset([[0, 1]], [[1.0], [3.0]], [0, 0])
-        filtered, isolated = random_walk_filter(ds.adjacency.to_csr(), ds.features, np.asarray([0, 0]))
+        filtered, isolated = random_walk_filter(ds.adjacency.operator(), ds.features, np.asarray([0, 0]))
         np.testing.assert_allclose(filtered, [[3.0], [1.0]])
         assert not isolated.any()
 
     def test_heterophilic_sign_flip(self):
         ds = make_dataset([[0, 1]], [[1.0], [3.0]], [0, 0])
-        filtered, _ = random_walk_filter(ds.adjacency.to_csr(), ds.features, np.asarray([1, 0]))
+        filtered, _ = random_walk_filter(ds.adjacency.operator(), ds.features, np.asarray([1, 0]))
         assert filtered[0, 0] == pytest.approx(-3.0)
         assert filtered[1, 0] == pytest.approx(1.0)
 
     def test_triangle_neighbor_mean(self):
         ds = make_dataset([[0, 1], [0, 2], [1, 2]], [[0.0], [3.0], [6.0]], [0, 0, 0])
-        filtered, _ = random_walk_filter(ds.adjacency.to_csr(), ds.features, np.zeros(3, dtype=int))
+        filtered, _ = random_walk_filter(ds.adjacency.operator(), ds.features, np.zeros(3, dtype=int))
         assert filtered[0, 0] == pytest.approx(4.5)
 
     def test_isolated_flagged_not_raised(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0], [5.0]], [0, 0, 0], num_nodes=3)
-        filtered, isolated = random_walk_filter(ds.adjacency.to_csr(), ds.features, np.zeros(3, dtype=int))
+        filtered, isolated = random_walk_filter(ds.adjacency.operator(), ds.features, np.zeros(3, dtype=int))
         assert isolated[2] and not isolated[0]
         np.testing.assert_array_equal(filtered[2], 0.0)
 
 
     def test_directed_rows_match_a_per_row_loop(self):
-        ego = generate_csbm(small_params(seed=9), include_ego=True).ego
+        offsets, targets = generate_csbm(small_params(seed=9), include_ego=True).ego
+        n = len(offsets) - 1
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((ego.shape[0], 3))
-        regimes = rng.integers(0, 2, ego.shape[0])
-        filtered, isolated = random_walk_filter(ego, x, regimes)
-        for i in range(ego.shape[0]):
-            nbrs = ego.indices[ego.indptr[i]:ego.indptr[i + 1]]
+        x = rng.standard_normal((n, 3))
+        regimes = rng.integers(0, 2, n)
+        filtered, isolated = random_walk_filter(RowOperator(offsets, targets, n), x, regimes)
+        for i in range(n):
+            nbrs = targets[offsets[i]:offsets[i + 1]]
             assert isolated[i] == (len(nbrs) == 0)
             want = np.zeros(3) if len(nbrs) == 0 else x[nbrs].mean(axis=0)
             sign = 1.0 if regimes[i] == 0 else -1.0
             np.testing.assert_allclose(filtered[i], sign * want, rtol=1e-12, atol=1e-12)
+
+    def test_directed_product_is_the_scipy_products_bytes(self):
+        """The ego draw's unit-valued product against scipy's f64 CSR
+        product, which the separability experiment ran before."""
+        offsets, targets = generate_csbm(small_params(seed=3), include_ego=True).ego
+        n = len(offsets) - 1
+        x = np.random.default_rng(3).standard_normal((n, 4))
+        want = sp.csr_matrix((np.ones(len(targets)), targets, offsets), shape=(n, n)) @ x
+        got = RowOperator(offsets, targets, n) @ x
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 class TestSeparator:

@@ -37,7 +37,7 @@ from sagad.graph import (
 
 from adjacency_contract import assert_adjacency_contract
 from conftest import er_dataset, make_dataset, messy_edges
-from oracles import csr_from_edges
+from oracles import csr, csr_from_edges, normalized_csr
 
 
 def write_raw_dataset(directory, num_nodes, num_features, edge_lines, feature_rows, label_lines, splits=None):
@@ -465,51 +465,107 @@ class TestRowIds:
             np.testing.assert_array_equal(adj.col_indices[rows == i], adj.neighbors(i))
 
 
+def _dense(op):
+    """An operator's matrix, as its product with the identity: each entry
+    is summed as 0 + v * 1.0 (+ 0 ...), which is v exactly."""
+    return op @ np.eye(op.shape[1])
+
+
 class TestNormalizedAdjacency:
-    def test_shares_the_index_arrays(self):
+    def test_leaves_the_index_arrays_unchanged(self):
         adj = er_dataset(30, 0.2, 2, seed=1).adjacency
-        norm = normalized_adjacency(adj)
-        assert np.shares_memory(norm.indices, adj.col_indices)
-        assert np.shares_memory(norm.indptr, adj.row_offsets)
-        unit = adj.to_csr()  # the graph is not rescaled
-        assert unit.data.dtype == np.int8 and np.all(unit.data == 1)
+        offsets, columns = adj.row_offsets.copy(), adj.col_indices.copy()
+        norm, unit = normalized_adjacency(adj), adj.operator()
+        # the operators permute copies of the columns, not the graph's
+        assert adj.row_offsets.tobytes() == offsets.tobytes()
+        assert adj.col_indices.tobytes() == columns.tobytes()
+        assert norm.shape == unit.shape == (30, 30)
+        np.testing.assert_array_equal(_dense(unit), csr(adj).toarray())  # not rescaled
 
     def test_single_edge(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
-        norm = normalized_adjacency(ds.adjacency)
-        dense = norm.toarray()
+        dense = _dense(normalized_adjacency(ds.adjacency))
         np.testing.assert_allclose(dense, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_isolated_node_row_is_zero(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0], [1.0]], [0, 0, 0], num_nodes=3)
-        dense = normalized_adjacency(ds.adjacency).toarray()
+        dense = _dense(normalized_adjacency(ds.adjacency))
         np.testing.assert_array_equal(dense[2], 0.0)
         np.testing.assert_array_equal(dense[:, 2], 0.0)
 
     def test_path_value(self, path3):
-        dense = normalized_adjacency(path3.adjacency).toarray()
+        dense = _dense(normalized_adjacency(path3.adjacency))
         assert dense[0][1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_row_chunks_stack_to_the_whole_matrix(self):
         # isolated nodes 30..34; chunks of 7 rows do not divide 35
         adj = make_dataset(np.argwhere(np.triu(np.random.default_rng(2).random((30, 30)) < 0.2, 1)),
                            [[0.0]] * 35, [0] * 35).adjacency
-        whole = normalized_adjacency(adj)
+        whole = _dense(normalized_adjacency(adj))
+        assert whole.tobytes() == normalized_csr(adj).toarray().tobytes()
         scaling = graph.degree_scaling(adj)
         for given in (None, scaling):
-            chunks = [normalized_adjacency(adj, (lo, min(lo + 7, 35)), given)
+            chunks = [_dense(normalized_adjacency(adj, (lo, min(lo + 7, 35)), given))
                       for lo in range(0, 35, 7)]
-            stacked = sp.vstack(chunks, format="csr")
-            np.testing.assert_array_equal(stacked.indptr, whole.indptr)
-            np.testing.assert_array_equal(stacked.indices, whole.indices)
-            assert stacked.data.tobytes() == whole.data.tobytes()
+            assert np.vstack(chunks).tobytes() == whole.tobytes()
 
     def test_symmetry_is_exact(self):
         ds = er_dataset(40, 0.15, 2, seed=9)
-        norm = normalized_adjacency(ds.adjacency)
-        dense = norm.toarray()
+        dense = _dense(normalized_adjacency(ds.adjacency))
         # same value stored twice, so equality is bitwise
         assert np.array_equal(dense, dense.T)
+
+
+class TestRowOperator:
+    """The numpy row operator against scipy's CSR product
+    (``oracles.csr`` and ``oracles.normalized_csr``), byte for byte, for
+    normalized values in f32 and f64 and for unit values, which sum in f64
+    as scipy does over features widened to f64."""
+
+    @staticmethod
+    def _check(adj, x, rows, normalized):
+        if normalized:
+            got = normalized_adjacency(adj, rows, graph.degree_scaling(adj), x.dtype) @ x
+            want = normalized_csr(adj, rows, x.dtype) @ x
+        else:
+            got = adj.operator(rows) @ x
+            want = csr(adj, rows) @ x.astype(np.float64)
+        assert got.dtype == want.dtype
+        bits = np.uint32 if got.dtype == np.float32 else np.uint64
+        assert got.view(bits).tobytes() == want.view(bits).tobytes(), rows
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=9),
+           st.sampled_from([np.float32, np.float64]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_scipy_product(self, seed, rows_per_chunk, dtype, normalized):
+        """Isolated nodes (the top quarter of the ids), one hub joined to
+        every other connected node, features of both signs of zero, and
+        every (lo, hi) chunk of the rows down to a one-row final chunk."""
+        n, edges = messy_edges(seed)
+        rng = np.random.default_rng(seed)
+        hub = int(rng.integers(0, n - n // 4))
+        spokes = np.arange(n - n // 4)
+        edges = np.concatenate([edges, np.stack([np.full_like(spokes, hub), spokes], axis=1)])
+        adj = SparseAdjacency.from_edges(n, edges)
+        x = rng.standard_normal((n, 3))
+        x[rng.random((n, 3)) < 0.2] = -0.0
+        x = x.astype(dtype)
+        bounds = [(lo, min(lo + rows_per_chunk, n)) for lo in range(0, n, rows_per_chunk)]
+        for rows in [None, *bounds, (n - 1, n), (n, n)]:
+            self._check(adj, x, rows, normalized)
+
+    def test_edgeless_rows(self):
+        adj = SparseAdjacency.from_edges(4, np.zeros((0, 2), dtype=np.int64))
+        x = np.full((4, 2), -0.0)
+        for normalized in (False, True):
+            self._check(adj, x, None, normalized)
+        assert not np.signbit(adj.operator() @ x).any()  # summed from +0.0
+
+    def test_shape_mismatch_rejected(self):
+        op = er_dataset(10, 0.3, 2, seed=1).adjacency.operator()
+        for x in (np.zeros((9, 2)), np.zeros(10)):
+            with pytest.raises(ValueError, match="cannot multiply"):
+                op @ x
 
 
 class TestHomophily:
@@ -644,7 +700,7 @@ class TestFromEdges:
         edges = np.asarray([[0, 1]] * 256 + [[1, 0]] * 44 + [[1, 2]])
         adj = SparseAdjacency.from_edges(3, edges)
         assert_adjacency_contract(adj, 3, edges)
-        np.testing.assert_array_equal(adj.to_csr().toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(csr(adj).toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_peak_memory_bounded_by_input(self):
         # 1.6M edges at n = 200k: a 25.6 MB input may not take 4x that to build
