@@ -12,14 +12,14 @@ list: each undirected edge is stored once, with its energy, from its
 endpoint of lower degree, so every out-list is short and a chunk finds
 its edges by scanning its ids' out-lists against its own sorted keys.
 No array of size 2m or n*cap is formed: the sampler holds the f32
-features and output plus about 12 B per edge, O(n*d + m) in all.
+features plus about 12 B per edge, O(n*d + m) in all.
 
 The ``full_khop`` mode pools each node's whole 1-hop neighborhood
-instead, one contiguous row chunk at a time: a chunk reads only its own
-slice of the graph's columns (from the dataset image, when that is where
-they are), and with a cache path each pooled chunk is written to the
-file as it is computed.  It then holds the features and the row offsets,
-not the columns nor an n*d context.
+instead, reading only each row range's slice of the graph's columns.
+Both modes fill the context one contiguous row range at a time and pool
+with unit-valued ``RowOperator`` products: in memory into one n*d array,
+or, with a cache path, into one range buffer that is written to the file
+as it is filled, so no n*d context is held.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked
 from .errors import CacheFormatError
-from .graph import GraphDataset, SparseAdjacency
+from .graph import GraphDataset, RowOperator, SparseAdjacency
 
 # header: u64 n, u64 d; then the (n, d) f32 context rows and n u32 subgraph sizes
 CONTEXT_FORMAT = BinaryFormat(b"SGCTX001", "<QQ", "context cache")
@@ -242,86 +242,85 @@ def _greedy(w: np.ndarray, node_energy: np.ndarray) -> np.ndarray:
     return in_set > 0
 
 
-def _rq_context(adj: SparseAdjacency, x: np.ndarray, cap: int, seed: int):
-    """The sampler on every node, a chunk of equal k = min(degree, cap) at a time."""
+def _rq_context(adj: SparseAdjacency, x: np.ndarray, cap: int, seed: int, sizes: np.ndarray):
+    """The sampler's one-time set-up: the oriented edges, the node energies
+    and the candidate counts.  Returns ``fill(lo, hi, out)``, which writes
+    the context of rows lo:hi into ``out`` and their subgraph sizes into
+    ``sizes[lo:hi]``, a chunk of equal k = min(degree, cap) at a time."""
     n = adj.num_nodes
     edges = _oriented_edges(adj, x)
     present = np.zeros(n, dtype=bool)
     row_energy = np.empty(n)
     for s in _chunks(n, x.shape[1]):
         row_energy[s] = np.sum(np.square(x[s], dtype=np.float64), axis=1)
-    count = np.minimum(np.diff(adj.row_offsets), cap)
-    order = np.argsort(count, kind="stable")
-    bounds = np.searchsorted(count[order], np.arange(int(count.max(initial=0)) + 2))
-    context = np.empty((n, x.shape[1]), dtype=np.float32)
-    sizes = np.empty(n, dtype=np.int64)
-    for k in range(len(bounds) - 1):
-        group = order[bounds[k] : bounds[k + 1]]
-        exhaustive = k <= EXHAUSTIVE_DEGREE_LIMIT
-        for s in _chunks(len(group), max((k + 1) ** 2, 2**k if exhaustive else 0, x.shape[1])):
-            ids = _candidates(adj, group[s], k, cap, seed)
-            in_set = _select(_local_weights(ids, edges, present), row_energy[ids], exhaustive)
-            # the mean of the chosen rows, summed from zero in ascending
-            # node-id order as `x[subset].mean(axis=0)` sums them
-            size = in_set.sum(axis=1)
-            chosen = np.sort(np.where(in_set, ids, n), axis=1)
-            total = np.zeros((len(ids), x.shape[1]))
-            for r in range(int(size.max())):
-                rows = np.flatnonzero(size > r)
-                total[rows] += np.take(x, chosen[rows, r], axis=0)
-            context[group[s]], sizes[group[s]] = total / size[:, None], size
-    return context, sizes
+    counts = np.minimum(np.diff(adj.row_offsets), cap)
+
+    def fill(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        count = counts[lo:hi]
+        order = np.argsort(count, kind="stable")
+        bounds = np.searchsorted(count[order], np.arange(int(count.max(initial=0)) + 2))
+        for k in range(len(bounds) - 1):
+            group = order[bounds[k] : bounds[k + 1]]
+            exhaustive = k <= EXHAUSTIVE_DEGREE_LIMIT
+            for s in _chunks(len(group), max((k + 1) ** 2, 2**k if exhaustive else 0, x.shape[1])):
+                rows = group[s]
+                ids = _candidates(adj, lo + rows, k, cap, seed)
+                in_set = _select(_local_weights(ids, edges, present), row_energy[ids], exhaustive)
+                # the chosen rows' mean: one unit-valued product sums each from
+                # zero in ascending node-id order, as `x[subset].mean(axis=0)` does
+                size = in_set.sum(axis=1)
+                chosen = np.sort(np.where(in_set, ids, n), axis=1)
+                op = RowOperator(np.concatenate([[0], np.cumsum(size)]), chosen[chosen < n], n)
+                out[rows], sizes[lo + rows] = (op @ x) / size[:, None], size
+        return out
+
+    return fill
 
 
-# Values per row chunk of the full_khop pool (its f64 sums): 8k rows at
-# d = 32, as many as a basis chunk.  A chunk loops to its own largest
-# degree, so fewer, larger chunks take fewer gather steps than the
-# sampler's; at 200k nodes twice as many rows took no less time.
+# Values per row range of the full_khop pool (its f64 sums): 8k rows at
+# d = 32, as many as a basis chunk.  A range loops to its own largest
+# degree, so fewer, larger ranges take fewer gather steps than the
+# sampler's chunks; at 200k nodes twice as many rows took no less time.
 _POOL_VALUES = 1 << 18
+# Rows per row range of the sampler, solved by equal-k chunks that a range
+# splits: 8k-row ranges took ~13% longer than 64k-row ones at 200k nodes.
+_RQ_ROWS = 1 << 16
 
 
-def _full_khop_context(adj: SparseAdjacency, x: np.ndarray):
-    """Yield (lo, chunk): rows lo:lo+len(chunk) of (A x + x) / (degree + 1)
-    as f32, contiguous row chunks in ascending order.
-
-    Each chunk is one product with the unit-valued ``adj.operator`` of its
-    rows, which reads the chunk's columns once and sums each row in f64
-    from zero in column order, as a sparse product sums it; the node's
-    own row is added last."""
-    n, d = x.shape
-    step = max(1, _POOL_VALUES // max(d, 1))
-    for lo in range(0, n, step):
-        yield lo, _pool_rows(adj, x, lo, min(lo + step, n))
-
-
-def _pool_rows(adj: SparseAdjacency, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of the pool; its f64 sums are freed on return, before the
-    next chunk's are formed."""
+def _pool_rows(adj: SparseAdjacency, x: np.ndarray, lo: int, hi: int,
+               out: np.ndarray) -> np.ndarray:
+    """Write rows lo:hi of (A x + x) / (degree + 1) into ``out``: one product
+    with the unit-valued ``adj.operator`` of the range, which reads its
+    columns once and sums each row in f64 from zero in column order, as a
+    sparse product sums it, the node's own row last.  The f64 mean is
+    rounded into ``out`` as ``astype`` rounds it, and freed on return."""
     op = adj.operator((lo, hi))
     pooled = op @ x
     pooled += x[lo:hi]
     pooled /= (op.degree + 1)[:, None]
-    return pooled.astype(np.float32)
+    out[...] = pooled
+    return out
 
 
 def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP, seed: int = 0,
                         mode: str = "rq", path: str | os.PathLike | None = None) -> ContextCache:
     """Mean-pooled subgraph features for every node.
 
-    mode "rq" runs the max-RQ sampler on every node in one batched pass
+    mode "rq" runs the max-RQ sampler on every node in batched passes
     (per-node seeding keeps each node's result independent of the rest).
     mode "full_khop" pools over the whole 1-hop neighborhood plus the node
-    itself, a contiguous row chunk at a time.  Both read the features at
-    the precision they are held in: a ``FeatureFile`` or a basis cache's
-    block 0 as f32, an in-memory array as it is, and sum in f64 the rows
-    each energy or pooling gather takes.  The sampler indexes the graph's
-    columns at random, so it reads them whole; the pool reads each chunk's.
+    itself.  Both fill the context one contiguous row range at a time, and
+    read the features at the precision they are held in: a
+    ``FeatureFile`` or a basis cache's block 0 as f32, an in-memory array
+    as it is, and sum in f64 the rows each energy or pooling gather takes.
+    The sampler indexes the graph's columns at random, so it reads them
+    whole; the pool reads each range's.
 
-    Without ``path`` the context is an in-memory f32 array.  With ``path``
-    the cache is written there (atomically, see ``cachefile.atomic_file``)
-    and returned open on that file: close it, or use it in a ``with``
-    block.  The pool then writes each chunk as it is computed, so no
-    n*d context array is held beside the features.
+    Without ``path`` the context is an in-memory f32 array, filled in
+    place.  With ``path`` the cache is written there (atomically, see
+    ``cachefile.atomic_file``) and returned open on that file: close it,
+    or use it in a ``with`` block.  Each range is then filled into one
+    reused buffer and written, so no n*d context array is held.
     """
     if cap < 1:
         raise ValueError(f"candidate cap must be >= 1, got {cap}")
@@ -334,24 +333,25 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
     x = (np.ascontiguousarray(features) if isinstance(features, np.ndarray)
          else dataset.feature_matrix(np.float32))
     if mode == "rq":
+        sizes = np.empty(n, dtype=np.int64)
         # the sampler indexes the columns at random: read them whole, once
-        context, sizes = _rq_context(SparseAdjacency(adj.row_offsets, adj.col_indices[:]), x,
-                                     cap, seed)
-        cache = ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes)
-        if path is None:
-            return cache
-        write_context_cache(cache, path)
+        fill = _rq_context(SparseAdjacency(adj.row_offsets, adj.col_indices[:]), x, cap, seed,
+                           sizes)
+        step = _RQ_ROWS
     else:
         sizes = np.diff(adj.row_offsets).astype(np.int64) + 1
-        chunks = _full_khop_context(adj, x)
-        if path is None:
-            context = np.empty((n, d), dtype=np.float32)
-            for lo, chunk in chunks:
-                context[lo : lo + len(chunk)] = chunk
-            return ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes)
-        # write_context_cache's layout, one chunk of rows at a time
-        CONTEXT_FORMAT.write(path, (n, d), itertools.chain(
-            ((chunk, "<f4") for _, chunk in chunks), [(sizes, "<u4")]))
+        fill = functools.partial(_pool_rows, adj, x)
+        step = max(1, _POOL_VALUES // max(d, 1))
+    ranges = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    if path is None:
+        context = np.empty((n, d), dtype=np.float32)
+        for lo, hi in ranges:
+            fill(lo, hi, context[lo:hi])
+        return ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes)
+    buffer = np.empty((min(step, n), d), dtype=np.float32)
+    # write_context_cache's layout, one range of rows at a time
+    CONTEXT_FORMAT.write(path, (n, d), itertools.chain(
+        ((fill(lo, hi, buffer[: hi - lo]), "<f4") for lo, hi in ranges), [(sizes, "<u4")]))
     # the file just written, not an input: opened without `read_context_cache`
     return CONTEXT_FORMAT.open(path, _context_from_file)
 

@@ -468,6 +468,62 @@ class TestSamplerMemory:
         bound = 2 * n * d * 4 + 12 * adj.num_edges + 64 * n + 4 * 8 * context._CHUNK_VALUES
         assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
+    def test_streamed_rq_holds_one_range_of_context(self, tmp_path, monkeypatch):
+        """Written to a file, the sampler holds one range of context rows
+        (an eighth here), not the n x d context (+2.7 MB here)."""
+        n, d = 6000, 128
+        rng = np.random.default_rng(2)
+        ring = np.arange(n)
+        edges = np.concatenate([np.stack([ring, (ring + 1) % n], axis=1),
+                                rng.integers(0, n, size=(15 * n, 2))])
+        FEATURES_FORMAT.write(tmp_path / "features.bin", (n, d),
+                              [(rng.standard_normal((n, d)), "<f4")])
+        ds = GraphDataset(adjacency=SparseAdjacency.from_edges(n, edges),
+                          features=FeatureFile(str(tmp_path), n, d),
+                          labels=np.zeros(n, dtype=np.int8))
+        for k in range(EXHAUSTIVE_DEGREE_LIMIT + 1):
+            context._subset_tables(k)
+        monkeypatch.setattr(context, "_RQ_ROWS", n // 8)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        build_context_cache(ds, cap=64, mode="rq", path=tmp_path / "ctx.bin").close()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        bound = (n * d * 4 + n // 8 * d * 4 + 12 * ds.adjacency.num_edges + 64 * n
+                 + 4 * 8 * context._CHUNK_VALUES)
+        assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
+class TestRowRanges:
+    """Both modes fill the context one row range at a time; the bytes do
+    not depend on the ranges, built in memory or streamed to the file."""
+
+    @pytest.mark.parametrize("name", ["integer_er-p0.3-s1", "zero_rows_er-p0.15-s2",
+                                      "degree_at_cap-8", "capped_hub_triangles", "isolated"])
+    @pytest.mark.parametrize("rows", ["1", "7", "n", "n+5"])
+    def test_rq_bytes_do_not_depend_on_the_ranges(self, tmp_path, monkeypatch, name, rows):
+        ds = CORPUS[name]
+        n = ds.num_nodes
+        write_context_cache(ContextCache(n, ds.num_features, *rq_oracle.context_rows(ds, 8, 7)),
+                            tmp_path / "oracle.bin")
+        monkeypatch.setattr(context, "_RQ_ROWS", {"1": 1, "7": 7, "n": n, "n+5": n + 5}[rows])
+        write_context_cache(build_context_cache(ds, cap=8, seed=7), tmp_path / "mem.bin")
+        with image_graph(ds, str(tmp_path / "data")) as on_disk:
+            build_context_cache(on_disk, cap=8, seed=7, path=tmp_path / "ctx.bin").close()
+        want = (tmp_path / "oracle.bin").read_bytes()
+        assert (tmp_path / "mem.bin").read_bytes() == want
+        assert (tmp_path / "ctx.bin").read_bytes() == want
+
+    @pytest.mark.parametrize("mode", ["rq", "full_khop"])
+    def test_empty_graph(self, tmp_path, mode):
+        ds = make_dataset(np.zeros((0, 2)), np.zeros((0, 3)), [], num_nodes=0)
+        cache = build_context_cache(ds, mode=mode)
+        assert cache.context.shape == (0, 3) and cache.subgraph_size.shape == (0,)
+        with build_context_cache(ds, mode=mode, path=tmp_path / "ctx.bin") as disk:
+            assert (disk.num_nodes, disk.dim) == (0, 3)
+            assert disk.context[:].shape == (0, 3)
+        assert (tmp_path / "ctx.bin").stat().st_size == context.CONTEXT_FORMAT.header_bytes
+
 
 class TestChunkedFullKhop:
     """The pool against one f64 scipy product (``oracles.full_khop_pool``),

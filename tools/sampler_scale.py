@@ -15,7 +15,10 @@ sampler's microseconds per node and the sha256 prefixes of
 outputs can be compared.
 ``--src`` runs another checkout's package.  This process imports only the
 standard library: Linux carries a parent's peak RSS into a child across
-fork and exec, so a small parent keeps each child's number its own.
+fork and exec, so a small parent keeps each child's number its own.  The
+children keep their bytecode under ``--work-dir`` (``child_env``), so in an
+A/B both checkouts run compiled modules, whatever ``__pycache__`` their
+trees hold.
 """
 
 from __future__ import annotations
@@ -44,6 +47,15 @@ def child(argv: list[str], env: dict) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024.0
 
 
+def child_env(work_dir: str) -> dict:
+    """The children's environment: one BLAS thread, and bytecode compiled
+    once into ``work_dir``/pycache, one tree per source path.  A tree's own
+    ``__pycache__`` may be stale (a copied tree's always is), and would
+    then be recompiled by every child that imports it."""
+    threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return dict(os.environ, PYTHONPYCACHEPREFIX=os.path.join(work_dir, "pycache"), **threads)
+
+
 def sha256_prefix(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:
@@ -60,8 +72,7 @@ def main() -> None:
     parser.add_argument("--work-dir", default=os.path.join(tempfile.gettempdir(), "sampler_scale"))
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     args = parser.parse_args()
-    threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **threads)
+    env = child_env(args.work_dir)
     print(f"{'n':>9} {'prep_s':>8} {'prep_MiB':>9} {'ctx_s':>8} {'us/node':>8} {'ctx_MiB':>9}"
           "  cheb sha256       context sha256")
     for n in (int(size) for size in args.sizes.split(",")):
