@@ -55,42 +55,42 @@ _CHUNK_ROWS = 1 << 13
 def build_cheb_basis(
     dataset: GraphDataset,
     order: int,
-    dtype=np.float32,
     path: str | os.PathLike | None = None,
 ) -> ChebBasisCache:
     """Compute T_k(L_hat) X for k = 0..order by the three-term recurrence.
 
     L_hat = 2 L_norm / lambda_max - I with lambda_max pinned at 2, which
     collapses to the negated normalized adjacency.  The recurrence runs in
-    ``dtype``, the precision of the blocks it produces, one row chunk at a
-    time (see ``_basis_chunks``): f32 for the cache file and by default,
-    f64 only when f64 blocks are asked for.  The features are read into a
-    new ``dtype`` array, T_0 X, with no other copy held.
+    f32, the precision of the cache file, one row chunk at a time: each
+    normalized value is formed in f64 and rounded once to f32, and each row
+    of a sparse product is summed from zero in column order, as the
+    whole-matrix product sums it, so the values do not depend on the
+    chunking.
 
-    Without ``path`` the chunks go into (order+1) in-memory blocks, the
-    recurrence reading T_{k-1} X and T_{k-2} X from the blocks themselves.
-    With ``path`` each chunk is written to the cache file as soon as it is
+    Each chunk is written to the cache file at ``path`` as soon as it is
     computed (the file replaces ``path`` only once complete), and one n*d
-    buffer holds T_{k-1} X: T_{k-2} X is read back from the file a chunk
-    at a time, and each finished block is read back into the buffer.  The
-    returned cache reads that file by row: close it, or use it in a
-    ``with`` block.
+    buffer holds T_{k-1} X: the features are read into it as T_0 X, each
+    finished block is read back over it, and T_{k-2} X is read back from
+    the file a chunk at a time.  Each chunk's operator is laid out once,
+    for T_1 X: its rank-major columns and values go to a scratch file
+    beside the cache and are read back for every later block.  The
+    returned cache reads the file by row: close it, or use it in a
+    ``with`` block.  Without ``path`` the basis is built the same way into
+    a temporary file, and its (order+1) blocks are returned in memory.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n, d = dataset.num_nodes, dataset.num_features
-    if path is not None and np.dtype(dtype) != np.float32:
-        raise ValueError(f"a basis cache file holds float32 blocks, not {np.dtype(dtype)}")
-    x = dataset.feature_matrix(dtype)
     if path is None:
-        blocks = [x, *(np.empty((n, d), dtype=dtype) for _ in range(order))]
-        with tempfile.TemporaryFile() as spill:
-            for k, lo, rows in _basis_chunks(dataset, order, blocks.__getitem__,
-                                             lambda k, lo, hi: blocks[k][lo:hi], spill):
-                if k:
-                    blocks[k][lo : lo + len(rows)] = rows
-        return ChebBasisCache(order=order, num_nodes=n, dim=d, blocks=blocks)
+        with tempfile.TemporaryDirectory() as tmp, \
+                build_cheb_basis(dataset, order, os.path.join(tmp, "cheb_cache.bin")) as cache:
+            return ChebBasisCache(order, n, d, [b[:] for b in cache.blocks])
     path = os.fspath(path)
+    adj = dataset.adjacency
+    offsets, scaling = adj.row_offsets, degree_scaling(adj)
+    bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+    spilled = []  # per chunk: where its columns start in ``spill``, and their dtype
+    x = dataset.feature_matrix()
     with CACHE_FORMAT.writer(path, (n, d, order, _DTYPE_F32)) as f, \
             tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as spill:
 
@@ -98,70 +98,37 @@ def build_cheb_basis(
             pread_into(f.fileno(), out, CACHE_FORMAT.header_bytes + (k * n + lo) * d * 4, path)
             return out
 
-        def block(k: int) -> np.ndarray:
-            if k:  # block k is all written: read it back over block k-1
+        write_array(f, x, "<f4")
+        for k in range(1, order + 1):
+            if k > 1:  # block k-1 is all written: read it back over block k-2
                 f.flush()
-                read_back(x, k, 0)
-            return x
-
-        def rows(k: int, lo: int, hi: int) -> np.ndarray:
-            return read_back(np.empty((hi - lo, d), dtype=np.float32), k, lo)
-
-        for _, _, chunk in _basis_chunks(dataset, order, block, rows, spill):
-            write_array(f, chunk, "<f4")
+                read_back(x, k - 1, 0)
+                spill.flush()  # what T_1 X spilled is read back from the file itself
+            for i, (lo, hi) in enumerate(bounds):
+                if k == 1:
+                    op = normalized_adjacency(adj, (lo, hi), scaling, np.float32)
+                    if order > 1:
+                        spilled.append((spill.tell(), op.columns.dtype))
+                        write_array(spill, op.columns, op.columns.dtype)
+                        write_array(spill, op.values, op.values.dtype)
+                else:
+                    at, column_dtype = spilled[i]
+                    columns = np.empty(offsets[hi] - offsets[lo], dtype=column_dtype)
+                    values = np.empty(len(columns), dtype=np.float32)
+                    pread_into(spill.fileno(), columns, at, "the basis scratch file")
+                    pread_into(spill.fileno(), values, at + columns.nbytes,
+                               "the basis scratch file")
+                    op = RowOperator(offsets[lo : hi + 1], columns, n, values, ranked=True)
+                chunk = op @ x
+                if k == 1:
+                    np.negative(chunk, out=chunk)  # L_hat X = -(A_norm X)
+                else:
+                    chunk *= -2.0
+                    np.subtract(chunk, read_back(np.empty((hi - lo, d), dtype=np.float32),
+                                                 k - 2, lo), out=chunk)
+                write_array(f, chunk, "<f4")
     # the file just written, not an input: opened without `read_cache`
     return CACHE_FORMAT.open(path, _cache_from_file)
-
-
-def _basis_chunks(dataset: GraphDataset, order: int, block, rows, spill):
-    """Yield (k, lo, chunk): rows lo:lo+len(chunk) of T_k X, block by block
-    and rows ascending (the cache file's order).  ``chunk`` is valid until
-    the next one is asked for.
-
-    ``block(k)`` is all of T_k X, asked for once every chunk of block k
-    has been taken; ``rows(k, lo, hi)`` is its rows lo:hi, asked for
-    while block k+2 is computed.  The normalized values are formed in f64
-    and rounded once to the blocks' dtype, so each sparse product runs in
-    that dtype throughout.  Each row of a sparse product is summed from
-    zero in column order, as the whole-matrix product sums it, so the
-    values do not depend on the chunking.
-
-    Each chunk's operator is laid out once, for T_1 X: its rank-major
-    columns and values go to ``spill``, an empty scratch file, and are
-    read back for every later block instead of being laid out again.
-    """
-    adj, n = dataset.adjacency, dataset.num_nodes
-    offsets = adj.row_offsets
-    scaling = degree_scaling(adj)
-    bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
-    spilled = []  # per chunk: where its columns start in ``spill``, and their dtype
-    x = block(0)
-    for lo, hi in bounds:
-        yield 0, lo, x[lo:hi]
-    for k in range(1, order + 1):
-        prev = block(k - 1)
-        spill.flush()  # what T_1 X spilled is read back from the file itself
-        for i, (lo, hi) in enumerate(bounds):
-            if k == 1:
-                op = normalized_adjacency(adj, (lo, hi), scaling, x.dtype)
-                if order > 1:
-                    spilled.append((spill.tell(), op.columns.dtype))
-                    write_array(spill, op.columns, op.columns.dtype)
-                    write_array(spill, op.values, op.values.dtype)
-            else:
-                at, column_dtype = spilled[i]
-                columns = np.empty(offsets[hi] - offsets[lo], dtype=column_dtype)
-                values = np.empty(len(columns), dtype=x.dtype)
-                pread_into(spill.fileno(), columns, at, "the basis scratch file")
-                pread_into(spill.fileno(), values, at + columns.nbytes, "the basis scratch file")
-                op = RowOperator(offsets[lo : hi + 1], columns, n, values, ranked=True)
-            chunk = op @ prev
-            if k == 1:
-                np.negative(chunk, out=chunk)  # L_hat X = -(A_norm X)
-            else:
-                chunk *= -2.0
-                np.subtract(chunk, rows(k - 2, lo, hi), out=chunk)
-            yield k, lo, chunk
 
 
 def chebyshev_series(weights: np.ndarray, t: np.ndarray | float) -> np.ndarray:

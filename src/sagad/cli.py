@@ -113,7 +113,8 @@ class RunConfig(model.ModelConfig, training.TrainConfig):
             raise ConfigError(f"cap must be <= {context.MAX_CANDIDATE_CAP}, got {self.cap}")
         c, sw = self.csbm, self.sweep
         # dims are checked before ``to_params`` allocates the mean vectors
-        ranges = [("csbm.seed", c.seed, 0, math.inf), ("csbm.dim", c.dim, 1, csbm.MAX_DIM)]
+        ranges = [("csbm.seed", c.seed, 0, math.inf), ("csbm.dim", c.dim, 1, csbm.MAX_DIM),
+                  ("csbm.num_splits", c.num_splits, 1, csbm.MAX_SPLITS)]
         ranges += [("sweep.seeds", s, 0, math.inf) for s in sw.seeds]
         ranges += [("sweep.dims", d, 1, csbm.MAX_DIM) for d in sw.dims]
         for key, value, low, high in ranges:

@@ -331,7 +331,7 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
     n, d, adj = dataset.num_nodes, dataset.num_features, dataset.adjacency
     features = dataset.features
     x = (np.ascontiguousarray(features) if isinstance(features, np.ndarray)
-         else dataset.feature_matrix(np.float32))
+         else dataset.feature_matrix())
     if mode == "rq":
         sizes = np.empty(n, dtype=np.int64)
         # the sampler indexes the columns at random: read them whole, once

@@ -35,6 +35,8 @@ MAX_NODES = 16_000
 # A sweep cell holds about four n x dim f64 arrays (361 MiB more at dim
 # 4096 than at 16, n = 3000): about 0.5 GiB at MAX_NODES and MAX_DIM.
 MAX_DIM = 1024
+# Each split lists all n ids in splits.json, about 100 KB at MAX_NODES.
+MAX_SPLITS = 1000
 
 
 @dataclass

@@ -320,7 +320,7 @@ class FeatureFile:
         if os.path.exists(path):
             return FEATURES_FORMAT.read(path, self._read_bin)
         path = _dataset_file(self.directory, "features.csv")
-        features = _read_features_csv(path)
+        features = _read_features_csv(path, self.num_features)
         self._check_shape(path, *features.shape)
         _check_finite(path, features, 0)
         with np.errstate(over="ignore"):
@@ -382,15 +382,14 @@ class GraphDataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def feature_matrix(self, dtype) -> np.ndarray:
-        """The features as a new C-order ``dtype`` array, which the caller
-        may overwrite.  A FeatureFile is read as f32 and then cast, so an
-        f64 request briefly holds the f32 read beside its cast; other
-        features are cast FEATURE_CHUNK_ROWS rows at a time, so rows read
-        from a file are never all held at once."""
+    def feature_matrix(self) -> np.ndarray:
+        """The features as a new C-order f32 array, which the caller may
+        overwrite: a FeatureFile's read as it is, other features cast
+        FEATURE_CHUNK_ROWS rows at a time, so rows read from a file are
+        never all held at once."""
         if isinstance(self.features, FeatureFile):
-            return self.features.read().astype(dtype, copy=False)
-        out = np.empty(self.features.shape, dtype=dtype)
+            return self.features.read()
+        out = np.empty(self.features.shape, dtype=np.float32)
         for lo in range(0, len(out), FEATURE_CHUNK_ROWS):
             out[lo : lo + FEATURE_CHUNK_ROWS] = self.features[lo : lo + FEATURE_CHUNK_ROWS]
         return out
@@ -710,25 +709,29 @@ def write_dataset(dataset: GraphDataset, directory: str | os.PathLike) -> None:
     write_text(os.path.join(directory, "splits.json"), [json.dumps(payload)])
 
 
+def _loadtxt(path: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of a table (at least 2-D), its errors raised naming
+    the file.  An empty file is valid: a graph without edges or without
+    nodes, or no labels.  Its empty table comes without numpy's warning."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+            return np.loadtxt(path, ndmin=2, **kwargs)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{os.path.basename(path)}: {exc}") from exc
+
+
 def _read_int_pairs(path: str, delimiter: str | None, layout: str) -> np.ndarray:
     """Parse a text file of two integer columns in one vectorized pass.
 
     Blank lines are skipped; an empty file gives a (0, 2) array.
     """
-    name = os.path.basename(path)
-    try:
-        with warnings.catch_warnings():
-            # an empty file is valid: a graph without edges, or no labels
-            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-            table = np.loadtxt(path, dtype=np.int64, delimiter=delimiter, comments=None, ndmin=2)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{name}: {exc}") from exc
+    table = _loadtxt(path, dtype=np.int64, delimiter=delimiter, comments=None)
     if table.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     if table.shape[1] != 2:
-        raise DatasetFormatError(
-            f"{name}: expected '{layout}' on every line, got {table.shape[1]} columns"
-        )
+        raise DatasetFormatError(f"{os.path.basename(path)}: expected '{layout}' on every "
+                                 f"line, got {table.shape[1]} columns")
     return table
 
 
@@ -736,12 +739,11 @@ def _read_edges_tsv(path: str) -> np.ndarray:
     return _read_int_pairs(path, None, "u<TAB>v")
 
 
-def _read_features_csv(path: str) -> np.ndarray:
-    try:
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise DatasetFormatError(f"features.csv: {exc}") from exc
-    return data
+def _read_features_csv(path: str, num_features: int) -> np.ndarray:
+    """The f64 table of features.csv; an empty file gives no rows of
+    ``num_features`` values."""
+    data = _loadtxt(path, delimiter=",", dtype=np.float64)
+    return data if data.size else np.zeros((0, num_features))
 
 
 def _read_labels_csv(path: str, num_nodes: int) -> np.ndarray:

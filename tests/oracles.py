@@ -2,7 +2,9 @@
 the package against; the pipeline runs none of them.
 
 ``dense_spectral_oracle`` filters by a dense eigendecomposition instead of
-the Chebyshev recurrence, ``interpolation_matrix_per_unit_vector`` builds
+the Chebyshev recurrence, ``whole_matrix_basis`` runs the recurrence over
+the whole scipy matrix in f32 or f64 (the f64 reference for the package's
+row-chunked f32 basis), ``interpolation_matrix_per_unit_vector`` builds
 the interpolation matrix by one series evaluation per unit vector,
 ``csr_from_edges`` builds the adjacency through scipy's COO->CSR
 conversion, ``csr`` and ``normalized_csr`` are the graph's rows as scipy
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from sagad.chebyshev import chebyshev_nodes, chebyshev_series
+from sagad.chebyshev import ChebBasisCache, chebyshev_nodes, chebyshev_series
 from sagad.csbm import CsbmParams
 from sagad.graph import GraphDataset, SparseAdjacency
 from sagad.model import ModelState, RowBundle, forward_bundle
@@ -49,6 +51,24 @@ def dense_spectral_oracle(
     response = chebyshev_series(weights, eigvals)
     x = np.asarray(dataset.features, dtype=np.float64)
     return eigvecs @ (response[:, None] * (eigvecs.T @ x))
+
+
+def whole_matrix_basis(ds: GraphDataset, order: int, dtype=np.float32) -> ChebBasisCache:
+    """The recurrence over the whole normalized matrix in ``dtype``: values
+    formed in f64 and rounded once, three ``dtype`` buffers (test oracle for
+    the row-chunked one)."""
+    a_norm = normalized_csr(ds.adjacency, dtype=dtype)
+    b_prev = np.array(ds.features, dtype=dtype)
+    b_cur = a_norm @ b_prev
+    np.negative(b_cur, out=b_cur)
+    blocks = [b_prev, b_cur]
+    for _ in range(2, order + 1):
+        b_next = a_norm @ b_cur
+        b_next *= -2.0
+        b_next -= b_prev
+        blocks.append(b_next)
+        b_prev, b_cur = b_cur, b_next
+    return ChebBasisCache(order, ds.num_nodes, ds.num_features, blocks)
 
 
 def interpolation_matrix_per_unit_vector(order: int) -> np.ndarray:

@@ -36,7 +36,12 @@ from sagad.training import (
 )
 
 from conftest import er_dataset
-from oracles import dense_spectral_oracle, evaluate_objective, strong_separation_params
+from oracles import (
+    dense_spectral_oracle,
+    evaluate_objective,
+    strong_separation_params,
+    whole_matrix_basis,
+)
 from rq_kernel import max_rq_subgraph
 from rq_oracle import rayleigh_quotient
 
@@ -60,7 +65,7 @@ def test_criterion_1_spectral_oracle_equivalence():
         ds = er_dataset(n, 0.1, int(rng.integers(1, 6)), seed=trial)
         gamma = rng.uniform(0.0, 2.0, order + 1)
         weights = cheb_weights(gamma)
-        cache = build_cheb_basis(ds, order, dtype=np.float64)
+        cache = whole_matrix_basis(ds, order, np.float64)
         combo = sum(weights[k] * cache.blocks[k] for k in range(order + 1))
         oracle = dense_spectral_oracle(ds, weights)
         worst = max(worst, float(np.max(np.abs(combo - oracle))))
@@ -139,7 +144,7 @@ def test_criterion_3_gradient_correctness():
     worst = 0.0
     for idx, cfg in enumerate(_gradient_configs()):
         ds = er_dataset(16, 0.3, 3, seed=idx)
-        cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
+        cache = whole_matrix_basis(ds, cfg.K, np.float64)
         ctx = build_context_cache(
             ds, mode="full_khop" if cfg.context_mode == "full_khop" else "rq"
         ) if cfg.needs_context() else None

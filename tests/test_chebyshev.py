@@ -7,7 +7,6 @@ import pytest
 from sagad import chebyshev
 from sagad.chebyshev import (
     CACHE_FORMAT,
-    ChebBasisCache,
     build_cheb_basis,
     chebyshev_nodes,
     read_cache,
@@ -22,24 +21,25 @@ from sagad.graph import (
 )
 
 from conftest import LoggedColumns, er_dataset, image_graph, make_dataset
-from oracles import dense_spectral_oracle, normalized_csr
+from oracles import dense_spectral_oracle, normalized_csr, whole_matrix_basis
 
 
 class TestBasisRecurrence:
     def test_block_zero_is_features(self):
         ds = er_dataset(20, 0.2, 3, seed=1)
-        cache = build_cheb_basis(ds, 3, dtype=np.float64)
-        np.testing.assert_array_equal(cache.blocks[0], ds.features)
+        cache = build_cheb_basis(ds, 3)
+        assert cache.blocks[0].dtype == np.float32
+        np.testing.assert_array_equal(cache.blocks[0], ds.features.astype(np.float32))
 
     def test_single_edge_first_block(self):
         ds = make_dataset([[0, 1]], [[1.0], [1.0]], [0, 0])
-        cache = build_cheb_basis(ds, 2, dtype=np.float64)
+        cache = build_cheb_basis(ds, 2)
         # scaled Laplacian is the negated normalized adjacency
-        np.testing.assert_allclose(cache.blocks[1], [[-1.0], [-1.0]])
+        np.testing.assert_array_equal(cache.blocks[1], np.float32([[-1.0], [-1.0]]))
 
     def test_recurrence_matches_direct_apply(self):
         ds = er_dataset(30, 0.2, 2, seed=2)
-        cache = build_cheb_basis(ds, 4, dtype=np.float64)
+        cache = whole_matrix_basis(ds, 4, np.float64)
         l_hat = -normalized_csr(ds.adjacency).toarray()
         for k in range(2, 5):
             expected = 2.0 * l_hat @ cache.blocks[k - 1] - cache.blocks[k - 2]
@@ -66,7 +66,7 @@ class TestDenseOracle:
     def test_recurrence_agrees_with_oracle(self):
         rng = np.random.default_rng(11)
         ds = er_dataset(50, 0.1, 4, seed=5)
-        cache = build_cheb_basis(ds, 5, dtype=np.float64)
+        cache = whole_matrix_basis(ds, 5, np.float64)
         w = rng.uniform(-1, 1, 6)
         combo = sum(w[k] * cache.blocks[k] for k in range(6))
         oracle = dense_spectral_oracle(ds, w)
@@ -165,27 +165,9 @@ class TestGrowthBound:
         # unit-norm feature columns; |T_k| <= 1 on [-1,1] bounds each block
         ds = er_dataset(40, 0.2, 3, seed=8)
         ds.features /= np.linalg.norm(ds.features, axis=0, keepdims=True)
-        cache = build_cheb_basis(ds, 8, dtype=np.float64)
+        cache = build_cheb_basis(ds, 8)
         for k, block in enumerate(cache.blocks):
             assert np.max(np.abs(block)) <= 10.0, f"block {k} exploded"
-
-
-def whole_matrix_basis(ds, order, dtype=np.float32):
-    """The recurrence over the whole normalized matrix in ``dtype``: values
-    formed in f64 and rounded once, three ``dtype`` buffers (test oracle for
-    the row-chunked one)."""
-    a_norm = normalized_csr(ds.adjacency, dtype=dtype)
-    b_prev = np.array(ds.features, dtype=dtype)
-    b_cur = a_norm @ b_prev
-    np.negative(b_cur, out=b_cur)
-    blocks = [b_prev, b_cur]
-    for _ in range(2, order + 1):
-        b_next = a_norm @ b_cur
-        b_next *= -2.0
-        b_next -= b_prev
-        blocks.append(b_next)
-        b_prev, b_cur = b_cur, b_next
-    return ChebBasisCache(order, ds.num_nodes, ds.num_features, blocks)
 
 
 def _heavy_tailed_dataset(n=3000, d=6, seed=13):
@@ -231,14 +213,9 @@ class TestStreamedBasis:
         with build_cheb_basis(ds, order, path=tmp_path / "c.bin") as disk:
             assert (disk.order, disk.num_nodes, disk.dim) == (order, n, ds.num_features)
         assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
-        # the in-memory sink collects the same chunks
+        # the in-memory build returns the same blocks
         write_cache(build_cheb_basis(ds, order), tmp_path / "mem.bin")
         assert (tmp_path / "mem.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
-        # and f64 blocks come from an f64 recurrence, just as independent of the chunking
-        f64 = build_cheb_basis(ds, order, dtype=np.float64)
-        for got, want in zip(f64.blocks, whole_matrix_basis(ds, order, np.float64).blocks):
-            assert got.dtype == np.float64
-            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["isolated", "edgeless", "er", "star", "path", "complete"])
     @pytest.mark.parametrize("chunk", ["1", "7", "n"])
@@ -269,22 +246,31 @@ class TestStreamedBasis:
         ds = _heavy_tailed_dataset() if name == "heavy-tailed" else _graphs()[name]
         order = 4
         f32 = build_cheb_basis(ds, order)
-        f64 = build_cheb_basis(ds, order, dtype=np.float64)
+        f64 = whole_matrix_basis(ds, order, np.float64)
         for k, (low, ref) in enumerate(zip(f32.blocks, f64.blocks)):
             assert low.dtype == np.float32
             deviation = np.max(np.abs(low - ref))
             assert deviation <= 1e-5 * np.max(np.abs(ref)), f"block {k}: max |delta| {deviation}"
 
-    def test_f64_features_are_not_overwritten(self):
+    def test_f64_features_are_not_overwritten(self, tmp_path):
+        """The recurrence reads each block back over its copy of the
+        features, never over the dataset's own array, f64 or f32."""
         ds = er_dataset(20, 0.2, 3, seed=1)
         before = ds.features.copy()
-        build_cheb_basis(ds, 4, dtype=np.float64)
+        build_cheb_basis(ds, 4)
         np.testing.assert_array_equal(ds.features, before)
+        ds.features = before.astype(np.float32)
+        build_cheb_basis(ds, 4, path=tmp_path / "c.bin").close()
+        np.testing.assert_array_equal(ds.features, before.astype(np.float32))
 
-    def test_file_holds_f32_only(self, tmp_path):
-        with pytest.raises(ValueError, match="float32"):
-            build_cheb_basis(er_dataset(10, 0.3, 2), 2, dtype=np.float64, path=tmp_path / "c.bin")
-        assert os.listdir(tmp_path) == []
+    def test_empty_graph(self, tmp_path):
+        ds = make_dataset(np.zeros((0, 2)), np.zeros((0, 3)), [], num_nodes=0)
+        cache = build_cheb_basis(ds, 3)
+        assert [b.shape for b in cache.blocks] == [(0, 3)] * 4
+        with build_cheb_basis(ds, 3, path=tmp_path / "c.bin") as disk:
+            assert (disk.order, disk.num_nodes, disk.dim) == (3, 0, 3)
+            assert [b[:].shape for b in disk.blocks] == [(0, 3)] * 4
+        assert (tmp_path / "c.bin").stat().st_size == CACHE_FORMAT.header_bytes == 28
 
     def test_failure_mid_stream_keeps_the_previous_file(self, tmp_path, monkeypatch):
         ds = er_dataset(30, 0.2, 3, seed=4)

@@ -906,6 +906,9 @@ class TestConfigValues:
          "heterophilic regime requires sweep.p2 < sweep.q2, got 0.004 and 0.001"),
         (["csbm-sweep", "--set", "sweep.mean_gap=-3"],
          "sweep.mean_gap must lie in [-2, 2] (mean vectors of norm <= 1), got -3.0"),
+        (["synth-csbm", "--set", "csbm.num_splits=0"], "csbm.num_splits must be >= 1, got 0"),
+        (["synth-csbm", "--set", "csbm.num_splits=1001"],
+         "csbm.num_splits must be <= 1000, got 1001"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, argv, message, capsys):
         rc = main([*argv, "--dataset", str(tmp_path / "data"), "--run-dir", str(tmp_path / "run")])
@@ -982,8 +985,10 @@ class TestCsbmBounds:
     def test_the_bounds_are_accepted(self):
         cfg = parse_config(None, {"csbm.n_n": csbm.MAX_NODES - self.N_A,
                                   "csbm.dim": csbm.MAX_DIM, "sweep.n": csbm.MAX_NODES,
-                                  "sweep.dims": f"1,{csbm.MAX_DIM}"})
+                                  "sweep.dims": f"1,{csbm.MAX_DIM}",
+                                  "csbm.num_splits": csbm.MAX_SPLITS})
         assert cfg.csbm.n_a + cfg.csbm.n_n == csbm.MAX_NODES == cfg.sweep.n
+        assert cfg.csbm.num_splits == csbm.MAX_SPLITS == 1000
 
 
 class TestProcessMemory:

@@ -2,12 +2,12 @@
 
 The pipeline of ``tools/pipeline_digests.py --write-golden`` runs here, in
 this process: an n = 2049 perfbench graph (one row past a 1024-row scoring
-tile), split 0, in ``rq`` and ``full_khop`` mode.  A change to any byte of
-any output fails the test.  When a change to results is intended,
-regenerate the table with ``python tools/pipeline_digests.py
---write-golden`` and record the change and its reason.  The digests
-depend on the numpy build, its BLAS and the CPU, so on another of those
-the test is skipped, naming what differs.
+tile), split 0, in ``rq``, ``full_khop`` and ``features_only`` mode.  A
+change to any byte of any output fails the test.  When a change to
+results is intended, regenerate the table with ``python
+tools/pipeline_digests.py --write-golden`` and record the change and its
+reason.  The digests depend on the numpy build, its BLAS and the CPU, so
+on another of those the test is skipped, naming what differs.
 """
 
 import json

@@ -143,6 +143,22 @@ class TestLoader:
         assert ds.adjacency.num_edges == 0
         assert list(ds.labels) == [UNKNOWN_LABEL, UNKNOWN_LABEL]
 
+    def test_empty_features_csv_of_an_empty_graph_loads_without_warning(self, tmp_path):
+        write_raw_dataset(tmp_path, 0, 2, [], [], [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_dataset(tmp_path)
+        assert ds.num_nodes == 0
+        assert ds.features.shape == (0, 2) and ds.features.dtype == np.float32
+
+    def test_empty_features_csv_with_nodes_fails_on_its_rows(self, tmp_path):
+        write_raw_dataset(tmp_path, 3, 2, [], [], [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError,
+                               match=r"feature rows \(0\) != meta num_nodes \(3\)"):
+                load_dataset(tmp_path)
+
     def test_non_finite_csv_feature_rejected(self, tmp_path):
         write_raw_dataset(tmp_path, 3, 1, ["0\t1"], [[1.0], ["nan"], ["inf"]], ["0,0"])
         with pytest.raises(DatasetFormatError, match="features.csv: non-finite value at node 1"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagad.chebyshev import build_cheb_basis, chebyshev_nodes
+from sagad.chebyshev import chebyshev_nodes
 from sagad.context import build_context_cache
 from sagad.errors import CacheFormatError, ConfigError
 from sagad.model import (
@@ -27,7 +27,12 @@ from sagad.model import (
 )
 
 from conftest import er_dataset, make_dataset
-from oracles import dense_spectral_oracle, fuse_per_mode, interpolation_matrix_per_unit_vector
+from oracles import (
+    dense_spectral_oracle,
+    fuse_per_mode,
+    interpolation_matrix_per_unit_vector,
+    whole_matrix_basis,
+)
 
 
 def run(state, cache, ctx, ids):
@@ -164,7 +169,7 @@ def dual_embed(cache, fp, ids):
 class TestDualEmbed:
     def _cache(self, seed=0, n=14, d=3, order=3):
         ds = er_dataset(n, 0.3, d, seed=seed)
-        return ds, build_cheb_basis(ds, order, dtype=np.float64)
+        return ds, whole_matrix_basis(ds, order, np.float64)
 
     def test_identity_low_pass_returns_features(self):
         ds, cache = self._cache()
@@ -174,7 +179,7 @@ class TestDualEmbed:
 
     def test_eigenvector_is_scaled_by_response(self):
         ds = make_dataset([[0, 1]], [[1.0], [-1.0]], [0, 0])
-        cache = build_cheb_basis(ds, 2, dtype=np.float64)
+        cache = whole_matrix_basis(ds, 2, np.float64)
         fp = filter_from_gamma([0.8, 0.3, 0.1])
         gl, gh = reparam_filter_values(fp)
         z_low, z_high = dual_embed(cache, fp, np.arange(2))
@@ -219,7 +224,7 @@ class TestFusion:
     def _setup(self, config=None, seed=0):
         ds = er_dataset(12, 0.3, 4, seed=seed)
         config = config or ModelConfig(K=2, hidden_dim=8, seed=seed)
-        cache = build_cheb_basis(ds, config.K, dtype=np.float64)
+        cache = whole_matrix_basis(ds, config.K, np.float64)
         ctx = build_context_cache(ds)
         state = init_model(config, ds.num_features)
         return ds, cache, ctx, state
@@ -270,7 +275,7 @@ class TestFusion:
 class TestForward:
     def _setup(self, config, seed=0, n=16):
         ds = er_dataset(n, 0.3, 3, seed=seed)
-        cache = build_cheb_basis(ds, config.K, dtype=np.float64)
+        cache = whole_matrix_basis(ds, config.K, np.float64)
         ctx = build_context_cache(ds) if config.needs_context() else None
         state = init_model(config, ds.num_features)
         return ds, cache, ctx, state
@@ -409,7 +414,7 @@ class TestLeanEvalForward:
         # f64 rows are views of the cache blocks, so an in-place write by the
         # forward would corrupt the cache.
         ds = er_dataset(12, 0.3, 4, seed=1)
-        cache = build_cheb_basis(ds, 3, dtype=np.float64)
+        cache = whole_matrix_basis(ds, 3, np.float64)
         ctx = build_context_cache(ds)
         state = self._state(ds.num_features, mlp_depth=depth, fusion_mode=fusion_mode,
                             context_mode=context_mode, use_fpg=use_fpg)
@@ -530,7 +535,7 @@ class TestCheckpoint:
     def test_roundtrip_preserves_outputs(self, tmp_path):
         cfg = ModelConfig(K=3, hidden_dim=8, mlp_depth=2, seed=3)
         ds = er_dataset(15, 0.3, 3, seed=7)
-        cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
+        cache = whole_matrix_basis(ds, cfg.K, np.float64)
         ctx = build_context_cache(ds)
         state = init_model(cfg, ds.num_features)
         rng = np.random.default_rng(1)

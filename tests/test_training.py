@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from sagad.chebyshev import build_cheb_basis
 from sagad.context import build_context_cache
 from sagad.errors import ConfigError
 from sagad.graph import SplitSet
@@ -29,7 +28,7 @@ from sagad.training import (
 )
 
 from conftest import er_dataset
-from oracles import evaluate_objective
+from oracles import evaluate_objective, whole_matrix_basis
 
 EPS = 1e-7
 
@@ -234,7 +233,7 @@ class TestAdam:
 
 def _fd_setup(cfg, seed=0, n=16):
     ds = er_dataset(n, 0.3, 3, seed=seed)
-    cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
+    cache = whole_matrix_basis(ds, cfg.K, np.float64)
     ctx = build_context_cache(ds) if cfg.needs_context() else None
     state = init_model(cfg, ds.num_features)
     prng = np.random.default_rng(seed + 100)
@@ -322,7 +321,7 @@ class TestGradients:
     def test_gradients_cover_every_parameter(self):
         cfg = ModelConfig(K=2, hidden_dim=4)
         ds = er_dataset(16, 0.3, 3, seed=4)
-        cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
+        cache = whole_matrix_basis(ds, cfg.K, np.float64)
         ctx = build_context_cache(ds)
         state = init_model(cfg, 3)
         bundle = gather_rows(cache, ctx, np.arange(8), cfg)
@@ -337,7 +336,7 @@ class TestTrainLoop:
         ds = er_dataset(n, 0.15, 4, seed=seed, anomaly_frac=0.3)
         # make classes linearly separable in features
         ds.features[ds.labels == 1] += 2.5
-        cache = build_cheb_basis(ds, 2, dtype=np.float64)
+        cache = whole_matrix_basis(ds, 2, np.float64)
         ctx = build_context_cache(ds)
         ids = rng.permutation(n)
         anom = [i for i in ids if ds.labels[i] == 1]
@@ -441,7 +440,7 @@ class TestScoreAll:
     def test_zero_classifier_scores_half(self):
         ds = er_dataset(30, 0.2, 3, seed=6)
         cfg = ModelConfig(K=2, hidden_dim=8)
-        cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
+        cache = whole_matrix_basis(ds, cfg.K, np.float64)
         ctx = build_context_cache(ds)
         state = init_model(cfg, 3)
         for layer in state.classifier_mlp.layers:
@@ -452,7 +451,7 @@ class TestScoreAll:
     def test_scores_in_open_interval(self):
         ds = er_dataset(30, 0.2, 3, seed=7)
         cfg = ModelConfig(K=2, hidden_dim=8, seed=3)
-        cache = build_cheb_basis(ds, cfg.K, dtype=np.float64)
+        cache = whole_matrix_basis(ds, cfg.K, np.float64)
         ctx = build_context_cache(ds)
         state = init_model(cfg, 3)
         scores = score_all(state, cache, ctx)

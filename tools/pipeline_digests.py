@@ -24,9 +24,10 @@ and diff the two outputs.
 ``--write-golden`` instead runs the pipeline of ``tests/test_golden.py`` in
 this process, through ``sagad.cli.main``, on the package of this checkout:
 an n = 2049 graph (one row past a 1024-row scoring tile), seed 1, split 0,
-in ``rq`` and ``full_khop`` mode.  It writes the digests and the numpy,
-BLAS and CPU they were taken on to ``tests/golden.json``.  Regenerate that
-file with it when a change to results is intended, and record why.
+in ``rq``, ``full_khop`` and ``features_only`` mode.  It writes the
+digests and the numpy, BLAS and CPU they were taken on to
+``tests/golden.json``.  Regenerate that file with it when a change to
+results is intended, and record why.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from sampler_scale import GENERATE, ROOT, child, child_env, sha256_prefix  # noqa: E402
 
 GOLDEN = os.path.join(ROOT, "tests", "golden.json")
-GOLDEN_RUN = {"n": 2049, "seed": 1, "splits": ["0"], "modes": ["rq", "full_khop"]}
+GOLDEN_RUN = {"n": 2049, "seed": 1, "splits": ["0"],
+              "modes": ["rq", "full_khop", "features_only"]}
 
 
 def digests(sagad, run: str, context_mode: str, splits: list[str]):
