@@ -219,9 +219,20 @@ class CacheRows:
             return self._read_sorted(uniq)[inverse.reshape(-1)]
         return self._read_sorted(ids)
 
+    def read_into(self, out: np.ndarray, start: int) -> None:
+        """Fill ``out``, a C-contiguous array of this dtype, with rows
+        ``start:start + len(out)``: one read into a buffer the caller
+        keeps (``rows[start:stop]`` reads the same rows into a new one)."""
+        if out.dtype != self.dtype or out.shape[1:] != self.shape[1:]:
+            raise ValueError(f"cannot read rows of {self.shape[1:]} {self.dtype} "
+                             f"into {out.shape[1:]} {out.dtype}")
+        if start < 0 or start + len(out) > self.shape[0]:
+            raise IndexError(f"rows [{start}, {start + len(out)}) out of range [0, {self.shape[0]})")
+        self.file.read_into(out, self.offset + start * self._row_bytes)
+
     def _read_run(self, start: int, count: int) -> np.ndarray:
         out = np.empty((count, *self.shape[1:]), dtype=self.dtype)
-        self.file.read_into(out, self.offset + start * self._row_bytes)
+        self.read_into(out, start)
         return out
 
     def _read_sorted(self, ids: np.ndarray) -> np.ndarray:

@@ -323,8 +323,9 @@ def _load_caches(cfg: RunConfig, data=None, state: model.ModelState | None = Non
         yield cheb, ctx
 
 
-def _score_nodes(cfg: RunConfig, data=None) -> np.ndarray:
-    """Every node's score under the split's checkpoint (eval, score, quartiles).
+def _score_nodes(cfg: RunConfig, data=None, sink=None) -> np.ndarray | None:
+    """Every node's score under the split's checkpoint (eval, score, quartiles):
+    one array, or each tile passed to ``sink`` (see ``training.score_all``).
 
     The checkpoint's model config, not the flags, decides whether the
     context cache is opened: it is the config the scores are computed
@@ -337,7 +338,7 @@ def _score_nodes(cfg: RunConfig, data=None) -> np.ndarray:
     with _load_caches(cfg, data, state) as (cheb, ctx):
         if state is None:
             _require_file(path, "run `train` first")
-        return training.score_all(state, cheb, ctx)
+        return training.score_all(state, cheb, ctx, sink)
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +473,22 @@ def _update_report_csv(path: str, split_index: int,
 
 
 def _cmd_score(cfg: RunConfig) -> int:
-    scores = _score_nodes(cfg)
     out_path = os.path.join(_run_dir(cfg), f"scores_{cfg.split_index}.csv")
-    # Python floats: repr is the shortest round-trip form.  Rows are
-    # formatted in the scoring tiles, so the text never holds all n rows.
-    rows = training.SCORE_ROWS
-    cachefile.write_text(out_path, itertools.chain(["node_id,score\n"], (
-        "".join(f"{i},{s!r}\n" for i, s in enumerate(scores[lo : lo + rows].tolist(), lo))
-        for lo in range(0, len(scores), rows)
-    )))
-    print(f"wrote {out_path} ({len(scores)} nodes)")
+    nodes = 0
+    # Each scoring tile's rows go to the file as the tile is scored, so no
+    # n-long array or text is held; a failure leaves the old file as it was.
+    with cachefile.atomic_file(out_path) as f:
+        f.write(b"node_id,score\n")
+
+        def write_tile(lo: int, scores: np.ndarray) -> None:
+            nonlocal nodes
+            # Python floats: repr is the shortest round-trip form
+            f.write("".join(f"{i},{s!r}\n" for i, s in enumerate(scores.tolist(), lo))
+                    .encode("utf-8"))
+            nodes = lo + scores.size
+
+        _score_nodes(cfg, sink=write_tile)
+    print(f"wrote {out_path} ({nodes} nodes)")
     return 0
 
 

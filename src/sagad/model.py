@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cachefile import BinaryFormat, CacheFile
+from .cachefile import BinaryFormat, CacheFile, CacheRows
 from .chebyshev import ChebBasisCache, chebyshev_nodes, chebyshev_series
 from .context import ContextCache
 from .errors import ConfigError
@@ -48,6 +48,8 @@ CHECKPOINT_MAGIC = CHECKPOINT_FORMAT.magic
 _SEED_DOMAIN_MODEL = 0x3A9
 _PURPOSE_INIT = 1
 _NEEDS_TRAIN_FORWARD = "a backward pass needs the trace of a train-mode forward (train_mode=True)"
+_NO_TRAIN_WORKSPACE = ("a tile workspace is for eval mode: a train-mode trace must keep "
+                       "arrays that the next pass would overwrite")
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +112,23 @@ def inv_softplus(y: float) -> float:
     return float(np.log(np.expm1(y)))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, ws: TileWorkspace | None = None, name: str = "sigmoid") -> np.ndarray:
     """Logistic function; exp is taken only of -|x|, so it never overflows.
 
     Every entry gets e = exp(-x) if x >= 0 else exp(x), and then 1/(1+e)
-    or e/(1+e) respectively.  Both quotients are formed for all entries and
-    ``where`` picks one, which avoids a boolean gather and scatter; the
-    sign of the exponent is chosen with ``where`` rather than ``-abs(x)``
-    so that a NaN keeps its sign bit.
+    or e/(1+e) respectively: e is set to 1 where x >= 0 and one quotient
+    formed, which avoids a boolean gather and scatter.  The exponent is
+    ``minimum(x, -x)`` rather than ``-abs(x)``: where x is NaN, minimum
+    returns its first operand, so a NaN keeps its sign bit.  With ``ws``
+    every array is one of its buffers ``name.*``.
     """
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    d = 1.0 + e
-    return np.where(pos, 1.0 / d, e / d)
+    pos = np.greater_equal(x, 0.0, out=_buffer(ws, f"{name}.pos", x.shape, np.bool_))
+    t = np.negative(x, out=_buffer(ws, f"{name}.t", x.shape))
+    np.minimum(x, t, out=t)
+    e = np.exp(t, out=_buffer(ws, f"{name}.e", x.shape))
+    d = np.add(1.0, e, out=t)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, d, out=e)
 
 
 def reparam_filter_values(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,21 +220,27 @@ def mlp_forward(
     params: MlpParams,
     x: np.ndarray,
     train_mode: bool = False,
+    ws: TileWorkspace | None = None,
+    name: str = "mlp",
 ) -> tuple[np.ndarray, list[dict] | None]:
     """Forward pass; returns the output and, in train mode, the per-layer
     trace the backward pass needs.
 
     Hidden layers apply linear -> ReLU; the final layer is linear only.
     Both modes run this one loop, each layer into its own matmul buffer
-    with ReLU applied in place; train mode only adds the record of each
-    layer's input ``x`` and ReLU output ``act``.
+    (``ws``'s buffer ``name.<layer>`` in eval mode, if given) with ReLU
+    applied in place; train mode only adds the record of each layer's
+    input ``x`` and ReLU output ``act``.
     """
+    if train_mode and ws is not None:
+        raise ValueError(_NO_TRAIN_WORKSPACE)
     trace: list[dict] | None = [] if train_mode else None
     out = np.asarray(x, dtype=np.float64)
     last = params.depth - 1
     for i, layer in enumerate(params.layers):
         entry: dict = {"x": out}  # made before the matmul: the previous record is dropped first
-        h = out @ layer.weight
+        h = np.matmul(out, layer.weight,
+                      out=_buffer(ws, f"{name}.{i}", (len(out), layer.weight.shape[1])))
         h += layer.bias
         if i < last:
             entry["act"] = _activate(h)
@@ -374,6 +386,45 @@ def init_model(config: ModelConfig, dim: int) -> ModelState:
 
 
 # ---------------------------------------------------------------------------
+# Tile workspace
+# ---------------------------------------------------------------------------
+
+
+class TileWorkspace:
+    """Preallocated arrays for eval-mode forward passes on up to ``rows`` rows.
+
+    ``gather_rows`` and ``forward_bundle`` given a workspace write every
+    intermediate into a named buffer of it (through ``out=``, with the
+    operands and order of a pass without one, so the results are the same
+    bits).  A buffer is made with ``rows`` rows on first use and reused by
+    every later pass, which fills its first ``m`` rows: a loop over
+    fixed tiles allocates nothing after its first tile.  What a pass
+    returns is views into the buffers, overwritten by the next pass.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """Buffer ``name``'s first ``shape[0]`` rows, an array of ``shape``
+        (a buffer keeps the row shape and dtype of its first use)."""
+        if shape[0] > self.rows:
+            raise ValueError(f"{shape[0]} rows do not fit a workspace of {self.rows}")
+        buf = self._buffers.get(name)
+        if buf is None:
+            buf = self._buffers[name] = np.empty((self.rows, *shape[1:]), dtype)
+        return buf[: shape[0]]
+
+
+def _buffer(ws: TileWorkspace | None, name: str, shape: tuple[int, ...],
+            dtype=np.float64) -> np.ndarray | None:
+    """The ``out=`` of one intermediate: ``ws``'s buffer, or None (a new
+    array) without a workspace."""
+    return None if ws is None else ws.take(name, shape, dtype)
+
+
+# ---------------------------------------------------------------------------
 # Row gathering and forward pass
 # ---------------------------------------------------------------------------
 
@@ -391,12 +442,15 @@ def gather_rows(
     context_cache: ContextCache | None,
     ids: np.ndarray | slice,
     config: ModelConfig,
+    ws: TileWorkspace | None = None,
 ) -> RowBundle:
     """The batch's rows of every basis block (and the context), as float64.
 
     ``ids`` is a slice or a 1-D integer array; the cache blocks may be
     ndarrays or ``CacheRows`` read from disk, which index the same way.
-    This is a batch's one check; the forward pass checks the rows no more.
+    With ``ws``, ``ids`` must be a unit-step slice, and the rows are read
+    into the workspace's buffers.  This is a batch's one check; the
+    forward pass checks the rows no more.
     """
     if cheb_cache.order != config.K:
         raise ValueError(f"basis cache order {cheb_cache.order} does not match model K={config.K}")
@@ -406,32 +460,58 @@ def gather_rows(
             raise ValueError("negative batch id")
         if ids.size and int(ids.max()) >= cheb_cache.num_nodes:
             raise ValueError("batch id out of range for the basis cache")
-    block_rows = [np.asarray(b[ids], dtype=np.float64) for b in cheb_cache.blocks]
+    block_rows = [_rows(b, ids, ws, f"block.{k}") for k, b in enumerate(cheb_cache.blocks)]
     ctx_rows = None
     if config.needs_context():
         if context_cache is None:
             raise ValueError(f"context_mode={config.context_mode!r} requires a context cache")
         if (context_cache.num_nodes, context_cache.dim) != (cheb_cache.num_nodes, cheb_cache.dim):
             raise ValueError("context cache and basis cache disagree on (num_nodes, dim)")
-        ctx_rows = np.asarray(context_cache.context[ids], dtype=np.float64)
+        ctx_rows = _rows(context_cache.context, ids, ws, "ctx")
     return RowBundle(block_rows=block_rows, ctx_rows=ctx_rows)
 
 
-def _combine(block_rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    out = weights[0] * block_rows[0]
-    for k in range(1, len(block_rows)):
-        out += weights[k] * block_rows[k]
+def _rows(src: np.ndarray | CacheRows, ids: np.ndarray | slice, ws: TileWorkspace | None,
+          name: str) -> np.ndarray:
+    """Rows ``ids`` of one cache array as float64: a new array, or with
+    ``ws`` its buffer ``name`` (a ``CacheRows`` is read into the buffer
+    ``read`` first, in its own dtype)."""
+    if ws is None:
+        return np.asarray(src[ids], dtype=np.float64)
+    if not isinstance(ids, slice) or ids.step not in (None, 1):
+        raise ValueError("a workspace gather takes a unit-step slice of ids")
+    start, stop, _ = ids.indices(len(src))
+    shape = (max(stop - start, 0), *src.shape[1:])
+    if isinstance(src, CacheRows):
+        read = ws.take("read", shape, src.dtype)
+        src.read_into(read, start)
+    else:
+        read = src[start:stop]
+    out = ws.take(name, shape)
+    np.copyto(out, read)
     return out
 
 
-def _fusion_gate(state, bundle, train_mode):
+def _combine(block_rows: list[np.ndarray], weights: np.ndarray, out: np.ndarray | None = None,
+             product: np.ndarray | None = None) -> np.ndarray:
+    """sum_k weights[k] * block_rows[k], into ``out`` (each product into
+    ``product``) when given."""
+    out = np.multiply(weights[0], block_rows[0], out=out)
+    for k in range(1, len(block_rows)):
+        out += np.multiply(weights[k], block_rows[k], out=product)
+    return out
+
+
+def _fusion_gate(state, bundle, train_mode, ws):
     """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace
     (None in eval mode)."""
     inp = bundle.block_rows[0]  # the features
     if state.config.context_mode != "features_only":
-        inp = np.concatenate([bundle.ctx_rows, inp], axis=1)
-    pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode)
-    return _sigmoid(pre), trace
+        m, d = inp.shape
+        inp = np.concatenate([bundle.ctx_rows, inp], axis=1,
+                             out=_buffer(ws, "fusion.in", (m, 2 * d)))
+    pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode, ws, "fusion")
+    return _sigmoid(pre, ws, "gate"), trace
 
 
 @dataclass
@@ -452,6 +532,7 @@ def forward_bundle(
     state: ModelState,
     bundle: RowBundle,
     train_mode: bool = False,
+    ws: TileWorkspace | None = None,
 ) -> ForwardTrace:
     """The model's forward pass on one batch of gathered rows.
 
@@ -459,27 +540,36 @@ def forward_bundle(
     and ``cbar`` its per-node mean (both None without a fusion MLP);
     the rest is what ``backward_bundle`` needs.  Only a train-mode pass
     records the MLP traces; in eval mode ``fusion_trace`` and
-    ``clf_trace`` are None and the MLPs keep no per-layer arrays.
+    ``clf_trace`` are None and the MLPs keep no per-layer arrays.  An
+    eval-mode pass may take a workspace ``ws`` (a train-mode one raises
+    ValueError); then every array of the trace is a view into it, valid
+    until its next pass.
     """
     cfg = state.config
+    m, d = bundle.block_rows[0].shape
+    product = _buffer(ws, "product", (m, d))
     gamma_low, gamma_high = reparam_filter_values(state.filter)
-    z_low = _combine(bundle.block_rows, cheb_weights(gamma_low))
-    z_high = _combine(bundle.block_rows, cheb_weights(gamma_high))
+    z_low = _combine(bundle.block_rows, cheb_weights(gamma_low), _buffer(ws, "z_low", (m, d)),
+                     product)
+    z_high = _combine(bundle.block_rows, cheb_weights(gamma_high), _buffer(ws, "z_high", (m, d)),
+                      product)
 
     coef = None
     fusion_trace = None
     if state.fusion_mlp is not None:
-        coef, fusion_trace = _fusion_gate(state, bundle, train_mode)
+        coef, fusion_trace = _fusion_gate(state, bundle, train_mode, ws)
 
     if cfg.fusion_mode == "concat":
-        z = np.concatenate([z_low, z_high], axis=1)
+        z = np.concatenate([z_low, z_high], axis=1, out=_buffer(ws, "z", (m, 2 * d)))
     else:
+        # c * z_low + (1 - c) * z_high
         c = _FIXED_GATE.get(cfg.fusion_mode, coef)
-        z = c * z_low + (1.0 - c) * z_high
+        z = np.multiply(c, z_low, out=_buffer(ws, "z", (m, d)))
+        z += np.multiply(np.subtract(1.0, c, out=product), z_high, out=product)
 
-    logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode)
-    yhat = _sigmoid(logits[:, 0])
-    cbar = coef.mean(axis=1) if coef is not None else None
+    logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode, ws, "classifier")
+    yhat = _sigmoid(logits[:, 0], ws, "yhat")
+    cbar = None if coef is None else np.mean(coef, axis=1, out=_buffer(ws, "cbar", (m,)))
     return ForwardTrace(
         bundle=bundle,
         gamma_low=gamma_low,
@@ -630,17 +720,22 @@ def _checkpoint_from_file(file: CacheFile) -> ModelState:
         if dim < 1:
             raise ValueError(f"dim={dim}")
         layout = header["layout"]
-        state = init_model(_header_config(header["config"], file), dim)
+        config = _header_config(header["config"], file)
+        config.validate()
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise file.fail(f"malformed checkpoint header: {exc!r}") from exc
-    if layout != state.params.layout:
-        raise file.fail(_layout_mismatch(layout, state.params.layout))
-    flat = state.params.flat
+    # every check is on the header's numbers: nothing is allocated for a
+    # header that announces a model the payload does not hold
+    expected = param_layout(config, dim)
+    if layout != expected:
+        raise file.fail(_layout_mismatch(layout, expected))
+    size = sum(math.prod(slot["shape"]) for slot in expected)
     payload_bytes = file.payload_bytes - blob_len
-    if total != flat.size or payload_bytes != flat.nbytes:
+    if total != size or payload_bytes != 8 * size:
         raise file.fail(
             f"checkpoint payload is {payload_bytes} bytes of total_values={total}, "
-            f"expected {flat.nbytes} bytes of {flat.size}"
+            f"expected {8 * size} bytes of {size}"
         )
-    file.read_into(flat, file.payload_offset + blob_len)
+    state = ModelState(config, dim)  # zeroed; no seeded init, as the payload replaces it
+    file.read_into(state.params.flat, file.payload_offset + blob_len)
     return state

@@ -9,17 +9,21 @@ gradient once, and ``adam_step`` is plain Adam.
 Training is full-batch over the (small) labeled set: only the labeled
 rows of the basis and context caches are ever materialized, so peak
 training memory is independent of graph size.  Inference walks all
-nodes in fixed tiles of ``SCORE_ROWS`` rows.  Caches opened from disk
-are read by row, one tile at a time, so this holds for the whole
-process, not only inside ``train``: neither training nor scoring ever
-holds a cache payload in memory.  Training, validation and scoring run
-the one forward pass, which computes hidden layers in place; only the
-training step runs it in train mode, which also records what the
-backward pass needs.
+nodes in fixed tiles of ``SCORE_ROWS`` rows, all gathered and scored in
+one preallocated ``model.TileWorkspace``, and can hand each tile's
+scores to a sink as they are computed, so scoring holds one tile
+whatever n is.  Caches opened from disk are read by row, one tile at a
+time, so this holds for the whole process, not only inside ``train``:
+neither training nor scoring ever holds a cache payload in memory.
+Training, validation and scoring run the one forward pass, which
+computes hidden layers in place; only the training step runs it in
+train mode, which also records what the backward pass needs and so
+takes no workspace.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,7 @@ from .model import (
     ModelState,
     ParamVector,
     RowBundle,
+    TileWorkspace,
     backward_bundle,
     forward_bundle,
     gather_rows,
@@ -291,20 +296,31 @@ def score_all(
     state: ModelState,
     cheb_cache: ChebBasisCache,
     context_cache: ContextCache | None,
-) -> np.ndarray:
+    sink: Callable[[int, np.ndarray], object] | None = None,
+) -> np.ndarray | None:
     """Eval-mode anomaly probability for every node, ``SCORE_ROWS`` ids at a time.
 
-    Each tile reads its id range of every cache block, so memory is
-    bounded by the tile, not by n.  The eval-mode forward keeps no
-    backward trace, so a tile's arrays are freed layer by layer and the
-    allocator reuses the same memory for every tile instead of handing
-    it back to the kernel and faulting it in again.
+    Every tile is gathered and scored in one ``TileWorkspace`` of
+    ``SCORE_ROWS`` rows, made once: each tile reads its id range of every
+    cache block into the same buffers and the forward pass writes every
+    intermediate into the same buffers, so memory is bounded by one tile,
+    not by n, and after the first tile no tile-sized array is allocated,
+    freed, or faulted in again.  With ``sink``, each tile's scores go to
+    ``sink(lo, scores)`` as they are computed (``scores`` holds nodes
+    ``lo, lo + 1, ...`` and is overwritten by the next tile) and nothing
+    is returned; without, all n scores are returned as one array.
     """
     n = cheb_cache.num_nodes
-    scores = np.empty(n, dtype=np.float64)
+    scores = None
+    if sink is None:
+        scores = np.empty(n, dtype=np.float64)
+
+        def sink(lo: int, tile: np.ndarray) -> None:
+            scores[lo : lo + tile.size] = tile
+
+    ws = TileWorkspace(min(SCORE_ROWS, n))
     for lo in range(0, n, SCORE_ROWS):
         hi = min(lo + SCORE_ROWS, n)
-        bundle = gather_rows(cheb_cache, context_cache, slice(lo, hi), state.config)
-        out = forward_bundle(state, bundle, train_mode=False)
-        scores[lo:hi] = out.yhat
+        bundle = gather_rows(cheb_cache, context_cache, slice(lo, hi), state.config, ws)
+        sink(lo, forward_bundle(state, bundle, ws=ws).yhat)
     return scores

@@ -779,6 +779,25 @@ class TestDatasetImage:
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, []], command
 
+    def test_scoring_commands_import_no_rng(self, toy_run, tmp_path):
+        """A checkpoint is loaded into a zeroed model, not a seeded one, so
+        the commands that score draw no random number and never import
+        `numpy.random` (with `secrets`, `hashlib` and OpenSSL, about 6 MB)."""
+        cfg, args = self._run(toy_run, tmp_path)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = (
+            "import json, sys\n"
+            "from sagad import cli\n"
+            "codes = [cli.main([command, *sys.argv[1:]]) for command in ('score', 'eval', 'quartiles')]\n"
+            "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0, 0], False]
+
 
 class TestSynthCsbmFiles:
     def test_regimes_match_line_at_a_time_writer(self, toy_run):
@@ -1066,6 +1085,22 @@ class TestProcessMemory:
         extra = peaks[200_000] - peaks[20_000]
         assert extra < self.TRAIN_BYTES_PER_NODE * 180_000, (
             f"train peak grew {extra / 1e6:.2f} MB from n=20k to n=200k")
+
+    # what score holds per node: the context cache's u32 subgraph sizes,
+    # read whole when the cache is opened; each tile's scores go to the
+    # CSV as they are computed, so no n-long score array is held
+    SCORE_BYTES_PER_NODE = 6
+
+    def test_score_peak_does_not_grow_with_nodes(self, tmp_path, capsys):
+        peaks = {}
+        for n in (20_000, 200_000):
+            args, _ = self._write_run(tmp_path, n)
+            assert main(["train", *args, "--max-epochs", "3", "--patience", "3"]) == 0
+            peaks[n] = self._peak(["score", *args])
+        capsys.readouterr()
+        extra = peaks[200_000] - peaks[20_000]
+        assert extra < self.SCORE_BYTES_PER_NODE * 180_000, (
+            f"score peak grew {extra / 180_000:.2f} B/node from n=20k to n=200k")
 
 
 class TestScoreFaults:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sagad.model import (
     CHECKPOINT_MAGIC,
     FUSION_MODES,
     ModelConfig,
+    TileWorkspace,
     cheb_weights,
     filter_response,
     forward_bundle,
@@ -22,6 +25,7 @@ from sagad.model import (
     interpolation_matrix,
     inv_softplus,
     load_checkpoint,
+    param_layout,
     reparam_filter_values,
     save_checkpoint,
 )
@@ -329,6 +333,55 @@ class TestForward:
 
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestTileWorkspace:
+    """An eval-mode pass through a workspace writes every intermediate
+    into its buffers and gives every output the bits of a pass without."""
+
+    @pytest.mark.parametrize("use_fpg", [True, False])
+    @pytest.mark.parametrize("context_mode", ["rq", "features_only"])
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    def test_same_bits_as_a_pass_without(self, fusion_mode, context_mode, use_fpg):
+        cfg = ModelConfig(K=3, hidden_dim=8, mlp_depth=3, fusion_mode=fusion_mode,
+                          context_mode=context_mode, use_fpg=use_fpg, seed=2)
+        ds = er_dataset(20, 0.3, 3, seed=3)
+        cache = whole_matrix_basis(ds, cfg.K, np.float64)
+        ctx = build_context_cache(ds) if cfg.needs_context() else None
+        state = init_model(cfg, ds.num_features)
+        ws = TileWorkspace(8)
+        previous = None
+        for lo, hi in ((0, 8), (8, 16), (16, 20)):  # the last tile is partial
+            want = run(state, cache, ctx, np.arange(lo, hi))
+            got = forward_bundle(state, gather_rows(cache, ctx, slice(lo, hi), cfg, ws), ws=ws)
+            for name in ("yhat", "cbar", "coef", "z", "z_low", "z_high"):
+                if getattr(want, name) is None:
+                    assert getattr(got, name) is None, name
+                else:
+                    np.testing.assert_array_equal(bits(getattr(got, name)),
+                                                  bits(getattr(want, name)), err_msg=name)
+            if previous is not None:  # the same buffer, not a new array
+                assert np.shares_memory(got.yhat, previous)
+            previous = got.yhat
+
+    def test_train_mode_takes_no_workspace(self):
+        cfg = ModelConfig(K=2, hidden_dim=4)
+        ds = er_dataset(12, 0.3, 3, seed=1)
+        state = init_model(cfg, ds.num_features)
+        ws = TileWorkspace(12)
+        bundle = gather_rows(whole_matrix_basis(ds, cfg.K), build_context_cache(ds),
+                             slice(0, 12), cfg, ws)
+        with pytest.raises(ValueError, match="eval mode"):
+            forward_bundle(state, bundle, train_mode=True, ws=ws)
+
+    def test_gather_takes_a_unit_slice_that_fits(self):
+        cfg = ModelConfig(K=2, context_mode="features_only")
+        cache = whole_matrix_basis(er_dataset(12, 0.3, 3, seed=1), cfg.K)
+        for ids in (np.arange(4), slice(0, 8, 2)):
+            with pytest.raises(ValueError, match="unit-step slice"):
+                gather_rows(cache, None, ids, cfg, TileWorkspace(8))
+        with pytest.raises(ValueError, match="do not fit"):
+            gather_rows(cache, None, slice(0, 9), cfg, TileWorkspace(8))
 
 
 def masked_sigmoid(x):
@@ -641,6 +694,31 @@ class TestCheckpoint:
         self._rewrite_header(path, lambda header: header.update(total_values=3))
         with pytest.raises(CacheFormatError, match="checkpoint payload is .* total_values=3"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dim", [10**7, 10**9])
+    @pytest.mark.parametrize("consistent", [False, True])
+    def test_huge_dim_fails_before_allocating(self, tmp_path, dim, consistent):
+        """A header announcing dim = 1e7 or 1e9 (a 1.2 GB or 120 GB model
+        here) is checked on its numbers alone: the layout, then total_values
+        and the payload size, before the parameter vector is allocated."""
+        path = tmp_path / "model.bin"
+
+        def edit(header):
+            header["dim"] = dim
+            if consistent:  # the layout and total of that dim
+                header["layout"] = param_layout(ModelConfig(**header["config"]), dim)
+                header["total_values"] = sum(math.prod(s["shape"]) for s in header["layout"])
+
+        self._rewrite_header(path, edit)
+        message = "checkpoint payload is" if consistent else "wrong shape or offset"
+        tracemalloc.start()
+        try:
+            with pytest.raises(CacheFormatError, match=message):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_payload_size_checked(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -456,3 +456,16 @@ class TestScoreAll:
         state = init_model(cfg, 3)
         scores = score_all(state, cache, ctx)
         assert np.all((scores > 0) & (scores < 1))
+
+    def test_sink_gets_each_tile_in_order(self, monkeypatch):
+        ds = er_dataset(30, 0.2, 3, seed=8)
+        cfg = ModelConfig(K=2, hidden_dim=8, seed=4)
+        cache = whole_matrix_basis(ds, cfg.K, np.float64)
+        ctx = build_context_cache(ds)
+        state = init_model(cfg, 3)
+        monkeypatch.setattr(training, "SCORE_ROWS", 8)
+        tiles = []
+        assert score_all(state, cache, ctx, lambda lo, s: tiles.append((lo, s.copy()))) is None
+        assert [(lo, s.size) for lo, s in tiles] == [(0, 8), (8, 8), (16, 8), (24, 6)]
+        np.testing.assert_array_equal(np.concatenate([s for _, s in tiles]),
+                                      score_all(state, cache, ctx))

@@ -1,4 +1,4 @@
-"""Wall time and peak memory of the set-up commands as n grows.
+"""Wall time and peak memory of the pipeline's commands as n grows.
 
     python tools/sampler_scale.py [--sizes 20000,200000,1000000] [--seed 1]
                                   [--context-mode rq] [--work-dir DIR]
@@ -6,11 +6,12 @@
 
 For each size, perfbench's generator (``perfbench/gen.py``, the workloads'
 graph family, only imported) writes a dataset under ``--work-dir``, which
-is reused when it is already there; then ``sagad preprocess`` and one
+is reused when it is already there; then ``sagad preprocess``, one
 ``sagad sample-context`` in ``--context-mode`` (``rq``, cap 64, or
-``full_khop``) each run in a child process with one BLAS thread.  Each
-line gives the wall time and ``wait4`` peak RSS of both commands, the
-sampler's microseconds per node and the sha256 prefixes of
+``full_khop``), and ``train``, ``eval`` and ``score`` on split 0 each run
+in a child process with one BLAS thread.  Each command's line gives its
+wall time, microseconds per node, ``wait4`` peak RSS and minor page
+faults; a last line per size gives the sha256 prefixes of
 ``cheb_cache.bin`` and ``context_cache.bin``, so two checkouts' set-up
 outputs can be compared.
 ``--src`` runs another checkout's package.  This process imports only the
@@ -36,15 +37,16 @@ GENERATE = ("import sys, gen; n, seed, out = int(sys.argv[1]), int(sys.argv[2]),
             "gen.write_dataset(gen.generate(gen.GraphSpec(n=n, num_splits=3), seed), out, 'scale')")
 
 
-def child(argv: list[str], env: dict) -> tuple[float, float]:
-    """Run ``argv``; its wall seconds and peak RSS in MiB.  Raises on failure."""
+def child(argv: list[str], env: dict) -> tuple[float, float, int]:
+    """Run ``argv``; its wall seconds, peak RSS in MiB and minor page
+    faults.  Raises on failure."""
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
         raise SystemExit(f"failed: {' '.join(argv)}")
-    return wall, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def child_env(work_dir: str) -> dict:
@@ -73,8 +75,7 @@ def main() -> None:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     args = parser.parse_args()
     env = child_env(args.work_dir)
-    print(f"{'n':>9} {'prep_s':>8} {'prep_MiB':>9} {'ctx_s':>8} {'us/node':>8} {'ctx_MiB':>9}"
-          "  cheb sha256       context sha256")
+    print(f"{'n':>9}  {'command':<15} {'wall_s':>8} {'us/node':>8} {'peak_MiB':>9} {'minflt':>8}")
     for n in (int(size) for size in args.sizes.split(",")):
         data = os.path.join(args.work_dir, f"gen-n{n}-s{args.seed}")
         run = os.path.join(args.work_dir, f"run-n{n}-s{args.seed}")
@@ -85,12 +86,13 @@ def main() -> None:
         flags = ["--dataset", data, "--run-dir", run, "--context-mode", args.context_mode,
                  "--cap", "64"]
         sagad_env = dict(env, PYTHONPATH=os.path.abspath(args.src))
-        prep_wall, prep_peak = child(sagad + ["preprocess"] + flags, sagad_env)
-        wall, peak = child(sagad + ["sample-context"] + flags, sagad_env)
-        digests = (sha256_prefix(os.path.join(run, name))
+        for command in ("preprocess", "sample-context", "train", "eval", "score"):
+            wall, peak, faults = child(sagad + [command] + flags, sagad_env)
+            print(f"{n:>9}  {command:<15} {wall:>8.2f} {wall / n * 1e6:>8.2f} {peak:>9.1f} "
+                  f"{faults:>8}", flush=True)
+        digests = (f"{name} {sha256_prefix(os.path.join(run, name))}"
                    for name in ("cheb_cache.bin", "context_cache.bin"))
-        print(f"{n:>9} {prep_wall:>8.2f} {prep_peak:>9.1f} {wall:>8.2f} {wall / n * 1e6:>8.1f} "
-              f"{peak:>9.1f}  {'  '.join(digests)}", flush=True)
+        print(f"{n:>9}  {'  '.join(digests)}", flush=True)
 
 
 if __name__ == "__main__":
