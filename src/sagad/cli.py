@@ -14,13 +14,14 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import cachefile, chebyshev, context, csbm, graph, metrics, model, training
+from . import cachefile, chebyshev, context, csbm, graph, metrics, model, training, workers
 from .errors import CacheFormatError, ConfigError, SagadError
 
 @dataclass
@@ -323,22 +324,55 @@ def _load_caches(cfg: RunConfig, data=None, state: model.ModelState | None = Non
         yield cheb, ctx
 
 
-def _score_nodes(cfg: RunConfig, data=None, sink=None) -> np.ndarray | None:
-    """Every node's score under the split's checkpoint (eval, score, quartiles):
-    one array, or each tile passed to ``sink`` (see ``training.score_all``).
+def _csv_rows(lo: int, scores: np.ndarray) -> bytes:
+    """``scores.csv`` rows ``id,score`` of nodes ``lo, lo + 1, ...``."""
+    # Python floats: repr is the shortest round-trip form
+    return "".join(f"{i},{s!r}\n" for i, s in enumerate(scores.tolist(), lo)).encode("utf-8")
+
+
+def _score_nodes(cfg: RunConfig, data=None, f=None) -> np.ndarray | int:
+    """Every node's score under the split's checkpoint (eval, score,
+    quartiles): one f64 array, or with ``f``, a binary file, each node's
+    CSV row written to ``f`` in node order and the node count returned.
 
     The checkpoint's model config, not the flags, decides whether the
-    context cache is opened: it is the config the scores are computed
-    with.  Without a checkpoint, the caches the flags name are still
-    checked against the dataset, so a mismatched cache is reported before
-    the missing checkpoint.
+    context cache is opened.  Without a checkpoint, the caches the flags
+    name are still checked against the dataset, so a mismatched cache is
+    reported before the missing checkpoint.  Once all is loaded and
+    checked, the tiles are split over ``workers.runs``: this process
+    scores the first run, and forked workers the others, into part files
+    of CSV rows or raw f64 scores that are read back in node order.
     """
     path = _checkpoint_path(cfg)
     state = model.load_checkpoint(path) if os.path.exists(path) else None
     with _load_caches(cfg, data, state) as (cheb, ctx):
         if state is None:
             _require_file(path, "run `train` first")
-        return training.score_all(state, cheb, ctx, sink)
+        n = cheb.num_nodes
+        runs = workers.runs(n)
+
+        def score(sink, lo: int, hi: int) -> None:
+            training.score_all(state, cheb, ctx, sink, lo, hi)
+
+        if f is None:
+            scores = np.empty(n, dtype=np.float64)
+
+            def keep(lo: int, tile: np.ndarray) -> None:
+                scores[lo : lo + tile.size] = tile
+        else:
+            def keep(lo: int, tile: np.ndarray) -> None:
+                f.write(_csv_rows(lo, tile))
+
+        encode = _csv_rows if f is not None else lambda lo, tile: tile
+        with workers.forked(runs[1:], score, encode, _run_dir(cfg)) as done:
+            score(keep, *runs[0])
+            for w in done:
+                if f is not None:
+                    shutil.copyfileobj(w.part, f)
+                else:
+                    cachefile.pread_into(w.part.fileno(), scores[w.lo : w.hi], 0,
+                                         f"the part file of nodes {w.lo}..{w.hi - 1}")
+        return n if f is not None else scores
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +381,8 @@ def _score_nodes(cfg: RunConfig, data=None, sink=None) -> np.ndarray | None:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    dataset = graph.load_dataset(_dataset_dir(cfg))
+    dataset = graph.parse_dataset(_dataset_dir(cfg))
+    dataset.features.check()  # one chunk at a time: the features are not kept
     print(
         f"dataset '{dataset.name}': {dataset.num_nodes} nodes, "
         f"{dataset.adjacency.num_edges} edges, {dataset.num_features} features, "
@@ -474,20 +509,11 @@ def _update_report_csv(path: str, split_index: int,
 
 def _cmd_score(cfg: RunConfig) -> int:
     out_path = os.path.join(_run_dir(cfg), f"scores_{cfg.split_index}.csv")
-    nodes = 0
-    # Each scoring tile's rows go to the file as the tile is scored, so no
-    # n-long array or text is held; a failure leaves the old file as it was.
+    # The rows go to the file tile by tile, so no n-long array or text is
+    # held; a failure leaves the old file as it was.
     with cachefile.atomic_file(out_path) as f:
         f.write(b"node_id,score\n")
-
-        def write_tile(lo: int, scores: np.ndarray) -> None:
-            nonlocal nodes
-            # Python floats: repr is the shortest round-trip form
-            f.write("".join(f"{i},{s!r}\n" for i, s in enumerate(scores.tolist(), lo))
-                    .encode("utf-8"))
-            nodes = lo + scores.size
-
-        _score_nodes(cfg, sink=write_tile)
+        nodes = _score_nodes(cfg, f=f)
     print(f"wrote {out_path} ({nodes} nodes)")
     return 0
 

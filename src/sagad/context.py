@@ -44,31 +44,35 @@ DEFAULT_CANDIDATE_CAP = 64
 MAX_CANDIDATE_CAP = 1024
 
 _SEED_DOMAIN_SAMPLER = 0x5C1
+_SIZE_CHUNK = 1 << 16  # subgraph sizes checked per read: 256 KB of u32
 
 
 @dataclass
 class ContextCache(FileBacked):
     """Mean-pooled features of each node's max-RQ subgraph.
 
-    ``context`` is an ndarray when built in memory, or ``CacheRows`` over
-    the open ``file`` when read from disk or built with a path;
-    ``subgraph_size`` is always in memory, as the u32 the file stores when
-    read from disk.
+    ``context`` and ``subgraph_size`` are ndarrays when built in memory,
+    or ``CacheRows`` over the open ``file`` (the sizes as the u32 the file
+    stores) when read from disk or built with a path: no command that
+    opens the cache holds its n sizes.
     """
 
     num_nodes: int
     dim: int
     context: np.ndarray | CacheRows
-    subgraph_size: np.ndarray
+    subgraph_size: np.ndarray | CacheRows
     file: CacheFile | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> None:
+        """Check the shapes, and every subgraph size >= 1, read
+        ``_SIZE_CHUNK`` sizes at a time."""
         if self.context.shape != (self.num_nodes, self.dim):
             raise CacheFormatError(f"context has shape {self.context.shape}")
         if self.subgraph_size.shape != (self.num_nodes,):
             raise CacheFormatError("subgraph_size must be one entry per node")
-        if self.num_nodes and self.subgraph_size.min() < 1:
-            raise CacheFormatError("subgraph sizes must be >= 1")
+        for lo in range(0, self.num_nodes, _SIZE_CHUNK):
+            if self.subgraph_size[lo : lo + _SIZE_CHUNK].min() < 1:
+                raise CacheFormatError("subgraph sizes must be >= 1")
 
 
 # A chunk holds about this many values: B*(k+1)^2 local weights, B*2^k
@@ -366,21 +370,21 @@ def write_context_cache(cache: ContextCache, path: str | os.PathLike) -> None:
     atomically (see ``cachefile.atomic_file``)."""
     cache.validate()
     CONTEXT_FORMAT.write(path, (cache.num_nodes, cache.dim),
-                         [(cache.context[:], "<f4"), (cache.subgraph_size, "<u4")])
+                         [(cache.context[:], "<f4"), (cache.subgraph_size[:], "<u4")])
 
 
 def read_context_cache(path: str | os.PathLike) -> ContextCache:
-    """Open a context cache: header and subgraph sizes are read and checked
-    now, context rows are read by row."""
+    """Open a context cache: the header is read and checked now, and the
+    subgraph sizes a chunk at a time; context rows and sizes are then read
+    by row."""
     return CONTEXT_FORMAT.open(path, _context_from_file)
 
 
 def _context_from_file(file: CacheFile) -> ContextCache:
     n, d = file.fields
     file.expect_payload(n * d * 4 + n * 4)
-    sizes = np.empty(n, dtype="<u4")
-    file.read_into(sizes, file.payload_offset + n * d * 4)
     cache = ContextCache(num_nodes=n, dim=d, context=CacheRows(file, file.payload_offset, (n, d)),
-                         subgraph_size=sizes, file=file)
+                         subgraph_size=CacheRows(file, file.payload_offset + n * d * 4, (n,), "<u4"),
+                         file=file)
     cache.validate()
     return cache

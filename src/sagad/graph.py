@@ -11,6 +11,7 @@ parts back without parsing text.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -328,16 +329,28 @@ class FeatureFile:
         _check_finite(path, features, 0, "value outside the float32 range")
         return features
 
-    def _read_bin(self, file: CacheFile) -> np.ndarray:
+    def check(self) -> None:
+        """Check the features as ``read`` does, and keep none of them:
+        features.bin is read into one reused buffer of FEATURE_CHUNK_ROWS
+        rows (features.csv is parsed whole, as ``read`` parses it)."""
+        path = os.path.join(self.directory, "features.bin")
+        if os.path.exists(path):
+            FEATURES_FORMAT.read(path, functools.partial(self._read_bin, keep=False))
+        else:
+            self.read()
+
+    def _read_bin(self, file: CacheFile, keep: bool = True) -> np.ndarray | None:
+        """features.bin a chunk at a time, each checked finite: into the
+        returned array if ``keep``, else into one chunk buffer."""
         rows, dim = file.fields
         file.expect_payload(rows * dim * 4)
         self._check_shape(file.path, rows, dim)
-        out = np.empty(self.shape, dtype=np.float32)
+        out = np.empty((rows if keep else min(rows, FEATURE_CHUNK_ROWS), dim), dtype=np.float32)
         for lo in range(0, rows, FEATURE_CHUNK_ROWS):
-            chunk = out[lo : lo + FEATURE_CHUNK_ROWS]
+            chunk = out[lo if keep else 0 :][: min(FEATURE_CHUNK_ROWS, rows - lo)]
             file.read_into(chunk, file.payload_offset + lo * dim * 4)
             _check_finite(file.path, chunk, lo)
-        return out
+        return out if keep else None
 
     def _check_shape(self, path: str, rows: int, dim: int) -> None:
         for what, got, key, want in (("rows", rows, "num_nodes", self.num_nodes),

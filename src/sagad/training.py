@@ -9,10 +9,11 @@ gradient once, and ``adam_step`` is plain Adam.
 Training is full-batch over the (small) labeled set: only the labeled
 rows of the basis and context caches are ever materialized, so peak
 training memory is independent of graph size.  Inference walks all
-nodes in fixed tiles of ``SCORE_ROWS`` rows, all gathered and scored in
-one preallocated ``model.TileWorkspace``, and can hand each tile's
-scores to a sink as they are computed, so scoring holds one tile
-whatever n is.  Caches opened from disk are read by row, one tile at a
+nodes, or a range of whole tiles, in fixed tiles of ``SCORE_ROWS`` rows,
+all gathered and scored in one preallocated ``model.TileWorkspace``, and
+can hand each tile's scores to a sink as they are computed, so scoring
+holds one tile whatever n is; the CLI scores its ranges in several
+processes.  Caches opened from disk are read by row, one tile at a
 time, so this holds for the whole process, not only inside ``train``:
 neither training nor scoring ever holds a cache payload in memory.
 Training, validation and scoring run the one forward pass, which
@@ -297,30 +298,40 @@ def score_all(
     cheb_cache: ChebBasisCache,
     context_cache: ContextCache | None,
     sink: Callable[[int, np.ndarray], object] | None = None,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray | None:
-    """Eval-mode anomaly probability for every node, ``SCORE_ROWS`` ids at a time.
+    """Eval-mode anomaly probability for nodes ``start:stop`` (every node
+    by default), ``SCORE_ROWS`` ids at a time.
 
-    Every tile is gathered and scored in one ``TileWorkspace`` of
-    ``SCORE_ROWS`` rows, made once: each tile reads its id range of every
-    cache block into the same buffers and the forward pass writes every
-    intermediate into the same buffers, so memory is bounded by one tile,
-    not by n, and after the first tile no tile-sized array is allocated,
-    freed, or faulted in again.  With ``sink``, each tile's scores go to
+    This is the serial kernel of every scoring command, which runs it on
+    contiguous row ranges in several processes (``sagad.workers``).
+    ``start`` must be a multiple of ``SCORE_ROWS`` and ``stop`` one too or
+    n, so a range is cut into the same tiles as the whole graph and scores
+    every node to the same bits.  Every tile is gathered and scored in one
+    ``TileWorkspace`` of up to ``SCORE_ROWS`` rows, made once: each tile
+    reads its id range of every cache block into the same buffers and the
+    forward pass writes every intermediate into the same buffers, so
+    memory is bounded by one tile, not by n, and after the first tile no
+    tile-sized array is allocated, freed, or faulted in again.  With ``sink``, each tile's scores go to
     ``sink(lo, scores)`` as they are computed (``scores`` holds nodes
     ``lo, lo + 1, ...`` and is overwritten by the next tile) and nothing
-    is returned; without, all n scores are returned as one array.
+    is returned; without, the range's scores are returned as one array.
     """
     n = cheb_cache.num_nodes
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n or start % SCORE_ROWS or (stop % SCORE_ROWS and stop != n):
+        raise ValueError(f"rows {start}:{stop} are not whole {SCORE_ROWS}-row tiles of [0, {n})")
     scores = None
     if sink is None:
-        scores = np.empty(n, dtype=np.float64)
+        scores = np.empty(stop - start, dtype=np.float64)
 
         def sink(lo: int, tile: np.ndarray) -> None:
-            scores[lo : lo + tile.size] = tile
+            scores[lo - start : lo - start + tile.size] = tile
 
-    ws = TileWorkspace(min(SCORE_ROWS, n))
-    for lo in range(0, n, SCORE_ROWS):
-        hi = min(lo + SCORE_ROWS, n)
+    ws = TileWorkspace(min(SCORE_ROWS, stop - start))
+    for lo in range(start, stop, SCORE_ROWS):
+        hi = min(lo + SCORE_ROWS, stop)
         bundle = gather_rows(cheb_cache, context_cache, slice(lo, hi), state.config, ws)
         sink(lo, forward_bundle(state, bundle, ws=ws).yhat)
     return scores

@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from sagad import cachefile, training
+from sagad import cachefile, context, training
 from sagad.chebyshev import CACHE_FORMAT, build_cheb_basis, read_cache, write_cache
 from sagad.context import build_context_cache, read_context_cache, write_context_cache
 from sagad.errors import CacheFormatError
@@ -127,6 +127,20 @@ class TestRowSource:
         _, ctx, _, ctx_path = written
         data = bytearray(ctx_path.read_bytes())
         data[-4:] = b"\0\0\0\0"  # the last node's u4 subgraph size
+        ctx_path.write_bytes(bytes(data))
+        with pytest.raises(CacheFormatError, match="subgraph sizes"):
+            read_context_cache(ctx_path)
+
+    @pytest.mark.parametrize("node", [0, 6, 7, 59])
+    def test_sizes_are_checked_a_chunk_at_a_time_and_not_kept(self, written, monkeypatch, node):
+        _, ctx, _, ctx_path = written
+        monkeypatch.setattr(context, "_SIZE_CHUNK", 7)  # 60 nodes: 9 chunks, the last of 4
+        with read_context_cache(ctx_path) as disk:
+            assert isinstance(disk.subgraph_size, cachefile.CacheRows)
+            np.testing.assert_array_equal(disk.subgraph_size[:], ctx.subgraph_size)
+        data = bytearray(ctx_path.read_bytes())
+        at = len(data) - 4 * (60 - node)
+        data[at : at + 4] = b"\0\0\0\0"  # node's u4 subgraph size
         ctx_path.write_bytes(bytes(data))
         with pytest.raises(CacheFormatError, match="subgraph sizes"):
             read_context_cache(ctx_path)

@@ -1,23 +1,33 @@
 import dataclasses
+import gc
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from sagad import chebyshev, cli, context, csbm, graph, model, training
+from sagad import chebyshev, cli, context, csbm, graph, model, training, workers
 from sagad.cli import dispatch, main, parse_config
-from sagad.errors import CacheFormatError, ConfigError, DatasetFormatError
+from sagad.errors import CacheFormatError, ConfigError, DatasetFormatError, SagadError
 
 
 def read(path, mode="r"):
     with open(path, mode) as f:
         return f.read()
+
+
+def _usable_cpus(monkeypatch, cpus: int) -> None:
+    """Make scoring see ``cpus`` usable CPUs (its affinity mask)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -1016,6 +1026,12 @@ class TestProcessMemory:
 
     D, K = 32, 3
 
+    @pytest.fixture(autouse=True)
+    def _one_process(self, monkeypatch):
+        """`score` in this process alone, as under `taskset -c 0`: tracemalloc
+        does not see a forked worker, and n = 20k would not fork."""
+        _usable_cpus(monkeypatch, 1)
+
     def _write_run(self, base, n):
         """A dataset with no edges and its run: the dataset image and random
         caches.  As in the benchmark, every node is labeled and the test
@@ -1068,10 +1084,10 @@ class TestProcessMemory:
             assert extra < 0.1 * growth, (
                 f"{command} peak grew {extra / 1e6:.1f} MB for {growth / 1e6:.1f} MB more cache")
 
-    # what train holds per node: the int8 label and the context cache's
-    # subgraph size (a u32, as read); the labeled cache rows and the model
-    # do not depend on n
-    TRAIN_BYTES_PER_NODE = 8
+    # what train holds per node: the int8 label (0.84 B/node measured); the
+    # labeled cache rows and the model do not depend on n, and the context
+    # cache's subgraph sizes are not held
+    TRAIN_BYTES_PER_NODE = 1
 
     def test_train_peak_does_not_grow_with_nodes(self, tmp_path, capsys):
         """The test split holds 180,000 more ids at n=200k: `train` reads
@@ -1086,10 +1102,10 @@ class TestProcessMemory:
         assert extra < self.TRAIN_BYTES_PER_NODE * 180_000, (
             f"train peak grew {extra / 1e6:.2f} MB from n=20k to n=200k")
 
-    # what score holds per node: the context cache's u32 subgraph sizes,
-    # read whole when the cache is opened; each tile's scores go to the
-    # CSV as they are computed, so no n-long score array is held
-    SCORE_BYTES_PER_NODE = 6
+    # what score holds per node: nothing (0.01 B/node measured); each
+    # tile's scores go to the CSV as they are computed, so no n-long score
+    # array is held, and the context cache's subgraph sizes are not held
+    SCORE_BYTES_PER_NODE = 0.25
 
     def test_score_peak_does_not_grow_with_nodes(self, tmp_path, capsys):
         peaks = {}
@@ -1103,6 +1119,13 @@ class TestProcessMemory:
             f"score peak grew {extra / 180_000:.2f} B/node from n=20k to n=200k")
 
 
+# `python -m sagad.cli` on one of the CPUs it may use, as `taskset -c 0` runs it
+ONE_CPU_SAGAD = ("import os, sys\n"
+                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                 "from sagad.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+
+
 class TestScoreFaults:
     """An eval-mode forward keeps no backward trace, so a batch's arrays do
     not pile up: the allocator reuses one batch's memory for the next
@@ -1114,6 +1137,8 @@ class TestScoreFaults:
 
     def test_faults_do_not_grow_with_rows(self, tmp_path, capsys):
         resource = pytest.importorskip("resource")
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("needs os.sched_setaffinity to run `score` on one CPU")
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -1122,8 +1147,10 @@ class TestScoreFaults:
             args, _ = TestProcessMemory()._write_run(tmp_path, n)
             assert main(["train", *args, "--max-epochs", "3", "--patience", "3"]) == 0
             before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-            # a fresh process: its heap has not been grown by earlier commands
-            proc = subprocess.run([sys.executable, "-m", "sagad.cli", "score", *args],
+            # a fresh process: its heap has not been grown by earlier commands;
+            # on one CPU, so the n = 200k run does not fork and its workers'
+            # copy-on-write faults do not land in the per-row bound
+            proc = subprocess.run([sys.executable, "-c", ONE_CPU_SAGAD, "score", *args],
                                   capture_output=True, text=True, env=env, timeout=300)
             assert proc.returncode == 0, proc.stderr
             faults[n] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
@@ -1470,3 +1497,229 @@ class TestMainEntry:
         rc = main(["csbm-sweep", "--set", "sweep.dims=16", "--set", "sweep.seeds=0"])
         # missing run_dir -> error, but the parse accepted nested keys
         assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def tiled_run(tmp_path_factory):
+    """A 2049-node run (three scoring tiles, the last of one row) on random
+    caches, trained, with the bytes of its one-process `eval` and `score`."""
+    base = tmp_path_factory.mktemp("tiled")
+    args, _ = TestProcessMemory()._write_run(base, 2049)
+    run = base / "run2049"
+    with pytest.MonkeyPatch.context() as mp:
+        _usable_cpus(mp, 1)
+        for command in ("train", "eval", "score"):
+            assert main([command, *args, "--max-epochs", "3", "--patience", "3"]) == 0
+    return args, run, _outputs(run)
+
+
+def _outputs(run) -> dict:
+    return {name: (run / name).read_bytes() for name in ("scores_0.csv", "report.csv")}
+
+
+def _assert_no_child_process() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestScoringProcesses:
+    """`eval`, `score` and `quartiles` split their tiles over forked
+    workers: the same bytes, whatever the number of processes, and no
+    process, file or warning left behind when one of them fails."""
+
+    @pytest.fixture
+    def forking(self, monkeypatch):
+        """Three usable CPUs and one tile per process at least: the 2049
+        nodes go to three processes, one tile each."""
+        _usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(workers, "MIN_TILES", 1)
+
+    def test_process_count_is_derived_and_capped(self, monkeypatch):
+        cases = [(1, 10**4, 1), (2, 20, 1), (2, 196, 2), (3, 196, 3), (3, 40, 2),
+                 (10**4, 10**6, workers.MAX_PROCESSES), (4, 0, 1)]
+        for cpus, tiles, want in cases:
+            _usable_cpus(monkeypatch, cpus)
+            assert workers.processes(tiles) == want, (cpus, tiles)
+        assert workers.MAX_PROCESSES == 8 and workers.MIN_TILES == 20
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert workers.processes(10**4) == 1  # a fork would copy one thread only
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_runs_are_whole_tiles(self, forking):
+        assert workers.runs(2049) == [(0, 1024), (1024, 2048), (2048, 2049)]
+        assert workers.runs(1024) == [(0, 1024)]
+        assert workers.runs(0) == [(0, 0)]
+        with pytest.raises(ValueError, match="tiles"):
+            training.score_all(None, chebyshev.ChebBasisCache(0, 2049, 1, []), None, start=1)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_outputs_do_not_depend_on_the_process_count(self, tiled_run, monkeypatch, cpus):
+        args, run, want = tiled_run
+        _usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(workers, "MIN_TILES", 1)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        for command in ("eval", "score"):
+            assert main([command, *args]) == 0
+        assert len(forks) == 2 * (cpus - 1)
+        assert _outputs(run) == want
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    @pytest.mark.parametrize("fault,status", [("raise", "exit status 1"),
+                                              ("kill", f"killed by signal {signal.SIGKILL}")])
+    def test_failed_worker_exits_1_and_keeps_the_old_outputs(
+            self, tiled_run, forking, monkeypatch, capfd, command, fault, status):
+        args, run, want = tiled_run
+        parent, score_all = os.getpid(), training.score_all
+
+        def faulty(state, cheb, ctx, sink=None, start=0, stop=None):
+            if os.getpid() != parent and start == 1024:
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("a worker fault")
+            return score_all(state, cheb, ctx, sink, start, stop)
+
+        monkeypatch.setattr(training, "score_all", faulty)
+        files = sorted(os.listdir(run))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, *args]) == 1
+            gc.collect()
+        err = capfd.readouterr().err
+        assert err.endswith(f"error: scoring worker for nodes 1024..2047 failed ({status})\n")
+        if fault == "raise":
+            assert "error: scoring worker for nodes 1024..2047: RuntimeError: a worker fault\n" in err
+        assert _outputs(run) == want
+        assert sorted(os.listdir(run)) == files  # no part or temporary file
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_failed_parent_kills_and_reaps_every_worker(self, tiled_run, forking, monkeypatch,
+                                                        error):
+        args, run, want = tiled_run
+        parent = os.getpid()
+
+        def stuck_workers(state, cheb, ctx, sink=None, start=0, stop=None):
+            if os.getpid() != parent:
+                time.sleep(60)  # reaped without being killed, the test would wait this long
+            raise error("the parent fails")
+
+        monkeypatch.setattr(training, "score_all", stuck_workers)
+        files = sorted(os.listdir(run))
+        started = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                main(["score", *args])
+            gc.collect()
+        assert time.perf_counter() - started < 30
+        _assert_no_child_process()
+        assert _outputs(run) == want
+        assert sorted(os.listdir(run)) == files
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_orphaned_worker_stops_within_one_tile(self, tmp_path, monkeypatch):
+        """A worker's job, run here: once its parent has exited, it writes
+        no further tile."""
+        parent = os.getpid()
+        ppids = iter([parent, parent + 1])
+        monkeypatch.setattr(os, "getppid", lambda: next(ppids))
+
+        def score(sink, lo, hi):
+            for start in range(lo, hi, 1024):
+                sink(start, np.full(min(1024, hi - start), 0.5))
+
+        with open(tmp_path / "part", "w+b") as part:
+            worker = workers.Worker(0, 3000, part)
+            with pytest.raises(SagadError, match=f"scoring process {parent} exited"):
+                workers.score_part(worker, score, cli._csv_rows, parent)
+            part.flush()
+            assert (tmp_path / "part").read_bytes() == cli._csv_rows(0, np.full(1024, 0.5))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+    def test_forked_score_tree_peak_stays_at_one_process(self, tmp_path):
+        """The peak resident size of `score`'s whole process tree (the
+        `wait4` peak, which covers the workers it reaped) with three
+        processes stays within 5% of one process's: a worker shares the
+        parent's pages until it writes them and holds its own tile."""
+        args, _ = TestProcessMemory()._write_run(tmp_path, 62_000)  # 61 tiles: three processes
+        with pytest.MonkeyPatch.context() as mp:
+            _usable_cpus(mp, 1)
+            assert main(["train", *args, "--max-epochs", "3", "--patience", "3"]) == 0
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        # `score` seeing sys.argv[1] usable CPUs, printing how many workers it forked
+        score = ("import os, sys\n"
+                 "from sagad import cli\n"
+                 "cpus, forks, fork = int(sys.argv.pop(1)), [], os.fork\n"
+                 "os.sched_getaffinity = lambda pid: set(range(cpus))\n"
+                 "os.fork = lambda: forks.append(1) or fork()\n"
+                 "code = cli.main(sys.argv[1:])\n"
+                 "print('forks', len(forks))\n"
+                 "sys.exit(code)\n")
+        # a small launcher, as in TestSetupMemory: Linux carries the peak RSS across exec
+        launcher = (
+            "import os, sys\n"
+            "argv = [sys.executable, '-c', *sys.argv[1:]]\n"
+            "_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        peaks, scores = {}, {}
+        for cpus in (1, 3, 1, 3):
+            proc = subprocess.run([sys.executable, "-c", launcher, score, str(cpus), "score", *args],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            *_, forks, last = proc.stdout.splitlines()
+            exit_code, maxrss_kb = (int(v) for v in last.split())
+            assert exit_code == 0, proc.stderr
+            assert forks == f"forks {cpus - 1}"
+            peaks[cpus] = min(peaks.get(cpus, maxrss_kb), maxrss_kb)
+            scores.setdefault(cpus, (tmp_path / "run62000" / "scores_0.csv").read_bytes())
+        assert scores[3] == scores[1]
+        assert peaks[3] < 1.05 * peaks[1], f"{peaks[3]} kB with three processes, {peaks[1]} kB with one"
+
+
+class TestValidateMemory:
+    """`validate` checks features.bin one FEATURE_CHUNK_ROWS chunk at a
+    time into one buffer: it holds none of the n*d features."""
+
+    def test_peak_is_under_half_the_features(self, tmp_path, capsys):
+        n, d = 200_000, 32
+        rng = np.random.default_rng(0)
+        ids = rng.permutation(n)
+        graph.write_dataset(graph.GraphDataset(
+            graph.SparseAdjacency.from_edges(n, np.zeros((0, 2))),
+            rng.standard_normal((n, d), dtype=np.float32), (rng.random(n) < 0.05).astype(np.int8),
+            [graph.SplitSet(ids[:50], ids[50:100], ids[100:1100])], "validate"), tmp_path)
+        peak = TestProcessMemory._peak(["validate", "--dataset", str(tmp_path)])
+        assert "200000 nodes, 0 edges, 32 features" in capsys.readouterr().out
+        # the labels.csv parse is most of it: (n, 2) int64 pairs, 3.2 MB
+        assert peak < n * d * 4 / 2, f"validate peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("node", [graph.FEATURE_CHUNK_ROWS - 1, graph.FEATURE_CHUNK_ROWS,
+                                      2 * graph.FEATURE_CHUNK_ROWS + 99])
+    def test_non_finite_feature_exits_1_naming_its_node(self, tmp_path, capsys, node):
+        n = 2 * graph.FEATURE_CHUNK_ROWS + 100
+        features = np.random.default_rng(1).standard_normal((n, 3), dtype=np.float32)
+        args = TestFeatureStream()._dataset(tmp_path / "data", features)
+        features[node, 2] = np.nan
+        graph.FEATURES_FORMAT.write(tmp_path / "data" / "features.bin", features.shape,
+                                    [(features, "<f4")])
+        assert main(["validate", *args[:2]]) == 1
+        assert capsys.readouterr().err == f"error: features.bin: non-finite value at node {node}\n"

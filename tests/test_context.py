@@ -194,7 +194,7 @@ class TestContextCache:
         write_context_cache(cache, path)
         with read_context_cache(path) as loaded:
             np.testing.assert_array_equal(cache.context, loaded.context[:])
-            np.testing.assert_array_equal(cache.subgraph_size, loaded.subgraph_size)
+            np.testing.assert_array_equal(cache.subgraph_size, loaded.subgraph_size[:])
 
     @pytest.mark.parametrize("mode", ["rq", "full_khop"])
     def test_built_with_a_path_is_the_written_in_memory_cache(self, tmp_path, mode):

@@ -10,10 +10,13 @@ is reused when it is already there; then ``sagad preprocess``, one
 ``sagad sample-context`` in ``--context-mode`` (``rq``, cap 64, or
 ``full_khop``), and ``train``, ``eval`` and ``score`` on split 0 each run
 in a child process with one BLAS thread.  Each command's line gives its
-wall time, microseconds per node, ``wait4`` peak RSS and minor page
-faults; a last line per size gives the sha256 prefixes of
-``cheb_cache.bin`` and ``context_cache.bin``, so two checkouts' set-up
-outputs can be compared.
+wall time, its CPU time (user + system, ``wait4``'s, so it includes the
+scoring workers the command forked and reaped), microseconds per node,
+``wait4`` peak RSS and minor page faults; the header gives the CPUs this
+process may run on, which the scoring commands use.  A last line per
+size gives the sha256 prefixes of ``cheb_cache.bin``,
+``context_cache.bin``, ``scores_0.csv`` and ``report.csv``, so two
+checkouts' outputs can be compared.
 ``--src`` runs another checkout's package.  This process imports only the
 standard library: Linux carries a parent's peak RSS into a child across
 fork and exec, so a small parent keeps each child's number its own.  The
@@ -37,16 +40,17 @@ GENERATE = ("import sys, gen; n, seed, out = int(sys.argv[1]), int(sys.argv[2]),
             "gen.write_dataset(gen.generate(gen.GraphSpec(n=n, num_splits=3), seed), out, 'scale')")
 
 
-def child(argv: list[str], env: dict) -> tuple[float, float, int]:
-    """Run ``argv``; its wall seconds, peak RSS in MiB and minor page
-    faults.  Raises on failure."""
+def child(argv: list[str], env: dict) -> tuple[float, float, float, int]:
+    """Run ``argv``; its wall seconds, CPU seconds, peak RSS in MiB and
+    minor page faults, each over the child and the processes it reaped.
+    Raises on failure."""
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
         raise SystemExit(f"failed: {' '.join(argv)}")
-    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def child_env(work_dir: str) -> dict:
@@ -75,7 +79,10 @@ def main() -> None:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     args = parser.parse_args()
     env = child_env(args.work_dir)
-    print(f"{'n':>9}  {'command':<15} {'wall_s':>8} {'us/node':>8} {'peak_MiB':>9} {'minflt':>8}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(f"usable CPUs: {cpus}")
+    print(f"{'n':>9}  {'command':<15} {'wall_s':>8} {'cpu_s':>8} {'us/node':>8} {'peak_MiB':>9} "
+          f"{'minflt':>8}")
     for n in (int(size) for size in args.sizes.split(",")):
         data = os.path.join(args.work_dir, f"gen-n{n}-s{args.seed}")
         run = os.path.join(args.work_dir, f"run-n{n}-s{args.seed}")
@@ -87,11 +94,11 @@ def main() -> None:
                  "--cap", "64"]
         sagad_env = dict(env, PYTHONPATH=os.path.abspath(args.src))
         for command in ("preprocess", "sample-context", "train", "eval", "score"):
-            wall, peak, faults = child(sagad + [command] + flags, sagad_env)
-            print(f"{n:>9}  {command:<15} {wall:>8.2f} {wall / n * 1e6:>8.2f} {peak:>9.1f} "
-                  f"{faults:>8}", flush=True)
+            wall, cpu, peak, faults = child(sagad + [command] + flags, sagad_env)
+            print(f"{n:>9}  {command:<15} {wall:>8.2f} {cpu:>8.2f} {wall / n * 1e6:>8.2f} "
+                  f"{peak:>9.1f} {faults:>8}", flush=True)
         digests = (f"{name} {sha256_prefix(os.path.join(run, name))}"
-                   for name in ("cheb_cache.bin", "context_cache.bin"))
+                   for name in ("cheb_cache.bin", "context_cache.bin", "scores_0.csv", "report.csv"))
         print(f"{n:>9}  {'  '.join(digests)}", flush=True)
 
 
