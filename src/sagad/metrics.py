@@ -45,7 +45,7 @@ def _check_binary(labels: np.ndarray) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ValueError("labels must be a 1-d array")
-    if not np.all(np.isin(y, (0, 1))):
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be binary 0/1")
     return y
 
@@ -116,14 +116,13 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the precision-recall curve via average precision."""
     y = _check_binary(labels)
     s = _check_scores(scores, y)
-    n_pos = int(np.sum(y == 1))
+    n_pos = np.count_nonzero(y == 1)
     if n_pos == 0:
         raise ValueError("average_precision requires at least one positive")
     order = _descending_order(s)
     hits = (y[order] == 1).astype(np.float64)
-    cum_hits = np.cumsum(hits)
-    precision_at = cum_hits / np.arange(1, len(y) + 1)
-    return float(np.sum(precision_at * hits) / n_pos)
+    precision_at = hits.cumsum() / np.arange(1, len(y) + 1)
+    return float(np.add.reduce(precision_at * hits) / n_pos)
 
 
 def rec_at_k(scores: np.ndarray, labels: np.ndarray, k: int | None = None) -> float:

@@ -37,8 +37,9 @@ _FIXED_GATE = {"mean": 0.5, "low_only": 1.0, "high_only": 0.0}
 # O(K^2) interpolation_matrix takes 2 ms here on a 2-core x86-64 host.
 MAX_K = 256
 # A depth-3 MLP has a hidden_dim^2 f64 layer, 8.4 MB at this bound, and
-# training keeps five such vectors: parameters, gradients, two Adam
-# moments and the best epoch's.
+# training keeps seven f64 vectors of the parameter layout: parameters,
+# gradients, two Adam moments, Adam's two scratch vectors and the best
+# epoch's parameters.
 MAX_HIDDEN_DIM = 1024
 
 # header: u64 byte length of the JSON header that follows; then the f64 parameters
@@ -222,6 +223,7 @@ def mlp_forward(
     train_mode: bool = False,
     ws: TileWorkspace | None = None,
     name: str = "mlp",
+    parts: list[slice] | None = None,
 ) -> tuple[np.ndarray, list[dict] | None]:
     """Forward pass; returns the output and, in train mode, the per-layer
     trace the backward pass needs.
@@ -230,7 +232,11 @@ def mlp_forward(
     Both modes run this one loop, each layer into its own matmul buffer
     (``ws``'s buffer ``name.<layer>`` in eval mode, if given) with ReLU
     applied in place; train mode only adds the record of each layer's
-    input ``x`` and ReLU output ``act``.
+    input ``x`` and ReLU output ``act``.  With ``parts``, row ranges of
+    ``x`` stacked by the caller, each matmul runs on one part at a time:
+    BLAS picks its kernel (GEMV for one row or one output column, GEMM
+    otherwise) by the shape it is given, so only then does a part get the
+    bits of a pass over it alone.
     """
     if train_mode and ws is not None:
         raise ValueError(_NO_TRAIN_WORKSPACE)
@@ -239,8 +245,13 @@ def mlp_forward(
     last = params.depth - 1
     for i, layer in enumerate(params.layers):
         entry: dict = {"x": out}  # made before the matmul: the previous record is dropped first
-        h = np.matmul(out, layer.weight,
-                      out=_buffer(ws, f"{name}.{i}", (len(out), layer.weight.shape[1])))
+        h = _buffer(ws, f"{name}.{i}", (len(out), layer.weight.shape[1]))
+        if parts is None:
+            h = np.matmul(out, layer.weight, out=h)
+        else:
+            h = np.empty((len(out), layer.weight.shape[1])) if h is None else h
+            for rows in parts:
+                np.matmul(out[rows], layer.weight, out=h[rows])
         h += layer.bias
         if i < last:
             entry["act"] = _activate(h)
@@ -255,26 +266,32 @@ def mlp_backward(
     trace: list[dict] | None,
     d_out: np.ndarray,
     grads: MlpParams,
-) -> np.ndarray:
+    input_grad: bool = True,
+) -> np.ndarray | None:
     """Write every layer's gradients into ``grads`` (shaped as ``params``)
-    and return the gradient w.r.t. the input.
+    and return the gradient w.r.t. the input (None without ``input_grad``).
 
     ``trace`` is the one a train-mode ``mlp_forward`` returned; an eval-mode
-    forward records none and is rejected.
+    forward records none and is rejected.  ``d_out`` may cover the first
+    rows of the traced pass only; those rows are differentiated.
     """
     if trace is None or len(trace) != params.depth:
         raise ValueError(_NEEDS_TRAIN_FORWARD)
     d_cur = np.asarray(d_out, dtype=np.float64)
+    rows = slice(0, len(d_cur))
     last = params.depth - 1
     for i in range(last, -1, -1):
         layer = params.layers[i]
         grad = grads.layers[i]
         entry = trace[i]
         if i < last:
-            d_cur = d_cur * _activate_grad(entry["act"])
-        np.matmul(entry["x"].T, d_cur, out=grad.weight)
-        np.sum(d_cur, axis=0, out=grad.bias)
-        d_cur = d_cur @ layer.weight.T
+            d_cur = d_cur * _activate_grad(entry["act"][rows])
+        np.matmul(entry["x"][rows].T, d_cur, out=grad.weight)
+        np.add.reduce(d_cur, axis=0, out=grad.bias)  # np.sum's reduction
+        if i == 0 and not input_grad:
+            return None
+        # one output column: the K=1 product is one multiply per entry either way
+        d_cur = d_cur * layer.weight.T if d_cur.shape[1] == 1 else d_cur @ layer.weight.T
     return d_cur
 
 
@@ -323,9 +340,21 @@ class ParamVector(Mapping[str, np.ndarray]):
             slot["name"]: self.flat[slot["offset"] : slot["offset"] + size].reshape(slot["shape"])
             for slot, size in zip(layout, sizes)
         }
+        self._mlps: dict[str, MlpParams | None] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
+
+    def mlp(self, prefix: str) -> MlpParams | None:
+        """The layers of MLP ``prefix`` as views into ``flat`` (None if the
+        layout has no such MLP), made on first use."""
+        if prefix not in self._mlps:
+            layers = []
+            while f"{prefix}.{len(layers)}.weight" in self._views:
+                i = len(layers)
+                layers.append(MlpLayer(self[f"{prefix}.{i}.weight"], self[f"{prefix}.{i}.bias"]))
+            self._mlps[prefix] = MlpParams(layers) if layers else None
+        return self._mlps[prefix]
 
     def __iter__(self):
         return iter(self._views)
@@ -354,17 +383,8 @@ class ModelState:
     def __post_init__(self) -> None:
         self.params = ParamVector(param_layout(self.config, self.dim))
         self.filter = self.params["filter.raw"]
-        self.fusion_mlp = self._mlp("fusion")
-        self.classifier_mlp = self._mlp("classifier")
-
-    def _mlp(self, prefix: str) -> MlpParams | None:
-        p = self.params
-        if f"{prefix}.0.weight" not in p:
-            return None
-        return MlpParams([
-            MlpLayer(p[f"{prefix}.{i}.weight"], p[f"{prefix}.{i}.bias"])
-            for i in range(self.config.mlp_depth)
-        ])
+        self.fusion_mlp = self.params.mlp("fusion")
+        self.classifier_mlp = self.params.mlp("classifier")
 
 
 def init_model(config: ModelConfig, dim: int) -> ModelState:
@@ -431,10 +451,21 @@ def _buffer(ws: TileWorkspace | None, name: str, shape: tuple[int, ...],
 
 @dataclass
 class RowBundle:
-    """Cached rows for one batch; the only graph-sized state is outside."""
+    """Cached rows for one batch; the only graph-sized state is outside.
+
+    The rows may be parts stacked by the caller, part i being rows
+    ``bounds[i]:bounds[i + 1]``: ``forward_bundle`` gives each part's rows
+    the bits of a pass over that part alone, and ``backward_bundle``
+    differentiates the first part.
+    """
 
     block_rows: list[np.ndarray]  # block 0, T_0 X, holds the features
     ctx_rows: np.ndarray | None
+    bounds: tuple[int, ...] = ()  # () is one part of every row
+
+    def parts(self) -> list[slice]:
+        bounds = self.bounds or (0, len(self.block_rows[0]))
+        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def gather_rows(
@@ -502,7 +533,7 @@ def _combine(block_rows: list[np.ndarray], weights: np.ndarray, out: np.ndarray 
     return out
 
 
-def _fusion_gate(state, bundle, train_mode, ws):
+def _fusion_gate(state, bundle, train_mode, ws, parts):
     """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace
     (None in eval mode)."""
     inp = bundle.block_rows[0]  # the features
@@ -510,7 +541,7 @@ def _fusion_gate(state, bundle, train_mode, ws):
         m, d = inp.shape
         inp = np.concatenate([bundle.ctx_rows, inp], axis=1,
                              out=_buffer(ws, "fusion.in", (m, 2 * d)))
-    pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode, ws, "fusion")
+    pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode, ws, "fusion", parts)
     return _sigmoid(pre, ws, "gate"), trace
 
 
@@ -543,9 +574,12 @@ def forward_bundle(
     ``clf_trace`` are None and the MLPs keep no per-layer arrays.  An
     eval-mode pass may take a workspace ``ws`` (a train-mode one raises
     ValueError); then every array of the trace is a view into it, valid
-    until its next pass.
+    until its next pass.  On a bundle of stacked parts, every elementwise
+    step runs over all rows at once and every matmul part by part, so
+    each row has the bits of a pass over its part alone.
     """
     cfg = state.config
+    parts = bundle.parts() if len(bundle.bounds) > 2 else None
     m, d = bundle.block_rows[0].shape
     product = _buffer(ws, "product", (m, d))
     gamma_low, gamma_high = reparam_filter_values(state.filter)
@@ -557,7 +591,7 @@ def forward_bundle(
     coef = None
     fusion_trace = None
     if state.fusion_mlp is not None:
-        coef, fusion_trace = _fusion_gate(state, bundle, train_mode, ws)
+        coef, fusion_trace = _fusion_gate(state, bundle, train_mode, ws, parts)
 
     if cfg.fusion_mode == "concat":
         z = np.concatenate([z_low, z_high], axis=1, out=_buffer(ws, "z", (m, 2 * d)))
@@ -567,9 +601,12 @@ def forward_bundle(
         z = np.multiply(c, z_low, out=_buffer(ws, "z", (m, d)))
         z += np.multiply(np.subtract(1.0, c, out=product), z_high, out=product)
 
-    logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode, ws, "classifier")
+    logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode, ws, "classifier", parts)
     yhat = _sigmoid(logits[:, 0], ws, "yhat")
-    cbar = None if coef is None else np.mean(coef, axis=1, out=_buffer(ws, "cbar", (m,)))
+    cbar = None
+    if coef is not None:  # np.mean's reduction and division
+        cbar = np.add.reduce(coef, axis=1, out=_buffer(ws, "cbar", (m,)))
+        cbar /= coef.shape[1]
     return ForwardTrace(
         bundle=bundle,
         gamma_low=gamma_low,
@@ -594,47 +631,53 @@ def backward_bundle(
     trace: ForwardTrace,
     d_yhat: np.ndarray,
     d_cbar: np.ndarray | None,
+    out: ParamVector | None = None,
 ) -> ParamVector:
-    """Exact gradients of a scalar objective given d(obj)/d(yhat) and d(obj)/d(cbar),
-    as one vector in the state's parameter layout.
+    """Exact gradients of a scalar objective given d(obj)/d(yhat) and d(obj)/d(cbar)
+    of the bundle's first part, as one vector in the state's parameter
+    layout: ``out``, every value of which is written, or a new one.
 
     ``trace`` must come from a train-mode forward; an eval-mode one has no
     MLP traces and is rejected with a ValueError.
     """
     cfg = state.config
-    grad = ModelState(cfg, state.dim)  # zeroed, shaped as the state
+    grad = ParamVector(state.params.layout) if out is None else out
+    rows = trace.bundle.parts()[0]
+    coef = None if trace.coef is None else trace.coef[rows]
+    yhat = trace.yhat[rows]
 
-    d_logits = (d_yhat * trace.yhat * (1.0 - trace.yhat))[:, None]
-    d_z = mlp_backward(state.classifier_mlp, trace.clf_trace, d_logits, grad.classifier_mlp)
+    d_logits = (d_yhat * yhat * (1.0 - yhat))[:, None]
+    d_z = mlp_backward(state.classifier_mlp, trace.clf_trace, d_logits, grad.mlp("classifier"))
 
-    d_coef = None
-    if trace.coef is not None and d_cbar is not None:
-        d_coef = np.broadcast_to(
-            (d_cbar / trace.coef.shape[1])[:, None], trace.coef.shape
-        ).copy()
-
+    # d(cbar)/d(coef) is 1/d in every column of the row
+    d_coef = None if coef is None or d_cbar is None else (d_cbar / coef.shape[1])[:, None]
     if cfg.fusion_mode == "concat":
         d = trace.z_low.shape[1]
         d_z_low = d_z[:, :d]
         d_z_high = d_z[:, d:]
     else:
-        c = _FIXED_GATE.get(cfg.fusion_mode, trace.coef)
+        c = _FIXED_GATE.get(cfg.fusion_mode, coef)
         d_z_low = d_z * c
         d_z_high = d_z * (1.0 - c)
         if cfg.fusion_mode == "adaptive":
-            dc = d_z * (trace.z_low - trace.z_high)
-            d_coef = dc if d_coef is None else d_coef + dc
+            dc = d_z * (trace.z_low[rows] - trace.z_high[rows])
+            d_coef = dc if d_coef is None else np.add(dc, d_coef, out=dc)
 
+    fusion_grad = grad.mlp("fusion")
     if d_coef is not None:
-        d_pre = d_coef * trace.coef * (1.0 - trace.coef)
-        mlp_backward(state.fusion_mlp, trace.fusion_trace, d_pre, grad.fusion_mlp)
+        d_pre = d_coef * coef * (1.0 - coef)
+        mlp_backward(state.fusion_mlp, trace.fusion_trace, d_pre, fusion_grad, input_grad=False)
+    elif fusion_grad is not None:  # no gradient reaches the gate
+        for layer in fusion_grad.layers:
+            layer.weight[...] = 0.0
+            layer.bias[...] = 0.0
 
     k1 = len(trace.bundle.block_rows)
     d_w_low = np.zeros(k1)
     d_w_high = np.zeros(k1)
     for k, block in enumerate(trace.bundle.block_rows):
-        d_w_low[k] = float(np.vdot(d_z_low, block))
-        d_w_high[k] = float(np.vdot(d_z_high, block))
+        d_w_low[k] = float(np.vdot(d_z_low, block[rows]))
+        d_w_high[k] = float(np.vdot(d_z_high, block[rows]))
 
     m = interpolation_matrix(k1 - 1)
     d_gamma_low = m.T @ d_w_low
@@ -649,8 +692,8 @@ def backward_bundle(
     d_base_low[0] = d_gamma_low[0] + masked.sum()
     d_base_low[1:] = -np.cumsum(masked[::-1])[::-1]
 
-    grad.filter[...] = (d_base_low + d_base_high) * _sigmoid(state.filter)
-    return grad.params
+    grad["filter.raw"][...] = (d_base_low + d_base_high) * _sigmoid(state.filter)
+    return grad
 
 
 # ---------------------------------------------------------------------------

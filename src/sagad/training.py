@@ -2,13 +2,18 @@
 
 Parameters, gradients and the two Adam moments are flat f64 vectors in
 one layout (``model.param_layout``), so the optimizer, the weight-decay
-term and the best-epoch snapshot are whole-vector operations.  The L2
-term belongs to the objective: ``loss_and_grads_bundle`` adds its
-gradient once, and ``adam_step`` is plain Adam.
+term and the best-epoch snapshot are whole-vector operations; the
+gradient vector and Adam's scratch vectors are made once per run and
+written in place every epoch.  The L2 term belongs to the objective:
+``loss_and_grads_bundle`` adds its gradient once, and ``adam_step`` is
+plain Adam.
 
 Training is full-batch over the (small) labeled set: only the labeled
 rows of the basis and context caches are ever materialized, so peak
-training memory is independent of graph size.  Inference walks all
+training memory is independent of graph size.  The train and val rows
+are one bundle of two parts, and each epoch makes one forward pass over
+it: the pass that starts epoch e + 1 is also epoch e's validation (see
+``train``).  Inference walks all
 nodes, or a range of whole tiles, in fixed tiles of ``SCORE_ROWS`` rows,
 all gathered and scored in one preallocated ``model.TileWorkspace``, and
 can hand each tile's scores to a sink as they are computed, so scoring
@@ -24,6 +29,7 @@ takes no workspace.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -62,6 +68,9 @@ class TrainConfig:
         if self.patience > self.max_epochs:
             raise ConfigError(f"patience ({self.patience}) must not exceed "
                               f"max_epochs ({self.max_epochs})")
+        for key in ("lr", "weight_decay"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be a finite number, got {getattr(self, key)!r}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr!r}")
         if self.weight_decay < 0:
@@ -75,11 +84,15 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators, laid out as the model's parameter vector."""
+    """Adam moment accumulators, laid out as the model's parameter vector,
+    and two scratch vectors of that layout for the update's terms."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def init_optimizer(state: ModelState) -> OptimizerState:
@@ -88,18 +101,27 @@ def init_optimizer(state: ModelState) -> OptimizerState:
 
 def adam_step(state: ModelState, grad: np.ndarray, opt: OptimizerState, lr: float) -> None:
     """One bias-corrected Adam update of ``state.params.flat``, in place;
-    ``grad`` is a vector in the same layout (``ParamVector.flat``)."""
+    ``grad`` is a vector in the same layout (``ParamVector.flat``).
+
+    The update is ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
+    ``params -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, each operation in
+    that order into ``opt``'s scratch vectors, so no step allocates.
+    """
     params = state.params.flat
     if grad.shape != params.shape:
         raise ValueError(f"gradient has shape {grad.shape}, want {params.shape}")
     opt.step += 1
     bc1 = 1.0 - ADAM_BETA1**opt.step
     bc2 = 1.0 - ADAM_BETA2**opt.step
+    a, b = opt.scratch
     opt.m *= ADAM_BETA1
-    opt.m += (1.0 - ADAM_BETA1) * grad
+    opt.m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
     opt.v *= ADAM_BETA2
-    opt.v += (1.0 - ADAM_BETA2) * (grad * grad)
-    params -= lr * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + ADAM_EPS)
+    opt.v += np.multiply(1.0 - ADAM_BETA2, np.multiply(grad, grad, out=a), out=a)
+    np.multiply(lr, np.divide(opt.m, bc1, out=a), out=a)
+    np.sqrt(np.divide(opt.v, bc2, out=b), out=b)
+    b += ADAM_EPS
+    params -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -120,45 +142,69 @@ def compute_beta(split: SplitSet, labels: np.ndarray) -> float:
     return n_anom / n_norm
 
 
+LOSS_EPS = 1e-7  # probabilities are clamped to [LOSS_EPS, 1 - LOSS_EPS] before the logs
+
+
 def _clamp(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    clamped = np.clip(p, eps, 1.0 - eps)
-    passthrough = ((p >= eps) & (p <= 1.0 - eps)).astype(np.float64)
+    """``p`` clipped to [eps, 1 - eps] (a NaN stays NaN), and the mask of
+    where it passed through."""
+    clamped = np.minimum(np.maximum(p, eps), 1.0 - eps)
+    passthrough = (p >= eps) & (p <= 1.0 - eps)
     return clamped, passthrough
 
 
+@dataclass
+class LossLabels:
+    """What the data loss needs of one batch's labels, formed once per batch:
+    the BCE's class terms ``beta * y`` and ``1 - y`` and, with FPG, the
+    per-node gate ``target`` (p_a for anomalies, p_n for normals),
+    ``1 - target`` and class ``weight`` (beta for anomalies, 1 for normals).
+    """
+
+    pos: np.ndarray
+    neg: np.ndarray
+    fpg: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def loss_labels(labels: np.ndarray, beta: float, config: ModelConfig | None = None) -> LossLabels:
+    """The ``LossLabels`` of ``labels`` (1 anomaly, 0 normal); the FPG terms
+    only if ``config`` uses the FPG loss."""
+    y = np.asarray(labels, dtype=np.float64)
+    fpg = None
+    if config is not None and config.use_fpg:
+        target = np.where(y == 1, config.p_a, config.p_n)
+        fpg = (target, 1.0 - target, np.where(y == 1, beta, 1.0))
+    return LossLabels(beta * y, 1.0 - y, fpg)
+
+
 def bce_loss_grad(
-    yhat: np.ndarray, labels: np.ndarray, beta: float, eps: float = 1e-7
+    yhat: np.ndarray, labels: LossLabels, eps: float = LOSS_EPS
 ) -> tuple[float, np.ndarray]:
     """Class-weighted binary cross entropy and its gradient w.r.t. yhat.
 
     Probabilities are clamped to [eps, 1-eps] before the logs; the clamp
     contributes zero gradient outside the pass-through region.
     """
-    y = np.asarray(labels, dtype=np.float64)
+    pos, neg = labels.pos, labels.neg
     p, inside = _clamp(np.asarray(yhat, dtype=np.float64), eps)
-    n = len(y)
-    loss = -np.sum(beta * y * np.log(p) + (1.0 - y) * np.log(1.0 - p)) / n
-    d_p = -(beta * y / p - (1.0 - y) / (1.0 - p)) / n
+    q = 1.0 - p
+    n = len(pos)
+    loss = -np.add.reduce(pos * np.log(p) + neg * np.log(q)) / n
+    d_p = -(pos / p - neg / q) / n
     return float(loss), d_p * inside
 
 
 def fpg_loss_grad(
-    cbar: np.ndarray,
-    labels: np.ndarray,
-    beta: float,
-    p_a: float,
-    p_n: float,
-    eps: float = 1e-7,
+    cbar: np.ndarray, labels: LossLabels, eps: float = LOSS_EPS
 ) -> tuple[float, np.ndarray]:
     """Frequency-preference regularizer: a BCE pulling mean fusion gates
     toward p_a for anomalies (weighted by beta) and p_n for normals."""
-    y = np.asarray(labels, dtype=np.float64)
+    target, off_target, weight = labels.fpg
     c, inside = _clamp(np.asarray(cbar, dtype=np.float64), eps)
-    n = len(y)
-    target = np.where(y == 1, p_a, p_n)
-    weight = np.where(y == 1, beta, 1.0)
-    loss = -np.sum(weight * (target * np.log(c) + (1.0 - target) * np.log(1.0 - c))) / n
-    d_c = -(weight * (target / c - (1.0 - target) / (1.0 - c))) / n
+    off_c = 1.0 - c
+    n = len(target)
+    loss = -np.add.reduce(weight * (target * np.log(c) + off_target * np.log(off_c))) / n
+    d_c = -(weight * (target / c - off_target / off_c)) / n
     return float(loss), d_c * inside
 
 
@@ -166,24 +212,23 @@ def data_loss_terms(
     state: ModelState,
     yhat: np.ndarray,
     cbar: np.ndarray | None,
-    labels: np.ndarray,
-    beta: float,
+    labels: LossLabels,
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """The data part of the training objective on one forward pass's outputs.
 
     Returns the data loss (class-weighted BCE, plus the FPG term when the
     model uses it) and its gradients w.r.t. yhat and cbar (None without
-    FPG).  The objective adds 0.5 * weight_decay * ||params||^2 to the data
-    loss; training needs only that term's gradient, which
+    FPG).  ``labels`` is ``loss_labels`` of the rows under the state's
+    config.  The objective adds 0.5 * weight_decay * ||params||^2 to the
+    data loss; training needs only that term's gradient, which
     ``loss_and_grads_bundle`` adds.
     """
-    cfg = state.config
-    loss, d_yhat = bce_loss_grad(yhat, labels, beta)
+    loss, d_yhat = bce_loss_grad(yhat, labels)
     d_cbar = None
-    if cfg.use_fpg:
+    if state.config.use_fpg:
         if cbar is None:
             raise ValueError("use_fpg requires fusion coefficients in the forward pass")
-        fpg, d_cbar = fpg_loss_grad(cbar, labels, beta, cfg.p_a, cfg.p_n)
+        fpg, d_cbar = fpg_loss_grad(cbar, labels)
         loss += fpg
     return loss, d_yhat, d_cbar
 
@@ -197,27 +242,33 @@ def data_loss_terms(
 class LossBreakdown:
     data_loss: float
     grads: ParamVector  # of the objective; ``grads.flat`` is what Adam reads
+    yhat: np.ndarray  # every row's probability, the first part's and any other's
 
 
 def loss_and_grads_bundle(
     state: ModelState,
     bundle: RowBundle,
-    labels: np.ndarray,
-    beta: float,
+    labels: LossLabels,
     train_config: TrainConfig,
+    grads: ParamVector | None = None,
 ) -> LossBreakdown:
-    """Data loss and exact gradients of the objective on a pre-gathered row
-    bundle.
+    """Data loss and exact gradients of the objective on the first part of a
+    pre-gathered row bundle, whose ``loss_labels`` are ``labels``.
 
     The objective is the data loss plus 0.5 * weight_decay * ||params||^2;
-    this is the one place the L2 gradient is added.
+    this is the one place the L2 gradient is added.  The gradients are
+    written into ``grads`` if given.  One train-mode forward pass runs over
+    every part of the bundle; the other parts' probabilities are returned
+    with the first's.
     """
     trace = forward_bundle(state, bundle, train_mode=True)
-    loss, d_yhat, d_cbar = data_loss_terms(state, trace.yhat, trace.cbar, labels, beta)
-    grads = backward_bundle(state, trace, d_yhat, d_cbar)
+    rows = bundle.parts()[0]
+    cbar = None if trace.cbar is None else trace.cbar[rows]
+    loss, d_yhat, d_cbar = data_loss_terms(state, trace.yhat[rows], cbar, labels)
+    grads = backward_bundle(state, trace, d_yhat, d_cbar, grads)
     if train_config.weight_decay:
         grads.flat += train_config.weight_decay * state.params.flat
-    return LossBreakdown(data_loss=loss, grads=grads)
+    return LossBreakdown(data_loss=loss, grads=grads, yhat=trace.yhat)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +298,18 @@ def train(
     checkpoint with the best validation AUPRC; stops once `patience`
     epochs pass without improvement.  Only labeled cache rows are
     gathered, so memory does not scale with graph size.
+
+    The train rows and then the val rows are gathered into one bundle
+    of two parts, and each epoch makes one train-mode forward pass over
+    it.  Its train rows give epoch e's loss and the gradient of its Adam
+    step; its val rows, at the parameters epoch e - 1's step left, give
+    epoch e - 1's validation AUPRC.  So the pass that starts epoch e + 1
+    is epoch e's validation, and one eval-mode pass after the last step
+    validates the last epoch: E epochs make E + 1 passes, where a train
+    pass and a validation pass per epoch made 2E.  Each part's rows have
+    the bits of a pass over that part alone (``model.forward_bundle``),
+    so the history, the best epoch, the early stop and the parameters
+    are those of the two passes.
     """
     train_config.validate()
     train_ids = np.asarray(split.train, dtype=np.int64)
@@ -255,26 +318,33 @@ def train(
         raise SplitError("train and val splits must be non-empty")
 
     beta = compute_beta(split, labels)
-    y_train = labels[train_ids].astype(np.float64)
+    train_labels = loss_labels(labels[train_ids], beta, model_config)
     y_val = labels[val_ids].astype(np.float64)
 
     state = init_model(model_config, cheb_cache.dim)
     opt = init_optimizer(state)
-    train_bundle = gather_rows(cheb_cache, context_cache, train_ids, model_config)
-    val_bundle = gather_rows(cheb_cache, context_cache, val_ids, model_config)
+    grads = ParamVector(state.params.layout)
+    bundle = gather_rows(cheb_cache, context_cache, np.concatenate([train_ids, val_ids]),
+                         model_config)
+    bundle.bounds = (0, train_ids.size, train_ids.size + val_ids.size)
 
     history: list[EpochRecord] = []
     best_auprc = -np.inf
     best_params = np.empty_like(state.params.flat)
     epochs_since_improve = 0
 
+    breakdown = loss_and_grads_bundle(state, bundle, train_labels, train_config, grads)
     for epoch in range(train_config.max_epochs):
-        breakdown = loss_and_grads_bundle(state, train_bundle, y_train, beta, train_config)
-        adam_step(state, breakdown.grads.flat, opt, train_config.lr)
-
-        val_out = forward_bundle(state, val_bundle, train_mode=False)
-        val_auprc = average_precision(val_out.yhat, y_val)
-        history.append(EpochRecord(epoch=epoch, train_loss=breakdown.data_loss, val_auprc=val_auprc))
+        train_loss = breakdown.data_loss
+        adam_step(state, grads.flat, opt, train_config.lr)
+        # the next pass: its val rows validate this epoch, its train rows start the next
+        if epoch + 1 < train_config.max_epochs:
+            breakdown = loss_and_grads_bundle(state, bundle, train_labels, train_config, grads)
+            yhat = breakdown.yhat
+        else:
+            yhat = forward_bundle(state, bundle).yhat
+        val_auprc = average_precision(yhat[train_ids.size :], y_val)
+        history.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_auprc=val_auprc))
 
         if val_auprc > best_auprc:
             best_auprc = val_auprc

@@ -14,9 +14,11 @@ CSRs, the reference for every product of a ``RowOperator``,
 instead of the package's own code.
 ``fuse_per_mode`` mixes the two embeddings by each fusion mode's own
 formula instead of the one gated mix, ``evaluate_objective`` forms the
-training objective's value for finite-difference gradient checks, and
-``strong_separation_params`` is a CSBM configuration well inside the
-separability region.
+training objective's value for finite-difference gradient checks,
+``two_pass_train`` is the training loop with a train pass and a separate
+validation pass per epoch (the reference for ``training.train``'s one
+pass), and ``strong_separation_params`` is a CSBM configuration well
+inside the separability region.
 """
 
 from __future__ import annotations
@@ -24,11 +26,22 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from sagad import training
 from sagad.chebyshev import ChebBasisCache, chebyshev_nodes, chebyshev_series
+from sagad.context import ContextCache
 from sagad.csbm import CsbmParams
-from sagad.graph import GraphDataset, SparseAdjacency
-from sagad.model import ModelState, RowBundle, forward_bundle
-from sagad.training import TrainConfig, data_loss_terms
+from sagad.graph import GraphDataset, SparseAdjacency, SplitSet
+from sagad.model import ModelConfig, ModelState, RowBundle, forward_bundle, gather_rows, init_model
+from sagad.training import (
+    EpochRecord,
+    TrainConfig,
+    adam_step,
+    compute_beta,
+    data_loss_terms,
+    init_optimizer,
+    loss_and_grads_bundle,
+    loss_labels,
+)
 
 
 def dense_spectral_oracle(
@@ -175,11 +188,63 @@ def evaluate_objective(
     """Scalar objective only, with no backward pass (for finite-difference
     checks): the data loss plus 0.5 * weight_decay * ||params||^2."""
     trace = forward_bundle(state, bundle, train_mode=True)
-    objective = data_loss_terms(state, trace.yhat, trace.cbar, labels, beta)[0]
+    terms = loss_labels(labels, beta, state.config)
+    objective = data_loss_terms(state, trace.yhat, trace.cbar, terms)[0]
     if train_config.weight_decay:
         params = state.params.flat
         objective += 0.5 * train_config.weight_decay * float(np.vdot(params, params))
     return objective
+
+
+def two_pass_train(
+    labels: np.ndarray,
+    cheb_cache: ChebBasisCache,
+    context_cache: ContextCache | None,
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+    split: SplitSet,
+) -> tuple[ModelState, list[EpochRecord]]:
+    """``training.train`` with a bundle per split part: each epoch a
+    train-mode pass over the train rows and its Adam step, then an
+    eval-mode pass over the val rows for the epoch's AUPRC, 2E passes for
+    E epochs.  The metric is looked up on ``training`` at each call, as
+    the package's loop does, so a test that patches it patches both."""
+    train_config.validate()
+    train_ids = np.asarray(split.train, dtype=np.int64)
+    val_ids = np.asarray(split.val, dtype=np.int64)
+    beta = compute_beta(split, labels)
+    terms = loss_labels(labels[train_ids], beta, model_config)
+    y_val = labels[val_ids].astype(np.float64)
+
+    state = init_model(model_config, cheb_cache.dim)
+    opt = init_optimizer(state)
+    train_bundle = gather_rows(cheb_cache, context_cache, train_ids, model_config)
+    val_bundle = gather_rows(cheb_cache, context_cache, val_ids, model_config)
+
+    history: list[EpochRecord] = []
+    best_auprc = -np.inf
+    best_params = np.empty_like(state.params.flat)
+    epochs_since_improve = 0
+    for epoch in range(train_config.max_epochs):
+        breakdown = loss_and_grads_bundle(state, train_bundle, terms, train_config)
+        adam_step(state, breakdown.grads.flat, opt, train_config.lr)
+
+        val_out = forward_bundle(state, val_bundle, train_mode=False)
+        val_auprc = training.average_precision(val_out.yhat, y_val)
+        history.append(EpochRecord(epoch, breakdown.data_loss, val_auprc))
+
+        if val_auprc > best_auprc:
+            best_auprc = val_auprc
+            np.copyto(best_params, state.params.flat)
+            epochs_since_improve = 0
+        else:
+            epochs_since_improve += 1
+        if epochs_since_improve >= train_config.patience:
+            break
+
+    if best_auprc > -np.inf:
+        np.copyto(state.params.flat, best_params)
+    return state, history
 
 
 def strong_separation_params(seed: int = 0, dim: int = 64, n: int = 4000) -> CsbmParams:

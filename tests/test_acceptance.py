@@ -31,6 +31,7 @@ from sagad.model import (
 from sagad.training import (
     TrainConfig,
     loss_and_grads_bundle,
+    loss_labels,
     score_all,
     train,
 )
@@ -159,7 +160,7 @@ def test_criterion_3_gradient_correctness():
         def objective():
             return evaluate_objective(state, bundle, labels, 1.0, tc)
 
-        grads = loss_and_grads_bundle(state, bundle, labels, 1.0, tc).grads
+        grads = loss_and_grads_bundle(state, bundle, loss_labels(labels, 1.0, cfg), tc).grads
         for name, arr in state.params.items():
             flat = arr.reshape(-1)
             gflat = grads[name].reshape(-1)

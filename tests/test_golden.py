@@ -2,7 +2,10 @@
 
 The pipeline of ``tools/pipeline_digests.py --write-golden`` runs here, in
 this process: an n = 2049 perfbench graph (one row past a 1024-row scoring
-tile), split 0, in ``rq``, ``full_khop`` and ``features_only`` mode.  A
+tile), split 0, in ``rq``, ``full_khop`` and ``features_only`` mode, then
+``train`` again in the ``rq`` run directory with each of the run's
+``train_flags`` (fusion modes, no FPG term, MLP depths, weight decay, a
+fixed epoch budget), whose checkpoint and history are digested too.  A
 change to any byte of any output fails the test.  When a change to
 results is intended, regenerate the table with ``python
 tools/pipeline_digests.py --write-golden`` and record the change and its

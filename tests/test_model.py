@@ -488,6 +488,78 @@ class TestLeanEvalForward:
             np.testing.assert_array_equal(bits(before), bits(after))
 
 
+class TestStackedParts:
+    """A bundle of stacked parts (train rows, then val rows, in training)
+    gives each part's rows the bits of a forward pass over that part alone,
+    in both modes: elementwise steps are row-local, and every matmul runs
+    on one part at a time, since BLAS picks its kernel by the shape (a
+    one-row part or the one-column head is a GEMV alone and a GEMM
+    stacked, and the two round differently)."""
+
+    @staticmethod
+    def _state(cfg, dim):
+        state = init_model(cfg, dim)
+        prng = np.random.default_rng(11)
+        for _, arr in state.params.items():  # both ReLU signs
+            arr += prng.normal(0.0, 0.5, arr.shape)
+        return state
+
+    @staticmethod
+    def _stacked(cache, ctx, ids, sizes, cfg):
+        bundle = gather_rows(cache, ctx, ids, cfg)
+        bundle.bounds = tuple(int(b) for b in np.cumsum([0, *sizes]))
+        return bundle
+
+    @pytest.mark.parametrize("hidden_dim", [1, 8, 64])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("sizes", [(50, 50), (1, 50), (50, 1), (2, 2), (1, 2, 50)])
+    @pytest.mark.parametrize("dim,fusion_mode", [(32, "adaptive"), (5, "adaptive"),
+                                                 (32, "concat")])
+    def test_each_part_has_the_bits_of_its_own_pass(self, hidden_dim, depth, sizes, dim,
+                                                    fusion_mode):
+        ds = er_dataset(120, 0.05, dim, seed=3)
+        cache = whole_matrix_basis(ds, 3, np.float64)
+        ctx = build_context_cache(ds)
+        cfg = ModelConfig(K=3, hidden_dim=hidden_dim, mlp_depth=depth, fusion_mode=fusion_mode)
+        state = self._state(cfg, dim)
+        ids = np.random.default_rng(len(sizes)).permutation(ds.num_nodes)[: sum(sizes)]
+        stacked = self._stacked(cache, ctx, ids, sizes, cfg)
+        for train_mode in (False, True):
+            whole = forward_bundle(state, stacked, train_mode=train_mode)
+            for rows in stacked.parts():
+                alone = forward_bundle(state, gather_rows(cache, ctx, ids[rows], cfg),
+                                       train_mode=train_mode)
+                for name in ("z_low", "z_high", "coef", "cbar", "z", "yhat"):
+                    np.testing.assert_array_equal(bits(getattr(whole, name)[rows]),
+                                                  bits(getattr(alone, name)), err_msg=name)
+
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    @pytest.mark.parametrize("use_fpg", [True, False])
+    @pytest.mark.parametrize("sizes", [(1, 7), (7, 1), (50, 50)])
+    def test_gradients_are_those_of_the_first_part(self, fusion_mode, use_fpg, sizes):
+        from sagad.model import ParamVector
+        from sagad.training import TrainConfig, loss_and_grads_bundle, loss_labels
+
+        ds = er_dataset(120, 0.05, 6, seed=4, anomaly_frac=0.3)
+        cache = whole_matrix_basis(ds, 3, np.float64)
+        ctx = build_context_cache(ds)
+        cfg = ModelConfig(K=3, hidden_dim=8, fusion_mode=fusion_mode, use_fpg=use_fpg)
+        state = self._state(cfg, ds.num_features)
+        ids = np.random.default_rng(5).permutation(ds.num_nodes)[: sum(sizes)]
+        terms = loss_labels(ds.labels[ids[: sizes[0]]], 0.4, cfg)
+        tc = TrainConfig(weight_decay=0.01)
+        out = ParamVector(state.params.layout)
+        out.flat[...] = np.nan  # every value is written
+        stacked = loss_and_grads_bundle(state, self._stacked(cache, ctx, ids, sizes, cfg),
+                                        terms, tc, out)
+        alone = loss_and_grads_bundle(state, gather_rows(cache, ctx, ids[: sizes[0]], cfg),
+                                      terms, tc)
+        assert stacked.grads is out
+        assert stacked.data_loss == alone.data_loss
+        np.testing.assert_array_equal(bits(out.flat), bits(alone.grads.flat))
+        np.testing.assert_array_equal(bits(stacked.yhat[: sizes[0]]), bits(alone.yhat))
+
+
 class TestConfigValidation:
     def test_p_ordering_enforced(self):
         with pytest.raises(ConfigError, match="p_a"):

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagad.context import build_context_cache
 from sagad.errors import ConfigError
@@ -23,20 +26,29 @@ from sagad.training import (
     fpg_loss_grad,
     init_optimizer,
     loss_and_grads_bundle,
+    loss_labels,
     score_all,
     train,
 )
 
 from conftest import er_dataset
-from oracles import evaluate_objective, whole_matrix_basis
+from oracles import evaluate_objective, two_pass_train, whole_matrix_basis
 
 EPS = 1e-7
+
+
+def bce(yhat, labels, beta, eps=EPS):
+    return bce_loss_grad(yhat, loss_labels(labels, beta), eps)
+
+
+def fpg(cbar, labels, beta, p_a, p_n, eps=EPS):
+    return fpg_loss_grad(cbar, loss_labels(labels, beta, ModelConfig(p_a=p_a, p_n=p_n)), eps)
 
 
 def data_loss(yhat, cbar, labels, beta, cfg):
     """The objective's data loss (BCE, plus FPG when enabled), no weight decay."""
     state = init_model(cfg, 1)
-    return data_loss_terms(state, yhat, cbar, labels, beta)[0]
+    return data_loss_terms(state, yhat, cbar, loss_labels(labels, beta, cfg))[0]
 
 
 class TestComputeBeta:
@@ -63,29 +75,29 @@ class TestFpgLoss:
     def test_targets_met_exactly(self):
         cbar = np.asarray([EPS, 1.0 - EPS])
         labels = np.asarray([1, 0])
-        loss = fpg_loss_grad(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
+        loss = fpg(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_uninformative_half(self):
         cbar = np.asarray([0.5, 0.5])
         labels = np.asarray([1, 0])
-        loss = fpg_loss_grad(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
+        loss = fpg(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
         assert loss == pytest.approx(-math.log(0.5), abs=1e-9)
 
     def test_single_normal(self):
-        loss = fpg_loss_grad(np.asarray([0.8]), np.asarray([0]), beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
+        loss = fpg(np.asarray([0.8]), np.asarray([0]), beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
         assert loss == pytest.approx(-math.log(0.8), abs=1e-9)
 
     def test_stationary_at_target(self):
         # per-node term is minimized where the mean coefficient equals the target
         for target in (0.2, 0.5, 0.85):
-            below, _ = fpg_loss_grad(
+            below, _ = fpg(
                 np.asarray([target - 1e-4]), np.asarray([0]), 1.0, 0.1, target, EPS
             )
-            above, _ = fpg_loss_grad(
+            above, _ = fpg(
                 np.asarray([target + 1e-4]), np.asarray([0]), 1.0, 0.1, target, EPS
             )
-            at, grad_at = fpg_loss_grad(
+            at, grad_at = fpg(
                 np.asarray([target]), np.asarray([0]), 1.0, 0.1, target, EPS
             )
             assert below > at and above > at
@@ -98,7 +110,7 @@ class TestFpgLoss:
             labels = rng.integers(0, 2, 6)
             if labels.sum() in (0, 6):
                 continue
-            loss = fpg_loss_grad(cbar, labels, 0.5, 0.2, 0.8, EPS)[0]
+            loss = fpg(cbar, labels, 0.5, 0.2, 0.8, EPS)[0]
             assert loss >= 0.0
 
 
@@ -106,16 +118,16 @@ class TestBceLoss:
     def test_near_zero_at_optimum(self):
         yhat = np.asarray([1.0 - EPS, EPS])
         labels = np.asarray([1, 0])
-        assert bce_loss_grad(yhat, labels, beta=1.0, eps=EPS)[0] <= 2 * EPS * abs(math.log(EPS))
+        assert bce(yhat, labels, beta=1.0, eps=EPS)[0] <= 2 * EPS * abs(math.log(EPS))
 
     def test_weighted_half(self):
         yhat = np.asarray([0.5, 0.5])
         labels = np.asarray([1, 0])
-        loss = bce_loss_grad(yhat, labels, beta=0.25, eps=EPS)[0]
+        loss = bce(yhat, labels, beta=0.25, eps=EPS)[0]
         assert loss == pytest.approx(1.25 / 2 * math.log(2), abs=1e-9)
 
     def test_single_normal_half(self):
-        loss = bce_loss_grad(np.asarray([0.5]), np.asarray([0]), beta=0.25, eps=EPS)[0]
+        loss = bce(np.asarray([0.5]), np.asarray([0]), beta=0.25, eps=EPS)[0]
         assert loss == pytest.approx(math.log(2), abs=1e-9)
 
 
@@ -124,15 +136,15 @@ class TestTotalLoss:
         cfg = ModelConfig(use_fpg=False)
         yhat = np.asarray([0.3, 0.6])
         labels = np.asarray([1, 0])
-        assert data_loss(yhat, None, labels, 0.5, cfg) == bce_loss_grad(yhat, labels, 0.5, EPS)[0]
+        assert data_loss(yhat, None, labels, 0.5, cfg) == bce(yhat, labels, 0.5, EPS)[0]
 
     def test_sum_of_hand_cases(self):
         # the two sub-loss oracles add: 0.43322 + 0.69315 = 1.12637
         yhat = np.asarray([0.5, 0.5])
         cbar = np.asarray([0.5, 0.5])
         labels = np.asarray([1, 0])
-        bce_part = bce_loss_grad(yhat, labels, beta=0.25, eps=EPS)[0]
-        fpg_part = fpg_loss_grad(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
+        bce_part = bce(yhat, labels, beta=0.25, eps=EPS)[0]
+        fpg_part = fpg(cbar, labels, beta=1.0, p_a=0.0, p_n=1.0, eps=EPS)[0]
         assert bce_part + fpg_part == pytest.approx(1.12637, abs=1e-5)
 
     def test_total_is_sum_of_parts(self):
@@ -140,7 +152,7 @@ class TestTotalLoss:
         yhat = np.asarray([0.3, 0.8, 0.5])
         cbar = np.asarray([0.4, 0.6, 0.5])
         labels = np.asarray([1, 0, 0])
-        expected = bce_loss_grad(yhat, labels, 0.5, EPS)[0] + fpg_loss_grad(cbar, labels, 0.5, 0.1, 0.9, EPS)[0]
+        expected = bce(yhat, labels, 0.5, EPS)[0] + fpg(cbar, labels, 0.5, 0.1, 0.9, EPS)[0]
         assert data_loss(yhat, cbar, labels, 0.5, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_objective_adds_the_weight_decay_term(self):
@@ -150,7 +162,8 @@ class TestTotalLoss:
         loss = evaluate_objective(state, bundle, labels, 0.5, TrainConfig())
         objective = evaluate_objective(state, bundle, labels, 0.5, TrainConfig(weight_decay=0.1))
         sq = sum(float(np.sum(p * p)) for _, p in state.params.items())
-        assert loss == loss_and_grads_bundle(state, bundle, labels, 0.5, TrainConfig()).data_loss
+        terms = loss_labels(labels, 0.5, cfg)
+        assert loss == loss_and_grads_bundle(state, bundle, terms, TrainConfig()).data_loss
         assert objective == pytest.approx(loss + 0.05 * sq, rel=1e-12)
 
     def test_requires_cbar_when_enabled(self):
@@ -244,7 +257,7 @@ def _fd_setup(cfg, seed=0, n=16):
 
 
 def _fd_check(state, bundle, labels, tc, h=1e-5):
-    breakdown = loss_and_grads_bundle(state, bundle, labels, 1.0, tc)
+    breakdown = loss_and_grads_bundle(state, bundle, loss_labels(labels, 1.0, state.config), tc)
     worst = 0.0
     for name, arr in state.params.items():
         grad = breakdown.grads[name].reshape(-1)
@@ -279,14 +292,13 @@ class TestGradients:
     def test_gradients_scale_linearly(self):
         # doubling the loss (scaling both terms) doubles every gradient entry
         from sagad.model import backward_bundle, forward_bundle
-        from sagad.training import bce_loss_grad
 
         cfg = ModelConfig(K=2, hidden_dim=4, use_fpg=True)
         ds, cache, ctx, state, bundle = _fd_setup(cfg, seed=3)
         y = ds.labels.astype(float)
         trace = forward_bundle(state, bundle, train_mode=True)
-        _, d_yhat = bce_loss_grad(trace.yhat, y, 1.0, EPS)
-        _, d_cbar = fpg_loss_grad(trace.cbar, y, 1.0, cfg.p_a, cfg.p_n, EPS)
+        _, d_yhat = bce(trace.yhat, y, 1.0, EPS)
+        _, d_cbar = fpg(trace.cbar, y, 1.0, cfg.p_a, cfg.p_n, EPS)
         g1 = backward_bundle(state, trace, d_yhat, d_cbar)
         g2 = backward_bundle(state, trace, 2.0 * d_yhat, 2.0 * d_cbar)
         for name in g1:
@@ -298,20 +310,20 @@ class TestGradients:
         cfg = ModelConfig(K=2, hidden_dim=4)
         ds, cache, ctx, state, bundle = _fd_setup(cfg, seed=5)
         y = ds.labels.astype(float)
-        plain = loss_and_grads_bundle(state, bundle, y, 1.0, TrainConfig()).grads
-        decayed = loss_and_grads_bundle(state, bundle, y, 1.0, TrainConfig(weight_decay=0.1)).grads
+        terms = loss_labels(y, 1.0, cfg)
+        plain = loss_and_grads_bundle(state, bundle, terms, TrainConfig()).grads
+        decayed = loss_and_grads_bundle(state, bundle, terms, TrainConfig(weight_decay=0.1)).grads
         np.testing.assert_array_equal(decayed.flat, plain.flat + 0.1 * state.params.flat)
 
     def test_backward_needs_a_train_mode_forward(self):
         from sagad.model import backward_bundle, forward_bundle, mlp_backward
-        from sagad.training import bce_loss_grad
 
         cfg = ModelConfig(K=2, hidden_dim=4, use_fpg=True)
         ds, cache, ctx, state, bundle = _fd_setup(cfg, seed=3)
         y = ds.labels.astype(float)
         trace = forward_bundle(state, bundle)
-        _, d_yhat = bce_loss_grad(trace.yhat, y, 1.0, EPS)
-        _, d_cbar = fpg_loss_grad(trace.cbar, y, 1.0, cfg.p_a, cfg.p_n, EPS)
+        _, d_yhat = bce(trace.yhat, y, 1.0, EPS)
+        _, d_cbar = fpg(trace.cbar, y, 1.0, cfg.p_a, cfg.p_n, EPS)
         with pytest.raises(ValueError, match="train-mode forward"):
             backward_bundle(state, trace, d_yhat, d_cbar)
         with pytest.raises(ValueError, match="train-mode forward"):
@@ -325,7 +337,8 @@ class TestGradients:
         ctx = build_context_cache(ds)
         state = init_model(cfg, 3)
         bundle = gather_rows(cache, ctx, np.arange(8), cfg)
-        breakdown = loss_and_grads_bundle(state, bundle, ds.labels[:8], 1.0, TrainConfig())
+        breakdown = loss_and_grads_bundle(state, bundle, loss_labels(ds.labels[:8], 1.0, cfg),
+                                          TrainConfig())
         names = {n for n, _ in state.params.items()}
         assert set(breakdown.grads) == names
 
@@ -419,7 +432,8 @@ class TestTrainLoop:
         bundle = gather_rows(cache, ctx, ids, cfg)
         beta = compute_beta(split, ds.labels)
         for _ in range(3):
-            grads = loss_and_grads_bundle(ref, bundle, ds.labels[ids].astype(float), beta, tc).grads
+            terms = loss_labels(ds.labels[ids], beta, cfg)
+            grads = loss_and_grads_bundle(ref, bundle, terms, tc).grads
             adam_step(ref, grads.flat, opt, tc.lr)
         np.testing.assert_array_equal(state.params.flat, ref.params.flat)
 
@@ -430,10 +444,103 @@ class TestTrainLoop:
     @pytest.mark.parametrize(("fields", "message"), [
         ({"patience": 0}, "patience must be >= 1, got 0"),
         ({"patience": -2}, "patience must be >= 1, got -2"),
+        ({"lr": math.nan}, "lr must be a finite number, got nan"),
+        ({"lr": math.inf}, "lr must be a finite number, got inf"),
+        ({"weight_decay": math.nan}, "weight_decay must be a finite number, got nan"),
+        ({"weight_decay": math.inf}, "weight_decay must be a finite number, got inf"),
     ])
     def test_patience_bounds(self, fields, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**fields).validate()
+
+
+def _split(labels, n_train, n_val, seed):
+    """Random train and val ids: val holds an anomaly (its AUPRC needs
+    one) and train a normal, so train + val holds both classes."""
+    rng = np.random.default_rng(seed)
+    anom = rng.permutation(np.flatnonzero(labels == 1))
+    norm = rng.permutation(np.flatnonzero(labels == 0))
+    val = anom[:1]
+    train = norm[:1]
+    rest = rng.permutation(np.concatenate([anom[1:], norm[1:]]))
+    train = np.concatenate([train, rest[: n_train - 1]])
+    val = np.concatenate([val, rest[n_train - 1 : n_train + n_val - 2]])
+    assert (len(train), len(val)) == (n_train, n_val)
+    return SplitSet(train=train, val=val, test=np.asarray([], dtype=np.int64))
+
+
+def _assert_same_training(labels, cache, ctx, cfg, tc, split):
+    state, history = train(labels, cache, ctx, cfg, tc, split)
+    ref_state, ref_history = two_pass_train(labels, cache, ctx, cfg, tc, split)
+    assert state.params.flat.tobytes() == ref_state.params.flat.tobytes()
+    # EpochRecord compares its floats with ==; compare their bits, NaN included
+    assert [(r.epoch, struct.pack("<dd", r.train_loss, r.val_auprc)) for r in history] == [
+        (r.epoch, struct.pack("<dd", r.train_loss, r.val_auprc)) for r in ref_history]
+    return history
+
+
+class TestOnePassLoop:
+    """``train`` makes one forward pass per epoch over the train and val rows
+    stacked; ``oracles.two_pass_train``, a train pass and a validation pass
+    per epoch, is its reference, bit for bit: the parameter bytes and every
+    history record."""
+
+    @staticmethod
+    def _graph(seed, dim=3, n=40):
+        ds = er_dataset(n, 0.1, dim, seed=seed, anomaly_frac=0.3)
+        return ds, whole_matrix_basis(ds, 4, np.float64)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_train=st.integers(1, 12), n_val=st.integers(1, 12),
+           fusion_mode=st.sampled_from(FUSION_MODES),
+           context_mode=st.sampled_from(["rq", "full_khop", "features_only"]),
+           use_fpg=st.booleans(), depth=st.integers(1, 3), hidden_dim=st.sampled_from([1, 3, 8]),
+           K=st.integers(1, 4), weight_decay=st.sampled_from([0.0, 0.01]),
+           lr=st.sampled_from([0.01, 0.1]), epochs=st.integers(1, 25), patience=st.integers(1, 25))
+    def test_random_configs_match_the_two_pass_loop(self, seed, n_train, n_val, fusion_mode,
+                                                    context_mode, use_fpg, depth, hidden_dim, K,
+                                                    weight_decay, lr, epochs, patience):
+        ds = er_dataset(40, 0.1, 3, seed=seed % 7, anomaly_frac=0.3)
+        cache = whole_matrix_basis(ds, K, np.float64)
+        pooled = context_mode != "features_only"
+        ctx = build_context_cache(ds, mode=context_mode) if pooled else None
+        cfg = ModelConfig(K=K, hidden_dim=hidden_dim, mlp_depth=depth, fusion_mode=fusion_mode,
+                          context_mode=context_mode, use_fpg=use_fpg, seed=seed)
+        tc = TrainConfig(lr=lr, weight_decay=weight_decay, max_epochs=epochs,
+                         patience=min(patience, epochs))
+        split = _split(ds.labels, n_train, n_val, seed)
+        _assert_same_training(ds.labels, cache, ctx, cfg, tc, split)
+
+    @pytest.mark.parametrize("n_train,n_val", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 20), (20, 1)])
+    def test_one_and_two_row_parts(self, n_train, n_val):
+        ds, cache = self._graph(seed=8)
+        ctx = build_context_cache(ds)
+        cfg = ModelConfig(K=4, hidden_dim=8)
+        tc = TrainConfig(max_epochs=40, patience=40, lr=0.05)
+        history = _assert_same_training(ds.labels, cache, ctx, cfg, tc,
+                                        _split(ds.labels, n_train, n_val, n_train * 10 + n_val))
+        assert len(history) == 40
+
+    def test_patience_stop(self):
+        ds, cache = self._graph(seed=9, dim=4)
+        ctx = build_context_cache(ds)
+        cfg = ModelConfig(K=4, hidden_dim=8)
+        tc = TrainConfig(max_epochs=400, patience=5, lr=0.05)
+        split = _split(ds.labels, 12, 12, 3)
+        history = _assert_same_training(ds.labels, cache, ctx, cfg, tc, split)
+        assert 5 < len(history) < 400
+
+    def test_every_val_auprc_nan(self, monkeypatch):
+        # both loops look the metric up on ``training``; no epoch improves, so
+        # the final parameters stay and the patience stop comes at epoch 4
+        monkeypatch.setattr(training, "average_precision", lambda scores, labels: math.nan)
+        ds, cache = self._graph(seed=10)
+        ctx = build_context_cache(ds)
+        cfg = ModelConfig(K=4, hidden_dim=8)
+        tc = TrainConfig(max_epochs=30, patience=5)
+        split = _split(ds.labels, 6, 6, 4)
+        history = _assert_same_training(ds.labels, cache, ctx, cfg, tc, split)
+        assert len(history) == 5 and all(math.isnan(r.val_auprc) for r in history)
 
 
 class TestScoreAll:

@@ -24,7 +24,11 @@ and diff the two outputs.
 ``--write-golden`` instead runs the pipeline of ``tests/test_golden.py`` in
 this process, through ``sagad.cli.main``, on the package of this checkout:
 an n = 2049 graph (one row past a 1024-row scoring tile), seed 1, split 0,
-in ``rq``, ``full_khop`` and ``features_only`` mode.  It writes the
+in ``rq``, ``full_khop`` and ``features_only`` mode, and then ``train``
+again in the ``rq`` run directory with each of ``GOLDEN_RUN``'s
+``train_flags`` (other fusion modes, no FPG term, MLP depths 1 and 3,
+weight decay and a fixed epoch budget), whose checkpoint and history
+digests make one more table each.  It writes the
 digests and the numpy, BLAS and CPU they were taken on to
 ``tests/golden.json``.  Regenerate that file with it when a change to
 results is intended, and record why.
@@ -46,7 +50,13 @@ from sampler_scale import GENERATE, ROOT, child, child_env, sha256_prefix  # noq
 
 GOLDEN = os.path.join(ROOT, "tests", "golden.json")
 GOLDEN_RUN = {"n": 2049, "seed": 1, "splits": ["0"],
-              "modes": ["rq", "full_khop", "features_only"]}
+              "modes": ["rq", "full_khop", "features_only"],
+              # `train` again in the rq run directory with each flag set: a training path each
+              "train_flags": [["--fusion-mode", "mean"], ["--fusion-mode", "concat"],
+                              ["--fusion-mode", "low_only"], ["--fusion-mode", "high_only"],
+                              ["--use-fpg", "false"], ["--mlp-depth", "1"], ["--mlp-depth", "3"],
+                              ["--weight-decay", "0.01"],
+                              ["--max-epochs", "300", "--patience", "300"]]}
 
 
 def digests(sagad, run: str, context_mode: str, splits: list[str]):
@@ -105,14 +115,22 @@ def golden_digests(work_dir: str) -> dict:
         run = os.path.join(work_dir, f"run-{mode}")
         flags = ["--dataset", data, "--run-dir", run, "--context-mode", mode, "--cap", "64"]
 
-        def sagad(command: str, split: str | None = None) -> None:
-            more = [] if split is None else ["--split-index", split]
+        def sagad(command: str, split: str | None = None, more: tuple = ()) -> None:
+            if split is not None:
+                more = ["--split-index", split, *more]
             with contextlib.redirect_stdout(io.StringIO()):
                 code = sagad_main([command, *flags, *more])
             if code != 0:
                 raise RuntimeError(f"sagad {command} exited with {code}")
 
         out[mode] = dict(digests(sagad, run, mode, spec["splits"]))
+        if mode != "rq":
+            continue
+        for more in spec["train_flags"]:
+            sagad("train", "0", more)
+            out[f"rq train {' '.join(more)}"] = {
+                name: sha256_prefix(os.path.join(run, name))
+                for name in ("checkpoint_0.bin", "history_0.csv")}
     return out
 
 
