@@ -232,26 +232,25 @@ def mlp_forward(
     Both modes run this one loop, each layer into its own matmul buffer
     (``ws``'s buffer ``name.<layer>`` in eval mode, if given) with ReLU
     applied in place; train mode only adds the record of each layer's
-    input ``x`` and ReLU output ``act``.  With ``parts``, row ranges of
-    ``x`` stacked by the caller, each matmul runs on one part at a time:
-    BLAS picks its kernel (GEMV for one row or one output column, GEMM
-    otherwise) by the shape it is given, so only then does a part get the
-    bits of a pass over it alone.
+    input ``x`` and ReLU output ``act``.  Each matmul runs on one of
+    ``parts``, row ranges of ``x`` stacked by the caller (default: all
+    rows), at a time: BLAS picks its kernel (GEMV for one row or one
+    output column, GEMM otherwise) by the shape it is given, so only then
+    does a part get the bits of a pass over it alone.
     """
     if train_mode and ws is not None:
         raise ValueError(_NO_TRAIN_WORKSPACE)
     trace: list[dict] | None = [] if train_mode else None
     out = np.asarray(x, dtype=np.float64)
+    parts = [slice(0, len(out))] if parts is None else parts
     last = params.depth - 1
     for i, layer in enumerate(params.layers):
         entry: dict = {"x": out}  # made before the matmul: the previous record is dropped first
-        h = _buffer(ws, f"{name}.{i}", (len(out), layer.weight.shape[1]))
-        if parts is None:
-            h = np.matmul(out, layer.weight, out=h)
-        else:
-            h = np.empty((len(out), layer.weight.shape[1])) if h is None else h
-            for rows in parts:
-                np.matmul(out[rows], layer.weight, out=h[rows])
+        shape = (len(out), layer.weight.shape[1])
+        h = _buffer(ws, f"{name}.{i}", shape)
+        h = np.empty(shape) if h is None else h
+        for rows in parts:
+            np.matmul(out[rows], layer.weight, out=h[rows])
         h += layer.bias
         if i < last:
             entry["act"] = _activate(h)
@@ -287,7 +286,7 @@ def mlp_backward(
         if i < last:
             d_cur = d_cur * _activate_grad(entry["act"][rows])
         np.matmul(entry["x"][rows].T, d_cur, out=grad.weight)
-        np.add.reduce(d_cur, axis=0, out=grad.bias)  # np.sum's reduction
+        np.sum(d_cur, axis=0, out=grad.bias)
         if i == 0 and not input_grad:
             return None
         # one output column: the K=1 product is one multiply per entry either way
@@ -579,7 +578,7 @@ def forward_bundle(
     each row has the bits of a pass over its part alone.
     """
     cfg = state.config
-    parts = bundle.parts() if len(bundle.bounds) > 2 else None
+    parts = bundle.parts()
     m, d = bundle.block_rows[0].shape
     product = _buffer(ws, "product", (m, d))
     gamma_low, gamma_high = reparam_filter_values(state.filter)
@@ -603,10 +602,7 @@ def forward_bundle(
 
     logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode, ws, "classifier", parts)
     yhat = _sigmoid(logits[:, 0], ws, "yhat")
-    cbar = None
-    if coef is not None:  # np.mean's reduction and division
-        cbar = np.add.reduce(coef, axis=1, out=_buffer(ws, "cbar", (m,)))
-        cbar /= coef.shape[1]
+    cbar = None if coef is None else np.mean(coef, axis=1, out=_buffer(ws, "cbar", (m,)))
     return ForwardTrace(
         bundle=bundle,
         gamma_low=gamma_low,

@@ -22,9 +22,9 @@ processes.  Caches opened from disk are read by row, one tile at a
 time, so this holds for the whole process, not only inside ``train``:
 neither training nor scoring ever holds a cache payload in memory.
 Training, validation and scoring run the one forward pass, which
-computes hidden layers in place; only the training step runs it in
-train mode, which also records what the backward pass needs and so
-takes no workspace.
+computes hidden layers in place; only training runs it in train mode,
+which also records what the backward pass needs and so takes no
+workspace.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .errors import ConfigError, SplitError
 from .graph import SplitSet
 from .metrics import average_precision
 from .model import (
+    ForwardTrace,
     ModelConfig,
     ModelState,
     ParamVector,
@@ -242,7 +243,6 @@ def data_loss_terms(
 class LossBreakdown:
     data_loss: float
     grads: ParamVector  # of the objective; ``grads.flat`` is what Adam reads
-    yhat: np.ndarray  # every row's probability, the first part's and any other's
 
 
 def loss_and_grads_bundle(
@@ -251,24 +251,26 @@ def loss_and_grads_bundle(
     labels: LossLabels,
     train_config: TrainConfig,
     grads: ParamVector | None = None,
+    trace: ForwardTrace | None = None,
 ) -> LossBreakdown:
     """Data loss and exact gradients of the objective on the first part of a
     pre-gathered row bundle, whose ``loss_labels`` are ``labels``.
 
     The objective is the data loss plus 0.5 * weight_decay * ||params||^2;
     this is the one place the L2 gradient is added.  The gradients are
-    written into ``grads`` if given.  One train-mode forward pass runs over
-    every part of the bundle; the other parts' probabilities are returned
-    with the first's.
+    written into ``grads`` if given.  ``trace`` is a train-mode
+    ``forward_bundle`` of ``bundle`` at the state's parameters, run here
+    if not given.
     """
-    trace = forward_bundle(state, bundle, train_mode=True)
+    if trace is None:
+        trace = forward_bundle(state, bundle, train_mode=True)
     rows = bundle.parts()[0]
     cbar = None if trace.cbar is None else trace.cbar[rows]
     loss, d_yhat, d_cbar = data_loss_terms(state, trace.yhat[rows], cbar, labels)
     grads = backward_bundle(state, trace, d_yhat, d_cbar, grads)
     if train_config.weight_decay:
         grads.flat += train_config.weight_decay * state.params.flat
-    return LossBreakdown(data_loss=loss, grads=grads, yhat=trace.yhat)
+    return LossBreakdown(data_loss=loss, grads=grads)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +306,10 @@ def train(
     it.  Its train rows give epoch e's loss and the gradient of its Adam
     step; its val rows, at the parameters epoch e - 1's step left, give
     epoch e - 1's validation AUPRC.  So the pass that starts epoch e + 1
-    is epoch e's validation, and one eval-mode pass after the last step
-    validates the last epoch: E epochs make E + 1 passes, where a train
-    pass and a validation pass per epoch made 2E.  Each part's rows have
+    is epoch e's validation, made before the early-stop check, and the
+    loss and backward pass of epoch e + 1 run only after it: E epochs
+    make E + 1 forward and E backward passes, where a train pass and a
+    validation pass per epoch made 2E forward passes.  Each part's rows have
     the bits of a pass over that part alone (``model.forward_bundle``),
     so the history, the best epoch, the early stop and the parameters
     are those of the two passes.
@@ -333,18 +336,15 @@ def train(
     best_params = np.empty_like(state.params.flat)
     epochs_since_improve = 0
 
-    breakdown = loss_and_grads_bundle(state, bundle, train_labels, train_config, grads)
+    trace = forward_bundle(state, bundle, train_mode=True)
     for epoch in range(train_config.max_epochs):
-        train_loss = breakdown.data_loss
+        breakdown = loss_and_grads_bundle(state, bundle, train_labels, train_config, grads, trace)
         adam_step(state, grads.flat, opt, train_config.lr)
         # the next pass: its val rows validate this epoch, its train rows start the next
-        if epoch + 1 < train_config.max_epochs:
-            breakdown = loss_and_grads_bundle(state, bundle, train_labels, train_config, grads)
-            yhat = breakdown.yhat
-        else:
-            yhat = forward_bundle(state, bundle).yhat
-        val_auprc = average_precision(yhat[train_ids.size :], y_val)
-        history.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_auprc=val_auprc))
+        trace = forward_bundle(state, bundle, train_mode=True)
+        val_auprc = average_precision(trace.yhat[train_ids.size :], y_val)
+        history.append(EpochRecord(epoch=epoch, train_loss=breakdown.data_loss,
+                                   val_auprc=val_auprc))
 
         if val_auprc > best_auprc:
             best_auprc = val_auprc

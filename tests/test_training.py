@@ -521,7 +521,7 @@ class TestOnePassLoop:
                                         _split(ds.labels, n_train, n_val, n_train * 10 + n_val))
         assert len(history) == 40
 
-    def test_patience_stop(self):
+    def test_patience_stop(self, monkeypatch):
         ds, cache = self._graph(seed=9, dim=4)
         ctx = build_context_cache(ds)
         cfg = ModelConfig(K=4, hidden_dim=8)
@@ -529,6 +529,20 @@ class TestOnePassLoop:
         split = _split(ds.labels, 12, 12, 3)
         history = _assert_same_training(ds.labels, cache, ctx, cfg, tc, split)
         assert 5 < len(history) < 400
+        # the stopping epoch's validation pass is the last work: no backward follows it
+        assert self._passes(monkeypatch, ds.labels, cache, ctx, cfg, tc, split) == {
+            "forward_bundle": len(history) + 1, "loss_and_grads_bundle": len(history)}
+
+    @staticmethod
+    def _passes(monkeypatch, *args):
+        calls = {"forward_bundle": 0, "loss_and_grads_bundle": 0}
+        for name in calls:
+            def counted(*a, _name=name, _fn=getattr(training, name), **kw):
+                calls[_name] += 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(training, name, counted)
+        train(*args)
+        return calls
 
     def test_every_val_auprc_nan(self, monkeypatch):
         # both loops look the metric up on ``training``; no epoch improves, so
@@ -541,6 +555,8 @@ class TestOnePassLoop:
         split = _split(ds.labels, 6, 6, 4)
         history = _assert_same_training(ds.labels, cache, ctx, cfg, tc, split)
         assert len(history) == 5 and all(math.isnan(r.val_auprc) for r in history)
+        assert self._passes(monkeypatch, ds.labels, cache, ctx, cfg, tc, split) == {
+            "forward_bundle": 6, "loss_and_grads_bundle": 5}
 
 
 class TestScoreAll:
