@@ -339,6 +339,7 @@ def train(
     trace = forward_bundle(state, bundle, train_mode=True)
     for epoch in range(train_config.max_epochs):
         breakdown = loss_and_grads_bundle(state, bundle, train_labels, train_config, grads, trace)
+        del trace  # its arrays are freed before the next pass makes its own
         adam_step(state, grads.flat, opt, train_config.lr)
         # the next pass: its val rows validate this epoch, its train rows start the next
         trace = forward_bundle(state, bundle, train_mode=True)
