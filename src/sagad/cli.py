@@ -406,7 +406,7 @@ def _cmd_preprocess(cfg: RunConfig) -> int:
         # written from these sources just now: not fingerprinted again
         with graph.open_image(image_path, directory, ()) as image:
             features = graph.FeatureFile(directory, image.num_nodes, image.num_features)
-            dataset = graph.GraphDataset(image.adjacency(), features, image.labels())
+            dataset = graph.GraphDataset(image.adjacency(), features, image.labels()[:])
             with chebyshev.build_cheb_basis(dataset, cfg.K, path=path) as cache:
                 print(f"wrote {path} (K={cfg.K}, n={cache.num_nodes}, d={cache.dim})")
     except BaseException:
@@ -422,7 +422,7 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
     with _open_image(cfg, graph.IMAGE_SOURCES) as image, _open_basis(cfg) as cheb:
         _check_basis(cheb, image)
         # the features the basis was built from: its block 0, T_0 X, is X
-        dataset = graph.GraphDataset(image.adjacency(), cheb.blocks[0], image.labels())
+        dataset = graph.GraphDataset(image.adjacency(), cheb.blocks[0], image.labels()[:])
         with context.build_context_cache(dataset, cap=cfg.cap, seed=cfg.seed,
                                          mode=cfg.context_mode, path=path) as cache:
             print(f"wrote {path} (mode={cfg.context_mode}, n={cache.num_nodes})")
@@ -431,12 +431,12 @@ def _cmd_sample_context(cfg: RunConfig) -> int:
 
 def _cmd_train(cfg: RunConfig) -> int:
     with _open_image(cfg, graph.SUPERVISION_SOURCES) as image:
-        labels = image.labels()
         split = image.split(cfg.split_index, ("train", "val"))
-    with _load_caches(cfg, image) as (cheb, ctx):
-        state, history = training.train(
-            labels, cheb, ctx, cfg.model_config(), cfg.train_config(), split
-        )
+        with _load_caches(cfg, image) as (cheb, ctx):
+            # the image stays open: training reads the train and val ids' labels only
+            state, history = training.train(
+                image.labels(), cheb, ctx, cfg.model_config(), cfg.train_config(), split
+            )
     model.save_checkpoint(state, _checkpoint_path(cfg))
     cachefile.write_text(os.path.join(_run_dir(cfg), f"history_{cfg.split_index}.csv"), [
         "epoch,train_loss,val_auprc\n",
@@ -453,7 +453,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 def _cmd_eval(cfg: RunConfig) -> int:
     with _open_image(cfg, graph.SUPERVISION_SOURCES) as image:
         test_ids = image.split(cfg.split_index, ("test",)).test
-        y_test = image.labels()[test_ids]
+        y_test = image.labels()[:][test_ids]
     # an unusable test split fails before any node is scored
     if np.any(y_test == graph.UNKNOWN_LABEL):
         raise ConfigError("test split contains unlabeled nodes; cannot evaluate")
@@ -542,7 +542,7 @@ def _cmd_homophily(cfg: RunConfig) -> int:
 def _cmd_quartiles(cfg: RunConfig) -> int:
     with _open_image(cfg, graph.IMAGE_SOURCES) as image:
         test_ids = image.split(cfg.split_index, ("test",)).test
-        labels = image.labels()
+        labels = image.labels()[:]
         node_h = graph.node_homophily(image.adjacency(), labels)
     # an unusable test split fails before any node is scored
     metrics.quartile_groups(labels, node_h, test_ids)

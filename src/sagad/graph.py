@@ -673,9 +673,12 @@ class DatasetImage(FileBacked):
                             self._ids)
         return SparseAdjacency(self._read(0, n + 1, self._ids), columns)
 
-    def labels(self) -> np.ndarray:
-        """One int8 per node: 1, 0 or UNKNOWN_LABEL."""
-        return self._read(self._labels_at, self.num_nodes, np.int8)
+    def labels(self) -> CacheRows:
+        """One int8 per node, 1, 0 or UNKNOWN_LABEL, as a ``CacheRows``
+        reader over this image, valid while the image is open:
+        ``labels()[ids]`` reads the labels of ``ids``, ``labels()[:]`` all."""
+        return CacheRows(self.file, self.file.payload_offset + self._labels_at, (self.num_nodes,),
+                         np.int8)
 
     def split(self, index: int, parts: tuple[str, ...] = SPLIT_PARTS) -> SplitSet:
         """Split ``index`` as int64 id arrays, one read per part; a part not

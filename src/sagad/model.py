@@ -48,9 +48,6 @@ CHECKPOINT_MAGIC = CHECKPOINT_FORMAT.magic
 
 _SEED_DOMAIN_MODEL = 0x3A9
 _PURPOSE_INIT = 1
-_NEEDS_TRAIN_FORWARD = "a backward pass needs the trace of a train-mode forward (train_mode=True)"
-_NO_TRAIN_WORKSPACE = ("a tile workspace is for eval mode: a train-mode trace must keep "
-                       "arrays that the next pass would overwrite")
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +117,15 @@ def _sigmoid(x: np.ndarray, ws: TileWorkspace | None = None, name: str = "sigmoi
     or e/(1+e) respectively: e is set to 1 where x >= 0 and one quotient
     formed, which avoids a boolean gather and scatter.  The exponent is
     ``minimum(x, -x)`` rather than ``-abs(x)``: where x is NaN, minimum
-    returns its first operand, so a NaN keeps its sign bit.  With ``ws``
-    every array is one of its buffers ``name.*``.
+    returns its first operand, so a NaN keeps its sign bit.  Every array
+    is one of the buffers ``name.*`` of ``ws`` (of a new workspace if none
+    is given).
     """
-    pos = np.greater_equal(x, 0.0, out=_buffer(ws, f"{name}.pos", x.shape, np.bool_))
-    t = np.negative(x, out=_buffer(ws, f"{name}.t", x.shape))
+    ws = TileWorkspace(len(x)) if ws is None else ws
+    pos = np.greater_equal(x, 0.0, out=ws.take(f"{name}.pos", x.shape, np.bool_))
+    t = np.negative(x, out=ws.take(f"{name}.t", x.shape))
     np.minimum(x, t, out=t)
-    e = np.exp(t, out=_buffer(ws, f"{name}.e", x.shape))
+    e = np.exp(t, out=ws.take(f"{name}.e", x.shape))
     d = np.add(1.0, e, out=t)
     np.copyto(e, 1.0, where=pos)
     return np.divide(e, d, out=e)
@@ -220,49 +219,44 @@ def _activate_grad(out: np.ndarray) -> np.ndarray:
 def mlp_forward(
     params: MlpParams,
     x: np.ndarray,
-    train_mode: bool = False,
     ws: TileWorkspace | None = None,
     name: str = "mlp",
     parts: list[slice] | None = None,
-) -> tuple[np.ndarray, list[dict] | None]:
-    """Forward pass; returns the output and, in train mode, the per-layer
-    trace the backward pass needs.
+) -> tuple[np.ndarray, list[dict]]:
+    """Forward pass; returns the output and the per-layer trace the
+    backward pass needs.
 
     Hidden layers apply linear -> ReLU; the final layer is linear only.
-    Both modes run this one loop, each layer into its own matmul buffer
-    (``ws``'s buffer ``name.<layer>`` in eval mode, if given) with ReLU
-    applied in place; train mode only adds the record of each layer's
-    input ``x`` and ReLU output ``act``.  Each matmul runs on one of
-    ``parts``, row ranges of ``x`` stacked by the caller (default: all
-    rows), at a time: BLAS picks its kernel (GEMV for one row or one
-    output column, GEMM otherwise) by the shape it is given, so only then
-    does a part get the bits of a pass over it alone.
+    Each layer computes into its own matmul buffer, ``ws``'s buffer
+    ``name.<layer>`` (of a new workspace if none is given), with ReLU
+    applied in place, and the trace records each layer's input ``x`` and
+    ReLU output ``act``: views of ``x`` and of the buffers, no copies.
+    Each matmul runs on one of ``parts``, row ranges of ``x`` stacked by
+    the caller (default: all rows), at a time: BLAS picks its kernel (GEMV
+    for one row or one output column, GEMM otherwise) by the shape it is
+    given, so only then does a part get the bits of a pass over it alone.
     """
-    if train_mode and ws is not None:
-        raise ValueError(_NO_TRAIN_WORKSPACE)
-    trace: list[dict] | None = [] if train_mode else None
     out = np.asarray(x, dtype=np.float64)
+    ws = TileWorkspace(len(out)) if ws is None else ws
     parts = [slice(0, len(out))] if parts is None else parts
+    trace: list[dict] = []
     last = params.depth - 1
     for i, layer in enumerate(params.layers):
-        entry: dict = {"x": out}  # made before the matmul: the previous record is dropped first
-        shape = (len(out), layer.weight.shape[1])
-        h = _buffer(ws, f"{name}.{i}", shape)
-        h = np.empty(shape) if h is None else h
+        entry: dict = {"x": out}
+        h = ws.take(f"{name}.{i}", (len(out), layer.weight.shape[1]))
         for rows in parts:
             np.matmul(out[rows], layer.weight, out=h[rows])
         h += layer.bias
         if i < last:
             entry["act"] = _activate(h)
-        if trace is not None:
-            trace.append(entry)
+        trace.append(entry)
         out = h
     return out, trace
 
 
 def mlp_backward(
     params: MlpParams,
-    trace: list[dict] | None,
+    trace: list[dict],
     d_out: np.ndarray,
     grads: MlpParams,
     input_grad: bool = True,
@@ -270,12 +264,9 @@ def mlp_backward(
     """Write every layer's gradients into ``grads`` (shaped as ``params``)
     and return the gradient w.r.t. the input (None without ``input_grad``).
 
-    ``trace`` is the one a train-mode ``mlp_forward`` returned; an eval-mode
-    forward records none and is rejected.  ``d_out`` may cover the first
-    rows of the traced pass only; those rows are differentiated.
+    ``trace`` is the one ``mlp_forward`` returned.  ``d_out`` may cover
+    the first rows of the traced pass only; those rows are differentiated.
     """
-    if trace is None or len(trace) != params.depth:
-        raise ValueError(_NEEDS_TRAIN_FORWARD)
     d_cur = np.asarray(d_out, dtype=np.float64)
     rows = slice(0, len(d_cur))
     last = params.depth - 1
@@ -410,15 +401,15 @@ def init_model(config: ModelConfig, dim: int) -> ModelState:
 
 
 class TileWorkspace:
-    """Preallocated arrays for eval-mode forward passes on up to ``rows`` rows.
+    """Preallocated arrays for forward passes on up to ``rows`` rows.
 
-    ``gather_rows`` and ``forward_bundle`` given a workspace write every
-    intermediate into a named buffer of it (through ``out=``, with the
-    operands and order of a pass without one, so the results are the same
-    bits).  A buffer is made with ``rows`` rows on first use and reused by
-    every later pass, which fills its first ``m`` rows: a loop over
-    fixed tiles allocates nothing after its first tile.  What a pass
-    returns is views into the buffers, overwritten by the next pass.
+    ``forward_bundle`` writes every intermediate into a named buffer of
+    its workspace through ``out=``, and ``gather_rows`` given one reads
+    the rows into it.  A buffer is made with ``rows`` rows on first use
+    and reused by every later pass, which fills its first ``m`` rows: a
+    loop over fixed tiles or epochs allocates nothing after its first
+    pass.  What a pass returns, its trace included, is views into the
+    buffers, overwritten by the next pass.
     """
 
     def __init__(self, rows: int):
@@ -434,13 +425,6 @@ class TileWorkspace:
         if buf is None:
             buf = self._buffers[name] = np.empty((self.rows, *shape[1:]), dtype)
         return buf[: shape[0]]
-
-
-def _buffer(ws: TileWorkspace | None, name: str, shape: tuple[int, ...],
-            dtype=np.float64) -> np.ndarray | None:
-    """The ``out=`` of one intermediate: ``ws``'s buffer, or None (a new
-    array) without a workspace."""
-    return None if ws is None else ws.take(name, shape, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -522,25 +506,22 @@ def _rows(src: np.ndarray | CacheRows, ids: np.ndarray | slice, ws: TileWorkspac
     return out
 
 
-def _combine(block_rows: list[np.ndarray], weights: np.ndarray, out: np.ndarray | None = None,
-             product: np.ndarray | None = None) -> np.ndarray:
-    """sum_k weights[k] * block_rows[k], into ``out`` (each product into
-    ``product``) when given."""
+def _combine(block_rows: list[np.ndarray], weights: np.ndarray, out: np.ndarray,
+             product: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * block_rows[k] into ``out``, each product into ``product``."""
     out = np.multiply(weights[0], block_rows[0], out=out)
     for k in range(1, len(block_rows)):
         out += np.multiply(weights[k], block_rows[k], out=product)
     return out
 
 
-def _fusion_gate(state, bundle, train_mode, ws, parts):
-    """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace
-    (None in eval mode)."""
+def _fusion_gate(state, bundle, ws, parts):
+    """Per-node, per-dimension fusion gate in (0, 1), and the MLP trace."""
     inp = bundle.block_rows[0]  # the features
     if state.config.context_mode != "features_only":
         m, d = inp.shape
-        inp = np.concatenate([bundle.ctx_rows, inp], axis=1,
-                             out=_buffer(ws, "fusion.in", (m, 2 * d)))
-    pre, trace = mlp_forward(state.fusion_mlp, inp, train_mode, ws, "fusion", parts)
+        inp = np.concatenate([bundle.ctx_rows, inp], axis=1, out=ws.take("fusion.in", (m, 2 * d)))
+    pre, trace = mlp_forward(state.fusion_mlp, inp, ws, "fusion", parts)
     return _sigmoid(pre, ws, "gate"), trace
 
 
@@ -553,7 +534,7 @@ class ForwardTrace:
     coef: np.ndarray | None
     fusion_trace: list | None
     z: np.ndarray
-    clf_trace: list | None
+    clf_trace: list
     yhat: np.ndarray
     cbar: np.ndarray | None
 
@@ -561,48 +542,46 @@ class ForwardTrace:
 def forward_bundle(
     state: ModelState,
     bundle: RowBundle,
-    train_mode: bool = False,
     ws: TileWorkspace | None = None,
 ) -> ForwardTrace:
     """The model's forward pass on one batch of gathered rows.
 
     ``yhat`` holds the anomaly probabilities, ``coef`` the fusion gate
     and ``cbar`` its per-node mean (both None without a fusion MLP);
-    the rest is what ``backward_bundle`` needs.  Only a train-mode pass
-    records the MLP traces; in eval mode ``fusion_trace`` and
-    ``clf_trace`` are None and the MLPs keep no per-layer arrays.  An
-    eval-mode pass may take a workspace ``ws`` (a train-mode one raises
-    ValueError); then every array of the trace is a view into it, valid
-    until its next pass.  On a bundle of stacked parts, every elementwise
-    step runs over all rows at once and every matmul part by part, so
-    each row has the bits of a pass over its part alone.
+    the rest is what ``backward_bundle`` needs.  Every intermediate is
+    written into a buffer of the workspace ``ws`` (of a new one if none
+    is given), so every array of the trace is a view into it, valid until
+    its next pass; the bundle's rows are only read.  On a bundle of
+    stacked parts, every elementwise step runs over all rows at once and
+    every matmul part by part, so each row has the bits of a pass over its
+    part alone.
     """
     cfg = state.config
     parts = bundle.parts()
     m, d = bundle.block_rows[0].shape
-    product = _buffer(ws, "product", (m, d))
+    ws = TileWorkspace(m) if ws is None else ws
+    product = ws.take("product", (m, d))
     gamma_low, gamma_high = reparam_filter_values(state.filter)
-    z_low = _combine(bundle.block_rows, cheb_weights(gamma_low), _buffer(ws, "z_low", (m, d)),
-                     product)
-    z_high = _combine(bundle.block_rows, cheb_weights(gamma_high), _buffer(ws, "z_high", (m, d)),
+    z_low = _combine(bundle.block_rows, cheb_weights(gamma_low), ws.take("z_low", (m, d)), product)
+    z_high = _combine(bundle.block_rows, cheb_weights(gamma_high), ws.take("z_high", (m, d)),
                       product)
 
     coef = None
     fusion_trace = None
     if state.fusion_mlp is not None:
-        coef, fusion_trace = _fusion_gate(state, bundle, train_mode, ws, parts)
+        coef, fusion_trace = _fusion_gate(state, bundle, ws, parts)
 
     if cfg.fusion_mode == "concat":
-        z = np.concatenate([z_low, z_high], axis=1, out=_buffer(ws, "z", (m, 2 * d)))
+        z = np.concatenate([z_low, z_high], axis=1, out=ws.take("z", (m, 2 * d)))
     else:
         # c * z_low + (1 - c) * z_high
         c = _FIXED_GATE.get(cfg.fusion_mode, coef)
-        z = np.multiply(c, z_low, out=_buffer(ws, "z", (m, d)))
+        z = np.multiply(c, z_low, out=ws.take("z", (m, d)))
         z += np.multiply(np.subtract(1.0, c, out=product), z_high, out=product)
 
-    logits, clf_trace = mlp_forward(state.classifier_mlp, z, train_mode, ws, "classifier", parts)
+    logits, clf_trace = mlp_forward(state.classifier_mlp, z, ws, "classifier", parts)
     yhat = _sigmoid(logits[:, 0], ws, "yhat")
-    cbar = None if coef is None else np.mean(coef, axis=1, out=_buffer(ws, "cbar", (m,)))
+    cbar = None if coef is None else np.mean(coef, axis=1, out=ws.take("cbar", (m,)))
     return ForwardTrace(
         bundle=bundle,
         gamma_low=gamma_low,
@@ -633,8 +612,8 @@ def backward_bundle(
     of the bundle's first part, as one vector in the state's parameter
     layout: ``out``, every value of which is written, or a new one.
 
-    ``trace`` must come from a train-mode forward; an eval-mode one has no
-    MLP traces and is rejected with a ValueError.
+    ``trace`` is a ``forward_bundle`` at the state's parameters, whose
+    workspace no later pass has written.
     """
     cfg = state.config
     grad = ParamVector(state.params.layout) if out is None else out

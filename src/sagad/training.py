@@ -22,9 +22,9 @@ processes.  Caches opened from disk are read by row, one tile at a
 time, so this holds for the whole process, not only inside ``train``:
 neither training nor scoring ever holds a cache payload in memory.
 Training, validation and scoring run the one forward pass, which
-computes hidden layers in place; only training runs it in train mode,
-which also records what the backward pass needs and so takes no
-workspace.
+records what the backward pass needs and writes every intermediate into
+a workspace: training makes one of its train and val rows per run, and
+every epoch's pass overwrites the last one's trace.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cachefile import CacheRows
 from .chebyshev import ChebBasisCache
 from .context import ContextCache
 from .errors import ConfigError, SplitError
@@ -258,12 +259,11 @@ def loss_and_grads_bundle(
 
     The objective is the data loss plus 0.5 * weight_decay * ||params||^2;
     this is the one place the L2 gradient is added.  The gradients are
-    written into ``grads`` if given.  ``trace`` is a train-mode
-    ``forward_bundle`` of ``bundle`` at the state's parameters, run here
-    if not given.
+    written into ``grads`` if given.  ``trace`` is a ``forward_bundle`` of
+    ``bundle`` at the state's parameters, run here if not given.
     """
     if trace is None:
-        trace = forward_bundle(state, bundle, train_mode=True)
+        trace = forward_bundle(state, bundle)
     rows = bundle.parts()[0]
     cbar = None if trace.cbar is None else trace.cbar[rows]
     loss, d_yhat, d_cbar = data_loss_terms(state, trace.yhat[rows], cbar, labels)
@@ -286,7 +286,7 @@ class EpochRecord:
 
 
 def train(
-    labels: np.ndarray,
+    labels: np.ndarray | CacheRows,
     cheb_cache: ChebBasisCache,
     context_cache: ContextCache | None,
     model_config: ModelConfig,
@@ -295,17 +295,19 @@ def train(
 ) -> tuple[ModelState, list[EpochRecord]]:
     """Full-batch training on the labeled train set with early stopping.
 
-    ``labels`` holds one entry per node (1 anomaly, 0 normal, -1 unknown);
-    the graph itself is seen only through the caches.  Keeps the
-    checkpoint with the best validation AUPRC; stops once `patience`
-    epochs pass without improvement.  Only labeled cache rows are
-    gathered, so memory does not scale with graph size.
+    ``labels`` holds one entry per node (1 anomaly, 0 normal, -1 unknown),
+    as an array or a ``CacheRows`` reader, of which only the train and val
+    ids' entries are read; the graph itself is seen only through the
+    caches.  Keeps the checkpoint with the best validation AUPRC; stops
+    once `patience` epochs pass without improvement.  Only labeled cache
+    rows are gathered, so memory does not scale with graph size.
 
     The train rows and then the val rows are gathered into one bundle
-    of two parts, and each epoch makes one train-mode forward pass over
-    it.  Its train rows give epoch e's loss and the gradient of its Adam
-    step; its val rows, at the parameters epoch e - 1's step left, give
-    epoch e - 1's validation AUPRC.  So the pass that starts epoch e + 1
+    of two parts, and each epoch makes one forward pass over it, into
+    one workspace of their rows made per run.  Its train rows give epoch
+    e's loss and the gradient of its Adam step; its val rows, at the
+    parameters epoch e - 1's step left, give epoch e - 1's validation
+    AUPRC.  So the pass that starts epoch e + 1
     is epoch e's validation, made before the early-stop check, and the
     loss and backward pass of epoch e + 1 run only after it: E epochs
     make E + 1 forward and E backward passes, where a train pass and a
@@ -330,19 +332,20 @@ def train(
     bundle = gather_rows(cheb_cache, context_cache, np.concatenate([train_ids, val_ids]),
                          model_config)
     bundle.bounds = (0, train_ids.size, train_ids.size + val_ids.size)
+    ws = TileWorkspace(bundle.bounds[-1])
 
     history: list[EpochRecord] = []
     best_auprc = -np.inf
     best_params = np.empty_like(state.params.flat)
     epochs_since_improve = 0
 
-    trace = forward_bundle(state, bundle, train_mode=True)
+    trace = forward_bundle(state, bundle, ws)
     for epoch in range(train_config.max_epochs):
         breakdown = loss_and_grads_bundle(state, bundle, train_labels, train_config, grads, trace)
-        del trace  # its arrays are freed before the next pass makes its own
         adam_step(state, grads.flat, opt, train_config.lr)
-        # the next pass: its val rows validate this epoch, its train rows start the next
-        trace = forward_bundle(state, bundle, train_mode=True)
+        # the next pass, over this one's trace in the workspace: its val rows
+        # validate this epoch, its train rows start the next
+        trace = forward_bundle(state, bundle, ws)
         val_auprc = average_precision(trace.yhat[train_ids.size :], y_val)
         history.append(EpochRecord(epoch=epoch, train_loss=breakdown.data_loss,
                                    val_auprc=val_auprc))
@@ -372,7 +375,7 @@ def score_all(
     start: int = 0,
     stop: int | None = None,
 ) -> np.ndarray | None:
-    """Eval-mode anomaly probability for nodes ``start:stop`` (every node
+    """Anomaly probability for nodes ``start:stop`` (every node
     by default), ``SCORE_ROWS`` ids at a time.
 
     This is the serial kernel of every scoring command, which runs it on

@@ -95,15 +95,20 @@ def forked(ranges: list[tuple[int, int]], score: Callable, encode: Callable, dir
 
     Yields an iterator over the workers in order, each once it has exited
     with status 0, its part file rewound; a worker that failed raises a
-    SagadError naming its nodes and exit status.  When the block ends, by
-    any way, every worker not yet reaped is killed and reaped and every
-    part file is closed.
+    SagadError naming its nodes and exit status, and a part file or fork
+    that fails (an OSError, such as EAGAIN at the process limit) one
+    naming its nodes.  When the block ends, by any way, every worker not
+    yet reaped is killed and reaped and every part file is closed.
     """
     parent, started = os.getpid(), []
     try:
         for lo, hi in ranges:
-            started.append(worker := Worker(lo, hi, tempfile.TemporaryFile(dir=directory)))
-            worker.pid = os.fork()
+            try:
+                started.append(worker := Worker(lo, hi, tempfile.TemporaryFile(dir=directory)))
+                worker.pid = os.fork()
+            except OSError as exc:
+                raise SagadError(f"cannot start the scoring worker for nodes {lo}..{hi - 1}: "
+                                 f"{exc}") from exc
             if worker.pid == 0:
                 status = 1
                 try:

@@ -187,7 +187,7 @@ def evaluate_objective(
 ) -> float:
     """Scalar objective only, with no backward pass (for finite-difference
     checks): the data loss plus 0.5 * weight_decay * ||params||^2."""
-    trace = forward_bundle(state, bundle, train_mode=True)
+    trace = forward_bundle(state, bundle)
     terms = loss_labels(labels, beta, state.config)
     objective = data_loss_terms(state, trace.yhat, trace.cbar, terms)[0]
     if train_config.weight_decay:
@@ -205,8 +205,8 @@ def two_pass_train(
     split: SplitSet,
 ) -> tuple[ModelState, list[EpochRecord]]:
     """``training.train`` with a bundle per split part: each epoch a
-    train-mode pass over the train rows and its Adam step, then an
-    eval-mode pass over the val rows for the epoch's AUPRC, 2E passes for
+    pass over the train rows and its Adam step, then a pass over the
+    val rows for the epoch's AUPRC, 2E passes for
     E epochs.  The metric is looked up on ``training`` at each call, as
     the package's loop does, so a test that patches it patches both."""
     train_config.validate()
@@ -229,7 +229,7 @@ def two_pass_train(
         breakdown = loss_and_grads_bundle(state, train_bundle, terms, train_config)
         adam_step(state, breakdown.grads.flat, opt, train_config.lr)
 
-        val_out = forward_bundle(state, val_bundle, train_mode=False)
+        val_out = forward_bundle(state, val_bundle)
         val_auprc = training.average_precision(val_out.yhat, y_val)
         history.append(EpochRecord(epoch, breakdown.data_loss, val_auprc))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import gc
 import json
 import os
@@ -1089,15 +1090,17 @@ class TestProcessMemory:
             assert extra < 0.1 * growth, (
                 f"{command} peak grew {extra / 1e6:.1f} MB for {growth / 1e6:.1f} MB more cache")
 
-    # what train holds per node: the int8 label (0.84 B/node measured); the
-    # labeled cache rows and the model do not depend on n, and the context
-    # cache's subgraph sizes are not held
-    TRAIN_BYTES_PER_NODE = 1
+    # what train holds per node: nothing (-0.08 B/node measured; 0.92 while
+    # it read all n int8 labels); it reads the train and val ids' labels,
+    # the labeled cache rows and the model do not depend on n, and the
+    # context cache's subgraph sizes are not held
+    TRAIN_BYTES_PER_NODE = 0.25
 
     def test_train_peak_does_not_grow_with_nodes(self, tmp_path, capsys):
         """The test split holds 180,000 more ids at n=200k: `train` reads
-        only the train and val ids of the dataset image, so its peak stays
-        flat (parsing splits.json and labels.csv grew it by megabytes)."""
+        only the train and val ids of the dataset image, and only their
+        labels, so its peak stays flat (parsing splits.json and labels.csv
+        grew it by megabytes)."""
         peaks = {}
         for n in (20_000, 200_000):
             args, _ = self._write_run(tmp_path, n)
@@ -1132,11 +1135,12 @@ ONE_CPU_SAGAD = ("import os, sys\n"
 
 
 class TestScoreFaults:
-    """An eval-mode forward keeps no backward trace, so a batch's arrays do
-    not pile up: the allocator reuses one batch's memory for the next
-    instead of returning it to the kernel and faulting it back in. The
-    minor page faults of a fresh `score` process then barely grow with n
-    (a per-batch trace cost about 660 faults per 1,000 rows)."""
+    """The forward pass's trace holds views into the tile workspace only,
+    so a batch's arrays do not pile up: every tile writes into the buffers
+    of the first instead of the allocator returning a batch's memory to
+    the kernel and faulting it back in. The minor page faults of a fresh
+    `score` process then barely grow with n (a per-batch trace of new
+    arrays cost about 660 faults per 1,000 rows)."""
 
     MAX_FAULTS_PER_1000_ROWS = 50
 
@@ -1609,6 +1613,43 @@ class TestScoringProcesses:
         assert err.endswith(f"error: scoring worker for nodes 1024..2047 failed ({status})\n")
         if fault == "raise":
             assert "error: scoring worker for nodes 1024..2047: RuntimeError: a worker fault\n" in err
+        assert _outputs(run) == want
+        assert sorted(os.listdir(run)) == files  # no part or temporary file
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    @pytest.mark.parametrize("fault,nodes", [("first fork", "1024..2047"),
+                                             ("second fork", "2048..2048"),
+                                             ("part file", "1024..2047")])
+    def test_worker_that_cannot_start_exits_1_and_keeps_the_old_outputs(
+            self, tiled_run, forking, monkeypatch, capfd, command, fault, nodes):
+        """A part file or a fork that fails (here as at the process limit,
+        with no process started for it) is an error line naming the
+        worker's nodes, not a traceback; the workers already started are
+        reaped, and no part or temporary file is left."""
+        args, run, want = tiled_run
+        forks, fork = [], os.fork
+
+        def failing(*args, **kwargs):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def fork_once():
+            forks.append(1)
+            return fork() if len(forks) == 1 else failing()
+
+        if fault == "part file":
+            monkeypatch.setattr(workers.tempfile, "TemporaryFile", failing)
+        monkeypatch.setattr(os, "fork", fork_once if fault == "second fork" else failing)
+        files = sorted(os.listdir(run))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, *args]) == 1
+            gc.collect()
+        err = capfd.readouterr().err
+        assert err == (f"error: cannot start the scoring worker for nodes {nodes}: "
+                       f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
+        assert len(forks) == (2 if fault == "second fork" else 0)
         assert _outputs(run) == want
         assert sorted(os.listdir(run)) == files  # no part or temporary file
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

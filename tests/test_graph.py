@@ -353,8 +353,12 @@ class TestDatasetImage:
                 assert got.tobytes() == want.tobytes()
             assert adj.num_nodes == ds.num_nodes
             assert_adjacency_contract(adj, ds.num_nodes)
-            labels = image.labels()
+            # the labels stay in the image, read by slice or by ids
+            assert isinstance(image.labels(), cachefile.CacheRows)
+            labels = image.labels()[:]
             assert labels.dtype == np.int8 and labels.tobytes() == ds.labels.tobytes()
+            ids = np.asarray([3, 0, 3, ds.num_nodes - 1])
+            np.testing.assert_array_equal(image.labels()[ids], ds.labels[ids])
             for i, want in enumerate(ds.splits):
                 got = image.split(i)
                 for part in graph.SPLIT_PARTS:
@@ -393,7 +397,7 @@ class TestDatasetImage:
         (directory / "edges.tsv").write_text("not an edge\n")
         (directory / "features.csv").unlink()
         with open_image(tmp_path / "dataset.bin", directory, SUPERVISION_SOURCES) as image:
-            assert image.labels().tolist() == [0, 1, 0, 1, 0]
+            assert image.labels()[:].tolist() == [0, 1, 0, 1, 0]
             assert image.split(0).test.tolist() == [2, 3, 4]
         with pytest.raises(CacheFormatError, match="edges.tsv has changed"):
             open_image(tmp_path / "dataset.bin", directory)

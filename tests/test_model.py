@@ -261,12 +261,10 @@ class TestFusion:
         ds, cache, ctx, state = self._setup(cfg, seed=4)
         prng = np.random.default_rng(11)
         state.params.flat += prng.normal(0.0, 0.5, state.params.flat.shape)
-        for train_mode in (False, True):
-            out = forward_bundle(state, gather_rows(cache, ctx, np.arange(ds.num_nodes), cfg),
-                                 train_mode)
-            want = fuse_per_mode(out.z_low, out.z_high, out.coef, fusion_mode)
-            assert out.z.shape == want.shape
-            np.testing.assert_array_equal(bits(out.z), bits(want))
+        out = run(state, cache, ctx, np.arange(ds.num_nodes))
+        want = fuse_per_mode(out.z_low, out.z_high, out.coef, fusion_mode)
+        assert out.z.shape == want.shape
+        np.testing.assert_array_equal(bits(out.z), bits(want))
 
     def test_adaptive_stays_between_embeddings(self):
         ds, cache, ctx, state = self._setup(seed=3)
@@ -336,8 +334,9 @@ def bits(a):
 
 
 class TestTileWorkspace:
-    """An eval-mode pass through a workspace writes every intermediate
-    into its buffers and gives every output the bits of a pass without."""
+    """A pass through the workspace of a tiled gather writes every
+    intermediate into its buffers and gives every output the bits of a
+    pass over gathered id rows."""
 
     @pytest.mark.parametrize("use_fpg", [True, False])
     @pytest.mark.parametrize("context_mode", ["rq", "features_only"])
@@ -363,16 +362,6 @@ class TestTileWorkspace:
             if previous is not None:  # the same buffer, not a new array
                 assert np.shares_memory(got.yhat, previous)
             previous = got.yhat
-
-    def test_train_mode_takes_no_workspace(self):
-        cfg = ModelConfig(K=2, hidden_dim=4)
-        ds = er_dataset(12, 0.3, 3, seed=1)
-        state = init_model(cfg, ds.num_features)
-        ws = TileWorkspace(12)
-        bundle = gather_rows(whole_matrix_basis(ds, cfg.K), build_context_cache(ds),
-                             slice(0, 12), cfg, ws)
-        with pytest.raises(ValueError, match="eval mode"):
-            forward_bundle(state, bundle, train_mode=True, ws=ws)
 
     def test_gather_takes_a_unit_slice_that_fits(self):
         cfg = ModelConfig(K=2, context_mode="features_only")
@@ -442,9 +431,21 @@ class TestActivations:
                                       bits((pre > 0).astype(np.float64)))
 
 
-class TestLeanEvalForward:
-    """The eval-mode forward keeps no trace and computes hidden layers in
-    place; its outputs equal a train-mode forward's bit for bit."""
+def traced_arrays(out):
+    """Every array of a forward pass's trace, by name."""
+    arrays = {name: getattr(out, name) for name in ("yhat", "cbar", "coef", "z", "z_low",
+                                                    "z_high")}
+    for mlp in ("fusion_trace", "clf_trace"):
+        for i, entry in enumerate(getattr(out, mlp) or []):
+            arrays.update({f"{mlp}.{i}.{key}": value for key, value in entry.items()})
+    return arrays
+
+
+class TestWorkspaceReuse:
+    """A pass computes hidden layers in place, in buffers of a workspace
+    that an earlier pass has written: every array of its trace equals a
+    pass's in a fresh workspace bit for bit, and the cache rows it reads
+    are left as they were."""
 
     @staticmethod
     def _state(dim, **cfg):
@@ -460,38 +461,42 @@ class TestLeanEvalForward:
     @pytest.mark.parametrize("use_fpg", [True, False])
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("as_slice", [False, True], ids=["ids", "slice"])
-    def test_equals_train_mode_forward(
+    def test_reused_workspace_equals_a_fresh_one(
         self, fusion_mode, context_mode, depth, use_fpg, rows, as_slice
     ):
-        # Training gathers id arrays (copies); scoring gathers slices, whose
-        # f64 rows are views of the cache blocks, so an in-place write by the
-        # forward would corrupt the cache.
+        # Training gathers id arrays (copies); a gather of a slice without a
+        # workspace gives f64 rows that are views of the cache blocks, so an
+        # in-place write by the forward would corrupt the cache.
         ds = er_dataset(12, 0.3, 4, seed=1)
         cache = whole_matrix_basis(ds, 3, np.float64)
         ctx = build_context_cache(ds)
         state = self._state(ds.num_features, mlp_depth=depth, fusion_mode=fusion_mode,
                             context_mode=context_mode, use_fpg=use_fpg)
+        cached = [b.copy() for b in (*cache.blocks, ctx.context)]
+        ws = TileWorkspace(12)
+        earlier = forward_bundle(state, gather_rows(cache, ctx, np.arange(12), state.config), ws)
         ids = slice(2, 2 + rows) if as_slice else np.arange(2, 2 + rows)
         bundle = gather_rows(cache, ctx, ids, state.config)
         assert all(np.shares_memory(r, b) == as_slice
                    for r, b in zip(bundle.block_rows, cache.blocks))
-        inputs = [b.copy() for b in bundle.block_rows]
-        lean = forward_bundle(state, bundle)
-        full = forward_bundle(state, bundle, train_mode=True)
-        assert lean.fusion_trace is None and lean.clf_trace is None
-        assert full.clf_trace is not None
-        np.testing.assert_array_equal(bits(lean.yhat), bits(full.yhat))
-        assert (lean.cbar is None) == (full.cbar is None) == (state.fusion_mlp is None)
-        if lean.cbar is not None:
-            np.testing.assert_array_equal(bits(lean.cbar), bits(full.cbar))
-        for before, after in zip(inputs, bundle.block_rows):
+        reused = traced_arrays(forward_bundle(state, bundle, ws))
+        fresh = traced_arrays(forward_bundle(state, bundle))
+        assert np.shares_memory(reused["yhat"], earlier.yhat)
+        assert reused.keys() == fresh.keys()
+        assert (reused["cbar"] is None) == (state.fusion_mlp is None)
+        for name, want in fresh.items():
+            if want is None:
+                assert reused[name] is None, name
+            else:
+                np.testing.assert_array_equal(bits(reused[name]), bits(want), err_msg=name)
+        for before, after in zip(cached, (*cache.blocks, ctx.context)):
             np.testing.assert_array_equal(bits(before), bits(after))
 
 
 class TestStackedParts:
     """A bundle of stacked parts (train rows, then val rows, in training)
-    gives each part's rows the bits of a forward pass over that part alone,
-    in both modes: elementwise steps are row-local, and every matmul runs
+    gives each part's rows the bits of a forward pass over that part alone:
+    elementwise steps are row-local, and every matmul runs
     on one part at a time, since BLAS picks its kernel by the shape (a
     one-row part or the one-column head is a GEMV alone and a GEMM
     stacked, and the two round differently)."""
@@ -524,14 +529,12 @@ class TestStackedParts:
         state = self._state(cfg, dim)
         ids = np.random.default_rng(len(sizes)).permutation(ds.num_nodes)[: sum(sizes)]
         stacked = self._stacked(cache, ctx, ids, sizes, cfg)
-        for train_mode in (False, True):
-            whole = forward_bundle(state, stacked, train_mode=train_mode)
-            for rows in stacked.parts():
-                alone = forward_bundle(state, gather_rows(cache, ctx, ids[rows], cfg),
-                                       train_mode=train_mode)
-                for name in ("z_low", "z_high", "coef", "cbar", "z", "yhat"):
-                    np.testing.assert_array_equal(bits(getattr(whole, name)[rows]),
-                                                  bits(getattr(alone, name)), err_msg=name)
+        whole = forward_bundle(state, stacked)
+        for rows in stacked.parts():
+            alone = forward_bundle(state, gather_rows(cache, ctx, ids[rows], cfg))
+            for name in ("z_low", "z_high", "coef", "cbar", "z", "yhat"):
+                np.testing.assert_array_equal(bits(getattr(whole, name)[rows]),
+                                              bits(getattr(alone, name)), err_msg=name)
 
     @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
     @pytest.mark.parametrize("use_fpg", [True, False])
@@ -552,7 +555,7 @@ class TestStackedParts:
         out.flat[...] = np.nan  # every value is written
         bundle = self._stacked(cache, ctx, ids, sizes, cfg)
         stacked = loss_and_grads_bundle(state, bundle, terms, tc, out,
-                                        forward_bundle(state, bundle, train_mode=True))
+                                        forward_bundle(state, bundle))
         alone = loss_and_grads_bundle(state, gather_rows(cache, ctx, ids[: sizes[0]], cfg),
                                       terms, tc)
         assert stacked.grads is out

@@ -296,7 +296,7 @@ class TestGradients:
         cfg = ModelConfig(K=2, hidden_dim=4, use_fpg=True)
         ds, cache, ctx, state, bundle = _fd_setup(cfg, seed=3)
         y = ds.labels.astype(float)
-        trace = forward_bundle(state, bundle, train_mode=True)
+        trace = forward_bundle(state, bundle)
         _, d_yhat = bce(trace.yhat, y, 1.0, EPS)
         _, d_cbar = fpg(trace.cbar, y, 1.0, cfg.p_a, cfg.p_n, EPS)
         g1 = backward_bundle(state, trace, d_yhat, d_cbar)
@@ -314,21 +314,6 @@ class TestGradients:
         plain = loss_and_grads_bundle(state, bundle, terms, TrainConfig()).grads
         decayed = loss_and_grads_bundle(state, bundle, terms, TrainConfig(weight_decay=0.1)).grads
         np.testing.assert_array_equal(decayed.flat, plain.flat + 0.1 * state.params.flat)
-
-    def test_backward_needs_a_train_mode_forward(self):
-        from sagad.model import backward_bundle, forward_bundle, mlp_backward
-
-        cfg = ModelConfig(K=2, hidden_dim=4, use_fpg=True)
-        ds, cache, ctx, state, bundle = _fd_setup(cfg, seed=3)
-        y = ds.labels.astype(float)
-        trace = forward_bundle(state, bundle)
-        _, d_yhat = bce(trace.yhat, y, 1.0, EPS)
-        _, d_cbar = fpg(trace.cbar, y, 1.0, cfg.p_a, cfg.p_n, EPS)
-        with pytest.raises(ValueError, match="train-mode forward"):
-            backward_bundle(state, trace, d_yhat, d_cbar)
-        with pytest.raises(ValueError, match="train-mode forward"):
-            mlp_backward(state.classifier_mlp, trace.clf_trace, d_yhat[:, None],
-                         init_model(cfg, 3).classifier_mlp)
 
     def test_gradients_cover_every_parameter(self):
         cfg = ModelConfig(K=2, hidden_dim=4)
@@ -543,6 +528,25 @@ class TestOnePassLoop:
             monkeypatch.setattr(training, name, counted)
         train(*args)
         return calls
+
+    def test_every_epoch_writes_into_one_workspace(self, monkeypatch):
+        """Every epoch's pass writes its trace into the buffers of the one
+        workspace the run made, not into new arrays."""
+        ds, cache = self._graph(seed=11)
+        ctx = build_context_cache(ds)
+        passes = []
+
+        def recorded(*args, _fn=training.forward_bundle, **kw):
+            passes.append(out := _fn(*args, **kw))
+            return out
+
+        monkeypatch.setattr(training, "forward_bundle", recorded)
+        train(ds.labels, cache, ctx, ModelConfig(K=4, hidden_dim=8),
+              TrainConfig(max_epochs=5, patience=5), _split(ds.labels, 6, 6, 5))
+        assert len(passes) == 6
+        for out in passes[1:]:
+            for name in ("yhat", "cbar", "z"):
+                assert np.shares_memory(getattr(out, name), getattr(passes[0], name)), name
 
     def test_every_val_auprc_nan(self, monkeypatch):
         # both loops look the metric up on ``training``; no epoch improves, so

@@ -40,7 +40,7 @@ from sagad import chebyshev, context, graph, model, training
 run, data, split_index, epochs = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 with graph.open_image(os.path.join(run, "dataset.bin"), data,
                       graph.SUPERVISION_SOURCES) as image:
-    labels = image.labels()
+    labels = image.labels()[:]
     split = image.split(split_index, ("train", "val"))
 with chebyshev.read_cache(os.path.join(run, "cheb_cache.bin")) as cheb, \\
         context.read_context_cache(os.path.join(run, "context_cache.bin")) as ctx:
