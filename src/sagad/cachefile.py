@@ -29,7 +29,7 @@ import warnings
 import weakref
 import zlib
 from collections.abc import Callable, Iterable
-from typing import TypeVar
+from typing import BinaryIO, TypeVar
 
 import numpy as np
 
@@ -170,6 +170,29 @@ def pread_into(fd: int, out: np.ndarray, offset: int, path: str,
                 f"{offset}; the file was truncated or rewritten while open"
             )
         done += got
+
+
+def pwrite_array(fd: int, arr: np.ndarray, offset: int) -> None:
+    """Write the C-contiguous array ``arr`` to the open file ``fd`` at byte
+    ``offset``, with positioned writes: several processes may each write
+    their own part of one file's fixed layout this way."""
+    view = arr.reshape(-1).view(np.uint8)
+    done = 0
+    while done < view.size:
+        done += os.pwritev(fd, [view[done:]], offset + done)
+
+
+def copy_bytes(src: BinaryIO, dst: BinaryIO, nbytes: int, what: str) -> None:
+    """Copy the next ``nbytes`` of the binary file ``src`` (named ``what``
+    in messages) to ``dst``, ``_FINGERPRINT_CHUNK`` bytes at a time."""
+    buf = bytearray(min(nbytes, _FINGERPRINT_CHUNK))
+    view = memoryview(buf)
+    while nbytes:
+        got = src.readinto(view[: min(nbytes, len(buf))])
+        if not got:
+            raise SagadError(f"{what} ended {nbytes} bytes early")
+        dst.write(view[:got])
+        nbytes -= got
 
 
 def _close_unclosed(fd: int, path: str) -> None:

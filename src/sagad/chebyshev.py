@@ -3,18 +3,23 @@
 With lambda_max fixed to 2, the scaled Laplacian is the negated normalized
 adjacency, so each basis block is produced by one sparse-times-dense
 product.  Blocks are computed once, cached to disk, and read back by
-row (see ``cachefile``); training never touches the graph again.
+row (see ``cachefile``); training never touches the graph again.  Each
+block's rows are split over forked workers (``sagad.workers``), which
+write them into their places in the cache file.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked, pread_into, write_array
+from . import workers
+from .cachefile import (BinaryFormat, CacheFile, CacheRows, FileBacked, pread_into, pwrite_array,
+                        write_array)
 from .errors import CacheFormatError
 from .graph import GraphDataset, RowOperator, degree_scaling, normalized_adjacency
 
@@ -50,6 +55,11 @@ class ChebBasisCache(FileBacked):
 # Rows per chunk of the recurrence: a chunk's normalized values, its sparse
 # product and the rows read back stay small next to the n*d blocks.
 _CHUNK_ROWS = 1 << 13
+# Each block's rows are split over processes with at least 15 000 rows each:
+# on a 2-core x86-64 host (perfbench graphs, d = 32, K = 3, in process) two
+# processes built the basis in 1.4x the time of one at n = 20 000 (a fork
+# and a reap per block), and in 0.88x at n = 30 000, 0.80x at n = 40 000.
+BASIS_JOB = workers.Job("basis", min_units=15_000)
 
 
 def build_cheb_basis(
@@ -64,19 +74,23 @@ def build_cheb_basis(
     f32, the precision of the cache file, one row chunk at a time: each
     normalized value is formed in f64 and rounded once to f32, and each row
     of a sparse product is summed from zero in column order, as the
-    whole-matrix product sums it, so the values do not depend on the
-    chunking.
+    whole-matrix product sums it, so the values depend neither on the
+    chunking nor on which process computes them.
 
-    Each chunk is written to the cache file at ``path`` as soon as it is
-    computed (the file replaces ``path`` only once complete), and one n*d
-    buffer holds T_{k-1} X: the features are read into it as T_0 X, each
-    finished block is read back over it, and T_{k-2} X is read back from
-    the file a chunk at a time.  Each chunk's operator is laid out once,
-    for T_1 X: its rank-major columns and values go to a scratch file
-    beside the cache and are read back for every later block.  The
-    returned cache reads the file by row: close it, or use it in a
-    ``with`` block.  Without ``path`` the basis is built the same way into
-    a temporary file, and its (order+1) blocks are returned in memory.
+    Each block k is split over processes (``BASIS_JOB``, ``sagad.workers``)
+    with one barrier per block: this process and forked workers each take
+    one contiguous range of rows, read the whole T_{k-1} X from this
+    process's one n*d buffer (shared, not copied: no process writes it)
+    and T_{k-2} X from the file a chunk at a time, and write each chunk
+    into its place in the cache file at ``path`` (which replaces ``path``
+    only once complete).  The features are read into the buffer as T_0 X,
+    and each finished block is read back over it.  Each chunk's operator
+    is laid out once, for T_1 X: its rank-major columns and values go to a
+    scratch file beside the cache, at the offset of the chunk's first
+    stored entry, and are read back for every later block.  The returned
+    cache reads the file by row: close it, or use it in a ``with`` block.
+    Without ``path`` the basis is built the same way into a temporary
+    file, and its (order+1) blocks are returned in memory.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -88,45 +102,59 @@ def build_cheb_basis(
     path = os.fspath(path)
     adj = dataset.adjacency
     offsets, scaling = adj.row_offsets, degree_scaling(adj)
-    bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
-    spilled = []  # per chunk: where its columns start in ``spill``, and their dtype
+    # spilled columns: the narrowest ids that hold n, whatever the graph's
+    column_dtype = np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    entry_bytes = column_dtype.itemsize + 4  # a spilled column and its f32 value
+    ranges = BASIS_JOB.ranges(n)
     x = dataset.feature_matrix()
     with CACHE_FORMAT.writer(path, (n, d, order, _DTYPE_F32)) as f, \
             tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as spill:
 
-        def read_back(out: np.ndarray, k: int, lo: int) -> np.ndarray:
-            pread_into(f.fileno(), out, CACHE_FORMAT.header_bytes + (k * n + lo) * d * 4, path)
-            return out
+        def at(k: int, lo: int) -> int:
+            return CACHE_FORMAT.header_bytes + (k * n + lo) * d * 4
 
-        write_array(f, x, "<f4")
-        for k in range(1, order + 1):
-            if k > 1:  # block k-1 is all written: read it back over block k-2
-                f.flush()
-                read_back(x, k - 1, 0)
-                spill.flush()  # what T_1 X spilled is read back from the file itself
-            for i, (lo, hi) in enumerate(bounds):
+        def rows(k: int, sink, lo: int, hi: int) -> None:
+            """Rows lo:hi of T_k X, a chunk at a time, each to ``sink``."""
+            for a in range(lo, hi, _CHUNK_ROWS):
+                b = min(a + _CHUNK_ROWS, hi)
+                spilled = int(offsets[a]) * entry_bytes
                 if k == 1:
-                    op = normalized_adjacency(adj, (lo, hi), scaling, np.float32)
+                    op = normalized_adjacency(adj, (a, b), scaling, np.float32)
                     if order > 1:
-                        spilled.append((spill.tell(), op.columns.dtype))
-                        write_array(spill, op.columns, op.columns.dtype)
-                        write_array(spill, op.values, op.values.dtype)
+                        pwrite_array(spill.fileno(), op.columns.astype(column_dtype, copy=False),
+                                     spilled)
+                        pwrite_array(spill.fileno(), op.values,
+                                     spilled + len(op.columns) * column_dtype.itemsize)
                 else:
-                    at, column_dtype = spilled[i]
-                    columns = np.empty(offsets[hi] - offsets[lo], dtype=column_dtype)
+                    columns = np.empty(int(offsets[b] - offsets[a]), dtype=column_dtype)
                     values = np.empty(len(columns), dtype=np.float32)
-                    pread_into(spill.fileno(), columns, at, "the basis scratch file")
-                    pread_into(spill.fileno(), values, at + columns.nbytes,
+                    pread_into(spill.fileno(), columns, spilled, "the basis scratch file")
+                    pread_into(spill.fileno(), values, spilled + columns.nbytes,
                                "the basis scratch file")
-                    op = RowOperator(offsets[lo : hi + 1], columns, n, values, ranked=True)
+                    op = RowOperator(offsets[a : b + 1], columns, n, values, ranked=True)
                 chunk = op @ x
                 if k == 1:
                     np.negative(chunk, out=chunk)  # L_hat X = -(A_norm X)
                 else:
                     chunk *= -2.0
-                    np.subtract(chunk, read_back(np.empty((hi - lo, d), dtype=np.float32),
-                                                 k - 2, lo), out=chunk)
-                write_array(f, chunk, "<f4")
+                    previous = np.empty((b - a, d), dtype=np.float32)
+                    pread_into(f.fileno(), previous, at(k - 2, a), path)
+                    np.subtract(chunk, previous, out=chunk)
+                sink(at(k, a), chunk)
+
+        def put(part, offset: int, chunk: np.ndarray) -> None:
+            pwrite_array(f.fileno(), chunk, offset)
+
+        write_array(f, x, "<f4")
+        f.flush()  # every later block is written in place, by offset
+        for k in range(1, order + 1):
+            if k > 1:  # block k-1 is all written: read it back over block k-2
+                pread_into(f.fileno(), x, at(k - 1, 0), path)
+            block = functools.partial(rows, k)
+            with workers.forked(BASIS_JOB, ranges[1:], block, put, None) as done:
+                block(functools.partial(put, None), *ranges[0])
+                for _ in done:  # the barrier: every worker has written its rows
+                    pass
     # the file just written, not an input: opened without `read_cache`
     return CACHE_FORMAT.open(path, _cache_from_file)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -339,9 +340,10 @@ def _score_nodes(cfg: RunConfig, data=None, f=None) -> np.ndarray | int:
     context cache is opened.  Without a checkpoint, the caches the flags
     name are still checked against the dataset, so a mismatched cache is
     reported before the missing checkpoint.  Once all is loaded and
-    checked, the tiles are split over ``workers.runs``: this process
-    scores the first run, and forked workers the others, into part files
-    of CSV rows or raw f64 scores that are read back in node order.
+    checked, the tiles are split over ``training.SCORE_JOB``'s ranges
+    (``sagad.workers``): this process scores the first range, and forked
+    workers the others, into part files of CSV rows or raw f64 scores that
+    are read back in node order.
     """
     path = _checkpoint_path(cfg)
     state = model.load_checkpoint(path) if os.path.exists(path) else None
@@ -349,10 +351,13 @@ def _score_nodes(cfg: RunConfig, data=None, f=None) -> np.ndarray | int:
         if state is None:
             _require_file(path, "run `train` first")
         n = cheb.num_nodes
-        runs = workers.runs(n)
+        ranges = training.SCORE_JOB.ranges(n)
 
         def score(sink, lo: int, hi: int) -> None:
             training.score_all(state, cheb, ctx, sink, lo, hi)
+
+        def put(part, lo: int, tile: np.ndarray) -> None:
+            part.write(tile if f is None else _csv_rows(lo, tile))
 
         if f is None:
             scores = np.empty(n, dtype=np.float64)
@@ -360,18 +365,15 @@ def _score_nodes(cfg: RunConfig, data=None, f=None) -> np.ndarray | int:
             def keep(lo: int, tile: np.ndarray) -> None:
                 scores[lo : lo + tile.size] = tile
         else:
-            def keep(lo: int, tile: np.ndarray) -> None:
-                f.write(_csv_rows(lo, tile))
+            keep = functools.partial(put, f)
 
-        encode = _csv_rows if f is not None else lambda lo, tile: tile
-        with workers.forked(runs[1:], score, encode, _run_dir(cfg)) as done:
-            score(keep, *runs[0])
+        with workers.forked(training.SCORE_JOB, ranges[1:], score, put, _run_dir(cfg)) as done:
+            score(keep, *ranges[0])
             for w in done:
                 if f is not None:
                     shutil.copyfileobj(w.part, f)
                 else:
-                    cachefile.pread_into(w.part.fileno(), scores[w.lo : w.hi], 0,
-                                         f"the part file of nodes {w.lo}..{w.hi - 1}")
+                    cachefile.pread_into(w.part.fileno(), scores[w.lo : w.hi], 0, w.part_name)
         return n if f is not None else scores
 
 

@@ -19,19 +19,23 @@ instead, reading only each row range's slice of the graph's columns.
 Both modes fill the context one contiguous row range at a time and pool
 with unit-valued ``RowOperator`` products: in memory into one n*d array,
 or, with a cache path, into one range buffer that is written to the file
-as it is filled, so no n*d context is held.
+as it is filled, so no n*d context is held.  The ranges are split over
+forked workers (``sagad.workers``), which write their rows to part files
+that are read back in row order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachefile import BinaryFormat, CacheFile, CacheRows, FileBacked
+from . import workers
+from .cachefile import (BinaryFormat, CacheFile, CacheRows, FileBacked, copy_bytes, pread_into,
+                        write_array)
 from .errors import CacheFormatError
 from .graph import GraphDataset, RowOperator, SparseAdjacency
 
@@ -289,6 +293,14 @@ _POOL_VALUES = 1 << 18
 # Rows per row range of the sampler, solved by equal-k chunks that a range
 # splits: 8k-row ranges took ~13% longer than 64k-row ones at 200k nodes.
 _RQ_ROWS = 1 << 16
+# The rows are split over processes (``sagad.workers``) with at least this
+# many rows each.  On a 2-core x86-64 host (perfbench graphs, d = 32, cap
+# 64, in process), two processes sampled in 1.5x the time of one at n =
+# 1000, about level at 2000, and 0.70x at 5000, 0.58x at 20 000; they
+# pooled in 2x the time of one at n = 5000 and 0.91x at 10 000, 0.65x at
+# 80 000.
+RQ_JOB = workers.Job("rq context", min_units=2_500)
+POOL_JOB = workers.Job("full_khop context", min_units=5_000)
 
 
 def _pool_rows(adj: SparseAdjacency, x: np.ndarray, lo: int, hi: int,
@@ -320,11 +332,18 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
     The sampler indexes the graph's columns at random, so it reads them
     whole; the pool reads each range's.
 
-    Without ``path`` the context is an in-memory f32 array, filled in
-    place.  With ``path`` the cache is written there (atomically, see
-    ``cachefile.atomic_file``) and returned open on that file: close it,
-    or use it in a ``with`` block.  Each range is then filled into one
-    reused buffer and written, so no n*d context array is held.
+    The rows are split over processes (``RQ_JOB`` or ``POOL_JOB``,
+    ``sagad.workers``): this process fills the first range of rows and
+    forked workers the others, after the sampler's one-time set-up, whose
+    arrays they share unchanged.  Each worker writes its rows, then their
+    subgraph sizes, to its part file, which this process reads back in row
+    order.  Without ``path`` the context is an in-memory f32 array, filled
+    in place, with the part files in the temporary directory.  With
+    ``path`` the cache is written there (atomically, see
+    ``cachefile.atomic_file``), the part files beside it, and returned
+    open on that file: close it, or use it in a ``with`` block.  Each
+    process then fills its rows into one reused range buffer, so no n*d
+    context array is held.
     """
     if cap < 1:
         raise ValueError(f"candidate cap must be >= 1, got {cap}")
@@ -337,27 +356,54 @@ def build_context_cache(dataset: GraphDataset, cap: int = DEFAULT_CANDIDATE_CAP,
     x = (np.ascontiguousarray(features) if isinstance(features, np.ndarray)
          else dataset.feature_matrix())
     if mode == "rq":
-        sizes = np.empty(n, dtype=np.int64)
+        job, step, sizes = RQ_JOB, _RQ_ROWS, np.empty(n, dtype=np.int64)
         # the sampler indexes the columns at random: read them whole, once
         fill = _rq_context(SparseAdjacency(adj.row_offsets, adj.col_indices[:]), x, cap, seed,
                            sizes)
-        step = _RQ_ROWS
     else:
+        job, step = POOL_JOB, max(1, _POOL_VALUES // max(d, 1))
         sizes = np.diff(adj.row_offsets).astype(np.int64) + 1
         fill = functools.partial(_pool_rows, adj, x)
-        step = max(1, _POOL_VALUES // max(d, 1))
-    ranges = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    ranges = job.ranges(n)
+    context = np.empty((n, d), dtype=np.float32) if path is None else None
+    buffer = None if path is None else np.empty((min(step, n), d), dtype=np.float32)
+
+    def rows(sink, lo: int, hi: int) -> None:
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            sink(fill(a, b, context[a:b] if buffer is None else buffer[: b - a]), "<f4")
+
+    def worker_rows(sink, lo: int, hi: int) -> None:
+        rows(sink, lo, hi)
+        sink(sizes[lo:hi], "<u4")  # read back from the part's end
+
     if path is None:
-        context = np.empty((n, d), dtype=np.float32)
-        for lo, hi in ranges:
-            fill(lo, hi, context[lo:hi])
+        with workers.forked(job, ranges[1:], worker_rows, write_array,
+                            tempfile.gettempdir()) as done:
+            rows(lambda out, dtype: None, *ranges[0])  # filled in place
+            for w in done:
+                pread_into(w.part.fileno(), context[w.lo : w.hi], 0, w.part_name)
+                _read_sizes(w, sizes, d)
         return ContextCache(num_nodes=n, dim=d, context=context, subgraph_size=sizes)
-    buffer = np.empty((min(step, n), d), dtype=np.float32)
-    # write_context_cache's layout, one range of rows at a time
-    CONTEXT_FORMAT.write(path, (n, d), itertools.chain(
-        ((fill(lo, hi, buffer[: hi - lo]), "<f4") for lo, hi in ranges), [(sizes, "<u4")]))
+    # write_context_cache's layout: the rows in row order, then the sizes
+    with CONTEXT_FORMAT.writer(path, (n, d)) as f, \
+            workers.forked(job, ranges[1:], worker_rows, write_array,
+                           os.path.dirname(os.path.abspath(path))) as done:
+        rows(functools.partial(write_array, f), *ranges[0])
+        for w in done:
+            copy_bytes(w.part, f, (w.hi - w.lo) * d * 4, w.part_name)
+            _read_sizes(w, sizes, d)
+        write_array(f, sizes, "<u4")
     # the file just written, not an input: opened without `read_context_cache`
     return CONTEXT_FORMAT.open(path, _context_from_file)
+
+
+def _read_sizes(worker: workers.Worker, sizes: np.ndarray, d: int) -> None:
+    """A worker's subgraph sizes, after its rows in its part file, into ``sizes``."""
+    part_sizes = np.empty(worker.hi - worker.lo, dtype="<u4")
+    pread_into(worker.part.fileno(), part_sizes, (worker.hi - worker.lo) * d * 4,
+               worker.part_name)
+    sizes[worker.lo : worker.hi] = part_sizes
 
 
 # ---------------------------------------------------------------------------

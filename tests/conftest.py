@@ -10,8 +10,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from sagad import chebyshev, context, training  # noqa: E402
 from sagad.graph import (GraphDataset, SparseAdjacency, ingest, open_image,  # noqa: E402
                          write_dataset)
+
+# every row-range job that `sagad.workers` runs
+JOBS = (training.SCORE_JOB, chebyshev.BASIS_JOB, context.RQ_JOB, context.POOL_JOB)
+
+
+def split_every_job(monkeypatch, cpus):
+    """Make every row-range job see ``cpus`` usable CPUs (its affinity
+    mask) and take one unit of rows per process at least, so a job of n
+    rows runs in min(cpus, n) processes (whole tiles for scoring)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for job in JOBS:
+        monkeypatch.setattr(job, "min_units", 1)
 
 
 def make_dataset(edges, features, labels, num_nodes=None, splits=None, name="test"):

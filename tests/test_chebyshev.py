@@ -20,7 +20,7 @@ from sagad.graph import (
     SparseAdjacency,
 )
 
-from conftest import LoggedColumns, er_dataset, image_graph, make_dataset
+from conftest import LoggedColumns, er_dataset, image_graph, make_dataset, split_every_job
 from oracles import dense_spectral_oracle, normalized_csr, whole_matrix_basis
 
 
@@ -216,6 +216,29 @@ class TestStreamedBasis:
         # the in-memory build returns the same blocks
         write_cache(build_cheb_basis(ds, order), tmp_path / "mem.bin")
         assert (tmp_path / "mem.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+
+    @pytest.mark.parametrize("name", ["isolated", "edgeless", "er", "star", "path", "complete"])
+    @pytest.mark.parametrize("chunk", ["1", "n"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_bytes_do_not_depend_on_the_process_count(self, tmp_path, monkeypatch, name, chunk,
+                                                      cpus):
+        """Each block's rows split over ``cpus`` processes (8: more than the
+        cores of a small host), which write their chunks into the cache
+        file and the scratch file at fixed offsets: the file is the
+        whole-matrix recurrence's, built in memory or from the columns of
+        a dataset image."""
+        ds = _graphs()[name]
+        order = 3
+        split_every_job(monkeypatch, cpus)
+        monkeypatch.setattr(chebyshev, "_CHUNK_ROWS", {"1": 1, "n": ds.num_nodes}[chunk])
+        write_cache(whole_matrix_basis(ds, order), tmp_path / "oracle.bin")
+        want = (tmp_path / "oracle.bin").read_bytes()
+        write_cache(build_cheb_basis(ds, order), tmp_path / "mem.bin")
+        assert (tmp_path / "mem.bin").read_bytes() == want
+        with image_graph(ds, tmp_path / "data") as on_disk:
+            build_cheb_basis(on_disk, order, path=tmp_path / "c.bin").close()
+        assert (tmp_path / "c.bin").read_bytes() == want
+        assert sorted(os.listdir(tmp_path)) == ["c.bin", "data", "mem.bin", "oracle.bin"]
 
     @pytest.mark.parametrize("name", ["isolated", "edgeless", "er", "star", "path", "complete"])
     @pytest.mark.parametrize("chunk", ["1", "7", "n"])

@@ -20,6 +20,8 @@ from sagad import chebyshev, cli, context, csbm, graph, model, training, workers
 from sagad.cli import dispatch, main, parse_config
 from sagad.errors import CacheFormatError, ConfigError, DatasetFormatError, SagadError
 
+from conftest import JOBS, er_dataset, split_every_job
+
 
 def read(path, mode="r"):
     with open(path, mode) as f:
@@ -1522,8 +1524,67 @@ def tiled_run(tmp_path_factory):
     return args, run, _outputs(run)
 
 
-def _outputs(run) -> dict:
-    return {name: (run / name).read_bytes() for name in ("scores_0.csv", "report.csv")}
+@pytest.fixture(scope="module")
+def setup_source(tmp_path_factory):
+    """A 2049-node Erdos-Renyi dataset and, built in one process, a run
+    directory per context mode holding its `preprocess` and
+    `sample-context` outputs."""
+    base = tmp_path_factory.mktemp("setup")
+    ds = er_dataset(2049, 0.004, 8, seed=3)
+    ids = np.random.default_rng(3).permutation(2049)
+    ds.splits = [graph.SplitSet(ids[:100], ids[100:200], ids[200:])]
+    graph.write_dataset(ds, base / "data")
+    with pytest.MonkeyPatch.context() as mp:
+        _usable_cpus(mp, 1)
+        for mode in ("rq", "full_khop"):
+            args = _setup_args(base, base / f"run-{mode}", mode)
+            assert main(["preprocess", *args]) == 0
+            assert main(["sample-context", *args]) == 0
+    return base
+
+
+def _setup_args(source, run, mode: str) -> list[str]:
+    """The flags of a set-up command on ``setup_source``'s dataset."""
+    return ["--dataset", str(source / "data"), "--run-dir", str(run), "--context-mode", mode]
+
+
+# Each command whose rows workers split: its argv, the context mode of its
+# set-up run (None: the tiled run), the outputs it rewrites, the job's name
+# and the rows of its two workers when 2049 rows go to three processes.
+WORKER_COMMANDS = {
+    "score": (["score"], None, ("scores_0.csv", "report.csv"), "scoring",
+              ("1024..2047", "2048..2048")),
+    "eval": (["eval"], None, ("scores_0.csv", "report.csv"), "scoring",
+             ("1024..2047", "2048..2048")),
+    "preprocess": (["preprocess"], "rq", ("cheb_cache.bin",), "basis", ("683..1365", "1366..2048")),
+    "sample-context rq": (["sample-context"], "rq", ("context_cache.bin",), "rq context",
+                          ("683..1365", "1366..2048")),
+    "sample-context full_khop": (["sample-context"], "full_khop", ("context_cache.bin",),
+                                 "full_khop context", ("683..1365", "1366..2048")),
+}
+
+
+@pytest.fixture
+def command_run(request, tmp_path):
+    """``(argv, run, outputs)`` of a command of WORKER_COMMANDS: the tiled
+    run, or a copy of the set-up run of its mode, and the bytes of the
+    outputs it rewrites, as one process wrote them."""
+
+    def make(command: str):
+        argv, mode, names, *_ = WORKER_COMMANDS[command]
+        if mode is None:
+            args, run, _ = request.getfixturevalue("tiled_run")
+        else:
+            source, run = request.getfixturevalue("setup_source"), tmp_path / f"run-{mode}"
+            shutil.copytree(source / f"run-{mode}", run)
+            args = _setup_args(source, run, mode)
+        return [*argv, *args], run, _outputs(run, names)
+
+    return make
+
+
+def _outputs(run, names=("scores_0.csv", "report.csv")) -> dict:
+    return {name: (run / name).read_bytes() for name in names}
 
 
 def _assert_no_child_process() -> None:
@@ -1531,47 +1592,122 @@ def _assert_no_child_process() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def _at_each_range(monkeypatch, command: str, hook) -> None:
+    """Call ``hook(lo, in_worker)`` whenever ``command``'s job starts on
+    rows from ``lo``, ``in_worker`` True in a forked worker: scoring at
+    each range of tiles, the basis at each row chunk of T_1 X, the
+    sampler and the pool at each range they fill."""
+    parent = os.getpid()
+
+    def wrap(fn, lo_of):
+        def hooked(*args):
+            hook(lo_of(args), os.getpid() != parent)
+            return fn(*args)
+        return hooked
+
+    if command in ("score", "eval"):
+        monkeypatch.setattr(training, "score_all", wrap(training.score_all, lambda a: a[4]))
+    elif command == "preprocess":
+        monkeypatch.setattr(chebyshev, "normalized_adjacency",
+                            wrap(chebyshev.normalized_adjacency, lambda a: a[1][0]))
+    elif command == "sample-context full_khop":
+        monkeypatch.setattr(context, "_pool_rows", wrap(context._pool_rows, lambda a: a[2]))
+    else:
+        sampler = context._rq_context
+        monkeypatch.setattr(context, "_rq_context",
+                            lambda *args: wrap(sampler(*args), lambda a: a[0]))
+
+
+def _assert_kept(run, files, want, command: str) -> None:
+    """The outputs as before, and no part, spill or temporary file: only a
+    failed `preprocess` removes the dataset image it wrote (its documented
+    behaviour), so that no half of a set-up is left."""
+    names = tuple(want)
+    assert _outputs(run, names) == want
+    gone = {"dataset.bin"} if command == "preprocess" else set()
+    assert sorted(os.listdir(run)) == sorted(set(files) - gone)
+
+
 class TestScoringProcesses:
-    """`eval`, `score` and `quartiles` split their tiles over forked
-    workers: the same bytes, whatever the number of processes, and no
-    process, file or warning left behind when one of them fails."""
+    """Scoring (`eval`, `score`, `quartiles`), the basis (`preprocess`)
+    and both context modes (`sample-context`) split their rows over forked
+    workers through one pool (`sagad.workers`): the same bytes, whatever
+    the number of processes, and no process, file or warning left behind
+    when one of them fails."""
 
     @pytest.fixture
     def forking(self, monkeypatch):
-        """Three usable CPUs and one tile per process at least: the 2049
-        nodes go to three processes, one tile each."""
-        _usable_cpus(monkeypatch, 3)
-        monkeypatch.setattr(workers, "MIN_TILES", 1)
+        """Three usable CPUs and every job down to one unit per process: the
+        2049 rows go to three processes, one tile each for scoring."""
+        split_every_job(monkeypatch, 3)
 
     def test_process_count_is_derived_and_capped(self, monkeypatch):
         cases = [(1, 10**4, 1), (2, 20, 1), (2, 196, 2), (3, 196, 3), (3, 40, 2),
                  (10**4, 10**6, workers.MAX_PROCESSES), (4, 0, 1)]
         for cpus, tiles, want in cases:
             _usable_cpus(monkeypatch, cpus)
-            assert workers.processes(tiles) == want, (cpus, tiles)
-        assert workers.MAX_PROCESSES == 8 and workers.MIN_TILES == 20
+            assert workers.processes(tiles, 20) == want, (cpus, tiles)
+        assert workers.MAX_PROCESSES == 8 and training.SCORE_JOB.min_units == 20
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert workers.processes(10**4) == 1  # a fork would copy one thread only
+            assert workers.processes(10**4, 20) == 1  # a fork would copy one thread only
         finally:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
 
+    @pytest.mark.parametrize("job", JOBS, ids=lambda job: job.name)
+    def test_every_job_count_is_bounded_by_the_usable_cpus(self, monkeypatch, job):
+        """Whatever the rows: one process on one CPU or while another
+        thread runs, at most two on two CPUs, at most MAX_PROCESSES on
+        4096; and on one CPU every command runs with no fork at all."""
+        n = 10**8
+        for cpus, most in [(1, 1), (2, 2), (4096, workers.MAX_PROCESSES)]:
+            _usable_cpus(monkeypatch, cpus)
+            ranges = job.ranges(n)
+            assert 1 <= len(ranges) <= most
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert len(ranges) == workers.MAX_PROCESSES
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert job.ranges(n) == [(0, n)]
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("command", list(WORKER_COMMANDS))
+    def test_one_cpu_forks_nothing(self, command_run, monkeypatch, command):
+        argv, run, want = command_run(command)
+        split_every_job(monkeypatch, 1)
+        forks = []
+
+        def counted_fork():
+            forks.append(1)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert main(argv) == 0
+        assert forks == []
+        assert _outputs(run, tuple(want)) == want
+
     def test_runs_are_whole_tiles(self, forking):
-        assert workers.runs(2049) == [(0, 1024), (1024, 2048), (2048, 2049)]
-        assert workers.runs(1024) == [(0, 1024)]
-        assert workers.runs(0) == [(0, 0)]
+        assert training.SCORE_JOB.ranges(2049) == [(0, 1024), (1024, 2048), (2048, 2049)]
+        assert training.SCORE_JOB.ranges(1024) == [(0, 1024)]
+        assert training.SCORE_JOB.ranges(0) == [(0, 0)]
+        assert chebyshev.BASIS_JOB.ranges(2049) == [(0, 683), (683, 1366), (1366, 2049)]
         with pytest.raises(ValueError, match="tiles"):
             training.score_all(None, chebyshev.ChebBasisCache(0, 2049, 1, []), None, start=1)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_outputs_do_not_depend_on_the_process_count(self, tiled_run, monkeypatch, cpus):
         args, run, want = tiled_run
-        _usable_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(workers, "MIN_TILES", 1)
+        split_every_job(monkeypatch, cpus)
         forks = []
         fork = os.fork
 
@@ -1588,47 +1724,49 @@ class TestScoringProcesses:
         assert _outputs(run) == want
         _assert_no_child_process()
 
-    @pytest.mark.parametrize("command", ["score", "eval"])
+    @pytest.mark.parametrize("command", list(WORKER_COMMANDS))
     @pytest.mark.parametrize("fault,status", [("raise", "exit status 1"),
                                               ("kill", f"killed by signal {signal.SIGKILL}")])
     def test_failed_worker_exits_1_and_keeps_the_old_outputs(
-            self, tiled_run, forking, monkeypatch, capfd, command, fault, status):
-        args, run, want = tiled_run
-        parent, score_all = os.getpid(), training.score_all
+            self, command_run, forking, monkeypatch, capfd, command, fault, status):
+        argv, run, want = command_run(command)
+        _, _, _, job, (rows, _) = WORKER_COMMANDS[command]
+        first = int(rows.split("..")[0])
 
-        def faulty(state, cheb, ctx, sink=None, start=0, stop=None):
-            if os.getpid() != parent and start == 1024:
+        def faulty(lo, in_worker):
+            if in_worker and lo == first:
                 if fault == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise RuntimeError("a worker fault")
-            return score_all(state, cheb, ctx, sink, start, stop)
 
-        monkeypatch.setattr(training, "score_all", faulty)
+        _at_each_range(monkeypatch, command, faulty)
         files = sorted(os.listdir(run))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([command, *args]) == 1
+            assert main(argv) == 1
             gc.collect()
         err = capfd.readouterr().err
-        assert err.endswith(f"error: scoring worker for nodes 1024..2047 failed ({status})\n")
-        if fault == "raise":
-            assert "error: scoring worker for nodes 1024..2047: RuntimeError: a worker fault\n" in err
-        assert _outputs(run) == want
-        assert sorted(os.listdir(run)) == files  # no part or temporary file
+        # the worker's own line (none when killed), then the command's
+        detail = (f"error: {job} worker for rows {rows}: RuntimeError: a worker fault\n"
+                  if fault == "raise" else "")
+        assert err == detail + f"error: {job} worker for rows {rows} failed ({status})\n"
+        _assert_kept(run, files, want, command)
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         _assert_no_child_process()
 
-    @pytest.mark.parametrize("command", ["score", "eval"])
-    @pytest.mark.parametrize("fault,nodes", [("first fork", "1024..2047"),
-                                             ("second fork", "2048..2048"),
-                                             ("part file", "1024..2047")])
+    @pytest.mark.parametrize("command,fault", [
+        (command, fault) for command in WORKER_COMMANDS
+        for fault in ("first fork", "second fork", "part file")
+        if (command, fault) != ("preprocess", "part file")])  # the basis writes no part file
     def test_worker_that_cannot_start_exits_1_and_keeps_the_old_outputs(
-            self, tiled_run, forking, monkeypatch, capfd, command, fault, nodes):
+            self, command_run, forking, monkeypatch, capfd, command, fault):
         """A part file or a fork that fails (here as at the process limit,
         with no process started for it) is an error line naming the
-        worker's nodes, not a traceback; the workers already started are
-        reaped, and no part or temporary file is left."""
-        args, run, want = tiled_run
+        job and the worker's rows, not a traceback; the workers already
+        started are reaped, and no part or temporary file is left.  The
+        basis has no part file: its workers write into the cache file."""
+        argv, run, want = command_run(command)
+        _, _, _, job, (first, second) = WORKER_COMMANDS[command]
         forks, fork = [], os.fork
 
         def failing(*args, **kwargs):
@@ -1644,40 +1782,39 @@ class TestScoringProcesses:
         files = sorted(os.listdir(run))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([command, *args]) == 1
+            assert main(argv) == 1
             gc.collect()
         err = capfd.readouterr().err
-        assert err == (f"error: cannot start the scoring worker for nodes {nodes}: "
+        rows = second if fault == "second fork" else first
+        assert err == (f"error: cannot start the {job} worker for rows {rows}: "
                        f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
         assert len(forks) == (2 if fault == "second fork" else 0)
-        assert _outputs(run) == want
-        assert sorted(os.listdir(run)) == files  # no part or temporary file
+        _assert_kept(run, files, want, command)
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         _assert_no_child_process()
 
+    @pytest.mark.parametrize("command", list(WORKER_COMMANDS))
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
-    def test_failed_parent_kills_and_reaps_every_worker(self, tiled_run, forking, monkeypatch,
-                                                        error):
-        args, run, want = tiled_run
-        parent = os.getpid()
+    def test_failed_parent_kills_and_reaps_every_worker(self, command_run, forking, monkeypatch,
+                                                        command, error):
+        argv, run, want = command_run(command)
 
-        def stuck_workers(state, cheb, ctx, sink=None, start=0, stop=None):
-            if os.getpid() != parent:
+        def stuck_workers(lo, in_worker):
+            if in_worker:
                 time.sleep(60)  # reaped without being killed, the test would wait this long
             raise error("the parent fails")
 
-        monkeypatch.setattr(training, "score_all", stuck_workers)
+        _at_each_range(monkeypatch, command, stuck_workers)
         files = sorted(os.listdir(run))
         started = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(error):
-                main(["score", *args])
+                main(argv)
             gc.collect()
         assert time.perf_counter() - started < 30
         _assert_no_child_process()
-        assert _outputs(run) == want
-        assert sorted(os.listdir(run)) == files
+        _assert_kept(run, files, want, command)
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_orphaned_worker_stops_within_one_tile(self, tmp_path, monkeypatch):
@@ -1691,10 +1828,13 @@ class TestScoringProcesses:
             for start in range(lo, hi, 1024):
                 sink(start, np.full(min(1024, hi - start), 0.5))
 
+        def put(part, lo, tile):
+            part.write(cli._csv_rows(lo, tile))
+
         with open(tmp_path / "part", "w+b") as part:
             worker = workers.Worker(0, 3000, part)
             with pytest.raises(SagadError, match=f"scoring process {parent} exited"):
-                workers.score_part(worker, score, cli._csv_rows, parent)
+                workers.run_part(training.SCORE_JOB, worker, score, put, parent)
             part.flush()
             assert (tmp_path / "part").read_bytes() == cli._csv_rows(0, np.full(1024, 0.5))
 

@@ -24,7 +24,8 @@ from sagad.errors import CacheFormatError
 from sagad.graph import FEATURES_FORMAT, FeatureFile, GraphDataset, SparseAdjacency
 
 import rq_oracle
-from conftest import LoggedColumns, er_dataset, image_graph, make_dataset, messy_edges
+from conftest import (LoggedColumns, er_dataset, image_graph, make_dataset, messy_edges,
+                      split_every_job)
 from oracles import csr, full_khop_pool
 from rq_kernel import max_rq_subgraph
 from rq_oracle import rayleigh_quotient
@@ -495,17 +496,20 @@ class TestSamplerMemory:
 
 
 class TestRowRanges:
-    """Both modes fill the context one row range at a time; the bytes do
-    not depend on the ranges, built in memory or streamed to the file."""
+    """Both modes fill the context one row range at a time, in one or more
+    processes; the bytes depend neither on the ranges nor on the process
+    count, built in memory or streamed to the file."""
 
     @pytest.mark.parametrize("name", ["integer_er-p0.3-s1", "zero_rows_er-p0.15-s2",
                                       "degree_at_cap-8", "capped_hub_triangles", "isolated"])
     @pytest.mark.parametrize("rows", ["1", "7", "n", "n+5"])
-    def test_rq_bytes_do_not_depend_on_the_ranges(self, tmp_path, monkeypatch, name, rows):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rq_bytes_do_not_depend_on_the_ranges(self, tmp_path, monkeypatch, name, rows, cpus):
         ds = CORPUS[name]
         n = ds.num_nodes
         write_context_cache(ContextCache(n, ds.num_features, *rq_oracle.context_rows(ds, 8, 7)),
                             tmp_path / "oracle.bin")
+        split_every_job(monkeypatch, cpus)
         monkeypatch.setattr(context, "_RQ_ROWS", {"1": 1, "7": 7, "n": n, "n+5": n + 5}[rows])
         write_context_cache(build_context_cache(ds, cap=8, seed=7), tmp_path / "mem.bin")
         with image_graph(ds, str(tmp_path / "data")) as on_disk:
@@ -550,6 +554,13 @@ class TestChunkedFullKhop:
                     assert disk.context[:].tobytes() == expected.tobytes()
             with open(oracle, "rb") as want, open(streamed, "rb") as got:
                 assert got.read() == want.read()
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_corpus_bytes_do_not_depend_on_the_process_count(self, monkeypatch, name, cpus):
+        split_every_job(monkeypatch, cpus)
+        for rows_per_chunk in (1, None):
+            self._check(CORPUS[name], rows_per_chunk)
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
     def test_bit_identical_to_one_product(self, rows_per_chunk):

@@ -11,8 +11,11 @@ results is intended, regenerate the table with ``python
 tools/pipeline_digests.py --write-golden`` and record the change and its
 reason.  The digests depend on the numpy build, its BLAS and the CPU, so
 on another of those the test is skipped, naming what differs.  The
-pipeline runs twice: as scoring runs on this host, and with ``eval``,
-``score`` and ``quartiles`` split over three processes, one tile each.
+pipeline runs twice: with the worker counts this host derives, and with
+every row-range job split over three processes: the basis
+(``preprocess``) and the context (``sample-context``) over rows 0..682,
+683..1365 and 1366..2048, and ``eval``, ``score`` and ``quartiles`` one
+tile each.
 """
 
 import json
@@ -21,7 +24,9 @@ import sys
 
 import pytest
 
-from sagad import workers
+from sagad import cli
+
+from conftest import split_every_job
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
@@ -53,21 +58,28 @@ def test_pipeline_outputs_match_the_golden_digests(tmp_path):
     _assert_golden(golden, pipeline_digests.golden_digests(str(tmp_path)))
 
 
-def test_forked_scoring_outputs_match_the_golden_digests(tmp_path, monkeypatch):
-    """Three usable CPUs and one tile per process at least: the 2049 nodes
-    are scored by this process (0..1023) and two forked workers (1024..2047
-    and the one-row tile 2048)."""
+def test_forked_outputs_match_the_golden_digests(tmp_path, monkeypatch):
+    """Three usable CPUs and one unit of rows per process at least: each
+    job's rows go to this process and two forked workers."""
     golden = _golden()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(workers, "MIN_TILES", 1)
-    forks, fork = [], os.fork
+    split_every_job(monkeypatch, 3)
+    command, forks, fork, main = [None], [], os.fork, cli.main
 
     def counted_fork():
-        forks.append(1)
+        forks.append(command[0])
         return fork()
 
+    def counted_main(argv):
+        command[0] = argv[0]
+        return main(argv)
+
     monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "main", counted_main)
     got = pipeline_digests.golden_digests(str(tmp_path))
-    # two workers for each of eval, score and quartiles, in every mode
-    assert len(forks) == 2 * 3 * len(pipeline_digests.GOLDEN_RUN["modes"])
+    modes = pipeline_digests.GOLDEN_RUN["modes"]
+    # two workers per job: per block of the K = 3 basis, per context build
+    # (not for features_only), and per scoring command
+    assert {name: forks.count(name) for name in set(forks)} == {
+        "preprocess": 2 * 3 * len(modes), "sample-context": 2 * (len(modes) - 1),
+        "eval": 2 * len(modes), "score": 2 * len(modes), "quartiles": 2 * len(modes)}
     _assert_golden(golden, got)
